@@ -12,10 +12,10 @@ functor acts path-by-path.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .linalg import Mat, hstack, column_complement
+from .linalg import Mat, column_basis, column_complement, hstack, vstack
 from .reps import (ClusterObject, Representation, all_paths, apply_path,
-                   cluster_object, cokernel_rep, direct_sum_many, hom_basis,
-                   injective_rep, kernel_rep, projective_rep)
+                   cluster_object, cokernel_rep, direct_sum, direct_sum_many,
+                   hom_basis, kernel_rep, standard_module)
 
 
 # -- tops, radicals, socles ------------------------------------------------
@@ -26,14 +26,7 @@ def radical_bases(M: Representation) -> list:
     out = []
     for j in range(1, q.n + 1):
         imgs = [M.matrices[a] for a in q.arrows_into(j)]
-        stacked = hstack(F, imgs, rows=M.dim[j - 1]) if imgs else Mat(
-            F, M.dim[j - 1], 0)
-        red, pivots = stacked.transpose().rref()
-        basis = Mat(F, M.dim[j - 1], len(pivots))
-        for k in range(len(pivots)):
-            for r in range(M.dim[j - 1]):
-                basis.data[r][k] = red.data[k][r]
-        out.append(basis)
+        out.append(column_basis(hstack(F, imgs, rows=M.dim[j - 1])))
     return out
 
 
@@ -48,7 +41,6 @@ def socle_bases(M: Representation) -> list:
     for i in range(1, q.n + 1):
         mats = [M.matrices[a] for a in q.arrows_out_of(i)]
         if mats:
-            from .linalg import vstack
             out.append(vstack(F, mats, cols=M.dim[i - 1]).nullspace())
         else:
             out.append(Mat.identity(F, M.dim[i - 1]))
@@ -57,29 +49,16 @@ def socle_bases(M: Representation) -> list:
 
 # -- sums of standard modules with block bookkeeping -----------------------
 
-def _proj_sum(q, field, gens):
-    """Direct sum of P_u for u in gens, plus per-block basis offsets."""
-    paths = all_paths(q)
-    rep = direct_sum_many(q, [projective_rep(q, u, field) for u in gens], field)
+def _standard_sum(q, field, kind, gens):
+    """Direct sum of the standard modules of `kind` at the vertices in
+    gens, plus per-block basis offsets."""
+    summands = [standard_module(q, kind, u, field) for u in gens]
     offsets = []
     pos = [0] * q.n
-    for u in gens:
+    for S in summands:
         offsets.append(tuple(pos))
-        for j in range(q.n):
-            pos[j] += len(paths[(u, j + 1)])
-    return rep, offsets
-
-
-def _inj_sum(q, field, gens):
-    paths = all_paths(q)
-    rep = direct_sum_many(q, [injective_rep(q, u, field) for u in gens], field)
-    offsets = []
-    pos = [0] * q.n
-    for u in gens:
-        offsets.append(tuple(pos))
-        for j in range(q.n):
-            pos[j] += len(paths[(j + 1, u)])
-    return rep, offsets
+        pos = [a + b for a, b in zip(pos, S.dim)]
+    return direct_sum_many(q, summands, field), offsets
 
 
 # -- covers and envelopes --------------------------------------------------
@@ -97,7 +76,7 @@ def projective_cover(M: Representation):
             gens.append(i)
             gen_vecs.append(Mat(F, M.dim[i - 1], 1,
                                 [[comp.data[r][c]] for r in range(M.dim[i - 1])]))
-    P0, offsets = _proj_sum(q, F, gens)
+    P0, offsets = _standard_sum(q, F, "projective", gens)
     pi = [Mat(F, M.dim[j], P0.dim[j]) for j in range(q.n)]
     for g, (u, v) in enumerate(zip(gens, gen_vecs)):
         for j in range(1, q.n + 1):
@@ -128,7 +107,7 @@ def injective_envelope(M: Representation):
             fn = Mat(F, 1, M.dim[i - 1])
             fn.data[0] = inv.data[c][:]
             gen_funcs.append(fn)
-    I0, offsets = _inj_sum(q, F, gens)
+    I0, offsets = _standard_sum(q, F, "injective", gens)
     eps = [Mat(F, I0.dim[j], M.dim[j]) for j in range(q.n)]
     for g, (u, fn) in enumerate(zip(gens, gen_funcs)):
         for j in range(1, q.n + 1):
@@ -150,8 +129,8 @@ def _nu_of_proj_map(q, field, f, gens1, offs1, gens0, offs0):
     On injectives the path p acts by chopping itself off the tail.
     """
     paths = all_paths(q)
-    I1, ioffs1 = _inj_sum(q, field, gens1)
-    I0, ioffs0 = _inj_sum(q, field, gens0)
+    I1, ioffs1 = _standard_sum(q, field, "injective", gens1)
+    I0, ioffs0 = _standard_sum(q, field, "injective", gens0)
     nf = [Mat(field, I0.dim[j], I1.dim[j]) for j in range(q.n)]
     for g1, u in enumerate(gens1):
         col_u = offs1[g1][u - 1] + paths[(u, u)].index(())
@@ -182,8 +161,8 @@ def _nuinv_of_inj_map(q, field, h, gens0, offs0, gens1, offs1):
     p acts by prepending.
     """
     paths = all_paths(q)
-    P0, poffs0 = _proj_sum(q, field, gens0)
-    P1, poffs1 = _proj_sum(q, field, gens1)
+    P0, poffs0 = _standard_sum(q, field, "projective", gens0)
+    P1, poffs1 = _standard_sum(q, field, "projective", gens1)
     nf = [Mat(field, P1.dim[j], P0.dim[j]) for j in range(q.n)]
     for g0, u in enumerate(gens0):
         for g1, v in enumerate(gens1):
@@ -202,20 +181,15 @@ def _nuinv_of_inj_map(q, field, h, gens0, offs0, gens1, offs1):
     return P0, P1, nf
 
 
-# -- splitting off projective / injective summands -------------------------
+# -- splitting off projective or injective summands -----------------------
 
-def _end_scalar_entry(q, i, g, f, path_index):
-    """Entry of g o f in End at the 1-dim trivial-path coordinate."""
-    comp = g[i - 1].mul(f[i - 1])
-    return comp.data[path_index][path_index]
-
-
-def split_projective_summands(M: Representation):
-    """Decompose M = (+) P_i^{c_i} (+) M' with M' projective-free.
+def split_summands(M: Representation, kind: str):
+    """Decompose M = (+) S_i^{c_i} (+) M' with S_i the standard module of
+    `kind` ("projective" or "injective") at i and M' free of them.
 
     Returns (multiplicity tuple, M').  Uses the trace pairing
-    Hom(M, P_i) x Hom(P_i, M) -> End(P_i) = k (acyclicity makes the
-    endomorphism ring of each P_i one-dimensional): a nonzero value
+    Hom(M, S_i) x Hom(S_i, M) -> End(S_i) = k (acyclicity makes the
+    endomorphism ring of each S_i one-dimensional): a nonzero value
     yields an idempotent splitting, which is peeled off and repeated.
     """
     q, F = M.quiver, M.field
@@ -226,63 +200,30 @@ def split_projective_summands(M: Representation):
     while changed:
         changed = False
         for i in range(1, q.n + 1):
-            P = projective_rep(q, i, F)
+            S = standard_module(q, kind, i, F)
             idx = paths[(i, i)].index(())
-            fs = hom_basis(P, cur)
-            gs = hom_basis(cur, P)
+            fs = hom_basis(S, cur)
+            gs = hom_basis(cur, S)
             found = None
             for f in fs:
                 for g in gs:
-                    c = _end_scalar_entry(q, i, g, f, idx)
+                    c = g[i - 1].mul(f[i - 1]).data[idx][idx]
                     if not F.is_zero(c):
-                        found = (f, g, c)
+                        found = (g, c)
                         break
                 if found:
                     break
             if found:
-                f, g, c = found
+                g, c = found
                 g = [m.scale(F.inv(c)) for m in g]
-                cur, _ = kernel_rep(g, cur, P)
-                mults[i - 1] += 1
-                changed = True
-    return tuple(mults), cur
-
-
-def split_injective_summands(M: Representation):
-    """Decompose M = (+) I_i^{c_i} (+) M' with M' injective-free."""
-    q, F = M.quiver, M.field
-    paths = all_paths(q)
-    mults = [0] * q.n
-    cur = M
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, q.n + 1):
-            I = injective_rep(q, i, F)
-            idx = paths[(i, i)].index(())
-            fs = hom_basis(I, cur)
-            gs = hom_basis(cur, I)
-            found = None
-            for f in fs:
-                for g in gs:
-                    c = _end_scalar_entry(q, i, g, f, idx)
-                    if not F.is_zero(c):
-                        found = (f, g, c)
-                        break
-                if found:
-                    break
-            if found:
-                f, g, c = found
-                g = [m.scale(F.inv(c)) for m in g]
-                cur, _ = kernel_rep(g, cur, I)
+                cur, _ = kernel_rep(g, cur, S)
                 mults[i - 1] += 1
                 changed = True
     return tuple(mults), cur
 
 
 def has_projective_summand(M: Representation) -> bool:
-    mults, _ = split_projective_summands(M)
-    return any(mults)
+    return any(split_summands(M, "projective")[0])
 
 
 # -- the translate and its inverse ----------------------------------------
@@ -315,7 +256,7 @@ def ar_inverse(M: Representation) -> ClusterObject:
     q, F = M.quiver, M.field
     if M.is_zero():
         return cluster_object(M)
-    inj_mults, core = split_injective_summands(M)
+    inj_mults, core = split_summands(M, "injective")
     if core.is_zero():
         return cluster_object(core, inj_mults)
     gens0, I0, offs0, eps = injective_envelope(core)
@@ -337,5 +278,4 @@ def hom_side_middle_term(g: list, L: Representation,
     K, _ = kernel_rep(g, L, tau_M)
     C, _ = cokernel_rep(g, L, tau_M)
     rest = ar_inverse(C)
-    from .reps import direct_sum
     return ClusterObject(direct_sum(K, rest.module), rest.shifted)

@@ -33,7 +33,6 @@ CALIBRATED_COINDEX_ORIENTATION = 1
 @dataclass
 class CharacterValue:
     value: LaurentPolynomial
-    source: str
 
     def __eq__(self, other):
         if isinstance(other, CharacterValue):
@@ -107,7 +106,7 @@ def cc(obj, primes) -> CharacterValue:
             exp[t - 1] += e[s - 1]
             exp[s - 1] += m[t - 1] - e[t - 1]
         total = total + LaurentPolynomial.monomial(exp, chi)
-    return CharacterValue(total, describe(obj))
+    return CharacterValue(total)
 
 
 def cc_palu_form(obj, primes,
@@ -134,7 +133,7 @@ def cc_palu_form(obj, primes,
             pairing = euler_form(q, units[i], e) - euler_form(q, e, units[i])
             exp[i] = -coind[i] + antisym_sign * pairing
         total = total + LaurentPolynomial.monomial(exp, chi)
-    return CharacterValue(total, describe(obj))
+    return CharacterValue(total)
 
 
 def calibrate(primes) -> tuple[int, int]:

@@ -82,8 +82,8 @@ def common_options(fn):
     return fn
 
 
-def _make_config(primes_csv, output_format, depth=None) -> WorkbenchConfig:
-    cfg = WorkbenchConfig(output_format=output_format)
+def _make_config(primes_csv, depth=None) -> WorkbenchConfig:
+    cfg = WorkbenchConfig()
     if primes_csv:
         cfg.primes = parse_primes(primes_csv)
     if depth is not None:
@@ -106,7 +106,7 @@ def cmd_cc(quiver_path, module_paths, shifted_csv, primes_csv, output_format):
     def go():
         q = load_quiver(quiver_path)
         obj = _load_object(q, module_paths, shifted_csv)
-        cfg = _make_config(primes_csv, output_format)
+        cfg = _make_config(primes_csv)
         primes = _resolve_primes(cfg, obj)
         value = cc(obj, primes)
         if output_format == "structured":
@@ -154,7 +154,7 @@ def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
     """Verify a multiplication identity on the given operands."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(primes_csv, output_format)
+        cfg = _make_config(primes_csv)
         if shifted_csv is not None:
             if kind != "unified" or len(module_paths) != 1:
                 raise InputError(
@@ -191,7 +191,7 @@ def cmd_grass(quiver_path, module_paths, primes_csv, output_format):
     def go():
         q = load_quiver(quiver_path)
         obj = _load_object(q, module_paths, None)
-        cfg = _make_config(primes_csv, output_format)
+        cfg = _make_config(primes_csv)
         primes = _resolve_primes(cfg, obj)
         profile = grassmannian_profile(obj.module, primes)
         items = sorted(profile.items())
@@ -233,7 +233,7 @@ def cmd_list_variables(quiver_path, depth, primes_csv, output_format):
     """Enumerate cluster variables by breadth-first mutation closure."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(primes_csv, output_format, depth)
+        cfg = _make_config(primes_csv, depth)
         variables, stable = enumerate_cluster_variables(
             q, cfg.depth, report_stable=True)
         strs = [str(x) for x in variables]
@@ -254,7 +254,7 @@ def cmd_compare(quiver_path, depth, primes_csv, output_format):
     of the rigid corpus (linearly oriented A_n quivers)."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(primes_csv, output_format, depth)
+        cfg = _make_config(primes_csv, depth)
         if not linear_an_quiver_check(q):
             raise InputError(
                 "compare supports linearly oriented A_n quivers only")

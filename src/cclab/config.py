@@ -1,9 +1,9 @@
-"""Workbench configuration: sample primes, depths, output format."""
+"""Workbench configuration: sample primes and mutation depth."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -60,11 +60,8 @@ def parse_primes(raw: str) -> tuple[int, ...]:
 
 @dataclass
 class WorkbenchConfig:
-    quiver_path: str | None = None
-    module_paths: list = field(default_factory=list)
     primes: tuple[int, ...] = ()
     depth: int = DEFAULT_DEPTH
-    output_format: str = "text"
 
     def resolve_primes(self, max_entry: int = 0) -> tuple[int, ...]:
         """Pick the active prime list and enforce the entry-size guard."""

@@ -77,14 +77,3 @@ def load_module(path: str, q: Quiver) -> Representation:
     except Exception as exc:
         raise InputError(f"{path}: {exc}") from exc
 
-
-def save_module(path: str, M: Representation) -> None:
-    doc = {
-        "dim": list(M.dim),
-        "matrices": [[[str(x) if x.denominator != 1 else int(x)
-                       for x in row] for row in m.data]
-                     for m in M.matrices],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

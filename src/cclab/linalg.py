@@ -285,32 +285,30 @@ def vstack(field, mats, cols=None):
     return out
 
 
-def block_diag(field, mats):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Mat(field, rows, cols)
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            out.data[r0 + i][c0:c0 + m.cols] = m.data[i][:]
-        r0 += m.rows
-        c0 += m.cols
-    return out
+def complement_indices(field, basis: Mat) -> list[int]:
+    """Coordinates i whose unit vectors e_i complete the column span of
+    `basis` to the full space.
+
+    One elimination of [basis | I]: e_i is a pivot, and so chosen, exactly
+    when it is not in the span of the basis and the e_j with j < i.
+    """
+    d = basis.rows
+    _, pivots = hstack(field, [basis, Mat.identity(field, d)], rows=d).rref()
+    return [c - basis.cols for c in pivots if c >= basis.cols]
 
 
 def column_complement(field, basis: Mat) -> Mat:
     """Standard basis vectors completing the column span to the full space."""
-    d = basis.rows
-    chosen = []
-    cur = basis
-    for i in range(d):
-        e = Mat(field, d, 1)
-        e.data[i][0] = field.one
-        test = hstack(field, [cur, e], rows=d)
-        if test.rank() > cur.rank():
-            chosen.append(i)
-            cur = test
-    out = Mat(field, d, len(chosen))
+    chosen = complement_indices(field, basis)
+    out = Mat(field, basis.rows, len(chosen))
     for j, i in enumerate(chosen):
         out.data[i][j] = field.one
     return out
+
+
+def column_basis(m: Mat) -> Mat:
+    """Basis of the column span of m: the nonzero rows of rref(m^T)."""
+    red, pivots = m.transpose().rref()
+    red.data = red.data[:len(pivots)]
+    red.rows = len(pivots)
+    return red.transpose()

@@ -11,22 +11,21 @@ Laurent-polynomial equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .artranslate import (ar_translate, has_projective_summand,
-                          hom_side_middle_term, split_projective_summands,
+                          hom_side_middle_term, split_summands,
                           top_multiplicities)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
-from .grassmannian import fit_and_verify
+from .grassmannian import fit_and_verify, subspace_bases
 from .laurent import LaurentPolynomial
-from .linalg import GF, Mat, QQ, hstack
-from .reps import (ClusterObject, ExtCocycle, Representation, _coboundary,
-                   _cocycle_from_vector, cluster_object, cokernel_rep,
-                   direct_sum_many, ext1_setup, fingerprint, hom_basis,
-                   injective_rep, kernel_rep, middle_term, projective_rep,
-                   reduce_rep, stable_ext1_dim, stable_hom_dim)
+from .linalg import GF, Mat, hstack
+from .reps import (ClusterObject, ExtCocycle, Representation, _hom_system,
+                   cluster_object, cokernel_rep, combine, direct_sum_many,
+                   ext1_setup, fingerprint, hom_basis, injective_rep,
+                   kernel_rep, middle_term, projective_rep, reduce_rep,
+                   stable_ext1_dim, stable_hom_dim, unit_cocycles)
 
 
 @dataclass
@@ -48,13 +47,6 @@ class VerificationReport:
     label: str = ""
 
 
-def _projective_points(p: int, d: int):
-    """Points of P^{d-1}(F_p), normalized to first nonzero coordinate 1."""
-    for lead in range(d):
-        for rest in product(range(p), repeat=d - lead - 1):
-            yield (0,) * lead + (1,) + rest
-
-
 def _bucket_key(Y: ClusterObject):
     return (Y.shifted, fingerprint(Y.module))
 
@@ -72,7 +64,9 @@ def _run_strata(middle_at_prime, middle_at_qq, d: int, primes, side: str):
     witnesses: dict = {}
     for p in primes:
         mk = middle_at_prime(p)
-        for c in _projective_points(p, d):
+        # points of P^{d-1}(F_p), first nonzero coordinate 1
+        for point in subspace_bases(GF(p), d, 1):
+            c = tuple(point.column(0))
             Y = mk(c)
             key = _bucket_key(Y)
             counts.setdefault(key, {})[p] = counts.setdefault(key, {}).get(p, 0) + 1
@@ -128,21 +122,18 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
     d = stable_ext1_dim(M, L, primes)
     if d == 0:
         return []
-    image_qq, rep_indices = ext1_setup(M, L)
+    _, rep_indices = ext1_setup(M, L)
 
-    def basis_cocycles(field, Mf, Lf):
-        out = []
-        for i in rep_indices:
-            vec = [field.zero] * image_qq.rows
-            vec[i] = field.one
-            out.append(_cocycle_from_vector(Mf, Lf, vec))
-        return out
+    def middle_over(Mf, Lf):
+        basis = [c.components for c in unit_cocycles(Mf, Lf, rep_indices)]
+        return lambda coeffs: cluster_object(middle_term(
+            ExtCocycle(Mf, Lf, combine(basis, coeffs))))
 
     def middle_at_prime(p):
         F = GF(p)
         Mp = _reduce_or_config_error(M, p)
         Lp = _reduce_or_config_error(L, p)
-        image = _coboundary(Mp, Lp)
+        image = _hom_system(Mp, Lp)
         probe = Mat(F, image.rows, d)
         for j, i in enumerate(rep_indices):
             probe.data[i][j] = F.one
@@ -150,25 +141,9 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
                 != image.rank() + d):
             raise PrimeInstabilityError(
                 f"Ext^1 representatives degenerate mod {p}")
-        basis = basis_cocycles(F, Mp, Lp)
+        return middle_over(Mp, Lp)
 
-        def mk(coeffs):
-            comps = [m.scale(coeffs[0]) for m in basis[0].components]
-            for k in range(1, d):
-                comps = [a.add(b.scale(coeffs[k]))
-                         for a, b in zip(comps, basis[k].components)]
-            return cluster_object(middle_term(ExtCocycle(Mp, Lp, comps)))
-        return mk
-
-    basis_qq = basis_cocycles(QQ, M, L)
-
-    def middle_at_qq(coeffs):
-        comps = [m.scale(coeffs[0]) for m in basis_qq[0].components]
-        for k in range(1, d):
-            comps = [a.add(b.scale(coeffs[k]))
-                     for a, b in zip(comps, basis_qq[k].components)]
-        return cluster_object(middle_term(ExtCocycle(M, L, comps)))
-
+    middle_at_qq = middle_over(M, L)
     return _run_strata(middle_at_prime, middle_at_qq, d, primes, side)
 
 
@@ -183,12 +158,6 @@ def _stratify_hom_space(L: Representation, T: Representation, primes,
     basis_qq = hom_basis(L, T)
     if len(basis_qq) != d:
         raise PrimeInstabilityError("rational Hom basis size disagrees")
-
-    def combine(basis, coeffs):
-        g = [m.scale(coeffs[0]) for m in basis[0]]
-        for k in range(1, d):
-            g = [a.add(b.scale(coeffs[k])) for a, b in zip(g, basis[k])]
-        return g
 
     def middle_at_prime(p):
         F = GF(p)
@@ -242,8 +211,13 @@ def _proj_shift_middle(f, P: Representation, M: Representation) -> ClusterObject
 
 # -- the verification operations ------------------------------------------
 
-def _x_monomial(n: int, shifted) -> LaurentPolynomial:
-    return LaurentPolynomial.monomial(tuple(shifted))
+def _report(lhs: LaurentPolynomial, strata, primes,
+            label: str) -> VerificationReport:
+    """Compare lhs with the sum of chi * X over the strata."""
+    rhs = LaurentPolynomial.zero(lhs.nvars)
+    for s in strata:
+        rhs = rhs + cc(s.middle_term, primes).value.scale(s.chi)
+    return VerificationReport(lhs, rhs, strata, lhs == rhs, label=label)
 
 
 def verify_xx1(L: Representation, M: Representation, primes) -> VerificationReport:
@@ -256,16 +230,12 @@ def verify_xx1(L: Representation, M: Representation, primes) -> VerificationRepo
         raise PreconditionError("Ext^1(M, L) = 0: the identity is vacuous")
     strata = stratify_ext_side(M, L, primes) + stratify_hom_side(L, M, primes)
     lhs = (cc(L, primes).value * cc(M, primes).value).scale(d)
-    rhs = LaurentPolynomial.zero(L.quiver.n)
-    for s in strata:
-        rhs = rhs + cc(s.middle_term, primes).value.scale(s.chi)
-    return VerificationReport(lhs, rhs, strata, lhs == rhs,
-                              label=f"xx1: {d} * X_L X_M")
+    return _report(lhs, strata, primes, f"xx1: {d} * X_L X_M")
 
 
 def verify_xx2(P: Representation, M: Representation, primes) -> VerificationReport:
     """dim Hom(P,M) * X_M X_{P[1]} = Hom(M,I)-strata + Hom(P,M)-strata."""
-    mults, rest = split_projective_summands(P)
+    mults, rest = split_summands(P, "projective")
     if not rest.is_zero() or not any(mults):
         raise PreconditionError("first argument must be a nonzero projective")
     d = stable_hom_dim(P, M, primes)
@@ -281,12 +251,8 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
                                  "proj-shift-inj")
     strata += _stratify_hom_space(P, M, primes, _proj_shift_middle,
                                   "proj-shift-hom")
-    lhs = (cc(M, primes).value * _x_monomial(q.n, mults)).scale(d)
-    rhs = LaurentPolynomial.zero(q.n)
-    for s in strata:
-        rhs = rhs + cc(s.middle_term, primes).value.scale(s.chi)
-    return VerificationReport(lhs, rhs, strata, lhs == rhs,
-                              label=f"xx2: {d} * X_M X_P[1]")
+    lhs = (cc(M, primes).value * LaurentPolynomial.monomial(mults)).scale(d)
+    return _report(lhs, strata, primes, f"xx2: {d} * X_M X_P[1]")
 
 
 def verify_unified(M, N, primes) -> VerificationReport:
@@ -323,8 +289,4 @@ def verify_unified(M, N, primes) -> VerificationReport:
         strata += stratify_ext_side(B, A, primes)
         strata += stratify_hom_side(A, B, primes)
     lhs = (cc(A, primes).value * cc(B, primes).value).scale(d1 + d2)
-    rhs = LaurentPolynomial.zero(A.quiver.n)
-    for s in strata:
-        rhs = rhs + cc(s.middle_term, primes).value.scale(s.chi)
-    return VerificationReport(lhs, rhs, strata, lhs == rhs,
-                              label=f"unified: {d1 + d2} * X_M X_N")
+    return _report(lhs, strata, primes, f"unified: {d1 + d2} * X_M X_N")

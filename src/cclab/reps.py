@@ -2,17 +2,20 @@
 
 Representations carry exact matrices (rationals by default, prime-field
 entries for per-prime work).  Morphisms are vertex-indexed tuples of
-matrices; Hom and Ext^1 are computed by solving the intertwiner system
-and the arrow-wise coboundary complex of the hereditary path algebra.
+matrices.  Hom and Ext^1 share one matrix: the intertwiner system, whose
+kernel is Hom and whose negative is the arrow-wise coboundary of the
+hereditary path algebra, with Ext^1 as its cokernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .errors import InputError, PrimeInstabilityError
-from .linalg import GF, Mat, QQ, hstack
+from .errors import InputError, PreconditionError, PrimeInstabilityError
+from .linalg import (GF, Mat, QQ, column_basis, column_complement,
+                     complement_indices, hstack)
 from .quiver import Quiver, check_dimvec
 
 
@@ -137,10 +140,6 @@ def all_paths(q: Quiver) -> dict:
     return paths
 
 
-def path_source(q: Quiver, path, default: int) -> int:
-    return q.arrows[path[0]][0] if path else default
-
-
 def apply_path(M: Representation, path, vertex: int) -> Mat:
     """Composite matrix of M along a path starting at `vertex`."""
     cur = Mat.identity(M.field, M.dim[vertex - 1])
@@ -259,18 +258,24 @@ def _hom_system(M: Representation, N: Representation) -> Mat:
     return sys
 
 
-def _unvectorize(M, N, vec) -> tuple:
-    F = M.field
-    mats = []
+def _blocks(F, vec, shapes) -> list:
+    """Cut a flat vector into row-major matrices of the given shapes."""
+    out = []
     pos = 0
-    for i in range(M.quiver.n):
-        r, c = N.dim[i], M.dim[i]
+    for r, c in shapes:
         m = Mat(F, r, c)
-        for rr in range(r):
-            m.data[rr] = vec[pos + rr * c: pos + (rr + 1) * c]
+        m.data = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
         pos += r * c
-        mats.append(m)
-    return tuple(mats)
+        out.append(m)
+    return out
+
+
+def combine(basis, coeffs) -> list:
+    """The combination sum_k coeffs[k] * basis[k] of matrix tuples."""
+    out = [m.scale(coeffs[0]) for m in basis[0]]
+    for b, c in zip(basis[1:], coeffs[1:]):
+        out = [x.add(y.scale(c)) for x, y in zip(out, b)]
+    return out
 
 
 def hom_basis(M: Representation, N: Representation) -> list:
@@ -278,7 +283,9 @@ def hom_basis(M: Representation, N: Representation) -> list:
     if M.quiver != N.quiver or M.field != N.field:
         raise InputError("Hom of incompatible representations")
     ker = _hom_system(M, N).nullspace()
-    return [_unvectorize(M, N, ker.column(j)) for j in range(ker.cols)]
+    shapes = list(zip(N.dim, M.dim))
+    return [tuple(_blocks(M.field, ker.column(j), shapes))
+            for j in range(ker.cols)]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
@@ -296,90 +303,42 @@ def stable_hom_dim(M: Representation, N: Representation, primes) -> int:
 
 # -- Ext^1 -----------------------------------------------------------------
 
-def _coboundary(M: Representation, L: Representation) -> Mat:
-    """Matrix of d: (+) Hom(M_i, L_i) -> (+)_a Hom(M_s, L_t).
-
-    d(f)_a = L_a f_s - f_t M_a; Ext^1(M, L) is its cokernel.
-    """
-    q = M.quiver
-    F = M.field
-    offs = []
-    total = 0
-    for i in range(q.n):
-        offs.append(total)
-        total += L.dim[i] * M.dim[i]
-    rows = sum(L.dim[t - 1] * M.dim[s - 1] for s, t in q.arrows)
-    d = Mat(F, rows, total)
-    r0 = 0
-    for a, (s, t) in enumerate(q.arrows):
-        Ma, La = M.matrices[a], L.matrices[a]
-        ls, lt = L.dim[s - 1], L.dim[t - 1]
-        ms, mt = M.dim[s - 1], M.dim[t - 1]
-        for r in range(lt):
-            for c in range(ms):
-                row = d.data[r0 + r * ms + c]
-                for k in range(ls):
-                    row[offs[s - 1] + k * ms + c] = F.add(
-                        row[offs[s - 1] + k * ms + c], La.data[r][k])
-                for k in range(mt):
-                    row[offs[t - 1] + r * mt + k] = F.sub(
-                        row[offs[t - 1] + r * mt + k], Ma.data[k][c])
-        r0 += lt * ms
-    return d
-
-
-def _cocycle_from_vector(M, L, vec) -> ExtCocycle:
-    F = M.field
-    comps = []
-    pos = 0
-    for s, t in M.quiver.arrows:
-        r, c = L.dim[t - 1], M.dim[s - 1]
-        m = Mat(F, r, c)
-        for rr in range(r):
-            m.data[rr] = vec[pos + rr * c: pos + (rr + 1) * c]
-        pos += r * c
-        comps.append(m)
-    return ExtCocycle(M, L, comps)
-
-
 def ext1_setup(M: Representation, L: Representation):
-    """Coboundary image matrix and standard-vector coset representatives.
+    """Coboundary matrix and standard-vector coset representatives.
 
-    Returns (image_matrix, representative_indices): the image of d as
-    column vectors in the cocycle space, plus indices of standard basis
-    cocycles spanning a complement (a basis of Ext^1 representatives).
+    The coboundary d(f)_a = L_a f_s - f_t M_a of the complex whose cokernel
+    is Ext^1(M, L) is the negative of the intertwiner system of Hom(M, L),
+    so both are read off one matrix.  Returns (matrix, indices): the matrix
+    spans im(d) with its columns, and the unit cocycles at the indices span
+    a complement (a basis of Ext^1 representatives).
     """
-    d = _coboundary(M, L)
-    image = d  # columns span im(d) inside the cocycle space
+    system = _hom_system(M, L)
+    return system, complement_indices(M.field, system)
+
+
+def unit_cocycles(M: Representation, L: Representation,
+                  indices) -> list[ExtCocycle]:
+    """The cocycles equal to the unit vector at each given coordinate."""
     F = M.field
-    reps = []
-    cur = image
-    for i in range(d.rows):
-        e = Mat(F, d.rows, 1)
-        e.data[i][0] = F.one
-        test = hstack(F, [cur, e], rows=d.rows)
-        if test.rank() > cur.rank():
-            reps.append(i)
-            cur = test
-    return image, reps
+    shapes = [(L.dim[t - 1], M.dim[s - 1]) for s, t in M.quiver.arrows]
+    rows = sum(r * c for r, c in shapes)
+    out = []
+    for i in indices:
+        vec = [F.zero] * rows
+        vec[i] = F.one
+        out.append(ExtCocycle(M, L, _blocks(F, vec, shapes)))
+    return out
 
 
 def ext1_basis(M: Representation, L: Representation) -> list[ExtCocycle]:
     if M.quiver != L.quiver or M.field != L.field:
         raise InputError("Ext of incompatible representations")
-    image, reps = ext1_setup(M, L)
-    F = M.field
-    out = []
-    for i in reps:
-        vec = [F.zero] * image.rows
-        vec[i] = F.one
-        out.append(_cocycle_from_vector(M, L, vec))
-    return out
+    return unit_cocycles(M, L, ext1_setup(M, L)[1])
 
 
 def ext1_dim(M: Representation, L: Representation) -> int:
-    d = _coboundary(M, L)
-    return d.rows - d.rank()
+    system = _hom_system(M, L)
+    return system.rows - system.rank()
 
 
 def stable_ext1_dim(M: Representation, L: Representation, primes) -> int:
@@ -442,7 +401,6 @@ def quotient_rep(M: Representation, sub_bases: list):
 
     Returns (Q, projection maps M_i -> Q_i).
     """
-    from .linalg import column_complement
     F = M.field
     comps = [column_complement(F, b) for b in sub_bases]
     full = [hstack(F, [b, c], rows=M.dim[i])
@@ -467,18 +425,7 @@ def quotient_rep(M: Representation, sub_bases: list):
 
 def cokernel_rep(f: list, M: Representation, N: Representation):
     """Cokernel of f: M -> N, as (C, projection maps)."""
-    F = N.field
-    bases = []
-    for i in range(N.quiver.n):
-        img = f[i]
-        red, pivots = img.transpose().rref()
-        cols = Mat(F, N.dim[i], len(pivots))
-        # row space of f^T = column space of f; re-orthogonalized basis
-        for j in range(len(pivots)):
-            for r in range(N.dim[i]):
-                cols.data[r][j] = red.data[j][r]
-        bases.append(cols)
-    return quotient_rep(N, bases)
+    return quotient_rep(N, [column_basis(f[i]) for i in range(N.quiver.n)])
 
 
 # -- isomorphism testing ---------------------------------------------------
@@ -502,84 +449,32 @@ def fingerprint(M: Representation) -> tuple:
     return (M.dim, tuple(dims), hom_dim(M, M))
 
 
-def _generic_invertible(M: Representation, N: Representation, basis) -> bool:
-    """Whether some combination of the Hom basis is invertible everywhere.
-
-    The product of vertex determinants of sum_k t_k f_k is a polynomial in
-    the t_k; it is nonzero as a polynomial iff an invertible intertwiner
-    exists over some field extension, which suffices for isomorphism of
-    finite-dimensional modules (Noether-Deuring).
-    """
-    F = M.field
-    k = len(basis)
-    one = {(0,) * k: F.one}
-
-    def padd(p1, p2):
-        out = dict(p1)
-        for e, c in p2.items():
-            v = F.add(out.get(e, F.zero), c)
-            if F.is_zero(v):
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return out
-
-    def pmul(p1, p2):
-        out = {}
-        for e1, c1 in p1.items():
-            for e2, c2 in p2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = F.add(out.get(e, F.zero), F.mul(c1, c2))
-                if F.is_zero(v):
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-        return out
-
-    def pneg(p):
-        return {e: F.neg(c) for e, c in p.items()}
-
-    total = one
-    for i in range(M.quiver.n):
-        n = M.dim[i]
-        if n == 0:
-            continue
-        entries = [[{} for _ in range(n)] for _ in range(n)]
-        for t, f in enumerate(basis):
-            for r in range(n):
-                for c in range(n):
-                    x = f[i].data[r][c]
-                    if not F.is_zero(x):
-                        e = tuple(1 if j == t else 0 for j in range(k))
-                        entries[r][c] = padd(entries[r][c], {e: x})
-
-        def det(rows, cols):
-            if not rows:
-                return one
-            r = rows[0]
-            acc = {}
-            for idx, c in enumerate(cols):
-                minor = det(rows[1:], cols[:idx] + cols[idx + 1:])
-                term = pmul(entries[r][c], minor)
-                acc = padd(acc, term if idx % 2 == 0 else pneg(term))
-            return acc
-
-        total = pmul(total, det(list(range(n)), list(range(n))))
-        if not total:
-            return False
-    return bool(total)
-
-
 def is_isomorphic(M: Representation, N: Representation) -> bool:
+    """Exact isomorphism test: fingerprint, then an invertible intertwiner.
+
+    The product of vertex determinants of sum_k t_k f_k over a basis f of
+    Hom(M, N) has degree at most dim M in each t_k.  By the combinatorial
+    Nullstellensatz it is a nonzero polynomial iff it is nonzero somewhere
+    on the grid {0..dim M}^k, so the grid is searched for a point where
+    every vertex map has full rank.  Over F_p the grid needs p > dim M.
+    """
     if M.quiver != N.quiver or M.field != N.field:
         return False
     if M.dim != N.dim:
         return False
     if M.total_dim == 0:
         return True
+    if isinstance(M.field, GF) and M.field.p <= M.total_dim:
+        raise PreconditionError(
+            f"isomorphism test over GF({M.field.p}) needs a prime above "
+            f"dim M = {M.total_dim}")
     if fingerprint(M) != fingerprint(N):
         return False
     basis = hom_basis(M, N)
     if not basis:
         return False
-    return _generic_invertible(M, N, basis)
+    for t in product(range(M.total_dim + 1), repeat=len(basis)):
+        g = combine(basis, t)
+        if all(g[i].rank() == M.dim[i] for i in range(M.quiver.n)):
+            return True
+    return False

@@ -3,18 +3,18 @@
 import pytest
 
 from cclab.artranslate import (ar_inverse, ar_translate, has_projective_summand,
-                               split_injective_summands,
-                               split_projective_summands, top_multiplicities)
+                               split_summands, top_multiplicities)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.errors import PreconditionError
+from cclab.linalg import Mat
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver)
-from cclab.reps import (cluster_object, direct_sum, ext1_basis, ext1_dim,
-                        hom_dim, injective_rep, is_isomorphic, make_rep,
-                        middle_term, projective_rep, simple_rep,
-                        stable_ext1_dim, stable_hom_dim, standard_module,
-                        zero_rep)
+from cclab.reps import (cluster_object, direct_sum, direct_sum_many, ext1_basis,
+                        ext1_dim, fingerprint, hom_dim, injective_rep,
+                        is_isomorphic, make_rep, middle_term, projective_rep,
+                        reduce_rep, simple_rep, stable_ext1_dim,
+                        stable_hom_dim, standard_module, zero_rep)
 
 
 def a2_corpus():
@@ -127,24 +127,72 @@ def test_iso_rejects_different_regulars():
                              direct_sum(simple_rep(qk, 1), simple_rep(qk, 2)))
 
 
+def kronecker_band():
+    """R(1,1)[2]: the length-2 module in the tube of R(1,1)."""
+    return make_rep(kronecker_quiver(), (2, 2),
+                    [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
+
+
+def test_iso_separates_fingerprint_collision():
+    # the bucket behind the Kronecker xx1(P1, S1) defect mixes these two
+    split = direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 2))
+    band = kronecker_band()
+    assert fingerprint(split) == fingerprint(band)
+    assert not is_isomorphic(split, band)
+    assert not is_isomorphic(band, split)
+
+
+def test_iso_accepts_base_changed_band():
+    band = kronecker_band()
+    g1 = Mat(band.field, 2, 2, [[1, 1], [0, 1]])
+    g1_inv = Mat(band.field, 2, 2, [[1, -1], [0, 1]])
+    g2 = Mat(band.field, 2, 2, [[2, 1], [1, 1]])
+    moved = make_rep(band.quiver, band.dim,
+                     [g2.mul(m).mul(g1_inv) for m in band.matrices])
+    assert moved.matrices != band.matrices
+    assert is_isomorphic(band, moved)
+
+
+def test_iso_needs_prime_above_dimension():
+    split = direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 2))
+    with pytest.raises(PreconditionError, match="GF\\(3\\).*dim M = 4"):
+        is_isomorphic(reduce_rep(split, 3), reduce_rep(kronecker_band(), 3))
+
+
 # -- summand splitting -----------------------------------------------------
 
-def test_split_projective_summands():
+def _a2_split_case(kind):
     q = a2_quiver()
-    M = direct_sum(projective_rep(q, 1), simple_rep(q, 1))
-    mults, rest = split_projective_summands(M)
-    assert mults == (1, 0)
-    assert rest.dim == (1, 0)
-    assert has_projective_summand(M)
+    if kind == "projective":
+        return direct_sum(projective_rep(q, 1), simple_rep(q, 1))
+    return direct_sum(injective_rep(q, 2), simple_rep(q, 2))
+
+
+def _kronecker_split_case(kind):
+    qk = kronecker_quiver()
+    S = standard_module(qk, kind, 1 if kind == "projective" else 2)
+    return direct_sum_many(qk, [S, S, kronecker_regular(1, 1)])
+
+
+@pytest.mark.parametrize("kind, build, mults, rest", [
+    ("projective", _a2_split_case, (1, 0), simple_rep(a2_quiver(), 1)),
+    ("injective", _a2_split_case, (0, 1), simple_rep(a2_quiver(), 2)),
+    ("projective", _kronecker_split_case, (2, 0), kronecker_regular(1, 1)),
+    ("injective", _kronecker_split_case, (0, 2), kronecker_regular(1, 1)),
+], ids=["projective-a2", "injective-a2", "projective-kronecker-x2",
+        "injective-kronecker-x2"])
+def test_split_summands(kind, build, mults, rest):
+    got_mults, got_rest = split_summands(build(kind), kind)
+    assert got_mults == mults
+    assert got_rest.dim == rest.dim
+    assert is_isomorphic(got_rest, rest)
+
+
+def test_has_projective_summand():
+    q = a2_quiver()
+    assert has_projective_summand(direct_sum(projective_rep(q, 1),
+                                             simple_rep(q, 1)))
     assert not has_projective_summand(simple_rep(q, 1))
-
-
-def test_split_injective_summands():
-    q = a2_quiver()
-    M = direct_sum(injective_rep(q, 2), simple_rep(q, 2))
-    mults, rest = split_injective_summands(M)
-    assert mults == (0, 1)
-    assert rest.dim == (0, 1)
 
 
 def test_top_multiplicities():
