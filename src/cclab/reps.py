@@ -449,14 +449,26 @@ def fingerprint(M: Representation) -> tuple:
     return (M.dim, tuple(dims), hom_dim(M, M))
 
 
+def _has_invertible_combination(basis, dim) -> bool:
+    """Whether some sum_k t_k f_k over a Hom basis f has full rank dim[i]
+    at every vertex i, searched on the grid {0..sum(dim)}^k."""
+    for t in product(range(sum(dim) + 1), repeat=len(basis)):
+        g = combine(basis, t)
+        if all(g[i].rank() == dim[i] for i in range(len(dim))):
+            return True
+    return False
+
+
 def is_isomorphic(M: Representation, N: Representation) -> bool:
     """Exact isomorphism test: fingerprint, then an invertible intertwiner.
 
-    The product of vertex determinants of sum_k t_k f_k over a basis f of
-    Hom(M, N) has degree at most dim M in each t_k.  By the combinatorial
-    Nullstellensatz it is a nonzero polynomial iff it is nonzero somewhere
-    on the grid {0..dim M}^k, so the grid is searched for a point where
-    every vertex map has full rank.  Over F_p the grid needs p > dim M.
+    An isomorphism M -> N forces dim Hom(M, N) = dim End(M), which rejects
+    most non-isomorphic pairs before any search.  The product of vertex
+    determinants of sum_k t_k f_k over a basis f of Hom(M, N) has degree
+    at most dim M in each t_k.  By the combinatorial Nullstellensatz it is
+    a nonzero polynomial iff it is nonzero somewhere on the grid
+    {0..dim M}^k, so the grid is searched for a point where every vertex
+    map has full rank.  Over F_p the grid needs p > dim M.
     """
     if M.quiver != N.quiver or M.field != N.field:
         return False
@@ -471,10 +483,6 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
     if fingerprint(M) != fingerprint(N):
         return False
     basis = hom_basis(M, N)
-    if not basis:
+    if len(basis) != hom_dim(M, M):
         return False
-    for t in product(range(M.total_dim + 1), repeat=len(basis)):
-        g = combine(basis, t)
-        if all(g[i].rank() == M.dim[i] for i in range(M.quiver.n)):
-            return True
-    return False
+    return _has_invertible_combination(basis, M.dim)

@@ -1,5 +1,7 @@
 """Cluster character: frozen values, cross-form coherence, multiplicativity."""
 
+import pytest
+
 from cclab.character import (CALIBRATED_ANTISYM_SIGN,
                              CALIBRATED_COINDEX_ORIENTATION, calibrate, cc,
                              cc_palu_form, coindex)
@@ -7,8 +9,9 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.laurent import parse
 from cclab.quiver import a2_quiver, a3_quiver, kronecker_quiver
-from cclab.reps import (ClusterObject, cluster_object, projective_rep,
-                        simple_rep, sum_cluster_objects, zero_rep)
+from cclab.reps import (ClusterObject, cluster_object, direct_sum,
+                        injective_rep, projective_rep, simple_rep,
+                        sum_cluster_objects, zero_rep)
 
 
 def corpus_objects():
@@ -104,6 +107,23 @@ def test_multiplicativity(primes):
                     cc(a, primes).value * cc(b, primes).value
                 checked += 1
     assert checked >= 10
+
+
+def large_sum_factors():
+    """Factor pairs whose sums are too large to count with a subspace at
+    every vertex."""
+    qk = kronecker_quiver()
+    p1, i2 = projective_rep(qk, 1), injective_rep(qk, 2)
+    e2 = d4tilde_tube_simples()[1]
+    return [(p1, p1), (i2, i2), (p1, i2), (e2, e2)]
+
+
+@pytest.mark.parametrize("a, b", large_sum_factors(), ids=[
+    "kronecker-P1+P1", "kronecker-I2+I2", "kronecker-P1+I2", "d4tilde-E2+E2"])
+def test_multiplicativity_large_sums(primes, a, b):
+    s = cluster_object(direct_sum(a, b))
+    assert cc(s, primes).value == cc(a, primes).value * cc(b, primes).value
+    assert cc_palu_form(s, primes).value == cc(s, primes).value
 
 
 def test_positive_coefficients_on_corpus(primes):

@@ -1,5 +1,7 @@
 """Representation lab: standard modules, Hom/Ext, extensions, AR translate."""
 
+import time
+
 import pytest
 
 from cclab.artranslate import (ar_inverse, ar_translate, has_projective_summand,
@@ -10,8 +12,9 @@ from cclab.errors import PreconditionError
 from cclab.linalg import Mat
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver)
-from cclab.reps import (cluster_object, direct_sum, direct_sum_many, ext1_basis,
-                        ext1_dim, fingerprint, hom_dim, injective_rep,
+from cclab.reps import (_has_invertible_combination, cluster_object,
+                        direct_sum, direct_sum_many, ext1_basis, ext1_dim,
+                        fingerprint, hom_basis, hom_dim, injective_rep,
                         is_isomorphic, make_rep, middle_term, projective_rep,
                         reduce_rep, simple_rep, stable_ext1_dim,
                         stable_hom_dim, standard_module, zero_rep)
@@ -140,6 +143,27 @@ def test_iso_separates_fingerprint_collision():
     assert fingerprint(split) == fingerprint(band)
     assert not is_isomorphic(split, band)
     assert not is_isomorphic(band, split)
+
+
+def test_iso_rejects_on_hom_dimension_before_grid():
+    # k = dim Hom(M, N) = 9: a grid search alone takes 10^9 rank tests
+    r = kronecker_regular(1, 1)
+    M = direct_sum_many(r.quiver, [r, r, r, kronecker_regular(1, 2)])
+    N = direct_sum_many(r.quiver, [r, r, kronecker_band()])
+    assert fingerprint(M) == fingerprint(N)
+    assert (len(hom_basis(M, N)), hom_dim(M, M)) == (9, 10)
+    start = time.perf_counter()
+    assert not is_isomorphic(M, N)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_invertible_combination_grid():
+    split = direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 2))
+    band = kronecker_band()
+    basis = hom_basis(split, band)
+    assert len(basis) == 1
+    assert not _has_invertible_combination(basis, split.dim)
+    assert _has_invertible_combination(hom_basis(band, band), band.dim)
 
 
 def test_iso_accepts_base_changed_band():
