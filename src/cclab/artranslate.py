@@ -30,10 +30,6 @@ def radical_bases(M: Representation) -> list:
     return out
 
 
-def top_multiplicities(M: Representation) -> tuple[int, ...]:
-    return tuple(M.dim[i] - b.cols for i, b in enumerate(radical_bases(M)))
-
-
 def socle_bases(M: Representation) -> list:
     """Per-vertex bases of soc M = joint kernel of outgoing arrows."""
     q, F = M.quiver, M.field
@@ -240,10 +236,15 @@ def minimal_presentation(M: Representation):
 
 def ar_translate(M: Representation) -> Representation:
     """tau M = Ker(nu P1 -> nu P0); M must have no projective summands."""
-    if M.is_zero():
-        return M
     if has_projective_summand(M):
         raise PreconditionError("module has a projective direct summand")
+    return ar_translate_unchecked(M)
+
+
+def ar_translate_unchecked(M: Representation) -> Representation:
+    """tau M for an M already known to have no projective summands."""
+    if M.is_zero():
+        return M
     q, F = M.quiver, M.field
     gens1, offs1, gens0, offs0, f = minimal_presentation(M)
     I1, I0, nf = _nu_of_proj_map(q, F, f, gens1, offs1, gens0, offs0)
@@ -268,14 +269,13 @@ def ar_inverse(M: Representation) -> ClusterObject:
     return cluster_object(tinv, inj_mults)
 
 
-def hom_side_middle_term(g: list, L: Representation,
-                         tau_M: Representation) -> ClusterObject:
-    """Middle term for g in Hom(L, tau M): Ker g (+) tau^{-1}(Coker g).
+def hom_side_middle_term(K: Representation,
+                         C: Representation) -> ClusterObject:
+    """Middle term for g in Hom(L, tau M): Ker g (+) tau^{-1}(Coker g),
+    from K = Ker g and C = Coker g.
 
     Injective summands of the cokernel contribute shifted projectives;
     this is the hereditary mapping-cone splitting.
     """
-    K, _ = kernel_rep(g, L, tau_M)
-    C, _ = cokernel_rep(g, L, tau_M)
     rest = ar_inverse(C)
     return ClusterObject(direct_sum(K, rest.module), rest.shifted)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import ConfigurationError, InputError, NotPolynomialCountError
 from .linalg import GF, Mat, hstack, vstack
-from .reps import Representation, reduce_rep
+from .reps import Representation, make_rep, reduce_rep
 
 
 @dataclass(frozen=True)
@@ -223,24 +224,20 @@ def euler_char_grassmannian(M: Representation, e, primes) -> int:
     return poly(1)
 
 
-_PROFILE_CACHE: dict = {}
-
-
-def _profile_key(M: Representation, primes):
-    return (M.quiver.n, M.quiver.arrows, M.dim,
-            tuple(tuple(tuple(row) for row in m.data) for m in M.matrices),
-            repr(M.field), tuple(sorted(primes)))
-
-
 def grassmannian_profile(M: Representation, primes) -> dict:
     """chi(Gr_e M) for every e <= dim M, zero entries omitted."""
-    key = _profile_key(M, primes)
-    hit = _PROFILE_CACHE.get(key)
-    if hit is None:
-        hit = {}
-        for e in product(*[range(d + 1) for d in M.dim]):
-            chi = euler_char_grassmannian(M, e, primes)
-            if chi:
-                hit[e] = chi
-        _PROFILE_CACHE[key] = hit
-    return dict(hit)
+    matrices = tuple(tuple(map(tuple, m.data)) for m in M.matrices)
+    return dict(_profile(M.quiver, M.field, M.dim, matrices,
+                         tuple(sorted(primes))))
+
+
+@lru_cache(maxsize=256)
+def _profile(q, field, dim, matrices, primes) -> dict:
+    """grassmannian_profile, cached on the module's exact content."""
+    M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
+    out = {}
+    for e in product(*[range(d + 1) for d in dim]):
+        chi = euler_char_grassmannian(M, e, primes)
+        if chi:
+            out[e] = chi
+    return out

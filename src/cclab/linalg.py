@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Everything here is field-generic: a field object supplies the element
-arithmetic and matrices store field elements in row-major nested lists.
-Dimensions are tiny (desk scale), so plain Gaussian elimination is used
-throughout.  Zero-row and zero-column matrices are legal and behave as
-expected.
+A field object supplies the element arithmetic and matrices store field
+elements in row-major nested lists.  Over GF(p) the hot operations work on
+the int rows directly; QQ goes through the field's methods.  Dimensions are
+tiny (desk scale), so plain Gaussian elimination is used throughout.
+Zero-row and zero-column matrices are legal and behave as expected.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -98,7 +99,12 @@ QQ = RationalField()
 
 
 class Mat:
-    """A rows x cols matrix over a field."""
+    """A rows x cols matrix over a field.
+
+    Over GF(p) the entries are ints in [0, p) and the arithmetic below works
+    on plain int rows with the reduction mod p written inline; the
+    field-generic loops serve QQ only.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -108,10 +114,22 @@ class Mat:
         self.cols = cols
         if data is None:
             self.data = [[field.zero] * cols for _ in range(rows)]
+            return
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError(f"data shape mismatch, want {rows}x{cols}")
+        if isinstance(field, GF):
+            p = field.p
+            self.data = [[x % p if type(x) is int else field.of(x)
+                          for x in row] for row in data]
         else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError(f"data shape mismatch, want {rows}x{cols}")
             self.data = [[field.of(x) for x in row] for row in data]
+
+    @classmethod
+    def _wrap(cls, field, rows: int, cols: int, data) -> "Mat":
+        """A matrix owning `data`, whose entries are already field elements."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.data = field, rows, cols, data
+        return m
 
     @classmethod
     def identity(cls, field, n):
@@ -121,9 +139,8 @@ class Mat:
         return m
 
     def copy(self):
-        m = Mat(self.field, self.rows, self.cols)
-        m.data = [row[:] for row in self.data]
-        return m
+        return Mat._wrap(self.field, self.rows, self.cols,
+                         [row[:] for row in self.data])
 
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
@@ -136,86 +153,57 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.data})"
 
     def is_zero(self):
-        F = self.field
-        return all(F.is_zero(x) for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
         F = self.field
-        out = Mat(F, self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if F.is_zero(a):
-                    continue
-                rk = other.data[k]
-                for j in range(other.cols):
-                    oi[j] = F.add(oi[j], F.mul(a, rk[j]))
-        return out
+        cols = list(zip(*other.data)) if other.rows else [()] * other.cols
+        if isinstance(F, GF):
+            p = F.p
+            data = [[sum(map(operator.mul, r, c)) % p for c in cols]
+                    for r in self.data]
+        else:
+            data = [[sum(map(operator.mul, r, c), F.zero) for c in cols]
+                    for r in self.data]
+        return Mat._wrap(F, self.rows, other.cols, data)
 
     def add(self, other: "Mat") -> "Mat":
         F = self.field
-        out = Mat(F, self.rows, self.cols)
-        out.data = [[F.add(a, b) for a, b in zip(r1, r2)]
+        if isinstance(F, GF):
+            p = F.p
+            data = [[(a + b) % p for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.data, other.data)]
-        return out
-
-    def sub(self, other: "Mat") -> "Mat":
-        F = self.field
-        out = Mat(F, self.rows, self.cols)
-        out.data = [[F.sub(a, b) for a, b in zip(r1, r2)]
+        else:
+            data = [[F.add(a, b) for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.data, other.data)]
-        return out
-
-    def neg(self) -> "Mat":
-        F = self.field
-        out = Mat(F, self.rows, self.cols)
-        out.data = [[F.neg(a) for a in r] for r in self.data]
-        return out
+        return Mat._wrap(F, self.rows, self.cols, data)
 
     def scale(self, c) -> "Mat":
         F = self.field
         c = F.of(c)
-        out = Mat(F, self.rows, self.cols)
-        out.data = [[F.mul(c, a) for a in r] for r in self.data]
-        return out
+        if isinstance(F, GF):
+            p = F.p
+            data = [[c * a % p for a in r] for r in self.data]
+        else:
+            data = [[F.mul(c, a) for a in r] for r in self.data]
+        return Mat._wrap(F, self.rows, self.cols, data)
 
     def transpose(self) -> "Mat":
-        out = Mat(self.field, self.cols, self.rows)
-        out.data = [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)]
-        return out
+        data = ([list(col) for col in zip(*self.data)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return Mat._wrap(self.field, self.cols, self.rows, data)
 
     def rref(self):
         """Row-reduce; returns (reduced copy, pivot column list)."""
         F = self.field
-        m = self.copy()
-        pivots = []
-        r = 0
-        for c in range(m.cols):
-            if r >= m.rows:
-                break
-            pr = None
-            for i in range(r, m.rows):
-                if not F.is_zero(m.data[i][c]):
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m.data[r], m.data[pr] = m.data[pr], m.data[r]
-            inv = F.inv(m.data[r][c])
-            m.data[r] = [F.mul(inv, x) for x in m.data[r]]
-            for i in range(m.rows):
-                if i != r and not F.is_zero(m.data[i][c]):
-                    f = m.data[i][c]
-                    m.data[i] = [F.sub(x, F.mul(f, y))
-                                 for x, y in zip(m.data[i], m.data[r])]
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        data = [row[:] for row in self.data]
+        if isinstance(F, GF):
+            pivots = _rref_mod(data, self.cols, F.p)
+        else:
+            pivots = _rref_generic(F, data, self.cols)
+        return Mat._wrap(F, self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -240,13 +228,11 @@ class Mat:
         if B.rows != self.rows:
             raise ValueError("shape mismatch in solve")
         F = self.field
-        aug = Mat(F, self.rows, self.cols + B.cols)
-        for i in range(self.rows):
-            aug.data[i] = self.data[i] + B.data[i]
+        aug = Mat._wrap(F, self.rows, self.cols + B.cols,
+                        [a + b for a, b in zip(self.data, B.data)])
         red, pivots = aug.rref()
-        for c in pivots:
-            if c >= self.cols:
-                raise ValueError("inconsistent linear system")
+        if pivots and pivots[-1] >= self.cols:
+            raise ValueError("inconsistent linear system")
         X = Mat(F, self.cols, B.cols)
         for r, pc in enumerate(pivots):
             X.data[pc] = red.data[r][self.cols:]
@@ -264,25 +250,77 @@ class Mat:
         return [self.data[i][j] for i in range(self.rows)]
 
 
+def _rref_mod(m: list, ncols: int, p: int) -> list:
+    """Reduce int rows with entries in [0, p) to reduced row echelon form
+    mod p, in place; returns the pivot columns."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        row = m[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = m[r] = [inv * x % p for x in row]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref_generic(F, m: list, ncols: int) -> list:
+    """Reduce rows of field elements to reduced row echelon form with the
+    field's own arithmetic, in place; returns the pivot columns."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if not F.is_zero(m[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = F.inv(m[r][c])
+        m[r] = [F.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def hstack(field, mats, rows=None):
     mats = list(mats)
     if not mats:
         return Mat(field, rows if rows is not None else 0, 0)
     r = mats[0].rows
-    out = Mat(field, r, sum(m.cols for m in mats))
-    for i in range(r):
-        out.data[i] = [x for m in mats for x in m.data[i]]
-    return out
+    return Mat._wrap(field, r, sum(m.cols for m in mats),
+                     [[x for m in mats for x in m.data[i]] for i in range(r)])
 
 
 def vstack(field, mats, cols=None):
     mats = list(mats)
     if not mats:
         return Mat(field, 0, cols if cols is not None else 0)
-    c = mats[0].cols
-    out = Mat(field, sum(m.rows for m in mats), c)
-    out.data = [row[:] for m in mats for row in m.data]
-    return out
+    return Mat._wrap(field, sum(m.rows for m in mats), mats[0].cols,
+                     [row[:] for m in mats for row in m.data])
 
 
 def complement_indices(field, basis: Mat) -> list[int]:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .artranslate import (ar_translate, has_projective_summand,
-                          hom_side_middle_term, split_summands,
-                          top_multiplicities)
+from .artranslate import (ar_translate_unchecked, has_projective_summand,
+                          hom_side_middle_term, split_summands)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
@@ -25,7 +24,8 @@ from .reps import (ClusterObject, ExtCocycle, Representation, _hom_system,
                    cluster_object, cokernel_rep, combine, direct_sum_many,
                    ext1_setup, fingerprint, hom_basis, injective_rep,
                    kernel_rep, middle_term, projective_rep, reduce_rep,
-                   stable_ext1_dim, stable_hom_dim, unit_cocycles)
+                   stable_ext1_dim, stable_hom_dim, top_multiplicities,
+                   unit_cocycles)
 
 
 @dataclass
@@ -51,24 +51,23 @@ def _bucket_key(Y: ClusterObject):
     return (Y.shifted, fingerprint(Y.module))
 
 
-def _run_strata(middle_at_prime, middle_at_qq, d: int, primes, side: str):
+def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
     """Shared enumerate/bucket/interpolate loop for one projectivized space.
 
-    middle_at_prime(p) returns a callable mapping a coefficient tuple over
-    F_p to the middle-term ClusterObject; middle_at_qq builds the same
-    object over the rationals from lifted integer coefficients.
+    key_at_prime(p) returns a callable mapping a coefficient tuple over F_p
+    to the bucket key of its middle term; middle_at_qq builds the middle
+    term over the rationals from lifted integer coefficients.
     """
     if d == 0:
         return []
     counts: dict = {}
     witnesses: dict = {}
     for p in primes:
-        mk = middle_at_prime(p)
+        key_of = key_at_prime(p)
         # points of P^{d-1}(F_p), first nonzero coordinate 1
         for point in subspace_bases(GF(p), d, 1):
             c = tuple(point.column(0))
-            Y = mk(c)
-            key = _bucket_key(Y)
+            key = key_of(c)
             counts.setdefault(key, {})[p] = counts.setdefault(key, {}).get(p, 0) + 1
             witnesses.setdefault(key, (p, []))
             if witnesses[key][0] == p:
@@ -119,7 +118,12 @@ def _reduce_or_config_error(M: Representation, p: int) -> Representation:
 def stratify_ext_side(M: Representation, L: Representation, primes,
                       side: str = "ext"):
     """Strata of P Ext^1(M, L) by middle-term class, with chi per class."""
-    d = stable_ext1_dim(M, L, primes)
+    return _ext_strata(M, L, stable_ext1_dim(M, L, primes), primes, side)
+
+
+def _ext_strata(M: Representation, L: Representation, d: int, primes,
+                side: str):
+    """stratify_ext_side for d = dim Ext^1(M, L), already computed."""
     if d == 0:
         return []
     _, rep_indices = ext1_setup(M, L)
@@ -129,7 +133,7 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
         return lambda coeffs: cluster_object(middle_term(
             ExtCocycle(Mf, Lf, combine(basis, coeffs))))
 
-    def middle_at_prime(p):
+    def key_at_prime(p):
         F = GF(p)
         Mp = _reduce_or_config_error(M, p)
         Lp = _reduce_or_config_error(L, p)
@@ -141,25 +145,40 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
                 != image.rank() + d):
             raise PrimeInstabilityError(
                 f"Ext^1 representatives degenerate mod {p}")
-        return middle_over(Mp, Lp)
+        mk = middle_over(Mp, Lp)
+        return lambda coeffs: _bucket_key(mk(coeffs))
 
     middle_at_qq = middle_over(M, L)
-    return _run_strata(middle_at_prime, middle_at_qq, d, primes, side)
+    return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
 
 
 # -- the hom-side stratifications -----------------------------------------
 
-def _stratify_hom_space(L: Representation, T: Representation, primes,
-                        middle_from_map, side: str):
-    """Strata of P Hom(L, T) with a caller-chosen middle-term rule."""
-    d = stable_hom_dim(L, T, primes)
+def _kernel_and_cokernel(g, L: Representation, T: Representation):
+    return kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
+
+
+def _content(R: Representation) -> tuple:
+    """The exact matrix content of R, as a hashable key."""
+    return R.dim, tuple(tuple(map(tuple, m.data)) for m in R.matrices)
+
+
+def _hom_strata(L: Representation, T: Representation, d: int, primes,
+                middle, side: str):
+    """Strata of P Hom(L, T), of dimension d, where the middle term of g
+    is middle(Ker g, Coker g).
+
+    A rule that sees only Ker g and Coker g gives the same bucket key for
+    every point with the same kernel and cokernel matrices, so each prime
+    keeps a memo from that content to the key.
+    """
     if d == 0:
         return []
     basis_qq = hom_basis(L, T)
     if len(basis_qq) != d:
         raise PrimeInstabilityError("rational Hom basis size disagrees")
 
-    def middle_at_prime(p):
+    def key_at_prime(p):
         F = GF(p)
         Lp = _reduce_or_config_error(L, p)
         Tp = _reduce_or_config_error(T, p)
@@ -172,15 +191,21 @@ def _stratify_hom_space(L: Representation, T: Representation, primes,
                 vecs.data[i][j] = x
         if vecs.rank() != d:
             raise PrimeInstabilityError(f"Hom basis degenerates mod {p}")
+        memo = {}
 
-        def mk(coeffs):
-            return middle_from_map(combine(basis_p, coeffs), Lp, Tp)
-        return mk
+        def key_of(coeffs):
+            K, C = _kernel_and_cokernel(combine(basis_p, coeffs), Lp, Tp)
+            content = (_content(K), _content(C))
+            key = memo.get(content)
+            if key is None:
+                key = memo[content] = _bucket_key(middle(K, C))
+            return key
+        return key_of
 
     def middle_at_qq(coeffs):
-        return middle_from_map(combine(basis_qq, coeffs), L, T)
+        return middle(*_kernel_and_cokernel(combine(basis_qq, coeffs), L, T))
 
-    return _run_strata(middle_at_prime, middle_at_qq, d, primes, side)
+    return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
 
 
 def stratify_hom_side(L: Representation, M: Representation, primes,
@@ -188,14 +213,20 @@ def stratify_hom_side(L: Representation, M: Representation, primes,
     """Strata of P Hom(L, tau M); middle term Ker g (+) tau^{-1}(Coker g)."""
     if has_projective_summand(M):
         raise PreconditionError("module has a projective direct summand")
-    tau = ar_translate(M)
-    return _stratify_hom_space(L, tau, primes, hom_side_middle_term, side)
+    return _hom_side(L, M, primes, side)
 
 
-def _proj_shift_middle(f, P: Representation, M: Representation) -> ClusterObject:
-    """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective."""
-    K, _ = kernel_rep(f, P, M)
-    C, _ = cokernel_rep(f, P, M)
+def _hom_side(L: Representation, M: Representation, primes,
+              side: str = "hom"):
+    """stratify_hom_side for an M already known to be projective-free."""
+    tau = ar_translate_unchecked(M)
+    return _hom_strata(L, tau, stable_hom_dim(L, tau, primes), primes,
+                       hom_side_middle_term, side)
+
+
+def _proj_shift_middle(K: Representation, C: Representation) -> ClusterObject:
+    """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective,
+    from K = Ker f and C = Coker f."""
     mults = top_multiplicities(K)
     q = K.quiver
     expected = [0] * q.n
@@ -228,7 +259,7 @@ def verify_xx1(L: Representation, M: Representation, primes) -> VerificationRepo
     d = stable_ext1_dim(M, L, primes)
     if d == 0:
         raise PreconditionError("Ext^1(M, L) = 0: the identity is vacuous")
-    strata = stratify_ext_side(M, L, primes) + stratify_hom_side(L, M, primes)
+    strata = _ext_strata(M, L, d, primes, "ext") + _hom_side(L, M, primes)
     lhs = (cc(L, primes).value * cc(M, primes).value).scale(d)
     return _report(lhs, strata, primes, f"xx1: {d} * X_L X_M")
 
@@ -247,10 +278,10 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
                         P.field)
     if stable_hom_dim(M, I, primes) != d:
         raise CCLabError("dim Hom(M, nu P) disagrees with dim Hom(P, M)")
-    strata = _stratify_hom_space(M, I, primes, hom_side_middle_term,
-                                 "proj-shift-inj")
-    strata += _stratify_hom_space(P, M, primes, _proj_shift_middle,
-                                  "proj-shift-hom")
+    strata = _hom_strata(M, I, d, primes, hom_side_middle_term,
+                         "proj-shift-inj")
+    strata += _hom_strata(P, M, d, primes, _proj_shift_middle,
+                          "proj-shift-hom")
     lhs = (cc(M, primes).value * LaurentPolynomial.monomial(mults)).scale(d)
     return _report(lhs, strata, primes, f"xx2: {d} * X_M X_P[1]")
 
@@ -283,10 +314,10 @@ def verify_unified(M, N, primes) -> VerificationReport:
         raise PreconditionError("Ext^1 in the cluster category vanishes")
     strata = []
     if d1:
-        strata += stratify_ext_side(A, B, primes)
+        strata += _ext_strata(A, B, d1, primes, "ext")
         strata += stratify_hom_side(B, A, primes)
     if d2:
-        strata += stratify_ext_side(B, A, primes)
+        strata += _ext_strata(B, A, d2, primes, "ext")
         strata += stratify_hom_side(A, B, primes)
     lhs = (cc(A, primes).value * cc(B, primes).value).scale(d1 + d2)
     return _report(lhs, strata, primes, f"unified: {d1 + d2} * X_M X_N")

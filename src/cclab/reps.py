@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .errors import InputError, PreconditionError, PrimeInstabilityError
 from .linalg import (GF, Mat, QQ, column_basis, column_complement,
-                     complement_indices, hstack)
+                     complement_indices, hstack, vstack)
 from .quiver import Quiver, check_dimvec
 
 
@@ -114,17 +115,14 @@ def reduce_rep(M: Representation, p: int) -> Representation:
 
 # -- paths and standard modules -------------------------------------------
 
-_PATH_CACHE: dict[Quiver, dict] = {}
-
-
+@lru_cache(maxsize=64)
 def all_paths(q: Quiver) -> dict:
     """Ordered lists of directed paths, keyed by (source, target).
 
     A path is a tuple of arrow indices in traversal order; the empty tuple
-    is the trivial path at each vertex.  Finite because q is acyclic.
+    is the trivial path at each vertex.  Finite because q is acyclic.  The
+    result is shared between callers and must not be modified.
     """
-    if q in _PATH_CACHE:
-        return _PATH_CACHE[q]
     paths = {(i, j): [] for i in range(1, q.n + 1) for j in range(1, q.n + 1)}
     for i in range(1, q.n + 1):
         frontier = [((), i)]
@@ -136,7 +134,6 @@ def all_paths(q: Quiver) -> dict:
                     if s == end:
                         new.append((path + (a,), t))
             frontier = new
-    _PATH_CACHE[q] = paths
     return paths
 
 
@@ -228,7 +225,11 @@ def sum_cluster_objects(A: ClusterObject, B: ClusterObject) -> ClusterObject:
 # -- Hom -------------------------------------------------------------------
 
 def _hom_system(M: Representation, N: Representation) -> Mat:
-    """Matrix of the intertwiner system over the vectorized f_i blocks."""
+    """Matrix of the intertwiner system over the vectorized f_i blocks.
+
+    Every entry is written once: the rows of arrow a: s -> t are its own,
+    and s != t on an acyclic quiver, so its f_t and f_s columns are apart.
+    """
     q = M.quiver
     F = M.field
     offs = []
@@ -243,17 +244,16 @@ def _hom_system(M: Representation, N: Representation) -> Mat:
         Ma, Na = M.matrices[a], N.matrices[a]
         ns, nt = N.dim[s - 1], N.dim[t - 1]
         ms, mt = M.dim[s - 1], M.dim[t - 1]
-        # equation f_t @ Ma - Na @ f_s = 0, entry (r, c) of the result
+        off_t, off_s = offs[t - 1], offs[s - 1]
+        ma_cols = [Ma.column(c) for c in range(ms)]
+        # equation f_t @ Ma - Na @ f_s = 0, entry (r, c) of the result:
+        # coefficient Ma[k][c] on f_t[r][k] and -Na[r][k] on f_s[k][c]
         for r in range(nt):
+            neg_na = [F.neg(x) for x in Na.data[r]]
             for c in range(ms):
                 row = sys.data[r0 + r * ms + c]
-                for k in range(mt):
-                    # f_t[r][k] * Ma[k][c]
-                    row[offs[t - 1] + r * mt + k] = F.add(
-                        row[offs[t - 1] + r * mt + k], Ma.data[k][c])
-                for k in range(ns):
-                    row[offs[s - 1] + k * ms + c] = F.sub(
-                        row[offs[s - 1] + k * ms + c], Na.data[r][k])
+                row[off_t + r * mt: off_t + (r + 1) * mt] = ma_cols[c]
+                row[off_s + c: off_s + ns * ms: ms] = neg_na
         r0 += nt * ms
     return sys
 
@@ -263,10 +263,9 @@ def _blocks(F, vec, shapes) -> list:
     out = []
     pos = 0
     for r, c in shapes:
-        m = Mat(F, r, c)
-        m.data = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
+        out.append(Mat._wrap(F, r, c, [vec[pos + i * c: pos + (i + 1) * c]
+                                       for i in range(r)]))
         pos += r * c
-        out.append(m)
     return out
 
 
@@ -428,24 +427,48 @@ def cokernel_rep(f: list, M: Representation, N: Representation):
     return quotient_rep(N, [column_basis(f[i]) for i in range(N.quiver.n)])
 
 
-# -- isomorphism testing ---------------------------------------------------
+# -- tops, socles and isomorphism testing ---------------------------------
 
-def _battery(q: Quiver, field) -> list[Representation]:
-    out = []
-    for i in range(1, q.n + 1):
-        out.append(simple_rep(q, i, field))
-        out.append(projective_rep(q, i, field))
-        out.append(injective_rep(q, i, field))
-    return out
+def top_multiplicities(M: Representation) -> tuple[int, ...]:
+    """dim Hom(M, S_i) per vertex: dim M_i less the rank of the arrows
+    into i, whose images span the radical there."""
+    q, F = M.quiver, M.field
+    return tuple(
+        d - hstack(F, [M.matrices[a] for a in q.arrows_into(i)], rows=d).rank()
+        for i, d in enumerate(M.dim, start=1))
+
+
+def socle_multiplicities(M: Representation) -> tuple[int, ...]:
+    """dim Hom(S_i, M) per vertex: dim M_i less the rank of the arrows out
+    of i, whose common kernel is the socle there."""
+    q, F = M.quiver, M.field
+    return tuple(
+        d - vstack(F, [M.matrices[a] for a in q.arrows_out_of(i)],
+                   cols=d).rank()
+        for i, d in enumerate(M.dim, start=1))
+
+
+@lru_cache(maxsize=64)
+def _standard_battery(q: Quiver, field) -> tuple:
+    """(P_i, I_i) for every vertex i, shared between callers."""
+    return tuple((projective_rep(q, i, field), injective_rep(q, i, field))
+                 for i in range(1, q.n + 1))
 
 
 def fingerprint(M: Representation) -> tuple:
-    """Cheap isomorphism invariant: dims + Hom battery + dim End."""
-    battery = _battery(M.quiver, M.field)
+    """Cheap isomorphism invariant: dims, Hom in both directions against
+    each S_i, P_i and I_i, and dim End M.
+
+    Four of the six Hom dims per vertex are closed forms: Hom(P_i, M) and
+    Hom(M, I_i) have dimension dim M_i (Yoneda), Hom(M, S_i) is the top
+    and Hom(S_i, M) the socle at i.  Only Hom(M, P_i), Hom(I_i, M) and
+    End M solve an intertwiner system.
+    """
+    tops, socles = top_multiplicities(M), socle_multiplicities(M)
     dims = []
-    for B in battery:
-        dims.append(hom_dim(M, B))
-        dims.append(hom_dim(B, M))
+    for d, top, soc, (P, I) in zip(M.dim, tops, socles,
+                                    _standard_battery(M.quiver, M.field)):
+        dims += [top, soc, hom_dim(M, P), d, d, hom_dim(I, M)]
     return (M.dim, tuple(dims), hom_dim(M, M))
 
 

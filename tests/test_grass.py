@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
 
@@ -89,6 +90,33 @@ def test_profile_examples(primes):
     assert grassmannian_profile(projective_rep(q, 1), primes) == {
         (0, 0): 1, (0, 1): 1, (1, 1): 1}
     assert grassmannian_profile(zero_rep(q), primes) == {(0, 0): 1}
+
+
+def test_profile_cache_is_bounded_and_transparent(monkeypatch, primes):
+    bound = grassmannian._profile.cache_info().maxsize
+    assert isinstance(bound, int) and bound > 0
+    # the same function behind a small bound: filling and clearing the real
+    # cache would only make later tests recount the profiles it holds
+    small = lru_cache(maxsize=8)(grassmannian._profile.__wrapped__)
+    monkeypatch.setattr(grassmannian, "_profile", small)
+    q = kronecker_quiver()
+    M = direct_sum(projective_rep(q, 1), simple_rep(q, 1))
+    cold = grassmannian_profile(M, primes)
+    profile = dict(cold)
+    cold[(0, 0)] = 0  # each caller gets its own copy
+    assert grassmannian_profile(M, primes) == profile
+    assert grassmannian_profile(M, list(reversed(primes))) == profile
+    assert small.cache_info().hits == 2
+    small.cache_clear()
+    assert grassmannian_profile(M, primes) == profile
+    # distinct prime pairs make distinct entries; S1 needs only two primes
+    pairs = combinations([2, 3, 5, 7, 11, 13, 17], 2)
+    s1 = simple_rep(a2_quiver(), 1)
+    for pair in pairs:
+        assert grassmannian_profile(s1, pair) == {(0, 0): 1, (1, 0): 1}
+        assert small.cache_info().currsize <= 8
+    assert small.cache_info().currsize == 8
+    assert grassmannian_profile(M, primes) == profile
 
 
 def test_profile_total_count_consistency(primes):

@@ -2,11 +2,14 @@
 
 import pytest
 
+from cclab import artranslate, multiplication
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import PreconditionError
 from cclab.laurent import parse
-from cclab.multiplication import (stratify_ext_side, verify_unified,
+from cclab.linalg import QQ
+from cclab.multiplication import (_content, stratify_ext_side,
+                                  stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
 from cclab.quiver import a2_quiver, a3_quiver, kronecker_quiver
 from cclab.reps import (ClusterObject, cluster_object, is_isomorphic,
@@ -152,3 +155,41 @@ def test_kronecker_regular_from_exchange(primes):
     r_value = cc(kronecker_regular(1, 1), primes).value
     assert (x1 * x2).scale(2) == r_value.scale(2) + parse("x1*x2", 2).scale(2)
     assert report.lhs == (x1 * x2).scale(2)
+
+
+def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
+    """Kronecker xx1(P1, S1): P Hom(P1, tau S1) has dimension 3, but its
+    points share few (Ker g, Coker g) pairs, so tau^{-1} runs once per
+    distinct pair at each prime, not once per point."""
+    q = kronecker_quiver()
+    seen, inverses = [], []
+    rule, inverse = multiplication.hom_side_middle_term, artranslate.ar_inverse
+
+    def recording_rule(K, C):
+        seen.append((K.field, _content(K), _content(C)))
+        return rule(K, C)
+
+    def counting_inverse(C):
+        inverses.append(C.field)
+        return inverse(C)
+
+    monkeypatch.setattr(multiplication, "hom_side_middle_term",
+                        recording_rule)
+    monkeypatch.setattr(artranslate, "ar_inverse", counting_inverse)
+    strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
+                               few_primes)
+    assert sum(s.chi for s in strata) == 3
+    per_prime = [x for x in seen if x[0] != QQ]
+    assert len(per_prime) == len(set(per_prime))
+    points = sum(p * p + p + 1 for p in few_primes)
+    assert 0 < len(per_prime) * 10 < points
+    assert len(inverses) == len(seen)
+
+
+def test_repeated_verify_gives_equal_reports(few_primes):
+    """The per-prime memo leaves nothing behind between calls."""
+    q = kronecker_quiver()
+    first = verify_xx1(simple_rep(q, 2), simple_rep(q, 1), few_primes)
+    second = verify_xx1(simple_rep(q, 2), simple_rep(q, 1), few_primes)
+    assert first == second
+    assert first.verdict

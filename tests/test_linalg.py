@@ -112,3 +112,95 @@ def test_solve_inconsistent_raises():
     b = Mat(QQ, 2, 1, [[1], [2]])
     with pytest.raises(ValueError):
         m.solve(b)
+
+
+# -- the int GF(p) kernel against the field-generic elimination ------------
+
+def reference_rref(F, rows, ncols):
+    """Reference: Gauss-Jordan through the field's own methods."""
+    m = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if not F.is_zero(m[i][c])),
+                  None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = F.inv(m[r][c])
+        m[r] = [F.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not F.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_nullspace(F, rows, ncols):
+    red, pivots = reference_rref(F, rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = [[F.zero] * len(free) for _ in range(ncols)]
+    for j, fc in enumerate(free):
+        out[fc][j] = F.one
+        for r, pc in enumerate(pivots):
+            out[pc][j] = F.neg(red[r][fc])
+    return out
+
+
+def reference_solve(F, a_rows, ncols, b_rows, bcols):
+    red, pivots = reference_rref(
+        F, [a + b for a, b in zip(a_rows, b_rows)], ncols + bcols)
+    if any(c >= ncols for c in pivots):
+        raise ValueError("inconsistent linear system")
+    out = [[F.zero] * bcols for _ in range(ncols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = red[r][ncols:]
+    return out
+
+
+def reference_mul(F, a_rows, b_rows, bcols):
+    out = []
+    for row in a_rows:
+        acc = [F.zero] * bcols
+        for a, b_row in zip(row, b_rows):
+            acc = [F.add(x, F.mul(a, y)) for x, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def prime_systems(draw):
+    """(F, A, B, X) over GF(p), p in {2, 3, 5, 53}, A up to 5x5 (0 rows or
+    0 columns included) with raw int entries, X random and B either A X,
+    so consistent, or random."""
+    F = GF(draw(st.sampled_from([2, 3, 5, 53])))
+    rows, cols, k = (draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                     draw(st.integers(0, 3)))
+
+    def raw(r, c):
+        return [draw(st.lists(st.integers(-60, 60), min_size=c, max_size=c))
+                for _ in range(r)]
+    A, X = Mat(F, rows, cols, raw(rows, cols)), Mat(F, cols, k, raw(cols, k))
+    B = A.mul(X) if draw(st.booleans()) else Mat(F, rows, k, raw(rows, k))
+    return F, A, B, X
+
+
+@given(prime_systems())
+def test_int_kernel_matches_reference(case):
+    F, A, B, X = case
+    assert all(0 <= x < F.p for row in A.data for x in row)
+    red, pivots = A.rref()
+    assert (red.data, pivots) == reference_rref(F, A.data, A.cols)
+    assert A.rank() == len(pivots)
+    assert A.nullspace().data == reference_nullspace(F, A.data, A.cols)
+    assert A.mul(X).data == reference_mul(F, A.data, X.data, X.cols)
+    assert A.scale(-7).add(A).data == [[F.add(F.mul(F.of(-7), x), x)
+                                        for x in row] for row in A.data]
+    try:
+        want = reference_solve(F, A.data, A.cols, B.data, B.cols)
+    except ValueError:
+        with pytest.raises(ValueError, match="inconsistent"):
+            A.solve(B)
+    else:
+        assert A.solve(B).data == want

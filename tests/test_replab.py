@@ -1,23 +1,27 @@
 """Representation lab: standard modules, Hom/Ext, extensions, AR translate."""
 
 import time
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.artranslate import (ar_inverse, ar_translate, has_projective_summand,
-                               split_summands, top_multiplicities)
+                               split_summands)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.errors import PreconditionError
-from cclab.linalg import Mat
+from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
-                          kronecker_quiver)
-from cclab.reps import (_has_invertible_combination, cluster_object,
-                        direct_sum, direct_sum_many, ext1_basis, ext1_dim,
-                        fingerprint, hom_basis, hom_dim, injective_rep,
-                        is_isomorphic, make_rep, middle_term, projective_rep,
-                        reduce_rep, simple_rep, stable_ext1_dim,
-                        stable_hom_dim, standard_module, zero_rep)
+                          kronecker_quiver, validate_quiver)
+from cclab.reps import (_has_invertible_combination, _standard_battery,
+                        cluster_object, direct_sum, direct_sum_many,
+                        ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
+                        injective_rep, is_isomorphic, make_rep, middle_term,
+                        projective_rep, reduce_rep, simple_rep,
+                        stable_ext1_dim, stable_hom_dim, standard_module,
+                        top_multiplicities, zero_rep)
 
 
 def a2_corpus():
@@ -143,6 +147,61 @@ def test_iso_separates_fingerprint_collision():
     assert fingerprint(split) == fingerprint(band)
     assert not is_isomorphic(split, band)
     assert not is_isomorphic(band, split)
+
+
+def battery_fingerprint(M):
+    """Reference: all 6n + 1 Hom dimensions solved as intertwiner systems."""
+    q, F = M.quiver, M.field
+    dims = []
+    for i in range(1, q.n + 1):
+        for B in (simple_rep(q, i, F), projective_rep(q, i, F),
+                  injective_rep(q, i, F)):
+            dims += [hom_dim(M, B), hom_dim(B, M)]
+    return (M.dim, tuple(dims), hom_dim(M, M))
+
+
+@st.composite
+def random_reps(draw):
+    """A representation of a random acyclic quiver with n <= 4 vertices and
+    parallel arrows, dims <= 3, over QQ (with fractions) or GF(2, 3, 5)."""
+    n = draw(st.integers(1, 4))
+    pairs = list(combinations(range(1, n + 1), 2))
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=5) if pairs
+                  else st.just([]))
+    label = draw(st.permutations(range(1, n + 1)))
+    q = validate_quiver(n, [(label[s - 1], label[t - 1]) for s, t in arrows])
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    entries = (st.fractions(-3, 3, max_denominator=2) if field == QQ
+               else st.integers(-2, 2))
+    dim = draw(st.tuples(*[st.integers(0, 3)] * n))
+    mats = [draw(st.lists(st.lists(entries, min_size=dim[s - 1],
+                                   max_size=dim[s - 1]),
+                          min_size=dim[t - 1], max_size=dim[t - 1]))
+            for s, t in q.arrows]
+    return make_rep(q, dim, mats, field)
+
+
+@given(random_reps())
+@settings(deadline=None)
+def test_fingerprint_matches_hom_battery(M):
+    assert fingerprint(M) == battery_fingerprint(M)
+
+
+def test_battery_cache_is_bounded_and_transparent():
+    q = kronecker_quiver()
+    M = direct_sum(kronecker_regular(1, 1), projective_rep(q, 1))
+    cold = fingerprint(M)
+    assert fingerprint(M) == cold
+    _standard_battery.cache_clear()
+    assert fingerprint(M) == cold
+    bound = _standard_battery.cache_info().maxsize
+    primes = [p for p in range(2, 1000)
+              if all(p % k for k in range(2, p))][:bound + 5]
+    for p in primes:
+        fingerprint(reduce_rep(M, p))
+        assert _standard_battery.cache_info().currsize <= bound
+    assert _standard_battery.cache_info().currsize == bound
+    assert fingerprint(M) == cold
 
 
 def test_iso_rejects_on_hom_dimension_before_grid():
