@@ -1,0 +1,161 @@
+"""Time the mutation oracle and the Laurent kernels; write BENCH_5.json.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
+
+Stdlib only.  Two parts:
+
+- closures: the A5 closure to depth 12 (many seeds, small polynomials) and
+  the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
+  is timed, and one extra run counts the unlabelled seeds visited, the
+  exchanges looked up and the exact divisions made, by wrapping the
+  module's helpers.
+- kernels: on the Kronecker cluster variables x_t (mutating 1, 2, 1, ...)
+  it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1).
+
+Every time is the median of the repeats, in wall-clock seconds, with the
+minimum beside it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+from cclab import mutation
+from cclab.laurent import divide_exact
+from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
+                            initial_seed)
+from cclab.quiver import kronecker_quiver, validate_quiver
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CLOSURES = (
+    ("a5.closure(12)",
+     lambda: validate_quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), 12),
+    ("kronecker.closure(24)", kronecker_quiver, 24),
+)
+KERNEL_STEPS = (4, 8, 12, 16, 20, 24)
+
+
+def timed(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "min_s": min(times)}
+
+
+def closure_counts(q, depth):
+    """Seeds, exchanges and divisions of one closure, by wrapping the
+    exchange helper, the seed canonicaliser and the division."""
+    seeds, counts = set(), {"exchanges": 0, "divisions": 0}
+    exchange = mutation._exchange
+    canonical = mutation._canonical
+    divide = mutation.divide_exact
+
+    def counting_exchange(b, kk):
+        counts["exchanges"] += 1
+        return exchange(b, kk)
+
+    def recording_canonical(b, ids):
+        seed = canonical(b, ids)
+        seeds.add(seed)
+        return seed
+
+    def counting_divide(a, b):
+        counts["divisions"] += 1
+        return divide(a, b)
+
+    mutation._exchange = counting_exchange
+    mutation._canonical = recording_canonical
+    mutation.divide_exact = counting_divide
+    try:
+        variables, stable = enumerate_cluster_variables(q, depth,
+                                                        report_stable=True)
+    finally:
+        mutation._exchange = exchange
+        mutation._canonical = canonical
+        mutation.divide_exact = divide
+    return {"variables": len(variables), "stabilized": stable,
+            "seeds": len(seeds), **counts}
+
+
+def kronecker_variables(last):
+    """x_0, x_1, ..., x_last along the Kronecker chain, x_0 = x1 and
+    x_1 = x2; each mutation replaces the older of the two."""
+    seed = initial_seed(kronecker_quiver())
+    chain = [seed.cluster[0], seed.cluster[1]]
+    for t in range(2, last + 1):
+        seed = apply_mutations(seed, [1 if t % 2 == 0 else 2])
+        chain.append(seed.cluster[(t - 2) % 2])
+    return chain
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_5.json"))
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    closures = []
+    for name, make, depth in CLOSURES:
+        q = make()
+        row = {"name": name, **closure_counts(q, depth)}
+        row.update(timed(lambda: enumerate_cluster_variables(q, depth),
+                         args.repeats))
+        closures.append(row)
+
+    chain = kronecker_variables(max(KERNEL_STEPS) + 1)
+    kernels = []
+    for t in KERNEL_STEPS:
+        x, prev = chain[t], chain[t - 1]
+        square = x * x
+        binomial = square + 1
+        if divide_exact(binomial, prev) != chain[t + 1]:
+            raise SystemExit(f"exchange relation fails at x_{t}")
+        kernels.append({
+            "step": t, "terms": len(x.terms),
+            "mul": {"operand_terms": len(x.terms),
+                    "result_terms": len(square.terms),
+                    **timed(lambda: x * x, args.repeats)},
+            "divide_exact": {"dividend_terms": len(binomial.terms),
+                             "divisor_terms": len(prev.terms),
+                             **timed(lambda: divide_exact(binomial, prev),
+                                     args.repeats)},
+        })
+
+    doc = {
+        "machine": {"python": platform.python_version(),
+                    "implementation": platform.python_implementation(),
+                    "system": platform.system(),
+                    "machine": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "repeats": args.repeats,
+        "timer": "time.perf_counter, wall clock",
+        "closures": closures,
+        "kernels": kernels,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    for row in closures:
+        print(f"{row['name']}: {row['median_s']:.3f} s, {row['seeds']} seeds, "
+              f"{row['exchanges']} exchanges, {row['divisions']} divisions")
+    for row in kernels:
+        print(f"kronecker x_{row['step']} ({row['terms']} terms): "
+              f"mul {row['mul']['median_s'] * 1e3:.2f} ms, divide_exact "
+              f"{row['divide_exact']['median_s'] * 1e3:.2f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

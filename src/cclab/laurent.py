@@ -4,11 +4,18 @@ Terms live in a dict mapping exponent tuples (entries may be negative) to
 nonzero integer coefficients, so equal values always have identical
 representations.  The printed form sorts terms by (total degree, exponent
 tuple) and is bit-exact across runs:  ``x1^-1 + x1^-1*x2``.
+
+Multiplication and exact division pack each exponent tuple into one int:
+a total-degree field on top, then one field per variable, each field wide
+enough for every value the operation can produce.  Adding packed keys adds
+exponents, and comparing them compares (total degree, exponent tuple), so
+the kernels never build a tuple per term pair.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .errors import InexactDivisionError, InputError
 
@@ -92,17 +99,23 @@ class LaurentPolynomial:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(e, 0) + c1 * c2
-                if v:
-                    terms[e] = v
-                elif e in terms:
-                    del terms[e]
         out = LaurentPolynomial(self.nvars)
-        out.terms = terms
+        if not self.terms or not other.terms:
+            return out
+        # every product exponent and degree is below 2^(width - 1) in size,
+        # so each field of k1 + k2 is that value plus bias, in [0, 2^width)
+        width = (_size(self.terms) + _size(other.terms)).bit_length() + 1
+        bias = 1 << (width - 1)
+        left = [(_pack(e, width, bias), c) for e, c in self.terms.items()]
+        right = [(_pack(e, width), c) for e, c in other.terms.items()]
+        acc = {}
+        get = acc.get
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        out.terms = {_unpack(k, self.nvars, width, bias): c
+                     for k, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -144,10 +157,11 @@ class LaurentPolynomial:
         return not self.terms
 
     def evaluate(self, values):
-        """Evaluate at nonzero rational/integer arguments."""
-        total = 0
+        """Exact value at nonzero rational/integer arguments, as a Fraction."""
+        values = [Fraction(x) for x in values]
+        total = Fraction(0)
         for e, c in self.terms.items():
-            v = c
+            v = Fraction(c)
             for x, k in zip(values, e):
                 v *= x ** k
             total += v
@@ -223,13 +237,28 @@ def parse(s: str, nvars: int) -> LaurentPolynomial:
     return out
 
 
-def _shift_to_poly(p: LaurentPolynomial):
-    """Multiply by a monomial so every variable has minimum exponent 0."""
-    mins = [min(e[i] for e in p.terms) for i in range(p.nvars)]
-    shifted = LaurentPolynomial(
-        p.nvars, {tuple(a - b for a, b in zip(e, mins)): c
-                  for e, c in p.terms.items()})
-    return shifted, tuple(mins)
+def _pack(exp, width: int, bias: int = 0) -> int:
+    """Exponent tuple as one int: total degree on top, then x1, ..., xn,
+    each field holding value + bias.  Negative values are allowed; the sum
+    is exact, and decodes uniquely once every field lies in [0, 2^width)."""
+    k = sum(exp) + bias
+    for x in exp:
+        k = (k << width) + x + bias
+    return k
+
+
+def _unpack(k: int, nvars: int, width: int, bias: int = 0) -> tuple:
+    mask = (1 << width) - 1
+    exp = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        exp[i] = (k & mask) - bias
+        k >>= width
+    return tuple(exp)
+
+
+def _size(terms) -> int:
+    """A bound on |total degree| and on |exponent| over the terms."""
+    return max(sum(map(abs, e)) for e in terms)
 
 
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -238,36 +267,59 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
     Both operands are shifted to honest polynomials first; for an exact
     Laurent division the shifted quotient is again a polynomial, so plain
     leading-term division (graded-lex order) terminates and certifies
-    exactness along the way.
+    exactness along the way.  Leading terms come off a max-heap of packed
+    exponents; a key left in the heap after its term cancelled is skipped.
     """
+    # heapq loads a C extension; importing it here keeps that off the
+    # start-up of programs that never divide
+    from heapq import heapify, heappop, heappush
+
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return LaurentPolynomial.zero(a.nvars)
     a._check(b)
-    pa, sa = _shift_to_poly(a)
-    pb, sb = _shift_to_poly(b)
-    key = lambda e: (sum(e), e)
-    lead_b = max(pb.terms, key=key)
-    cb = pb.terms[lead_b]
-    rem = dict(pa.terms)
+    n = a.nvars
+    mins_a = [min(e[i] for e in a.terms) for i in range(n)]
+    mins_b = [min(e[i] for e in b.terms) for i in range(n)]
+    # Shifted exponents and every remainder term's degree stay within the
+    # larger shifted degree, so fields of this width keep a zero top bit.
+    top = max(max(map(sum, a.terms)) - sum(mins_a),
+              max(map(sum, b.terms)) - sum(mins_b))
+    width = top.bit_length() + 1
+    guard = _pack((0,) * n, width, 1 << (width - 1))
+    off_a, off_b = _pack(mins_a, width), _pack(mins_b, width)
+    rem = {_pack(e, width) - off_a: c for e, c in a.terms.items()}
+    divisor = [(_pack(e, width) - off_b, c) for e, c in b.terms.items()]
+    lead_b, cb = max(divisor)
+    heap = [-k for k in rem]
+    heapify(heap)
     quo = {}
     while rem:
-        lead = max(rem, key=key)
-        c = rem[lead]
-        qe = tuple(x - y for x, y in zip(lead, lead_b))
-        if any(x < 0 for x in qe) or c % cb != 0:
+        lead = -heappop(heap)
+        c = rem.get(lead)
+        if c is None:
+            continue
+        # a field of lead + guard - lead_b keeps its top bit exactly when
+        # that exponent of lead is at least lead_b's
+        qk = lead + guard - lead_b
+        if qk & guard != guard or c % cb != 0:
             raise InexactDivisionError("polynomial division left a remainder")
+        qk -= guard
         qc = c // cb
-        quo[qe] = qc
-        for e, bc in pb.terms.items():
-            te = tuple(x + y for x, y in zip(qe, e))
-            v = rem.get(te, 0) - qc * bc
-            if v:
-                rem[te] = v
-            elif te in rem:
-                del rem[te]
-    shift = tuple(x - y for x, y in zip(sa, sb))
-    return LaurentPolynomial(
-        a.nvars, {tuple(x + y for x, y in zip(e, shift)): c
-                  for e, c in quo.items()})
+        quo[qk] = qc
+        for e, bc in divisor:
+            t = qk + e
+            v = rem.get(t)
+            if v is None:
+                rem[t] = -qc * bc
+                heappush(heap, -t)
+            elif v == qc * bc:
+                del rem[t]
+            else:
+                rem[t] = v - qc * bc
+    shift = [x - y for x, y in zip(mins_a, mins_b)]
+    out = LaurentPolynomial(n)
+    out.terms = {tuple(x + y for x, y in zip(_unpack(k, n, width), shift)): c
+                 for k, c in quo.items()}
+    return out

@@ -2,7 +2,7 @@
 variables of small quivers.
 
 Cluster variables are carried as exact Laurent polynomials in the
-initial variables; every mutation step performs an explicit exact
+initial variables; every new variable comes from an explicit exact
 division, so any arithmetic slip surfaces as a hard error instead of a
 wrong value.
 """
@@ -42,31 +42,39 @@ def initial_seed(q: Quiver) -> Seed:
     return Seed(exchange_matrix(q), cluster)
 
 
+def _exchange(b, kk: int):
+    """Mutation of B in direction kk (0-indexed) and the two monomials of
+    the exchange binomial, as (position, exponent) pairs in position order:
+    x_kk * x_kk' = prod_{b_ik > 0} x_i^b_ik + prod_{b_ik < 0} x_i^-b_ik."""
+    n = len(b)
+    nb = tuple(tuple(-b[i][j] if i == kk or j == kk else
+                     b[i][j] + (abs(b[i][kk]) * b[kk][j]
+                                + b[i][kk] * abs(b[kk][j])) // 2
+                     for j in range(n)) for i in range(n))
+    plus = tuple((i, b[i][kk]) for i in range(n) if b[i][kk] > 0)
+    minus = tuple((i, -b[i][kk]) for i in range(n) if b[i][kk] < 0)
+    return nb, plus, minus
+
+
+def _monomial(variables, powers, nvars: int) -> LaurentPolynomial:
+    out = LaurentPolynomial.one(nvars)
+    for i, e in powers:
+        out = out * variables[i] ** e
+    return out
+
+
 def mutate(seed: Seed, k: int) -> Seed:
     """Fomin-Zelevinsky mutation in direction k (1-indexed)."""
     n = seed.n
     if not 1 <= k <= n:
         raise InputError(f"mutation direction {k} out of range")
     kk = k - 1
-    b = seed.bmatrix
-    nb = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == kk or j == kk:
-                nb[i][j] = -b[i][j]
-            else:
-                nb[i][j] = b[i][j] + (abs(b[i][kk]) * b[kk][j]
-                                      + b[i][kk] * abs(b[kk][j])) // 2
-    plus = LaurentPolynomial.one(n)
-    minus = LaurentPolynomial.one(n)
-    for i in range(n):
-        if b[i][kk] > 0:
-            plus = plus * seed.cluster[i] ** b[i][kk]
-        elif b[i][kk] < 0:
-            minus = minus * seed.cluster[i] ** (-b[i][kk])
-    new_var = divide_exact(plus + minus, seed.cluster[kk])
+    nb, plus, minus = _exchange(seed.bmatrix, kk)
+    binomial = (_monomial(seed.cluster, plus, n)
+                + _monomial(seed.cluster, minus, n))
+    new_var = divide_exact(binomial, seed.cluster[kk])
     cluster = tuple(new_var if i == kk else seed.cluster[i] for i in range(n))
-    return Seed(tuple(tuple(r) for r in nb), cluster)
+    return Seed(nb, cluster)
 
 
 def apply_mutations(seed: Seed, directions) -> Seed:
@@ -75,8 +83,46 @@ def apply_mutations(seed: Seed, directions) -> Seed:
     return seed
 
 
-def _seed_key(seed: Seed):
-    return (seed.bmatrix, tuple(sorted(str(x) for x in seed.cluster)))
+class _Exchanges:
+    """Cluster variables interned by canonical string, and the exchange
+    relations found so far between their ids."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.variables = []  # id -> LaurentPolynomial
+        self.ids = {}        # canonical string -> id
+        self.memo = {}       # (id of x, binomial) -> id of P / x
+
+    def intern(self, x: LaurentPolynomial) -> int:
+        name = str(x)
+        i = self.ids.get(name)
+        if i is None:
+            i = self.ids[name] = len(self.variables)
+            self.variables.append(x)
+        return i
+
+    def exchange(self, old: int, binomial) -> int:
+        """Id of x' = P / x for x = variables[old], with P the sum of the
+        two monomials in binomial, each a tuple of (id, exponent) pairs."""
+        key = (old, binomial)
+        new = self.memo.get(key)
+        if new is None:
+            first, second = binomial
+            p = (_monomial(self.variables, first, self.nvars)
+                 + _monomial(self.variables, second, self.nvars))
+            new = self.intern(divide_exact(p, self.variables[old]))
+            self.memo[key] = new
+            # P = x * x' exactly, so the same binomial sends x' back to x
+            self.memo[(new, binomial)] = old
+        return new
+
+
+def _canonical(b, ids):
+    """The seed (b, ids) with positions sorted by id and b permuted to match:
+    one key per unlabelled seed."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return (tuple(tuple(b[i][j] for j in order) for i in order),
+            tuple(ids[i] for i in order))
 
 
 def enumerate_cluster_variables(q: Quiver, depth: int,
@@ -87,36 +133,42 @@ def enumerate_cluster_variables(q: Quiver, depth: int,
     return value is (variables, stabilized): stabilized is False when the
     final layer still produced new variables, i.e. the variable set was
     plausibly truncated by the depth cutoff.
+
+    The search runs over unlabelled seeds (a seed up to renumbering its
+    positions), which reach the same clusters at the same depths as
+    labelled ones.  Each exchange relation is divided out once.
     """
     if depth < 0:
         raise InputError("depth must be non-negative")
-    start = initial_seed(q)
-    variables = {str(x): x for x in start.cluster}
-    seen = {_seed_key(start)}
+    n = q.n
+    ex = _Exchanges(n)
+    start = _canonical(exchange_matrix(q), tuple(
+        ex.intern(LaurentPolynomial.variable(n, i)) for i in range(1, n + 1)))
+    seen = {start}
     layer = [start]
     stabilized = True
     for step in range(depth):
         next_layer = []
-        grew = False
-        for seed in layer:
-            for k in range(1, q.n + 1):
-                new = mutate(seed, k)
-                key = _seed_key(new)
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_layer.append(new)
-                for x in new.cluster:
-                    s = str(x)
-                    if s not in variables:
-                        variables[s] = x
-                        grew = True
-        if step == depth - 1 and grew:
+        known = len(ex.variables)
+        for b, ids in layer:
+            for kk in range(n):
+                nb, plus, minus = _exchange(b, kk)
+                # ids ascend with position in a canonical seed, so each
+                # monomial lists its (id, exponent) pairs sorted by id
+                binomial = tuple(sorted((
+                    tuple((ids[i], e) for i, e in plus),
+                    tuple((ids[i], e) for i, e in minus))))
+                new = ex.exchange(ids[kk], binomial)
+                seed = _canonical(nb, ids[:kk] + (new,) + ids[kk + 1:])
+                if seed not in seen:
+                    seen.add(seed)
+                    next_layer.append(seed)
+        if step == depth - 1 and len(ex.variables) > known:
             stabilized = False
         layer = next_layer
         if not layer:
             break
-    vars_out = [variables[k] for k in sorted(variables)]
+    vars_out = [ex.variables[ex.ids[s]] for s in sorted(ex.ids)]
     if report_stable:
         return vars_out, stabilized
     return vars_out

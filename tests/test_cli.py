@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cclab.cli import main
+from cclab.cli import EXIT_COUNTING, main
 
 A2_QUIVER = '{"vertices": 2, "arrows": [[1, 2]]}\n'
 S1 = '{"dim": [1, 0], "matrices": [[]]}\n'
@@ -11,12 +11,17 @@ S2 = '{"dim": [0, 1], "matrices": [[]]}\n'
 P1 = '{"dim": [1, 1], "matrices": [[[1]]]}\n'
 KRONECKER = '{"vertices": 2, "arrows": [[1, 2], [1, 2]]}\n'
 A3_QUIVER = '{"vertices": 3, "arrows": [[1, 2], [2, 3]]}\n'
+D4TILDE = '{"vertices": 5, "arrows": [[1, 5], [2, 5], [3, 5], [4, 5]]}\n'
+D4T_P1 = '{"dim": [1, 0, 0, 0, 1], "matrices": [[[1]], [[]], [[]], [[]]]}\n'
+D4T_I5 = ('{"dim": [1, 1, 1, 1, 1], '
+          '"matrices": [[[1]], [[1]], [[1]], [[1]]]}\n')
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     files = {"a2.q": A2_QUIVER, "s1.m": S1, "s2.m": S2, "p1.m": P1,
-             "kron.q": KRONECKER, "a3.q": A3_QUIVER}
+             "kron.q": KRONECKER, "a3.q": A3_QUIVER, "d4t.q": D4TILDE,
+             "d4t_p1.m": D4T_P1, "d4t_i5.m": D4T_I5}
     for name, body in files.items():
         (tmp_path / name).write_text(body)
     monkeypatch.chdir(tmp_path)
@@ -83,6 +88,13 @@ def test_verify_unified_shifted(workdir):
               "--shifted", "0,1")
     assert res.exit_code == 0
     assert "verdict: true" in res.output
+
+
+def test_verify_unliftable_stratum_exits_counting(workdir):
+    res = run("verify", "xx1", "--quiver", "d4t.q", "d4t_p1.m", "d4t_i5.m")
+    assert res.exit_code == EXIT_COUNTING
+    assert "no projective-space point lifts" in res.output
+    assert "verdict" not in res.output
 
 
 def test_grass_profile(workdir):

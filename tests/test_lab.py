@@ -5,16 +5,17 @@ import pytest
 from cclab import artranslate, multiplication
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
-from cclab.errors import PreconditionError
+from cclab.errors import PreconditionError, PrimeInstabilityError
 from cclab.laurent import parse
 from cclab.linalg import QQ
 from cclab.multiplication import (_content, stratify_ext_side,
                                   stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
-from cclab.quiver import a2_quiver, a3_quiver, kronecker_quiver
-from cclab.reps import (ClusterObject, cluster_object, is_isomorphic,
-                        projective_rep, simple_rep, stable_ext1_dim,
-                        zero_rep)
+from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
+                          kronecker_quiver)
+from cclab.reps import (ClusterObject, cluster_object, injective_rep,
+                        is_isomorphic, projective_rep, simple_rep,
+                        stable_ext1_dim, zero_rep)
 
 
 def test_xx1_a2_exchange(primes):
@@ -67,6 +68,16 @@ def test_xx1_kronecker_strata(primes):
     assert len(hom) == 1 and hom[0].chi == 2
     assert hom[0].middle_term.module.is_zero()
     assert hom[0].middle_term.shifted == (1, 1)
+
+
+def test_xx1_unliftable_stratum_fails_loudly(primes):
+    """D4-tilde xx1(P1, I5): one stratum has no sample point whose rational
+    middle term reduces into it at every default prime.  The verifier
+    refuses with an error instead of reporting a verdict."""
+    q = d4tilde_quiver()
+    with pytest.raises(PrimeInstabilityError,
+                       match="no projective-space point lifts"):
+        verify_xx1(projective_rep(q, 1), injective_rep(q, 5), primes)
 
 
 def test_xx2_a2_p2_p1(primes):

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cclab.errors import InexactDivisionError
@@ -83,5 +85,111 @@ def test_division_by_monomial_is_laurent():
 
 def test_evaluate():
     p = parse("x1^2 + x2^-1", 2)
-    from fractions import Fraction
     assert p.evaluate([Fraction(2), Fraction(1, 3)]) == 7
+
+
+def test_evaluate_negative_exponent_at_ints_is_exact():
+    value = parse("x1^-1 + x2", 2).evaluate([2, 3])
+    assert isinstance(value, Fraction) and value == Fraction(7, 2)
+    assert parse("x1^-3", 1).evaluate([3]) == Fraction(1, 27)
+
+
+# -- reference kernels: exponent tuples and a linear leading-term scan -----
+
+def reference_mul(a, b):
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+class BudgetExceeded(Exception):
+    pass
+
+
+def reference_divide(a, b, budget=3000):
+    """a / b by graded-lex leading terms found with max(); the step budget
+    keeps the quadratic scan cheap on long inexact chains."""
+    if a.is_zero():
+        return {}
+    n = a.nvars
+    mins_a = [min(e[i] for e in a.terms) for i in range(n)]
+    mins_b = [min(e[i] for e in b.terms) for i in range(n)]
+    rem = {tuple(x - m for x, m in zip(e, mins_a)): c
+           for e, c in a.terms.items()}
+    pb = {tuple(x - m for x, m in zip(e, mins_b)): c
+          for e, c in b.terms.items()}
+    key = lambda e: (sum(e), e)
+    lead_b = max(pb, key=key)
+    cb = pb[lead_b]
+    quo = {}
+    while rem:
+        budget -= 1
+        if budget < 0:
+            raise BudgetExceeded
+        lead = max(rem, key=key)
+        c = rem[lead]
+        qe = tuple(x - y for x, y in zip(lead, lead_b))
+        if any(x < 0 for x in qe) or c % cb != 0:
+            raise InexactDivisionError("remainder")
+        quo[qe] = c // cb
+        for e, bc in pb.items():
+            te = tuple(x + y for x, y in zip(qe, e))
+            v = rem.get(te, 0) - quo[qe] * bc
+            if v:
+                rem[te] = v
+            else:
+                rem.pop(te, None)
+    shift = [x - y for x, y in zip(mins_a, mins_b)]
+    return {tuple(x + y for x, y in zip(e, shift)): c for e, c in quo.items()}
+
+
+@st.composite
+def wide_triples(draw):
+    """Three polynomials in 1-5 variables, the second nonzero, with
+    exponents up to +-300 (packed fields from 1 to 14 bits wide) and signed
+    coefficients."""
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(-300, 300)] * n)
+    coeffs = st.integers(-12, 11).map(lambda c: c if c < 0 else c + 1)
+
+    def poly(min_size):
+        return st.dictionaries(exps, coeffs, min_size=min_size,
+                               max_size=6).map(
+            lambda t: LaurentPolynomial(n, t))
+    return draw(poly(0)), draw(poly(1)), draw(poly(0))
+
+
+@given(wide_triples())
+@settings(deadline=None)
+def test_packed_mul_matches_reference(case):
+    a, b, _ = case
+    assert (a * b).terms == reference_mul(a, b)
+    assert (b * a).terms == reference_mul(b, a)
+
+
+@given(wide_triples())
+@settings(deadline=None)
+def test_packed_division_matches_reference(case):
+    a, b, c = case
+    product = LaurentPolynomial(a.nvars, reference_mul(a, b))
+    assert divide_exact(product, b).terms == a.terms
+    # product + c is exact only when b divides c; both kernels must agree
+    dividend = product + c
+    try:
+        expected = reference_divide(dividend, b)
+    except BudgetExceeded:
+        assume(False)
+    except InexactDivisionError:
+        with pytest.raises(InexactDivisionError):
+            divide_exact(dividend, b)
+        return
+    assert divide_exact(dividend, b).terms == expected
+
+
+def test_division_rejects_non_unit_coefficient():
+    with pytest.raises(InexactDivisionError):
+        divide_exact(parse("x1 + 1", 1), parse("2*x1 + 2", 1))
+    assert str(divide_exact(parse("2*x1 + 2", 1), parse("x1 + 1", 1))) == "2"

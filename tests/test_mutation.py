@@ -1,11 +1,17 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cclab import mutation
 from cclab.corpus import all_interval_modules
 from cclab.character import cc
 from cclab.errors import InputError
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             exchange_matrix, initial_seed, mutate)
-from cclab.quiver import a2_quiver, a3_quiver, kronecker_quiver
+from cclab.quiver import (a2_quiver, a3_quiver, kronecker_quiver,
+                          validate_quiver)
 from cclab.reps import ClusterObject, cluster_object, zero_rep
 
 
@@ -79,3 +85,102 @@ def test_oracle_matches_characters_a2_a3(primes):
                  for i in range(q.n)]
         images = {str(cc(o, primes).value) for o in objs}
         assert oracle == images
+
+
+# -- reference: breadth-first search over labelled seeds ---------------------
+
+def _seed_key(seed):
+    return (seed.bmatrix, tuple(sorted(str(x) for x in seed.cluster)))
+
+
+def labelled_closure(q, depth):
+    """(sorted variable strings, stabilized) by mutating every labelled
+    seed in every direction and dividing at every step."""
+    start = initial_seed(q)
+    variables = {str(x) for x in start.cluster}
+    seen = {_seed_key(start)}
+    layer = [start]
+    stabilized = True
+    for step in range(depth):
+        next_layer = []
+        grew = False
+        for seed in layer:
+            for k in range(1, q.n + 1):
+                new = mutate(seed, k)
+                key = _seed_key(new)
+                if key in seen:
+                    continue
+                seen.add(key)
+                next_layer.append(new)
+                for x in new.cluster:
+                    if str(x) not in variables:
+                        variables.add(str(x))
+                        grew = True
+        if step == depth - 1 and grew:
+            stabilized = False
+        layer = next_layer
+        if not layer:
+            break
+    return sorted(variables), stabilized
+
+
+@st.composite
+def quivers_and_depths(draw):
+    """A random acyclic quiver on at most 5 vertices with a random
+    labelling; double arrows only on 2 vertices, where the search stays
+    small.  The depth shrinks as the branching grows."""
+    n = draw(st.integers(1, 5))
+    pairs = list(combinations(range(1, n + 1), 2))
+    if n <= 2:
+        arrows = draw(st.lists(st.sampled_from(pairs), max_size=2)
+                      if pairs else st.just([]))
+    else:
+        arrows = sorted(draw(st.sets(st.sampled_from(pairs), max_size=5)))
+    label = draw(st.permutations(range(1, n + 1)))
+    q = validate_quiver(n, [(label[s - 1], label[t - 1]) for s, t in arrows])
+    depth = draw(st.integers(0, {1: 3, 2: 6}.get(n, 4)))
+    return q, depth
+
+
+@given(quivers_and_depths())
+@settings(deadline=None, max_examples=60)
+def test_closure_matches_labelled_search(case):
+    q, depth = case
+    variables, stable = enumerate_cluster_variables(q, depth,
+                                                    report_stable=True)
+    assert ([str(x) for x in variables], stable) == labelled_closure(q, depth)
+
+
+def _a5():
+    return validate_quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+
+
+@pytest.mark.parametrize("q, depth, seeds, max_divisions", [
+    (a3_quiver(), 6, 14, 15),
+    (_a5(), 12, 132, 70),
+    (kronecker_quiver(), 24, None, 48),
+], ids=["a3", "a5", "kronecker"])
+def test_closure_divides_once_per_exchange(monkeypatch, q, depth, seeds,
+                                           max_divisions):
+    """The search visits each unlabelled seed once (A3 and A5 have 14 and
+    132 clusters; both graphs are exhausted before the depth cutoff, so
+    every seed is expanded in all n directions), and divides once per
+    exchange pair: a crossing pair of diagonals of the hexagon (15) or
+    octagon (70), or one step along the Kronecker chain (2 * 24)."""
+    calls = {"exchange": 0, "divide": 0}
+    exchange, divide = mutation._exchange, mutation.divide_exact
+
+    def counting_exchange(b, kk):
+        calls["exchange"] += 1
+        return exchange(b, kk)
+
+    def counting_divide(a, b):
+        calls["divide"] += 1
+        return divide(a, b)
+
+    monkeypatch.setattr(mutation, "_exchange", counting_exchange)
+    monkeypatch.setattr(mutation, "divide_exact", counting_divide)
+    enumerate_cluster_variables(q, depth)
+    if seeds is not None:
+        assert calls["exchange"] == q.n * seeds
+    assert 0 < calls["divide"] <= max_divisions

@@ -1,5 +1,6 @@
 """Smoke test: the demo scripts run to completion."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +18,18 @@ def test_demo_script_runs(script):
         [sys.executable, os.path.join(ROOT, "scripts", script)],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_bench_script_writes_counts(tmp_path):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "bench.py"),
+         "--repeats", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(out.read_text())
+    a5, kronecker = doc["closures"]
+    assert (a5["seeds"], a5["divisions"], a5["variables"]) == (132, 70, 20)
+    assert (kronecker["seeds"], kronecker["divisions"]) == (49, 48)
+    assert [k["step"] for k in doc["kernels"]] == [4, 8, 12, 16, 20, 24]
