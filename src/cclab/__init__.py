@@ -6,8 +6,7 @@ verifies the cluster multiplication identities by exact stratified
 summation over projectivized extension and morphism spaces.
 """
 
-from .character import (CharacterValue, calibrate, cc, cc_palu_form, coindex,
-                        describe)
+from .character import CharacterValue, cc, cc_palu_form, coindex, describe
 from .errors import (CCLabError, ConfigurationError, InexactDivisionError,
                      InputError, NotPolynomialCountError, PreconditionError,
                      PrimeInstabilityError)

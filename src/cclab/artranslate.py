@@ -1,24 +1,25 @@
 """Auslander-Reiten translate and inverse via the Nakayama functor.
 
 tau M is the kernel of nu(P1) -> nu(P0) for a minimal projective
-presentation P1 -> P0 -> M -> 0; tau^{-1} is dual, with injective
-summands of the input turning into shifted projectives P_i[1].
+presentation P1 -> P0 -> M -> 0.  tau^{-1} = D tau D, where D is the
+duality to the opposite quiver; injective summands of the input turn
+into shifted projectives P_i[1].
 
-Maps between sums of projectives (resp. injectives) are expanded in the
-path basis Hom(P_u, P_v) = span{paths v -> u}, on which the Nakayama
-functor acts path-by-path.
+Maps between sums of projectives are expanded in the path basis
+Hom(P_u, P_v) = span{paths v -> u}, on which the Nakayama functor acts
+path-by-path.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .linalg import Mat, column_basis, column_complement, hstack, vstack
+from .linalg import Mat, column_basis, column_complement, hstack
 from .reps import (ClusterObject, Representation, all_paths, apply_path,
-                   cluster_object, cokernel_rep, direct_sum, direct_sum_many,
+                   cluster_object, direct_sum, direct_sum_many, dual,
                    hom_basis, kernel_rep, standard_module)
 
 
-# -- tops, radicals, socles ------------------------------------------------
+# -- tops and radicals -----------------------------------------------------
 
 def radical_bases(M: Representation) -> list:
     """Per-vertex column bases of rad M = sum of images of incoming arrows."""
@@ -27,19 +28,6 @@ def radical_bases(M: Representation) -> list:
     for j in range(1, q.n + 1):
         imgs = [M.matrices[a] for a in q.arrows_into(j)]
         out.append(column_basis(hstack(F, imgs, rows=M.dim[j - 1])))
-    return out
-
-
-def socle_bases(M: Representation) -> list:
-    """Per-vertex bases of soc M = joint kernel of outgoing arrows."""
-    q, F = M.quiver, M.field
-    out = []
-    for i in range(1, q.n + 1):
-        mats = [M.matrices[a] for a in q.arrows_out_of(i)]
-        if mats:
-            out.append(vstack(F, mats, cols=M.dim[i - 1]).nullspace())
-        else:
-            out.append(Mat.identity(F, M.dim[i - 1]))
     return out
 
 
@@ -57,7 +45,7 @@ def _standard_sum(q, field, kind, gens):
     return direct_sum_many(q, summands, field), offsets
 
 
-# -- covers and envelopes --------------------------------------------------
+# -- projective covers -----------------------------------------------------
 
 def projective_cover(M: Representation):
     """Minimal cover: (generator vertices, P0, block offsets, surjection pi)."""
@@ -82,37 +70,6 @@ def projective_cover(M: Representation):
                 for r in range(M.dim[j - 1]):
                     pi[j - 1].data[r][col] = img.data[r][0]
     return gens, P0, offsets, pi
-
-
-def injective_envelope(M: Representation):
-    """Minimal envelope: (socle vertices, I0, block offsets, embedding eps)."""
-    q, F = M.quiver, M.field
-    paths = all_paths(q)
-    socs = socle_bases(M)
-    gens = []
-    gen_funcs = []  # row functional on M at that vertex
-    for i in range(1, q.n + 1):
-        basis = socs[i - 1]
-        if basis.cols == 0:
-            continue
-        full = hstack(F, [basis, column_complement(F, basis)],
-                      rows=M.dim[i - 1])
-        inv = full.inverse() if full.rows else full
-        for c in range(basis.cols):
-            gens.append(i)
-            fn = Mat(F, 1, M.dim[i - 1])
-            fn.data[0] = inv.data[c][:]
-            gen_funcs.append(fn)
-    I0, offsets = _standard_sum(q, F, "injective", gens)
-    eps = [Mat(F, I0.dim[j], M.dim[j]) for j in range(q.n)]
-    for g, (u, fn) in enumerate(zip(gens, gen_funcs)):
-        for j in range(1, q.n + 1):
-            for k, path in enumerate(paths[(j, u)]):
-                row_fn = fn.mul(apply_path(M, path, j))
-                row = offsets[g][j - 1] + k
-                for c in range(M.dim[j - 1]):
-                    eps[j - 1].data[row][c] = row_fn.data[0][c]
-    return gens, I0, offsets, eps
 
 
 # -- Nakayama functor on maps between standard sums ------------------------
@@ -147,34 +104,6 @@ def _nu_of_proj_map(q, field, f, gens1, offs1, gens0, offs0):
                         nf[j - 1].data[row][col] = field.add(
                             nf[j - 1].data[row][col], c)
     return I1, I0, nf
-
-
-def _nuinv_of_inj_map(q, field, h, gens0, offs0, gens1, offs1):
-    """Apply nu^{-1} to h: (+)I_{gens0} -> (+)I_{gens1}, giving (+)P -> (+)P.
-
-    The coefficient of path p: v -> u in block I_u -> I_v is the entry
-    sending basis path p at vertex v to the trivial path; on projectives
-    p acts by prepending.
-    """
-    paths = all_paths(q)
-    P0, poffs0 = _standard_sum(q, field, "projective", gens0)
-    P1, poffs1 = _standard_sum(q, field, "projective", gens1)
-    nf = [Mat(field, P1.dim[j], P0.dim[j]) for j in range(q.n)]
-    for g0, u in enumerate(gens0):
-        for g1, v in enumerate(gens1):
-            row_triv = offs1[g1][v - 1] + paths[(v, v)].index(())
-            for p in paths[(v, u)]:
-                col_p = offs0[g0][v - 1] + paths[(v, u)].index(p)
-                c = h[v - 1].data[row_triv][col_p]
-                if field.is_zero(c):
-                    continue
-                for j in range(1, q.n + 1):
-                    for k, qq in enumerate(paths[(u, j)]):
-                        row = poffs1[g1][j - 1] + paths[(v, j)].index(p + qq)
-                        col = poffs0[g0][j - 1] + k
-                        nf[j - 1].data[row][col] = field.add(
-                            nf[j - 1].data[row][col], c)
-    return P0, P1, nf
 
 
 # -- splitting off projective or injective summands -----------------------
@@ -225,7 +154,8 @@ def has_projective_summand(M: Representation) -> bool:
 # -- the translate and its inverse ----------------------------------------
 
 def minimal_presentation(M: Representation):
-    """Minimal P1 -> P0 -> M -> 0; returns (gens1, gens0, map, offsets)."""
+    """Minimal P1 -> P0 -> M -> 0, as (gens1, offs1, gens0, offs0, f):
+    the generator vertices and block offsets of P1 and P0, and f."""
     q, F = M.quiver, M.field
     gens0, P0, offs0, pi = projective_cover(M)
     K, incl = kernel_rep(pi, P0, M)
@@ -253,20 +183,14 @@ def ar_translate_unchecked(M: Representation) -> Representation:
 
 
 def ar_inverse(M: Representation) -> ClusterObject:
-    """tau^{-1} as a cluster object: injective summands become P_i[1]."""
-    q, F = M.quiver, M.field
-    if M.is_zero():
-        return cluster_object(M)
+    """tau^{-1} as a cluster object: injective summands become P_i[1].
+
+    D sends the injective-free rest to a projective-free module over the
+    opposite quiver, so tau^{-1} of the rest is D tau D of it.
+    """
     inj_mults, core = split_summands(M, "injective")
-    if core.is_zero():
-        return cluster_object(core, inj_mults)
-    gens0, I0, offs0, eps = injective_envelope(core)
-    C, projs = cokernel_rep(eps, core, I0)
-    gens1, I1, offs1, eps1 = injective_envelope(C)
-    h = [eps1[j].mul(projs[j]) for j in range(q.n)]
-    P0, P1, nh = _nuinv_of_inj_map(q, F, h, gens0, offs0, gens1, offs1)
-    tinv, _ = cokernel_rep(nh, P0, P1)
-    return cluster_object(tinv, inj_mults)
+    return cluster_object(dual(ar_translate_unchecked(dual(core))),
+                          inj_mults)
 
 
 def hom_side_middle_term(K: Representation,

@@ -3,31 +3,18 @@
 Two independent evaluations are provided: the classical exponent form
 (reference implementation) and the coindex/antisymmetrized-form
 evaluation (cross-check).  Their agreement on the corpus is the central
-coherence invariant of the workbench; the two binary sign conventions
-the antisymmetrized form leaves open are fixed once by calibration on
-the A2 quiver and persisted below.
+coherence invariant of the workbench.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .artranslate import injective_envelope
-from .errors import PreconditionError
+from .artranslate import minimal_presentation
 from .grassmannian import grassmannian_profile
 from .laurent import LaurentPolynomial
-from .quiver import a2_quiver, euler_form
-from .reps import (ClusterObject, Representation, cluster_object,
-                   cokernel_rep, simple_rep)
-
-# Fixed by calibrate(); guarded by tests.  The antisymmetrized form is
-# sign * (<d,e> - <e,d>) and the coindex is orientation * ([I0] - [I1])
-# read off a minimal injective copresentation 0 -> M -> I0 -> I1.  The
-# projective-presentation class [P0] - [P1] is NOT equivalent: it agrees
-# on the A2 simples but diverges on P1, so the corpus-wide coherence
-# check (cc_palu_form == cc) pins the copresentation reading.
-CALIBRATED_ANTISYM_SIGN = 1
-CALIBRATED_COINDEX_ORIENTATION = 1
+from .quiver import antisym_form
+from .reps import ClusterObject, Representation, cluster_object, dual
 
 
 @dataclass
@@ -59,27 +46,28 @@ def describe(obj: ClusterObject) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def coindex(obj, orientation: int = CALIBRATED_COINDEX_ORIENTATION) -> tuple:
-    """Class [I0] - [I1] of the minimal injective copresentation of the
-    module part, minus the shifted part.
+def coindex(obj) -> tuple:
+    """Class [I0] - [I1] of the minimal injective copresentation
+    0 -> M -> I0 -> I1 of the module part, minus the shifted part.
+
+    D turns the copresentation into the minimal projective presentation
+    D I1 -> D I0 -> D M -> 0 over the opposite quiver, with D I_i = P_i,
+    so [I0] - [I1] is read as [P0] - [P1] of D M.  The class [P0] - [P1]
+    of M's own presentation is NOT equivalent: it agrees on the A2
+    simples but diverges on P1, and the corpus-wide coherence check
+    (cc_palu_form == cc) pins the copresentation reading.
 
     Equivalently the vector (<s_i, dim M>)_i of Euler pairings against
     the simples, which is what the character's monomial prefactor needs.
     """
     obj = _as_cluster_object(obj)
-    M = obj.module
-    n = M.quiver.n
-    vec = [0] * n
-    if not M.is_zero():
-        gens0, I0, _, eps = injective_envelope(M)
+    vec = [-s for s in obj.shifted]
+    if not obj.module.is_zero():
+        gens1, _, gens0, _, _ = minimal_presentation(dual(obj.module))
         for u in gens0:
             vec[u - 1] += 1
-        C, _ = cokernel_rep(eps, M, I0)
-        if not C.is_zero():
-            gens1 = injective_envelope(C)[0]
-            for u in gens1:
-                vec[u - 1] -= 1
-    vec = [orientation * v - s for v, s in zip(vec, obj.shifted)]
+        for u in gens1:
+            vec[u - 1] -= 1
     return tuple(vec)
 
 
@@ -109,53 +97,23 @@ def cc(obj, primes) -> CharacterValue:
     return CharacterValue(total)
 
 
-def cc_palu_form(obj, primes,
-                 antisym_sign: int = CALIBRATED_ANTISYM_SIGN,
-                 coindex_orientation: int = CALIBRATED_COINDEX_ORIENTATION
-                 ) -> CharacterValue:
+def cc_palu_form(obj, primes) -> CharacterValue:
     """Cluster character via coindex and the antisymmetrized Euler form.
 
     X_M = x^{-coind M} sum_e chi(Gr_e M) prod_i x_i^{<s_i, e>_a}.
-    Must agree exactly with cc() once calibrated.
+    Must agree exactly with cc().
     """
     obj = _as_cluster_object(obj)
     M = obj.module
     q = M.quiver
     n = q.n
-    coind = coindex(obj, orientation=coindex_orientation)
+    coind = coindex(obj)
     total = LaurentPolynomial.zero(n)
     profile = grassmannian_profile(M, primes) if not M.is_zero() else {
         (0,) * n: 1}
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for e, chi in profile.items():
-        exp = [0] * n
-        for i in range(n):
-            pairing = euler_form(q, units[i], e) - euler_form(q, e, units[i])
-            exp[i] = -coind[i] + antisym_sign * pairing
+        exp = [-coind[i] + antisym_form(q, units[i], e) for i in range(n)]
         total = total + LaurentPolynomial.monomial(exp, chi)
     return CharacterValue(total)
 
-
-def calibrate(primes) -> tuple[int, int]:
-    """Resolve the two sign conventions on A2; returns (sign, orientation).
-
-    The unique pair making the coindex-form character match the classical
-    form on both A2 simples is returned; anything else is an internal
-    inconsistency.
-    """
-    q = a2_quiver()
-    targets = [simple_rep(q, 1), simple_rep(q, 2)]
-    classical = [cc(t, primes).value for t in targets]
-    matches = []
-    for sign in (1, -1):
-        for orient in (1, -1):
-            ok = all(
-                cc_palu_form(t, primes, antisym_sign=sign,
-                             coindex_orientation=orient).value == c
-                for t, c in zip(targets, classical))
-            if ok:
-                matches.append((sign, orient))
-    if len(matches) != 1:
-        raise PreconditionError(
-            f"calibration did not resolve uniquely: {matches}")
-    return matches[0]

@@ -15,8 +15,7 @@ import click
 from .character import cc, describe
 from .config import WorkbenchConfig, parse_primes
 from .corpus import all_interval_modules, linear_an_quiver_check
-from .errors import (CCLabError, ConfigurationError, InputError,
-                     NotPolynomialCountError, PreconditionError,
+from .errors import (CCLabError, InputError, NotPolynomialCountError,
                      PrimeInstabilityError)
 from .grassmannian import grassmannian_profile
 from .io import load_module, load_quiver
@@ -42,8 +41,6 @@ def _run(fn):
         fn()
     except (NotPolynomialCountError, PrimeInstabilityError) as exc:
         _fail(EXIT_COUNTING, str(exc))
-    except (InputError, PreconditionError, ConfigurationError) as exc:
-        _fail(EXIT_INVALID, str(exc))
     except CCLabError as exc:
         _fail(EXIT_INVALID, str(exc))
 

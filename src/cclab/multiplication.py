@@ -6,13 +6,18 @@ isomorphism class, bucket sizes are interpolated into counting
 polynomials, and each stratum contributes chi = P(1) times the character
 of a rational-form representative.  All final identities are exact
 Laurent-polynomial equalities.
+
+The xx1 and unified identities are assembled from the two public
+stratifications, stratify_ext_side and stratify_hom_side; xx2 uses the
+Hom-space strata that stratify_hom_side is built on.  One report builder
+forms the left-hand side of every identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .artranslate import (ar_translate_unchecked, has_projective_summand,
+from .artranslate import (ar_translate, has_projective_summand,
                           hom_side_middle_term, split_summands)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
@@ -25,7 +30,7 @@ from .reps import (ClusterObject, ExtCocycle, Representation, _hom_system,
                    ext1_setup, fingerprint, hom_basis, injective_rep,
                    kernel_rep, middle_term, projective_rep, reduce_rep,
                    stable_ext1_dim, stable_hom_dim, top_multiplicities,
-                   unit_cocycles)
+                   unit_cocycles, zero_rep)
 
 
 @dataclass
@@ -118,12 +123,7 @@ def _reduce_or_config_error(M: Representation, p: int) -> Representation:
 def stratify_ext_side(M: Representation, L: Representation, primes,
                       side: str = "ext"):
     """Strata of P Ext^1(M, L) by middle-term class, with chi per class."""
-    return _ext_strata(M, L, stable_ext1_dim(M, L, primes), primes, side)
-
-
-def _ext_strata(M: Representation, L: Representation, d: int, primes,
-                side: str):
-    """stratify_ext_side for d = dim Ext^1(M, L), already computed."""
+    d = stable_ext1_dim(M, L, primes)
     if d == 0:
         return []
     _, rep_indices = ext1_setup(M, L)
@@ -210,16 +210,11 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
 
 def stratify_hom_side(L: Representation, M: Representation, primes,
                       side: str = "hom"):
-    """Strata of P Hom(L, tau M); middle term Ker g (+) tau^{-1}(Coker g)."""
-    if has_projective_summand(M):
-        raise PreconditionError("module has a projective direct summand")
-    return _hom_side(L, M, primes, side)
+    """Strata of P Hom(L, tau M); middle term Ker g (+) tau^{-1}(Coker g).
 
-
-def _hom_side(L: Representation, M: Representation, primes,
-              side: str = "hom"):
-    """stratify_hom_side for an M already known to be projective-free."""
-    tau = ar_translate_unchecked(M)
+    ar_translate refuses an M with a projective direct summand.
+    """
+    tau = ar_translate(M)
     return _hom_strata(L, tau, stable_hom_dim(L, tau, primes), primes,
                        hom_side_middle_term, side)
 
@@ -242,26 +237,45 @@ def _proj_shift_middle(K: Representation, C: Representation) -> ClusterObject:
 
 # -- the verification operations ------------------------------------------
 
-def _report(lhs: LaurentPolynomial, strata, primes,
-            label: str) -> VerificationReport:
-    """Compare lhs with the sum of chi * X over the strata."""
+def _xx1_strata(L: Representation, M: Representation, primes) -> list:
+    """Strata of P Ext^1(M, L) then of P Hom(L, tau M); [] when
+    Ext^1(M, L) = 0.
+
+    The Hom side runs first, so ar_translate refuses a projective summand
+    of M before any point is enumerated.
+    """
+    if stable_ext1_dim(M, L, primes) == 0:
+        return []
+    hom = stratify_hom_side(L, M, primes)
+    return stratify_ext_side(M, L, primes) + hom
+
+
+def _report(X, Y, strata, primes, label: str) -> VerificationReport:
+    """Compare d * X_X X_Y with the sum of chi * X over the strata.
+
+    Each identity has two sides, and _run_strata checks that the chi
+    values of each side sum to the space dimension d, so d is half the
+    chi total.  d fills the {} field of label.
+    """
+    d = sum(s.chi for s in strata) // 2
+    lhs = (cc(X, primes).value * cc(Y, primes).value).scale(d)
     rhs = LaurentPolynomial.zero(lhs.nvars)
     for s in strata:
         rhs = rhs + cc(s.middle_term, primes).value.scale(s.chi)
-    return VerificationReport(lhs, rhs, strata, lhs == rhs, label=label)
+    return VerificationReport(lhs, rhs, strata, lhs == rhs,
+                              label=label.format(d))
 
 
 def verify_xx1(L: Representation, M: Representation, primes) -> VerificationReport:
     """dim Ext^1(M,L) * X_L X_M = sum over strata of both sides."""
-    if has_projective_summand(M):
+    strata = _xx1_strata(L, M, primes)
+    if not strata:
+        # A projective M has Ext^1(M, L) = 0; name the broken hypothesis.
         raise PreconditionError(
-            "second argument must have no projective direct summands")
-    d = stable_ext1_dim(M, L, primes)
-    if d == 0:
-        raise PreconditionError("Ext^1(M, L) = 0: the identity is vacuous")
-    strata = _ext_strata(M, L, d, primes, "ext") + _hom_side(L, M, primes)
-    lhs = (cc(L, primes).value * cc(M, primes).value).scale(d)
-    return _report(lhs, strata, primes, f"xx1: {d} * X_L X_M")
+            "second argument must have no projective direct summands"
+            if has_projective_summand(M) else
+            "Ext^1(M, L) = 0: the identity is vacuous")
+    return _report(L, M, strata, primes, "xx1: {} * X_L X_M")
 
 
 def verify_xx2(P: Representation, M: Representation, primes) -> VerificationReport:
@@ -282,8 +296,8 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
                          "proj-shift-inj")
     strata += _hom_strata(P, M, d, primes, _proj_shift_middle,
                           "proj-shift-hom")
-    lhs = (cc(M, primes).value * LaurentPolynomial.monomial(mults)).scale(d)
-    return _report(lhs, strata, primes, f"xx2: {d} * X_M X_P[1]")
+    return _report(M, ClusterObject(zero_rep(q, P.field), mults), strata,
+                   primes, "xx2: {} * X_M X_P[1]")
 
 
 def verify_unified(M, N, primes) -> VerificationReport:
@@ -308,16 +322,7 @@ def verify_unified(M, N, primes) -> VerificationReport:
         rep.label = "unified (via shifted reduction): " + rep.label
         return rep
     A, B = M.module, N.module
-    d1 = stable_ext1_dim(A, B, primes)
-    d2 = stable_ext1_dim(B, A, primes)
-    if d1 + d2 == 0:
+    strata = _xx1_strata(B, A, primes) + _xx1_strata(A, B, primes)
+    if not strata:
         raise PreconditionError("Ext^1 in the cluster category vanishes")
-    strata = []
-    if d1:
-        strata += _ext_strata(A, B, d1, primes, "ext")
-        strata += stratify_hom_side(B, A, primes)
-    if d2:
-        strata += _ext_strata(B, A, d2, primes, "ext")
-        strata += stratify_hom_side(A, B, primes)
-    lhs = (cc(A, primes).value * cc(B, primes).value).scale(d1 + d2)
-    return _report(lhs, strata, primes, f"unified: {d1 + d2} * X_M X_N")
+    return _report(A, B, strata, primes, "unified: {} * X_M X_N")

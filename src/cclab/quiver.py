@@ -76,13 +76,9 @@ def euler_form(q: Quiver, d, e) -> int:
     return total
 
 
-def antisym_form(q: Quiver, d, e, sign: int = 1) -> int:
-    """Antisymmetrized Euler form sign * (<d,e> - <e,d>).
-
-    The global sign convention is fixed by the character calibration
-    (see cclab.character.CALIBRATED_ANTISYM_SIGN).
-    """
-    return sign * (euler_form(q, d, e) - euler_form(q, e, d))
+def antisym_form(q: Quiver, d, e) -> int:
+    """Antisymmetrized Euler form <d,e> - <e,d>."""
+    return euler_form(q, d, e) - euler_form(q, e, d)
 
 
 # Small stock quivers used throughout tests and demos.

@@ -222,6 +222,15 @@ def sum_cluster_objects(A: ClusterObject, B: ClusterObject) -> ClusterObject:
                          tuple(a + b for a, b in zip(A.shifted, B.shifted)))
 
 
+def dual(M: Representation) -> Representation:
+    """D M = Hom_k(M, k): a representation of the opposite quiver, each
+    arrow reversed and its matrix transposed.  D swaps P_i and I_i, and
+    dual(dual(M)) == M."""
+    q = Quiver(M.quiver.n, tuple((t, s) for s, t in M.quiver.arrows))
+    return Representation(q, M.field, M.dim,
+                          [m.transpose() for m in M.matrices])
+
+
 # -- Hom -------------------------------------------------------------------
 
 def _hom_system(M: Representation, N: Representation) -> Mat:

@@ -2,13 +2,11 @@
 
 import pytest
 
-from cclab.character import (CALIBRATED_ANTISYM_SIGN,
-                             CALIBRATED_COINDEX_ORIENTATION, calibrate, cc,
-                             cc_palu_form, coindex)
+from cclab.character import cc, cc_palu_form, coindex
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.laurent import parse
-from cclab.quiver import a2_quiver, a3_quiver, kronecker_quiver
+from cclab.quiver import a2_quiver, a3_quiver, euler_form, kronecker_quiver
 from cclab.reps import (ClusterObject, cluster_object, direct_sum,
                         injective_rep, projective_rep, simple_rep,
                         sum_cluster_objects, zero_rep)
@@ -79,12 +77,21 @@ def test_coindex_examples():
     assert coindex(ClusterObject(zero_rep(q), (1, 0))) == (-1, 0)
 
 
-# -- calibration and cross-form coherence ----------------------------------
+def test_coindex_is_euler_pairing_on_corpus():
+    """[I0] - [I1] read off D M equals (<e_i, dim M>)_i, less the shift,
+    on the corpus and on its pairwise sums over one quiver."""
+    objs = corpus_objects()
+    objs += [sum_cluster_objects(a, b) for a in objs for b in objs
+             if a.module.quiver == b.module.quiver]
+    for obj in objs:
+        q = obj.module.quiver
+        for i in range(q.n):
+            e_i = tuple(int(j == i) for j in range(q.n))
+            assert coindex(obj)[i] == (euler_form(q, e_i, obj.module.dim)
+                                       - obj.shifted[i])
 
-def test_calibration_is_pinned(primes):
-    assert calibrate(primes) == (CALIBRATED_ANTISYM_SIGN,
-                                 CALIBRATED_COINDEX_ORIENTATION)
 
+# -- cross-form coherence --------------------------------------------------
 
 def test_palu_form_matches_classical_on_corpus(primes):
     for obj in corpus_objects():

@@ -10,6 +10,8 @@ S1 = '{"dim": [1, 0], "matrices": [[]]}\n'
 S2 = '{"dim": [0, 1], "matrices": [[]]}\n'
 P1 = '{"dim": [1, 1], "matrices": [[[1]]]}\n'
 KRONECKER = '{"vertices": 2, "arrows": [[1, 2], [1, 2]]}\n'
+KRON_S1 = '{"dim": [1, 0], "matrices": [[], []]}\n'
+KRON_S2 = '{"dim": [0, 1], "matrices": [[], []]}\n'
 A3_QUIVER = '{"vertices": 3, "arrows": [[1, 2], [2, 3]]}\n'
 D4TILDE = '{"vertices": 5, "arrows": [[1, 5], [2, 5], [3, 5], [4, 5]]}\n'
 D4T_P1 = '{"dim": [1, 0, 0, 0, 1], "matrices": [[[1]], [[]], [[]], [[]]]}\n'
@@ -20,7 +22,8 @@ D4T_I5 = ('{"dim": [1, 1, 1, 1, 1], '
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     files = {"a2.q": A2_QUIVER, "s1.m": S1, "s2.m": S2, "p1.m": P1,
-             "kron.q": KRONECKER, "a3.q": A3_QUIVER, "d4t.q": D4TILDE,
+             "kron.q": KRONECKER, "kron_s1.m": KRON_S1, "kron_s2.m": KRON_S2,
+             "a3.q": A3_QUIVER, "d4t.q": D4TILDE,
              "d4t_p1.m": D4T_P1, "d4t_i5.m": D4T_I5}
     for name, body in files.items():
         (tmp_path / name).write_text(body)
@@ -81,6 +84,46 @@ def test_verify_structured(workdir):
     doc = json.loads(res.output)
     assert doc["verdict"] is True
     assert {s["side"] for s in doc["strata"]} == {"ext", "hom"}
+
+
+# Exact structured output, byte for byte: labels, both sides, every
+# stratum in order and the verdict.
+GOLDEN_VERIFY = [
+    (["xx1", "--quiver", "a2.q", "s2.m", "s1.m"],
+     '{"label": "xx1: 1 * X_L X_M", '
+     '"lhs": "x1^-1*x2^-1 + x1^-1 + x2^-1 + 1", '
+     '"rhs": "x1^-1*x2^-1 + x1^-1 + x2^-1 + 1", '
+     '"strata": [{"middle": "module dim (1, 1)", "chi": 1, "side": "ext"}, '
+     '{"middle": "0", "chi": 1, "side": "hom"}], "verdict": true}\n'),
+    (["xx1", "--quiver", "kron.q", "kron_s2.m", "kron_s1.m"],
+     '{"label": "xx1: 2 * X_L X_M", '
+     '"lhs": "2*x1^-1*x2^-1 + 2*x1^-1*x2 + 2*x1*x2^-1 + 2*x1*x2", '
+     '"rhs": "2*x1^-1*x2^-1 + 2*x1^-1*x2 + 2*x1*x2^-1 + 2*x1*x2", '
+     '"strata": [{"middle": "module dim (1, 1)", "chi": 2, "side": "ext"}, '
+     '{"middle": "P1[1] + P2[1]", "chi": 2, "side": "hom"}], '
+     '"verdict": true}\n'),
+    (["xx2", "--quiver", "a2.q", "s2.m", "p1.m"],  # S2 = P2 on A2
+     '{"label": "xx2: 1 * X_M X_P[1]", '
+     '"lhs": "x1^-1 + x1^-1*x2 + 1", "rhs": "x1^-1 + x1^-1*x2 + 1", '
+     '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
+     '{"middle": "module dim (1, 0)", "chi": 1, "side": "proj-shift-hom"}], '
+     '"verdict": true}\n'),
+    (["unified", "--quiver", "a2.q", "p1.m", "--shifted", "0,1"],
+     '{"label": "unified (via shifted reduction): xx2: 1 * X_M X_P[1]", '
+     '"lhs": "x1^-1 + x1^-1*x2 + 1", "rhs": "x1^-1 + x1^-1*x2 + 1", '
+     '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
+     '{"middle": "module dim (1, 0)", "chi": 1, "side": "proj-shift-hom"}], '
+     '"verdict": true}\n'),
+]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_VERIFY,
+                         ids=["xx1-a2", "xx1-kronecker", "xx2-a2",
+                              "unified-shifted-a2"])
+def test_verify_structured_golden(workdir, args, expected):
+    res = run("verify", *args, "--format", "structured")
+    assert res.exit_code == 0
+    assert res.output == expected
 
 
 def test_verify_unified_shifted(workdir):

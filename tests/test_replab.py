@@ -298,12 +298,79 @@ def test_tau_rejects_projectives():
         ar_translate(projective_rep(q, 1))
 
 
-def test_tau_inverse_inverts_tau():
-    q = a2_quiver()
-    s1 = simple_rep(q, 1)
-    back = ar_inverse(ar_translate(s1))
-    assert not any(back.shifted)
-    assert is_isomorphic(back.module, s1)
+def stock_indecomposables():
+    """(id, module) for the stock indecomposables of A2, A3, Kronecker and
+    D4-tilde: simples, projectives, injectives and the corpus regulars,
+    one copy of each isomorphism class."""
+    out = [("a2-S1", simple_rep(a2_quiver(), 1)),
+           ("a2-S2", simple_rep(a2_quiver(), 2)),
+           ("a2-P1", projective_rep(a2_quiver(), 1))]
+    q3 = a3_quiver()
+    out += [(f"a3-[{lo},{hi}]", M) for (lo, hi), M in zip(
+        [(lo, hi) for lo in range(1, 4) for hi in range(lo, 4)],
+        all_interval_modules(q3))]
+    qk = kronecker_quiver()
+    out += [("kronecker-S1", simple_rep(qk, 1)),
+            ("kronecker-S2", simple_rep(qk, 2)),
+            ("kronecker-P1", projective_rep(qk, 1)),
+            ("kronecker-I2", injective_rep(qk, 2))]
+    out += [(f"kronecker-R({a},{b})", kronecker_regular(a, b))
+            for a, b in [(1, 1), (1, 0), (0, 1)]]
+    qd = d4tilde_quiver()
+    out += [(f"d4tilde-S{i}", simple_rep(qd, i)) for i in range(1, 6)]
+    out += [(f"d4tilde-P{i}", projective_rep(qd, i)) for i in range(1, 5)]
+    e1, e2 = d4tilde_tube_simples()
+    out += [("d4tilde-I5", injective_rep(qd, 5)), ("d4tilde-E1", e1),
+            ("d4tilde-E2", e2)]
+    return out
+
+
+STOCK = stock_indecomposables()
+
+
+def _injective_mults(M):
+    q = M.quiver
+    return tuple(int(is_isomorphic(M, injective_rep(q, i)))
+                 for i in range(1, q.n + 1))
+
+
+@pytest.mark.parametrize("M", [M for _, M in STOCK],
+                         ids=[name for name, _ in STOCK])
+def test_tau_inverse_inverts_tau(M):
+    """tau^{-1} tau M = M for projective-free M, and tau tau^{-1} N = N for
+    injective-free N (tau^{-1} is D tau D over the opposite quiver)."""
+    if not has_projective_summand(M):
+        back = ar_inverse(ar_translate(M))
+        assert not any(back.shifted)
+        assert is_isomorphic(back.module, M)
+    if not any(_injective_mults(M)):
+        inv = ar_inverse(M)
+        assert not any(inv.shifted)
+        assert is_isomorphic(ar_translate(inv.module), M)
+
+
+@pytest.mark.parametrize("N", [M for _, M in STOCK],
+                         ids=[name for name, _ in STOCK])
+def test_tau_inverse_is_inverse_coxeter(N):
+    """On N and on each N (+) I_v, tau^{-1} turns every injective summand
+    into a P_i[1] and sends the rest (the core) along the inverse Coxeter
+    matrix: Phi dim tau^{-1}(core) = dim core, with Phi = -E^{-1} E^T for
+    the Euler matrix E.  That is <x, e_i> + <e_i, y> = 0 at every vertex
+    i, for x = dim tau^{-1}(core) and y = dim core."""
+    q = N.quiver
+    units = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
+    for v in range(q.n + 1):
+        extra = injective_rep(q, v) if v else zero_rep(q)
+        mults = [m + (i == v)
+                 for i, m in enumerate(_injective_mults(N), start=1)]
+        obj = ar_inverse(direct_sum(N, extra))
+        assert obj.shifted == tuple(mults)
+        core = [a + b - sum(m * injective_rep(q, i).dim[j]
+                            for i, m in enumerate(mults, start=1))
+                for j, (a, b) in enumerate(zip(N.dim, extra.dim))]
+        for u in units:
+            assert (euler_form(q, obj.module.dim, u)
+                    + euler_form(q, u, core)) == 0
 
 
 def test_tau_inverse_of_injective_is_shifted():
