@@ -1,10 +1,11 @@
-"""Time the mutation oracle and the Laurent kernels; write BENCH_5.json.
+"""Time the mutation oracle, the Laurent kernels and one stratification;
+write BENCH_7.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Two parts:
+Stdlib only.  Three parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials) and
   the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
@@ -13,6 +14,10 @@ Stdlib only.  Two parts:
   module's helpers.
 - kernels: on the Kronecker cluster variables x_t (mutating 1, 2, 1, ...)
   it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1).
+- stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
+  P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
+  is timed, and one extra run counts the points keyed, the middle terms
+  built per prime and over QQ and, on the Hom side, the memo misses.
 
 Every time is the median of the repeats, in wall-clock seconds, with the
 minimum beside it.
@@ -28,11 +33,14 @@ import statistics
 import sys
 import time
 
-from cclab import mutation
+from cclab import multiplication, mutation
+from cclab.config import default_primes
 from cclab.laurent import divide_exact
+from cclab.linalg import QQ
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
 from cclab.quiver import kronecker_quiver, validate_quiver
+from cclab.reps import projective_rep, simple_rep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLOSURES = (
@@ -87,6 +95,54 @@ def closure_counts(q, depth):
             "seeds": len(seeds), **counts}
 
 
+def stratify_counts(P1, S1, primes):
+    """Points, builds and memo misses of both sides of Kronecker
+    xx1(P1, S1), by wrapping the key functions and the middle terms."""
+    counts = {"ext": {"points": 0, "middle_term_builds": 0,
+                      "rational_builds": 0},
+              "hom": {"points": 0, "memo_misses": 0, "rational_builds": 0}}
+    ext, hom = counts["ext"], counts["hom"]
+    ext_key = multiplication._ext_key
+    hom_key = multiplication._kernel_cokernel_key
+    build = multiplication.middle_term
+    rule = multiplication.hom_side_middle_term
+
+    def counting_ext_key(M, L, indices):
+        key_of = ext_key(M, L, indices)
+
+        def counting(c):
+            ext["points"] += 1
+            return key_of(c)
+        return counting
+
+    def counting_hom_key(g, L, T):
+        hom["points"] += 1
+        return hom_key(g, L, T)
+
+    def counting_build(eta):
+        ext["rational_builds" if eta.M.field == QQ
+            else "middle_term_builds"] += 1
+        return build(eta)
+
+    def counting_rule(K, C):
+        hom["rational_builds" if K.field == QQ else "memo_misses"] += 1
+        return rule(K, C)
+
+    multiplication._ext_key = counting_ext_key
+    multiplication._kernel_cokernel_key = counting_hom_key
+    multiplication.middle_term = counting_build
+    multiplication.hom_side_middle_term = counting_rule
+    try:
+        multiplication.stratify_ext_side(S1, P1, primes)
+        multiplication.stratify_hom_side(P1, S1, primes)
+    finally:
+        multiplication._ext_key = ext_key
+        multiplication._kernel_cokernel_key = hom_key
+        multiplication.middle_term = build
+        multiplication.hom_side_middle_term = rule
+    return counts
+
+
 def kronecker_variables(last):
     """x_0, x_1, ..., x_last along the Kronecker chain, x_0 = x1 and
     x_1 = x2; each mutation replaces the older of the two."""
@@ -101,7 +157,7 @@ def kronecker_variables(last):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_5.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_7.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -133,6 +189,18 @@ def main(argv=None):
                                      args.repeats)},
         })
 
+    q, primes = kronecker_quiver(), default_primes()
+    P1, S1 = projective_rep(q, 1), simple_rep(q, 1)
+    sides = stratify_counts(P1, S1, primes)
+    for side, run in (
+            ("ext", lambda: multiplication.stratify_ext_side(S1, P1, primes)),
+            ("hom", lambda: multiplication.stratify_hom_side(P1, S1, primes))):
+        row = sides[side]
+        row.update(timed(run, args.repeats))
+        row["us_per_key"] = row["median_s"] / row["points"] * 1e6
+    stratify = {"name": "kronecker.xx1(P1,S1)", "primes": list(primes),
+                **sides}
+
     doc = {
         "machine": {"python": platform.python_version(),
                     "implementation": platform.python_implementation(),
@@ -143,6 +211,7 @@ def main(argv=None):
         "timer": "time.perf_counter, wall clock",
         "closures": closures,
         "kernels": kernels,
+        "stratify": stratify,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -154,6 +223,10 @@ def main(argv=None):
         print(f"kronecker x_{row['step']} ({row['terms']} terms): "
               f"mul {row['mul']['median_s'] * 1e3:.2f} ms, divide_exact "
               f"{row['divide_exact']['median_s'] * 1e3:.2f} ms")
+    for side in ("ext", "hom"):
+        row = stratify[side]
+        print(f"{stratify['name']} {side} side: {row['median_s']:.3f} s, "
+              f"{row['points']} points, {row['us_per_key']:.0f} us a key")
     return 0
 
 

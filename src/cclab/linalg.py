@@ -278,6 +278,23 @@ def _rref_mod(m: list, ncols: int, p: int) -> list:
     return pivots
 
 
+def _nullspace_mod(rows: list, ncols: int, p: int):
+    """The free columns of rref(rows) over GF(p) and the canonical
+    nullspace basis: per free column, its unit vector corrected on the
+    pivot columns, as the columns of Mat.nullspace."""
+    red = [row[:] for row in rows]
+    pivots = _rref_mod(red, ncols, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    vecs = []
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc] % p
+        vecs.append(v)
+    return free, vecs
+
+
 def _rref_generic(F, m: list, ncols: int) -> list:
     """Reduce rows of field elements to reduced row echelon form with the
     field's own arithmetic, in place; returns the pivot columns."""
@@ -304,6 +321,66 @@ def _rref_generic(F, m: list, ncols: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _reduce_constant_rows(parts: list, ncols: int, p: int):
+    """One step of pencil_rank on the int-row matrices parts = [A0, D1, ...].
+
+    Returns the rank of the rows on which every D_k vanishes, the other rows
+    of each part reduced modulo the echelon form of those constant rows and
+    cut to its non-pivot columns, and the number of columns left.  The
+    reduction is linear, so the reduced parts are again a pencil, and the
+    rank of the whole is the first rank plus the rank of the rest.
+    """
+    A0, Ds = parts[0], parts[1:]
+    varying = [any(any(D[i]) for D in Ds) for i in range(len(A0))]
+    const = [row[:] for row, v in zip(A0, varying) if not v]
+    pivots = _rref_mod(const, ncols, p)
+    keep = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for part in parts:
+        rows = []
+        for row, v in zip(part, varying):
+            if not v:
+                continue
+            for r, pc in enumerate(pivots):
+                f = row[pc]
+                if f:
+                    row = [(x - f * y) % p for x, y in zip(row, const[r])]
+            rows.append([row[c] for c in keep])
+        out.append(rows)
+    return len(pivots), out, len(keep)
+
+
+def pencil_rank(A0: Mat, Ds: list):
+    """rank(A0 + sum_k c_k Ds[k]) over GF(p), as a function of c.
+
+    The set-up removes the constant rows, then (on the transpose) the
+    constant columns, so each call ranks only a small affine core:
+    rank = base + rank(core(c)).
+    """
+    p = A0.field.p
+    parts = [A0.data] + [D.data for D in Ds]
+    base, parts, ncols = _reduce_constant_rows(parts, A0.cols, p)
+    if parts[0] and ncols:
+        nrows = len(parts[0])
+        parts = [[list(col) for col in zip(*part)] for part in parts]
+        more, parts, ncols = _reduce_constant_rows(parts, nrows, p)
+        base += more
+    if not parts[0] or not ncols:
+        return lambda c: base
+    core = [[x for row in part for x in row] for part in parts]
+    size = len(core[0])
+
+    def rank_at(c):
+        vals = core[0]
+        for ck, dk in zip(c, core[1:]):
+            if ck:
+                vals = [x + ck * y for x, y in zip(vals, dk)]
+        m = [[x % p for x in vals[i:i + ncols]]
+             for i in range(0, size, ncols)]
+        return base + len(_rref_mod(m, ncols, p))
+    return rank_at
 
 
 def hstack(field, mats, rows=None):

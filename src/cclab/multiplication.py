@@ -16,6 +16,7 @@ forms the left-hand side of every identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .artranslate import (ar_translate, has_projective_summand,
                           hom_side_middle_term, split_summands)
@@ -24,13 +25,14 @@ from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
 from .grassmannian import fit_and_verify, subspace_bases
 from .laurent import LaurentPolynomial
-from .linalg import GF, Mat, hstack
-from .reps import (ClusterObject, ExtCocycle, Representation, _hom_system,
-                   cluster_object, cokernel_rep, combine, direct_sum_many,
-                   ext1_setup, fingerprint, hom_basis, injective_rep,
-                   kernel_rep, middle_term, projective_rep, reduce_rep,
-                   stable_ext1_dim, stable_hom_dim, top_multiplicities,
-                   unit_cocycles, zero_rep)
+from .linalg import GF, Mat, _nullspace_mod, hstack, pencil_rank
+from .reps import (ClusterObject, ExtCocycle, Representation,
+                   _fingerprint_matrices, _fingerprint_of, _hom_system,
+                   cluster_object, cokernel_rep, combine, direct_sum,
+                   direct_sum_many, ext1_setup, fingerprint, hom_basis,
+                   injective_rep, kernel_rep, middle_term, projective_rep,
+                   reduce_rep, stable_ext1_dim, stable_hom_dim,
+                   top_multiplicities, unit_cocycles, zero_rep)
 
 
 @dataclass
@@ -120,6 +122,27 @@ def _reduce_or_config_error(M: Representation, p: int) -> Representation:
 
 # -- the ext-side stratification ------------------------------------------
 
+def _ext_key(M: Representation, L: Representation, indices):
+    """Bucket key of the middle term Y_c of sum_k c_k eta_k over GF(p), as
+    a function of c, for the unit cocycles eta_k at the given indices.
+
+    The arrow matrices of Y_c are affine in c, and each matrix that
+    fingerprint ranks is linear in them.  So every such matrix is the
+    pencil A_0 + sum_k c_k (A_k - A_0), read from the split extension
+    (c = 0) and the d unit middle terms, and each point ranks only the
+    small cores pencil_rank leaves.
+    """
+    split = direct_sum(L, M)
+    base = _fingerprint_matrices(split)
+    units = [_fingerprint_matrices(middle_term(eta))
+             for eta in unit_cocycles(M, L, indices)]
+    ranks = [pencil_rank(A, [U.add(A.scale(-1)) for U in Us])
+             for A, *Us in zip(base, *units)]
+    shifted = (0,) * M.quiver.n
+    return lambda c: (shifted, _fingerprint_of(
+        split.dim, [A.cols - rank(c) for A, rank in zip(base, ranks)]))
+
+
 def stratify_ext_side(M: Representation, L: Representation, primes,
                       side: str = "ext"):
     """Strata of P Ext^1(M, L) by middle-term class, with chi per class."""
@@ -127,11 +150,6 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
     if d == 0:
         return []
     _, rep_indices = ext1_setup(M, L)
-
-    def middle_over(Mf, Lf):
-        basis = [c.components for c in unit_cocycles(Mf, Lf, rep_indices)]
-        return lambda coeffs: cluster_object(middle_term(
-            ExtCocycle(Mf, Lf, combine(basis, coeffs))))
 
     def key_at_prime(p):
         F = GF(p)
@@ -145,10 +163,14 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
                 != image.rank() + d):
             raise PrimeInstabilityError(
                 f"Ext^1 representatives degenerate mod {p}")
-        mk = middle_over(Mp, Lp)
-        return lambda coeffs: _bucket_key(mk(coeffs))
+        return _ext_key(Mp, Lp, rep_indices)
 
-    middle_at_qq = middle_over(M, L)
+    basis = [c.components for c in unit_cocycles(M, L, rep_indices)]
+
+    def middle_at_qq(coeffs):
+        return cluster_object(middle_term(
+            ExtCocycle(M, L, combine(basis, coeffs))))
+
     return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
 
 
@@ -158,9 +180,32 @@ def _kernel_and_cokernel(g, L: Representation, T: Representation):
     return kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
 
 
-def _content(R: Representation) -> tuple:
-    """The exact matrix content of R, as a hashable key."""
-    return R.dim, tuple(tuple(map(tuple, m.data)) for m in R.matrices)
+def _kernel_cokernel_key(g, L: Representation, T: Representation) -> tuple:
+    """(ranks, K, C) for g: L -> T over GF(p), with g_i given as int rows:
+    Ker g exactly and a copy of Coker g, as tuples of arrow matrices.
+
+    K_i has the canonical nullspace basis of g_i, as in kernel_rep, so K_a
+    is L_a on that basis read at the free coordinates.  The nullspace basis
+    of g_i^T, taken as rows, maps T_i onto C_i = T_i / im g_i and is the
+    identity on the free coordinates of g_i^T; C_a is T_a between those
+    coordinates and that map.  The ranks of the g_i fix every shape.
+    """
+    p = L.field.p
+    ranks, kernels, cokernels = [], [], []
+    for gi, t, l in zip(g, T.dim, L.dim):
+        kernels.append(_nullspace_mod(gi, l, p))
+        cokernels.append(_nullspace_mod(list(zip(*gi)), t, p))
+        ranks.append(l - len(kernels[-1][0]))
+    K, C = [], []
+    for a, (s, t) in enumerate(L.quiver.arrows):
+        La, Ta = L.matrices[a].data, T.matrices[a].data
+        K.append(tuple(tuple(sum(map(mul, La[f], v)) % p
+                             for v in kernels[s - 1][1])
+                       for f in kernels[t - 1][0]))
+        cols = [[row[c] for row in Ta] for c in cokernels[s - 1][0]]
+        C.append(tuple(tuple(sum(map(mul, v, col)) % p for col in cols)
+                       for v in cokernels[t - 1][1]))
+    return tuple(ranks), tuple(K), tuple(C)
 
 
 def _hom_strata(L: Representation, T: Representation, d: int, primes,
@@ -168,9 +213,10 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     """Strata of P Hom(L, T), of dimension d, where the middle term of g
     is middle(Ker g, Coker g).
 
-    A rule that sees only Ker g and Coker g gives the same bucket key for
-    every point with the same kernel and cokernel matrices, so each prime
-    keeps a memo from that content to the key.
+    A rule that sees only Ker g and Coker g up to isomorphism gives the
+    same bucket key for every point with the same _kernel_cokernel_key,
+    so each prime keeps a memo from that key to the bucket key and builds
+    K, C and the middle term only on a miss.
     """
     if d == 0:
         return []
@@ -184,21 +230,24 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
         Tp = _reduce_or_config_error(T, p)
         basis_p = [tuple(Mat(F, m.rows, m.cols, m.data) for m in f)
                    for f in basis_qq]
-        vecs = Mat(F, sum(m.rows * m.cols for m in basis_p[0]) or 1, d)
-        for j, f in enumerate(basis_p):
-            flat = [x for m in f for row in m.data for x in row] or [F.zero]
-            for i, x in enumerate(flat):
-                vecs.data[i][j] = x
-        if vecs.rank() != d:
+        # per vertex, the entries of every basis map, position by position
+        entries = [list(zip(*([x for row in m.data for x in row]
+                              for m in ms))) for ms in zip(*basis_p)]
+        vecs = [list(xs) for at in entries for xs in at]
+        if Mat(F, len(vecs), d, vecs).rank() != d:
             raise PrimeInstabilityError(f"Hom basis degenerates mod {p}")
         memo = {}
 
         def key_of(coeffs):
-            K, C = _kernel_and_cokernel(combine(basis_p, coeffs), Lp, Tp)
-            content = (_content(K), _content(C))
-            key = memo.get(content)
+            g = []
+            for at, rows, cols in zip(entries, T.dim, L.dim):
+                flat = [sum(map(mul, coeffs, xs)) % p for xs in at]
+                g.append([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+            mk = _kernel_cokernel_key(g, Lp, Tp)
+            key = memo.get(mk)
             if key is None:
-                key = memo[content] = _bucket_key(middle(K, C))
+                key = memo[mk] = _bucket_key(middle(*_kernel_and_cokernel(
+                    combine(basis_p, coeffs), Lp, Tp)))
             return key
         return key_of
 

@@ -447,21 +447,38 @@ def top_multiplicities(M: Representation) -> tuple[int, ...]:
         for i, d in enumerate(M.dim, start=1))
 
 
-def socle_multiplicities(M: Representation) -> tuple[int, ...]:
-    """dim Hom(S_i, M) per vertex: dim M_i less the rank of the arrows out
-    of i, whose common kernel is the socle there."""
-    q, F = M.quiver, M.field
-    return tuple(
-        d - vstack(F, [M.matrices[a] for a in q.arrows_out_of(i)],
-                   cols=d).rank()
-        for i, d in enumerate(M.dim, start=1))
-
-
 @lru_cache(maxsize=64)
 def _standard_battery(q: Quiver, field) -> tuple:
     """(P_i, I_i) for every vertex i, shared between callers."""
     return tuple((projective_rep(q, i, field), injective_rep(q, i, field))
                  for i in range(1, q.n + 1))
+
+
+def _fingerprint_matrices(M: Representation) -> list:
+    """The matrices whose nullities (columns less rank) fingerprint reads:
+    per vertex i the arrows into i transposed, the arrows out of i, and
+    the intertwiner systems of Hom(M, P_i) and Hom(I_i, M); last that of
+    End M.  Each is linear in the arrow matrices of M."""
+    q, F = M.quiver, M.field
+    out = []
+    for i, (P, I) in enumerate(_standard_battery(q, F), start=1):
+        d = M.dim[i - 1]
+        out += [vstack(F, [M.matrices[a].transpose()
+                           for a in q.arrows_into(i)], cols=d),
+                vstack(F, [M.matrices[a] for a in q.arrows_out_of(i)],
+                       cols=d),
+                _hom_system(M, P), _hom_system(I, M)]
+    out.append(_hom_system(M, M))
+    return out
+
+
+def _fingerprint_of(dim, nullities) -> tuple:
+    """fingerprint from the nullities of _fingerprint_matrices."""
+    dims = []
+    for i, d in enumerate(dim):
+        top, soc, to_p, from_i = nullities[4 * i: 4 * i + 4]
+        dims += [top, soc, to_p, d, d, from_i]
+    return (dim, tuple(dims), nullities[-1])
 
 
 def fingerprint(M: Representation) -> tuple:
@@ -470,15 +487,11 @@ def fingerprint(M: Representation) -> tuple:
 
     Four of the six Hom dims per vertex are closed forms: Hom(P_i, M) and
     Hom(M, I_i) have dimension dim M_i (Yoneda), Hom(M, S_i) is the top
-    and Hom(S_i, M) the socle at i.  Only Hom(M, P_i), Hom(I_i, M) and
-    End M solve an intertwiner system.
+    and Hom(S_i, M) the socle at i.  The top, the socle, Hom(M, P_i),
+    Hom(I_i, M) and End M are nullities of _fingerprint_matrices(M).
     """
-    tops, socles = top_multiplicities(M), socle_multiplicities(M)
-    dims = []
-    for d, top, soc, (P, I) in zip(M.dim, tops, socles,
-                                    _standard_battery(M.quiver, M.field)):
-        dims += [top, soc, hom_dim(M, P), d, d, hom_dim(I, M)]
-    return (M.dim, tuple(dims), hom_dim(M, M))
+    return _fingerprint_of(M.dim, [m.cols - m.rank()
+                                   for m in _fingerprint_matrices(M)])
 
 
 def _has_invertible_combination(basis, dim) -> bool:

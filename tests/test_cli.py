@@ -17,6 +17,8 @@ D4TILDE = '{"vertices": 5, "arrows": [[1, 5], [2, 5], [3, 5], [4, 5]]}\n'
 D4T_P1 = '{"dim": [1, 0, 0, 0, 1], "matrices": [[[1]], [[]], [[]], [[]]]}\n'
 D4T_I5 = ('{"dim": [1, 1, 1, 1, 1], '
           '"matrices": [[[1]], [[1]], [[1]], [[1]]]}\n')
+D4T_E1 = '{"dim": [1, 1, 0, 0, 1], "matrices": [[[1]], [[1]], [[]], [[]]]}\n'
+D4T_E2 = '{"dim": [0, 0, 1, 1, 1], "matrices": [[[]], [[]], [[1]], [[1]]]}\n'
 
 
 @pytest.fixture
@@ -24,7 +26,8 @@ def workdir(tmp_path, monkeypatch):
     files = {"a2.q": A2_QUIVER, "s1.m": S1, "s2.m": S2, "p1.m": P1,
              "kron.q": KRONECKER, "kron_s1.m": KRON_S1, "kron_s2.m": KRON_S2,
              "a3.q": A3_QUIVER, "d4t.q": D4TILDE,
-             "d4t_p1.m": D4T_P1, "d4t_i5.m": D4T_I5}
+             "d4t_p1.m": D4T_P1, "d4t_i5.m": D4T_I5,
+             "d4t_e1.m": D4T_E1, "d4t_e2.m": D4T_E2}
     for name, body in files.items():
         (tmp_path / name).write_text(body)
     monkeypatch.chdir(tmp_path)
@@ -88,6 +91,15 @@ def test_verify_structured(workdir):
 
 # Exact structured output, byte for byte: labels, both sides, every
 # stratum in order and the verdict.
+D4T_XX1 = ("x1^-1*x2^-1*x3^-1*x4^-1*x5^-2 + 4*x1^-1*x2^-1*x3^-1*x4^-1*x5^-1"
+           " + 6*x1^-1*x2^-1*x3^-1*x4^-1 + 4*x1^-1*x2^-1*x3^-1*x4^-1*x5"
+           " + x1^-1*x2^-1*x3^-1*x4^-1*x5^2 + 2*x5^-2 + 4*x5^-1 + 2"
+           " + x1*x2*x3*x4*x5^-2")
+D4T_UNIFIED = ("2*x1^-1*x2^-1*x3^-1*x4^-1*x5^-2"
+               " + 8*x1^-1*x2^-1*x3^-1*x4^-1*x5^-1"
+               " + 12*x1^-1*x2^-1*x3^-1*x4^-1 + 8*x1^-1*x2^-1*x3^-1*x4^-1*x5"
+               " + 2*x1^-1*x2^-1*x3^-1*x4^-1*x5^2 + 4*x5^-2 + 8*x5^-1 + 4"
+               " + 2*x1*x2*x3*x4*x5^-2")
 GOLDEN_VERIFY = [
     (["xx1", "--quiver", "a2.q", "s2.m", "s1.m"],
      '{"label": "xx1: 1 * X_L X_M", '
@@ -114,12 +126,26 @@ GOLDEN_VERIFY = [
      '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
      '{"middle": "module dim (1, 0)", "chi": 1, "side": "proj-shift-hom"}], '
      '"verdict": true}\n'),
+    (["xx1", "--quiver", "d4t.q", "d4t_e2.m", "d4t_e1.m"],
+     '{"label": "xx1: 1 * X_L X_M", "lhs": "' + D4T_XX1 + '", '
+     '"rhs": "' + D4T_XX1 + '", '
+     '"strata": [{"middle": "module dim (1, 1, 1, 1, 2)", "chi": 1, '
+     '"side": "ext"}, {"middle": "0", "chi": 1, "side": "hom"}], '
+     '"verdict": true}\n'),
+    (["unified", "--quiver", "d4t.q", "d4t_e1.m", "d4t_e2.m"],
+     '{"label": "unified: 2 * X_M X_N", "lhs": "' + D4T_UNIFIED + '", '
+     '"rhs": "' + D4T_UNIFIED + '", '
+     '"strata": [{"middle": "module dim (1, 1, 1, 1, 2)", "chi": 1, '
+     '"side": "ext"}, {"middle": "0", "chi": 1, "side": "hom"}, '
+     '{"middle": "module dim (1, 1, 1, 1, 2)", "chi": 1, "side": "ext"}, '
+     '{"middle": "0", "chi": 1, "side": "hom"}], "verdict": true}\n'),
 ]
 
 
 @pytest.mark.parametrize("args, expected", GOLDEN_VERIFY,
                          ids=["xx1-a2", "xx1-kronecker", "xx2-a2",
-                              "unified-shifted-a2"])
+                              "unified-shifted-a2", "xx1-d4tilde",
+                              "unified-d4tilde"])
 def test_verify_structured_golden(workdir, args, expected):
     res = run("verify", *args, "--format", "structured")
     assert res.exit_code == 0

@@ -1,21 +1,28 @@
 """Stratified verification of the multiplication identities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import acyclic_quivers
 
 from cclab import artranslate, multiplication
+from cclab.artranslate import hom_side_middle_term
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import PreconditionError, PrimeInstabilityError
 from cclab.laurent import parse
-from cclab.linalg import QQ
-from cclab.multiplication import (_content, stratify_ext_side,
+from cclab.linalg import GF, QQ, Mat
+from cclab.multiplication import (_bucket_key, _ext_key,
+                                  _kernel_and_cokernel,
+                                  _kernel_cokernel_key, stratify_ext_side,
                                   stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
-from cclab.reps import (ClusterObject, cluster_object, injective_rep,
-                        is_isomorphic, projective_rep, simple_rep,
-                        stable_ext1_dim, zero_rep)
+from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
+                        fingerprint, hom_basis, injective_rep,
+                        is_isomorphic, make_rep, middle_term, projective_rep,
+                        simple_rep, stable_ext1_dim, unit_cocycles, zero_rep)
 
 
 def test_xx1_a2_exchange(primes):
@@ -170,31 +177,138 @@ def test_kronecker_regular_from_exchange(primes):
 
 def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     """Kronecker xx1(P1, S1): P Hom(P1, tau S1) has dimension 3, but its
-    points share few (Ker g, Coker g) pairs, so tau^{-1} runs once per
-    distinct pair at each prime, not once per point."""
+    points share few kernel/cokernel memo keys, so tau^{-1} runs once per
+    distinct key at each prime, not once per point."""
     q = kronecker_quiver()
-    seen, inverses = [], []
+    keys, rules, inverses = set(), [], []
+    key_of = multiplication._kernel_cokernel_key
     rule, inverse = multiplication.hom_side_middle_term, artranslate.ar_inverse
 
+    def recording_key(g, L, T):
+        key = key_of(g, L, T)
+        keys.add((L.field, key))
+        return key
+
     def recording_rule(K, C):
-        seen.append((K.field, _content(K), _content(C)))
+        rules.append(K.field)
         return rule(K, C)
 
     def counting_inverse(C):
         inverses.append(C.field)
         return inverse(C)
 
+    monkeypatch.setattr(multiplication, "_kernel_cokernel_key",
+                        recording_key)
     monkeypatch.setattr(multiplication, "hom_side_middle_term",
                         recording_rule)
     monkeypatch.setattr(artranslate, "ar_inverse", counting_inverse)
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
     assert sum(s.chi for s in strata) == 3
-    per_prime = [x for x in seen if x[0] != QQ]
-    assert len(per_prime) == len(set(per_prime))
+    assert len([f for f in rules if f != QQ]) == len(keys)
     points = sum(p * p + p + 1 for p in few_primes)
-    assert 0 < len(per_prime) * 10 < points
-    assert len(inverses) == len(seen)
+    assert 0 < len(keys) * 10 < points
+    assert len(inverses) == len(rules)
+
+
+def test_ext_side_builds_few_middle_terms(monkeypatch, few_primes):
+    """Kronecker xx1(P1, S1): the Ext side reads every point's key from
+    rank pencils set up from d + 1 modules per prime, so it builds at most
+    d + 1 middle terms per prime; only the rational lifts build more."""
+    q = kronecker_quiver()
+    built = []
+    build = multiplication.middle_term
+
+    def counting_build(eta):
+        built.append(eta.M.field)
+        return build(eta)
+
+    monkeypatch.setattr(multiplication, "middle_term", counting_build)
+    strata = stratify_ext_side(simple_rep(q, 1), projective_rep(q, 1),
+                               few_primes)
+    d = sum(s.chi for s in strata)
+    assert d == 3
+    assert len([f for f in built if f != QQ]) <= (d + 1) * len(few_primes)
+    assert len(strata) <= built.count(QQ) <= 2 * len(strata)
+
+
+@pytest.mark.parametrize("run", [
+    lambda primes: verify_xx1(simple_rep(kronecker_quiver(), 2),
+                              simple_rep(kronecker_quiver(), 1), primes),
+    lambda primes: verify_xx2(projective_rep(kronecker_quiver(), 1),
+                              injective_rep(kronecker_quiver(), 2), primes),
+    lambda primes: stratify_hom_side(projective_rep(kronecker_quiver(), 1),
+                                     simple_rep(kronecker_quiver(), 1),
+                                     primes),
+    lambda primes: verify_xx1(*reversed(d4tilde_tube_simples()), primes),
+    lambda primes: verify_unified(*d4tilde_tube_simples(), primes),
+], ids=["kronecker-xx1(S2,S1)", "kronecker-xx2(P1,I2)",
+        "kronecker-hom(P1,S1)", "d4tilde-xx1(E2,E1)",
+        "d4tilde-unified(E1,E2)"])
+def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
+    """With the kernel/cokernel memo switched off, every point builds its
+    own middle term, and the strata are the same."""
+    memoised = run(few_primes)
+    monkeypatch.setattr(multiplication, "_kernel_cokernel_key",
+                        lambda g, L, T: object())
+    assert run(few_primes) == memoised
+
+
+@st.composite
+def rep_pairs(draw, max_arrows=5):
+    """Two representations of one random acyclic quiver, n <= 4 vertices
+    with parallel arrows and dims <= 3, over GF(p), p in {2, 3, 5, 23}."""
+    q = draw(acyclic_quivers(max_arrows))
+    F = GF(draw(st.sampled_from([2, 3, 5, 23])))
+
+    def rep():
+        dim = draw(st.tuples(*[st.integers(0, 3)] * q.n))
+        return make_rep(q, dim, [
+            draw(st.lists(st.lists(st.integers(0, F.p - 1),
+                                   min_size=dim[s - 1], max_size=dim[s - 1]),
+                          min_size=dim[t - 1], max_size=dim[t - 1]))
+            for s, t in q.arrows], F)
+    return rep(), rep(), draw(st.randoms(use_true_random=False))
+
+
+@given(rep_pairs())
+@settings(deadline=None)
+def test_ext_pencil_key_matches_fingerprint(case):
+    """The pencil key of up to three unit cocycles, at any coordinates of
+    the cocycle space, is the bucket key of the built middle term."""
+    M, L, rng = case
+    q, F = M.quiver, M.field
+    zero = [Mat(F, L.dim[t - 1], M.dim[s - 1]) for s, t in q.arrows]
+    coords = range(sum(m.rows * m.cols for m in zero))
+    indices = sorted(rng.sample(coords, min(3, len(coords))))
+    key_of = _ext_key(M, L, indices)
+    basis = [eta.components for eta in unit_cocycles(M, L, indices)]
+    for _ in range(3):
+        c = [rng.randrange(F.p) for _ in indices]
+        Y = middle_term(ExtCocycle(M, L, combine([zero] + basis, [0] + c)))
+        assert key_of(c) == _bucket_key(cluster_object(Y))
+
+
+@given(rep_pairs(max_arrows=3))
+@settings(deadline=None)
+def test_hom_memo_key_fixes_kernel_and_cokernel(case):
+    """K from the memo key is kernel_rep's K; C is a copy of the cokernel,
+    with the same middle term class.  At most three arrows: on five
+    parallel arrows tau^{-1} of a (3, 3) cokernel has dimension (12, 57),
+    and its fingerprint alone takes seconds."""
+    L, T, rng = case
+    q, F = L.quiver, L.field
+    zero = [Mat(F, t, l) for t, l in zip(T.dim, L.dim)]
+    basis = hom_basis(L, T)
+    g = combine([zero] + basis, [0] + [rng.randrange(F.p) for _ in basis])
+    ranks, kmats, cmats = _kernel_cokernel_key([m.data for m in g], L, T)
+    K = make_rep(q, [a - r for a, r in zip(L.dim, ranks)], kmats, F)
+    C = make_rep(q, [a - r for a, r in zip(T.dim, ranks)], cmats, F)
+    K_ref, C_ref = _kernel_and_cokernel(g, L, T)
+    assert K == K_ref
+    assert fingerprint(C) == fingerprint(C_ref)
+    assert (_bucket_key(hom_side_middle_term(K, C))
+            == _bucket_key(hom_side_middle_term(K_ref, C_ref)))
 
 
 def test_repeated_verify_gives_equal_reports(few_primes):

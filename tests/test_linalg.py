@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cclab.linalg import (GF, Mat, QQ, column_basis, column_complement,
-                          complement_indices, hstack)
+                          complement_indices, hstack, pencil_rank)
 
 F7 = GF(7)
 
@@ -204,3 +204,38 @@ def test_int_kernel_matches_reference(case):
             A.solve(B)
     else:
         assert A.solve(B).data == want
+
+
+@st.composite
+def affine_pencils(draw):
+    """(A0, [D_k], points) over GF(p), p in {2, 3, 5, 23}: A0 up to 5x5 (0
+    rows or 0 columns included), up to 3 directions D_k, each nonzero only
+    on a drawn set of rows and columns, so that constant rows and columns
+    occur, and a few points c."""
+    F = GF(draw(st.sampled_from([2, 3, 5, 23])))
+    rows, cols, d = (draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                     draw(st.integers(0, 3)))
+    ints = st.integers(0, F.p - 1)
+
+    def mat(live_rows, live_cols):
+        return Mat(F, rows, cols, [
+            [draw(ints) if i in live_rows and j in live_cols else 0
+             for j in range(cols)] for i in range(rows)])
+    A0 = mat(range(rows), range(cols))
+    Ds = [mat(draw(st.sets(st.integers(0, max(rows - 1, 0)))),
+              draw(st.sets(st.integers(0, max(cols - 1, 0)))))
+          for _ in range(d)]
+    points = draw(st.lists(st.lists(ints, min_size=d, max_size=d),
+                           min_size=1, max_size=4))
+    return A0, Ds, points
+
+
+@given(affine_pencils())
+def test_pencil_rank_matches_rank(case):
+    A0, Ds, points = case
+    rank_at = pencil_rank(A0, Ds)
+    for c in points:
+        A = A0
+        for ck, D in zip(c, Ds):
+            A = A.add(D.scale(ck))
+        assert rank_at(c) == A.rank()

@@ -1,11 +1,11 @@
 """Representation lab: standard modules, Hom/Ext, extensions, AR translate."""
 
 import time
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import acyclic_quivers
 
 from cclab.artranslate import (ar_inverse, ar_translate, has_projective_summand,
                                split_summands)
@@ -14,7 +14,7 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
 from cclab.errors import PreconditionError
 from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
-                          kronecker_quiver, validate_quiver)
+                          kronecker_quiver)
 from cclab.reps import (_has_invertible_combination, _standard_battery,
                         cluster_object, direct_sum, direct_sum_many,
                         ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
@@ -164,16 +164,11 @@ def battery_fingerprint(M):
 def random_reps(draw):
     """A representation of a random acyclic quiver with n <= 4 vertices and
     parallel arrows, dims <= 3, over QQ (with fractions) or GF(2, 3, 5)."""
-    n = draw(st.integers(1, 4))
-    pairs = list(combinations(range(1, n + 1), 2))
-    arrows = draw(st.lists(st.sampled_from(pairs), max_size=5) if pairs
-                  else st.just([]))
-    label = draw(st.permutations(range(1, n + 1)))
-    q = validate_quiver(n, [(label[s - 1], label[t - 1]) for s, t in arrows])
+    q = draw(acyclic_quivers())
     field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
     entries = (st.fractions(-3, 3, max_denominator=2) if field == QQ
                else st.integers(-2, 2))
-    dim = draw(st.tuples(*[st.integers(0, 3)] * n))
+    dim = draw(st.tuples(*[st.integers(0, 3)] * q.n))
     mats = [draw(st.lists(st.lists(entries, min_size=dim[s - 1],
                                    max_size=dim[s - 1]),
                           min_size=dim[t - 1], max_size=dim[t - 1]))

@@ -33,3 +33,10 @@ def test_bench_script_writes_counts(tmp_path):
     assert (a5["seeds"], a5["divisions"], a5["variables"]) == (132, 70, 20)
     assert (kronecker["seeds"], kronecker["divisions"]) == (49, 48)
     assert [k["step"] for k in doc["kernels"]] == [4, 8, 12, 16, 20, 24]
+    strat = doc["stratify"]
+    points = sum(p * p + p + 1 for p in strat["primes"])
+    ext, hom = strat["ext"], strat["hom"]
+    assert ext["points"] == hom["points"] == points
+    assert ext["middle_term_builds"] <= 4 * len(strat["primes"])
+    assert ext["rational_builds"] >= 1 and hom["rational_builds"] >= 1
+    assert 0 < hom["memo_misses"] * 10 < points
