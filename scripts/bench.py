@@ -1,11 +1,11 @@
-"""Time the mutation oracle, the Laurent kernels and one stratification;
-write BENCH_7.json.
+"""Time the mutation oracle, the Laurent kernels and two stratifications;
+write BENCH_8.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Three parts:
+Stdlib only.  Four parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials) and
   the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
@@ -18,6 +18,9 @@ Stdlib only.  Three parts:
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
   is timed, and one extra run counts the points keyed, the middle terms
   built per prime and over QQ and, on the Hom side, the memo misses.
+- misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
+  P Hom(S2, tau S1) of dimension 2, where every point is a memo miss.  It is timed, and one extra run counts the points and the misses,
+  so the time per miss is the cost of building one middle term.
 
 Every time is the median of the repeats, in wall-clock seconds, with the
 minimum beside it.
@@ -26,6 +29,7 @@ minimum beside it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -95,9 +99,11 @@ def closure_counts(q, depth):
             "seeds": len(seeds), **counts}
 
 
-def stratify_counts(P1, S1, primes):
-    """Points, builds and memo misses of both sides of Kronecker
-    xx1(P1, S1), by wrapping the key functions and the middle terms."""
+@contextlib.contextmanager
+def counting():
+    """While active, count the points keyed on each side, the middle terms
+    built per prime and over QQ and the Hom-side memo misses, by wrapping
+    the key functions and the middle terms; yields the counts."""
     counts = {"ext": {"points": 0, "middle_term_builds": 0,
                       "rational_builds": 0},
               "hom": {"points": 0, "memo_misses": 0, "rational_builds": 0}}
@@ -133,14 +139,12 @@ def stratify_counts(P1, S1, primes):
     multiplication.middle_term = counting_build
     multiplication.hom_side_middle_term = counting_rule
     try:
-        multiplication.stratify_ext_side(S1, P1, primes)
-        multiplication.stratify_hom_side(P1, S1, primes)
+        yield counts
     finally:
         multiplication._ext_key = ext_key
         multiplication._kernel_cokernel_key = hom_key
         multiplication.middle_term = build
         multiplication.hom_side_middle_term = rule
-    return counts
 
 
 def kronecker_variables(last):
@@ -157,7 +161,7 @@ def kronecker_variables(last):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_7.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_8.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -190,8 +194,10 @@ def main(argv=None):
         })
 
     q, primes = kronecker_quiver(), default_primes()
-    P1, S1 = projective_rep(q, 1), simple_rep(q, 1)
-    sides = stratify_counts(P1, S1, primes)
+    P1, S1, S2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
+    with counting() as sides:
+        multiplication.stratify_ext_side(S1, P1, primes)
+        multiplication.stratify_hom_side(P1, S1, primes)
     for side, run in (
             ("ext", lambda: multiplication.stratify_ext_side(S1, P1, primes)),
             ("hom", lambda: multiplication.stratify_hom_side(P1, S1, primes))):
@@ -200,6 +206,14 @@ def main(argv=None):
         row["us_per_key"] = row["median_s"] / row["points"] * 1e6
     stratify = {"name": "kronecker.xx1(P1,S1)", "primes": list(primes),
                 **sides}
+
+    with counting() as counts:
+        multiplication.stratify_hom_side(S2, S1, primes)
+    row = counts["hom"]
+    row.update(timed(lambda: multiplication.stratify_hom_side(S2, S1, primes),
+                     args.repeats))
+    row["us_per_miss"] = row["median_s"] / row["memo_misses"] * 1e6
+    misses = {"name": "kronecker.hom(S2,S1)", "primes": list(primes), **row}
 
     doc = {
         "machine": {"python": platform.python_version(),
@@ -212,6 +226,7 @@ def main(argv=None):
         "closures": closures,
         "kernels": kernels,
         "stratify": stratify,
+        "misses": misses,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -227,6 +242,9 @@ def main(argv=None):
         row = stratify[side]
         print(f"{stratify['name']} {side} side: {row['median_s']:.3f} s, "
               f"{row['points']} points, {row['us_per_key']:.0f} us a key")
+    print(f"{misses['name']}: {misses['median_s']:.3f} s, "
+          f"{misses['points']} points, {misses['memo_misses']} misses, "
+          f"{misses['us_per_miss']:.0f} us a miss")
     return 0
 
 

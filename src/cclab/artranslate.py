@@ -3,7 +3,8 @@
 tau M is the kernel of nu(P1) -> nu(P0) for a minimal projective
 presentation P1 -> P0 -> M -> 0.  tau^{-1} = D tau D, where D is the
 duality to the opposite quiver; injective summands of the input turn
-into shifted projectives P_i[1].
+into shifted projectives P_i[1].  Summand multiplicities are read from
+the Euler form, since tau kills projectives and tau^{-1} injectives.
 
 Maps between sums of projectives are expanded in the path basis
 Hom(P_u, P_v) = span{paths v -> u}, on which the Nakayama functor acts
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .linalg import Mat, column_basis, column_complement, hstack
-from .reps import (ClusterObject, Representation, all_paths, apply_path,
-                   cluster_object, direct_sum, direct_sum_many, dual,
-                   hom_basis, kernel_rep, standard_module)
+from .quiver import euler_form
+from .reps import (ClusterObject, Representation, _standard_battery,
+                   all_paths, apply_path, cluster_object, direct_sum,
+                   direct_sum_many, dual, kernel_rep)
 
 
 # -- tops and radicals -----------------------------------------------------
@@ -36,7 +38,8 @@ def radical_bases(M: Representation) -> list:
 def _standard_sum(q, field, kind, gens):
     """Direct sum of the standard modules of `kind` at the vertices in
     gens, plus per-block basis offsets."""
-    summands = [standard_module(q, kind, u, field) for u in gens]
+    col = ("projective", "injective").index(kind)
+    summands = [_standard_battery(q, field)[u - 1][col] for u in gens]
     offsets = []
     pos = [0] * q.n
     for S in summands:
@@ -106,51 +109,6 @@ def _nu_of_proj_map(q, field, f, gens1, offs1, gens0, offs0):
     return I1, I0, nf
 
 
-# -- splitting off projective or injective summands -----------------------
-
-def split_summands(M: Representation, kind: str):
-    """Decompose M = (+) S_i^{c_i} (+) M' with S_i the standard module of
-    `kind` ("projective" or "injective") at i and M' free of them.
-
-    Returns (multiplicity tuple, M').  Uses the trace pairing
-    Hom(M, S_i) x Hom(S_i, M) -> End(S_i) = k (acyclicity makes the
-    endomorphism ring of each S_i one-dimensional): a nonzero value
-    yields an idempotent splitting, which is peeled off and repeated.
-    """
-    q, F = M.quiver, M.field
-    paths = all_paths(q)
-    mults = [0] * q.n
-    cur = M
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, q.n + 1):
-            S = standard_module(q, kind, i, F)
-            idx = paths[(i, i)].index(())
-            fs = hom_basis(S, cur)
-            gs = hom_basis(cur, S)
-            found = None
-            for f in fs:
-                for g in gs:
-                    c = g[i - 1].mul(f[i - 1]).data[idx][idx]
-                    if not F.is_zero(c):
-                        found = (g, c)
-                        break
-                if found:
-                    break
-            if found:
-                g, c = found
-                g = [m.scale(F.inv(c)) for m in g]
-                cur, _ = kernel_rep(g, cur, S)
-                mults[i - 1] += 1
-                changed = True
-    return tuple(mults), cur
-
-
-def has_projective_summand(M: Representation) -> bool:
-    return any(split_summands(M, "projective")[0])
-
-
 # -- the translate and its inverse ----------------------------------------
 
 def minimal_presentation(M: Representation):
@@ -164,15 +122,34 @@ def minimal_presentation(M: Representation):
     return gens1, offs1, gens0, offs0, f
 
 
+def summand_multiplicities(q, x, y) -> tuple:
+    """<x, e_i> + <e_i, y> at every vertex i.
+
+    For x = dim M and y = dim tau M this is the multiplicity of P_i as a
+    direct summand of M; for x = dim tau^{-1} M and y = dim M, that of I_i.
+    tau kills P_j, tau^{-1} kills I_j, <dim P_j, e_i> = <e_i, dim I_j> =
+    delta_ij, and on the rest N the Coxeter transform gives
+    <dim N, e_i> + <e_i, dim tau N> = 0.
+    """
+    units = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
+    return tuple(euler_form(q, x, u) + euler_form(q, u, y) for u in units)
+
+
+def has_projective_summand(M: Representation) -> bool:
+    return any(summand_multiplicities(M.quiver, M.dim,
+                                      ar_translate_unchecked(M).dim))
+
+
 def ar_translate(M: Representation) -> Representation:
     """tau M = Ker(nu P1 -> nu P0); M must have no projective summands."""
-    if has_projective_summand(M):
+    tau = ar_translate_unchecked(M)
+    if any(summand_multiplicities(M.quiver, M.dim, tau.dim)):
         raise PreconditionError("module has a projective direct summand")
-    return ar_translate_unchecked(M)
+    return tau
 
 
 def ar_translate_unchecked(M: Representation) -> Representation:
-    """tau M for an M already known to have no projective summands."""
+    """tau M for any M; its projective summands contribute nothing."""
     if M.is_zero():
         return M
     q, F = M.quiver, M.field
@@ -185,12 +162,13 @@ def ar_translate_unchecked(M: Representation) -> Representation:
 def ar_inverse(M: Representation) -> ClusterObject:
     """tau^{-1} as a cluster object: injective summands become P_i[1].
 
-    D sends the injective-free rest to a projective-free module over the
-    opposite quiver, so tau^{-1} of the rest is D tau D of it.
+    D turns M into a module over the opposite quiver and its injective
+    summands into projective ones, which tau kills, so D tau D M is
+    tau^{-1} of the injective-free rest.
     """
-    inj_mults, core = split_summands(M, "injective")
-    return cluster_object(dual(ar_translate_unchecked(dual(core))),
-                          inj_mults)
+    inv = dual(ar_translate_unchecked(dual(M)))
+    return cluster_object(inv, summand_multiplicities(M.quiver, inv.dim,
+                                                      M.dim))
 
 
 def hom_side_middle_term(K: Representation,

@@ -206,6 +206,8 @@ class Mat:
         return Mat._wrap(F, self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
+        if isinstance(self.field, GF):
+            return _rank_mod(self.data, self.cols, self.field.p)
         return len(self.rref()[1])
 
     def nullspace(self) -> "Mat":
@@ -276,6 +278,30 @@ def _rref_mod(m: list, ncols: int, p: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _rank_mod(rows: list, ncols: int, p: int) -> int:
+    """Rank over GF(p) of int rows, whose entries are read mod p, by forward
+    elimination alone: the pivot row is not scaled and nothing above a
+    pivot is cleared.  The rows are not modified."""
+    m = list(rows)
+    rank = 0
+    for c in range(ncols):
+        for i, row in enumerate(m):
+            if row[c] % p:
+                break
+        else:
+            continue
+        pivot = m.pop(i)
+        inv = pow(pivot[c], -1, p)
+        for i, row in enumerate(m):
+            f = row[c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(row, pivot)]
+        rank += 1
+        if not m:
+            break
+    return rank
 
 
 def _nullspace_mod(rows: list, ncols: int, p: int):
@@ -377,9 +403,8 @@ def pencil_rank(A0: Mat, Ds: list):
         for ck, dk in zip(c, core[1:]):
             if ck:
                 vals = [x + ck * y for x, y in zip(vals, dk)]
-        m = [[x % p for x in vals[i:i + ncols]]
-             for i in range(0, size, ncols)]
-        return base + len(_rref_mod(m, ncols, p))
+        return base + _rank_mod([vals[i:i + ncols]
+                                 for i in range(0, size, ncols)], ncols, p)
     return rank_at
 
 

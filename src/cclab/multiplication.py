@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .artranslate import (ar_translate, has_projective_summand,
-                          hom_side_middle_term, split_summands)
+from .artranslate import (ar_translate, ar_translate_unchecked,
+                          has_projective_summand, hom_side_middle_term,
+                          summand_multiplicities)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
@@ -104,20 +105,12 @@ def _find_representative(points, middle_at_qq, key, primes) -> ClusterObject:
         try:
             ok = all(fingerprint(reduce_rep(Y.module, p)) == key[1]
                      for p in primes)
-        except ZeroDivisionError:
+        except ConfigurationError:
             ok = False
         if ok:
             return Y
     raise PrimeInstabilityError(
         "no projective-space point lifts to a stable representative")
-
-
-def _reduce_or_config_error(M: Representation, p: int) -> Representation:
-    try:
-        return reduce_rep(M, p)
-    except ZeroDivisionError as exc:
-        raise ConfigurationError(
-            f"prime {p} collides with matrix denominators") from exc
 
 
 # -- the ext-side stratification ------------------------------------------
@@ -153,8 +146,7 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
 
     def key_at_prime(p):
         F = GF(p)
-        Mp = _reduce_or_config_error(M, p)
-        Lp = _reduce_or_config_error(L, p)
+        Mp, Lp = reduce_rep(M, p), reduce_rep(L, p)
         image = _hom_system(Mp, Lp)
         probe = Mat(F, image.rows, d)
         for j, i in enumerate(rep_indices):
@@ -176,8 +168,17 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
 
 # -- the hom-side stratifications -----------------------------------------
 
-def _kernel_and_cokernel(g, L: Representation, T: Representation):
-    return kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
+def _reps_of_key(key: tuple, L: Representation, T: Representation):
+    """K and C of a _kernel_cokernel_key, as representations."""
+    ranks, kmats, cmats = key
+    F, arrows = L.field, L.quiver.arrows
+
+    def rep(dim, mats):
+        dim = tuple(a - r for a, r in zip(dim, ranks))
+        return Representation(L.quiver, F, dim, [
+            Mat._wrap(F, dim[t - 1], dim[s - 1], [list(row) for row in m])
+            for (s, t), m in zip(arrows, mats)])
+    return rep(L.dim, kmats), rep(T.dim, cmats)
 
 
 def _kernel_cokernel_key(g, L: Representation, T: Representation) -> tuple:
@@ -215,8 +216,9 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
 
     A rule that sees only Ker g and Coker g up to isomorphism gives the
     same bucket key for every point with the same _kernel_cokernel_key,
-    so each prime keeps a memo from that key to the bucket key and builds
-    K, C and the middle term only on a miss.
+    so each prime keeps a memo from that key to the bucket key.  On a miss
+    K and C are read from the key itself, and only the middle term is
+    built.
     """
     if d == 0:
         return []
@@ -226,8 +228,7 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
 
     def key_at_prime(p):
         F = GF(p)
-        Lp = _reduce_or_config_error(L, p)
-        Tp = _reduce_or_config_error(T, p)
+        Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
         basis_p = [tuple(Mat(F, m.rows, m.cols, m.data) for m in f)
                    for f in basis_qq]
         # per vertex, the entries of every basis map, position by position
@@ -246,13 +247,14 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
             mk = _kernel_cokernel_key(g, Lp, Tp)
             key = memo.get(mk)
             if key is None:
-                key = memo[mk] = _bucket_key(middle(*_kernel_and_cokernel(
-                    combine(basis_p, coeffs), Lp, Tp)))
+                key = memo[mk] = _bucket_key(
+                    middle(*_reps_of_key(mk, Lp, Tp)))
             return key
         return key_of
 
     def middle_at_qq(coeffs):
-        return middle(*_kernel_and_cokernel(combine(basis_qq, coeffs), L, T))
+        g = combine(basis_qq, coeffs)
+        return middle(kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0])
 
     return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
 
@@ -329,9 +331,10 @@ def verify_xx1(L: Representation, M: Representation, primes) -> VerificationRepo
 
 def verify_xx2(P: Representation, M: Representation, primes) -> VerificationReport:
     """dim Hom(P,M) * X_M X_{P[1]} = Hom(M,I)-strata + Hom(P,M)-strata."""
-    mults, rest = split_summands(P, "projective")
-    if not rest.is_zero() or not any(mults):
+    tau = ar_translate_unchecked(P)
+    if P.is_zero() or not tau.is_zero():
         raise PreconditionError("first argument must be a nonzero projective")
+    mults = summand_multiplicities(P.quiver, P.dim, tau.dim)
     d = stable_hom_dim(P, M, primes)
     if d == 0:
         raise PreconditionError("Hom(P, M) = 0: the identity is vacuous")

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import InputError, PreconditionError, PrimeInstabilityError
+from .errors import (ConfigurationError, InputError, PreconditionError,
+                     PrimeInstabilityError)
 from .linalg import (GF, Mat, QQ, column_basis, column_complement,
                      complement_indices, hstack, vstack)
 from .quiver import Quiver, check_dimvec
@@ -103,14 +104,19 @@ def max_entry_height(M: Representation) -> int:
 
 
 def reduce_rep(M: Representation, p: int) -> Representation:
-    """Reduce a rational representation modulo p."""
+    """Reduce a rational representation modulo p; ConfigurationError when
+    p divides a denominator."""
     if isinstance(M.field, GF):
         if M.field.p != p:
             raise InputError("representation already carries a different prime")
         return M
     F = GF(p)
-    return Representation(M.quiver, F, M.dim, [
-        Mat(F, m.rows, m.cols, m.data) for m in M.matrices])
+    try:
+        return Representation(M.quiver, F, M.dim, [
+            Mat(F, m.rows, m.cols, m.data) for m in M.matrices])
+    except ZeroDivisionError as exc:
+        raise ConfigurationError(
+            f"prime {p} collides with matrix denominators") from exc
 
 
 # -- paths and standard modules -------------------------------------------

@@ -1,5 +1,7 @@
 """Stratified verification of the multiplication identities."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,20 +11,24 @@ from cclab import artranslate, multiplication
 from cclab.artranslate import hom_side_middle_term
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
-from cclab.errors import PreconditionError, PrimeInstabilityError
+from cclab.errors import (ConfigurationError, PreconditionError,
+                          PrimeInstabilityError)
 from cclab.laurent import parse
 from cclab.linalg import GF, QQ, Mat
 from cclab.multiplication import (_bucket_key, _ext_key,
-                                  _kernel_and_cokernel,
-                                  _kernel_cokernel_key, stratify_ext_side,
+                                  _find_representative,
+                                  _kernel_cokernel_key, _reps_of_key,
+                                  stratify_ext_side,
                                   stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
-                        fingerprint, hom_basis, injective_rep,
-                        is_isomorphic, make_rep, middle_term, projective_rep,
-                        simple_rep, stable_ext1_dim, unit_cocycles, zero_rep)
+                        cokernel_rep, fingerprint, hom_basis, injective_rep,
+                        is_isomorphic, kernel_rep, make_rep, middle_term,
+                        projective_rep, reduce_rep, simple_rep,
+                        stable_ext1_dim, stable_hom_dim, unit_cocycles,
+                        zero_rep)
 
 
 def test_xx1_a2_exchange(primes):
@@ -247,10 +253,19 @@ def test_ext_side_builds_few_middle_terms(monkeypatch, few_primes):
         "d4tilde-unified(E1,E2)"])
 def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
     """With the kernel/cokernel memo switched off, every point builds its
-    own middle term, and the strata are the same."""
+    own middle term, and the strata are the same.  The memo is switched off
+    by keys that never compare equal but still decode to K and C."""
     memoised = run(few_primes)
+    key_of = multiplication._kernel_cokernel_key
+
+    class Unshared(tuple):
+        __hash__ = object.__hash__
+
+        def __eq__(self, other):
+            return self is other
+
     monkeypatch.setattr(multiplication, "_kernel_cokernel_key",
-                        lambda g, L, T: object())
+                        lambda g, L, T: Unshared(key_of(g, L, T)))
     assert run(few_primes) == memoised
 
 
@@ -292,23 +307,56 @@ def test_ext_pencil_key_matches_fingerprint(case):
 @given(rep_pairs(max_arrows=3))
 @settings(deadline=None)
 def test_hom_memo_key_fixes_kernel_and_cokernel(case):
-    """K from the memo key is kernel_rep's K; C is a copy of the cokernel,
-    with the same middle term class.  At most three arrows: on five
-    parallel arrows tau^{-1} of a (3, 3) cokernel has dimension (12, 57),
-    and its fingerprint alone takes seconds."""
+    """The K that a memo miss reads from its key is kernel_rep's K; its C
+    is a copy of cokernel_rep's C, with the same middle term class.  At
+    most three arrows: on five parallel arrows tau^{-1} of a (3, 3)
+    cokernel has dimension (12, 57), and its fingerprint alone takes
+    seconds."""
     L, T, rng = case
-    q, F = L.quiver, L.field
+    F = L.field
     zero = [Mat(F, t, l) for t, l in zip(T.dim, L.dim)]
     basis = hom_basis(L, T)
     g = combine([zero] + basis, [0] + [rng.randrange(F.p) for _ in basis])
-    ranks, kmats, cmats = _kernel_cokernel_key([m.data for m in g], L, T)
-    K = make_rep(q, [a - r for a, r in zip(L.dim, ranks)], kmats, F)
-    C = make_rep(q, [a - r for a, r in zip(T.dim, ranks)], cmats, F)
-    K_ref, C_ref = _kernel_and_cokernel(g, L, T)
+    K, C = _reps_of_key(_kernel_cokernel_key([m.data for m in g], L, T),
+                        L, T)
+    K_ref, C_ref = kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
     assert K == K_ref
     assert fingerprint(C) == fingerprint(C_ref)
     assert (_bucket_key(hom_side_middle_term(K, C))
             == _bucket_key(hom_side_middle_term(K_ref, C_ref)))
+
+
+def _denominator_23():
+    """A Kronecker module of dimension (1, 1) that does not reduce mod 23."""
+    return make_rep(kronecker_quiver(), (1, 1), [[[Fraction(1, 23)]], [[1]]])
+
+
+@pytest.mark.parametrize("run", [
+    lambda M, S2, primes: verify_xx1(S2, M, primes),
+    lambda M, S2, primes: stable_hom_dim(S2, M, primes),
+    lambda M, S2, primes: stable_ext1_dim(M, S2, primes),
+    lambda M, S2, primes: stratify_ext_side(M, S2, primes),
+], ids=["verify_xx1", "stable_hom_dim", "stable_ext1_dim",
+        "stratify_ext_side"])
+def test_denominator_collision_is_a_configuration_error(primes, run):
+    """Every reduction mod p goes through one guard: a prime that divides
+    a matrix denominator is refused with ConfigurationError, not a bare
+    ZeroDivisionError."""
+    assert 23 in primes
+    with pytest.raises(ConfigurationError,
+                       match="prime 23 collides with matrix denominators"):
+        run(_denominator_23(), simple_rep(kronecker_quiver(), 2), primes)
+
+
+def test_representative_skips_a_lift_that_does_not_reduce(primes):
+    """A rational lift that fails to reduce at a sample prime is skipped,
+    and the next lift is taken."""
+    good = kronecker_regular(1, 1)
+    lifts = {(0, 1): cluster_object(_denominator_23()),
+             (1, 0): cluster_object(good)}
+    key = ((0, 0), fingerprint(reduce_rep(good, primes[0])))
+    assert _find_representative(list(lifts), lifts.__getitem__, key,
+                                primes) is lifts[(1, 0)]
 
 
 def test_repeated_verify_gives_equal_reports(few_primes):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cclab.linalg import (GF, Mat, QQ, column_basis, column_complement,
-                          complement_indices, hstack, pencil_rank)
+from cclab.linalg import (GF, Mat, QQ, _rank_mod, column_basis,
+                          column_complement, complement_indices, hstack,
+                          pencil_rank)
 
 F7 = GF(7)
 
@@ -207,6 +208,29 @@ def test_int_kernel_matches_reference(case):
 
 
 @st.composite
+def raw_int_rows(draw):
+    """(F, rows, ncols): up to 5x5 (0 rows or 0 columns included) raw int
+    entries in [-60, 60], not reduced mod p, p in {2, 3, 5, 53}."""
+    F = GF(draw(st.sampled_from([2, 3, 5, 53])))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [draw(st.lists(st.integers(-60, 60), min_size=ncols,
+                          max_size=ncols)) for _ in range(nrows)]
+    return F, rows, ncols
+
+
+@given(raw_int_rows())
+def test_rank_kernel_matches_reference(case):
+    """_rank_mod reads raw entries mod p, leaves the rows as they are and
+    counts the pivots of the field-generic elimination."""
+    F, rows, ncols = case
+    before = [row[:] for row in rows]
+    reduced = [[F.of(x) for x in row] for row in rows]
+    assert (_rank_mod(rows, ncols, F.p)
+            == len(reference_rref(F, reduced, ncols)[1]))
+    assert rows == before
+
+
+@st.composite
 def affine_pencils(draw):
     """(A0, [D_k], points) over GF(p), p in {2, 3, 5, 23}: A0 up to 5x5 (0
     rows or 0 columns included), up to 3 directions D_k, each nonzero only
@@ -238,4 +262,4 @@ def test_pencil_rank_matches_rank(case):
         A = A0
         for ck, D in zip(c, Ds):
             A = A.add(D.scale(ck))
-        assert rank_at(c) == A.rank()
+        assert rank_at(c) == len(reference_rref(A0.field, A.data, A.cols)[1])

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import acyclic_quivers
 
-from cclab.artranslate import (ar_inverse, ar_translate, has_projective_summand,
-                               split_summands)
+from cclab.artranslate import (ar_inverse, ar_translate,
+                               ar_translate_unchecked, has_projective_summand,
+                               summand_multiplicities)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.errors import PreconditionError
@@ -237,7 +238,7 @@ def test_iso_needs_prime_above_dimension():
         is_isomorphic(reduce_rep(split, 3), reduce_rep(kronecker_band(), 3))
 
 
-# -- summand splitting -----------------------------------------------------
+# -- summand multiplicities ------------------------------------------------
 
 def _a2_split_case(kind):
     q = a2_quiver()
@@ -252,18 +253,33 @@ def _kronecker_split_case(kind):
     return direct_sum_many(qk, [S, S, kronecker_regular(1, 1)])
 
 
-@pytest.mark.parametrize("kind, build, mults, rest", [
-    ("projective", _a2_split_case, (1, 0), simple_rep(a2_quiver(), 1)),
-    ("injective", _a2_split_case, (0, 1), simple_rep(a2_quiver(), 2)),
-    ("projective", _kronecker_split_case, (2, 0), kronecker_regular(1, 1)),
-    ("injective", _kronecker_split_case, (0, 2), kronecker_regular(1, 1)),
+# On A2, P1 = I2, S1 = I1 and S2 = P2, so the A2 cases have summands of
+# both kinds.
+@pytest.mark.parametrize("kind, build, proj, inj, rest", [
+    ("projective", _a2_split_case, (1, 0), (1, 1),
+     simple_rep(a2_quiver(), 1)),
+    ("injective", _a2_split_case, (1, 1), (0, 1),
+     simple_rep(a2_quiver(), 2)),
+    ("projective", _kronecker_split_case, (2, 0), (0, 0),
+     kronecker_regular(1, 1)),
+    ("injective", _kronecker_split_case, (0, 0), (0, 2),
+     kronecker_regular(1, 1)),
 ], ids=["projective-a2", "injective-a2", "projective-kronecker-x2",
         "injective-kronecker-x2"])
-def test_split_summands(kind, build, mults, rest):
-    got_mults, got_rest = split_summands(build(kind), kind)
-    assert got_mults == mults
-    assert got_rest.dim == rest.dim
-    assert is_isomorphic(got_rest, rest)
+def test_summand_multiplicities(kind, build, proj, inj, rest):
+    """Both Euler-form readings: <dim M, e_i> + <e_i, dim tau M> counts the
+    P_i in M and <dim tau^{-1} M, e_i> + <e_i, dim M> the I_i.  tau and
+    tau^{-1} kill those summands, so M and the rest have the same image."""
+    M = build(kind)
+    q = M.quiver
+    tau, inv = ar_translate_unchecked(M), ar_inverse(M)
+    assert summand_multiplicities(q, M.dim, tau.dim) == proj
+    assert summand_multiplicities(q, inv.module.dim, M.dim) == inj
+    assert inv.shifted == inj
+    if kind == "projective":
+        assert is_isomorphic(tau, ar_translate_unchecked(rest))
+    else:
+        assert is_isomorphic(inv.module, ar_inverse(rest).module)
 
 
 def test_has_projective_summand():
@@ -329,6 +345,12 @@ def _injective_mults(M):
                  for i in range(1, q.n + 1))
 
 
+def _projective_mults(M):
+    q = M.quiver
+    return tuple(int(is_isomorphic(M, projective_rep(q, i)))
+                 for i in range(1, q.n + 1))
+
+
 @pytest.mark.parametrize("M", [M for _, M in STOCK],
                          ids=[name for name, _ in STOCK])
 def test_tau_inverse_inverts_tau(M):
@@ -366,6 +388,27 @@ def test_tau_inverse_is_inverse_coxeter(N):
         for u in units:
             assert (euler_form(q, obj.module.dim, u)
                     + euler_form(q, u, core)) == 0
+
+
+@pytest.mark.parametrize("N", [M for _, M in STOCK],
+                         ids=[name for name, _ in STOCK])
+def test_projective_multiplicities_count_summands(N):
+    """On N and on each N (+) P_v, <dim M, e_i> + <e_i, dim tau M> is the
+    number of summands isomorphic to P_i, and ar_translate refuses exactly
+    when one is nonzero."""
+    q = N.quiver
+    for v in range(q.n + 1):
+        M = direct_sum(N, projective_rep(q, v) if v else zero_rep(q))
+        mults = tuple(m + (i == v)
+                      for i, m in enumerate(_projective_mults(N), start=1))
+        got = summand_multiplicities(q, M.dim, ar_translate_unchecked(M).dim)
+        assert got == mults
+        assert has_projective_summand(M) == any(mults)
+        if any(mults):
+            with pytest.raises(PreconditionError, match="projective"):
+                ar_translate(M)
+        else:
+            ar_translate(M)
 
 
 def test_tau_inverse_of_injective_is_shifted():

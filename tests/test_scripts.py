@@ -40,3 +40,6 @@ def test_bench_script_writes_counts(tmp_path):
     assert ext["middle_term_builds"] <= 4 * len(strat["primes"])
     assert ext["rational_builds"] >= 1 and hom["rational_builds"] >= 1
     assert 0 < hom["memo_misses"] * 10 < points
+    misses = doc["misses"]
+    assert misses["points"] == sum(p + 1 for p in misses["primes"])
+    assert 0 < misses["memo_misses"] <= misses["points"]
