@@ -1,11 +1,11 @@
-"""Time the mutation oracle, the Laurent kernels and two stratifications;
-write BENCH_8.json.
+"""Time the mutation oracle, the Laurent kernels, two stratifications and
+the AR translate; write BENCH_9.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Four parts:
+Stdlib only.  Five parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials) and
   the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
@@ -19,8 +19,11 @@ Stdlib only.  Four parts:
   is timed, and one extra run counts the points keyed, the middle terms
   built per prime and over QQ and, on the Hom side, the memo misses.
 - misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
-  P Hom(S2, tau S1) of dimension 2, where every point is a memo miss.  It is timed, and one extra run counts the points and the misses,
-  so the time per miss is the cost of building one middle term.
+  P Hom(S2, tau S1) of dimension 2, where every point is a memo miss.  It
+  is timed, and one extra run counts the points and the misses, so the
+  time per miss is the cost of building one middle term.
+- tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
+  Kronecker and D4-tilde quivers, in microseconds a call.
 
 Every time is the median of the repeats, in wall-clock seconds, with the
 minimum beside it.
@@ -38,13 +41,15 @@ import sys
 import time
 
 from cclab import multiplication, mutation
+from cclab.artranslate import ar_inverse, ar_translate
 from cclab.config import default_primes
+from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.laurent import divide_exact
 from cclab.linalg import QQ
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
-from cclab.quiver import kronecker_quiver, validate_quiver
-from cclab.reps import projective_rep, simple_rep
+from cclab.quiver import d4tilde_quiver, kronecker_quiver, validate_quiver
+from cclab.reps import injective_rep, projective_rep, simple_rep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLOSURES = (
@@ -53,6 +58,7 @@ CLOSURES = (
     ("kronecker.closure(24)", kronecker_quiver, 24),
 )
 KERNEL_STEPS = (4, 8, 12, 16, 20, 24)
+TAU_CALLS = 20
 
 
 def timed(fn, repeats):
@@ -158,10 +164,20 @@ def kronecker_variables(last):
     return chain
 
 
+def tau_modules():
+    """Stock modules with no projective summand, as (name, module)."""
+    qk, qd = kronecker_quiver(), d4tilde_quiver()
+    e1, _ = d4tilde_tube_simples()
+    return [("kronecker.S1", simple_rep(qk, 1)),
+            ("kronecker.I2", injective_rep(qk, 2)),
+            ("kronecker.R(1,1)", kronecker_regular(1, 1)),
+            ("d4t.E1", e1), ("d4t.I5", injective_rep(qd, 5))]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_8.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_9.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -215,6 +231,15 @@ def main(argv=None):
     row["us_per_miss"] = row["median_s"] / row["memo_misses"] * 1e6
     misses = {"name": "kronecker.hom(S2,S1)", "primes": list(primes), **row}
 
+    tau = []
+    for name, M in tau_modules():
+        row = {"name": name, "dim": M.dim, "tau_dim": ar_translate(M).dim,
+               "inverse_dim": ar_inverse(M).module.dim}
+        for fn in (ar_translate, ar_inverse):
+            t = timed(lambda: [fn(M) for _ in range(TAU_CALLS)], args.repeats)
+            row[f"us_per_{fn.__name__}"] = t["median_s"] / TAU_CALLS * 1e6
+        tau.append(row)
+
     doc = {
         "machine": {"python": platform.python_version(),
                     "implementation": platform.python_implementation(),
@@ -227,6 +252,7 @@ def main(argv=None):
         "kernels": kernels,
         "stratify": stratify,
         "misses": misses,
+        "tau": tau,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -245,6 +271,9 @@ def main(argv=None):
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
           f"{misses['points']} points, {misses['memo_misses']} misses, "
           f"{misses['us_per_miss']:.0f} us a miss")
+    for row in tau:
+        print(f"{row['name']}: ar_translate {row['us_per_ar_translate']:.0f} "
+              f"us, ar_inverse {row['us_per_ar_inverse']:.0f} us")
     return 0
 
 

@@ -1,125 +1,23 @@
-"""Auslander-Reiten translate and inverse via the Nakayama functor.
+"""Auslander-Reiten translate and inverse through Ext^1.
 
-tau M is the kernel of nu(P1) -> nu(P0) for a minimal projective
-presentation P1 -> P0 -> M -> 0.  tau^{-1} = D tau D, where D is the
-duality to the opposite quiver; injective summands of the input turn
-into shifted projectives P_i[1].  Summand multiplicities are read from
-the Euler form, since tau kills projectives and tau^{-1} injectives.
-
-Maps between sums of projectives are expanded in the path basis
-Hom(P_u, P_v) = span{paths v -> u}, on which the Nakayama functor acts
-path-by-path.
+For a hereditary algebra A, tau M = D Ext^1(M, A) (Assem-Simson-
+Skowronski, Elements, vol. 1, ch. IV): (tau M)_i = D Ext^1(M, P_i), and
+an arrow a: i -> j, which gives P_j -> P_i by p |-> (a,) + p on paths,
+acts by the transpose of the induced Ext^1(M, P_j) -> Ext^1(M, P_i).
+Ext^1 is the cokernel of the intertwiner system that Hom reads, so tau
+needs no presentation.  tau^{-1} = D tau D, where D is the duality to
+the opposite quiver; injective summands of the input turn into shifted
+projectives P_i[1].  Summand multiplicities are read from the Euler
+form, since tau kills projectives and tau^{-1} injectives.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .linalg import Mat, column_basis, column_complement, hstack
+from .linalg import Mat
 from .quiver import euler_form
 from .reps import (ClusterObject, Representation, _standard_battery,
-                   all_paths, apply_path, cluster_object, direct_sum,
-                   direct_sum_many, dual, kernel_rep)
-
-
-# -- tops and radicals -----------------------------------------------------
-
-def radical_bases(M: Representation) -> list:
-    """Per-vertex column bases of rad M = sum of images of incoming arrows."""
-    q, F = M.quiver, M.field
-    out = []
-    for j in range(1, q.n + 1):
-        imgs = [M.matrices[a] for a in q.arrows_into(j)]
-        out.append(column_basis(hstack(F, imgs, rows=M.dim[j - 1])))
-    return out
-
-
-# -- sums of standard modules with block bookkeeping -----------------------
-
-def _standard_sum(q, field, kind, gens):
-    """Direct sum of the standard modules of `kind` at the vertices in
-    gens, plus per-block basis offsets."""
-    col = ("projective", "injective").index(kind)
-    summands = [_standard_battery(q, field)[u - 1][col] for u in gens]
-    offsets = []
-    pos = [0] * q.n
-    for S in summands:
-        offsets.append(tuple(pos))
-        pos = [a + b for a, b in zip(pos, S.dim)]
-    return direct_sum_many(q, summands, field), offsets
-
-
-# -- projective covers -----------------------------------------------------
-
-def projective_cover(M: Representation):
-    """Minimal cover: (generator vertices, P0, block offsets, surjection pi)."""
-    q, F = M.quiver, M.field
-    paths = all_paths(q)
-    rads = radical_bases(M)
-    gens = []      # vertex of each generator
-    gen_vecs = []  # chosen top-lifting vector in M at that vertex
-    for i in range(1, q.n + 1):
-        comp = column_complement(F, rads[i - 1])
-        for c in range(comp.cols):
-            gens.append(i)
-            gen_vecs.append(Mat(F, M.dim[i - 1], 1,
-                                [[comp.data[r][c]] for r in range(M.dim[i - 1])]))
-    P0, offsets = _standard_sum(q, F, "projective", gens)
-    pi = [Mat(F, M.dim[j], P0.dim[j]) for j in range(q.n)]
-    for g, (u, v) in enumerate(zip(gens, gen_vecs)):
-        for j in range(1, q.n + 1):
-            for k, path in enumerate(paths[(u, j)]):
-                img = apply_path(M, path, u).mul(v)
-                col = offsets[g][j - 1] + k
-                for r in range(M.dim[j - 1]):
-                    pi[j - 1].data[r][col] = img.data[r][0]
-    return gens, P0, offsets, pi
-
-
-# -- Nakayama functor on maps between standard sums ------------------------
-
-def _nu_of_proj_map(q, field, f, gens1, offs1, gens0, offs0):
-    """Apply nu to f: (+)P_{gens1} -> (+)P_{gens0}, giving (+)I -> (+)I.
-
-    Block Hom(P_u, P_v) is spanned by paths v -> u; the coefficient of a
-    path p is read off at vertex u against the trivial-path generator.
-    On injectives the path p acts by chopping itself off the tail.
-    """
-    paths = all_paths(q)
-    I1, ioffs1 = _standard_sum(q, field, "injective", gens1)
-    I0, ioffs0 = _standard_sum(q, field, "injective", gens0)
-    nf = [Mat(field, I0.dim[j], I1.dim[j]) for j in range(q.n)]
-    for g1, u in enumerate(gens1):
-        col_u = offs1[g1][u - 1] + paths[(u, u)].index(())
-        for g0, v in enumerate(gens0):
-            for p in paths[(v, u)]:
-                row_p = offs0[g0][u - 1] + paths[(v, u)].index(p)
-                c = f[u - 1].data[row_p][col_u]
-                if field.is_zero(c):
-                    continue
-                lp = len(p)
-                for j in range(1, q.n + 1):
-                    for k, r in enumerate(paths[(j, u)]):
-                        if lp and (lp > len(r) or r[len(r) - lp:] != p):
-                            continue
-                        rr = r[:len(r) - lp]
-                        row = ioffs0[g0][j - 1] + paths[(j, v)].index(rr)
-                        col = ioffs1[g1][j - 1] + k
-                        nf[j - 1].data[row][col] = field.add(
-                            nf[j - 1].data[row][col], c)
-    return I1, I0, nf
-
-
-# -- the translate and its inverse ----------------------------------------
-
-def minimal_presentation(M: Representation):
-    """Minimal P1 -> P0 -> M -> 0, as (gens1, offs1, gens0, offs0, f):
-    the generator vertices and block offsets of P1 and P0, and f."""
-    q, F = M.quiver, M.field
-    gens0, P0, offs0, pi = projective_cover(M)
-    K, incl = kernel_rep(pi, P0, M)
-    gens1, P1, offs1, rho = projective_cover(K)
-    f = [incl[j].mul(rho[j]) for j in range(q.n)]
-    return gens1, offs1, gens0, offs0, f
+                   all_paths, cluster_object, direct_sum, dual, ext1_setup)
 
 
 def summand_multiplicities(q, x, y) -> tuple:
@@ -141,7 +39,7 @@ def has_projective_summand(M: Representation) -> bool:
 
 
 def ar_translate(M: Representation) -> Representation:
-    """tau M = Ker(nu P1 -> nu P0); M must have no projective summands."""
+    """tau M; M must have no projective summands."""
     tau = ar_translate_unchecked(M)
     if any(summand_multiplicities(M.quiver, M.dim, tau.dim)):
         raise PreconditionError("module has a projective direct summand")
@@ -149,14 +47,31 @@ def ar_translate(M: Representation) -> Representation:
 
 
 def ar_translate_unchecked(M: Representation) -> Representation:
-    """tau M for any M; its projective summands contribute nothing."""
-    if M.is_zero():
-        return M
+    """tau M = D Ext^1(M, A) for any M; its projective summands
+    contribute nothing.
+
+    A cocycle of (M, P_u) has one coordinate per (arrow b: s -> t, path
+    u -> t, basis vector of M_s), in the row order of _hom_system.  The
+    map P_j -> P_i of an arrow a: i -> j sends the unit cocycle at
+    (b, p, c) to the one at (b, (a,) + p, c), whose class is a column of
+    the quotient map of Ext^1(M, P_i).
+    """
     q, F = M.quiver, M.field
-    gens1, offs1, gens0, offs0, f = minimal_presentation(M)
-    I1, I0, nf = _nu_of_proj_map(q, F, f, gens1, offs1, gens0, offs0)
-    tau, _ = kernel_rep(nf, I1, I0)
-    return tau
+    paths = all_paths(q)
+    setups = [ext1_setup(M, P) for P, _ in _standard_battery(q, F)]
+    coords = [[(b, p, c) for b, (s, t) in enumerate(q.arrows)
+               for p in paths[(u, t)] for c in range(M.dim[s - 1])]
+              for u in range(1, q.n + 1)]
+    rows = [{x: r for r, x in enumerate(xs)} for xs in coords]
+    dim = tuple(len(indices) for indices, _ in setups)
+    mats = []
+    for a, (i, j) in enumerate(q.arrows):
+        Q = setups[i - 1][1].data
+        images = [rows[i - 1][(b, (a,) + p, c)]
+                  for b, p, c in (coords[j - 1][k] for k in setups[j - 1][0])]
+        mats.append(Mat._wrap(F, dim[j - 1], dim[i - 1],
+                              [[row[r] for row in Q] for r in images]))
+    return Representation(q, F, dim, mats)
 
 
 def ar_inverse(M: Representation) -> ClusterObject:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .artranslate import minimal_presentation
 from .grassmannian import grassmannian_profile
 from .laurent import LaurentPolynomial
 from .quiver import antisym_form
-from .reps import ClusterObject, Representation, cluster_object, dual
+from .reps import (ClusterObject, Representation, cluster_object, ext1_dim,
+                   hom_dim, simple_rep)
 
 
 @dataclass
@@ -50,10 +50,9 @@ def coindex(obj) -> tuple:
     """Class [I0] - [I1] of the minimal injective copresentation
     0 -> M -> I0 -> I1 of the module part, minus the shifted part.
 
-    D turns the copresentation into the minimal projective presentation
-    D I1 -> D I0 -> D M -> 0 over the opposite quiver, with D I_i = P_i,
-    so [I0] - [I1] is read as [P0] - [P1] of D M.  The class [P0] - [P1]
-    of M's own presentation is NOT equivalent: it agrees on the A2
+    The algebra is hereditary, so I_i occurs hom(S_i, M) times in I0 and
+    ext^1(S_i, M) times in I1.  The class [P0] - [P1] of M's own
+    projective presentation is NOT equivalent: it agrees on the A2
     simples but diverges on P1, and the corpus-wide coherence check
     (cc_palu_form == cc) pins the copresentation reading.
 
@@ -61,14 +60,11 @@ def coindex(obj) -> tuple:
     the simples, which is what the character's monomial prefactor needs.
     """
     obj = _as_cluster_object(obj)
-    vec = [-s for s in obj.shifted]
-    if not obj.module.is_zero():
-        gens1, _, gens0, _, _ = minimal_presentation(dual(obj.module))
-        for u in gens0:
-            vec[u - 1] += 1
-        for u in gens1:
-            vec[u - 1] -= 1
-    return tuple(vec)
+    M = obj.module
+    simples = [simple_rep(M.quiver, i, M.field)
+               for i in range(1, M.quiver.n + 1)]
+    return tuple(hom_dim(S, M) - ext1_dim(S, M) - s
+                 for S, s in zip(simples, obj.shifted))
 
 
 def cc(obj, primes) -> CharacterValue:

@@ -425,16 +425,29 @@ def vstack(field, mats, cols=None):
                      [row[:] for m in mats for row in m.data])
 
 
-def complement_indices(field, basis: Mat) -> list[int]:
-    """Coordinates i whose unit vectors e_i complete the column span of
-    `basis` to the full space.
+def quotient_map(field, basis: Mat):
+    """(indices, Q) for the column span U of `basis`: the unit vectors e_i
+    at the indices complete U to the full space, and Q sends a vector to
+    its class modulo U, read on those e_i.
 
     One elimination of [basis | I]: e_i is a pivot, and so chosen, exactly
-    when it is not in the span of the basis and the e_j with j < i.
+    when it is not in the span of the basis and the e_j with j < i.  The
+    reduced rows with those pivots vanish on the basis block, so their
+    identity block is Q, and it is the identity at the chosen columns.
     """
     d = basis.rows
-    _, pivots = hstack(field, [basis, Mat.identity(field, d)], rows=d).rref()
-    return [c - basis.cols for c in pivots if c >= basis.cols]
+    red, pivots = hstack(field, [basis, Mat.identity(field, d)],
+                         rows=d).rref()
+    rank = sum(c < basis.cols for c in pivots)
+    return ([c - basis.cols for c in pivots[rank:]],
+            Mat._wrap(field, d - rank, d,
+                      [row[basis.cols:] for row in red.data[rank:d]]))
+
+
+def complement_indices(field, basis: Mat) -> list[int]:
+    """Coordinates i whose unit vectors e_i complete the column span of
+    `basis` to the full space."""
+    return quotient_map(field, basis)[0]
 
 
 def column_complement(field, basis: Mat) -> Mat:

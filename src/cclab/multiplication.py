@@ -29,11 +29,11 @@ from .laurent import LaurentPolynomial
 from .linalg import GF, Mat, _nullspace_mod, hstack, pencil_rank
 from .reps import (ClusterObject, ExtCocycle, Representation,
                    _fingerprint_matrices, _fingerprint_of, _hom_system,
-                   cluster_object, cokernel_rep, combine, direct_sum,
-                   direct_sum_many, ext1_setup, fingerprint, hom_basis,
-                   injective_rep, kernel_rep, middle_term, projective_rep,
-                   reduce_rep, stable_ext1_dim, stable_hom_dim,
-                   top_multiplicities, unit_cocycles, zero_rep)
+                   _standard_battery, cluster_object, cokernel_rep, combine,
+                   direct_sum, direct_sum_many, ext1_setup, fingerprint,
+                   hom_basis, kernel_rep, middle_term, reduce_mats, reduce_rep,
+                   stable_ext1_dim, stable_hom_dim, top_multiplicities,
+                   unit_cocycles, zero_rep)
 
 
 @dataclass
@@ -136,13 +136,12 @@ def _ext_key(M: Representation, L: Representation, indices):
         split.dim, [A.cols - rank(c) for A, rank in zip(base, ranks)]))
 
 
-def stratify_ext_side(M: Representation, L: Representation, primes,
-                      side: str = "ext"):
+def stratify_ext_side(M: Representation, L: Representation, primes):
     """Strata of P Ext^1(M, L) by middle-term class, with chi per class."""
     d = stable_ext1_dim(M, L, primes)
     if d == 0:
         return []
-    _, rep_indices = ext1_setup(M, L)
+    rep_indices, _ = ext1_setup(M, L)
 
     def key_at_prime(p):
         F = GF(p)
@@ -163,7 +162,7 @@ def stratify_ext_side(M: Representation, L: Representation, primes,
         return cluster_object(middle_term(
             ExtCocycle(M, L, combine(basis, coeffs))))
 
-    return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
+    return _run_strata(key_at_prime, middle_at_qq, d, primes, "ext")
 
 
 # -- the hom-side stratifications -----------------------------------------
@@ -229,8 +228,7 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     def key_at_prime(p):
         F = GF(p)
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        basis_p = [tuple(Mat(F, m.rows, m.cols, m.data) for m in f)
-                   for f in basis_qq]
+        basis_p = [reduce_mats(f, p) for f in basis_qq]
         # per vertex, the entries of every basis map, position by position
         entries = [list(zip(*([x for row in m.data for x in row]
                               for m in ms))) for ms in zip(*basis_p)]
@@ -259,28 +257,23 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
 
 
-def stratify_hom_side(L: Representation, M: Representation, primes,
-                      side: str = "hom"):
+def stratify_hom_side(L: Representation, M: Representation, primes):
     """Strata of P Hom(L, tau M); middle term Ker g (+) tau^{-1}(Coker g).
 
     ar_translate refuses an M with a projective direct summand.
     """
     tau = ar_translate(M)
     return _hom_strata(L, tau, stable_hom_dim(L, tau, primes), primes,
-                       hom_side_middle_term, side)
+                       hom_side_middle_term, "hom")
 
 
 def _proj_shift_middle(K: Representation, C: Representation) -> ClusterObject:
     """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective,
     from K = Ker f and C = Coker f."""
     mults = top_multiplicities(K)
-    q = K.quiver
-    expected = [0] * q.n
-    for i, m in enumerate(mults):
-        if m:
-            Pi = projective_rep(q, i + 1, K.field)
-            for j in range(q.n):
-                expected[j] += m * Pi.dim[j]
+    expected = [0] * K.quiver.n
+    for m, (P, _) in zip(mults, _standard_battery(K.quiver, K.field)):
+        expected = [e + m * d for e, d in zip(expected, P.dim)]
     if tuple(expected) != K.dim:
         raise CCLabError("kernel of a map out of a projective is not projective")
     return ClusterObject(C, mults)
@@ -339,9 +332,9 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
     if d == 0:
         raise PreconditionError("Hom(P, M) = 0: the identity is vacuous")
     q = P.quiver
-    I = direct_sum_many(q, [injective_rep(q, i + 1, P.field)
-                            for i, m in enumerate(mults) for _ in range(m)],
-                        P.field)
+    battery = _standard_battery(q, P.field)
+    I = direct_sum_many(q, [battery[i][1] for i, m in enumerate(mults)
+                            for _ in range(m)], P.field)
     if stable_hom_dim(M, I, primes) != d:
         raise CCLabError("dim Hom(M, nu P) disagrees with dim Hom(P, M)")
     strata = _hom_strata(M, I, d, primes, hom_side_middle_term,
@@ -367,7 +360,8 @@ def verify_unified(M, N, primes) -> VerificationReport:
         shifted = M if m_shift else N
         module = N.module if m_shift else M.module
         q = module.quiver
-        P = direct_sum_many(q, [projective_rep(q, i + 1, module.field)
+        battery = _standard_battery(q, module.field)
+        P = direct_sum_many(q, [battery[i][0]
                                 for i, k in enumerate(shifted.shifted)
                                 for _ in range(k)], module.field)
         rep = verify_xx2(P, module, primes)

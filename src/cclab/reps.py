@@ -16,8 +16,8 @@ from itertools import product
 
 from .errors import (ConfigurationError, InputError, PreconditionError,
                      PrimeInstabilityError)
-from .linalg import (GF, Mat, QQ, column_basis, column_complement,
-                     complement_indices, hstack, vstack)
+from .linalg import (GF, Mat, QQ, column_basis, column_complement, hstack,
+                     quotient_map, vstack)
 from .quiver import Quiver, check_dimvec
 
 
@@ -110,10 +110,15 @@ def reduce_rep(M: Representation, p: int) -> Representation:
         if M.field.p != p:
             raise InputError("representation already carries a different prime")
         return M
+    return Representation(M.quiver, GF(p), M.dim, reduce_mats(M.matrices, p))
+
+
+def reduce_mats(mats, p: int) -> list:
+    """Reduce rational matrices modulo p; ConfigurationError when p
+    divides a denominator."""
     F = GF(p)
     try:
-        return Representation(M.quiver, F, M.dim, [
-            Mat(F, m.rows, m.cols, m.data) for m in M.matrices])
+        return [Mat(F, m.rows, m.cols, m.data) for m in mats]
     except ZeroDivisionError as exc:
         raise ConfigurationError(
             f"prime {p} collides with matrix denominators") from exc
@@ -141,14 +146,6 @@ def all_paths(q: Quiver) -> dict:
                         new.append((path + (a,), t))
             frontier = new
     return paths
-
-
-def apply_path(M: Representation, path, vertex: int) -> Mat:
-    """Composite matrix of M along a path starting at `vertex`."""
-    cur = Mat.identity(M.field, M.dim[vertex - 1])
-    for a in path:
-        cur = M.matrices[a].mul(cur)
-    return cur
 
 
 def projective_rep(q: Quiver, i: int, field=QQ) -> Representation:
@@ -318,16 +315,16 @@ def stable_hom_dim(M: Representation, N: Representation, primes) -> int:
 # -- Ext^1 -----------------------------------------------------------------
 
 def ext1_setup(M: Representation, L: Representation):
-    """Coboundary matrix and standard-vector coset representatives.
+    """Standard-vector coset representatives of Ext^1(M, L) and the
+    quotient map onto them.
 
     The coboundary d(f)_a = L_a f_s - f_t M_a of the complex whose cokernel
     is Ext^1(M, L) is the negative of the intertwiner system of Hom(M, L),
-    so both are read off one matrix.  Returns (matrix, indices): the matrix
-    spans im(d) with its columns, and the unit cocycles at the indices span
-    a complement (a basis of Ext^1 representatives).
+    so both are read off one matrix.  Returns (indices, Q): the unit
+    cocycles at the indices span a complement of im(d) (a basis of Ext^1
+    representatives), and Q sends a cocycle to its class on that basis.
     """
-    system = _hom_system(M, L)
-    return system, complement_indices(M.field, system)
+    return quotient_map(M.field, _hom_system(M, L))
 
 
 def unit_cocycles(M: Representation, L: Representation,
@@ -347,7 +344,7 @@ def unit_cocycles(M: Representation, L: Representation,
 def ext1_basis(M: Representation, L: Representation) -> list[ExtCocycle]:
     if M.quiver != L.quiver or M.field != L.field:
         raise InputError("Ext of incompatible representations")
-    return unit_cocycles(M, L, ext1_setup(M, L)[1])
+    return unit_cocycles(M, L, ext1_setup(M, L)[0])
 
 
 def ext1_dim(M: Representation, L: Representation) -> int:

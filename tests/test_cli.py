@@ -166,6 +166,21 @@ def test_verify_unliftable_stratum_exits_counting(workdir):
     assert "verdict" not in res.output
 
 
+def test_verify_hom_basis_denominator_exits_1(workdir):
+    """Integer inputs under the height guard whose rational Hom basis has
+    a denominator divisible by the default prime 37 are refused with exit
+    1 and a message, not a traceback."""
+    (workdir / "kron_l.m").write_text(
+        '{"dim": [1, 2], "matrices": [[[-10], [-16]], [[-12], [19]]]}\n')
+    (workdir / "kron_t.m").write_text(
+        '{"dim": [2, 2], "matrices": [[[19, 8], [-12, -12]], '
+        '[[-20, -20], [-7, -7]]]}\n')
+    res = run("verify", "xx2", "--quiver", "kron.q", "kron_l.m", "kron_t.m")
+    assert res.exit_code == 1
+    assert "prime 37 collides with matrix denominators" in res.output
+    assert not isinstance(res.exception, ZeroDivisionError)
+
+
 def test_grass_profile(workdir):
     res = run("grass", "--quiver", "a2.q", "--module", "p1.m")
     assert res.exit_code == 0

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from strategies import acyclic_quivers
+from strategies import rep_pairs
 
 from cclab import artranslate, multiplication
 from cclab.artranslate import hom_side_middle_term
@@ -14,7 +13,7 @@ from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import (ConfigurationError, PreconditionError,
                           PrimeInstabilityError)
 from cclab.laurent import parse
-from cclab.linalg import GF, QQ, Mat
+from cclab.linalg import QQ, Mat
 from cclab.multiplication import (_bucket_key, _ext_key,
                                   _find_representative,
                                   _kernel_cokernel_key, _reps_of_key,
@@ -269,23 +268,6 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
     assert run(few_primes) == memoised
 
 
-@st.composite
-def rep_pairs(draw, max_arrows=5):
-    """Two representations of one random acyclic quiver, n <= 4 vertices
-    with parallel arrows and dims <= 3, over GF(p), p in {2, 3, 5, 23}."""
-    q = draw(acyclic_quivers(max_arrows))
-    F = GF(draw(st.sampled_from([2, 3, 5, 23])))
-
-    def rep():
-        dim = draw(st.tuples(*[st.integers(0, 3)] * q.n))
-        return make_rep(q, dim, [
-            draw(st.lists(st.lists(st.integers(0, F.p - 1),
-                                   min_size=dim[s - 1], max_size=dim[s - 1]),
-                          min_size=dim[t - 1], max_size=dim[t - 1]))
-            for s, t in q.arrows], F)
-    return rep(), rep(), draw(st.randoms(use_true_random=False))
-
-
 @given(rep_pairs())
 @settings(deadline=None)
 def test_ext_pencil_key_matches_fingerprint(case):
@@ -331,20 +313,34 @@ def _denominator_23():
     return make_rep(kronecker_quiver(), (1, 1), [[[Fraction(1, 23)]], [[1]]])
 
 
-@pytest.mark.parametrize("run", [
-    lambda M, S2, primes: verify_xx1(S2, M, primes),
-    lambda M, S2, primes: stable_hom_dim(S2, M, primes),
-    lambda M, S2, primes: stable_ext1_dim(M, S2, primes),
-    lambda M, S2, primes: stratify_ext_side(M, S2, primes),
-], ids=["verify_xx1", "stable_hom_dim", "stable_ext1_dim",
-        "stratify_ext_side"])
-def test_denominator_collision_is_a_configuration_error(primes, run):
+def _hom_basis_denominator_37():
+    """A base-changed Kronecker P1 and a (2, 2) module with integer entries
+    whose rational Hom basis has the denominator 1221 = 3 * 11 * 37."""
+    q = kronecker_quiver()
+    return (make_rep(q, (1, 2), [[[-10], [-16]], [[-12], [19]]]),
+            make_rep(q, (2, 2), [[[19, 8], [-12, -12]],
+                                 [[-20, -20], [-7, -7]]]))
+
+
+@pytest.mark.parametrize("run, p", [
+    pytest.param(lambda M, S2, primes: verify_xx1(S2, M, primes), 23,
+                 id="verify_xx1"),
+    pytest.param(lambda M, S2, primes: stable_hom_dim(S2, M, primes), 23,
+                 id="stable_hom_dim"),
+    pytest.param(lambda M, S2, primes: stable_ext1_dim(M, S2, primes), 23,
+                 id="stable_ext1_dim"),
+    pytest.param(lambda M, S2, primes: stratify_ext_side(M, S2, primes), 23,
+                 id="stratify_ext_side"),
+    pytest.param(lambda M, S2, primes: verify_xx2(
+        *_hom_basis_denominator_37(), primes), 37, id="verify_xx2"),
+])
+def test_denominator_collision_is_a_configuration_error(primes, run, p):
     """Every reduction mod p goes through one guard: a prime that divides
-    a matrix denominator is refused with ConfigurationError, not a bare
-    ZeroDivisionError."""
-    assert 23 in primes
+    a matrix denominator, of an input or of a rational Hom basis, is
+    refused with ConfigurationError, not a bare ZeroDivisionError."""
+    assert p in primes
     with pytest.raises(ConfigurationError,
-                       match="prime 23 collides with matrix denominators"):
+                       match=f"prime {p} collides with matrix denominators"):
         run(_denominator_23(), simple_rep(kronecker_quiver(), 2), primes)
 
 

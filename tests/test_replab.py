@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import acyclic_quivers
+from strategies import acyclic_quivers, rep_pairs
 
 from cclab.artranslate import (ar_inverse, ar_translate,
                                ar_translate_unchecked, has_projective_summand,
@@ -409,6 +409,23 @@ def test_projective_multiplicities_count_summands(N):
                 ar_translate(M)
         else:
             ar_translate(M)
+
+
+@given(rep_pairs(max_dim=2))
+@settings(deadline=None)
+def test_ar_duality_on_random_modules(case):
+    """Ext^1(M, X) = D Hom(X, tau M) and Ext^1(X, M) = D Hom(tau^{-1} M, X)
+    for a random X and for every S_i, P_i and I_i.  Projective summands of
+    M have no Ext^1 and no tau, injective ones turn into P_i[1], so both
+    hold for any M."""
+    M, L, _ = case
+    q, F = M.quiver, M.field
+    tau, inv = ar_translate_unchecked(M), ar_inverse(M).module
+    for X in [L] + [standard_module(q, kind, i, F)
+                    for kind in ("simple", "projective", "injective")
+                    for i in range(1, q.n + 1)]:
+        assert ext1_dim(M, X) == hom_dim(X, tau)
+        assert ext1_dim(X, M) == hom_dim(inv, X)
 
 
 def test_tau_inverse_of_injective_is_shifted():

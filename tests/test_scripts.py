@@ -43,3 +43,10 @@ def test_bench_script_writes_counts(tmp_path):
     misses = doc["misses"]
     assert misses["points"] == sum(p + 1 for p in misses["primes"])
     assert 0 < misses["memo_misses"] <= misses["points"]
+    tau = {row["name"]: row for row in doc["tau"]}
+    assert tau["kronecker.S1"]["tau_dim"] == [3, 2]
+    assert tau["kronecker.R(1,1)"]["inverse_dim"] == [1, 1]
+    assert tau["d4t.E1"]["tau_dim"] == tau["d4t.E1"]["inverse_dim"] == [
+        0, 0, 1, 1, 1]
+    assert all(row["us_per_ar_translate"] > 0 and row["us_per_ar_inverse"] > 0
+               for row in doc["tau"])
