@@ -1,5 +1,5 @@
 """Time the mutation oracle, the Laurent kernels, two stratifications and
-the AR translate; write BENCH_9.json.
+the AR translate; write BENCH_10.json.
 
 Run from the repository root:
 
@@ -16,17 +16,19 @@ Stdlib only.  Five parts:
   it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1).
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
-  is timed, and one extra run counts the points keyed, the middle terms
-  built per prime and over QQ and, on the Hom side, the memo misses.
+  is timed, and one extra run counts the lines and points keyed, the
+  middle terms built per prime and over QQ and, on the Hom side, the memo
+  misses; the time per point follows.
 - misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
   P Hom(S2, tau S1) of dimension 2, where every point is a memo miss.  It
-  is timed, and one extra run counts the points and the misses, so the
+  is timed, and one extra run counts the lines, points and misses, so the
   time per miss is the cost of building one middle term.
 - tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
   Kronecker and D4-tilde quivers, in microseconds a call.
 
-Every time is the median of the repeats, in wall-clock seconds, with the
-minimum beside it.
+Every time is the median of the repeats, in seconds of the process's CPU
+time (time.process_time), with the minimum beside it; wall-clock time
+moved by up to 30% between runs of the same tree on a shared machine.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ TAU_CALLS = 20
 def timed(fn, repeats):
     times = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         fn()
-        times.append(time.perf_counter() - start)
+        times.append(time.process_time() - start)
     return {"median_s": statistics.median(times), "min_s": min(times)}
 
 
@@ -107,29 +109,32 @@ def closure_counts(q, depth):
 
 @contextlib.contextmanager
 def counting():
-    """While active, count the points keyed on each side, the middle terms
-    built per prime and over QQ and the Hom-side memo misses, by wrapping
-    the key functions and the middle terms; yields the counts."""
-    counts = {"ext": {"points": 0, "middle_term_builds": 0,
+    """While active, count the lines and points keyed on each side, the
+    middle terms built per prime and over QQ and the Hom-side memo misses,
+    by wrapping the line key functions and the middle terms; yields the
+    counts."""
+    counts = {"ext": {"lines": 0, "points": 0, "middle_term_builds": 0,
                       "rational_builds": 0},
-              "hom": {"points": 0, "memo_misses": 0, "rational_builds": 0}}
+              "hom": {"lines": 0, "points": 0, "memo_misses": 0,
+                      "rational_builds": 0}}
     ext, hom = counts["ext"], counts["hom"]
-    ext_key = multiplication._ext_key
-    hom_key = multiplication._kernel_cokernel_key
+    run_strata = multiplication._run_strata
     build = multiplication.middle_term
     rule = multiplication.hom_side_middle_term
 
-    def counting_ext_key(M, L, indices):
-        key_of = ext_key(M, L, indices)
+    def counting_run_strata(key_at_prime, middle_at_qq, d, primes, side):
+        row = counts[side]
 
-        def counting(c):
-            ext["points"] += 1
-            return key_of(c)
-        return counting
+        def counting_key_at_prime(p):
+            keys_on = key_at_prime(p)
 
-    def counting_hom_key(g, L, T):
-        hom["points"] += 1
-        return hom_key(g, L, T)
+            def counting(head, ts):
+                row["lines"] += 1
+                row["points"] += len(ts)
+                return keys_on(head, ts)
+            return counting
+        return run_strata(counting_key_at_prime, middle_at_qq, d, primes,
+                          side)
 
     def counting_build(eta):
         ext["rational_builds" if eta.M.field == QQ
@@ -140,15 +145,13 @@ def counting():
         hom["rational_builds" if K.field == QQ else "memo_misses"] += 1
         return rule(K, C)
 
-    multiplication._ext_key = counting_ext_key
-    multiplication._kernel_cokernel_key = counting_hom_key
+    multiplication._run_strata = counting_run_strata
     multiplication.middle_term = counting_build
     multiplication.hom_side_middle_term = counting_rule
     try:
         yield counts
     finally:
-        multiplication._ext_key = ext_key
-        multiplication._kernel_cokernel_key = hom_key
+        multiplication._run_strata = run_strata
         multiplication.middle_term = build
         multiplication.hom_side_middle_term = rule
 
@@ -177,7 +180,7 @@ def tau_modules():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_9.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_10.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -219,7 +222,7 @@ def main(argv=None):
             ("hom", lambda: multiplication.stratify_hom_side(P1, S1, primes))):
         row = sides[side]
         row.update(timed(run, args.repeats))
-        row["us_per_key"] = row["median_s"] / row["points"] * 1e6
+        row["us_per_point"] = row["median_s"] / row["points"] * 1e6
     stratify = {"name": "kronecker.xx1(P1,S1)", "primes": list(primes),
                 **sides}
 
@@ -247,7 +250,7 @@ def main(argv=None):
                     "machine": platform.machine(),
                     "cpus": os.cpu_count()},
         "repeats": args.repeats,
-        "timer": "time.perf_counter, wall clock",
+        "timer": "time.process_time, CPU time of the process",
         "closures": closures,
         "kernels": kernels,
         "stratify": stratify,
@@ -267,7 +270,8 @@ def main(argv=None):
     for side in ("ext", "hom"):
         row = stratify[side]
         print(f"{stratify['name']} {side} side: {row['median_s']:.3f} s, "
-              f"{row['points']} points, {row['us_per_key']:.0f} us a key")
+              f"{row['lines']} lines, {row['points']} points, "
+              f"{row['us_per_point']:.0f} us a point")
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
           f"{misses['points']} points, {misses['memo_misses']} misses, "
           f"{misses['us_per_miss']:.0f} us a miss")

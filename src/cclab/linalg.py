@@ -349,63 +349,68 @@ def _rref_generic(F, m: list, ncols: int) -> list:
     return pivots
 
 
-def _reduce_constant_rows(parts: list, ncols: int, p: int):
-    """One step of pencil_rank on the int-row matrices parts = [A0, D1, ...].
+def _pencil_core(parts: list, ncols: int, p: int):
+    """(base, core, ncols) for the int-row pencil parts = [A0, D1, ...],
+    entries read mod p: rank(A0 + sum_k c_k D_k) = base + the rank of the
+    core pencil, whose parts have ncols columns (0 when it is empty).
 
-    Returns the rank of the rows on which every D_k vanishes, the other rows
-    of each part reduced modulo the echelon form of those constant rows and
-    cut to its non-pivot columns, and the number of columns left.  The
-    reduction is linear, so the reduced parts are again a pencil, and the
-    rank of the whole is the first rank plus the rank of the rest.
+    On the rows, then on the columns: the rows on which every D_k vanishes
+    add the rank of their echelon form to base, and the other rows of each
+    part are reduced modulo it and cut to its non-pivot columns.  The
+    reduction is linear, so what is left is again a pencil.
     """
-    A0, Ds = parts[0], parts[1:]
-    varying = [any(any(D[i]) for D in Ds) for i in range(len(A0))]
-    const = [row[:] for row, v in zip(A0, varying) if not v]
-    pivots = _rref_mod(const, ncols, p)
-    keep = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for part in parts:
-        rows = []
-        for row, v in zip(part, varying):
-            if not v:
-                continue
-            for r, pc in enumerate(pivots):
-                f = row[pc]
-                if f:
-                    row = [(x - f * y) % p for x, y in zip(row, const[r])]
-            rows.append([row[c] for c in keep])
-        out.append(rows)
-    return len(pivots), out, len(keep)
+    parts = [[[x % p for x in row] for row in part] for part in parts]
+    base = 0
+    for _ in range(2):
+        if not parts[0] or not ncols:
+            return base, parts, 0
+        varying = [any(any(D[i]) for D in parts[1:])
+                   for i in range(len(parts[0]))]
+        const = [row for row, v in zip(parts[0], varying) if not v]
+        pivots = _rref_mod(const, ncols, p)
+        keep = [c for c in range(ncols) if c not in pivots]
+        out = []
+        for part in parts:
+            rows = []
+            for row, v in zip(part, varying):
+                if v:
+                    for r, pc in enumerate(pivots):
+                        f = row[pc]
+                        if f:
+                            row = [(x - f * y) % p
+                                   for x, y in zip(row, const[r])]
+                    rows.append([row[c] for c in keep])
+            out.append([list(col) for col in zip(*rows)])  # transposed
+        base += len(pivots)
+        parts, ncols = out, sum(varying)
+    return base, parts, ncols if parts[0] else 0
 
 
 def pencil_rank(A0: Mat, Ds: list):
-    """rank(A0 + sum_k c_k Ds[k]) over GF(p), as a function of c.
+    """rank(A0 + sum_k c_k Ds[k]) over GF(p) on the line c = (head, t) of
+    the last direction, for each t in ts, as a function of (head, ts).
 
-    The set-up removes the constant rows, then (on the transpose) the
-    constant columns, so each call ranks only a small affine core:
-    rank = base + rank(core(c)).
+    The set-up reduces the whole pencil to a core.  On a line that core is
+    B + t D, and the same reduction, once per line, leaves a smaller core
+    for each t to rank.  Ds is not empty.
     """
     p = A0.field.p
-    parts = [A0.data] + [D.data for D in Ds]
-    base, parts, ncols = _reduce_constant_rows(parts, A0.cols, p)
-    if parts[0] and ncols:
-        nrows = len(parts[0])
-        parts = [[list(col) for col in zip(*part)] for part in parts]
-        more, parts, ncols = _reduce_constant_rows(parts, nrows, p)
-        base += more
-    if not parts[0] or not ncols:
-        return lambda c: base
-    core = [[x for row in part for x in row] for part in parts]
-    size = len(core[0])
+    base, core, ncols = _pencil_core([A0.data] + [D.data for D in Ds],
+                                     A0.cols, p)
+    if not ncols:
+        return lambda head, ts: [base] * len(ts)
+    first, last = core[0], core[-1]
 
-    def rank_at(c):
-        vals = core[0]
-        for ck, dk in zip(c, core[1:]):
-            if ck:
-                vals = [x + ck * y for x, y in zip(vals, dk)]
-        return base + _rank_mod([vals[i:i + ncols]
-                                 for i in range(0, size, ncols)], ncols, p)
-    return rank_at
+    def ranks_on_line(head, ts):
+        B = first
+        for h, D in zip(head, core[1:-1]):
+            if h:
+                B = [[x + h * y for x, y in zip(r, s)] for r, s in zip(B, D)]
+        more, (B, D), n = _pencil_core([B, last], ncols, p)
+        return [base + more + _rank_mod(
+            [[x + t * y for x, y in zip(r, s)] for r, s in zip(B, D)], n, p)
+            for t in ts]
+    return ranks_on_line
 
 
 def hstack(field, mats, rows=None):

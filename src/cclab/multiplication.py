@@ -16,6 +16,7 @@ forms the left-hand side of every identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, product
 from operator import mul
 
 from .artranslate import (ar_translate, ar_translate_unchecked,
@@ -24,7 +25,7 @@ from .artranslate import (ar_translate, ar_translate_unchecked,
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
-from .grassmannian import fit_and_verify, subspace_bases
+from .grassmannian import fit_and_verify
 from .laurent import LaurentPolynomial
 from .linalg import GF, Mat, _nullspace_mod, hstack, pencil_rank
 from .reps import (ClusterObject, ExtCocycle, Representation,
@@ -59,27 +60,38 @@ def _bucket_key(Y: ClusterObject):
     return (Y.shifted, fingerprint(Y.module))
 
 
+def _lines(p: int, d: int):
+    """P^{d-1}(F_p), first nonzero coordinate 1, as lines (head, ts) of the
+    points head + (t,): ts = range(p) for each point head of P^{d-2}(F_p),
+    then ts = (1,) for the zero head.  The points come in the order of
+    grassmannian.subspace_bases(GF(p), d, 1)."""
+    for k in range(d - 1):
+        for rest in product(range(p), repeat=d - 2 - k):
+            yield (0,) * k + (1,) + rest, range(p)
+    yield (0,) * (d - 1), (1,)
+
+
 def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
     """Shared enumerate/bucket/interpolate loop for one projectivized space.
 
-    key_at_prime(p) returns a callable mapping a coefficient tuple over F_p
-    to the bucket key of its middle term; middle_at_qq builds the middle
-    term over the rationals from lifted integer coefficients.
+    P^{d-1}(F_p) is walked line by line (_lines).  key_at_prime(p) returns
+    a callable that maps a line (head, ts) to the bucket keys of the middle
+    terms at its points, one per t; middle_at_qq builds the middle term over
+    the rationals from lifted integer coefficients.
     """
     if d == 0:
         return []
     counts: dict = {}
     witnesses: dict = {}
     for p in primes:
-        key_of = key_at_prime(p)
-        # points of P^{d-1}(F_p), first nonzero coordinate 1
-        for point in subspace_bases(GF(p), d, 1):
-            c = tuple(point.column(0))
-            key = key_of(c)
-            counts.setdefault(key, {})[p] = counts.setdefault(key, {}).get(p, 0) + 1
-            witnesses.setdefault(key, (p, []))
-            if witnesses[key][0] == p:
-                witnesses[key][1].append(c)
+        keys_on = key_at_prime(p)
+        for head, ts in _lines(p, d):
+            for t, key in zip(ts, keys_on(head, ts)):
+                by_prime = counts.setdefault(key, {})
+                by_prime[p] = by_prime.get(p, 0) + 1
+                witnesses.setdefault(key, (p, []))
+                if witnesses[key][0] == p:
+                    witnesses[key][1].append(head + (t,))
     reports = []
     total = 0
     for key in sorted(counts):
@@ -116,14 +128,15 @@ def _find_representative(points, middle_at_qq, key, primes) -> ClusterObject:
 # -- the ext-side stratification ------------------------------------------
 
 def _ext_key(M: Representation, L: Representation, indices):
-    """Bucket key of the middle term Y_c of sum_k c_k eta_k over GF(p), as
-    a function of c, for the unit cocycles eta_k at the given indices.
+    """Bucket keys of the middle terms Y_c of sum_k c_k eta_k over GF(p),
+    for the unit cocycles eta_k at the given indices, as a function of a
+    line (head, ts) that returns the key at c = head + (t,) for each t.
 
     The arrow matrices of Y_c are affine in c, and each matrix that
     fingerprint ranks is linear in them.  So every such matrix is the
     pencil A_0 + sum_k c_k (A_k - A_0), read from the split extension
-    (c = 0) and the d unit middle terms, and each point ranks only the
-    small cores pencil_rank leaves.
+    (c = 0) and the d unit middle terms, and pencil_rank ranks it line by
+    line.
     """
     split = direct_sum(L, M)
     base = _fingerprint_matrices(split)
@@ -132,8 +145,12 @@ def _ext_key(M: Representation, L: Representation, indices):
     ranks = [pencil_rank(A, [U.add(A.scale(-1)) for U in Us])
              for A, *Us in zip(base, *units)]
     shifted = (0,) * M.quiver.n
-    return lambda c: (shifted, _fingerprint_of(
-        split.dim, [A.cols - rank(c) for A, rank in zip(base, ranks)]))
+
+    def keys_on(head, ts):
+        nullities = zip(*[[A.cols - r for r in rank(head, ts)]
+                          for A, rank in zip(base, ranks)])
+        return [(shifted, _fingerprint_of(split.dim, n)) for n in nullities]
+    return keys_on
 
 
 def stratify_ext_side(M: Representation, L: Representation, primes):
@@ -217,7 +234,8 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     same bucket key for every point with the same _kernel_cokernel_key,
     so each prime keeps a memo from that key to the bucket key.  On a miss
     K and C are read from the key itself, and only the middle term is
-    built.
+    built.  Along a line g is one flat int vector, and
+    g(head, t + 1) = g(head, t) + f_d.
     """
     if d == 0:
         return []
@@ -228,27 +246,32 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     def key_at_prime(p):
         F = GF(p)
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        basis_p = [reduce_mats(f, p) for f in basis_qq]
-        # per vertex, the entries of every basis map, position by position
-        entries = [list(zip(*([x for row in m.data for x in row]
-                              for m in ms))) for ms in zip(*basis_p)]
-        vecs = [list(xs) for at in entries for xs in at]
-        if Mat(F, len(vecs), d, vecs).rank() != d:
+        # each basis map as one flat int vector, vertex after vertex
+        flat = [[x for m in reduce_mats(f, p) for row in m.data for x in row]
+                for f in basis_qq]
+        if Mat(F, d, len(flat[0]), flat).rank() != d:
             raise PrimeInstabilityError(f"Hom basis degenerates mod {p}")
+        positions, last = list(zip(*flat)), flat[-1]
+        starts = accumulate((t * l for t, l in zip(T.dim, L.dim)), initial=0)
+        blocks = [[slice(s + i * l, s + (i + 1) * l) for i in range(t)]
+                  for s, t, l in zip(starts, T.dim, L.dim)]
         memo = {}
 
-        def key_of(coeffs):
-            g = []
-            for at, rows, cols in zip(entries, T.dim, L.dim):
-                flat = [sum(map(mul, coeffs, xs)) % p for xs in at]
-                g.append([flat[i * cols:(i + 1) * cols] for i in range(rows)])
-            mk = _kernel_cokernel_key(g, Lp, Tp)
-            key = memo.get(mk)
-            if key is None:
-                key = memo[mk] = _bucket_key(
-                    middle(*_reps_of_key(mk, Lp, Tp)))
-            return key
-        return key_of
+        def keys_on(head, ts):
+            # ts is a run of consecutive t: start at ts[0] - 1, add f_d
+            g = [sum(map(mul, head + (ts[0] - 1,), xs)) for xs in positions]
+            keys = []
+            for _ in ts:
+                g = [(x + y) % p for x, y in zip(g, last)]
+                mk = _kernel_cokernel_key(
+                    [[g[s] for s in rows] for rows in blocks], Lp, Tp)
+                key = memo.get(mk)
+                if key is None:
+                    key = memo[mk] = _bucket_key(
+                        middle(*_reps_of_key(mk, Lp, Tp)))
+                keys.append(key)
+            return keys
+        return keys_on
 
     def middle_at_qq(coeffs):
         g = combine(basis_qq, coeffs)

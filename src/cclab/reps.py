@@ -499,11 +499,12 @@ def fingerprint(M: Representation) -> tuple:
 
 def _has_invertible_combination(basis, dim) -> bool:
     """Whether some sum_k t_k f_k over a Hom basis f has full rank dim[i]
-    at every vertex i, searched on the grid {0..sum(dim)}^k."""
-    for t in product(range(sum(dim) + 1), repeat=len(basis)):
-        g = combine(basis, t)
-        if all(g[i].rank() == dim[i] for i in range(len(dim))):
-            return True
+    at every vertex i, searched on {0..sum(dim)}^k by increasing max m."""
+    for m in range(sum(dim) + 1):
+        for t in product(range(m + 1), repeat=len(basis)):
+            if m in t and all(g.rank() == n for g, n
+                              in zip(combine(basis, t), dim)):
+                return True
     return False
 
 
@@ -528,9 +529,10 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
         raise PreconditionError(
             f"isomorphism test over GF({M.field.p}) needs a prime above "
             f"dim M = {M.total_dim}")
-    if fingerprint(M) != fingerprint(N):
+    fp = fingerprint(M)
+    if fp != fingerprint(N):
         return False
     basis = hom_basis(M, N)
-    if len(basis) != hom_dim(M, M):
+    if len(basis) != fp[2]:  # dim End M
         return False
     return _has_invertible_combination(basis, M.dim)

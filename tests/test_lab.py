@@ -1,6 +1,7 @@
 """Stratified verification of the multiplication identities."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,10 @@ from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import (ConfigurationError, PreconditionError,
                           PrimeInstabilityError)
 from cclab.laurent import parse
-from cclab.linalg import QQ, Mat
+from cclab.grassmannian import subspace_bases
+from cclab.linalg import GF, QQ, Mat
 from cclab.multiplication import (_bucket_key, _ext_key,
-                                  _find_representative,
+                                  _find_representative, _lines,
                                   _kernel_cokernel_key, _reps_of_key,
                                   stratify_ext_side,
                                   stratify_hom_side, verify_unified,
@@ -25,7 +27,7 @@ from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
 from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
                         cokernel_rep, fingerprint, hom_basis, injective_rep,
                         is_isomorphic, kernel_rep, make_rep, middle_term,
-                        projective_rep, reduce_rep, simple_rep,
+                        projective_rep, reduce_mats, reduce_rep, simple_rep,
                         stable_ext1_dim, stable_hom_dim, unit_cocycles,
                         zero_rep)
 
@@ -271,19 +273,67 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
 @given(rep_pairs())
 @settings(deadline=None)
 def test_ext_pencil_key_matches_fingerprint(case):
-    """The pencil key of up to three unit cocycles, at any coordinates of
-    the cocycle space, is the bucket key of the built middle term."""
+    """The pencil keys of up to three unit cocycles along a line, from a
+    random head or from the zero head with ts = (1,), are the bucket keys
+    of the middle terms built at its points."""
     M, L, rng = case
     q, F = M.quiver, M.field
     zero = [Mat(F, L.dim[t - 1], M.dim[s - 1]) for s, t in q.arrows]
     coords = range(sum(m.rows * m.cols for m in zero))
+    if not coords:
+        return  # an empty cocycle space has no lines
     indices = sorted(rng.sample(coords, min(3, len(coords))))
-    key_of = _ext_key(M, L, indices)
+    keys_on = _ext_key(M, L, indices)
     basis = [eta.components for eta in unit_cocycles(M, L, indices)]
-    for _ in range(3):
-        c = [rng.randrange(F.p) for _ in indices]
-        Y = middle_term(ExtCocycle(M, L, combine([zero] + basis, [0] + c)))
-        assert key_of(c) == _bucket_key(cluster_object(Y))
+    d = len(indices)
+    lines = [(tuple(rng.randrange(F.p) for _ in range(d - 1)), range(F.p))
+             for _ in range(2)] + [((0,) * (d - 1), (1,))]
+    for head, ts in lines:
+        keys = keys_on(head, ts)
+        assert len(keys) == len(ts)
+        for t, key in zip(ts, keys):
+            Y = middle_term(ExtCocycle(M, L, combine([zero] + basis,
+                                                     (0,) + head + (t,))))
+            assert key == _bucket_key(cluster_object(Y))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lines_cover_projective_space_once(d, p):
+    """The lines of _run_strata hold every point of P^{d-1}(F_p), first
+    nonzero coordinate 1, exactly once, in the order of subspace_bases."""
+    points = [head + (t,) for head, ts in _lines(p, d) for t in ts]
+    assert points == [tuple(b.column(0))
+                      for b in subspace_bases(GF(p), d, 1)]
+    assert sorted(points) == sorted(
+        c for c in product(range(p), repeat=d)
+        if any(c) and next(x for x in c if x) == 1)
+
+
+@pytest.mark.parametrize("L, M", [
+    (projective_rep(kronecker_quiver(), 1), simple_rep(kronecker_quiver(), 1)),
+    (simple_rep(kronecker_quiver(), 2), simple_rep(kronecker_quiver(), 1)),
+    (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5)),
+], ids=["kronecker-hom(P1,S1)", "kronecker-hom(S2,S1)", "d4tilde-(P1,I5)"])
+def test_hom_line_keys_match_pointwise_maps(monkeypatch, L, M):
+    """At p = 5 the Hom-side keys of each line of P Hom(L, tau M), whose
+    maps step by one addition, are the bucket keys of the middle terms of
+    g = combine(basis, c) built point by point with kernel_rep and
+    cokernel_rep."""
+    captured = []
+    monkeypatch.setattr(multiplication, "_run_strata",
+                        lambda key_at_prime, *rest: captured.append(
+                            key_at_prime) or [])
+    stratify_hom_side(L, M, (5,))
+    T = artranslate.ar_translate(M)
+    Lp, Tp = reduce_rep(L, 5), reduce_rep(T, 5)
+    basis = [reduce_mats(f, 5) for f in hom_basis(L, T)]
+    keys_on = captured[0](5)
+    for head, ts in _lines(5, len(basis)):
+        for t, key in zip(ts, keys_on(head, ts)):
+            g = combine(basis, head + (t,))
+            assert key == _bucket_key(hom_side_middle_term(
+                kernel_rep(g, Lp, Tp)[0], cokernel_rep(g, Lp, Tp)[0]))
 
 
 @given(rep_pairs(max_arrows=3))

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cclab.linalg import (GF, Mat, QQ, _rank_mod, column_basis,
-                          column_complement, complement_indices, hstack,
-                          pencil_rank)
+from cclab.linalg import (GF, Mat, QQ, _pencil_core, _rank_mod,
+                          column_basis, column_complement,
+                          complement_indices, hstack, pencil_rank)
 
 F7 = GF(7)
 
@@ -256,10 +256,43 @@ def affine_pencils(draw):
 
 @given(affine_pencils())
 def test_pencil_rank_matches_rank(case):
+    """Each point c = (head, t) is ranked on its line; a pencil with no
+    direction is ranked as one whose direction is zero."""
     A0, Ds, points = case
-    rank_at = pencil_rank(A0, Ds)
+    ranks_on_line = pencil_rank(A0, Ds or [Mat(A0.field, A0.rows, A0.cols)])
     for c in points:
         A = A0
         for ck, D in zip(c, Ds):
             A = A.add(D.scale(ck))
-        assert rank_at(c) == len(reference_rref(A0.field, A.data, A.cols)[1])
+        *head, t = c or [0]
+        assert ranks_on_line(tuple(head), (t,)) == [
+            len(reference_rref(A0.field, A.data, A.cols)[1])]
+
+
+@st.composite
+def raw_line_pencils(draw):
+    """(F, B, D, ncols): B up to 5x5 (0 rows or 0 columns included) and D
+    of the same shape, nonzero only on a drawn set of rows and columns, with
+    raw int entries in [-60, 60], not reduced mod p, p in {2, 3, 5, 53}."""
+    F = GF(draw(st.sampled_from([2, 3, 5, 53])))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    live_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    live_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    ints = st.integers(-60, 60)
+    B = [[draw(ints) for _ in range(ncols)] for _ in range(nrows)]
+    D = [[draw(ints) if i in live_rows and j in live_cols else 0
+          for j in range(ncols)] for i in range(nrows)]
+    return F, B, D, ncols
+
+
+@given(raw_line_pencils())
+def test_pencil_core_of_raw_line_keeps_rank(case):
+    """The core of a line B + t D, set up from raw int entries, plus its
+    base is the rank of B + t D at every t in F_p."""
+    F, B, D, ncols = case
+    p = F.p
+    base, (Bc, Dc), n = _pencil_core([B, D], ncols, p)
+    for t in range(p):
+        core = [[x + t * y for x, y in zip(r, s)] for r, s in zip(Bc, Dc)]
+        line = [[x + t * y for x, y in zip(r, s)] for r, s in zip(B, D)]
+        assert base + _rank_mod(core, n, p) == _rank_mod(line, ncols, p)

@@ -15,7 +15,7 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
 from cclab.errors import PreconditionError
 from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
-                          kronecker_quiver)
+                          kronecker_quiver, validate_quiver)
 from cclab.reps import (_has_invertible_combination, _standard_battery,
                         cluster_object, direct_sum, direct_sum_many,
                         ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
@@ -148,6 +148,20 @@ def test_iso_separates_fingerprint_collision():
     assert fingerprint(split) == fingerprint(band)
     assert not is_isomorphic(split, band)
     assert not is_isomorphic(band, split)
+
+
+def test_iso_finds_isomorphism_with_small_coefficients():
+    """X = tau^{-1}(S1 + S1) on four parallel arrows 2 -> 1 has dimension
+    (30, 8) and End X = M_2(k): no basis map of End X is invertible, and
+    the first invertible grid point, (0, 1, 1, 0), has max coordinate 1.
+    Walked lexicographically from 0 it is point 1,561 of the grid."""
+    q = validate_quiver(2, [(2, 1)] * 4)
+    S1 = simple_rep(q, 1)
+    X = reduce_rep(ar_inverse(direct_sum(S1, S1)).module, 41)
+    assert X.dim == (30, 8)
+    start = time.process_time()
+    assert is_isomorphic(X, X)
+    assert time.process_time() - start < 1.0
 
 
 def battery_fingerprint(M):

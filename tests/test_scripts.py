@@ -33,15 +33,20 @@ def test_bench_script_writes_counts(tmp_path):
     assert (a5["seeds"], a5["divisions"], a5["variables"]) == (132, 70, 20)
     assert (kronecker["seeds"], kronecker["divisions"]) == (49, 48)
     assert [k["step"] for k in doc["kernels"]] == [4, 8, 12, 16, 20, 24]
+    assert doc["timer"].startswith("time.process_time")
     strat = doc["stratify"]
     points = sum(p * p + p + 1 for p in strat["primes"])
     ext, hom = strat["ext"], strat["hom"]
     assert ext["points"] == hom["points"] == points
+    # the lines of P^2(F_p): one per point of P^1, and the point (0, 0, 1)
+    assert ext["lines"] == hom["lines"] == sum(p + 2 for p in strat["primes"])
+    assert ext["us_per_point"] > 0 and hom["us_per_point"] > 0
     assert ext["middle_term_builds"] <= 4 * len(strat["primes"])
     assert ext["rational_builds"] >= 1 and hom["rational_builds"] >= 1
     assert 0 < hom["memo_misses"] * 10 < points
     misses = doc["misses"]
     assert misses["points"] == sum(p + 1 for p in misses["primes"])
+    assert misses["lines"] == 2 * len(misses["primes"])
     assert 0 < misses["memo_misses"] <= misses["points"]
     tau = {row["name"]: row for row in doc["tau"]}
     assert tau["kronecker.S1"]["tau_dim"] == [3, 2]
