@@ -5,8 +5,10 @@ Skowronski, Elements, vol. 1, ch. IV): (tau M)_i = D Ext^1(M, P_i), and
 an arrow a: i -> j, which gives P_j -> P_i by p |-> (a,) + p on paths,
 acts by the transpose of the induced Ext^1(M, P_j) -> Ext^1(M, P_i).
 Ext^1 is the cokernel of the intertwiner system that Hom reads, so tau
-needs no presentation.  tau^{-1} = D tau D, where D is the duality to
-the opposite quiver; injective summands of the input turn into shifted
+needs no presentation.  On f: M -> N, (tau f)_u is the transpose of
+Ext^1(f, P_u), read on the same bases.  tau^{-1} = D tau D, where D is
+the duality to the opposite quiver, on modules and maps alike; it is
+right exact, and injective summands of the input turn into shifted
 projectives P_i[1].  Summand multiplicities are read from the Euler
 form, since tau kills projectives and tau^{-1} injectives.
 """
@@ -46,9 +48,10 @@ def ar_translate(M: Representation) -> Representation:
     return tau
 
 
-def ar_translate_unchecked(M: Representation) -> Representation:
-    """tau M = D Ext^1(M, A) for any M; its projective summands
-    contribute nothing.
+def _tau(M: Representation):
+    """(tau M, ext): ext holds, per vertex u, the cocycle coordinates of
+    (M, P_u), the row of each and ext1_setup(M, P_u), which tau on maps
+    out of or into M reads too.
 
     A cocycle of (M, P_u) has one coordinate per (arrow b: s -> t, path
     u -> t, basis vector of M_s), in the row order of _hom_system.  The
@@ -57,21 +60,52 @@ def ar_translate_unchecked(M: Representation) -> Representation:
     the quotient map of Ext^1(M, P_i).
     """
     q, F = M.quiver, M.field
-    paths = all_paths(q)
-    setups = [ext1_setup(M, P) for P, _ in _standard_battery(q, F)]
-    coords = [[(b, p, c) for b, (s, t) in enumerate(q.arrows)
-               for p in paths[(u, t)] for c in range(M.dim[s - 1])]
-              for u in range(1, q.n + 1)]
-    rows = [{x: r for r, x in enumerate(xs)} for xs in coords]
-    dim = tuple(len(indices) for indices, _ in setups)
+    paths, ext = all_paths(q), []
+    for u, (P, _) in enumerate(_standard_battery(q, F), start=1):
+        coords = [(b, p, c) for b, (s, t) in enumerate(q.arrows)
+                  for p in paths[(u, t)] for c in range(M.dim[s - 1])]
+        ext.append((coords, {x: r for r, x in enumerate(coords)},
+                    *ext1_setup(M, P)))
+    dim = tuple(len(indices) for _, _, indices, _ in ext)
     mats = []
     for a, (i, j) in enumerate(q.arrows):
-        Q = setups[i - 1][1].data
-        images = [rows[i - 1][(b, (a,) + p, c)]
-                  for b, p, c in (coords[j - 1][k] for k in setups[j - 1][0])]
+        (coords, _, indices, _), (_, rows, _, Q) = ext[j - 1], ext[i - 1]
+        images = [rows[(b, (a,) + p, c)]
+                  for b, p, c in (coords[k] for k in indices)]
         mats.append(Mat._wrap(F, dim[j - 1], dim[i - 1],
-                              [[row[r] for row in Q] for r in images]))
-    return Representation(q, F, dim, mats)
+                              [[row[r] for row in Q.data] for r in images]))
+    return Representation(q, F, dim, mats), ext
+
+
+def _tau_map(f, M: Representation, ext_m: list, ext_n: list) -> list:
+    """tau f for f: M -> N, from the ext of _tau(M) and _tau(N): at u the
+    transpose of Ext^1(f, P_u).  The unit cocycle of N at (b, p, c),
+    b: s -> t, pulls back to row c of f_s at the coordinates (b, p, -)."""
+    out = []
+    for (_, rows, _, Q), (coords, _, indices, _) in zip(ext_m, ext_n):
+        pulled = Mat(M.field, Q.cols, len(indices))
+        for k, (b, p, c) in enumerate(coords[i] for i in indices):
+            s = M.quiver.arrows[b][0]
+            for x, v in enumerate(f[s - 1].data[c]):
+                pulled.data[rows[(b, p, x)]][k] = v
+        out.append(Q.mul(pulled).transpose())
+    return out
+
+
+def ar_translate_unchecked(M: Representation) -> Representation:
+    """tau M = D Ext^1(M, A) for any M; its projective summands
+    contribute nothing."""
+    return _tau(M)[0]
+
+
+def ar_inverse_maps(L: Representation, T: Representation, maps):
+    """tau^{-1} L, tau^{-1} T as in ar_inverse, and tau^{-1} f = D tau D f
+    for each f: L -> T in maps, on the same set-up of Ext^1."""
+    DL, DT = dual(L), dual(T)
+    (tau_l, ext_l), (tau_t, ext_t) = _tau(DL), _tau(DT)
+    return dual(tau_l), dual(tau_t), [
+        [m.transpose() for m in _tau_map([m.transpose() for m in f], DT,
+                                         ext_t, ext_l)] for f in maps]
 
 
 def ar_inverse(M: Representation) -> ClusterObject:

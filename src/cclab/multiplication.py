@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import mul
 
-from .artranslate import (ar_translate, ar_translate_unchecked,
-                          has_projective_summand, hom_side_middle_term,
-                          summand_multiplicities)
+from .artranslate import (ar_inverse_maps, ar_translate,
+                          ar_translate_unchecked, has_projective_summand,
+                          hom_side_middle_term, summand_multiplicities)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
@@ -31,7 +31,7 @@ from .linalg import GF, Mat, _nullspace_mod, hstack, pencil_rank
 from .reps import (ClusterObject, ExtCocycle, Representation,
                    _fingerprint_matrices, _fingerprint_of, _hom_system,
                    _standard_battery, cluster_object, cokernel_rep, combine,
-                   direct_sum, direct_sum_many, ext1_setup, fingerprint,
+                   direct_sum, direct_sum_many, dual, ext1_setup, fingerprint,
                    hom_basis, kernel_rep, middle_term, reduce_mats, reduce_rep,
                    stable_ext1_dim, stable_hom_dim, top_multiplicities,
                    unit_cocycles, zero_rep)
@@ -184,58 +184,59 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
 
 # -- the hom-side stratifications -----------------------------------------
 
-def _reps_of_key(key: tuple, L: Representation, T: Representation):
-    """K and C of a _kernel_cokernel_key, as representations."""
-    ranks, kmats, cmats = key
-    F, arrows = L.field, L.quiver.arrows
-
-    def rep(dim, mats):
-        dim = tuple(a - r for a, r in zip(dim, ranks))
-        return Representation(L.quiver, F, dim, [
-            Mat._wrap(F, dim[t - 1], dim[s - 1], [list(row) for row in m])
-            for (s, t), m in zip(arrows, mats)])
-    return rep(L.dim, kmats), rep(T.dim, cmats)
+def _rep_of_key(key: tuple, L: Representation) -> Representation:
+    """The kernel that a _kernel_key of a map out of L holds."""
+    ranks, mats = key
+    F = L.field
+    dim = tuple(a - r for a, r in zip(L.dim, ranks))
+    return Representation(L.quiver, F, dim, [
+        Mat._wrap(F, dim[t - 1], dim[s - 1], [list(row) for row in m])
+        for (s, t), m in zip(L.quiver.arrows, mats)])
 
 
-def _kernel_cokernel_key(g, L: Representation, T: Representation) -> tuple:
-    """(ranks, K, C) for g: L -> T over GF(p), with g_i given as int rows:
-    Ker g exactly and a copy of Coker g, as tuples of arrow matrices.
-
-    K_i has the canonical nullspace basis of g_i, as in kernel_rep, so K_a
-    is L_a on that basis read at the free coordinates.  The nullspace basis
-    of g_i^T, taken as rows, maps T_i onto C_i = T_i / im g_i and is the
-    identity on the free coordinates of g_i^T; C_a is T_a between those
-    coordinates and that map.  The ranks of the g_i fix every shape.
-    """
+def _kernel_key(g, L: Representation) -> tuple:
+    """(ranks of the g_i, Ker g as arrow matrices) for g: L -> T over
+    GF(p), g_i as int rows.  K_i has the canonical nullspace basis of g_i,
+    as in kernel_rep, so K_a is L_a on it read at the free coordinates."""
     p = L.field.p
-    ranks, kernels, cokernels = [], [], []
-    for gi, t, l in zip(g, T.dim, L.dim):
-        kernels.append(_nullspace_mod(gi, l, p))
-        cokernels.append(_nullspace_mod(list(zip(*gi)), t, p))
-        ranks.append(l - len(kernels[-1][0]))
-    K, C = [], []
-    for a, (s, t) in enumerate(L.quiver.arrows):
-        La, Ta = L.matrices[a].data, T.matrices[a].data
-        K.append(tuple(tuple(sum(map(mul, La[f], v)) % p
-                             for v in kernels[s - 1][1])
-                       for f in kernels[t - 1][0]))
-        cols = [[row[c] for row in Ta] for c in cokernels[s - 1][0]]
-        C.append(tuple(tuple(sum(map(mul, v, col)) % p for col in cols)
-                       for v in cokernels[t - 1][1]))
-    return tuple(ranks), tuple(K), tuple(C)
+    kernels = [_nullspace_mod(gi, l, p) for gi, l in zip(g, L.dim)]
+    return (tuple(l - len(free) for l, (free, _) in zip(L.dim, kernels)),
+            tuple(tuple(tuple(sum(map(mul, La.data[f], v)) % p
+                              for v in kernels[s - 1][1])
+                        for f in kernels[t - 1][0])
+                  for (s, t), La in zip(L.quiver.arrows, L.matrices)))
+
+
+def _maps_on_line(maps, L: Representation, T: Representation, p: int):
+    """The maps sum_k c_k f_k: L -> T at the points c = head + (t,) of a
+    line (head, ts), as per-vertex int rows.  Each f_k is one flat int
+    vector, and ts is a run of consecutive t, so each step adds f_d."""
+    flat = [[x for m in f for row in m.data for x in row] for f in maps]
+    positions, last = list(zip(*flat)), flat[-1]
+    starts = accumulate((t * l for t, l in zip(T.dim, L.dim)), initial=0)
+    blocks = [[slice(s + i * l, s + (i + 1) * l) for i in range(t)]
+              for s, t, l in zip(starts, T.dim, L.dim)]
+
+    def on_line(head, ts):
+        g = [sum(map(mul, head + (ts[0] - 1,), xs)) for xs in positions]
+        for _ in ts:
+            g = [(x + y) % p for x, y in zip(g, last)]
+            yield [[g[s] for s in rows] for rows in blocks]
+    return on_line
 
 
 def _hom_strata(L: Representation, T: Representation, d: int, primes,
-                middle, side: str):
-    """Strata of P Hom(L, T), of dimension d, where the middle term of g
-    is middle(Ker g, Coker g).
+                side: str, family, middle, middle_qq):
+    """Strata of P Hom(L, T), of dimension d.  The middle term of g is
+    middle(Ker g, R, dim Coker g) over GF(p) and middle_qq(Ker g, Coker g)
+    over QQ, where R = Coker h for the image h of g under the linear
+    family(L, T, maps) -> (L', T', maps').
 
-    A rule that sees only Ker g and Coker g up to isomorphism gives the
-    same bucket key for every point with the same _kernel_cokernel_key,
-    so each prime keeps a memo from that key to the bucket key.  On a miss
-    K and C are read from the key itself, and only the middle term is
-    built.  Along a line g is one flat int vector, and
-    g(head, t + 1) = g(head, t) + f_d.
+    family runs on the basis maps once per prime, and along a line g and h
+    each step by one addition.  As Coker h = D Ker(Dh), with Dh: DT' -> DL'
+    the transposes, a point's memo key is the _kernel_key of g and of Dh.
+    Equal keys give equal K, R and dim Coker g, so a miss builds the
+    middle term from the key alone.
     """
     if d == 0:
         return []
@@ -244,40 +245,45 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
         raise PrimeInstabilityError("rational Hom basis size disagrees")
 
     def key_at_prime(p):
-        F = GF(p)
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        # each basis map as one flat int vector, vertex after vertex
-        flat = [[x for m in reduce_mats(f, p) for row in m.data for x in row]
-                for f in basis_qq]
-        if Mat(F, d, len(flat[0]), flat).rank() != d:
+        basis = [reduce_mats(f, p) for f in basis_qq]
+        flat = [[x for m in f for row in m.data for x in row] for f in basis]
+        if Mat(GF(p), d, len(flat[0]), flat).rank() != d:
             raise PrimeInstabilityError(f"Hom basis degenerates mod {p}")
-        positions, last = list(zip(*flat)), flat[-1]
-        starts = accumulate((t * l for t, l in zip(T.dim, L.dim)), initial=0)
-        blocks = [[slice(s + i * l, s + (i + 1) * l) for i in range(t)]
-                  for s, t, l in zip(starts, T.dim, L.dim)]
+        Lh, Th, images = family(Lp, Tp, basis)
+        DTh = dual(Th)
+        g_on = _maps_on_line(basis, Lp, Tp, p)
+        h_on = _maps_on_line([[m.transpose() for m in f] for f in images],
+                             DTh, Lh, p)
         memo = {}
 
         def keys_on(head, ts):
-            # ts is a run of consecutive t: start at ts[0] - 1, add f_d
-            g = [sum(map(mul, head + (ts[0] - 1,), xs)) for xs in positions]
             keys = []
-            for _ in ts:
-                g = [(x + y) % p for x, y in zip(g, last)]
-                mk = _kernel_cokernel_key(
-                    [[g[s] for s in rows] for rows in blocks], Lp, Tp)
+            for g, dh in zip(g_on(head, ts), h_on(head, ts)):
+                mk = (_kernel_key(g, Lp), _kernel_key(dh, DTh))
                 key = memo.get(mk)
                 if key is None:
-                    key = memo[mk] = _bucket_key(
-                        middle(*_reps_of_key(mk, Lp, Tp)))
+                    dim_c = tuple(t - r for t, r in zip(T.dim, mk[0][0]))
+                    key = memo[mk] = _bucket_key(middle(
+                        _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
+                        dim_c))
                 keys.append(key)
             return keys
         return keys_on
 
     def middle_at_qq(coeffs):
         g = combine(basis_qq, coeffs)
-        return middle(kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0])
+        return middle_qq(kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0])
 
     return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
+
+
+def _hom_side_middle(K: Representation, R: Representation,
+                     dim_c) -> ClusterObject:
+    """K (+) R for R = tau^{-1} C, with a P_i[1] for each injective summand
+    I_i of C, as hom_side_middle_term builds it over QQ."""
+    return ClusterObject(direct_sum(K, R),
+                         summand_multiplicities(K.quiver, R.dim, dim_c))
 
 
 def stratify_hom_side(L: Representation, M: Representation, primes):
@@ -287,12 +293,13 @@ def stratify_hom_side(L: Representation, M: Representation, primes):
     """
     tau = ar_translate(M)
     return _hom_strata(L, tau, stable_hom_dim(L, tau, primes), primes,
-                       hom_side_middle_term, "hom")
+                       "hom", ar_inverse_maps, _hom_side_middle,
+                       hom_side_middle_term)
 
 
-def _proj_shift_middle(K: Representation, C: Representation) -> ClusterObject:
+def _proj_shift_middle(K: Representation, C: Representation, *_):
     """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective,
-    from K = Ker f and C = Coker f."""
+    from K = Ker f and C = Coker f; a dimension of C passed on is unused."""
     mults = top_multiplicities(K)
     expected = [0] * K.quiver.n
     for m, (P, _) in zip(mults, _standard_battery(K.quiver, K.field)):
@@ -360,10 +367,12 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
                             for _ in range(m)], P.field)
     if stable_hom_dim(M, I, primes) != d:
         raise CCLabError("dim Hom(M, nu P) disagrees with dim Hom(P, M)")
-    strata = _hom_strata(M, I, d, primes, hom_side_middle_term,
-                         "proj-shift-inj")
-    strata += _hom_strata(P, M, d, primes, _proj_shift_middle,
-                          "proj-shift-hom")
+    strata = _hom_strata(M, I, d, primes, "proj-shift-inj",
+                         ar_inverse_maps, _hom_side_middle,
+                         hom_side_middle_term)
+    strata += _hom_strata(P, M, d, primes, "proj-shift-hom",
+                          lambda L, T, maps: (L, T, maps),
+                          _proj_shift_middle, _proj_shift_middle)
     return _report(M, ClusterObject(zero_rep(q, P.field), mults), strata,
                    primes, "xx2: {} * X_M X_P[1]")
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from strategies import rep_pairs
 
 from cclab import artranslate, multiplication
-from cclab.artranslate import hom_side_middle_term
+from cclab.artranslate import (ar_inverse, ar_inverse_maps,
+                               hom_side_middle_term, summand_multiplicities)
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import (ConfigurationError, PreconditionError,
@@ -17,15 +18,16 @@ from cclab.laurent import parse
 from cclab.grassmannian import subspace_bases
 from cclab.linalg import GF, QQ, Mat
 from cclab.multiplication import (_bucket_key, _ext_key,
-                                  _find_representative, _lines,
-                                  _kernel_cokernel_key, _reps_of_key,
+                                  _find_representative, _hom_side_middle,
+                                  _kernel_key, _lines, _rep_of_key,
                                   stratify_ext_side,
                                   stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
-                        cokernel_rep, fingerprint, hom_basis, injective_rep,
+                        cokernel_rep, dual, fingerprint, hom_basis,
+                        injective_rep,
                         is_isomorphic, kernel_rep, make_rep, middle_term,
                         projective_rep, reduce_mats, reduce_rep, simple_rep,
                         stable_ext1_dim, stable_hom_dim, unit_cocycles,
@@ -184,38 +186,73 @@ def test_kronecker_regular_from_exchange(primes):
 
 def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     """Kronecker xx1(P1, S1): P Hom(P1, tau S1) has dimension 3, but its
-    points share few kernel/cokernel memo keys, so tau^{-1} runs once per
-    distinct key at each prime, not once per point."""
+    points share few memo keys, so a middle term is built once per
+    distinct key at each prime, not once per point.  tau^{-1} runs on the
+    basis maps once per prime; ar_inverse runs only for the rational
+    lifts."""
     q = kronecker_quiver()
-    keys, rules, inverses = set(), [], []
-    key_of = multiplication._kernel_cokernel_key
-    rule, inverse = multiplication.hom_side_middle_term, artranslate.ar_inverse
+    keys, misses, inverses = [], [], []
+    key_of, bucket_key = multiplication._kernel_key, multiplication._bucket_key
+    inverse = artranslate.ar_inverse
 
-    def recording_key(g, L, T):
-        key = key_of(g, L, T)
-        keys.add((L.field, key))
+    def recording_key(g, L):
+        key = key_of(g, L)
+        keys.append((L.field, key))
         return key
 
-    def recording_rule(K, C):
-        rules.append(K.field)
-        return rule(K, C)
+    def counting_bucket_key(Y):
+        misses.append(Y.module.field)
+        return bucket_key(Y)
 
     def counting_inverse(C):
         inverses.append(C.field)
         return inverse(C)
 
-    monkeypatch.setattr(multiplication, "_kernel_cokernel_key",
-                        recording_key)
-    monkeypatch.setattr(multiplication, "hom_side_middle_term",
-                        recording_rule)
+    monkeypatch.setattr(multiplication, "_kernel_key", recording_key)
+    monkeypatch.setattr(multiplication, "_bucket_key", counting_bucket_key)
     monkeypatch.setattr(artranslate, "ar_inverse", counting_inverse)
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
     assert sum(s.chi for s in strata) == 3
-    assert len([f for f in rules if f != QQ]) == len(keys)
+    # each point reads the key of g, then that of the transpose of h
+    distinct = set(zip(keys[::2], keys[1::2]))
+    assert QQ not in misses and len(misses) == len(distinct)
     points = sum(p * p + p + 1 for p in few_primes)
-    assert 0 < len(keys) * 10 < points
-    assert len(inverses) == len(rules)
+    assert len(keys) == 2 * points
+    assert 0 < len(distinct) * 10 < points
+    assert inverses and set(inverses) == {QQ}
+
+
+@pytest.mark.parametrize("L, M, per_prime", [
+    (simple_rep(kronecker_quiver(), 2), simple_rep(kronecker_quiver(), 1), 1),
+    (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5),
+     4),
+], ids=["kronecker-hom(S2,S1)", "d4tilde-hom(P1,I5)"])
+def test_hom_side_misses_per_prime(monkeypatch, few_primes, L, M, per_prime):
+    """Points whose cokernels differ but whose tau^{-1} Coker g agree share
+    one memo key: on Kronecker hom(S2, S1) all p + 1 points of each prime
+    build at most one middle term, on D4-tilde hom(P1, I5) at most four.
+    The keys are read line by line, with no rational lift, which fails on
+    D4-tilde (P1, I5)."""
+    captured, misses = [], []
+    bucket_key = multiplication._bucket_key
+
+    def counting_bucket_key(Y):
+        misses.append(Y.module.field)
+        return bucket_key(Y)
+
+    monkeypatch.setattr(multiplication, "_bucket_key", counting_bucket_key)
+    monkeypatch.setattr(multiplication, "_run_strata",
+                        lambda key_at_prime, middle_at_qq, d, *rest:
+                        captured.append((key_at_prime, d)) or [])
+    stratify_hom_side(L, M, few_primes)
+    ((key_at_prime, d),) = captured
+    for p in few_primes:
+        keys_on = key_at_prime(p)
+        for head, ts in _lines(p, d):
+            keys_on(head, ts)
+        assert 0 < misses.count(GF(p)) <= per_prime
+    assert len(misses) == sum(misses.count(GF(p)) for p in few_primes)
 
 
 def test_ext_side_builds_few_middle_terms(monkeypatch, few_primes):
@@ -253,11 +290,11 @@ def test_ext_side_builds_few_middle_terms(monkeypatch, few_primes):
         "kronecker-hom(P1,S1)", "d4tilde-xx1(E2,E1)",
         "d4tilde-unified(E1,E2)"])
 def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
-    """With the kernel/cokernel memo switched off, every point builds its
-    own middle term, and the strata are the same.  The memo is switched off
-    by keys that never compare equal but still decode to K and C."""
+    """With the memo switched off, every point builds its own middle term,
+    and the strata are the same.  The memo is switched off by kernel keys
+    that never compare equal but still decode to K and R."""
     memoised = run(few_primes)
-    key_of = multiplication._kernel_cokernel_key
+    key_of = multiplication._kernel_key
 
     class Unshared(tuple):
         __hash__ = object.__hash__
@@ -265,8 +302,8 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
         def __eq__(self, other):
             return self is other
 
-    monkeypatch.setattr(multiplication, "_kernel_cokernel_key",
-                        lambda g, L, T: Unshared(key_of(g, L, T)))
+    monkeypatch.setattr(multiplication, "_kernel_key",
+                        lambda g, L: Unshared(key_of(g, L)))
     assert run(few_primes) == memoised
 
 
@@ -339,23 +376,32 @@ def test_hom_line_keys_match_pointwise_maps(monkeypatch, L, M):
 @given(rep_pairs(max_arrows=3))
 @settings(deadline=None)
 def test_hom_memo_key_fixes_kernel_and_cokernel(case):
-    """The K that a memo miss reads from its key is kernel_rep's K; its C
-    is a copy of cokernel_rep's C, with the same middle term class.  At
-    most three arrows: on five parallel arrows tau^{-1} of a (3, 3)
-    cokernel has dimension (12, 57), and its fingerprint alone takes
-    seconds."""
+    """The K that a memo miss reads from its key is kernel_rep's K; its R,
+    read from the key of the transposed tau^{-1} g, has the dimension,
+    fingerprint and shifted part of ar_inverse(Coker g), so both give the
+    same middle term class.  At most three arrows: on five parallel arrows
+    tau^{-1} of a (3, 3) cokernel has dimension (12, 57), and its
+    fingerprint alone takes seconds."""
     L, T, rng = case
     F = L.field
     zero = [Mat(F, t, l) for t, l in zip(T.dim, L.dim)]
     basis = hom_basis(L, T)
     g = combine([zero] + basis, [0] + [rng.randrange(F.p) for _ in basis])
-    K, C = _reps_of_key(_kernel_cokernel_key([m.data for m in g], L, T),
-                        L, T)
-    K_ref, C_ref = kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
+    key = _kernel_key([m.data for m in g], L)
+    K = _rep_of_key(key, L)
+    _, Th, (h,) = ar_inverse_maps(L, T, [g])
+    DTh = dual(Th)
+    R = dual(_rep_of_key(_kernel_key([m.transpose().data for m in h], DTh),
+                         DTh))
+    K_ref, C = kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
+    inv = ar_inverse(C)
+    dim_c = tuple(t - r for t, r in zip(T.dim, key[0]))
     assert K == K_ref
-    assert fingerprint(C) == fingerprint(C_ref)
-    assert (_bucket_key(hom_side_middle_term(K, C))
-            == _bucket_key(hom_side_middle_term(K_ref, C_ref)))
+    assert dim_c == C.dim
+    assert fingerprint(R) == fingerprint(inv.module)
+    assert summand_multiplicities(L.quiver, R.dim, dim_c) == inv.shifted
+    assert (_bucket_key(_hom_side_middle(K, R, dim_c))
+            == _bucket_key(hom_side_middle_term(K_ref, C)))
 
 
 def _denominator_23():

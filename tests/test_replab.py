@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import acyclic_quivers, rep_pairs
 
-from cclab.artranslate import (ar_inverse, ar_translate,
+from cclab.artranslate import (ar_inverse, ar_inverse_maps, ar_translate,
                                ar_translate_unchecked, has_projective_summand,
                                summand_multiplicities)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
@@ -17,7 +17,8 @@ from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver, validate_quiver)
 from cclab.reps import (_has_invertible_combination, _standard_battery,
-                        cluster_object, direct_sum, direct_sum_many,
+                        cluster_object, cokernel_rep, combine, direct_sum,
+                        direct_sum_many,
                         ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
                         injective_rep, is_isomorphic, make_rep, middle_term,
                         projective_rep, reduce_rep, simple_rep,
@@ -440,6 +441,42 @@ def test_ar_duality_on_random_modules(case):
                     for i in range(1, q.n + 1)]:
         assert ext1_dim(M, X) == hom_dim(X, tau)
         assert ext1_dim(X, M) == hom_dim(inv, X)
+
+
+@given(rep_pairs(max_arrows=3))
+@settings(deadline=None)
+def test_tau_inverse_on_maps(case):
+    """tau^{-1} g for a random g: L -> T intertwines the arrows of
+    tau^{-1} L and tau^{-1} T, tau^{-1} is a functor, and by right
+    exactness Coker tau^{-1} g is ar_inverse(Coker g).  At most three
+    arrows, as in the other tau^{-1} properties."""
+    L, T, rng = case
+    q, F = L.quiver, L.field
+
+    def draw(M, N):
+        zero = [Mat(F, n, m) for n, m in zip(N.dim, M.dim)]
+        basis = hom_basis(M, N)
+        return combine([zero] + basis,
+                       [0] + [rng.randrange(F.p) for _ in basis])
+
+    g, e = draw(L, T), draw(T, T)
+    inv_l, inv_t, (h, eg) = ar_inverse_maps(
+        L, T, [g, [x.mul(y) for x, y in zip(e, g)]])
+    assert inv_l == ar_inverse(L).module and inv_t == ar_inverse(T).module
+    for a, (s, t) in enumerate(q.arrows):
+        assert inv_t.matrices[a].mul(h[s - 1]) == h[t - 1].mul(
+            inv_l.matrices[a])
+    _, _, (ie, ident) = ar_inverse_maps(
+        T, T, [e, [Mat.identity(F, n) for n in T.dim]])
+    assert ident == [Mat.identity(F, n) for n in inv_t.dim]
+    assert eg == [x.mul(y) for x, y in zip(ie, h)]
+    C = cokernel_rep(g, L, T)[0]
+    R, inv = cokernel_rep(h, inv_l, inv_t)[0], ar_inverse(C)
+    assert R.dim == inv.module.dim
+    assert fingerprint(R) == fingerprint(inv.module)
+    assert summand_multiplicities(q, R.dim, C.dim) == inv.shifted
+    if F.p > R.total_dim:
+        assert is_isomorphic(R, inv.module)
 
 
 def test_tau_inverse_of_injective_is_shifted():
