@@ -1,11 +1,11 @@
 """Time the mutation oracle, the Laurent kernels, two stratifications and
-the AR translate; write BENCH_11.json.
+the AR translate, and count the package's lines; write BENCH_12.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Five parts:
+Stdlib only.  Six parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials) and
   the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
@@ -27,6 +27,7 @@ Stdlib only.  Five parts:
   follows.
 - tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
   Kronecker and D4-tilde quivers, in microseconds a call.
+- src_lines: the lines of src/cclab/*.py, the size of the package.
 
 Every time is the median of the repeats, in seconds of the process's CPU
 time (time.process_time), with the minimum beside it; wall-clock time
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import json
 import os
 import platform
@@ -72,6 +74,15 @@ def timed(fn, repeats):
         fn()
         times.append(time.process_time() - start)
     return {"median_s": statistics.median(times), "min_s": min(times)}
+
+
+def src_lines():
+    """Lines in src/cclab/*.py, as wc -l counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "cclab", "*.py")):
+        with open(path) as fh:
+            total += fh.read().count("\n")
+    return total
 
 
 def closure_counts(q, depth):
@@ -189,7 +200,7 @@ def tau_modules():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_11.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_12.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -265,6 +276,7 @@ def main(argv=None):
         "stratify": stratify,
         "misses": misses,
         "tau": tau,
+        "src_lines": src_lines(),
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -287,6 +299,7 @@ def main(argv=None):
     for row in tau:
         print(f"{row['name']}: ar_translate {row['us_per_ar_translate']:.0f} "
               f"us, ar_inverse {row['us_per_ar_inverse']:.0f} us")
+    print(f"src/cclab: {doc['src_lines']} lines")
     return 0
 
 

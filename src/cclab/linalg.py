@@ -138,10 +138,6 @@ class Mat:
             m.data[i][i] = field.one
         return m
 
-    def copy(self):
-        return Mat._wrap(self.field, self.rows, self.cols,
-                         [row[:] for row in self.data])
-
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 
@@ -221,32 +217,6 @@ class Mat:
             for r, pc in enumerate(pivots):
                 out.data[pc][j] = F.neg(red.data[r][fc])
         return out
-
-    def solve(self, B: "Mat") -> "Mat":
-        """One solution X of self @ X = B (free variables set to zero).
-
-        Raises ValueError when the system is inconsistent.
-        """
-        if B.rows != self.rows:
-            raise ValueError("shape mismatch in solve")
-        F = self.field
-        aug = Mat._wrap(F, self.rows, self.cols + B.cols,
-                        [a + b for a, b in zip(self.data, B.data)])
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] >= self.cols:
-            raise ValueError("inconsistent linear system")
-        X = Mat(F, self.cols, B.cols)
-        for r, pc in enumerate(pivots):
-            X.data[pc] = red.data[r][self.cols:]
-        return X
-
-    def inverse(self) -> "Mat":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        X = self.solve(Mat.identity(self.field, self.rows))
-        if not self.mul(X).__eq__(Mat.identity(self.field, self.rows)):
-            raise ValueError("matrix not invertible")
-        return X
 
     def column(self, j) -> list:
         return [self.data[i][j] for i in range(self.rows)]
@@ -447,26 +417,3 @@ def quotient_map(field, basis: Mat):
     return ([c - basis.cols for c in pivots[rank:]],
             Mat._wrap(field, d - rank, d,
                       [row[basis.cols:] for row in red.data[rank:d]]))
-
-
-def complement_indices(field, basis: Mat) -> list[int]:
-    """Coordinates i whose unit vectors e_i complete the column span of
-    `basis` to the full space."""
-    return quotient_map(field, basis)[0]
-
-
-def column_complement(field, basis: Mat) -> Mat:
-    """Standard basis vectors completing the column span to the full space."""
-    chosen = complement_indices(field, basis)
-    out = Mat(field, basis.rows, len(chosen))
-    for j, i in enumerate(chosen):
-        out.data[i][j] = field.one
-    return out
-
-
-def column_basis(m: Mat) -> Mat:
-    """Basis of the column span of m: the nonzero rows of rref(m^T)."""
-    red, pivots = m.transpose().rref()
-    red.data = red.data[:len(pivots)]
-    red.rows = len(pivots)
-    return red.transpose()

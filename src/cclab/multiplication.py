@@ -30,10 +30,10 @@ from .laurent import LaurentPolynomial
 from .linalg import GF, Mat, _nullspace_mod, hstack, pencil_rank
 from .reps import (ClusterObject, ExtCocycle, Representation,
                    _fingerprint_matrices, _fingerprint_of, _hom_system,
-                   _standard_battery, cluster_object, cokernel_rep, combine,
-                   direct_sum, direct_sum_many, dual, ext1_setup, fingerprint,
-                   hom_basis, kernel_rep, middle_term, reduce_mats, reduce_rep,
-                   stable_ext1_dim, stable_hom_dim, top_multiplicities,
+                   cluster_object, cokernel_rep, combine, direct_sum, dual,
+                   ext1_setup, fingerprint, hom_basis, kernel_rep,
+                   middle_term, reduce_mats, reduce_rep, stable_ext1_dim,
+                   stable_hom_dim, standard_sum, top_multiplicities,
                    unit_cocycles, zero_rep)
 
 
@@ -154,24 +154,24 @@ def _ext_key(M: Representation, L: Representation, indices):
 
 
 def stratify_ext_side(M: Representation, L: Representation, primes):
-    """Strata of P Ext^1(M, L) by middle-term class, with chi per class."""
-    d = stable_ext1_dim(M, L, primes)
-    if d == 0:
-        return []
-    rep_indices, _ = ext1_setup(M, L)
+    """Strata of P Ext^1(M, L) by middle-term class, with chi per class.
 
-    def key_at_prime(p):
-        F = GF(p)
+    d = dim Ext^1 over QQ.  Reduction mod p can only lower the rank of the
+    coboundary, so [coboundary | representatives] of full row rank mod p
+    makes dim Ext^1 = d mod p, with the same basis."""
+    rep_indices, _ = ext1_setup(M, L)
+    d = len(rep_indices)
+    reduced = {}
+    for p in primes:
         Mp, Lp = reduce_rep(M, p), reduce_rep(L, p)
         image = _hom_system(Mp, Lp)
-        probe = Mat(F, image.rows, d)
+        probe = Mat(GF(p), image.rows, d)
         for j, i in enumerate(rep_indices):
-            probe.data[i][j] = F.one
-        if (hstack(F, [image, probe], rows=image.rows).rank()
-                != image.rank() + d):
+            probe.data[i][j] = 1
+        if hstack(GF(p), [image, probe], rows=image.rows).rank() != image.rows:
             raise PrimeInstabilityError(
                 f"Ext^1 representatives degenerate mod {p}")
-        return _ext_key(Mp, Lp, rep_indices)
+        reduced[p] = Mp, Lp
 
     basis = [c.components for c in unit_cocycles(M, L, rep_indices)]
 
@@ -179,7 +179,8 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
         return cluster_object(middle_term(
             ExtCocycle(M, L, combine(basis, coeffs))))
 
-    return _run_strata(key_at_prime, middle_at_qq, d, primes, "ext")
+    return _run_strata(lambda p: _ext_key(*reduced[p], rep_indices),
+                       middle_at_qq, d, primes, "ext")
 
 
 # -- the hom-side stratifications -----------------------------------------
@@ -301,10 +302,7 @@ def _proj_shift_middle(K: Representation, C: Representation, *_):
     """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective,
     from K = Ker f and C = Coker f; a dimension of C passed on is unused."""
     mults = top_multiplicities(K)
-    expected = [0] * K.quiver.n
-    for m, (P, _) in zip(mults, _standard_battery(K.quiver, K.field)):
-        expected = [e + m * d for e, d in zip(expected, P.dim)]
-    if tuple(expected) != K.dim:
+    if standard_sum(K.quiver, "projective", mults, K.field).dim != K.dim:
         raise CCLabError("kernel of a map out of a projective is not projective")
     return ClusterObject(C, mults)
 
@@ -362,9 +360,7 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
     if d == 0:
         raise PreconditionError("Hom(P, M) = 0: the identity is vacuous")
     q = P.quiver
-    battery = _standard_battery(q, P.field)
-    I = direct_sum_many(q, [battery[i][1] for i, m in enumerate(mults)
-                            for _ in range(m)], P.field)
+    I = standard_sum(q, "injective", mults, P.field)
     if stable_hom_dim(M, I, primes) != d:
         raise CCLabError("dim Hom(M, nu P) disagrees with dim Hom(P, M)")
     strata = _hom_strata(M, I, d, primes, "proj-shift-inj",
@@ -391,11 +387,8 @@ def verify_unified(M, N, primes) -> VerificationReport:
                 "both operands shifted: extension space vanishes")
         shifted = M if m_shift else N
         module = N.module if m_shift else M.module
-        q = module.quiver
-        battery = _standard_battery(q, module.field)
-        P = direct_sum_many(q, [battery[i][0]
-                                for i, k in enumerate(shifted.shifted)
-                                for _ in range(k)], module.field)
+        P = standard_sum(module.quiver, "projective", shifted.shifted,
+                         module.field)
         rep = verify_xx2(P, module, primes)
         rep.label = "unified (via shifted reduction): " + rep.label
         return rep

@@ -16,8 +16,7 @@ from itertools import product
 
 from .errors import (ConfigurationError, InputError, PreconditionError,
                      PrimeInstabilityError)
-from .linalg import (GF, Mat, QQ, column_basis, column_complement, hstack,
-                     quotient_map, vstack)
+from .linalg import GF, Mat, QQ, hstack, quotient_map, vstack
 from .quiver import Quiver, check_dimvec
 
 
@@ -379,64 +378,31 @@ def middle_term(cocycle: ExtCocycle) -> Representation:
     return Representation(M.quiver, F, dim, mats)
 
 
-# -- subobjects and quotients ---------------------------------------------
+# -- kernels and cokernels -------------------------------------------------
 
-def sub_rep(M: Representation, bases: list) -> tuple[Representation, list]:
-    """Subrepresentation spanned by per-vertex column bases.
-
-    Returns (S, inclusion); raises if the given subspaces are not
-    arrow-stable.
-    """
-    F = M.field
+def kernel_rep(f: list, M: Representation, N: Representation):
+    """Kernel of f: M -> N, as (K, inclusion into M).  K_i has the
+    canonical nullspace basis B_i of f_i, the identity at the free columns
+    of rref(f_i), each the last nonzero row of its column.  So K_a, with
+    M_a B_s = B_t K_a, is M_a B_s read at the free rows of B_t."""
+    bases = [m.nullspace() for m in f]
+    free = [[max(r for r in range(B.rows) if B.data[r][j])
+             for j in range(B.cols)] for B in bases]
     mats = []
     for a, (s, t) in enumerate(M.quiver.arrows):
         img = M.matrices[a].mul(bases[s - 1])
-        try:
-            mats.append(bases[t - 1].solve(img))
-        except ValueError as exc:
-            raise InputError("subspaces are not arrow-stable") from exc
-    dim = tuple(b.cols for b in bases)
-    return Representation(M.quiver, F, dim, mats), list(bases)
-
-
-def kernel_rep(f: list, M: Representation, N: Representation):
-    """Kernel of a morphism f: M -> N, as (K, inclusion into M)."""
-    bases = []
-    for i in range(M.quiver.n):
-        bases.append(f[i].nullspace())
-    return sub_rep(M, bases)
-
-
-def quotient_rep(M: Representation, sub_bases: list):
-    """Quotient of M by an arrow-stable subrepresentation.
-
-    Returns (Q, projection maps M_i -> Q_i).
-    """
-    F = M.field
-    comps = [column_complement(F, b) for b in sub_bases]
-    full = [hstack(F, [b, c], rows=M.dim[i])
-            for i, (b, c) in enumerate(zip(sub_bases, comps))]
-    inv = [m.inverse() if m.rows else m for m in full]
-    projs = []
-    for i in range(M.quiver.n):
-        k = sub_bases[i].cols
-        pr = Mat(F, M.dim[i] - k, M.dim[i])
-        pr.data = [row[:] for row in inv[i].data[k:]]
-        projs.append(pr)
-    mats = []
-    dim = tuple(M.dim[i] - sub_bases[i].cols for i in range(M.quiver.n))
-    for a, (s, t) in enumerate(M.quiver.arrows):
-        sect = Mat(F, M.dim[s - 1], dim[s - 1])
-        k = sub_bases[s - 1].cols
-        for r in range(M.dim[s - 1]):
-            sect.data[r] = full[s - 1].data[r][k:]
-        mats.append(projs[t - 1].mul(M.matrices[a]).mul(sect))
-    return Representation(M.quiver, F, dim, mats), projs
+        mats.append(Mat._wrap(M.field, len(free[t - 1]), img.cols,
+                              [img.data[r] for r in free[t - 1]]))
+    return (Representation(M.quiver, M.field, tuple(B.cols for B in bases),
+                           mats), bases)
 
 
 def cokernel_rep(f: list, M: Representation, N: Representation):
-    """Cokernel of f: M -> N, as (C, projection maps)."""
-    return quotient_rep(N, [column_basis(f[i]) for i in range(N.quiver.n)])
+    """Cokernel of f: M -> N, as (C, projection maps): C = D Ker(Df) for
+    the transposes Df: DN -> DM, and each projection is the transpose of
+    that kernel's inclusion."""
+    K, inclusion = kernel_rep([m.transpose() for m in f], dual(N), dual(M))
+    return dual(K), [B.transpose() for B in inclusion]
 
 
 # -- tops, socles and isomorphism testing ---------------------------------
@@ -455,6 +421,13 @@ def _standard_battery(q: Quiver, field) -> tuple:
     """(P_i, I_i) for every vertex i, shared between callers."""
     return tuple((projective_rep(q, i, field), injective_rep(q, i, field))
                  for i in range(1, q.n + 1))
+
+
+def standard_sum(q: Quiver, kind: str, mults, field=QQ) -> Representation:
+    """The sum of mults[i - 1] copies of P_i or I_i over the vertices i."""
+    j = ("projective", "injective").index(kind)
+    return direct_sum_many(q, [pair[j] for pair, m in zip(
+        _standard_battery(q, field), mults) for _ in range(m)], field)
 
 
 def _fingerprint_matrices(M: Representation) -> list:

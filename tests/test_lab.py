@@ -26,7 +26,7 @@ from cclab.multiplication import (_bucket_key, _ext_key,
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
-                        cokernel_rep, dual, fingerprint, hom_basis,
+                        cokernel_rep, direct_sum, dual, fingerprint, hom_basis,
                         injective_rep,
                         is_isomorphic, kernel_rep, make_rep, middle_term,
                         projective_rep, reduce_mats, reduce_rep, simple_rep,
@@ -438,6 +438,21 @@ def test_denominator_collision_is_a_configuration_error(primes, run, p):
     with pytest.raises(ConfigurationError,
                        match=f"prime {p} collides with matrix denominators"):
         run(_denominator_23(), simple_rep(kronecker_quiver(), 2), primes)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_ext_side_refuses_a_prime_where_ext_jumps(primes, d):
+    """R(1, 23) is R(1, 0) mod 23, so dim Ext^1(R(1, 0), L) is d over QQ
+    and d + 1 mod 23; the one rank per prime refuses 23 before any point,
+    with d = 0 too."""
+    L = kronecker_regular(1, 23)
+    if d:
+        L = direct_sum(kronecker_regular(1, 0), L)
+    others = [p for p in primes if p != 23]
+    assert 23 in primes and len(others) == len(primes) - 1
+    assert stable_ext1_dim(kronecker_regular(1, 0), L, others) == d
+    with pytest.raises(PrimeInstabilityError, match="degenerate mod 23"):
+        stratify_ext_side(kronecker_regular(1, 0), L, primes)
 
 
 def test_representative_skips_a_lift_that_does_not_reduce(primes):

@@ -1,6 +1,7 @@
 """Representation lab: standard modules, Hom/Ext, extensions, AR translate."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from cclab.reps import (_has_invertible_combination, _standard_battery,
                         cluster_object, cokernel_rep, combine, direct_sum,
                         direct_sum_many,
                         ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
-                        injective_rep, is_isomorphic, make_rep, middle_term,
+                        injective_rep, is_isomorphic, kernel_rep, make_rep,
+                        middle_term,
                         projective_rep, reduce_rep, simple_rep,
                         stable_ext1_dim, stable_hom_dim, standard_module,
                         top_multiplicities, zero_rep)
@@ -118,6 +120,57 @@ def test_prime_stability_guards(primes):
     for M, N in corpus_pairs():
         assert stable_hom_dim(M, N, primes) == hom_dim(M, N)
         assert stable_ext1_dim(M, N, primes) == ext1_dim(M, N)
+
+
+# -- kernels and cokernels -------------------------------------------------
+
+def check_kernel_cokernel(f, M, N):
+    """The defining properties of (K, i) = kernel_rep and (C, pi) =
+    cokernel_rep at f: M -> N: i and pi intertwine, f i = 0 and pi f = 0,
+    each i_v is injective with dim K_v the nullity of f_v, and each pi_v
+    is surjective with dim C_v = dim N_v - rank f_v."""
+    K, inc = kernel_rep(f, M, N)
+    C, proj = cokernel_rep(f, M, N)
+    assert K.quiver == C.quiver == M.quiver
+    for a, (s, t) in enumerate(M.quiver.arrows):
+        assert M.matrices[a].mul(inc[s - 1]) == inc[t - 1].mul(K.matrices[a])
+        assert proj[t - 1].mul(N.matrices[a]) == C.matrices[a].mul(
+            proj[s - 1])
+    for v, fv in enumerate(f):
+        rank = fv.rank()
+        assert (inc[v].rows, inc[v].cols) == (M.dim[v], K.dim[v])
+        assert (proj[v].rows, proj[v].cols) == (C.dim[v], N.dim[v])
+        assert fv.mul(inc[v]).is_zero() and proj[v].mul(fv).is_zero()
+        assert inc[v].rank() == K.dim[v] == M.dim[v] - rank
+        assert proj[v].rank() == C.dim[v] == N.dim[v] - rank
+
+
+@given(rep_pairs())
+@settings(deadline=None)
+def test_kernel_and_cokernel_properties(case):
+    """On a random f in Hom(L, T) over GF(p), zero included."""
+    L, T, rng = case
+    zero = [Mat(L.field, t, l) for t, l in zip(T.dim, L.dim)]
+    basis = hom_basis(L, T)
+    check_kernel_cokernel(combine([zero] + basis, [0] + [
+        rng.randrange(L.field.p) for _ in basis]), L, T)
+
+
+@pytest.mark.parametrize("M, N, coeffs", [
+    (projective_rep(kronecker_quiver(), 2), projective_rep(
+        kronecker_quiver(), 1), (1, 2)),
+    (projective_rep(kronecker_quiver(), 1), ar_translate(
+        simple_rep(kronecker_quiver(), 1)), (1, -1, Fraction(1, 2))),
+    (projective_rep(a3_quiver(), 2), injective_rep(a3_quiver(), 2), (3,)),
+    (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5),
+     (2,)),
+    (direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 1)),
+     direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 2)), (1, -1)),
+    (kronecker_regular(1, 1), kronecker_regular(1, 1), (0,)),
+], ids=["kronecker-P2-P1", "kronecker-P1-tauS1", "a3-P2-I2",
+        "d4tilde-P1-I5", "kronecker-R11^2-R11+R12", "kronecker-zero"])
+def test_kernel_and_cokernel_rational(M, N, coeffs):
+    check_kernel_cokernel(combine(hom_basis(M, N), coeffs), M, N)
 
 
 # -- isomorphism testing ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -57,3 +58,6 @@ def test_bench_script_writes_counts(tmp_path):
         0, 0, 1, 1, 1]
     assert all(row["us_per_ar_translate"] > 0 and row["us_per_ar_inverse"] > 0
                for row in doc["tau"])
+    src = pathlib.Path(ROOT, "src", "cclab")
+    assert doc["src_lines"] == sum(len(path.read_text().splitlines())
+                                   for path in src.glob("*.py"))
