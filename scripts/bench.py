@@ -1,11 +1,12 @@
-"""Time the mutation oracle, the Laurent kernels, two stratifications and
-the AR translate, and count the package's lines; write BENCH_12.json.
+"""Time the mutation oracle, the Laurent kernels, two stratifications, the
+AR translate and Grassmannian profiles, and count the package's lines;
+write BENCH_13.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Six parts:
+Stdlib only.  Seven parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials) and
   the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
@@ -27,6 +28,12 @@ Stdlib only.  Six parts:
   follows.
 - tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
   Kronecker and D4-tilde quivers, in microseconds a call.
+- grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
+  A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first.
+  The timed runs also count the count_subreps calls, one per (e, p), and
+  the cover tuples they walk, prod [d_v choose e_v]_p over the vertices
+  left after free_vertices, beside the brute-force tuples over all
+  vertices; the counting adds one free_vertices call to each count.
 - src_lines: the lines of src/cclab/*.py, the size of the package.
 
 Every time is the median of the repeats, in seconds of the process's CPU
@@ -46,16 +53,18 @@ import statistics
 import sys
 import time
 
-from cclab import multiplication, mutation
+from cclab import grassmannian, multiplication, mutation
 from cclab.artranslate import ar_inverse, ar_translate
 from cclab.config import default_primes
-from cclab.corpus import d4tilde_tube_simples, kronecker_regular
+from cclab.corpus import (d4tilde_tube_simples, interval_module,
+                          kronecker_regular)
 from cclab.laurent import divide_exact
 from cclab.linalg import QQ
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
-from cclab.quiver import d4tilde_quiver, kronecker_quiver, validate_quiver
-from cclab.reps import injective_rep, projective_rep, simple_rep
+from cclab.quiver import (a3_quiver, d4tilde_quiver, kronecker_quiver,
+                          validate_quiver)
+from cclab.reps import direct_sum, injective_rep, projective_rep, simple_rep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLOSURES = (
@@ -197,10 +206,56 @@ def tau_modules():
             ("d4t.E1", e1), ("d4t.I5", injective_rep(qd, 5))]
 
 
+def grass_modules():
+    """The profiled modules, as (name, module)."""
+    e1, _ = d4tilde_tube_simples()
+    i13 = interval_module(a3_quiver(), 1, 3)
+    qk = kronecker_quiver()
+    return [("d4t.E1+E1", direct_sum(e1, e1)),
+            ("a3.I13+I13", direct_sum(i13, i13)),
+            ("kronecker.P1+I2",
+             direct_sum(projective_rep(qk, 1), injective_rep(qk, 2)))]
+
+
+@contextlib.contextmanager
+def counting_subreps():
+    """While active, count the count_subreps calls and the cover and
+    brute-force tuples of each, by wrapping count_subreps; yields the
+    counts."""
+    counts = {"count_subreps_calls": 0, "cover_tuples": 0,
+              "brute_force_tuples": 0}
+    count = grassmannian.count_subreps
+    binomial = grassmannian.gaussian_binomial
+
+    def counting_count(M, e, p):
+        free = grassmannian.free_vertices(M.quiver, M.dim, e)
+        counts["count_subreps_calls"] += 1
+        for key, vertices in (("cover_tuples", set(range(M.quiver.n)) - free),
+                              ("brute_force_tuples", range(M.quiver.n))):
+            tuples = 1
+            for v in vertices:
+                tuples *= binomial(M.dim[v], e[v], p)
+            counts[key] += tuples
+        return count(M, e, p)
+
+    grassmannian.count_subreps = counting_count
+    try:
+        yield counts
+    finally:
+        grassmannian.count_subreps = count
+
+
+def cold_profile(M, primes):
+    """grassmannian_profile with its profile and table caches cleared."""
+    grassmannian._profile.cache_clear()
+    grassmannian._tables.cache_clear()
+    return grassmannian.grassmannian_profile(M, primes)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_12.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_13.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -263,6 +318,14 @@ def main(argv=None):
             row[f"us_per_{fn.__name__}"] = t["median_s"] / TAU_CALLS * 1e6
         tau.append(row)
 
+    grass = []
+    for name, M in grass_modules():
+        with counting_subreps() as counts:
+            row = timed(lambda: cold_profile(M, primes), args.repeats)
+        row = {"name": name, "dim": M.dim, "primes": list(primes),
+               **{k: n // args.repeats for k, n in counts.items()}, **row}
+        grass.append(row)
+
     doc = {
         "machine": {"python": platform.python_version(),
                     "implementation": platform.python_implementation(),
@@ -276,6 +339,7 @@ def main(argv=None):
         "stratify": stratify,
         "misses": misses,
         "tau": tau,
+        "grass": grass,
         "src_lines": src_lines(),
     }
     with open(args.out, "w") as fh:
@@ -299,6 +363,10 @@ def main(argv=None):
     for row in tau:
         print(f"{row['name']}: ar_translate {row['us_per_ar_translate']:.0f} "
               f"us, ar_inverse {row['us_per_ar_inverse']:.0f} us")
+    for row in grass:
+        print(f"{row['name']} profile: {row['median_s']:.3f} s, "
+              f"{row['count_subreps_calls']} counts, {row['cover_tuples']} "
+              f"cover tuples ({row['brute_force_tuples']} brute force)")
     print(f"src/cclab: {doc['src_lines']} lines")
     return 0
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .errors import ConfigurationError, InputError, NotPolynomialCountError
-from .linalg import GF, Mat, hstack, vstack
+from .linalg import _nullspace_mod, _rank_mod
 from .reps import Representation, make_rep, reduce_rep
 
 
@@ -34,29 +35,18 @@ class CountingPolynomial:
         return len(self.coefficients) - 1 if self.coefficients else -1
 
 
-def subspace_bases(field: GF, d: int, k: int):
-    """All k-dim subspaces of F_p^d as reduced column-echelon bases.
-
-    Pivot rows are chosen among the d coordinates; free entries range over
-    F_p.  Each subspace appears exactly once.
-    """
-    if k == 0:
-        yield Mat(field, d, 0)
-        return
-    p = field.p
+def subspaces(p: int, d: int, k: int):
+    """All k-dim subspaces of F_p^d, each once, as k int basis vectors in
+    reduced echelon form: vector j is 1 at its pivot, 0 at the other pivots
+    and before its pivot, and free in F_p at the other coordinates."""
     for pivots in combinations(range(d), k):
-        free_pos = []
-        for j, pr in enumerate(pivots):
-            for r in range(pr + 1, d):
-                if r not in pivots:
-                    free_pos.append((r, j))
+        free_pos = [(j, r) for j, pr in enumerate(pivots)
+                    for r in range(pr + 1, d) if r not in pivots]
         for vals in product(range(p), repeat=len(free_pos)):
-            m = Mat(field, d, k)
-            for j, pr in enumerate(pivots):
-                m.data[pr][j] = field.one
-            for (r, j), v in zip(free_pos, vals):
-                m.data[r][j] = v
-            yield m
+            basis = [[int(r == pr) for r in range(d)] for pr in pivots]
+            for (j, r), v in zip(free_pos, vals):
+                basis[j][r] = v
+            yield tuple(map(tuple, basis))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -68,15 +58,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         num *= p ** (n - j) - 1
         den *= p ** (j + 1) - 1
     return num // den
-
-
-def _contained_in(field, big: Mat, small: Mat) -> bool:
-    """Whether the column span of `small` lies inside that of `big`."""
-    if small.cols == 0:
-        return True
-    if big.cols == 0:
-        return small.is_zero()
-    return hstack(field, [big, small], rows=big.rows).rank() == big.rank()
 
 
 def free_vertices(q, dim, e) -> set:
@@ -98,63 +79,79 @@ def free_vertices(q, dim, e) -> set:
     return free
 
 
+@lru_cache(maxsize=1)
+def _tables(q, field, dim, matrices) -> dict:
+    """Per prime p: the module's matrices mod p as int rows, and (v, k) ->
+    _vertex_table, shared by every e of the one module cached."""
+    return {}
+
+
+def _vertex_table(rows, ends, d: int, v: int, k: int, p: int) -> list:
+    """(U, reads) per k-subspace U of F_p^d at vertex v.  reads[a] is, for
+    an arrow a out of v, the vectors M_a u for the basis u of U; for an
+    arrow a into v, the rows of ann(U) M_a, where the rows of ann(U) span
+    the linear forms vanishing on U; None for an arrow not at v."""
+    def apply(R, X):  # the vectors R x for x in X, mod p
+        return tuple(tuple(sum(map(mul, r, x)) % p for r in R) for x in X)
+    cols = [list(zip(*m)) for m in rows]
+    table = []
+    for U in subspaces(p, d, k):
+        ann = _nullspace_mod([list(u) for u in U], d, p)[1]
+        table.append((U, tuple(apply(m, U) if s == v else
+                               apply(mc, ann) if t == v else None
+                               for m, mc, (s, t) in zip(rows, cols, ends))))
+    return table
+
+
 def count_subreps(M: Representation, e, p: int) -> int:
     """Number of subrepresentations of dimension vector e over F_p.
 
     Subspaces U_v are enumerated only on the vertex cover C left by
-    `free_vertices`.  Every arrow at a free vertex v has its other end in
-    C, so U_v may be any e_v-subspace between A_v, the sum of the images
-    M_a(U_s) of its in-arrows, and B_v, the intersection of the preimages
-    M_a^{-1}(U_t) of its out-arrows: [dim B_v - dim A_v, e_v - dim A_v]_p
-    choices when A_v lies in B_v, none otherwise.
+    `free_vertices`, from the module's `_tables`; an arrow a: s -> t in C
+    holds when ann(U_t) M_a U_s = 0.  Every arrow at a free vertex v has
+    its other end in C, so U_v may be any e_v-subspace between A_v, the sum
+    of the images M_a(U_s) of its in-arrows, and B_v, the intersection of
+    the preimages M_a^{-1}(U_t) of its out-arrows: [dim B_v - dim A_v,
+    e_v - dim A_v]_p choices when A_v lies in B_v, none otherwise.
     """
     q = M.quiver
     if len(e) != q.n:
         raise InputError("dimension vector length mismatch")
     if any(ei > di or ei < 0 for ei, di in zip(e, M.dim)):
         raise InputError("target dimension vector exceeds the module")
-    Mp = reduce_rep(M, p)
-    F = Mp.field
+    by_prime = _tables(q, M.field, M.dim,
+                       tuple(tuple(map(tuple, m.data)) for m in M.matrices))
+    if p not in by_prime:
+        by_prime[p] = [m.data for m in reduce_rep(M, p).matrices], {}
+    rows, tables = by_prime[p]
     ends = [(s - 1, t - 1) for s, t in q.arrows]
-    free = free_vertices(q, Mp.dim, e)
+    free = free_vertices(q, M.dim, e)
     cover = [v for v in range(q.n) if v not in free]
     slot = {v: i for i, v in enumerate(cover)}
-    # Per subspace U at a cover vertex, what each arrow joining it to a free
-    # vertex reads from U: M_a U for an arrow out of the cover, ann(U) M_a
-    # for an arrow into it, where the rows of ann(U) span the linear forms
-    # vanishing on U.
-    choices = []
     for v in cover:
-        outs = [a for a, (s, t) in enumerate(ends) if s == v and t in free]
-        ins = [a for a, (s, t) in enumerate(ends) if t == v and s in free]
-        options = []
-        for U in subspace_bases(F, Mp.dim[v], e[v]):
-            reads = {a: Mp.matrices[a].mul(U) for a in outs}
-            if ins:
-                ann = U.transpose().nullspace().transpose()
-                reads.update((a, ann.mul(Mp.matrices[a])) for a in ins)
-            options.append((U, reads))
-        choices.append(options)
+        if (v, e[v]) not in tables:
+            tables[v, e[v]] = _vertex_table(rows, ends, M.dim[v], v, e[v], p)
     inner = [(a, slot[s], slot[t]) for a, (s, t) in enumerate(ends)
              if s in slot and t in slot]
     sides = [(v, [(a, slot[s]) for a, (s, t) in enumerate(ends) if t == v],
               [(a, slot[t]) for a, (s, t) in enumerate(ends) if s == v])
              for v in sorted(free)]
     count = 0
-    for tup in product(*choices):
-        if not all(_contained_in(F, tup[t][0], Mp.matrices[a].mul(tup[s][0]))
-                   for a, s, t in inner):
+    for tup in product(*[tables[v, e[v]] for v in cover]):
+        if any(sum(map(mul, f, u)) % p for a, s, t in inner
+               for f in tup[t][1][a] for u in tup[s][0]):
             continue
         term = 1
         for v, ins, outs in sides:
-            d = Mp.dim[v]
-            images = hstack(F, [tup[s][1][a] for a, s in ins], rows=d)
-            forms = vstack(F, [tup[t][1][a] for a, t in outs], cols=d)
-            if not forms.mul(images).is_zero():
+            d = M.dim[v]
+            images = [w for a, s in ins for w in tup[s][1][a]]
+            forms = [f for a, t in outs for f in tup[t][1][a]]
+            if images and any(sum(map(mul, f, w)) % p
+                              for f in forms for w in images):
                 term = 0
                 break
-            dim_a = images.rank()
-            dim_b = d - forms.rank()
+            dim_a = _rank_mod(images, d, p) if images else 0
+            dim_b = d - (_rank_mod(forms, d, p) if forms else 0)
             term *= gaussian_binomial(dim_b - dim_a, e[v] - dim_a, p)
             if not term:
                 break
@@ -234,9 +231,12 @@ def grassmannian_profile(M: Representation, primes) -> dict:
 @lru_cache(maxsize=256)
 def _profile(q, field, dim, matrices, primes) -> dict:
     """grassmannian_profile, cached on the module's exact content."""
+    es = list(product(*[range(d + 1) for d in dim]))
+    for e in es:  # refuse before the first count
+        _check_prime_count(len(set(primes)), grassmannian_degree_bound(dim, e))
     M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
     out = {}
-    for e in product(*[range(d + 1) for d in dim]):
+    for e in es:
         chi = euler_char_grassmannian(M, e, primes)
         if chi:
             out[e] = chi

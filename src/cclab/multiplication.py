@@ -64,7 +64,7 @@ def _lines(p: int, d: int):
     """P^{d-1}(F_p), first nonzero coordinate 1, as lines (head, ts) of the
     points head + (t,): ts = range(p) for each point head of P^{d-2}(F_p),
     then ts = (1,) for the zero head.  The points come in the order of
-    grassmannian.subspace_bases(GF(p), d, 1)."""
+    grassmannian.subspaces(p, d, 1)."""
     for k in range(d - 1):
         for rest in product(range(p), repeat=d - 2 - k):
             yield (0,) * k + (1,) + rest, range(p)

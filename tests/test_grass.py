@@ -7,19 +7,55 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cclab import grassmannian
-from cclab.corpus import all_interval_modules, d4tilde_tube_simples
+from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
+                          kronecker_regular)
 from cclab.errors import (ConfigurationError, InputError,
                           NotPolynomialCountError)
-from cclab.grassmannian import (CountingPolynomial, _contained_in,
-                                count_subreps, euler_char_grassmannian,
-                                fit_and_verify, free_vertices,
-                                gaussian_binomial, grassmannian_profile,
-                                interpolate_counts, subspace_bases)
-from cclab.linalg import GF
+from cclab.grassmannian import (CountingPolynomial, count_subreps,
+                                euler_char_grassmannian, fit_and_verify,
+                                free_vertices, gaussian_binomial,
+                                grassmannian_profile, interpolate_counts,
+                                subspaces)
+from cclab.linalg import GF, Mat, hstack
 from cclab.quiver import (a2_quiver, a3_quiver, kronecker_quiver,
                           validate_quiver)
 from cclab.reps import (direct_sum, direct_sum_many, injective_rep, make_rep,
                         projective_rep, reduce_rep, simple_rep, zero_rep)
+
+
+def subspace_bases(field, d, k):
+    """All k-dim subspaces of F_p^d as reduced column-echelon `Mat` bases.
+
+    Pivot rows are chosen among the d coordinates; free entries range over
+    F_p.  Each subspace appears exactly once.  The oracle's own route,
+    independent of the int-row `subspaces` of the package.
+    """
+    if k == 0:
+        yield Mat(field, d, 0)
+        return
+    p = field.p
+    for pivots in combinations(range(d), k):
+        free_pos = []
+        for j, pr in enumerate(pivots):
+            for r in range(pr + 1, d):
+                if r not in pivots:
+                    free_pos.append((r, j))
+        for vals in product(range(p), repeat=len(free_pos)):
+            m = Mat(field, d, k)
+            for j, pr in enumerate(pivots):
+                m.data[pr][j] = field.one
+            for (r, j), v in zip(free_pos, vals):
+                m.data[r][j] = v
+            yield m
+
+
+def _contained_in(field, big, small) -> bool:
+    """Whether the column span of `small` lies inside that of `big`."""
+    if small.cols == 0:
+        return True
+    if big.cols == 0:
+        return small.is_zero()
+    return hstack(field, [big, small], rows=big.rows).rank() == big.rank()
 
 
 def brute_force_count(M, e, p):
@@ -47,6 +83,18 @@ def test_subspace_bases_counts_gaussian():
         [0, 1, 13, 13, 1, 0]
     assert gaussian_binomial(4, 2, 2) == \
         sum(1 for _ in subspace_bases(GF(2), 4, 2)) == 35
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_subspaces_match_mat_bases(p):
+    """The package's int-row enumerator lists the oracle's subspaces, in
+    the same order, as basis vectors (the columns of each Mat basis)."""
+    for d in range(5):
+        for k in range(d + 1):
+            ints = list(subspaces(p, d, k))
+            assert ints == [tuple(tuple(b.column(j)) for j in range(k))
+                            for b in subspace_bases(GF(p), d, k)]
+            assert len(ints) == gaussian_binomial(d, k, p)
 
 
 def test_count_zero_subrep():
@@ -169,6 +217,24 @@ def test_euler_char_refuses_before_counting(primes, monkeypatch):
         euler_char_grassmannian(M, (1, 3), primes)
 
 
+def test_profile_refuses_before_counting(primes, monkeypatch):
+    """Every e's degree bound is checked before the first count: Kronecker
+    P1 + I2 + S1 + S2 needs 9 primes at e = (2, 2) (bound 8), and the 8
+    default primes are refused with no count made."""
+    qk = kronecker_quiver()
+    M = direct_sum_many(qk, [projective_rep(qk, 1), injective_rep(qk, 2),
+                             simple_rep(qk, 1), simple_rep(qk, 2)])
+    assert M.dim == (4, 4)
+
+    def no_count(*args):
+        raise AssertionError("count_subreps called")
+    monkeypatch.setattr(grassmannian, "count_subreps", no_count)
+    assert len(primes) == 8
+    with pytest.raises(ConfigurationError,
+                       match="need at least 9 primes, have 8"):
+        grassmannian_profile(M, primes)
+
+
 # -- elimination counting against the brute-force oracle -------------------
 
 def _independent(q, vertices):
@@ -180,30 +246,61 @@ def _independent(q, vertices):
     return kept
 
 
-@st.composite
-def small_counts(draw):
-    """(M, e, p, I) on a random acyclic quiver, with I any independent set."""
+def _quiver(draw):
+    """A random acyclic quiver on 1 to 4 vertices with up to 4 arrows."""
     n = draw(st.integers(1, 4))
     pairs = list(combinations(range(1, n + 1), 2))
     arrows = draw(st.lists(st.sampled_from(pairs), max_size=4) if pairs
                   else st.just([]))
     label = draw(st.permutations(range(1, n + 1)))
-    q = validate_quiver(n, [(label[s - 1], label[t - 1]) for s, t in arrows])
-    dim = draw(st.tuples(*[st.integers(0, 3)] * n))
+    return validate_quiver(n, [(label[s - 1], label[t - 1])
+                               for s, t in arrows])
+
+
+def _module(draw, q, dim):
+    """A module of dimension vector dim on q with entries in [-2, 2]."""
+    entries = st.integers(-2, 2)
+    mats = [draw(st.lists(st.lists(entries, min_size=dim[s - 1],
+                                   max_size=dim[s - 1]),
+                          min_size=dim[t - 1], max_size=dim[t - 1]))
+            for s, t in q.arrows]
+    return make_rep(q, dim, mats)
+
+
+def _free_set(draw, q):
+    """Any independent set of q's vertices (0-indexed)."""
+    free = _independent(q, draw(st.permutations(range(q.n))))
+    return free - draw(st.sets(st.integers(0, q.n - 1)))
+
+
+@st.composite
+def small_counts(draw):
+    """(M, e, p, I) on a random acyclic quiver, with I any independent set."""
+    q = _quiver(draw)
+    dim = draw(st.tuples(*[st.integers(0, 3)] * q.n))
     e = tuple(draw(st.integers(0, d)) for d in dim)
     p = draw(st.sampled_from((2, 3, 5)))
     tuples = 1
     for d, k in zip(dim, e):
         tuples *= gaussian_binomial(d, k, p)
     assume(tuples <= 2000)  # keeps the oracle fast
-    entries = st.integers(-2, 2)
-    mats = [draw(st.lists(st.lists(entries, min_size=dim[s - 1],
-                                   max_size=dim[s - 1]),
-                          min_size=dim[t - 1], max_size=dim[t - 1]))
-            for s, t in q.arrows]
-    free = _independent(q, draw(st.permutations(range(n))))
-    free -= draw(st.sets(st.integers(0, n - 1)))
-    return make_rep(q, dim, mats), e, p, free
+    return _module(draw, q, dim), e, p, _free_set(draw, q)
+
+
+@st.composite
+def small_modules(draw):
+    """(M, p, es, I): a module as in small_counts, every e <= dim M in a
+    drawn order, and any independent set I."""
+    q = _quiver(draw)
+    dim = draw(st.tuples(*[st.integers(0, 3)] * q.n))
+    p = draw(st.sampled_from((2, 3, 5)))
+    tuples = 1  # the oracle's tuples, summed over every e
+    for d in dim:
+        tuples *= sum(gaussian_binomial(d, k, p) for k in range(d + 1))
+    assume(tuples <= 600)
+    M = _module(draw, q, dim)
+    es = draw(st.permutations(list(product(*[range(d + 1) for d in dim]))))
+    return M, p, es, _free_set(draw, q)
 
 
 @given(small_counts())
@@ -216,6 +313,66 @@ def test_count_matches_brute_force(case):
     with mock.patch.object(grassmannian, "free_vertices",
                            lambda q, dim, e: free):
         assert count_subreps(M, e, p) == expected
+
+
+@given(small_modules())
+@settings(deadline=None, max_examples=60)
+def test_shared_tables_count_every_e(case):
+    """The counts of every e of one module, in any order, share one set of
+    tables; each count equals the oracle's with the tables warm (filled by
+    the e before it, or under another free set) and cold."""
+    M, p, es, free = case
+    expected = {e: brute_force_count(M, e, p) for e in es}
+    grassmannian._tables.cache_clear()
+    assert {e: count_subreps(M, e, p) for e in es} == expected
+    with mock.patch.object(grassmannian, "free_vertices",
+                           lambda q, dim, e: free):
+        assert {e: count_subreps(M, e, p) for e in es} == expected
+    for e in es:
+        grassmannian._tables.cache_clear()
+        assert count_subreps(M, e, p) == expected[e]
+
+
+def test_tables_keyed_on_quiver_and_field():
+    """Equal matrices on another quiver or over another field are another
+    module, with tables of its own."""
+    forward, backward = a2_quiver(), validate_quiver(2, [(2, 1)])
+    line = make_rep(forward, (1, 1), [[[1]]])
+    # 1 -> 2 has no subrepresentation (1, 0); 2 -> 1 has one, the sink's
+    assert count_subreps(line, (1, 0), 5) == 0
+    assert count_subreps(make_rep(backward, (1, 1), [[[1]]]), (1, 0), 5) == 1
+    assert count_subreps(line, (1, 0), 5) == 0
+    # over GF(5) the same entries are a module that has no reduction mod 7
+    over_f5 = make_rep(forward, (1, 1), [[[1]]], GF(5))
+    assert count_subreps(over_f5, (0, 1), 5) == 1
+    assert count_subreps(line, (0, 1), 7) == 1
+    with pytest.raises(InputError):
+        count_subreps(over_f5, (0, 1), 7)
+
+
+def test_tables_are_bounded_and_transparent(monkeypatch):
+    """The tables hold one module; refilling, clearing or replacing them
+    leaves every count as it was."""
+    assert grassmannian._tables.cache_info().maxsize == 1
+    # a private cache, so the counts below start cold and the shared one
+    # is left as it was
+    tables = lru_cache(maxsize=1)(grassmannian._tables.__wrapped__)
+    monkeypatch.setattr(grassmannian, "_tables", tables)
+    qk = kronecker_quiver()
+    M = direct_sum(projective_rep(qk, 1), injective_rep(qk, 2))
+    N = direct_sum(simple_rep(qk, 1), kronecker_regular(1, 1))
+    es = [(1, 1), (2, 1), (1, 2), (3, 3)]
+    cold = {(e, p): count_subreps(M, e, p) for e in es for p in (2, 3, 5)}
+    assert tables.cache_info().currsize == 1
+    assert tables.cache_info().misses == 1  # one module, one entry
+    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
+    count_subreps(N, (1, 1), 3)  # N replaces M
+    assert tables.cache_info().currsize == 1
+    assert tables.cache_info().misses == 2
+    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
+    tables.cache_clear()
+    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
+    assert all(cold[e, 2] == brute_force_count(M, e, 2) for e in es)
 
 
 # -- counting-free check on tree modules -------------------------------------

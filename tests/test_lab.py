@@ -15,7 +15,7 @@ from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import (ConfigurationError, PreconditionError,
                           PrimeInstabilityError)
 from cclab.laurent import parse
-from cclab.grassmannian import subspace_bases
+from cclab.grassmannian import subspaces
 from cclab.linalg import GF, QQ, Mat
 from cclab.multiplication import (_bucket_key, _ext_key,
                                   _find_representative, _hom_side_middle,
@@ -338,10 +338,9 @@ def test_ext_pencil_key_matches_fingerprint(case):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lines_cover_projective_space_once(d, p):
     """The lines of _run_strata hold every point of P^{d-1}(F_p), first
-    nonzero coordinate 1, exactly once, in the order of subspace_bases."""
+    nonzero coordinate 1, exactly once, in the order of subspaces."""
     points = [head + (t,) for head, ts in _lines(p, d) for t in ts]
-    assert points == [tuple(b.column(0))
-                      for b in subspace_bases(GF(p), d, 1)]
+    assert points == [basis[0] for basis in subspaces(p, d, 1)]
     assert sorted(points) == sorted(
         c for c in product(range(p), repeat=d)
         if any(c) and next(x for x in c if x) == 1)

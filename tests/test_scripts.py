@@ -51,6 +51,16 @@ def test_bench_script_writes_counts(tmp_path):
     # the p + 1 cokernels of each prime share tau^{-1} C: one miss a prime
     assert misses["memo_misses"] == len(misses["primes"])
     assert misses["us_per_point"] > 0
+    grass = {row["name"]: row for row in doc["grass"]}
+    assert list(grass) == ["d4t.E1+E1", "a3.I13+I13", "kronecker.P1+I2"]
+    for row in grass.values():
+        # one count per e <= dim M and prime
+        n_e = 1
+        for d in row["dim"]:
+            n_e *= d + 1
+        assert row["count_subreps_calls"] == n_e * len(row["primes"])
+        assert 0 < row["cover_tuples"] < row["brute_force_tuples"]
+        assert row["median_s"] > 0
     tau = {row["name"]: row for row in doc["tau"]}
     assert tau["kronecker.S1"]["tau_dim"] == [3, 2]
     assert tau["kronecker.R(1,1)"]["inverse_dim"] == [1, 1]
