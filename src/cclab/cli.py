@@ -72,11 +72,16 @@ def _resolve_primes(config: WorkbenchConfig, *objects):
 def common_options(fn):
     fn = click.option("--quiver", "quiver_path", required=True,
                       type=click.Path(dir_okay=False))(fn)
-    fn = click.option("--primes", "primes_csv", default=None,
-                      help="comma-separated sample primes")(fn)
     fn = click.option("--format", "output_format", default="text",
                       type=click.Choice(["text", "structured"]))(fn)
     return fn
+
+
+def counting_options(fn):
+    """common_options plus --primes, for the commands that count points."""
+    fn = click.option("--primes", "primes_csv", default=None,
+                      help="comma-separated sample primes")(fn)
+    return common_options(fn)
 
 
 def _make_config(primes_csv, depth=None) -> WorkbenchConfig:
@@ -94,7 +99,7 @@ def main():
 
 
 @main.command("cc")
-@common_options
+@counting_options
 @click.option("--module", "module_paths", multiple=True,
               type=click.Path(dir_okay=False))
 @click.option("--shifted", "shifted_csv", default=None)
@@ -143,7 +148,7 @@ def _print_report(rep, output_format):
 @click.argument("kind", type=click.Choice(["xx1", "xx2", "unified"]))
 @click.argument("module_paths", nargs=-1,
                 type=click.Path(dir_okay=False))
-@common_options
+@counting_options
 @click.option("--shifted", "shifted_csv", default=None,
               help="shifted operand for unified (with one module file)")
 def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
@@ -158,7 +163,7 @@ def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
                     "--shifted is only valid for 'unified' with one module")
             M = load_module(module_paths[0], q)
             shift = _parse_shifted(shifted_csv, q.n)
-            primes = cfg.resolve_primes(max_entry_height(M))
+            primes = _resolve_primes(cfg, M)
             rep = verify_unified(cluster_object(M),
                                  ClusterObject(zero_rep(q), shift), primes)
         else:
@@ -166,8 +171,7 @@ def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
                 raise InputError("verify needs exactly two module files")
             A = load_module(module_paths[0], q)
             B = load_module(module_paths[1], q)
-            primes = cfg.resolve_primes(
-                max(max_entry_height(A), max_entry_height(B)))
+            primes = _resolve_primes(cfg, A, B)
             if kind == "xx1":
                 rep = verify_xx1(A, B, primes)
             elif kind == "xx2":
@@ -179,7 +183,7 @@ def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
 
 
 @main.command("grass")
-@common_options
+@counting_options
 @click.option("--module", "module_paths", multiple=True, required=True,
               type=click.Path(dir_okay=False))
 def cmd_grass(quiver_path, module_paths, primes_csv, output_format):
@@ -205,7 +209,7 @@ def cmd_grass(quiver_path, module_paths, primes_csv, output_format):
 @common_options
 @click.option("--directions", "directions_csv", required=True,
               help="comma-separated 1-indexed mutation directions")
-def cmd_mutate(quiver_path, directions_csv, primes_csv, output_format):
+def cmd_mutate(quiver_path, directions_csv, output_format):
     """Apply a mutation sequence and print the resulting cluster."""
     def go():
         q = load_quiver(quiver_path)
@@ -226,11 +230,11 @@ def cmd_mutate(quiver_path, directions_csv, primes_csv, output_format):
 @main.command("list-variables")
 @common_options
 @click.option("--depth", default=None, type=int)
-def cmd_list_variables(quiver_path, depth, primes_csv, output_format):
+def cmd_list_variables(quiver_path, depth, output_format):
     """Enumerate cluster variables by breadth-first mutation closure."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(primes_csv, depth)
+        cfg = _make_config(None, depth)
         variables, stable = enumerate_cluster_variables(
             q, cfg.depth, report_stable=True)
         strs = [str(x) for x in variables]
@@ -244,7 +248,7 @@ def cmd_list_variables(quiver_path, depth, primes_csv, output_format):
 
 
 @main.command("compare")
-@common_options
+@counting_options
 @click.option("--depth", default=None, type=int)
 def cmd_compare(quiver_path, depth, primes_csv, output_format):
     """Compare mutation-oracle variables against cluster-character images

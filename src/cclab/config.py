@@ -24,12 +24,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def default_primes(exceed: int = DEFAULT_MIN_PRIME,
-                   count: int = DEFAULT_PRIME_COUNT) -> tuple[int, ...]:
-    """First `count` primes strictly greater than `exceed` (and 20)."""
+def default_primes(exceed: int = DEFAULT_MIN_PRIME) -> tuple[int, ...]:
+    """The first DEFAULT_PRIME_COUNT primes above `exceed` and 20."""
     out = []
     n = max(exceed, DEFAULT_MIN_PRIME) + 1
-    while len(out) < count:
+    while len(out) < DEFAULT_PRIME_COUNT:
         if _is_prime(n):
             out.append(n)
         n += 1

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
-A field object supplies the element arithmetic and matrices store field
-elements in row-major nested lists.  Over GF(p) the hot operations work on
-the int rows directly; QQ goes through the field's methods.  Dimensions are
-tiny (desk scale), so plain Gaussian elimination is used throughout.
+Matrices store field elements in row-major nested lists and compute with
+Python's own operators; the field's `of` puts each result in the field, mod
+p over GF(p) and a Fraction over QQ.  Elimination picks its kernel by field:
+int rows mod p over GF(p), Fraction rows over QQ.  Dimensions are tiny (desk
+scale), so plain Gaussian elimination is used throughout.
 Zero-row and zero-column matrices are legal and behave as expected.
 """
 
@@ -22,30 +23,13 @@ class GF:
         self.one = 1 % p
 
     def of(self, a):
-        if isinstance(a, Fraction):
-            if a.denominator % self.p == 0:
-                raise ZeroDivisionError(
-                    f"denominator {a.denominator} not invertible mod {self.p}")
-            return a.numerator * pow(a.denominator, -1, self.p) % self.p
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
+        """a mod p, for an int or a Fraction with denominator prime to p."""
+        if type(a) is int:
+            return a % self.p
+        if a.denominator % self.p == 0:
+            raise ZeroDivisionError(
+                f"denominator {a.denominator} not invertible mod {self.p}")
+        return a.numerator * pow(a.denominator, -1, self.p) % self.p
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.p == self.p
@@ -65,25 +49,7 @@ class RationalField:
         self.one = Fraction(1)
 
     def of(self, a):
-        return Fraction(a)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / a
-
-    def is_zero(self, a):
-        return a == 0
+        return a if type(a) is Fraction else Fraction(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -101,9 +67,9 @@ QQ = RationalField()
 class Mat:
     """A rows x cols matrix over a field.
 
-    Over GF(p) the entries are ints in [0, p) and the arithmetic below works
-    on plain int rows with the reduction mod p written inline; the
-    field-generic loops serve QQ only.
+    The entries are ints in [0, p) over GF(p) and Fractions over QQ: each
+    operation applies Python's operators to them and `field.of` to each
+    result.  rref and rank pick the elimination kernel by field.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -117,12 +83,8 @@ class Mat:
             return
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"data shape mismatch, want {rows}x{cols}")
-        if isinstance(field, GF):
-            p = field.p
-            self.data = [[x % p if type(x) is int else field.of(x)
-                          for x in row] for row in data]
-        else:
-            self.data = [[field.of(x) for x in row] for row in data]
+        of = field.of
+        self.data = [[of(x) for x in row] for row in data]
 
     @classmethod
     def _wrap(cls, field, rows: int, cols: int, data) -> "Mat":
@@ -154,37 +116,23 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        F = self.field
+        of, zero = self.field.of, self.field.zero
         cols = list(zip(*other.data)) if other.rows else [()] * other.cols
-        if isinstance(F, GF):
-            p = F.p
-            data = [[sum(map(operator.mul, r, c)) % p for c in cols]
-                    for r in self.data]
-        else:
-            data = [[sum(map(operator.mul, r, c), F.zero) for c in cols]
-                    for r in self.data]
-        return Mat._wrap(F, self.rows, other.cols, data)
+        data = [[of(sum(map(operator.mul, r, c), zero)) for c in cols]
+                for r in self.data]
+        return Mat._wrap(self.field, self.rows, other.cols, data)
 
     def add(self, other: "Mat") -> "Mat":
-        F = self.field
-        if isinstance(F, GF):
-            p = F.p
-            data = [[(a + b) % p for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        else:
-            data = [[F.add(a, b) for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)]
-        return Mat._wrap(F, self.rows, self.cols, data)
+        of = self.field.of
+        data = [[of(a + b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.data, other.data)]
+        return Mat._wrap(self.field, self.rows, self.cols, data)
 
     def scale(self, c) -> "Mat":
-        F = self.field
-        c = F.of(c)
-        if isinstance(F, GF):
-            p = F.p
-            data = [[c * a % p for a in r] for r in self.data]
-        else:
-            data = [[F.mul(c, a) for a in r] for r in self.data]
-        return Mat._wrap(F, self.rows, self.cols, data)
+        of = self.field.of
+        c = of(c)
+        data = [[of(c * a) for a in r] for r in self.data]
+        return Mat._wrap(self.field, self.rows, self.cols, data)
 
     def transpose(self) -> "Mat":
         data = ([list(col) for col in zip(*self.data)] if self.rows
@@ -198,7 +146,7 @@ class Mat:
         if isinstance(F, GF):
             pivots = _rref_mod(data, self.cols, F.p)
         else:
-            pivots = _rref_generic(F, data, self.cols)
+            pivots = _rref_qq(data, self.cols)
         return Mat._wrap(F, self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
@@ -215,7 +163,7 @@ class Mat:
         for j, fc in enumerate(free):
             out.data[fc][j] = F.one
             for r, pc in enumerate(pivots):
-                out.data[pc][j] = F.neg(red.data[r][fc])
+                out.data[pc][j] = F.of(-red.data[r][fc])
         return out
 
     def column(self, j) -> list:
@@ -291,29 +239,27 @@ def _nullspace_mod(rows: list, ncols: int, p: int):
     return free, vecs
 
 
-def _rref_generic(F, m: list, ncols: int) -> list:
-    """Reduce rows of field elements to reduced row echelon form with the
-    field's own arithmetic, in place; returns the pivot columns."""
+def _rref_qq(m: list, ncols: int) -> list:
+    """Reduce rows of Fractions to reduced row echelon form, in place, with
+    the pivots of _rref_mod; returns the pivot columns."""
     nrows = len(m)
     pivots = []
     r = 0
     for c in range(ncols):
-        if r >= nrows:
+        if r == nrows:
             break
-        pr = None
         for i in range(r, nrows):
-            if not F.is_zero(m[i][c]):
-                pr = i
+            if m[i][c]:
                 break
-        if pr is None:
+        else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, x) for x in m[r]]
+        m[r], m[i] = m[i], m[r]
+        pivot = m[r][c]
+        row = m[r] = [x / pivot for x in m[r]]
         for i in range(nrows):
-            if i != r and not F.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [x - f * y for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
     return pivots

@@ -260,7 +260,7 @@ def _hom_system(M: Representation, N: Representation) -> Mat:
         # equation f_t @ Ma - Na @ f_s = 0, entry (r, c) of the result:
         # coefficient Ma[k][c] on f_t[r][k] and -Na[r][k] on f_s[k][c]
         for r in range(nt):
-            neg_na = [F.neg(x) for x in Na.data[r]]
+            neg_na = [F.of(-x) for x in Na.data[r]]
             for c in range(ms):
                 row = sys.data[r0 + r * ms + c]
                 row[off_t + r * mt: off_t + (r + 1) * mt] = ma_cols[c]

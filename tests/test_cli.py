@@ -235,6 +235,16 @@ def test_primes_flag_rejects_composite(workdir):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [("mutate", "--directions", "1"),
+                                  ("list-variables", "--depth", "5")])
+def test_primes_flag_only_on_counting_commands(workdir, args):
+    """mutate and list-variables count no points, so they take no --primes
+    and refuse it as an unknown option."""
+    res = run(*args, "--quiver", "a2.q", "--primes", "23")
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--primes" in res.output
+
+
 def test_cyclic_quiver_rejected(workdir):
     (workdir / "cyc.q").write_text(
         '{"vertices": 2, "arrows": [[1, 2], [2, 1]]}\n')

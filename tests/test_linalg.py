@@ -72,46 +72,56 @@ def test_complement_indices_match_greedy(m):
     assert quotient_map(m.field, m)[0] == greedy_complement(m.field, m)
 
 
-# -- the int GF(p) kernel against the field-generic elimination ------------
+# -- elimination against a reference with its own arithmetic ---------------
 
-def reference_rref(F, rows, ncols):
-    """Reference: Gauss-Jordan through the field's own methods."""
-    m = [list(r) for r in rows]
+def reference_field(p):
+    """(reduce, inverse) of the reference arithmetic: mod p for a prime p,
+    Fractions for p None."""
+    if p is None:
+        return Fraction, lambda a: 1 / a
+    return (lambda a: a % p), (lambda a: pow(a, -1, p))
+
+
+def reference_rref(p, rows, ncols):
+    """Reference: Gauss-Jordan, reducing after every operation."""
+    red, inverse = reference_field(p)
+    m = [[red(x) for x in r] for r in rows]
     pivots, r = [], 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if not F.is_zero(m[i][c])),
-                  None)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, x) for x in m[r]]
+        inv = inverse(m[r][c])
+        m[r] = [red(inv * x) for x in m[r]]
         for i in range(len(m)):
-            if i != r and not F.is_zero(m[i][c]):
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [red(x - red(f * y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
 
 
-def reference_nullspace(F, rows, ncols):
-    red, pivots = reference_rref(F, rows, ncols)
+def reference_nullspace(p, rows, ncols):
+    red, _ = reference_field(p)
+    rr, pivots = reference_rref(p, rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
-    out = [[F.zero] * len(free) for _ in range(ncols)]
+    out = [[red(0)] * len(free) for _ in range(ncols)]
     for j, fc in enumerate(free):
-        out[fc][j] = F.one
+        out[fc][j] = red(1)
         for r, pc in enumerate(pivots):
-            out[pc][j] = F.neg(red[r][fc])
+            out[pc][j] = red(-rr[r][fc])
     return out
 
 
-def reference_mul(F, a_rows, b_rows, bcols):
+def reference_mul(p, a_rows, b_rows, bcols):
+    red, _ = reference_field(p)
     out = []
     for row in a_rows:
-        acc = [F.zero] * bcols
+        acc = [red(0)] * bcols
         for a, b_row in zip(row, b_rows):
-            acc = [F.add(x, F.mul(a, y)) for x, y in zip(acc, b_row)]
+            acc = [red(x + red(a * y)) for x, y in zip(acc, b_row)]
         out.append(acc)
     return out
 
@@ -136,12 +146,46 @@ def test_int_kernel_matches_reference(case):
     F, A, X = case
     assert all(0 <= x < F.p for row in A.data for x in row)
     red, pivots = A.rref()
-    assert (red.data, pivots) == reference_rref(F, A.data, A.cols)
+    assert (red.data, pivots) == reference_rref(F.p, A.data, A.cols)
     assert A.rank() == len(pivots)
-    assert A.nullspace().data == reference_nullspace(F, A.data, A.cols)
-    assert A.mul(X).data == reference_mul(F, A.data, X.data, X.cols)
-    assert A.scale(-7).add(A).data == [[F.add(F.mul(F.of(-7), x), x)
-                                        for x in row] for row in A.data]
+    assert A.nullspace().data == reference_nullspace(F.p, A.data, A.cols)
+    assert A.mul(X).data == reference_mul(F.p, A.data, X.data, X.cols)
+    assert A.scale(-7).add(A).data == [[(-7 * x + x) % F.p for x in row]
+                                       for row in A.data]
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, B, X, c) over QQ: A and B of one shape up to 4x4 (0 rows or 0
+    columns included), X with as many rows as A has columns, and a scalar
+    c; entries and c are small ints or Fractions."""
+    entries = st.one_of(st.integers(-9, 9), st.fractions(
+        min_value=-9, max_value=9, max_denominator=6))
+    rows, cols, k = (draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                     draw(st.integers(0, 3)))
+
+    def mat(r, c):
+        return Mat(QQ, r, c, [draw(st.lists(entries, min_size=c, max_size=c))
+                              for _ in range(r)])
+    return mat(rows, cols), mat(rows, cols), mat(cols, k), draw(entries)
+
+
+@given(rational_systems())
+def test_rational_kernel_matches_reference(case):
+    """Over QQ every operation agrees with the reference in Fraction
+    arithmetic and leaves only Fractions: on ints, x / pivot is a float."""
+    A, B, X, c = case
+    red, pivots = A.rref()
+    ns, prod, total, scaled = A.nullspace(), A.mul(X), A.add(B), A.scale(c)
+    assert (red.data, pivots) == reference_rref(None, A.data, A.cols)
+    assert A.rank() == len(pivots)
+    assert ns.data == reference_nullspace(None, A.data, A.cols)
+    assert prod.data == reference_mul(None, A.data, X.data, X.cols)
+    assert total.data == [[x + y for x, y in zip(r, s)]
+                          for r, s in zip(A.data, B.data)]
+    assert scaled.data == [[c * x for x in r] for r in A.data]
+    assert all(type(x) is Fraction for m in (A, red, ns, prod, total, scaled)
+               for r in m.data for x in r)
 
 
 @st.composite
@@ -158,12 +202,11 @@ def raw_int_rows(draw):
 @given(raw_int_rows())
 def test_rank_kernel_matches_reference(case):
     """_rank_mod reads raw entries mod p, leaves the rows as they are and
-    counts the pivots of the field-generic elimination."""
+    counts the pivots of the reference elimination."""
     F, rows, ncols = case
     before = [row[:] for row in rows]
-    reduced = [[F.of(x) for x in row] for row in rows]
     assert (_rank_mod(rows, ncols, F.p)
-            == len(reference_rref(F, reduced, ncols)[1]))
+            == len(reference_rref(F.p, rows, ncols)[1]))
     assert rows == before
 
 
@@ -203,7 +246,7 @@ def test_pencil_rank_matches_rank(case):
             A = A.add(D.scale(ck))
         *head, t = c or [0]
         assert ranks_on_line(tuple(head), (t,)) == [
-            len(reference_rref(A0.field, A.data, A.cols)[1])]
+            len(reference_rref(A0.field.p, A.data, A.cols)[1])]
 
 
 @st.composite
