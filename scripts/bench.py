@@ -1,12 +1,12 @@
-"""Time the mutation oracle, the Laurent kernels, two stratifications, the
+"""Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_13.json.
+write BENCH_15.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Seven parts:
+Stdlib only.  Eight parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials) and
   the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
@@ -18,8 +18,13 @@ Stdlib only.  Seven parts:
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
   is timed, and one extra run counts the lines and points keyed, the
-  middle terms built per prime and over QQ and, on the Hom side, the memo
-  misses; the time per point follows.
+  points ranked exactly (by an elimination at that point, not read off a
+  line's generic rank), the middle terms built per prime and over QQ and,
+  on the Hom side, the memo misses; the time per point follows.
+- d4: both sides of Kronecker xx1(P1, I2) on the default primes,
+  P Ext^1(I2, P1) and P Hom(P1, tau I2), each of dimension 4, with the
+  counts of stratify, per run.  Its runs are timed with the counting
+  wrappers in place, which add one call a line and one per exact rank.
 - misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
   P Hom(S2, tau S1) of dimension 2, whose points give cokernels C with
   different canonical matrices but one canonical cokernel of tau^{-1} g.
@@ -53,7 +58,7 @@ import statistics
 import sys
 import time
 
-from cclab import grassmannian, multiplication, mutation
+from cclab import grassmannian, linalg, multiplication, mutation
 from cclab.artranslate import ar_inverse, ar_translate
 from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
@@ -132,18 +137,21 @@ def closure_counts(q, depth):
 @contextlib.contextmanager
 def counting():
     """While active, count the lines and points keyed on each side, the
-    middle terms built per prime and over QQ and the Hom-side memo misses,
-    by wrapping the line key functions, the middle terms and the bucket
-    key, which only a Hom-side miss computes; yields the counts."""
-    counts = {"ext": {"lines": 0, "points": 0, "middle_term_builds": 0,
-                      "rational_builds": 0},
-              "hom": {"lines": 0, "points": 0, "memo_misses": 0,
-                      "rational_builds": 0}}
+    points of each line ranked exactly, the middle terms built per prime
+    and over QQ and the Hom-side memo misses, by wrapping the line key
+    functions, the exact rank of line_ranks, the middle terms and the
+    bucket key, which only a Hom-side miss computes; yields the counts."""
+    counts = {"ext": {"lines": 0, "points": 0, "exact_points": 0,
+                      "middle_term_builds": 0, "rational_builds": 0},
+              "hom": {"lines": 0, "points": 0, "exact_points": 0,
+                      "memo_misses": 0, "rational_builds": 0}}
     ext, hom = counts["ext"], counts["hom"]
     run_strata = multiplication._run_strata
+    rank_at = linalg._rank_at
     build = multiplication.middle_term
     rule = multiplication.hom_side_middle_term
     bucket_key = multiplication._bucket_key
+    exact = set()  # the t ranked exactly on the current line
 
     def counting_run_strata(key_at_prime, middle_at_qq, d, primes, side):
         row = counts[side]
@@ -154,10 +162,17 @@ def counting():
             def counting(head, ts):
                 row["lines"] += 1
                 row["points"] += len(ts)
-                return keys_on(head, ts)
+                exact.clear()
+                keys = keys_on(head, ts)
+                row["exact_points"] += len(exact)
+                return keys
             return counting
         return run_strata(counting_key_at_prime, middle_at_qq, d, primes,
                           side)
+
+    def recording_rank_at(B, D, ncols, p, t):
+        exact.add(t)
+        return rank_at(B, D, ncols, p, t)
 
     def counting_build(eta):
         ext["rational_builds" if eta.M.field == QQ
@@ -173,6 +188,7 @@ def counting():
         return bucket_key(Y)
 
     multiplication._run_strata = counting_run_strata
+    linalg._rank_at = recording_rank_at
     multiplication.middle_term = counting_build
     multiplication.hom_side_middle_term = counting_rule
     multiplication._bucket_key = counting_bucket_key
@@ -180,6 +196,7 @@ def counting():
         yield counts
     finally:
         multiplication._run_strata = run_strata
+        linalg._rank_at = rank_at
         multiplication.middle_term = build
         multiplication.hom_side_middle_term = rule
         multiplication._bucket_key = bucket_key
@@ -255,7 +272,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_13.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_15.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -301,6 +318,19 @@ def main(argv=None):
     stratify = {"name": "kronecker.xx1(P1,S1)", "primes": list(primes),
                 **sides}
 
+    I2 = injective_rep(q, 2)
+    with counting() as sides:
+        for side, run in (
+                ("ext",
+                 lambda: multiplication.stratify_ext_side(I2, P1, primes)),
+                ("hom",
+                 lambda: multiplication.stratify_hom_side(P1, I2, primes))):
+            t = timed(run, args.repeats)
+            row = sides[side]
+            row.update({k: n // args.repeats for k, n in row.items()}, **t)
+            row["us_per_point"] = row["median_s"] / row["points"] * 1e6
+    d4 = {"name": "kronecker.xx1(P1,I2)", "primes": list(primes), **sides}
+
     with counting() as counts:
         multiplication.stratify_hom_side(S2, S1, primes)
     row = counts["hom"]
@@ -337,6 +367,7 @@ def main(argv=None):
         "closures": closures,
         "kernels": kernels,
         "stratify": stratify,
+        "d4": d4,
         "misses": misses,
         "tau": tau,
         "grass": grass,
@@ -352,11 +383,13 @@ def main(argv=None):
         print(f"kronecker x_{row['step']} ({row['terms']} terms): "
               f"mul {row['mul']['median_s'] * 1e3:.2f} ms, divide_exact "
               f"{row['divide_exact']['median_s'] * 1e3:.2f} ms")
-    for side in ("ext", "hom"):
-        row = stratify[side]
-        print(f"{stratify['name']} {side} side: {row['median_s']:.3f} s, "
-              f"{row['lines']} lines, {row['points']} points, "
-              f"{row['us_per_point']:.0f} us a point")
+    for part in (stratify, d4):
+        for side in ("ext", "hom"):
+            row = part[side]
+            print(f"{part['name']} {side} side: {row['median_s']:.3f} s, "
+                  f"{row['lines']} lines, {row['points']} points, "
+                  f"{row['exact_points']} ranked exactly, "
+                  f"{row['us_per_point']:.0f} us a point")
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
           f"{misses['points']} points, {misses['memo_misses']} misses, "
           f"{misses['us_per_point']:.0f} us a point")

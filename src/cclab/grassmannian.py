@@ -15,7 +15,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .errors import ConfigurationError, InputError, NotPolynomialCountError
-from .linalg import _nullspace_mod, _rank_mod
+from .linalg import _nullspace_of_rref, _rank_mod
 from .reps import Representation, make_rep, reduce_rep
 
 
@@ -90,13 +90,14 @@ def _vertex_table(rows, ends, d: int, v: int, k: int, p: int) -> list:
     """(U, reads) per k-subspace U of F_p^d at vertex v.  reads[a] is, for
     an arrow a out of v, the vectors M_a u for the basis u of U; for an
     arrow a into v, the rows of ann(U) M_a, where the rows of ann(U) span
-    the linear forms vanishing on U; None for an arrow not at v."""
+    the linear forms vanishing on U; None for an arrow not at v.  U comes
+    in reduced echelon form, so ann(U) is read off its pivots."""
     def apply(R, X):  # the vectors R x for x in X, mod p
         return tuple(tuple(sum(map(mul, r, x)) % p for r in R) for x in X)
     cols = [list(zip(*m)) for m in rows]
     table = []
     for U in subspaces(p, d, k):
-        ann = _nullspace_mod([list(u) for u in U], d, p)[1]
+        ann = _nullspace_of_rref(U, [u.index(1) for u in U], d, p)[1]
         table.append((U, tuple(apply(m, U) if s == v else
                                apply(mc, ann) if t == v else None
                                for m, mc, (s, t) in zip(rows, cols, ends))))

@@ -151,6 +151,10 @@ class LaurentPolynomial:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        c = self.terms.get((0,) * self.nvars, 0)
+        if len(self.terms) == (c != 0):
+            return hash(c)
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:

@@ -227,7 +227,12 @@ def _nullspace_mod(rows: list, ncols: int, p: int):
     nullspace basis: per free column, its unit vector corrected on the
     pivot columns, as the columns of Mat.nullspace."""
     red = [row[:] for row in rows]
-    pivots = _rref_mod(red, ncols, p)
+    return _nullspace_of_rref(red, _rref_mod(red, ncols, p), ncols, p)
+
+
+def _nullspace_of_rref(red: list, pivots: list, ncols: int, p: int):
+    """_nullspace_mod read off rows already in reduced row echelon form mod
+    p, with the given pivot columns."""
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
     for fc in free:
@@ -302,30 +307,99 @@ def _pencil_core(parts: list, ncols: int, p: int):
     return base, parts, ncols if parts[0] else 0
 
 
+def _det_mod(m: list, p: int) -> int:
+    """Determinant mod p of a square matrix of int rows in [0, p)."""
+    m, det = list(m), 1
+    for c in range(len(m)):
+        for i in range(c, len(m)):
+            if m[i][c]:
+                break
+        else:
+            return 0
+        m[c], m[i] = m[i], m[c]
+        det = (det if i == c else -det) * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for i in range(c + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return det
+
+
+def line_ranks(B: list, D: list, ncols: int, p: int, ts) -> list:
+    """rank(B + t D) over GF(p) for each t in ts, distinct elements of F_p,
+    for int rows B and D with ncols columns, entries read mod p.
+
+    With n = min(rows, ncols), the ranks at n + 1 of the t reach the
+    generic rank r, since an r x r minor that is nonzero over F_p(t) has at
+    most r roots.  Such a minor, mu(t), sits on the pivot columns of B + tD
+    at a t of rank r and on the pivot rows of those columns there.  It is
+    interpolated from its values at r + 1 of the t, and only at its roots
+    is B + tD ranked; elsewhere the rank is r.  With at most n + 1 values
+    of t, each is ranked.
+    """
+    ts = list(ts)
+    n = min(len(B), ncols)
+    if len(ts) <= n + 1:
+        return [_rank_at(B, D, ncols, p, t) for t in ts]
+    ranks = []
+    for t in ts[:n + 1]:
+        ranks.append(_rank_at(B, D, ncols, p, t))
+        if ranks[-1] == n:
+            break
+    r, rest = max(ranks), ts[len(ranks):]
+    if not r:
+        return ranks + [0] * len(rest)
+    t = ts[ranks.index(r)]
+    A = [[(x + t * y) % p for x, y in zip(u, v)] for u, v in zip(B, D)]
+    cols = (range(ncols) if r == ncols
+            else _rref_mod([row[:] for row in A], ncols, p))
+    rows = (range(len(A)) if r == len(A)
+            else _rref_mod([[row[c] for row in A] for c in cols], len(A), p))
+    Bm, Dm = ([[M[i][c] for c in cols] for i in rows] for M in (B, D))
+    # mu in Newton form on the nodes xs, then evaluated at the rest
+    xs = ts[:r + 1]
+    coef = [_det_mod([[(x + t * y) % p for x, y in zip(u, v)]
+                      for u, v in zip(Bm, Dm)], p) for t in xs]
+    for j in range(1, r + 1):
+        for i in range(r, j - 1, -1):
+            coef[i] = ((coef[i] - coef[i - 1])
+                       * pow(xs[i] - xs[i - j], -1, p) % p)
+    mu = [coef[r]] * len(rest)
+    for x, c in zip(xs[r - 1::-1], coef[r - 1::-1]):
+        mu = [(m * (t - x) + c) % p for m, t in zip(mu, rest)]
+    return ranks + [r if m else _rank_at(B, D, ncols, p, t)
+                    for m, t in zip(mu, rest)]
+
+
+def _rank_at(B: list, D: list, ncols: int, p: int, t: int) -> int:
+    """rank(B + t D) over GF(p) by elimination, for line_ranks."""
+    return _rank_mod([[x + t * y for x, y in zip(u, v)]
+                      for u, v in zip(B, D)], ncols, p)
+
+
 def pencil_rank(A0: Mat, Ds: list):
     """rank(A0 + sum_k c_k Ds[k]) over GF(p) on the line c = (head, t) of
     the last direction, for each t in ts, as a function of (head, ts).
 
     The set-up reduces the whole pencil to a core.  On a line that core is
     B + t D, and the same reduction, once per line, leaves a smaller core
-    for each t to rank.  Ds is not empty.
+    that line_ranks ranks at every t.  Ds is not empty.
     """
     p = A0.field.p
     base, core, ncols = _pencil_core([A0.data] + [D.data for D in Ds],
                                      A0.cols, p)
     if not ncols:
         return lambda head, ts: [base] * len(ts)
-    first, last = core[0], core[-1]
+    # per entry, its values in the parts other than the last
+    stacked = [list(zip(*rows)) for rows in zip(*core[:-1])]
 
     def ranks_on_line(head, ts):
-        B = first
-        for h, D in zip(head, core[1:-1]):
-            if h:
-                B = [[x + h * y for x, y in zip(r, s)] for r, s in zip(B, D)]
-        more, (B, D), n = _pencil_core([B, last], ncols, p)
-        return [base + more + _rank_mod(
-            [[x + t * y for x, y in zip(r, s)] for r, s in zip(B, D)], n, p)
-            for t in ts]
+        c = (1,) + head
+        B = [[sum(map(operator.mul, c, xs)) for xs in row]
+             for row in stacked]
+        more, (B, D), n = _pencil_core([B, core[-1]], ncols, p)
+        return [base + more + r for r in line_ranks(B, D, n, p, ts)]
     return ranks_on_line
 
 

@@ -16,7 +16,7 @@ forms the left-hand side of every identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from operator import mul
 
 from .artranslate import (ar_inverse_maps, ar_translate,
@@ -27,7 +27,8 @@ from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
 from .grassmannian import fit_and_verify
 from .laurent import LaurentPolynomial
-from .linalg import GF, Mat, _nullspace_mod, hstack, pencil_rank
+from .linalg import (GF, Mat, _nullspace_mod, hstack, line_ranks,
+                     pencil_rank)
 from .reps import (ClusterObject, ExtCocycle, Representation,
                    _fingerprint_matrices, _fingerprint_of, _hom_system,
                    cluster_object, cokernel_rep, combine, direct_sum, dual,
@@ -85,13 +86,17 @@ def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
     witnesses: dict = {}
     for p in primes:
         keys_on = key_at_prime(p)
+        here: dict = {}
         for head, ts in _lines(p, d):
             for t, key in zip(ts, keys_on(head, ts)):
-                by_prime = counts.setdefault(key, {})
-                by_prime[p] = by_prime.get(p, 0) + 1
-                witnesses.setdefault(key, (p, []))
-                if witnesses[key][0] == p:
-                    witnesses[key][1].append(head + (t,))
+                here[key] = here.get(key, 0) + 1
+                witness = witnesses.get(key)
+                if witness is None:
+                    witness = witnesses[key] = (p, [])
+                if witness[0] == p:
+                    witness[1].append(head + (t,))
+        for key, n in here.items():
+            counts.setdefault(key, {})[p] = n
     reports = []
     total = 0
     for key in sorted(counts):
@@ -145,11 +150,17 @@ def _ext_key(M: Representation, L: Representation, indices):
     ranks = [pencil_rank(A, [U.add(A.scale(-1)) for U in Us])
              for A, *Us in zip(base, *units)]
     shifted = (0,) * M.quiver.n
+    memo = {}
 
     def keys_on(head, ts):
-        nullities = zip(*[[A.cols - r for r in rank(head, ts)]
-                          for A, rank in zip(base, ranks)])
-        return [(shifted, _fingerprint_of(split.dim, n)) for n in nullities]
+        keys = []
+        for n in zip(*[[A.cols - r for r in rank(head, ts)]
+                       for A, rank in zip(base, ranks)]):
+            key = memo.get(n)
+            if key is None:
+                key = memo[n] = (shifted, _fingerprint_of(split.dim, n))
+            keys.append(key)
+        return keys
     return keys_on
 
 
@@ -208,21 +219,17 @@ def _kernel_key(g, L: Representation) -> tuple:
                   for (s, t), La in zip(L.quiver.arrows, L.matrices)))
 
 
-def _maps_on_line(maps, L: Representation, T: Representation, p: int):
-    """The maps sum_k c_k f_k: L -> T at the points c = head + (t,) of a
-    line (head, ts), as per-vertex int rows.  Each f_k is one flat int
-    vector, and ts is a run of consecutive t, so each step adds f_d."""
-    flat = [[x for m in f for row in m.data for x in row] for f in maps]
-    positions, last = list(zip(*flat)), flat[-1]
-    starts = accumulate((t * l for t, l in zip(T.dim, L.dim)), initial=0)
-    blocks = [[slice(s + i * l, s + (i + 1) * l) for i in range(t)]
-              for s, t, l in zip(starts, T.dim, L.dim)]
+def _line_pencils(maps, p: int):
+    """The maps sum_k c_k f_k on the line of points c = head + (t,), as a
+    function of head: per vertex i, the int rows (G_i, F_i), mod p, of
+    G + t F."""
+    stacked = [[list(zip(*rows)) for rows in zip(*(f[i].data for f in maps))]
+               for i in range(len(maps[0]))]
 
-    def on_line(head, ts):
-        g = [sum(map(mul, head + (ts[0] - 1,), xs)) for xs in positions]
-        for _ in ts:
-            g = [(x + y) % p for x, y in zip(g, last)]
-            yield [[g[s] for s in rows] for rows in blocks]
+    def on_line(head):
+        c = head + (0,)
+        return [([[sum(map(mul, c, xs)) % p for xs in row] for row in G],
+                 F.data) for G, F in zip(stacked, maps[-1])]
     return on_line
 
 
@@ -233,11 +240,16 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     over QQ, where R = Coker h for the image h of g under the linear
     family(L, T, maps) -> (L', T', maps').
 
-    family runs on the basis maps once per prime, and along a line g and h
-    each step by one addition.  As Coker h = D Ker(Dh), with Dh: DT' -> DL'
-    the transposes, a point's memo key is the _kernel_key of g and of Dh.
-    Equal keys give equal K, R and dim Coker g, so a miss builds the
-    middle term from the key alone.
+    family runs on the basis maps once per prime.  As Coker h = D Ker(Dh),
+    with Dh: DT' -> DL' the transposes, a point's memo key is the
+    _kernel_key of g and of Dh.  Equal keys give equal K, R and dim Coker g,
+    so a miss builds the middle term from the key alone.
+
+    A line is formed once as the pencils G + t F of g and of Dh at each
+    vertex, and line_ranks ranks them at every t.  Where each is injective
+    the key is the one of K = R = 0, with dim Coker g = dim T - dim L, and
+    no kernel is computed; only at the other t are g and Dh built and
+    keyed.
     """
     if d == 0:
         return []
@@ -253,15 +265,26 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
             raise PrimeInstabilityError(f"Hom basis degenerates mod {p}")
         Lh, Th, images = family(Lp, Tp, basis)
         DTh = dual(Th)
-        g_on = _maps_on_line(basis, Lp, Tp, p)
-        h_on = _maps_on_line([[m.transpose() for m in f] for f in images],
-                             DTh, Lh, p)
+        g_on = _line_pencils(basis, p)
+        h_on = _line_pencils([[m.transpose() for m in f] for f in images], p)
+        arrows = ((),) * len(L.quiver.arrows)
+        injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
         memo = {}
 
         def keys_on(head, ts):
+            g_line, h_line = g_on(head), h_on(head)
+            full = [all(ranks) for ranks in zip(*(
+                [r == n for r in line_ranks(G, F, n, p, ts)]
+                for (G, F), n in zip(g_line + h_line, Lp.dim + DTh.dim)))]
             keys = []
-            for g, dh in zip(g_on(head, ts), h_on(head, ts)):
-                mk = (_kernel_key(g, Lp), _kernel_key(dh, DTh))
+            for t, injective in zip(ts, full):
+                if injective:
+                    mk = injective_key
+                else:
+                    g, dh = ([[[(x + t * y) % p for x, y in zip(r, s)]
+                               for r, s in zip(G, F)] for G, F in line]
+                             for line in (g_line, h_line))
+                    mk = (_kernel_key(g, Lp), _kernel_key(dh, DTh))
                 key = memo.get(mk)
                 if key is None:
                     dim_c = tuple(t - r for t, r in zip(T.dim, mk[0][0]))

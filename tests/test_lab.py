@@ -187,9 +187,10 @@ def test_kronecker_regular_from_exchange(primes):
 def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     """Kronecker xx1(P1, S1): P Hom(P1, tau S1) has dimension 3, but its
     points share few memo keys, so a middle term is built once per
-    distinct key at each prime, not once per point.  tau^{-1} runs on the
-    basis maps once per prime; ar_inverse runs only for the rational
-    lifts."""
+    distinct key at each prime, not once per point.  Kernel keys are read
+    only at the few points where g or Dh is not injective at some vertex;
+    the others share the key of K = R = 0.  tau^{-1} runs on the basis
+    maps once per prime; ar_inverse runs only for the rational lifts."""
     q = kronecker_quiver()
     keys, misses, inverses = [], [], []
     key_of, bucket_key = multiplication._kernel_key, multiplication._bucket_key
@@ -214,11 +215,13 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
     assert sum(s.chi for s in strata) == 3
-    # each point reads the key of g, then that of the transpose of h
+    # a keyed point reads the key of g, then that of the transpose of h;
+    # the key of K = R = 0 misses once a prime besides
     distinct = set(zip(keys[::2], keys[1::2]))
-    assert QQ not in misses and len(misses) == len(distinct)
+    assert QQ not in misses
+    assert len(misses) == len(distinct) + len(few_primes)
     points = sum(p * p + p + 1 for p in few_primes)
-    assert len(keys) == 2 * points
+    assert 0 < len(keys) * 10 < 2 * points
     assert 0 < len(distinct) * 10 < points
     assert inverses and set(inverses) == {QQ}
 
@@ -290,9 +293,11 @@ def test_ext_side_builds_few_middle_terms(monkeypatch, few_primes):
         "kronecker-hom(P1,S1)", "d4tilde-xx1(E2,E1)",
         "d4tilde-unified(E1,E2)"])
 def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
-    """With the memo switched off, every point builds its own middle term,
-    and the strata are the same.  The memo is switched off by kernel keys
-    that never compare equal but still decode to K and R."""
+    """With the memo switched off, every point that reads kernel keys
+    builds its own middle term, and the strata are the same.  The memo is
+    switched off by kernel keys that never compare equal but still decode
+    to K and R; the points where g and Dh are injective still share the
+    key of K = R = 0."""
     memoised = run(few_primes)
     key_of = multiplication._kernel_key
 
@@ -346,30 +351,57 @@ def test_lines_cover_projective_space_once(d, p):
         if any(c) and next(x for x in c if x) == 1)
 
 
+def _hom_line_keys_and_pointwise(monkeypatch, L, M, p):
+    """The Hom-side keys of each line of P Hom(L, tau M) at p, beside the
+    bucket keys of the middle terms of g = combine(basis, c) built point by
+    point with kernel_rep and cokernel_rep."""
+    captured = []
+    monkeypatch.setattr(multiplication, "_run_strata",
+                        lambda key_at_prime, *rest: captured.append(
+                            key_at_prime) or [])
+    stratify_hom_side(L, M, (p,))
+    T = artranslate.ar_translate(M)
+    Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+    basis = [reduce_mats(f, p) for f in hom_basis(L, T)]
+    keys_on = captured[0](p)
+    for head, ts in _lines(p, len(basis)):
+        for t, key in zip(ts, keys_on(head, ts)):
+            g = combine(basis, head + (t,))
+            yield key, _bucket_key(hom_side_middle_term(
+                kernel_rep(g, Lp, Tp)[0], cokernel_rep(g, Lp, Tp)[0]))
+
+
 @pytest.mark.parametrize("L, M", [
     (projective_rep(kronecker_quiver(), 1), simple_rep(kronecker_quiver(), 1)),
     (simple_rep(kronecker_quiver(), 2), simple_rep(kronecker_quiver(), 1)),
     (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5)),
 ], ids=["kronecker-hom(P1,S1)", "kronecker-hom(S2,S1)", "d4tilde-(P1,I5)"])
 def test_hom_line_keys_match_pointwise_maps(monkeypatch, L, M):
-    """At p = 5 the Hom-side keys of each line of P Hom(L, tau M), whose
-    maps step by one addition, are the bucket keys of the middle terms of
+    """At p = 5 the Hom-side keys of each line of P Hom(L, tau M), ranked
+    as pencils, are the bucket keys of the middle terms of
     g = combine(basis, c) built point by point with kernel_rep and
     cokernel_rep."""
-    captured = []
-    monkeypatch.setattr(multiplication, "_run_strata",
-                        lambda key_at_prime, *rest: captured.append(
-                            key_at_prime) or [])
-    stratify_hom_side(L, M, (5,))
-    T = artranslate.ar_translate(M)
-    Lp, Tp = reduce_rep(L, 5), reduce_rep(T, 5)
-    basis = [reduce_mats(f, 5) for f in hom_basis(L, T)]
-    keys_on = captured[0](5)
-    for head, ts in _lines(5, len(basis)):
-        for t, key in zip(ts, keys_on(head, ts)):
-            g = combine(basis, head + (t,))
-            assert key == _bucket_key(hom_side_middle_term(
-                kernel_rep(g, Lp, Tp)[0], cokernel_rep(g, Lp, Tp)[0]))
+    for key, pointwise in _hom_line_keys_and_pointwise(monkeypatch, L, M, 5):
+        assert key == pointwise
+
+
+def test_hom_line_keys_match_pointwise_maps_at_23(monkeypatch):
+    """At p = 23 on Kronecker hom(P1, tau S1), lines of 23 points are
+    ranked off the generic rank of each vertex pencil: the points where g
+    and Dh are injective share the key of K = R = 0 and only the others
+    read _kernel_key, and every key is the pointwise one."""
+    q = kronecker_quiver()
+    keyed = []
+    key_of = multiplication._kernel_key
+    monkeypatch.setattr(multiplication, "_kernel_key",
+                        lambda g, L: keyed.append(L) or key_of(g, L))
+    pairs = list(_hom_line_keys_and_pointwise(
+        monkeypatch, projective_rep(q, 1), simple_rep(q, 1), 23))
+    assert all(key == pointwise for key, pointwise in pairs)
+    assert len(pairs) == 23 * 23 + 23 + 1
+    # a keyed point reads the key of g and that of Dh
+    assert 0 < len(keyed) < len(pairs)
+    assert len({pointwise for _, pointwise in pairs}) > 1
 
 
 @given(rep_pairs(max_arrows=3))

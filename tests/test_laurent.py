@@ -193,3 +193,17 @@ def test_division_rejects_non_unit_coefficient():
     with pytest.raises(InexactDivisionError):
         divide_exact(parse("x1 + 1", 1), parse("2*x1 + 2", 1))
     assert str(divide_exact(parse("2*x1 + 2", 1), parse("x1 + 1", 1))) == "2"
+
+
+@given(polys, st.integers(-9, 9))
+def test_hash_agrees_with_eq(a, c):
+    """Equal values hash equally, an int and its constant polynomial
+    included: LaurentPolynomial.constant(2, 5) == 5 and it is found in a
+    set of ints, and 5 in a set holding it."""
+    k = LaurentPolynomial.constant(NVARS, c)
+    assert k == c and hash(k) == hash(c)
+    assert c in {k} and k in {c}
+    if a == c:
+        assert hash(a) == hash(c)
+    b = lp(dict(a.terms))
+    assert a == b and hash(a) == hash(b)

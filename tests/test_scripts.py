@@ -45,6 +45,16 @@ def test_bench_script_writes_counts(tmp_path):
     assert ext["middle_term_builds"] <= 4 * len(strat["primes"])
     assert ext["rational_builds"] >= 1 and hom["rational_builds"] >= 1
     assert 0 < hom["memo_misses"] * 10 < points
+    assert 0 < ext["exact_points"] < points
+    assert 0 < hom["exact_points"] < points
+    d4 = doc["d4"]
+    assert d4["name"] == "kronecker.xx1(P1,I2)"
+    points = sum(p ** 3 + p * p + p + 1 for p in d4["primes"])
+    for row in (d4["ext"], d4["hom"]):
+        assert row["points"] == points
+        assert row["lines"] == sum(p * p + p + 2 for p in d4["primes"])
+        assert 0 < row["exact_points"] < points
+        assert row["median_s"] > 0
     misses = doc["misses"]
     assert misses["points"] == sum(p + 1 for p in misses["primes"])
     assert misses["lines"] == 2 * len(misses["primes"])
