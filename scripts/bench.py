@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_15.json.
+write BENCH_16.json.
 
 Run from the repository root:
 
@@ -149,7 +149,7 @@ def counting():
     run_strata = multiplication._run_strata
     rank_at = linalg._rank_at
     build = multiplication.middle_term
-    rule = multiplication.hom_side_middle_term
+    hom_middle = multiplication._hom_side_middle
     bucket_key = multiplication._bucket_key
     exact = set()  # the t ranked exactly on the current line
 
@@ -179,9 +179,10 @@ def counting():
             else "middle_term_builds"] += 1
         return build(eta)
 
-    def counting_rule(K, C):
-        hom["rational_builds"] += 1
-        return rule(K, C)
+    def counting_hom_middle(K, R, dim_c):
+        if K.field == QQ:
+            hom["rational_builds"] += 1
+        return hom_middle(K, R, dim_c)
 
     def counting_bucket_key(Y):
         hom["memo_misses"] += 1
@@ -190,7 +191,7 @@ def counting():
     multiplication._run_strata = counting_run_strata
     linalg._rank_at = recording_rank_at
     multiplication.middle_term = counting_build
-    multiplication.hom_side_middle_term = counting_rule
+    multiplication._hom_side_middle = counting_hom_middle
     multiplication._bucket_key = counting_bucket_key
     try:
         yield counts
@@ -198,7 +199,7 @@ def counting():
         multiplication._run_strata = run_strata
         linalg._rank_at = rank_at
         multiplication.middle_term = build
-        multiplication.hom_side_middle_term = rule
+        multiplication._hom_side_middle = hom_middle
         multiplication._bucket_key = bucket_key
 
 
@@ -272,7 +273,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_15.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_16.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

@@ -10,7 +10,8 @@ Ext^1(f, P_u), read on the same bases.  tau^{-1} = D tau D, where D is
 the duality to the opposite quiver, on modules and maps alike; it is
 right exact, and injective summands of the input turn into shifted
 projectives P_i[1].  Summand multiplicities are read from the Euler
-form, since tau kills projectives and tau^{-1} injectives.
+form, since tau kills projectives and tau^{-1} injectives.  The Hom-side
+middle term Ker g (+) tau^{-1} Coker g is assembled in multiplication.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import PreconditionError
 from .linalg import Mat
 from .quiver import euler_form
 from .reps import (ClusterObject, Representation, _standard_battery,
-                   all_paths, cluster_object, direct_sum, dual, ext1_setup)
+                   all_paths, cluster_object, dual, ext1_setup)
 
 
 def summand_multiplicities(q, x, y) -> tuple:
@@ -118,15 +119,3 @@ def ar_inverse(M: Representation) -> ClusterObject:
     inv = dual(ar_translate_unchecked(dual(M)))
     return cluster_object(inv, summand_multiplicities(M.quiver, inv.dim,
                                                       M.dim))
-
-
-def hom_side_middle_term(K: Representation,
-                         C: Representation) -> ClusterObject:
-    """Middle term for g in Hom(L, tau M): Ker g (+) tau^{-1}(Coker g),
-    from K = Ker g and C = Coker g.
-
-    Injective summands of the cokernel contribute shifted projectives;
-    this is the hereditary mapping-cone splitting.
-    """
-    rest = ar_inverse(C)
-    return ClusterObject(direct_sum(K, rest.module), rest.shifted)

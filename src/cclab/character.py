@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 from .grassmannian import grassmannian_profile
 from .laurent import LaurentPolynomial
-from .quiver import antisym_form
-from .reps import (ClusterObject, Representation, cluster_object, ext1_dim,
-                   hom_dim, simple_rep)
+from .quiver import antisym_form, euler_form
+from .reps import ClusterObject, Representation, cluster_object
 
 
 @dataclass
@@ -51,20 +50,18 @@ def coindex(obj) -> tuple:
     0 -> M -> I0 -> I1 of the module part, minus the shifted part.
 
     The algebra is hereditary, so I_i occurs hom(S_i, M) times in I0 and
-    ext^1(S_i, M) times in I1.  The class [P0] - [P1] of M's own
-    projective presentation is NOT equivalent: it agrees on the A2
-    simples but diverges on P1, and the corpus-wide coherence check
-    (cc_palu_form == cc) pins the copresentation reading.
-
-    Equivalently the vector (<s_i, dim M>)_i of Euler pairings against
-    the simples, which is what the character's monomial prefactor needs.
+    ext^1(S_i, M) times in I1.  Both are read off one intertwiner system,
+    whose columns less rows is the Euler pairing <e_i, dim M>, whatever
+    its rank.  The class [P0] - [P1] of M's own projective presentation
+    is NOT equivalent: it agrees on the A2 simples but diverges on P1, and
+    the corpus-wide coherence check (cc_palu_form == cc) pins the
+    copresentation reading.
     """
     obj = _as_cluster_object(obj)
-    M = obj.module
-    simples = [simple_rep(M.quiver, i, M.field)
-               for i in range(1, M.quiver.n + 1)]
-    return tuple(hom_dim(S, M) - ext1_dim(S, M) - s
-                 for S, s in zip(simples, obj.shifted))
+    q = obj.module.quiver
+    return tuple(euler_form(q, [int(j == i) for j in range(q.n)],
+                            obj.module.dim) - s
+                 for i, s in enumerate(obj.shifted))
 
 
 def cc(obj, primes) -> CharacterValue:

@@ -9,8 +9,9 @@ Laurent-polynomial equalities.
 
 The xx1 and unified identities are assembled from the two public
 stratifications, stratify_ext_side and stratify_hom_side; xx2 uses the
-Hom-space strata that stratify_hom_side is built on.  One report builder
-forms the left-hand side of every identity.
+Hom-space strata that stratify_hom_side is built on; each Hom side forms
+its middle terms with one function over GF(p) and QQ alike.  _report
+forms every identity's left-hand side and checks that its sides agree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import mul
 
 from .artranslate import (ar_inverse_maps, ar_translate,
                           ar_translate_unchecked, has_projective_summand,
-                          hom_side_middle_term, summand_multiplicities)
+                          summand_multiplicities)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
@@ -32,10 +33,10 @@ from .linalg import (GF, Mat, _nullspace_mod, hstack, line_ranks,
 from .reps import (ClusterObject, ExtCocycle, Representation,
                    _fingerprint_matrices, _fingerprint_of, _hom_system,
                    cluster_object, cokernel_rep, combine, direct_sum, dual,
-                   ext1_setup, fingerprint, hom_basis, kernel_rep,
+                   ext1_setup, fingerprint, hom_basis, hom_dim, kernel_rep,
                    middle_term, reduce_mats, reduce_rep, stable_ext1_dim,
-                   stable_hom_dim, standard_sum, top_multiplicities,
-                   unit_cocycles, zero_rep)
+                   standard_sum, top_multiplicities, unit_cocycles,
+                   zero_rep)
 
 
 @dataclass
@@ -233,12 +234,14 @@ def _line_pencils(maps, p: int):
     return on_line
 
 
-def _hom_strata(L: Representation, T: Representation, d: int, primes,
-                side: str, family, middle, middle_qq):
-    """Strata of P Hom(L, T), of dimension d.  The middle term of g is
-    middle(Ker g, R, dim Coker g) over GF(p) and middle_qq(Ker g, Coker g)
-    over QQ, where R = Coker h for the image h of g under the linear
-    family(L, T, maps) -> (L', T', maps').
+def _hom_strata(L: Representation, T: Representation, primes, side: str,
+                family, middle):
+    """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ.  The middle term
+    of g is middle(Ker g, R, dim Coker g) over GF(p) and QQ alike, where
+    R = Coker h for the image h of g under the linear, right exact
+    family(L, T, maps) -> (L', T', maps'): over QQ, R is the family's
+    image of Coker g.  Before any point, each prime must keep dim Hom = d
+    and the reduced basis of rank d, also for d = 0.
 
     family runs on the basis maps once per prime.  As Coker h = D Ker(Dh),
     with Dh: DT' -> DL' the transposes, a point's memo key is the
@@ -251,18 +254,20 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
     no kernel is computed; only at the other t are g and Dh built and
     keyed.
     """
-    if d == 0:
-        return []
     basis_qq = hom_basis(L, T)
-    if len(basis_qq) != d:
-        raise PrimeInstabilityError("rational Hom basis size disagrees")
-
-    def key_at_prime(p):
+    d = len(basis_qq)
+    reduced = {}
+    for p in primes:
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
         basis = [reduce_mats(f, p) for f in basis_qq]
         flat = [[x for m in f for row in m.data for x in row] for f in basis]
-        if Mat(GF(p), d, len(flat[0]), flat).rank() != d:
-            raise PrimeInstabilityError(f"Hom basis degenerates mod {p}")
+        if hom_dim(Lp, Tp) != d or d and Mat(
+                GF(p), d, len(flat[0]), flat).rank() != d:
+            raise PrimeInstabilityError(f"Hom space degenerates mod {p}")
+        reduced[p] = Lp, Tp, basis
+
+    def key_at_prime(p):
+        Lp, Tp, basis = reduced[p]
         Lh, Th, images = family(Lp, Tp, basis)
         DTh = dual(Th)
         g_on = _line_pencils(basis, p)
@@ -297,15 +302,17 @@ def _hom_strata(L: Representation, T: Representation, d: int, primes,
 
     def middle_at_qq(coeffs):
         g = combine(basis_qq, coeffs)
-        return middle_qq(kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0])
+        C = cokernel_rep(g, L, T)[0]
+        return middle(kernel_rep(g, L, T)[0],
+                      family(C, zero_rep(L.quiver, L.field), [])[0], C.dim)
 
     return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
 
 
 def _hom_side_middle(K: Representation, R: Representation,
                      dim_c) -> ClusterObject:
-    """K (+) R for R = tau^{-1} C, with a P_i[1] for each injective summand
-    I_i of C, as hom_side_middle_term builds it over QQ."""
+    """Middle term Ker g (+) tau^{-1} C of g: L -> tau M, C = Coker g, from
+    K, R = tau^{-1} C and dim C, with a P_i[1] per injective summand I_i."""
     return ClusterObject(direct_sum(K, R),
                          summand_multiplicities(K.quiver, R.dim, dim_c))
 
@@ -315,15 +322,13 @@ def stratify_hom_side(L: Representation, M: Representation, primes):
 
     ar_translate refuses an M with a projective direct summand.
     """
-    tau = ar_translate(M)
-    return _hom_strata(L, tau, stable_hom_dim(L, tau, primes), primes,
-                       "hom", ar_inverse_maps, _hom_side_middle,
-                       hom_side_middle_term)
+    return _hom_strata(L, ar_translate(M), primes, "hom", ar_inverse_maps,
+                       _hom_side_middle)
 
 
-def _proj_shift_middle(K: Representation, C: Representation, *_):
+def _proj_shift_middle(K: Representation, C: Representation, dim_c):
     """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective,
-    from K = Ker f and C = Coker f; a dimension of C passed on is unused."""
+    from K = Ker f and C = Coker f, which carries its dimension dim_c."""
     mults = top_multiplicities(K)
     if standard_sum(K.quiver, "projective", mults, K.field).dim != K.dim:
         raise CCLabError("kernel of a map out of a projective is not projective")
@@ -349,10 +354,15 @@ def _report(X, Y, strata, primes, label: str) -> VerificationReport:
     """Compare d * X_X X_Y with the sum of chi * X over the strata.
 
     Each identity has two sides, and _run_strata checks that the chi
-    values of each side sum to the space dimension d, so d is half the
-    chi total.  d fills the {} field of label.
+    values of each side sum to the dimension of its own space.  The two
+    sides must agree, so d is half the chi total.  d fills the {} field of
+    label.
     """
     d = sum(s.chi for s in strata) // 2
+    totals = {side: sum(s.chi for s in strata if s.side == side)
+              for side in dict.fromkeys(s.side for s in strata)}
+    if list(totals.values()) != [d, d]:
+        raise CCLabError(f"the chi totals of the two sides differ: {totals}")
     lhs = (cc(X, primes).value * cc(Y, primes).value).scale(d)
     rhs = LaurentPolynomial.zero(lhs.nvars)
     for s in strata:
@@ -363,13 +373,12 @@ def _report(X, Y, strata, primes, label: str) -> VerificationReport:
 
 def verify_xx1(L: Representation, M: Representation, primes) -> VerificationReport:
     """dim Ext^1(M,L) * X_L X_M = sum over strata of both sides."""
+    if has_projective_summand(M):
+        raise PreconditionError(
+            "second argument must have no projective direct summands")
     strata = _xx1_strata(L, M, primes)
     if not strata:
-        # A projective M has Ext^1(M, L) = 0; name the broken hypothesis.
-        raise PreconditionError(
-            "second argument must have no projective direct summands"
-            if has_projective_summand(M) else
-            "Ext^1(M, L) = 0: the identity is vacuous")
+        raise PreconditionError("Ext^1(M, L) = 0: the identity is vacuous")
     return _report(L, M, strata, primes, "xx1: {} * X_L X_M")
 
 
@@ -379,19 +388,14 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
     if P.is_zero() or not tau.is_zero():
         raise PreconditionError("first argument must be a nonzero projective")
     mults = summand_multiplicities(P.quiver, P.dim, tau.dim)
-    d = stable_hom_dim(P, M, primes)
-    if d == 0:
-        raise PreconditionError("Hom(P, M) = 0: the identity is vacuous")
     q = P.quiver
     I = standard_sum(q, "injective", mults, P.field)
-    if stable_hom_dim(M, I, primes) != d:
-        raise CCLabError("dim Hom(M, nu P) disagrees with dim Hom(P, M)")
-    strata = _hom_strata(M, I, d, primes, "proj-shift-inj",
-                         ar_inverse_maps, _hom_side_middle,
-                         hom_side_middle_term)
-    strata += _hom_strata(P, M, d, primes, "proj-shift-hom",
-                          lambda L, T, maps: (L, T, maps),
-                          _proj_shift_middle, _proj_shift_middle)
+    strata = _hom_strata(M, I, primes, "proj-shift-inj", ar_inverse_maps,
+                         _hom_side_middle)
+    strata += _hom_strata(P, M, primes, "proj-shift-hom",
+                          lambda L, T, maps: (L, T, maps), _proj_shift_middle)
+    if not strata:
+        raise PreconditionError("Hom(P, M) = 0: the identity is vacuous")
     return _report(M, ClusterObject(zero_rep(q, P.field), mults), strata,
                    primes, "xx2: {} * X_M X_P[1]")
 

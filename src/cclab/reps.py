@@ -162,19 +162,9 @@ def projective_rep(q: Quiver, i: int, field=QQ) -> Representation:
 
 
 def injective_rep(q: Quiver, i: int, field=QQ) -> Representation:
-    """I_i with path basis: (I_i)_j = span of paths j -> i."""
-    paths = all_paths(q)
-    dim = tuple(len(paths[(j, i)]) for j in range(1, q.n + 1))
-    mats = []
-    for a, (s, t) in enumerate(q.arrows):
-        # an arrow acts by chopping itself off the front of a path into i
-        m = Mat(field, dim[t - 1], dim[s - 1])
-        for col, p in enumerate(paths[(s, i)]):
-            if p and p[0] == a:
-                row = paths[(t, i)].index(p[1:])
-                m.data[row][col] = field.one
-        mats.append(m)
-    return Representation(q, field, dim, mats)
+    """I_i = D P_i of the opposite quiver: (I_i)_j is dual to the span of
+    paths j -> i."""
+    return dual(projective_rep(_opposite(q), i, field))
 
 
 def simple_rep(q: Quiver, i: int, field=QQ) -> Representation:
@@ -228,9 +218,12 @@ def dual(M: Representation) -> Representation:
     """D M = Hom_k(M, k): a representation of the opposite quiver, each
     arrow reversed and its matrix transposed.  D swaps P_i and I_i, and
     dual(dual(M)) == M."""
-    q = Quiver(M.quiver.n, tuple((t, s) for s, t in M.quiver.arrows))
-    return Representation(q, M.field, M.dim,
+    return Representation(_opposite(M.quiver), M.field, M.dim,
                           [m.transpose() for m in M.matrices])
+
+
+def _opposite(q: Quiver) -> Quiver:
+    return Quiver(q.n, tuple((t, s) for s, t in q.arrows))
 
 
 # -- Hom -------------------------------------------------------------------
@@ -359,23 +352,16 @@ def stable_ext1_dim(M: Representation, L: Representation, primes) -> int:
 
 
 def middle_term(cocycle: ExtCocycle) -> Representation:
-    """Middle term Y of the extension 0 -> L -> Y -> M -> 0 defined by phi."""
+    """Middle term Y of the extension 0 -> L -> Y -> M -> 0 defined by phi:
+    the split extension L (+) M with phi_a in the top-right block."""
     M, L = cocycle.M, cocycle.L
-    F = M.field
-    dim = tuple(a + b for a, b in zip(L.dim, M.dim))
-    mats = []
-    for a, (s, t) in enumerate(M.quiver.arrows):
-        La, Ma, Pa = L.matrices[a], M.matrices[a], cocycle.components[a]
+    Y = direct_sum(L, M)
+    for (s, t), m, Pa in zip(M.quiver.arrows, Y.matrices, cocycle.components):
         if (Pa.rows, Pa.cols) != (L.dim[t - 1], M.dim[s - 1]):
             raise InputError("cocycle component shape mismatch")
-        m = Mat(F, dim[t - 1], dim[s - 1])
-        for i in range(La.rows):
-            m.data[i][:La.cols] = La.data[i][:]
-            m.data[i][La.cols:] = Pa.data[i][:]
-        for i in range(Ma.rows):
-            m.data[La.rows + i][La.cols:] = Ma.data[i][:]
-        mats.append(m)
-    return Representation(M.quiver, F, dim, mats)
+        for row, phi in zip(m.data, Pa.data):
+            row[L.dim[s - 1]:] = phi
+    return Y
 
 
 # -- kernels and cokernels -------------------------------------------------

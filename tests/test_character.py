@@ -6,9 +6,9 @@ from cclab.character import cc, cc_palu_form, coindex
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.laurent import parse
-from cclab.quiver import a2_quiver, a3_quiver, euler_form, kronecker_quiver
-from cclab.reps import (ClusterObject, cluster_object, direct_sum,
-                        injective_rep, projective_rep, simple_rep,
+from cclab.quiver import a2_quiver, a3_quiver, kronecker_quiver
+from cclab.reps import (ClusterObject, cluster_object, direct_sum, ext1_dim,
+                        hom_dim, injective_rep, projective_rep, simple_rep,
                         sum_cluster_objects, zero_rep)
 
 
@@ -78,16 +78,18 @@ def test_coindex_examples():
 
 
 def test_coindex_is_euler_pairing_on_corpus():
-    """[I0] - [I1] read off D M equals (<e_i, dim M>)_i, less the shift,
-    on the corpus and on its pairwise sums over one quiver."""
+    """coindex, the Euler pairings (<e_i, dim M>)_i less the shift, equals
+    hom(S_i, M) - ext^1(S_i, M) less the shift, the multiplicities of I_i
+    in I0 and I1, on the corpus and on its pairwise sums over one
+    quiver."""
     objs = corpus_objects()
     objs += [sum_cluster_objects(a, b) for a in objs for b in objs
              if a.module.quiver == b.module.quiver]
     for obj in objs:
-        q = obj.module.quiver
-        for i in range(q.n):
-            e_i = tuple(int(j == i) for j in range(q.n))
-            assert coindex(obj)[i] == (euler_form(q, e_i, obj.module.dim)
+        M = obj.module
+        for i in range(M.quiver.n):
+            S = simple_rep(M.quiver, i + 1)
+            assert coindex(obj)[i] == (hom_dim(S, M) - ext1_dim(S, M)
                                        - obj.shifted[i])
 
 

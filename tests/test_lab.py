@@ -9,7 +9,7 @@ from strategies import rep_pairs
 
 from cclab import artranslate, multiplication
 from cclab.artranslate import (ar_inverse, ar_inverse_maps,
-                               hom_side_middle_term, summand_multiplicities)
+                               summand_multiplicities)
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import (ConfigurationError, PreconditionError,
@@ -32,6 +32,12 @@ from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
                         projective_rep, reduce_mats, reduce_rep, simple_rep,
                         stable_ext1_dim, stable_hom_dim, unit_cocycles,
                         zero_rep)
+
+
+def hom_side_middle_term(K, C):
+    """Reference: Ker g (+) tau^{-1}(Coker g) from K and C, via ar_inverse."""
+    rest = ar_inverse(C)
+    return ClusterObject(direct_sum(K, rest.module), rest.shifted)
 
 
 def test_xx1_a2_exchange(primes):
@@ -189,12 +195,13 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     points share few memo keys, so a middle term is built once per
     distinct key at each prime, not once per point.  Kernel keys are read
     only at the few points where g or Dh is not injective at some vertex;
-    the others share the key of K = R = 0.  tau^{-1} runs on the basis
-    maps once per prime; ar_inverse runs only for the rational lifts."""
+    the others share the key of K = R = 0.  tau^{-1} runs as
+    ar_inverse_maps on the basis maps once per prime, and once more for
+    each rational lift."""
     q = kronecker_quiver()
     keys, misses, inverses = [], [], []
     key_of, bucket_key = multiplication._kernel_key, multiplication._bucket_key
-    inverse = artranslate.ar_inverse
+    inverse = multiplication.ar_inverse_maps
 
     def recording_key(g, L):
         key = key_of(g, L)
@@ -205,13 +212,13 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
         misses.append(Y.module.field)
         return bucket_key(Y)
 
-    def counting_inverse(C):
-        inverses.append(C.field)
-        return inverse(C)
+    def counting_inverse(L, T, maps):
+        inverses.append(L.field)
+        return inverse(L, T, maps)
 
     monkeypatch.setattr(multiplication, "_kernel_key", recording_key)
     monkeypatch.setattr(multiplication, "_bucket_key", counting_bucket_key)
-    monkeypatch.setattr(artranslate, "ar_inverse", counting_inverse)
+    monkeypatch.setattr(multiplication, "ar_inverse_maps", counting_inverse)
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
     assert sum(s.chi for s in strata) == 3
@@ -223,7 +230,8 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     points = sum(p * p + p + 1 for p in few_primes)
     assert 0 < len(keys) * 10 < 2 * points
     assert 0 < len(distinct) * 10 < points
-    assert inverses and set(inverses) == {QQ}
+    assert sorted(f.p for f in inverses if f != QQ) == sorted(few_primes)
+    assert inverses.count(QQ) >= len(strata)
 
 
 @pytest.mark.parametrize("L, M, per_prime", [
@@ -484,6 +492,38 @@ def test_ext_side_refuses_a_prime_where_ext_jumps(primes, d):
     assert stable_ext1_dim(kronecker_regular(1, 0), L, others) == d
     with pytest.raises(PrimeInstabilityError, match="degenerate mod 23"):
         stratify_ext_side(kronecker_regular(1, 0), L, primes)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_hom_side_refuses_a_prime_where_hom_jumps(primes, d):
+    """R(1, 23) is R(1, 0) mod 23, so dim Hom(L, tau M) is d over QQ and
+    d + 1 mod 23; the Hom side refuses 23 before any point, with d = 0
+    too."""
+    L, M = kronecker_regular(1, 0), kronecker_regular(1, 23)
+    if d:
+        L = direct_sum(L, kronecker_regular(1, 1))
+        M = direct_sum(M, kronecker_regular(1, 1))
+    tau = artranslate.ar_translate(M)
+    others = [p for p in primes if p != 23]
+    assert 23 in primes and len(others) == len(primes) - 1
+    assert len(hom_basis(L, tau)) == stable_hom_dim(L, tau, others) == d
+    assert stable_hom_dim(L, tau, [23]) == d + 1
+    with pytest.raises(PrimeInstabilityError):
+        stratify_hom_side(L, M, primes)
+
+
+@pytest.mark.parametrize("M", [
+    projective_rep(kronecker_quiver(), 1),
+    direct_sum(projective_rep(kronecker_quiver(), 1),
+               simple_rep(kronecker_quiver(), 1)),
+], ids=["P1", "P1+S1"])
+def test_xx1_names_a_projective_summand_of_m(monkeypatch, primes, M):
+    """A projective M, or one with a projective summand beside others, is
+    refused with one message before any Ext^1 dimension is computed."""
+    monkeypatch.setattr(multiplication, "stable_ext1_dim", None)
+    with pytest.raises(PreconditionError, match="second argument must have "
+                       "no projective direct summands"):
+        verify_xx1(simple_rep(kronecker_quiver(), 2), M, primes)
 
 
 def test_representative_skips_a_lift_that_does_not_reduce(primes):

@@ -17,8 +17,8 @@ from cclab.errors import PreconditionError
 from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver, validate_quiver)
-from cclab.reps import (_has_invertible_combination, _standard_battery,
-                        cluster_object, cokernel_rep, combine, direct_sum,
+from cclab.reps import (Representation, _has_invertible_combination,
+                        _standard_battery, all_paths, cluster_object, cokernel_rep, combine, direct_sum,
                         direct_sum_many,
                         ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
                         injective_rep, is_isomorphic, kernel_rep, make_rep,
@@ -68,6 +68,42 @@ def test_d4tilde_standard_dims():
     assert projective_rep(q, 5).dim == (0, 0, 0, 0, 1)  # center is a sink
     assert injective_rep(q, 5).dim == (1, 1, 1, 1, 1)
     assert injective_rep(q, 1).dim == simple_rep(q, 1).dim
+
+
+def _chopped_injective(q, i):
+    """Reference I_i with path basis, (I_i)_j = span of paths j -> i, on
+    which an arrow acts by chopping itself off the front of a path."""
+    paths = all_paths(q)
+    dim = tuple(len(paths[(j, i)]) for j in range(1, q.n + 1))
+    mats = []
+    for a, (s, t) in enumerate(q.arrows):
+        m = Mat(QQ, dim[t - 1], dim[s - 1])
+        for col, p in enumerate(paths[(s, i)]):
+            if p and p[0] == a:
+                m.data[paths[(t, i)].index(p[1:])][col] = QQ.one
+        mats.append(m)
+    return Representation(q, QQ, dim, mats)
+
+
+@pytest.mark.parametrize("q", [
+    a2_quiver(), a3_quiver(), kronecker_quiver(), d4tilde_quiver(),
+    validate_quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+], ids=["a2", "a3", "kronecker", "d4tilde", "a5"])
+def test_injective_is_chopped_paths_on_stock_quivers(q):
+    """I_i = D P_i of the opposite quiver has the matrices of the
+    path-chopping construction on the stock quivers."""
+    for i in range(1, q.n + 1):
+        assert injective_rep(q, i) == _chopped_injective(q, i)
+
+
+@given(acyclic_quivers())
+@settings(deadline=None)
+def test_injective_is_chopped_paths_up_to_isomorphism(q):
+    """With several paths between two vertices the dual basis may come in
+    another order, but the module is the same up to isomorphism."""
+    for i in range(1, q.n + 1):
+        new, ref = injective_rep(q, i), _chopped_injective(q, i)
+        assert new.dim == ref.dim and is_isomorphic(new, ref)
 
 
 def test_standard_module_dispatch():
