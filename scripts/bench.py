@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_16.json.
+write BENCH_17.json.
 
 Run from the repository root:
 
@@ -8,11 +8,12 @@ Run from the repository root:
 
 Stdlib only.  Eight parts:
 
-- closures: the A5 closure to depth 12 (many seeds, small polynomials) and
-  the Kronecker closure to depth 24 (few seeds, growing polynomials).  Each
-  is timed, and one extra run counts the unlabelled seeds visited, the
-  exchanges looked up and the exact divisions made, by wrapping the
-  module's helpers.
+- closures: the A5 closure to depth 12 (many seeds, small polynomials),
+  the Kronecker closure to depth 24 (few seeds, growing polynomials) and
+  the E6 closure to depth 12 (all 833 seeds and 42 variables, the oracle
+  of a census of E6 characters).  Each is timed, and one extra run counts
+  the unlabelled seeds visited, the exchanges looked up and the exact
+  divisions made, by wrapping the module's helpers.
 - kernels: on the Kronecker cluster variables x_t (mutating 1, 2, 1, ...)
   it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1).
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
@@ -35,10 +36,11 @@ Stdlib only.  Eight parts:
   Kronecker and D4-tilde quivers, in microseconds a call.
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
   A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first.
-  The timed runs also count the count_subreps calls, one per (e, p), and
-  the cover tuples they walk, prod [d_v choose e_v]_p over the vertices
-  left after free_vertices, beside the brute-force tuples over all
-  vertices; the counting adds one free_vertices call to each count.
+  The timed runs also count the counts of subrepresentations, one per
+  (e, p), and the cover tuples they walk, prod [d_v choose e_v]_p over
+  the vertices left after free_vertices, beside the brute-force tuples
+  over all vertices; the counting adds one free_vertices call to each
+  count.
 - src_lines: the lines of src/cclab/*.py, the size of the package.
 
 Every time is the median of the repeats, in seconds of the process's CPU
@@ -76,6 +78,9 @@ CLOSURES = (
     ("a5.closure(12)",
      lambda: validate_quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), 12),
     ("kronecker.closure(24)", kronecker_quiver, 24),
+    ("e6.closure(12)",
+     lambda: validate_quiver(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+     12),
 )
 KERNEL_STEPS = (4, 8, 12, 16, 20, 24)
 TAU_CALLS = 20
@@ -237,15 +242,15 @@ def grass_modules():
 
 @contextlib.contextmanager
 def counting_subreps():
-    """While active, count the count_subreps calls and the cover and
-    brute-force tuples of each, by wrapping count_subreps; yields the
-    counts."""
+    """While active, count the counts of subrepresentations and the cover
+    and brute-force tuples of each, by wrapping the counter that
+    count_subreps and euler_char_grassmannian share; yields the counts."""
     counts = {"count_subreps_calls": 0, "cover_tuples": 0,
               "brute_force_tuples": 0}
-    count = grassmannian.count_subreps
+    count = grassmannian._count_subreps
     binomial = grassmannian.gaussian_binomial
 
-    def counting_count(M, e, p):
+    def counting_count(M, e, p, by_prime):
         free = grassmannian.free_vertices(M.quiver, M.dim, e)
         counts["count_subreps_calls"] += 1
         for key, vertices in (("cover_tuples", set(range(M.quiver.n)) - free),
@@ -254,13 +259,13 @@ def counting_subreps():
             for v in vertices:
                 tuples *= binomial(M.dim[v], e[v], p)
             counts[key] += tuples
-        return count(M, e, p)
+        return count(M, e, p, by_prime)
 
-    grassmannian.count_subreps = counting_count
+    grassmannian._count_subreps = counting_count
     try:
         yield counts
     finally:
-        grassmannian.count_subreps = count
+        grassmannian._count_subreps = count
 
 
 def cold_profile(M, primes):
@@ -273,7 +278,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_16.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_17.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

@@ -104,8 +104,20 @@ def _vertex_table(rows, ends, d: int, v: int, k: int, p: int) -> list:
     return table
 
 
+def _content(M: Representation) -> tuple:
+    """M's matrices as nested tuples, the last part of its _tables key."""
+    return tuple(tuple(map(tuple, m.data)) for m in M.matrices)
+
+
 def count_subreps(M: Representation, e, p: int) -> int:
-    """Number of subrepresentations of dimension vector e over F_p.
+    """Number of subrepresentations of dimension vector e over F_p."""
+    return _count_subreps(M, e, p,
+                          _tables(M.quiver, M.field, M.dim, _content(M)))
+
+
+def _count_subreps(M: Representation, e, p: int, by_prime: dict) -> int:
+    """count_subreps on by_prime, M's _tables, so that a caller counting
+    many (e, p) looks them up once.
 
     Subspaces U_v are enumerated only on the vertex cover C left by
     `free_vertices`, from the module's `_tables`; an arrow a: s -> t in C
@@ -120,8 +132,6 @@ def count_subreps(M: Representation, e, p: int) -> int:
         raise InputError("dimension vector length mismatch")
     if any(ei > di or ei < 0 for ei, di in zip(e, M.dim)):
         raise InputError("target dimension vector exceeds the module")
-    by_prime = _tables(q, M.field, M.dim,
-                       tuple(tuple(map(tuple, m.data)) for m in M.matrices))
     if p not in by_prime:
         by_prime[p] = [m.data for m in reduce_rep(M, p).matrices], {}
     rows, tables = by_prime[p]
@@ -217,15 +227,15 @@ def euler_char_grassmannian(M: Representation, e, primes) -> int:
     """chi(Gr_e M) as P(1) of the verified counting polynomial."""
     bound = grassmannian_degree_bound(M.dim, e)
     _check_prime_count(len(set(primes)), bound)
-    counts = {p: count_subreps(M, e, p) for p in sorted(primes)}
+    by_prime = _tables(M.quiver, M.field, M.dim, _content(M))
+    counts = {p: _count_subreps(M, e, p, by_prime) for p in sorted(primes)}
     poly = fit_and_verify(counts, bound)
     return poly(1)
 
 
 def grassmannian_profile(M: Representation, primes) -> dict:
     """chi(Gr_e M) for every e <= dim M, zero entries omitted."""
-    matrices = tuple(tuple(map(tuple, m.data)) for m in M.matrices)
-    return dict(_profile(M.quiver, M.field, M.dim, matrices,
+    return dict(_profile(M.quiver, M.field, M.dim, _content(M),
                          tuple(sorted(primes))))
 
 

@@ -110,10 +110,21 @@ class LaurentPolynomial:
         right = [(_pack(e, width), c) for e, c in other.terms.items()]
         acc = {}
         get = acc.get
-        for k1, c1 in left:
-            for k2, c2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
+        if other is self:
+            # a square takes each unordered pair {i, j} of terms once and
+            # counts it twice when i != j
+            for i, (k1, c1) in enumerate(left):
+                k = k1 + right[i][0]
+                acc[k] = get(k, 0) + c1 * c1
+                c1 *= 2
+                for k2, c2 in right[i + 1:]:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        else:
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
         out.terms = {_unpack(k, self.nvars, width, bias): c
                      for k, c in acc.items() if c}
         return out
@@ -135,14 +146,11 @@ class LaurentPolynomial:
                 raise InexactDivisionError("non-unit monomial coefficient")
             return LaurentPolynomial(
                 self.nvars, {tuple(k * x for x in e): c ** (k % 2 or 2) if c < 0 else 1})
-        out = LaurentPolynomial.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        if k < 2:
+            return self if k else LaurentPolynomial.one(self.nvars)
+        half = self ** (k >> 1)
+        square = half * half
+        return square * self if k & 1 else square
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -272,7 +280,8 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
     Laurent division the shifted quotient is again a polynomial, so plain
     leading-term division (graded-lex order) terminates and certifies
     exactness along the way.  Leading terms come off a max-heap of packed
-    exponents; a key left in the heap after its term cancelled is skipped.
+    exponents, which holds each key of the remainder once; a term that
+    cancelled stays at 0 until its key is popped, and is skipped then.
     """
     # heapq loads a C extension; importing it here keeps that off the
     # start-up of programs that never divide
@@ -296,13 +305,15 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
     rem = {_pack(e, width) - off_a: c for e, c in a.terms.items()}
     divisor = [(_pack(e, width) - off_b, c) for e, c in b.terms.items()]
     lead_b, cb = max(divisor)
+    # the leading term cancels each popped lead exactly; the rest update
+    rest = [(e, bc) for e, bc in divisor if e != lead_b]
     heap = [-k for k in rem]
     heapify(heap)
     quo = {}
-    while rem:
+    while heap:
         lead = -heappop(heap)
-        c = rem.get(lead)
-        if c is None:
+        c = rem.pop(lead)
+        if not c:
             continue
         # a field of lead + guard - lead_b keeps its top bit exactly when
         # that exponent of lead is at least lead_b's
@@ -312,14 +323,12 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
         qk -= guard
         qc = c // cb
         quo[qk] = qc
-        for e, bc in divisor:
+        for e, bc in rest:
             t = qk + e
             v = rem.get(t)
             if v is None:
                 rem[t] = -qc * bc
                 heappush(heap, -t)
-            elif v == qc * bc:
-                del rem[t]
             else:
                 rem[t] = v - qc * bc
     shift = [x - y for x, y in zip(mins_a, mins_b)]

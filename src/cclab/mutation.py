@@ -10,6 +10,8 @@ wrong value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .errors import InputError
 from .laurent import LaurentPolynomial, divide_exact
@@ -57,10 +59,9 @@ def _exchange(b, kk: int):
 
 
 def _monomial(variables, powers, nvars: int) -> LaurentPolynomial:
-    out = LaurentPolynomial.one(nvars)
-    for i, e in powers:
-        out = out * variables[i] ** e
-    return out
+    """prod variables[i] ** e over the (i, e) in powers; one when empty."""
+    factors = [variables[i] ** e for i, e in powers]
+    return reduce(mul, factors) if factors else LaurentPolynomial.one(nvars)
 
 
 def mutate(seed: Seed, k: int) -> Seed:

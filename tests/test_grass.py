@@ -209,8 +209,8 @@ def test_euler_char_refuses_before_counting(primes, monkeypatch):
     M = direct_sum_many(qk, [p1, p1, p1])
 
     def no_count(*args):
-        raise AssertionError("count_subreps called")
-    monkeypatch.setattr(grassmannian, "count_subreps", no_count)
+        raise AssertionError("_count_subreps called")
+    monkeypatch.setattr(grassmannian, "_count_subreps", no_count)
     assert len(primes) == 8
     with pytest.raises(ConfigurationError,
                        match="need at least 13 primes, have 8"):
@@ -227,8 +227,8 @@ def test_profile_refuses_before_counting(primes, monkeypatch):
     assert M.dim == (4, 4)
 
     def no_count(*args):
-        raise AssertionError("count_subreps called")
-    monkeypatch.setattr(grassmannian, "count_subreps", no_count)
+        raise AssertionError("_count_subreps called")
+    monkeypatch.setattr(grassmannian, "_count_subreps", no_count)
     assert len(primes) == 8
     with pytest.raises(ConfigurationError,
                        match="need at least 9 primes, have 8"):

@@ -189,6 +189,71 @@ def test_packed_division_matches_reference(case):
     assert divide_exact(dividend, b).terms == expected
 
 
+@given(wide_triples())
+@settings(deadline=None)
+def test_square_matches_reference(case):
+    """a * a takes each unordered pair of terms once."""
+    for a in case:
+        assert (a * a).terms == reference_mul(a, a)
+
+
+@given(wide_triples())
+@settings(deadline=None, max_examples=50)
+def test_powers_match_repeated_reference(case):
+    a, b, _ = case
+    for x in (a, b):
+        assert x ** 1 == x
+        expected = {(0,) * x.nvars: 1}
+        for k in range(5):
+            assert (x ** k).terms == expected
+            expected = reference_mul(LaurentPolynomial(x.nvars, expected), x)
+
+
+@given(wide_triples(), st.integers(1, 4))
+def test_negative_powers_of_unit_monomials(case, k):
+    _, b, _ = case
+    (e, c), *_ = b.terms.items()
+    sign = 1 if c > 0 else -1
+    m = LaurentPolynomial(b.nvars, {e: sign})
+    assert (m ** -k).terms == {tuple(-k * x for x in e): sign ** k}
+    assert m ** -k * m ** k == 1
+
+
+def _along(u, coeffs, shift, scale=1):
+    """scale * sum_k coeffs[k] y^k * x^shift for the monomial y = x^u."""
+    return LaurentPolynomial(len(u), {
+        tuple(k * x + s for x, s in zip(u, shift)): scale * c
+        for k, c in enumerate(coeffs) if c})
+
+
+@given(wide_triples(), st.sampled_from([0, 1, 2]))
+@settings(deadline=None)
+def test_division_retouches_cancelled_terms(case, extra):
+    """(y^4 + 2y^3 + y^2 - 1) / (y^2 + y + 1) = y^2 + y - 1 along a
+    monomial y drawn from the case: the first quotient term cancels the
+    remainder's y^2 term to 0, the second touches it again, and then the
+    y term cancels.  Adding extra to the constant term makes it inexact."""
+    a, b, _ = case
+    (u, scale), *_ = b.terms.items()
+    assume(any(u))
+    if (sum(u), u) < (0, (0,) * len(u)):  # y ascends in the term order
+        u = tuple(-x for x in u)
+    shift_a = next(iter(a.terms), (0,) * len(u))
+    shift_b = tuple(x // 2 for x in u)
+    dividend = _along(u, [extra - 1, 0, 1, 2, 1], shift_a, scale)
+    divisor = _along(u, [1, 1, 1], shift_b, scale)
+    try:
+        expected = reference_divide(dividend, divisor)
+    except InexactDivisionError:
+        assert extra
+        with pytest.raises(InexactDivisionError):
+            divide_exact(dividend, divisor)
+        return
+    assert not extra and expected == _along(
+        u, [-1, 1, 1], [x - y for x, y in zip(shift_a, shift_b)]).terms
+    assert divide_exact(dividend, divisor).terms == expected
+
+
 def test_division_rejects_non_unit_coefficient():
     with pytest.raises(InexactDivisionError):
         divide_exact(parse("x1 + 1", 1), parse("2*x1 + 2", 1))

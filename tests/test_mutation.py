@@ -8,6 +8,7 @@ from cclab import mutation
 from cclab.corpus import all_interval_modules
 from cclab.character import cc
 from cclab.errors import InputError
+from cclab.laurent import LaurentPolynomial
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             exchange_matrix, initial_seed, mutate)
 from cclab.quiver import (a2_quiver, a3_quiver, kronecker_quiver,
@@ -85,6 +86,16 @@ def test_oracle_matches_characters_a2_a3(primes):
                  for i in range(q.n)]
         images = {str(cc(o, primes).value) for o in objs}
         assert oracle == images
+
+
+def test_monomial_starts_from_its_first_factor():
+    """_monomial is the product of its factors, and one when empty."""
+    for q in (a3_quiver(), kronecker_quiver()):
+        x = apply_mutations(initial_seed(q), [1, 2, 1]).cluster
+        assert mutation._monomial(x, (), q.n) == LaurentPolynomial.one(q.n)
+        for i, j in ((0, 1), (1, 0), (0, 0)):
+            assert (mutation._monomial(x, ((i, 1), (j, 2)), q.n).terms
+                    == (x[i] * x[j] * x[j]).terms)
 
 
 # -- reference: breadth-first search over labelled seeds ---------------------

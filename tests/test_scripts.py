@@ -30,9 +30,12 @@ def test_bench_script_writes_counts(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     doc = json.loads(out.read_text())
-    a5, kronecker = doc["closures"]
+    a5, kronecker, e6 = doc["closures"]
     assert (a5["seeds"], a5["divisions"], a5["variables"]) == (132, 70, 20)
     assert (kronecker["seeds"], kronecker["divisions"]) == (49, 48)
+    # E6 has 833 clusters and 42 cluster variables, all found by depth 12
+    assert (e6["seeds"], e6["variables"], e6["stabilized"]) == (833, 42, True)
+    assert e6["exchanges"] == 6 * 833
     assert [k["step"] for k in doc["kernels"]] == [4, 8, 12, 16, 20, 24]
     assert doc["timer"].startswith("time.process_time")
     strat = doc["stratify"]
