@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_17.json.
+write BENCH_18.json.
 
 Run from the repository root:
 
@@ -35,12 +35,14 @@ Stdlib only.  Eight parts:
 - tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
   Kronecker and D4-tilde quivers, in microseconds a call.
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
-  A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first.
-  The timed runs also count the counts of subrepresentations, one per
-  (e, p), and the cover tuples they walk, prod [d_v choose e_v]_p over
-  the vertices left after free_vertices, beside the brute-force tuples
-  over all vertices; the counting adds one free_vertices call to each
-  count.
+  A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first:
+  the profile, the module's tables, the (U, ann U) tables keyed on
+  (p, d, k) and the Gaussian binomials.  The timed runs also count the
+  counts of subrepresentations, one per (e, p), and the cover tuples
+  they walk, prod [d_v choose e_v]_p over the cover of each count's
+  plan, beside the brute-force tuples over all vertices; and the
+  per-vertex tables built, one per (cover vertex, e_v, p) of the
+  module, against the (p, d, k) subspace tables computed for them.
 - src_lines: the lines of src/cclab/*.py, the size of the package.
 
 Every time is the median of the repeats, in seconds of the process's CPU
@@ -242,43 +244,56 @@ def grass_modules():
 
 @contextlib.contextmanager
 def counting_subreps():
-    """While active, count the counts of subrepresentations and the cover
-    and brute-force tuples of each, by wrapping the counter that
-    count_subreps and euler_char_grassmannian share; yields the counts."""
+    """While active, count the counts of subrepresentations, the cover and
+    brute-force tuples of each and the per-vertex tables built, by
+    wrapping the counter that count_subreps and euler_char_grassmannian
+    share and the table builder; yields the counts.  The tuples are sized
+    with the unmemoized Gaussian binomial, so the memo stays cold."""
     counts = {"count_subreps_calls": 0, "cover_tuples": 0,
-              "brute_force_tuples": 0}
+              "brute_force_tuples": 0, "vertex_table_builds": 0}
     count = grassmannian._count_subreps
-    binomial = grassmannian.gaussian_binomial
+    vertex_table = grassmannian._vertex_table
+    binomial = grassmannian.gaussian_binomial.__wrapped__
 
-    def counting_count(M, e, p, by_prime):
-        free = grassmannian.free_vertices(M.quiver, M.dim, e)
+    def counting_count(M, plan, p, by_prime):
+        cover, _, sides = plan
         counts["count_subreps_calls"] += 1
-        for key, vertices in (("cover_tuples", set(range(M.quiver.n)) - free),
-                              ("brute_force_tuples", range(M.quiver.n))):
-            tuples = 1
-            for v in vertices:
-                tuples *= binomial(M.dim[v], e[v], p)
-            counts[key] += tuples
-        return count(M, e, p, by_prime)
+        tuples = 1
+        for _, d, k in cover:
+            tuples *= binomial(d, k, p)
+        counts["cover_tuples"] += tuples
+        for d, k, *_ in sides:
+            tuples *= binomial(d, k, p)
+        counts["brute_force_tuples"] += tuples
+        return count(M, plan, p, by_prime)
+
+    def counting_vertex_table(*args):
+        counts["vertex_table_builds"] += 1
+        return vertex_table(*args)
 
     grassmannian._count_subreps = counting_count
+    grassmannian._vertex_table = counting_vertex_table
     try:
         yield counts
     finally:
         grassmannian._count_subreps = count
+        grassmannian._vertex_table = vertex_table
 
 
 def cold_profile(M, primes):
-    """grassmannian_profile with its profile and table caches cleared."""
-    grassmannian._profile.cache_clear()
-    grassmannian._tables.cache_clear()
+    """grassmannian_profile with its profile, table, subspace-table and
+    Gaussian-binomial caches cleared."""
+    for cache in (grassmannian._profile, grassmannian._tables,
+                  grassmannian._subspace_table,
+                  grassmannian.gaussian_binomial):
+        cache.cache_clear()
     return grassmannian.grassmannian_profile(M, primes)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_17.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_18.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -358,8 +373,11 @@ def main(argv=None):
     for name, M in grass_modules():
         with counting_subreps() as counts:
             row = timed(lambda: cold_profile(M, primes), args.repeats)
+        # each run starts cold, so the last run's misses are every run's
+        built = grassmannian._subspace_table.cache_info().misses
         row = {"name": name, "dim": M.dim, "primes": list(primes),
-               **{k: n // args.repeats for k, n in counts.items()}, **row}
+               **{k: n // args.repeats for k, n in counts.items()},
+               "subspace_table_misses": built, **row}
         grass.append(row)
 
     doc = {
@@ -405,7 +423,9 @@ def main(argv=None):
     for row in grass:
         print(f"{row['name']} profile: {row['median_s']:.3f} s, "
               f"{row['count_subreps_calls']} counts, {row['cover_tuples']} "
-              f"cover tuples ({row['brute_force_tuples']} brute force)")
+              f"cover tuples ({row['brute_force_tuples']} brute force), "
+              f"{row['vertex_table_builds']} vertex tables from "
+              f"{row['subspace_table_misses']} subspace tables")
     print(f"src/cclab: {doc['src_lines']} lines")
     return 0
 

@@ -9,6 +9,7 @@ coherence invariant of the workbench.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .grassmannian import grassmannian_profile
 from .laurent import LaurentPolynomial
@@ -76,18 +77,17 @@ def cc(obj, primes) -> CharacterValue:
     q = M.quiver
     n = q.n
     m = M.dim
-    total = LaurentPolynomial.zero(n)
+    terms: dict = {}
     profile = grassmannian_profile(M, primes) if not M.is_zero() else {
         (0,) * n: 1}
     for e, chi in profile.items():
-        exp = [0] * n
-        for i in range(n):
-            exp[i] = -m[i] + obj.shifted[i]
+        exp = [-m[i] + obj.shifted[i] for i in range(n)]
         for s, t in q.arrows:
             exp[t - 1] += e[s - 1]
             exp[s - 1] += m[t - 1] - e[t - 1]
-        total = total + LaurentPolynomial.monomial(exp, chi)
-    return CharacterValue(total)
+        exp = tuple(exp)
+        terms[exp] = terms.get(exp, 0) + chi
+    return CharacterValue(LaurentPolynomial(n, terms))
 
 
 def cc_palu_form(obj, primes) -> CharacterValue:
@@ -101,12 +101,14 @@ def cc_palu_form(obj, primes) -> CharacterValue:
     q = M.quiver
     n = q.n
     coind = coindex(obj)
-    total = LaurentPolynomial.zero(n)
+    terms: dict = {}
     profile = grassmannian_profile(M, primes) if not M.is_zero() else {
         (0,) * n: 1}
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    # <s_i, e>_a is bilinear: row i of the form on unit vectors, dotted with e
+    form = [[antisym_form(q, si, sj) for sj in units] for si in units]
     for e, chi in profile.items():
-        exp = [-coind[i] + antisym_form(q, units[i], e) for i in range(n)]
-        total = total + LaurentPolynomial.monomial(exp, chi)
-    return CharacterValue(total)
+        exp = tuple(-c + sum(map(mul, row, e)) for c, row in zip(coind, form))
+        terms[exp] = terms.get(exp, 0) + chi
+    return CharacterValue(LaurentPolynomial(n, terms))
 

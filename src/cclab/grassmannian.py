@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import mul
 
 from .errors import ConfigurationError, InputError, NotPolynomialCountError
@@ -49,6 +49,7 @@ def subspaces(p: int, d: int, k: int):
             yield tuple(map(tuple, basis))
 
 
+@lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n; 0 when k is out of range."""
     if not 0 <= k <= n:
@@ -86,18 +87,35 @@ def _tables(q, field, dim, matrices) -> dict:
     return {}
 
 
+@lru_cache(maxsize=128)
+def _subspace_table(p: int, d: int, k: int) -> tuple:
+    """(U, ann U) for each k-subspace U of F_p^d, in the order of
+    subspaces(p, d, k), shared by every module: the k basis vectors of U,
+    then the d - k rows of ann U, which span the linear forms vanishing on
+    U and are read off the pivots of U's reduced echelon basis.  The table
+    outlives every module, so it holds these d vectors of each U end to
+    end in one flat tuple of ints."""
+    flat = []
+    for U in subspaces(p, d, k):
+        ann = _nullspace_of_rref(U, [u.index(1) for u in U], d, p)[1]
+        for row in U + tuple(ann):
+            flat.extend(row)
+    return tuple(flat)
+
+
 def _vertex_table(rows, ends, d: int, v: int, k: int, p: int) -> list:
     """(U, reads) per k-subspace U of F_p^d at vertex v.  reads[a] is, for
     an arrow a out of v, the vectors M_a u for the basis u of U; for an
-    arrow a into v, the rows of ann(U) M_a, where the rows of ann(U) span
-    the linear forms vanishing on U; None for an arrow not at v.  U comes
-    in reduced echelon form, so ann(U) is read off its pivots."""
+    arrow a into v, the rows of ann(U) M_a; None for an arrow not at v.
+    Only the reads depend on the module; U and ann U come from
+    _subspace_table."""
     def apply(R, X):  # the vectors R x for x in X, mod p
         return tuple(tuple(sum(map(mul, r, x)) % p for r in R) for x in X)
     cols = [list(zip(*m)) for m in rows]
+    vectors = zip(*[iter(_subspace_table(p, d, k))] * d)
     table = []
-    for U in subspaces(p, d, k):
-        ann = _nullspace_of_rref(U, [u.index(1) for u in U], d, p)[1]
+    for _ in range(gaussian_binomial(d, k, p)):
+        U, ann = tuple(islice(vectors, k)), list(islice(vectors, d - k))
         table.append((U, tuple(apply(m, U) if s == v else
                                apply(mc, ann) if t == v else None
                                for m, mc, (s, t) in zip(rows, cols, ends))))
@@ -109,52 +127,63 @@ def _content(M: Representation) -> tuple:
     return tuple(tuple(map(tuple, m.data)) for m in M.matrices)
 
 
+def _plan(q, dim, e) -> tuple:
+    """What counting Gr_e M needs of (quiver q, dim M, e) alone, built once
+    for every prime, after e is checked against dim: the cover C left by
+    `free_vertices` as (v, d_v, e_v); the arrows inside C as (a, slot of s,
+    slot of t), a slot being a place in C; and per free vertex (d_v, e_v,
+    its in-arrows as (a, slot of s), its out-arrows as (a, slot of t))."""
+    if len(e) != q.n:
+        raise InputError("dimension vector length mismatch")
+    if any(ei > di or ei < 0 for ei, di in zip(e, dim)):
+        raise InputError("target dimension vector exceeds the module")
+    ends = [(s - 1, t - 1) for s, t in q.arrows]
+    free = free_vertices(q, dim, e)
+    cover = [v for v in range(q.n) if v not in free]
+    slot = {v: i for i, v in enumerate(cover)}
+    return ([(v, dim[v], e[v]) for v in cover],
+            [(a, slot[s], slot[t]) for a, (s, t) in enumerate(ends)
+             if s in slot and t in slot],
+            [(dim[v], e[v],
+              [(a, slot[s]) for a, (s, t) in enumerate(ends) if t == v],
+              [(a, slot[t]) for a, (s, t) in enumerate(ends) if s == v])
+             for v in sorted(free)])
+
+
 def count_subreps(M: Representation, e, p: int) -> int:
     """Number of subrepresentations of dimension vector e over F_p."""
-    return _count_subreps(M, e, p,
+    return _count_subreps(M, _plan(M.quiver, M.dim, e), p,
                           _tables(M.quiver, M.field, M.dim, _content(M)))
 
 
-def _count_subreps(M: Representation, e, p: int, by_prime: dict) -> int:
-    """count_subreps on by_prime, M's _tables, so that a caller counting
-    many (e, p) looks them up once.
+def _count_subreps(M: Representation, plan: tuple, p: int,
+                   by_prime: dict) -> int:
+    """count_subreps by plan, M's _plan for one e, on by_prime, M's
+    _tables, so that a caller counting at many primes sets them up once.
 
-    Subspaces U_v are enumerated only on the vertex cover C left by
-    `free_vertices`, from the module's `_tables`; an arrow a: s -> t in C
-    holds when ann(U_t) M_a U_s = 0.  Every arrow at a free vertex v has
-    its other end in C, so U_v may be any e_v-subspace between A_v, the sum
-    of the images M_a(U_s) of its in-arrows, and B_v, the intersection of
-    the preimages M_a^{-1}(U_t) of its out-arrows: [dim B_v - dim A_v,
-    e_v - dim A_v]_p choices when A_v lies in B_v, none otherwise.
+    Subspaces U_v are enumerated only on the vertex cover C of the plan,
+    from the module's `_tables`; an arrow a: s -> t in C holds when
+    ann(U_t) M_a U_s = 0.  Every arrow at a free vertex v has its other end
+    in C, so U_v may be any e_v-subspace between A_v, the sum of the images
+    M_a(U_s) of its in-arrows, and B_v, the intersection of the preimages
+    M_a^{-1}(U_t) of its out-arrows: [dim B_v - dim A_v, e_v - dim A_v]_p
+    choices when A_v lies in B_v, none otherwise.
     """
-    q = M.quiver
-    if len(e) != q.n:
-        raise InputError("dimension vector length mismatch")
-    if any(ei > di or ei < 0 for ei, di in zip(e, M.dim)):
-        raise InputError("target dimension vector exceeds the module")
     if p not in by_prime:
         by_prime[p] = [m.data for m in reduce_rep(M, p).matrices], {}
     rows, tables = by_prime[p]
-    ends = [(s - 1, t - 1) for s, t in q.arrows]
-    free = free_vertices(q, M.dim, e)
-    cover = [v for v in range(q.n) if v not in free]
-    slot = {v: i for i, v in enumerate(cover)}
-    for v in cover:
-        if (v, e[v]) not in tables:
-            tables[v, e[v]] = _vertex_table(rows, ends, M.dim[v], v, e[v], p)
-    inner = [(a, slot[s], slot[t]) for a, (s, t) in enumerate(ends)
-             if s in slot and t in slot]
-    sides = [(v, [(a, slot[s]) for a, (s, t) in enumerate(ends) if t == v],
-              [(a, slot[t]) for a, (s, t) in enumerate(ends) if s == v])
-             for v in sorted(free)]
+    cover, inner, sides = plan
+    for v, d, k in cover:
+        if (v, k) not in tables:
+            ends = [(s - 1, t - 1) for s, t in M.quiver.arrows]
+            tables[v, k] = _vertex_table(rows, ends, d, v, k, p)
     count = 0
-    for tup in product(*[tables[v, e[v]] for v in cover]):
+    for tup in product(*[tables[v, k] for v, _, k in cover]):
         if any(sum(map(mul, f, u)) % p for a, s, t in inner
                for f in tup[t][1][a] for u in tup[s][0]):
             continue
         term = 1
-        for v, ins, outs in sides:
-            d = M.dim[v]
+        for d, k, ins, outs in sides:
             images = [w for a, s in ins for w in tup[s][1][a]]
             forms = [f for a, t in outs for f in tup[t][1][a]]
             if images and any(sum(map(mul, f, w)) % p
@@ -163,7 +192,7 @@ def _count_subreps(M: Representation, e, p: int, by_prime: dict) -> int:
                 break
             dim_a = _rank_mod(images, d, p) if images else 0
             dim_b = d - (_rank_mod(forms, d, p) if forms else 0)
-            term *= gaussian_binomial(dim_b - dim_a, e[v] - dim_a, p)
+            term *= gaussian_binomial(dim_b - dim_a, k - dim_a, p)
             if not term:
                 break
         count += term
@@ -171,24 +200,18 @@ def _count_subreps(M: Representation, e, p: int, by_prime: dict) -> int:
 
 
 def interpolate_counts(points, degree_bound: int) -> CountingPolynomial:
-    """Lagrange interpolation through (prime, count) pairs; must be integral."""
+    """Newton interpolation through (prime, count) pairs, expanded into
+    coefficients; must be integral."""
     xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # basis polynomial for node i, expanded coefficient-wise
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num[:]
-            for k in range(len(num) - 1):
-                num[k] -= xs[j] * num[k + 1]
-            den *= xs[i] - xs[j]
-        for k in range(len(num)):
-            coeffs[k] += Fraction(ys[i]) * num[k] / den
+    diffs = [Fraction(y) for _, y in points]
+    for j in range(1, len(xs)):  # divided differences, in place
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = []
+    for c, x in zip(reversed(diffs), reversed(xs)):
+        # Horner: coeffs <- c + (q - x) * coeffs
+        coeffs = [a - x * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if any(c.denominator != 1 for c in coeffs):
@@ -227,8 +250,9 @@ def euler_char_grassmannian(M: Representation, e, primes) -> int:
     """chi(Gr_e M) as P(1) of the verified counting polynomial."""
     bound = grassmannian_degree_bound(M.dim, e)
     _check_prime_count(len(set(primes)), bound)
+    plan = _plan(M.quiver, M.dim, e)
     by_prime = _tables(M.quiver, M.field, M.dim, _content(M))
-    counts = {p: _count_subreps(M, e, p, by_prime) for p in sorted(primes)}
+    counts = {p: _count_subreps(M, plan, p, by_prime) for p in sorted(primes)}
     poly = fit_and_verify(counts, bound)
     return poly(1)
 

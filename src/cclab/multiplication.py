@@ -26,7 +26,7 @@ from .artranslate import (ar_inverse_maps, ar_translate,
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
-from .grassmannian import fit_and_verify
+from .grassmannian import _check_prime_count, fit_and_verify
 from .laurent import LaurentPolynomial
 from .linalg import (GF, Mat, _nullspace_mod, hstack, line_ranks,
                      pencil_rank)
@@ -83,6 +83,7 @@ def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
     """
     if d == 0:
         return []
+    _check_prime_count(len(set(primes)), max(d - 1, 0))
     counts: dict = {}
     witnesses: dict = {}
     for p in primes:

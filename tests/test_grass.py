@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
@@ -85,6 +86,20 @@ def test_subspace_bases_counts_gaussian():
         sum(1 for _ in subspace_bases(GF(2), 4, 2)) == 35
 
 
+def test_gaussian_binomial_memo_is_bounded_and_transparent():
+    """The memo is bounded, and cold or warm it gives the values that the
+    function computes without it, out-of-range k included."""
+    maxsize = gaussian_binomial.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    args = [(n, k, p) for n in range(-1, 6) for k in range(-1, 7)
+            for p in (2, 3, 53)]
+    direct = [gaussian_binomial.__wrapped__(*a) for a in args]
+    gaussian_binomial.cache_clear()
+    assert [gaussian_binomial(*a) for a in args] == direct
+    assert [gaussian_binomial(*a) for a in args] == direct
+    assert gaussian_binomial.cache_info().hits == len(args)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_int_subspaces_match_mat_bases(p):
     """The package's int-row enumerator lists the oracle's subspaces, in
@@ -116,10 +131,18 @@ def test_count_lines_at_sink():
         assert count_subreps(M, (0, 1), p) == p + 1
 
 
-def test_count_rejects_oversized_vector():
+def test_count_rejects_oversized_vector(primes):
     q = a2_quiver()
     with pytest.raises(InputError):
         count_subreps(simple_rep(q, 1), (2, 0), 5)
+    # e of the wrong length is refused before the counting is set up
+    for e in [(1,), (1, 0, 0)]:
+        with pytest.raises(InputError,
+                           match="dimension vector length mismatch"):
+            count_subreps(simple_rep(q, 1), e, 5)
+        with pytest.raises(InputError,
+                           match="dimension vector length mismatch"):
+            euler_char_grassmannian(simple_rep(q, 1), e, primes)
 
 
 def test_euler_char_examples(primes):
@@ -190,6 +213,65 @@ def test_interpolation_integer_fit():
 def test_interpolation_rejects_non_integer():
     with pytest.raises(NotPolynomialCountError):
         interpolate_counts([(2, 0), (4, 1)], 1)  # slope 1/2
+
+
+def lagrange_reference(points, degree_bound):
+    """Lagrange interpolation, each node's basis polynomial expanded
+    coefficient-wise: the reference for interpolate_counts."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i in range(n):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            num = [Fraction(0)] + num[:]
+            for k in range(len(num) - 1):
+                num[k] -= xs[j] * num[k + 1]
+            den *= xs[i] - xs[j]
+        for k in range(len(num)):
+            coeffs[k] += Fraction(ys[i]) * num[k] / den
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if any(c.denominator != 1 for c in coeffs):
+        raise NotPolynomialCountError("interpolant has non-integer coefficients")
+    if len(coeffs) - 1 > degree_bound:
+        raise NotPolynomialCountError("interpolant exceeds its degree bound")
+    return CountingPolynomial(tuple(int(c) for c in coeffs))
+
+
+@st.composite
+def count_fits(draw):
+    """(points, degree bound): counts at distinct primes, read off an
+    integer polynomial of degree <= 8 or drawn at random."""
+    primes = draw(st.lists(st.sampled_from(
+        (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)),
+        unique=True, max_size=10))
+    if draw(st.booleans()):
+        poly = CountingPolynomial(tuple(draw(st.lists(st.integers(-50, 50),
+                                                      max_size=9))))
+        counts = [poly(p) for p in primes]
+    else:
+        counts = draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                               min_size=len(primes), max_size=len(primes)))
+    return list(zip(primes, counts)), draw(st.integers(0, 8))
+
+
+@given(count_fits())
+@settings(deadline=None, max_examples=300)
+def test_interpolation_matches_lagrange(case):
+    """The Newton fit gives the reference's polynomial, or its error."""
+    points, bound = case
+
+    def fit(interpolate):
+        try:
+            return interpolate(points, bound)
+        except NotPolynomialCountError as err:
+            return str(err)
+    assert fit(interpolate_counts) == fit(lagrange_reference)
 
 
 def test_fit_and_verify_flags_mismatch():
@@ -373,6 +455,45 @@ def test_tables_are_bounded_and_transparent(monkeypatch):
     tables.cache_clear()
     assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
     assert all(cold[e, 2] == brute_force_count(M, e, 2) for e in es)
+
+
+def test_subspace_tables_are_bounded_and_transparent(monkeypatch):
+    """The (U, ann U) tables are keyed on (p, d, k) alone, so another
+    module of the same dimensions reads them warm; they are bounded, and
+    counts read from them cold, warm, after an eviction or cleared are the
+    same and agree with the oracle."""
+    bound = grassmannian._subspace_table.cache_info().maxsize
+    assert isinstance(bound, int) and bound > 0
+    # private caches, so the counts below start cold and the shared ones
+    # are left as they were
+    subspace_table = lru_cache(maxsize=6)(
+        grassmannian._subspace_table.__wrapped__)
+    tables = lru_cache(maxsize=1)(grassmannian._tables.__wrapped__)
+    monkeypatch.setattr(grassmannian, "_subspace_table", subspace_table)
+    monkeypatch.setattr(grassmannian, "_tables", tables)
+    qk = kronecker_quiver()
+    M = direct_sum(projective_rep(qk, 1), injective_rep(qk, 2))
+    N = direct_sum_many(qk, [kronecker_regular(1, 0), kronecker_regular(1, 1),
+                             simple_rep(qk, 1), simple_rep(qk, 2)])
+    assert M.dim == N.dim == (3, 3)
+    # vertex 2 is the cover at each e, so the keys are (p, 3, e_2)
+    es, primes = [(1, 1), (2, 1), (1, 2), (3, 3)], (2, 3)
+    cold = {(e, p): count_subreps(M, e, p) for e in es for p in primes}
+    assert subspace_table.cache_info()[:2] == (0, 6)  # hits, misses
+    warm = {(e, p): count_subreps(N, e, p) for e in es for p in primes}
+    assert subspace_table.cache_info()[:2] == (6, 6)
+    for e, p in cold:
+        assert cold[e, p] == brute_force_count(M, e, p)
+        assert warm[e, p] == brute_force_count(N, e, p)
+    for e in es:  # three more keys evict three
+        count_subreps(M, e, 5)
+    assert subspace_table.cache_info()[1:] == (9, 6, 6)
+    tables.cache_clear()
+    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
+    subspace_table.cache_clear()
+    tables.cache_clear()
+    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
+    assert subspace_table.cache_info().currsize == 6
 
 
 # -- counting-free check on tree modules -------------------------------------

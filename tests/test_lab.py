@@ -512,6 +512,31 @@ def test_hom_side_refuses_a_prime_where_hom_jumps(primes, d):
         stratify_hom_side(L, M, primes)
 
 
+@pytest.mark.parametrize("run", [
+    lambda P1, I2, primes: verify_xx1(P1, I2, primes),
+    lambda P1, I2, primes: stratify_ext_side(I2, P1, primes),
+    lambda P1, I2, primes: stratify_hom_side(P1, I2, primes),
+], ids=["verify_xx1", "stratify_ext_side", "stratify_hom_side"])
+def test_strata_refuse_too_few_primes_before_any_point(monkeypatch, run):
+    """Kronecker (P1, I2) has d = 4, so each stratum's fit has degree
+    bound 3 and needs 5 primes; 3 primes are refused before a point of
+    either side is keyed."""
+    keyed = []
+    run_strata = multiplication._run_strata
+
+    def counting_run_strata(key_at_prime, *rest):
+        def counting_key_at_prime(p):
+            keyed.append(p)
+            return key_at_prime(p)
+        return run_strata(counting_key_at_prime, *rest)
+    monkeypatch.setattr(multiplication, "_run_strata", counting_run_strata)
+    q = kronecker_quiver()
+    with pytest.raises(ConfigurationError,
+                       match="need at least 5 primes, have 3"):
+        run(projective_rep(q, 1), injective_rep(q, 2), (101, 103, 107))
+    assert keyed == []
+
+
 @pytest.mark.parametrize("M", [
     projective_rep(kronecker_quiver(), 1),
     direct_sum(projective_rep(kronecker_quiver(), 1),

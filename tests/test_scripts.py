@@ -73,6 +73,9 @@ def test_bench_script_writes_counts(tmp_path):
             n_e *= d + 1
         assert row["count_subreps_calls"] == n_e * len(row["primes"])
         assert 0 < row["cover_tuples"] < row["brute_force_tuples"]
+        # the vertex tables share the subspace tables of each (p, d, k)
+        assert (0 < row["subspace_table_misses"]
+                < row["vertex_table_builds"])
         assert row["median_s"] > 0
     tau = {row["name"]: row for row in doc["tau"]}
     assert tau["kronecker.S1"]["tau_dim"] == [3, 2]
