@@ -2,8 +2,10 @@
 
 Matrices store field elements in row-major nested lists and compute with
 Python's own operators; the field's `of` puts each result in the field, mod
-p over GF(p) and a Fraction over QQ.  Elimination picks its kernel by field:
-int rows mod p over GF(p), Fraction rows over QQ.  Dimensions are tiny (desk
+p over GF(p) and a Fraction over QQ.  Each field carries its characteristic
+p, 0 for QQ, and one elimination and one nullspace serve both: int rows
+reduced mod p when p > 0, Fraction rows when p = 0.  Only rank, determinant
+and the rank pencils have GF(p)-only kernels.  Dimensions are tiny (desk
 scale), so plain Gaussian elimination is used throughout.
 Zero-row and zero-column matrices are legal and behave as expected.
 """
@@ -44,6 +46,8 @@ class GF:
 class RationalField:
     """The field of rationals, with Fraction elements."""
 
+    p = 0  # the characteristic
+
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
@@ -69,7 +73,8 @@ class Mat:
 
     The entries are ints in [0, p) over GF(p) and Fractions over QQ: each
     operation applies Python's operators to them and `field.of` to each
-    result.  rref and rank pick the elimination kernel by field.
+    result.  rref and nullspace run one elimination for both fields, read
+    at field.p; rank over GF(p) runs _rank_mod.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -99,9 +104,6 @@ class Mat:
         for i in range(n):
             m.data[i][i] = field.one
         return m
-
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
@@ -141,38 +143,28 @@ class Mat:
 
     def rref(self):
         """Row-reduce; returns (reduced copy, pivot column list)."""
-        F = self.field
         data = [row[:] for row in self.data]
-        if isinstance(F, GF):
-            pivots = _rref_mod(data, self.cols, F.p)
-        else:
-            pivots = _rref_qq(data, self.cols)
-        return Mat._wrap(F, self.rows, self.cols, data), pivots
+        pivots = _rref(data, self.cols, self.field.p)
+        return Mat._wrap(self.field, self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
-        if isinstance(self.field, GF):
+        if self.field.p:
             return _rank_mod(self.data, self.cols, self.field.p)
         return len(self.rref()[1])
 
     def nullspace(self) -> "Mat":
         """Basis of the right kernel, returned as a cols x k matrix."""
-        F = self.field
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        out = Mat(F, self.cols, len(free))
-        for j, fc in enumerate(free):
-            out.data[fc][j] = F.one
-            for r, pc in enumerate(pivots):
-                out.data[pc][j] = F.of(-red.data[r][fc])
-        return out
+        vecs = _nullspace(self.data, self.cols, self.field.p)[1]
+        return Mat._wrap(self.field, len(vecs), self.cols, vecs).transpose()
 
     def column(self, j) -> list:
         return [self.data[i][j] for i in range(self.rows)]
 
 
-def _rref_mod(m: list, ncols: int, p: int) -> list:
-    """Reduce int rows with entries in [0, p) to reduced row echelon form
-    mod p, in place; returns the pivot columns."""
+def _rref(m: list, ncols: int, p: int) -> list:
+    """Reduce rows to reduced row echelon form in place; returns the pivot
+    columns.  The rows are ints in [0, p) over GF(p) and Fractions over QQ,
+    p = 0."""
     nrows = len(m)
     pivots = []
     r = 0
@@ -187,12 +179,14 @@ def _rref_mod(m: list, ncols: int, p: int) -> list:
         m[r], m[i] = m[i], m[r]
         row = m[r]
         if row[c] != 1:
-            inv = pow(row[c], -1, p)
-            row = m[r] = [inv * x % p for x in row]
+            inv = pow(row[c], -1, p) if p else 1 / row[c]
+            row = m[r] = ([inv * x % p for x in row] if p
+                          else [inv * x for x in row])
         for i in range(nrows):
             f = m[i][c]
             if f and i != r:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+                m[i] = ([(x - f * y) % p for x, y in zip(m[i], row)] if p
+                        else [x - f * y for x, y in zip(m[i], row)])
         pivots.append(c)
         r += 1
     return pivots
@@ -222,52 +216,27 @@ def _rank_mod(rows: list, ncols: int, p: int) -> int:
     return rank
 
 
-def _nullspace_mod(rows: list, ncols: int, p: int):
-    """The free columns of rref(rows) over GF(p) and the canonical
-    nullspace basis: per free column, its unit vector corrected on the
-    pivot columns, as the columns of Mat.nullspace."""
+def _nullspace(rows: list, ncols: int, p: int):
+    """The free columns of rref(rows) and the canonical nullspace basis:
+    per free column, its unit vector corrected on the pivot columns.  Over
+    GF(p) the rows are ints in [0, p), over QQ (p = 0) Fractions."""
     red = [row[:] for row in rows]
-    return _nullspace_of_rref(red, _rref_mod(red, ncols, p), ncols, p)
+    return _nullspace_of_rref(red, _rref(red, ncols, p), ncols, p)
 
 
 def _nullspace_of_rref(red: list, pivots: list, ncols: int, p: int):
-    """_nullspace_mod read off rows already in reduced row echelon form mod
-    p, with the given pivot columns."""
+    """_nullspace read off rows already in reduced row echelon form, with
+    the given pivot columns."""
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
     for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
+        v = [zero] * ncols
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc] % p
+            v[pc] = -red[r][fc] % p if p else -red[r][fc]
         vecs.append(v)
     return free, vecs
-
-
-def _rref_qq(m: list, ncols: int) -> list:
-    """Reduce rows of Fractions to reduced row echelon form, in place, with
-    the pivots of _rref_mod; returns the pivot columns."""
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        pivot = m[r][c]
-        row = m[r] = [x / pivot for x in m[r]]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [x - f * y for x, y in zip(m[i], row)]
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 def _pencil_core(parts: list, ncols: int, p: int):
@@ -288,7 +257,7 @@ def _pencil_core(parts: list, ncols: int, p: int):
         varying = [any(any(D[i]) for D in parts[1:])
                    for i in range(len(parts[0]))]
         const = [row for row, v in zip(parts[0], varying) if not v]
-        pivots = _rref_mod(const, ncols, p)
+        pivots = _rref(const, ncols, p)
         keep = [c for c in range(ncols) if c not in pivots]
         out = []
         for part in parts:
@@ -353,9 +322,9 @@ def line_ranks(B: list, D: list, ncols: int, p: int, ts) -> list:
     t = ts[ranks.index(r)]
     A = [[(x + t * y) % p for x, y in zip(u, v)] for u, v in zip(B, D)]
     cols = (range(ncols) if r == ncols
-            else _rref_mod([row[:] for row in A], ncols, p))
+            else _rref([row[:] for row in A], ncols, p))
     rows = (range(len(A)) if r == len(A)
-            else _rref_mod([[row[c] for row in A] for c in cols], len(A), p))
+            else _rref([[row[c] for row in A] for c in cols], len(A), p))
     Bm, Dm = ([[M[i][c] for c in cols] for i in rows] for M in (B, D))
     # mu in Newton form on the nodes xs, then evaluated at the rest
     xs = ts[:r + 1]
@@ -378,6 +347,14 @@ def _rank_at(B: list, D: list, ncols: int, p: int, t: int) -> int:
                       for u, v in zip(B, D)], ncols, p)
 
 
+def _combination(parts: list):
+    """c -> sum_k c_k parts[k], for parts of one shape given as int rows,
+    one coefficient per part; entries are not reduced mod p."""
+    stacked = [list(zip(*rows)) for rows in zip(*parts)]  # per entry
+    return lambda c: [[sum(map(operator.mul, c, xs)) for xs in row]
+                      for row in stacked]
+
+
 def pencil_rank(A0: Mat, Ds: list):
     """rank(A0 + sum_k c_k Ds[k]) over GF(p) on the line c = (head, t) of
     the last direction, for each t in ts, as a function of (head, ts).
@@ -391,14 +368,11 @@ def pencil_rank(A0: Mat, Ds: list):
                                      A0.cols, p)
     if not ncols:
         return lambda head, ts: [base] * len(ts)
-    # per entry, its values in the parts other than the last
-    stacked = [list(zip(*rows)) for rows in zip(*core[:-1])]
+    head_part = _combination(core[:-1])
 
     def ranks_on_line(head, ts):
-        c = (1,) + head
-        B = [[sum(map(operator.mul, c, xs)) for xs in row]
-             for row in stacked]
-        more, (B, D), n = _pencil_core([B, core[-1]], ncols, p)
+        more, (B, D), n = _pencil_core([head_part((1,) + head), core[-1]],
+                                       ncols, p)
         return [base + more + r for r in line_ranks(B, D, n, p, ts)]
     return ranks_on_line
 

@@ -18,25 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 
 from .artranslate import (ar_inverse_maps, ar_translate,
-                          ar_translate_unchecked, has_projective_summand,
-                          summand_multiplicities)
+                          has_projective_summand, summand_multiplicities)
 from .character import cc, describe
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
 from .grassmannian import _check_prime_count, fit_and_verify
 from .laurent import LaurentPolynomial
-from .linalg import (GF, Mat, _nullspace_mod, hstack, line_ranks,
-                     pencil_rank)
+from .linalg import GF, Mat, _combination, hstack, line_ranks, pencil_rank
 from .reps import (ClusterObject, ExtCocycle, Representation,
                    _fingerprint_matrices, _fingerprint_of, _hom_system,
-                   cluster_object, cokernel_rep, combine, direct_sum, dual,
-                   ext1_setup, fingerprint, hom_basis, hom_dim, kernel_rep,
-                   middle_term, reduce_mats, reduce_rep, stable_ext1_dim,
-                   standard_sum, top_multiplicities, unit_cocycles,
-                   zero_rep)
+                   _kernel_key, _rep_of_key, cluster_object, cokernel_rep,
+                   combine, direct_sum, dual, ext1_setup, fingerprint,
+                   hom_basis, hom_dim, kernel_rep, middle_term, reduce_mats,
+                   reduce_rep, stable_ext1_dim, standard_sum,
+                   top_multiplicities, unit_cocycles, zero_rep)
 
 
 @dataclass
@@ -198,43 +195,6 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
 
 # -- the hom-side stratifications -----------------------------------------
 
-def _rep_of_key(key: tuple, L: Representation) -> Representation:
-    """The kernel that a _kernel_key of a map out of L holds."""
-    ranks, mats = key
-    F = L.field
-    dim = tuple(a - r for a, r in zip(L.dim, ranks))
-    return Representation(L.quiver, F, dim, [
-        Mat._wrap(F, dim[t - 1], dim[s - 1], [list(row) for row in m])
-        for (s, t), m in zip(L.quiver.arrows, mats)])
-
-
-def _kernel_key(g, L: Representation) -> tuple:
-    """(ranks of the g_i, Ker g as arrow matrices) for g: L -> T over
-    GF(p), g_i as int rows.  K_i has the canonical nullspace basis of g_i,
-    as in kernel_rep, so K_a is L_a on it read at the free coordinates."""
-    p = L.field.p
-    kernels = [_nullspace_mod(gi, l, p) for gi, l in zip(g, L.dim)]
-    return (tuple(l - len(free) for l, (free, _) in zip(L.dim, kernels)),
-            tuple(tuple(tuple(sum(map(mul, La.data[f], v)) % p
-                              for v in kernels[s - 1][1])
-                        for f in kernels[t - 1][0])
-                  for (s, t), La in zip(L.quiver.arrows, L.matrices)))
-
-
-def _line_pencils(maps, p: int):
-    """The maps sum_k c_k f_k on the line of points c = head + (t,), as a
-    function of head: per vertex i, the int rows (G_i, F_i), mod p, of
-    G + t F."""
-    stacked = [[list(zip(*rows)) for rows in zip(*(f[i].data for f in maps))]
-               for i in range(len(maps[0]))]
-
-    def on_line(head):
-        c = head + (0,)
-        return [([[sum(map(mul, c, xs)) % p for xs in row] for row in G],
-                 F.data) for G, F in zip(stacked, maps[-1])]
-    return on_line
-
-
 def _hom_strata(L: Representation, T: Representation, primes, side: str,
                 family, middle):
     """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ.  The middle term
@@ -271,26 +231,31 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str,
         Lp, Tp, basis = reduced[p]
         Lh, Th, images = family(Lp, Tp, basis)
         DTh = dual(Th)
-        g_on = _line_pencils(basis, p)
-        h_on = _line_pencils([[m.transpose() for m in f] for f in images], p)
+        # per vertex of g, then of Dh: (the map at c = head + (0,) as a
+        # function of c, the last basis map), so the line is G + t F
+        n = L.quiver.n
+        pencils = [(_combination([f[i].data for f in maps]), maps[-1][i].data)
+                   for maps in (basis, [[m.transpose() for m in f]
+                                        for f in images])
+                   for i in range(n)]
         arrows = ((),) * len(L.quiver.arrows)
         injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
         memo = {}
 
         def keys_on(head, ts):
-            g_line, h_line = g_on(head), h_on(head)
+            line = [(G(head + (0,)), F) for G, F in pencils]
             full = [all(ranks) for ranks in zip(*(
-                [r == n for r in line_ranks(G, F, n, p, ts)]
-                for (G, F), n in zip(g_line + h_line, Lp.dim + DTh.dim)))]
+                [r == cols for r in line_ranks(G, F, cols, p, ts)]
+                for (G, F), cols in zip(line, Lp.dim + DTh.dim)))]
             keys = []
             for t, injective in zip(ts, full):
                 if injective:
                     mk = injective_key
                 else:
-                    g, dh = ([[[(x + t * y) % p for x, y in zip(r, s)]
-                               for r, s in zip(G, F)] for G, F in line]
-                             for line in (g_line, h_line))
-                    mk = (_kernel_key(g, Lp), _kernel_key(dh, DTh))
+                    at_t = [[[(x + t * y) % p for x, y in zip(r, s)]
+                             for r, s in zip(G, F)] for G, F in line]
+                    mk = (_kernel_key(at_t[:n], Lp),
+                          _kernel_key(at_t[n:], DTh))
                 key = memo.get(mk)
                 if key is None:
                     dim_c = tuple(t - r for t, r in zip(T.dim, mk[0][0]))
@@ -303,8 +268,8 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str,
 
     def middle_at_qq(coeffs):
         g = combine(basis_qq, coeffs)
-        C = cokernel_rep(g, L, T)[0]
-        return middle(kernel_rep(g, L, T)[0],
+        C = cokernel_rep(g, L, T)
+        return middle(kernel_rep(g, L, T),
                       family(C, zero_rep(L.quiver, L.field), [])[0], C.dim)
 
     return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
@@ -385,11 +350,11 @@ def verify_xx1(L: Representation, M: Representation, primes) -> VerificationRepo
 
 def verify_xx2(P: Representation, M: Representation, primes) -> VerificationReport:
     """dim Hom(P,M) * X_M X_{P[1]} = Hom(M,I)-strata + Hom(P,M)-strata."""
-    tau = ar_translate_unchecked(P)
-    if P.is_zero() or not tau.is_zero():
-        raise PreconditionError("first argument must be a nonzero projective")
-    mults = summand_multiplicities(P.quiver, P.dim, tau.dim)
     q = P.quiver
+    mults = top_multiplicities(P)  # P is projective iff its cover is P
+    cover = standard_sum(q, "projective", mults, P.field)
+    if P.is_zero() or cover.dim != P.dim:
+        raise PreconditionError("first argument must be a nonzero projective")
     I = standard_sum(q, "injective", mults, P.field)
     strata = _hom_strata(M, I, primes, "proj-shift-inj", ar_inverse_maps,
                          _hom_side_middle)

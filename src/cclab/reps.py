@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .errors import (ConfigurationError, InputError, PreconditionError,
                      PrimeInstabilityError)
-from .linalg import GF, Mat, QQ, hstack, quotient_map, vstack
+from .linalg import GF, Mat, QQ, _nullspace, hstack, quotient_map, vstack
 from .quiver import Quiver, check_dimvec
 
 
@@ -366,29 +367,39 @@ def middle_term(cocycle: ExtCocycle) -> Representation:
 
 # -- kernels and cokernels -------------------------------------------------
 
+def _kernel_key(g, L: Representation) -> tuple:
+    """(ranks of the g_i, Ker g as arrow matrices) for g: L -> T, g_i as
+    rows of field elements.  K_i has the canonical nullspace basis B_i of
+    g_i, the identity at the free columns of rref(g_i).  So K_a, with
+    L_a B_s = B_t K_a, is L_a B_s read at the free coordinates of t."""
+    p = L.field.p
+    kernels = [_nullspace(gi, l, p) for gi, l in zip(g, L.dim)]
+    return (tuple(l - len(free) for l, (free, _) in zip(L.dim, kernels)),
+            tuple(tuple(tuple(sum(map(mul, La.data[f], v)) % p if p
+                              else sum(map(mul, La.data[f], v))
+                              for v in kernels[s - 1][1])
+                        for f in kernels[t - 1][0])
+                  for (s, t), La in zip(L.quiver.arrows, L.matrices)))
+
+
+def _rep_of_key(key: tuple, L: Representation) -> Representation:
+    """The kernel that a _kernel_key of a map out of L holds."""
+    ranks, mats = key
+    F = L.field
+    dim = tuple(a - r for a, r in zip(L.dim, ranks))
+    return Representation(L.quiver, F, dim, [
+        Mat._wrap(F, dim[t - 1], dim[s - 1], [list(row) for row in m])
+        for (s, t), m in zip(L.quiver.arrows, mats)])
+
+
 def kernel_rep(f: list, M: Representation, N: Representation):
-    """Kernel of f: M -> N, as (K, inclusion into M).  K_i has the
-    canonical nullspace basis B_i of f_i, the identity at the free columns
-    of rref(f_i), each the last nonzero row of its column.  So K_a, with
-    M_a B_s = B_t K_a, is M_a B_s read at the free rows of B_t."""
-    bases = [m.nullspace() for m in f]
-    free = [[max(r for r in range(B.rows) if B.data[r][j])
-             for j in range(B.cols)] for B in bases]
-    mats = []
-    for a, (s, t) in enumerate(M.quiver.arrows):
-        img = M.matrices[a].mul(bases[s - 1])
-        mats.append(Mat._wrap(M.field, len(free[t - 1]), img.cols,
-                              [img.data[r] for r in free[t - 1]]))
-    return (Representation(M.quiver, M.field, tuple(B.cols for B in bases),
-                           mats), bases)
+    """Ker f for f: M -> N, on the bases of _kernel_key."""
+    return _rep_of_key(_kernel_key([m.data for m in f], M), M)
 
 
 def cokernel_rep(f: list, M: Representation, N: Representation):
-    """Cokernel of f: M -> N, as (C, projection maps): C = D Ker(Df) for
-    the transposes Df: DN -> DM, and each projection is the transpose of
-    that kernel's inclusion."""
-    K, inclusion = kernel_rep([m.transpose() for m in f], dual(N), dual(M))
-    return dual(K), [B.transpose() for B in inclusion]
+    """Coker f for f: M -> N, as D Ker(Df) for the transposes Df: DN -> DM."""
+    return dual(kernel_rep([m.transpose() for m in f], dual(N), dual(M)))
 
 
 # -- tops, socles and isomorphism testing ---------------------------------

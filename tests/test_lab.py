@@ -19,13 +19,13 @@ from cclab.grassmannian import subspaces
 from cclab.linalg import GF, QQ, Mat
 from cclab.multiplication import (_bucket_key, _ext_key,
                                   _find_representative, _hom_side_middle,
-                                  _kernel_key, _lines, _rep_of_key,
-                                  stratify_ext_side,
+                                  _lines, stratify_ext_side,
                                   stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
-from cclab.reps import (ClusterObject, ExtCocycle, cluster_object, combine,
+from cclab.reps import (ClusterObject, ExtCocycle, _kernel_key, _rep_of_key,
+                        cluster_object, combine,
                         cokernel_rep, direct_sum, dual, fingerprint, hom_basis,
                         injective_rep,
                         is_isomorphic, kernel_rep, make_rep, middle_term,
@@ -376,7 +376,7 @@ def _hom_line_keys_and_pointwise(monkeypatch, L, M, p):
         for t, key in zip(ts, keys_on(head, ts)):
             g = combine(basis, head + (t,))
             yield key, _bucket_key(hom_side_middle_term(
-                kernel_rep(g, Lp, Tp)[0], cokernel_rep(g, Lp, Tp)[0]))
+                kernel_rep(g, Lp, Tp), cokernel_rep(g, Lp, Tp)))
 
 
 @pytest.mark.parametrize("L, M", [
@@ -432,7 +432,7 @@ def test_hom_memo_key_fixes_kernel_and_cokernel(case):
     DTh = dual(Th)
     R = dual(_rep_of_key(_kernel_key([m.transpose().data for m in h], DTh),
                          DTh))
-    K_ref, C = kernel_rep(g, L, T)[0], cokernel_rep(g, L, T)[0]
+    K_ref, C = kernel_rep(g, L, T), cokernel_rep(g, L, T)
     inv = ar_inverse(C)
     dim_c = tuple(t - r for t, r in zip(T.dim, key[0]))
     assert K == K_ref

@@ -161,12 +161,14 @@ def test_prime_stability_guards(primes):
 # -- kernels and cokernels -------------------------------------------------
 
 def check_kernel_cokernel(f, M, N):
-    """The defining properties of (K, i) = kernel_rep and (C, pi) =
-    cokernel_rep at f: M -> N: i and pi intertwine, f i = 0 and pi f = 0,
-    each i_v is injective with dim K_v the nullity of f_v, and each pi_v
-    is surjective with dim C_v = dim N_v - rank f_v."""
-    K, inc = kernel_rep(f, M, N)
-    C, proj = cokernel_rep(f, M, N)
+    """The defining properties of K = kernel_rep and C = cokernel_rep at
+    f: M -> N, with i_v the nullspace basis of f_v and pi_v the transpose
+    of that of f_v^T: i and pi intertwine, f i = 0 and pi f = 0, each i_v
+    is injective with dim K_v the nullity of f_v, and each pi_v is
+    surjective with dim C_v = dim N_v - rank f_v."""
+    K, C = kernel_rep(f, M, N), cokernel_rep(f, M, N)
+    inc = [fv.nullspace() for fv in f]
+    proj = [fv.transpose().nullspace().transpose() for fv in f]
     assert K.quiver == C.quiver == M.quiver
     for a, (s, t) in enumerate(M.quiver.arrows):
         assert M.matrices[a].mul(inc[s - 1]) == inc[t - 1].mul(K.matrices[a])
@@ -181,15 +183,20 @@ def check_kernel_cokernel(f, M, N):
         assert proj[v].rank() == C.dim[v] == N.dim[v] - rank
 
 
-@given(rep_pairs())
+@given(rep_pairs(), st.booleans())
 @settings(deadline=None)
-def test_kernel_and_cokernel_properties(case):
-    """On a random f in Hom(L, T) over GF(p), zero included."""
+def test_kernel_and_cokernel_properties(case, rational):
+    """On a random f in Hom(L, T), zero included, over GF(p) or over QQ
+    with the same integer entries."""
     L, T, rng = case
+    p = L.field.p
+    if rational:
+        L, T = (make_rep(M.quiver, M.dim, [m.data for m in M.matrices])
+                for M in (L, T))
     zero = [Mat(L.field, t, l) for t, l in zip(T.dim, L.dim)]
     basis = hom_basis(L, T)
     check_kernel_cokernel(combine([zero] + basis, [0] + [
-        rng.randrange(L.field.p) for _ in basis]), L, T)
+        rng.randrange(p) for _ in basis]), L, T)
 
 
 @pytest.mark.parametrize("M, N, coeffs", [
@@ -559,8 +566,8 @@ def test_tau_inverse_on_maps(case):
         T, T, [e, [Mat.identity(F, n) for n in T.dim]])
     assert ident == [Mat.identity(F, n) for n in inv_t.dim]
     assert eg == [x.mul(y) for x, y in zip(ie, h)]
-    C = cokernel_rep(g, L, T)[0]
-    R, inv = cokernel_rep(h, inv_l, inv_t)[0], ar_inverse(C)
+    C = cokernel_rep(g, L, T)
+    R, inv = cokernel_rep(h, inv_l, inv_t), ar_inverse(C)
     assert R.dim == inv.module.dim
     assert fingerprint(R) == fingerprint(inv.module)
     assert summand_multiplicities(q, R.dim, C.dim) == inv.shifted

@@ -21,6 +21,24 @@ def test_demo_script_runs(script):
     assert result.returncode == 0, result.stderr
 
 
+def test_digest_script_covers_a2():
+    """On A2 the digest has one line per call: five calls on each ordered
+    pair of S1, S2 and P1, each with its exit code and its output."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "digest.py"),
+         "--quivers", "a2"], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
+    assert len(lines) == 5 * 3 * 3
+    assert lines["a2 verify xx2 S1 S1"] == (
+        "1 error: first argument must be a nonzero projective")
+    code, payload = lines["a2 verify xx1 S2 S1"].split(" ", 1)
+    assert code == "0" and json.loads(payload)["verdict"] is True
+    assert lines["a2 grass S2 S2"].startswith("0 [")
+
+
 def test_bench_script_writes_counts(tmp_path):
     out = tmp_path / "bench.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
