@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_19.json.
+write BENCH_20.json.
 
 Run from the repository root:
 
@@ -36,8 +36,8 @@ Stdlib only.  Eight parts:
   Kronecker and D4-tilde quivers, in microseconds a call.
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
   A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first:
-  the profile, the module's tables, the (U, ann U) tables keyed on
-  (p, d, k) and the Gaussian binomials.  The timed runs also count the
+  the profile, the (U, ann U) tables keyed on (p, d, k) and the Gaussian
+  binomials; the module's own tables live for one profile.  The timed runs also count the
   counts of subrepresentations, one per (e, p), and the cover tuples
   they walk, prod [d_v choose e_v]_p over the cover of each count's
   plan, beside the brute-force tuples over all vertices; and the
@@ -281,10 +281,9 @@ def counting_subreps():
 
 
 def cold_profile(M, primes):
-    """grassmannian_profile with its profile, table, subspace-table and
+    """grassmannian_profile with its profile, subspace-table and
     Gaussian-binomial caches cleared."""
-    for cache in (grassmannian._profile, grassmannian._tables,
-                  grassmannian._subspace_table,
+    for cache in (grassmannian._profile, grassmannian._subspace_table,
                   grassmannian.gaussian_binomial):
         cache.cache_clear()
     return grassmannian.grassmannian_profile(M, primes)
@@ -293,7 +292,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_19.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_20.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

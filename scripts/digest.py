@@ -6,15 +6,26 @@ Run from the repository root:
 
     PYTHONPATH=src python scripts/digest.py [--quivers a2,a3,kronecker,d4t]
 
-It runs `cc`, `grass` and `verify xx1|xx2|unified`, each with
-`--format structured` and the default primes, in process on every ordered
-pair of stock modules of one quiver whose total dimension is at most 6.
-The stock modules of a quiver are its simple, projective and injective
-modules, each isomorphism class once, and the corpus modules: the
-interval modules of A3, R(1,1) of the Kronecker quiver and the tube
-simples E1, E2 of D4-tilde.  Each line names the call, then gives its
-exit code, then its stdout or its error.  The whole corpus takes about
-half a minute, most of it on the Kronecker quiver.
+Every call runs in process with `--format structured`, with
+CCLAB_PRIMES unset unless a line names it.  On each quiver:
+
+- pairs: `cc`, `grass` and `verify xx1|xx2|unified` on every ordered pair
+  of stock modules whose total dimension is at most 6, on the default
+  primes.  The stock modules of a quiver are its simple, projective and
+  injective modules, each isomorphism class once, and the corpus
+  modules: the interval modules of A3, R(1,1) of the Kronecker quiver
+  and the tube simples E1, E2 of D4-tilde.
+- primes: `cc` on each stock module under `--primes`, under CCLAB_PRIMES,
+  under both (the flag wins) and under neither (the defaults).
+- oracle: `mutate` in each direction, along all directions in turn and
+  in two malformed directions; `list-variables` and `compare` at depths
+  0, 1 and 3 and at the default depth.
+
+Then, once, on fixed files of the A2 quiver: a module with a fraction
+entry; malformed module files, quiver files and `--shifted` vectors; and
+prime lists that are malformed or do not exceed a module's entries.  Each line names the call, then gives its
+exit code, then its stdout or its error.  The whole digest takes about
+half a minute, most of it on the Kronecker pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import tempfile
 from click.testing import CliRunner
 
 from cclab.cli import main as cli
+from cclab.config import ENV_PRIMES
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
@@ -34,6 +46,39 @@ from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
 from cclab.reps import standard_module
 
 MAX_DIM = 6
+FLAG_PRIMES = "29,31,37,41,43,47,53,59"
+ENV_LIST = "31,37,41,43,47,53,59,61"
+# (label, file body) of malformed module files of A2
+BAD_MODULES = [
+    ("dim-length", {"dim": [1], "matrices": [[]]}),
+    ("dim-negative", {"dim": [-1, 1], "matrices": [[]]}),
+    ("dim-not-int", {"dim": ["a", 1], "matrices": [[]]}),
+    ("no-dim", {"matrices": [[[1]]]}),
+    ("no-matrices", {"dim": [1, 1]}),
+    ("matrix-count", {"dim": [1, 1], "matrices": []}),
+    ("shape", {"dim": [1, 1], "matrices": [[[1, 2]]]}),
+    ("row-count", {"dim": [1, 1], "matrices": [[[1], [2]]]}),
+    ("not-a-list", {"dim": [1, 1], "matrices": [5]}),
+    ("string-matrix", {"dim": [1, 1], "matrices": ["11"]}),
+    ("string-row", {"dim": [1, 1], "matrices": [["1"]]}),
+    ("nonempty-at-zero", {"dim": [1, 0], "matrices": [[[1]]]}),
+    ("float-entry", {"dim": [1, 1], "matrices": [[[1.5]]]}),
+    ("bad-string-entry", {"dim": [1, 1], "matrices": [[["x"]]]}),
+    ("top-level-list", [1, 1]),
+    ("not-json", None),  # written as "{not json"
+]
+# (label, file body) of malformed quiver files
+BAD_QUIVERS = [
+    ("string-end", {"vertices": 2, "arrows": [["a", 2]]}),
+    ("null-end", {"vertices": 2, "arrows": [[None, 2]]}),
+    ("not-a-pair", {"vertices": 2, "arrows": [[1]]}),
+    ("out-of-range", {"vertices": 2, "arrows": [[1, 3]]}),
+    ("loop", {"vertices": 2, "arrows": [[1, 1]]}),
+    ("cycle", {"vertices": 2, "arrows": [[1, 2], [2, 1]]}),
+    ("no-vertices", {"vertices": 0, "arrows": []}),
+    ("no-arrows", {"vertices": 2}),
+]
+BAD_SHIFTED = ["1", "1,0,0", "1,-1", "a,b"]
 
 
 def stock_modules():
@@ -102,9 +147,82 @@ def calls(qpath, paths, mods):
                        ["verify", kind, paths[a], paths[b], *fmt])
 
 
-def run(argv) -> str:
-    """The exit code, then stdout or the error, of one call."""
-    res = CliRunner().invoke(cli, argv)
+def primes_calls(qpath, paths, mods):
+    """(label, argv, env) of `cc` on each stock module under each source
+    of primes."""
+    fmt = ["--quiver", qpath, "--format", "structured"]
+    for a, ma in mods.items():
+        if ma.total_dim > MAX_DIM:
+            continue
+        argv = ["cc", *fmt, "--module", paths[a]]
+        flag = [*argv, "--primes", FLAG_PRIMES]
+        yield f"primes flag {a}", flag, {}
+        yield f"primes env {a}", argv, {ENV_PRIMES: ENV_LIST}
+        yield f"primes both {a}", flag, {ENV_PRIMES: ENV_LIST}
+        yield f"primes default {a}", argv, {}
+
+
+def oracle_calls(qpath, q):
+    """(label, argv, env) of the mutation-oracle commands."""
+    fmt = ["--quiver", qpath, "--format", "structured"]
+    every = ",".join(str(i) for i in range(1, q.n + 1))
+    for dirs in [*every.split(","), every, "0", "x"]:
+        yield f"mutate {dirs}", ["mutate", *fmt, "--directions", dirs], {}
+    for command in ("list-variables", "compare"):
+        for depth in ("0", "1", "3"):
+            yield (f"{command} --depth {depth}",
+                   [command, *fmt, "--depth", depth], {})
+        yield f"{command} default", [command, *fmt], {}
+
+
+def write_json(path, body):
+    with open(path, "w") as fh:
+        if body is None:
+            fh.write("{not json\n")
+        else:
+            json.dump(body, fh)
+
+
+def fixed_calls():
+    """(label, argv, env) of the malformed inputs on A2, written to the
+    working directory."""
+    write_json("a2.json", {"vertices": 2, "arrows": [[1, 2]]})
+    write_json("a2.P1.json", {"dim": [1, 1], "matrices": [[[1]]]})
+    write_json("a2.H.json", {"dim": [1, 1], "matrices": [[[23]]]})
+    write_json("a2.F.json", {"dim": [1, 1], "matrices": [[["1/2"]]]})
+    fmt = ["--format", "structured"]
+    yield ("fraction entry",
+           ["cc", "--quiver", "a2.json", "--module", "a2.F.json", *fmt], {})
+    for label, body in BAD_MODULES:
+        write_json(f"bad.{label}.json", body)
+        yield (f"bad module {label}",
+               ["cc", "--quiver", "a2.json", "--module", f"bad.{label}.json",
+                *fmt], {})
+    yield ("bad module missing-file",
+           ["cc", "--quiver", "a2.json", "--module", "nope.json", *fmt], {})
+    for label, body in BAD_QUIVERS:
+        write_json(f"bad.{label}.q.json", body)
+        yield (f"bad quiver {label}",
+               ["cc", "--quiver", f"bad.{label}.q.json", "--shifted", "1,0",
+                *fmt], {})
+    for raw in BAD_SHIFTED:
+        yield (f"bad shifted cc {raw!r}",
+               ["cc", "--quiver", "a2.json", "--shifted", raw, *fmt], {})
+        yield (f"bad shifted unified {raw!r}",
+               ["verify", "unified", "a2.P1.json", "--quiver", "a2.json",
+                "--shifted", raw, *fmt], {})
+    height = ["cc", "--quiver", "a2.json", "--module", "a2.H.json", *fmt]
+    yield "height default", height, {}
+    yield "height flag", [*height, "--primes", "23,29,31,37"], {}
+    yield "height env", height, {ENV_PRIMES: "23,29,31,37"}
+    for raw in ("abc", "21,23", "23,23", ","):
+        yield f"bad env {raw!r}", height, {ENV_PRIMES: raw}
+
+
+def run(argv, env=None) -> str:
+    """The exit code, then stdout or the error, of one call, with
+    CCLAB_PRIMES set as env says and otherwise unset."""
+    res = CliRunner().invoke(cli, argv, env={ENV_PRIMES: None, **(env or {})})
     if res.exception is not None and not isinstance(res.exception,
                                                     SystemExit):
         return f"{res.exit_code} {type(res.exception).__name__}: " \
@@ -128,6 +246,11 @@ def main():
                 qpath, paths = write_inputs(name, q, mods)
                 for label, argv in calls(qpath, paths, mods):
                     print(f"{name} {label}: {run(argv)}", flush=True)
+                for label, argv, env in (*primes_calls(qpath, paths, mods),
+                                         *oracle_calls(qpath, q)):
+                    print(f"{name} {label}: {run(argv, env)}", flush=True)
+            for label, argv, env in fixed_calls():
+                print(f"a2 {label}: {run(argv, env)}", flush=True)
         finally:
             os.chdir(cwd)
 

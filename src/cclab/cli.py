@@ -13,7 +13,7 @@ import sys
 import click
 
 from .character import cc, describe
-from .config import WorkbenchConfig, parse_primes
+from .config import DEFAULT_DEPTH, resolve_primes
 from .corpus import all_interval_modules, linear_an_quiver_check
 from .errors import (CCLabError, InputError, NotPolynomialCountError,
                      PrimeInstabilityError)
@@ -22,8 +22,7 @@ from .io import load_module, load_quiver
 from .multiplication import verify_unified, verify_xx1, verify_xx2
 from .mutation import (apply_mutations, enumerate_cluster_variables,
                        initial_seed)
-from .reps import (ClusterObject, cluster_object, direct_sum_many,
-                   max_entry_height, zero_rep)
+from .reps import cluster_object, direct_sum_many, max_entry_height, zero_rep
 
 EXIT_INVALID = 1
 EXIT_COUNTING = 2
@@ -45,28 +44,19 @@ def _run(fn):
         _fail(EXIT_INVALID, str(exc))
 
 
-def _parse_shifted(raw: str, n: int):
+def _parse_shifted(raw: str):
     try:
-        parts = tuple(int(x) for x in raw.split(","))
+        return tuple(int(x) for x in raw.split(","))
     except ValueError:
         raise InputError(f"cannot parse shifted vector {raw!r}")
-    if len(parts) != n or any(x < 0 for x in parts):
-        raise InputError(f"shifted vector needs {n} non-negative entries")
-    return parts
 
 
 def _load_object(q, module_paths, shifted_csv):
     """Assemble the configured object: direct sum of modules plus shift."""
     mods = [load_module(p, q) for p in module_paths]
     module = direct_sum_many(q, mods) if mods else zero_rep(q)
-    shifted = _parse_shifted(shifted_csv, q.n) if shifted_csv else (0,) * q.n
-    return ClusterObject(module, shifted)
-
-
-def _resolve_primes(config: WorkbenchConfig, *objects):
-    height = max((max_entry_height(o.module if isinstance(o, ClusterObject)
-                                   else o) for o in objects), default=0)
-    return config.resolve_primes(height)
+    return cluster_object(module,
+                          _parse_shifted(shifted_csv) if shifted_csv else None)
 
 
 def common_options(fn):
@@ -84,15 +74,6 @@ def counting_options(fn):
     return common_options(fn)
 
 
-def _make_config(primes_csv, depth=None) -> WorkbenchConfig:
-    cfg = WorkbenchConfig()
-    if primes_csv:
-        cfg.primes = parse_primes(primes_csv)
-    if depth is not None:
-        cfg.depth = depth
-    return cfg
-
-
 @click.group()
 def main():
     """Exact cluster-character workbench for acyclic quivers."""
@@ -108,8 +89,7 @@ def cmd_cc(quiver_path, module_paths, shifted_csv, primes_csv, output_format):
     def go():
         q = load_quiver(quiver_path)
         obj = _load_object(q, module_paths, shifted_csv)
-        cfg = _make_config(primes_csv)
-        primes = _resolve_primes(cfg, obj)
+        primes = resolve_primes(primes_csv, max_entry_height(obj.module))
         value = cc(obj, primes)
         if output_format == "structured":
             click.echo(json.dumps({"object": describe(obj),
@@ -156,22 +136,21 @@ def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
     """Verify a multiplication identity on the given operands."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(primes_csv)
         if shifted_csv is not None:
             if kind != "unified" or len(module_paths) != 1:
                 raise InputError(
                     "--shifted is only valid for 'unified' with one module")
             M = load_module(module_paths[0], q)
-            shift = _parse_shifted(shifted_csv, q.n)
-            primes = _resolve_primes(cfg, M)
-            rep = verify_unified(cluster_object(M),
-                                 ClusterObject(zero_rep(q), shift), primes)
+            shifted = cluster_object(zero_rep(q), _parse_shifted(shifted_csv))
+            primes = resolve_primes(primes_csv, max_entry_height(M))
+            rep = verify_unified(cluster_object(M), shifted, primes)
         else:
             if len(module_paths) != 2:
                 raise InputError("verify needs exactly two module files")
             A = load_module(module_paths[0], q)
             B = load_module(module_paths[1], q)
-            primes = _resolve_primes(cfg, A, B)
+            primes = resolve_primes(
+                primes_csv, max(max_entry_height(A), max_entry_height(B)))
             if kind == "xx1":
                 rep = verify_xx1(A, B, primes)
             elif kind == "xx2":
@@ -192,8 +171,7 @@ def cmd_grass(quiver_path, module_paths, primes_csv, output_format):
     def go():
         q = load_quiver(quiver_path)
         obj = _load_object(q, module_paths, None)
-        cfg = _make_config(primes_csv)
-        primes = _resolve_primes(cfg, obj)
+        primes = resolve_primes(primes_csv, max_entry_height(obj.module))
         profile = grassmannian_profile(obj.module, primes)
         items = sorted(profile.items())
         if output_format == "structured":
@@ -229,14 +207,13 @@ def cmd_mutate(quiver_path, directions_csv, output_format):
 
 @main.command("list-variables")
 @common_options
-@click.option("--depth", default=None, type=int)
+@click.option("--depth", default=DEFAULT_DEPTH, type=int)
 def cmd_list_variables(quiver_path, depth, output_format):
     """Enumerate cluster variables by breadth-first mutation closure."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(None, depth)
         variables, stable = enumerate_cluster_variables(
-            q, cfg.depth, report_stable=True)
+            q, depth, report_stable=True)
         strs = [str(x) for x in variables]
         if output_format == "structured":
             click.echo(json.dumps({"variables": strs, "stabilized": stable}))
@@ -249,27 +226,26 @@ def cmd_list_variables(quiver_path, depth, output_format):
 
 @main.command("compare")
 @counting_options
-@click.option("--depth", default=None, type=int)
+@click.option("--depth", default=DEFAULT_DEPTH, type=int)
 def cmd_compare(quiver_path, depth, primes_csv, output_format):
     """Compare mutation-oracle variables against cluster-character images
     of the rigid corpus (linearly oriented A_n quivers)."""
     def go():
         q = load_quiver(quiver_path)
-        cfg = _make_config(primes_csv, depth)
+        primes = resolve_primes(primes_csv, 1)
         if not linear_an_quiver_check(q):
             raise InputError(
                 "compare supports linearly oriented A_n quivers only")
         variables, stable = enumerate_cluster_variables(
-            q, cfg.depth, report_stable=True)
+            q, depth, report_stable=True)
         if not stable:
             _fail(EXIT_UNSTABLE,
-                  f"mutation closure did not stabilize at depth {cfg.depth}")
+                  f"mutation closure did not stabilize at depth {depth}")
         oracle = {str(x) for x in variables}
         corpus = [cluster_object(m) for m in all_interval_modules(q)]
-        corpus += [ClusterObject(zero_rep(q),
-                                 tuple(1 if j == i else 0 for j in range(q.n)))
+        corpus += [cluster_object(zero_rep(q),
+                                  tuple(1 if j == i else 0 for j in range(q.n)))
                    for i in range(q.n)]
-        primes = cfg.resolve_primes(1)
         images = {str(cc(o, primes).value) for o in corpus}
         missing = sorted(oracle - images)
         extra = sorted(images - oracle)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -35,13 +34,6 @@ def default_primes(exceed: int = DEFAULT_MIN_PRIME) -> tuple[int, ...]:
     return tuple(out)
 
 
-def primes_from_env() -> tuple[int, ...] | None:
-    raw = os.environ.get(ENV_PRIMES)
-    if not raw:
-        return None
-    return parse_primes(raw)
-
-
 def parse_primes(raw: str) -> tuple[int, ...]:
     try:
         primes = tuple(int(x) for x in raw.split(",") if x.strip())
@@ -57,17 +49,14 @@ def parse_primes(raw: str) -> tuple[int, ...]:
     return tuple(sorted(primes))
 
 
-@dataclass
-class WorkbenchConfig:
-    primes: tuple[int, ...] = ()
-    depth: int = DEFAULT_DEPTH
-
-    def resolve_primes(self, max_entry: int = 0) -> tuple[int, ...]:
-        """Pick the active prime list and enforce the entry-size guard."""
-        primes = self.primes or primes_from_env() or default_primes(
-            exceed=max(DEFAULT_MIN_PRIME, max_entry))
-        bad = [p for p in primes if p <= max_entry]
-        if bad:
-            raise ConfigurationError(
-                f"primes {bad} do not exceed the max matrix entry {max_entry}")
-        return primes
+def resolve_primes(raw: str | None, max_entry: int) -> tuple[int, ...]:
+    """The sample primes of one command: the `--primes` text raw, else
+    CCLAB_PRIMES, else default_primes(max_entry); each must exceed
+    max_entry, the largest matrix entry of the input."""
+    raw = raw or os.environ.get(ENV_PRIMES)
+    primes = parse_primes(raw) if raw else default_primes(max_entry)
+    bad = [p for p in primes if p <= max_entry]
+    if bad:
+        raise ConfigurationError(
+            f"primes {bad} do not exceed the max matrix entry {max_entry}")
+    return primes

@@ -80,13 +80,6 @@ def free_vertices(q, dim, e) -> set:
     return free
 
 
-@lru_cache(maxsize=1)
-def _tables(q, field, dim, matrices) -> dict:
-    """Per prime p: the module's matrices mod p as int rows, and (v, k) ->
-    _vertex_table, shared by every e of the one module cached."""
-    return {}
-
-
 @lru_cache(maxsize=128)
 def _subspace_table(p: int, d: int, k: int) -> tuple:
     """(U, ann U) for each k-subspace U of F_p^d, in the order of
@@ -123,7 +116,7 @@ def _vertex_table(rows, ends, d: int, v: int, k: int, p: int) -> list:
 
 
 def _content(M: Representation) -> tuple:
-    """M's matrices as nested tuples, the last part of its _tables key."""
+    """M's matrices as nested tuples, part of its _profile key."""
     return tuple(tuple(map(tuple, m.data)) for m in M.matrices)
 
 
@@ -152,17 +145,17 @@ def _plan(q, dim, e) -> tuple:
 
 def count_subreps(M: Representation, e, p: int) -> int:
     """Number of subrepresentations of dimension vector e over F_p."""
-    return _count_subreps(M, _plan(M.quiver, M.dim, e), p,
-                          _tables(M.quiver, M.field, M.dim, _content(M)))
+    return _count_subreps(M, _plan(M.quiver, M.dim, e), p, {})
 
 
 def _count_subreps(M: Representation, plan: tuple, p: int,
                    by_prime: dict) -> int:
-    """count_subreps by plan, M's _plan for one e, on by_prime, M's
-    _tables, so that a caller counting at many primes sets them up once.
+    """count_subreps by plan, M's _plan for one e, on by_prime, which holds
+    per prime p M's matrices mod p as int rows and (v, k) -> _vertex_table,
+    so that a caller counting many e at many primes sets them up once.
 
     Subspaces U_v are enumerated only on the vertex cover C of the plan,
-    from the module's `_tables`; an arrow a: s -> t in C holds when
+    from the tables in by_prime; an arrow a: s -> t in C holds when
     ann(U_t) M_a U_s = 0.  Every arrow at a free vertex v has its other end
     in C, so U_v may be any e_v-subspace between A_v, the sum of the images
     M_a(U_s) of its in-arrows, and B_v, the intersection of the preimages
@@ -248,13 +241,16 @@ def grassmannian_degree_bound(dim, e) -> int:
 
 def euler_char_grassmannian(M: Representation, e, primes) -> int:
     """chi(Gr_e M) as P(1) of the verified counting polynomial."""
+    return _euler_char(M, e, primes, {})
+
+
+def _euler_char(M: Representation, e, primes, by_prime: dict) -> int:
+    """euler_char_grassmannian, counting on by_prime (see _count_subreps)."""
     bound = grassmannian_degree_bound(M.dim, e)
     _check_prime_count(len(set(primes)), bound)
     plan = _plan(M.quiver, M.dim, e)
-    by_prime = _tables(M.quiver, M.field, M.dim, _content(M))
     counts = {p: _count_subreps(M, plan, p, by_prime) for p in sorted(primes)}
-    poly = fit_and_verify(counts, bound)
-    return poly(1)
+    return fit_and_verify(counts, bound)(1)
 
 
 def grassmannian_profile(M: Representation, primes) -> dict:
@@ -270,9 +266,9 @@ def _profile(q, field, dim, matrices, primes) -> dict:
     for e in es:  # refuse before the first count
         _check_prime_count(len(set(primes)), grassmannian_degree_bound(dim, e))
     M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
-    out = {}
+    by_prime, out = {}, {}
     for e in es:
-        chi = euler_char_grassmannian(M, e, primes)
+        chi = _euler_char(M, e, primes, by_prime)
         if chi:
             out[e] = chi
     return out

@@ -39,6 +39,10 @@ def load_quiver(path: str) -> Quiver:
 
 
 def _entry(x):
+    """x with each matrix entry read: a list entry by entry, an int as it
+    is and a string as a Fraction."""
+    if isinstance(x, list):
+        return [_entry(y) for y in x]
     if isinstance(x, int):
         return x
     if isinstance(x, str):
@@ -50,30 +54,11 @@ def _entry(x):
 
 
 def load_module(path: str, q: Quiver) -> Representation:
+    """The module file at path, checked by make_rep."""
     doc = _load_json(path)
     try:
-        dim = tuple(int(d) for d in doc["dim"])
-        raw = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+        return make_rep(q, doc["dim"], _entry(doc["matrices"]))
+    except KeyError as exc:
         raise InputError(f"{path}: expected 'dim' and 'matrices'") from exc
-    if len(dim) != q.n:
-        raise InputError(f"{path}: dim has {len(dim)} entries, quiver has {q.n}")
-    if not isinstance(raw, list) or len(raw) != len(q.arrows):
-        raise InputError(
-            f"{path}: need one matrix per arrow ({len(q.arrows)})")
-    mats = []
-    for a, m in enumerate(raw):
-        s, t = q.arrows[a]
-        rows, cols = dim[t - 1], dim[s - 1]
-        if m == [] and (rows == 0 or cols == 0):
-            m = [[] for _ in range(rows)]
-        if not isinstance(m, list) or len(m) != rows or any(
-                not isinstance(r, list) or len(r) != cols for r in m):
-            raise InputError(
-                f"{path}: matrix {a} must be {rows}x{cols} row-major")
-        mats.append([[_entry(x) for x in r] for r in m])
-    try:
-        return make_rep(q, dim, mats)
-    except Exception as exc:
+    except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-

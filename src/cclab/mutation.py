@@ -133,7 +133,8 @@ def enumerate_cluster_variables(q: Quiver, depth: int,
     Variables are deduplicated by canonical form.  With report_stable the
     return value is (variables, stabilized): stabilized is False when the
     final layer still produced new variables, i.e. the variable set was
-    plausibly truncated by the depth cutoff.
+    plausibly truncated by the depth cutoff, and at depth 0, which explores
+    nothing.
 
     The search runs over unlabelled seeds (a seed up to renumbering its
     positions), which reach the same clusters at the same depths as
@@ -147,7 +148,7 @@ def enumerate_cluster_variables(q: Quiver, depth: int,
         ex.intern(LaurentPolynomial.variable(n, i)) for i in range(1, n + 1)))
     seen = {start}
     layer = [start]
-    stabilized = True
+    stabilized = depth > 0
     for step in range(depth):
         next_layer = []
         known = len(ex.variables)

@@ -32,7 +32,11 @@ def validate_quiver(n: int, arrows) -> Quiver:
     for k, arrow in enumerate(arrows):
         if len(arrow) != 2:
             raise InputError(f"arrow #{k} is not a pair: {arrow!r}")
-        s, t = int(arrow[0]), int(arrow[1])
+        try:
+            s, t = int(arrow[0]), int(arrow[1])
+        except (TypeError, ValueError) as exc:
+            raise InputError(
+                f"arrow #{k} has a non-integer end: {arrow!r}") from exc
         if not (1 <= s <= n and 1 <= t <= n):
             raise InputError(f"arrow #{k} index out of range [1..{n}]: ({s},{t})")
         if s == t:

@@ -75,6 +75,8 @@ def make_rep(q: Quiver, dim, matrices, field=QQ) -> Representation:
             if data not in ([], None) and any(len(r) for r in data):
                 raise InputError(f"matrix at arrow {a} should be empty")
             mats.append(Mat(field, rows, cols))
+        elif len(data) != rows or any(len(r) != cols for r in data):
+            raise InputError(f"matrix shape mismatch at arrow {a}")
         else:
             mats.append(Mat(field, rows, cols, data))
     return Representation(q, field, dim, mats)
@@ -88,7 +90,8 @@ def zero_rep(q: Quiver, field=QQ) -> Representation:
 def cluster_object(module: Representation, shifted=None) -> ClusterObject:
     shifted = tuple(shifted) if shifted is not None else (0,) * module.quiver.n
     if len(shifted) != module.quiver.n or any(x < 0 for x in shifted):
-        raise InputError("bad shifted multiplicity vector")
+        raise InputError(
+            f"shifted vector needs {module.quiver.n} non-negative entries")
     return ClusterObject(module, shifted)
 
 

@@ -250,3 +250,99 @@ def test_cyclic_quiver_rejected(workdir):
         '{"vertices": 2, "arrows": [[1, 2], [2, 1]]}\n')
     res = run("cc", "--quiver", "cyc.q", "--shifted", "1,0")
     assert res.exit_code == 1
+
+
+def test_compare_depth_zero_unstable(workdir):
+    """Depth 0 explores nothing, so the closure has not stabilized."""
+    res = run("compare", "--quiver", "a2.q", "--depth", "0")
+    assert res.exit_code == 4
+
+
+def test_list_variables_depth_zero_not_stabilized(workdir):
+    res = run("list-variables", "--quiver", "kron.q", "--depth", "0")
+    assert res.exit_code == 0
+    assert res.output.splitlines() == ["x1", "x2", "stabilized: false"]
+
+
+@pytest.mark.parametrize("end", ['"a"', "null"])
+def test_non_integer_arrow_end_exits_1(workdir, end):
+    (workdir / "bad.q").write_text(
+        '{"vertices": 2, "arrows": [[%s, 2]]}\n' % end)
+    res = run("cc", "--quiver", "bad.q", "--shifted", "1,0")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: arrow #0 has a non-integer end")
+
+
+# Module files of A2 that make_rep, check_dimvec or the entry reader refuse.
+BAD_MODULES = {
+    "dim-length": '{"dim": [1], "matrices": [[]]}',
+    "dim-negative": '{"dim": [-1, 1], "matrices": [[]]}',
+    "missing-key": '{"dim": [1, 1]}',
+    "matrix-count": '{"dim": [1, 1], "matrices": []}',
+    "shape": '{"dim": [1, 1], "matrices": [[[1, 2]]]}',
+    "non-list-matrix": '{"dim": [1, 1], "matrices": [5]}',
+    "nonempty-at-zero": '{"dim": [1, 0], "matrices": [[[1]]]}',
+    "float-entry": '{"dim": [1, 1], "matrices": [[[1.5]]]}',
+    "unparsable-string": '{"dim": [1, 1], "matrices": [[["x"]]]}',
+}
+
+
+@pytest.mark.parametrize("body", BAD_MODULES.values(), ids=BAD_MODULES)
+def test_malformed_module_file_exits_1(workdir, body):
+    """Every malformed module file exits 1 with a message naming the file,
+    not a traceback."""
+    (workdir / "bad.m").write_text(body + "\n")
+    res = run("cc", "--quiver", "a2.q", "--module", "bad.m")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: bad.m: ")
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("raw", ["1", "1,0,0", "1,-1", "a,b"])
+@pytest.mark.parametrize("command", [("cc",), ("verify", "unified", "p1.m")],
+                         ids=["cc", "unified"])
+def test_bad_shifted_vector_exits_1(workdir, command, raw):
+    res = run(*command, "--quiver", "a2.q", "--shifted", raw)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ")
+    assert "shifted vector" in res.stderr
+
+
+@pytest.mark.parametrize("flag, env, expected", [
+    (None, None, [23, 29, 31, 37, 41, 43, 47, 53]),
+    (None, "29,31,37,41", [29, 31, 37, 41]),
+    ("31,37,41,43", None, [31, 37, 41, 43]),
+    ("31,37,41,43", "29,31,37,41", [31, 37, 41, 43]),
+], ids=["defaults", "env", "flag", "flag-beats-env"])
+def test_primes_precedence(workdir, monkeypatch, flag, env, expected):
+    """--primes beats CCLAB_PRIMES, which beats the defaults."""
+    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
+    if env:
+        monkeypatch.setenv("CCLAB_PRIMES", env)
+    args = ["cc", "--quiver", "a2.q", "--module", "s1.m",
+            "--format", "structured"] + (["--primes", flag] if flag else [])
+    res = run(*args)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["primes"] == expected
+
+
+def test_primes_must_exceed_entry_height(workdir, monkeypatch):
+    """The defaults start above the largest matrix entry; a listed prime
+    at or below it exits 1."""
+    (workdir / "h.m").write_text('{"dim": [1, 1], "matrices": [[[23]]]}\n')
+    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
+    args = ("cc", "--quiver", "a2.q", "--module", "h.m",
+            "--format", "structured")
+    assert json.loads(run(*args).output)["primes"][:2] == [29, 31]
+    monkeypatch.setenv("CCLAB_PRIMES", "23,29,31,37")
+    res = run(*args)
+    assert res.exit_code == 1
+    assert "do not exceed the max matrix entry 23" in res.stderr
+    res = run(*args, "--primes", "19,29,31,37")
+    assert res.exit_code == 1
+    assert "primes [19]" in res.stderr
+    monkeypatch.setenv("CCLAB_PRIMES", "29,31,37,41")
+    assert json.loads(run(*args).output)["primes"] == [29, 31, 37, 41]

@@ -400,18 +400,21 @@ def test_count_matches_brute_force(case):
 @given(small_modules())
 @settings(deadline=None, max_examples=60)
 def test_shared_tables_count_every_e(case):
-    """The counts of every e of one module, in any order, share one set of
-    tables; each count equals the oracle's with the tables warm (filled by
-    the e before it, or under another free set) and cold."""
+    """The counts of every e of one module, in any order, share one dict of
+    tables, as in _profile; each count equals the oracle's with the tables
+    warm (filled by the e before it, or under another free set) and cold."""
     M, p, es, free = case
     expected = {e: brute_force_count(M, e, p) for e in es}
-    grassmannian._tables.cache_clear()
-    assert {e: count_subreps(M, e, p) for e in es} == expected
+    shared = {}
+
+    def counts():
+        return {e: grassmannian._count_subreps(
+            M, grassmannian._plan(M.quiver, M.dim, e), p, shared) for e in es}
+    assert counts() == expected
     with mock.patch.object(grassmannian, "free_vertices",
                            lambda q, dim, e: free):
-        assert {e: count_subreps(M, e, p) for e in es} == expected
+        assert counts() == expected
     for e in es:
-        grassmannian._tables.cache_clear()
         assert count_subreps(M, e, p) == expected[e]
 
 
@@ -432,31 +435,6 @@ def test_tables_keyed_on_quiver_and_field():
         count_subreps(over_f5, (0, 1), 7)
 
 
-def test_tables_are_bounded_and_transparent(monkeypatch):
-    """The tables hold one module; refilling, clearing or replacing them
-    leaves every count as it was."""
-    assert grassmannian._tables.cache_info().maxsize == 1
-    # a private cache, so the counts below start cold and the shared one
-    # is left as it was
-    tables = lru_cache(maxsize=1)(grassmannian._tables.__wrapped__)
-    monkeypatch.setattr(grassmannian, "_tables", tables)
-    qk = kronecker_quiver()
-    M = direct_sum(projective_rep(qk, 1), injective_rep(qk, 2))
-    N = direct_sum(simple_rep(qk, 1), kronecker_regular(1, 1))
-    es = [(1, 1), (2, 1), (1, 2), (3, 3)]
-    cold = {(e, p): count_subreps(M, e, p) for e in es for p in (2, 3, 5)}
-    assert tables.cache_info().currsize == 1
-    assert tables.cache_info().misses == 1  # one module, one entry
-    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
-    count_subreps(N, (1, 1), 3)  # N replaces M
-    assert tables.cache_info().currsize == 1
-    assert tables.cache_info().misses == 2
-    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
-    tables.cache_clear()
-    assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
-    assert all(cold[e, 2] == brute_force_count(M, e, 2) for e in es)
-
-
 def test_subspace_tables_are_bounded_and_transparent(monkeypatch):
     """The (U, ann U) tables are keyed on (p, d, k) alone, so another
     module of the same dimensions reads them warm; they are bounded, and
@@ -464,13 +442,11 @@ def test_subspace_tables_are_bounded_and_transparent(monkeypatch):
     same and agree with the oracle."""
     bound = grassmannian._subspace_table.cache_info().maxsize
     assert isinstance(bound, int) and bound > 0
-    # private caches, so the counts below start cold and the shared ones
-    # are left as they were
+    # a private cache, so the counts below start cold and the shared one
+    # is left as it was
     subspace_table = lru_cache(maxsize=6)(
         grassmannian._subspace_table.__wrapped__)
-    tables = lru_cache(maxsize=1)(grassmannian._tables.__wrapped__)
     monkeypatch.setattr(grassmannian, "_subspace_table", subspace_table)
-    monkeypatch.setattr(grassmannian, "_tables", tables)
     qk = kronecker_quiver()
     M = direct_sum(projective_rep(qk, 1), injective_rep(qk, 2))
     N = direct_sum_many(qk, [kronecker_regular(1, 0), kronecker_regular(1, 1),
@@ -479,19 +455,19 @@ def test_subspace_tables_are_bounded_and_transparent(monkeypatch):
     # vertex 2 is the cover at each e, so the keys are (p, 3, e_2)
     es, primes = [(1, 1), (2, 1), (1, 2), (3, 3)], (2, 3)
     cold = {(e, p): count_subreps(M, e, p) for e in es for p in primes}
-    assert subspace_table.cache_info()[:2] == (0, 6)  # hits, misses
+    # hits, misses: each count builds its own vertex tables, and
+    # e = (1, 1) and (2, 1) read the same key at each prime
+    assert subspace_table.cache_info()[:2] == (2, 6)
     warm = {(e, p): count_subreps(N, e, p) for e in es for p in primes}
-    assert subspace_table.cache_info()[:2] == (6, 6)
+    assert subspace_table.cache_info()[:2] == (10, 6)
     for e, p in cold:
         assert cold[e, p] == brute_force_count(M, e, p)
         assert warm[e, p] == brute_force_count(N, e, p)
     for e in es:  # three more keys evict three
         count_subreps(M, e, 5)
     assert subspace_table.cache_info()[1:] == (9, 6, 6)
-    tables.cache_clear()
     assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
     subspace_table.cache_clear()
-    tables.cache_clear()
     assert {(e, p): count_subreps(M, e, p) for e, p in cold} == cold
     assert subspace_table.cache_info().currsize == 6
 

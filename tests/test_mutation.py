@@ -111,7 +111,7 @@ def labelled_closure(q, depth):
     variables = {str(x) for x in start.cluster}
     seen = {_seed_key(start)}
     layer = [start]
-    stabilized = True
+    stabilized = depth > 0  # depth 0 explores nothing
     for step in range(depth):
         next_layer = []
         grew = False

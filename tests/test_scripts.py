@@ -22,8 +22,9 @@ def test_demo_script_runs(script):
 
 
 def test_digest_script_covers_a2():
-    """On A2 the digest has one line per call: five calls on each ordered
-    pair of S1, S2 and P1, each with its exit code and its output."""
+    """On A2 the digest has one line per call, each with its exit code and
+    its output: five calls on each ordered pair of S1, S2 and P1, then the
+    prime sources, the mutation oracle and the malformed inputs."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "digest.py"),
@@ -31,12 +32,21 @@ def test_digest_script_covers_a2():
         timeout=300)
     assert result.returncode == 0, result.stderr
     lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
-    assert len(lines) == 5 * 3 * 3
+    pairs = [k for k in lines
+             if k.startswith(("a2 cc ", "a2 grass ", "a2 verify "))]
+    assert len(pairs) == 5 * 3 * 3
     assert lines["a2 verify xx2 S1 S1"] == (
         "1 error: first argument must be a nonzero projective")
     code, payload = lines["a2 verify xx1 S2 S1"].split(" ", 1)
     assert code == "0" and json.loads(payload)["verdict"] is True
     assert lines["a2 grass S2 S2"].startswith("0 [")
+    code, payload = lines["a2 primes both P1"].split(" ", 1)
+    assert json.loads(payload)["primes"] == [29, 31, 37, 41, 43, 47, 53, 59]
+    assert lines["a2 list-variables --depth 0"].endswith(
+        '"stabilized": false}')
+    assert lines["a2 compare --depth 0"].startswith("4 ")
+    bad = [v for k, v in lines.items() if k.startswith("a2 bad ")]
+    assert bad and all(v.startswith("1 error: ") for v in bad)
 
 
 def test_bench_script_writes_counts(tmp_path):
