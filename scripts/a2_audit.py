@@ -25,7 +25,7 @@ def main():
     for o in objects:
         value = cc(o, primes).value
         images.add(str(value))
-        print(f"  X[{describe(o)}] = {value}")
+        print(f"  X[{describe(o.module.dim, o.shifted)}] = {value}")
 
     oracle = {str(v) for v in enumerate_cluster_variables(q, 5)}
     print(f"\nmutation oracle found {len(oracle)} variables; "

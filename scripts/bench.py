@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_20.json.
+write BENCH_21.json.
 
 Run from the repository root:
 
@@ -18,14 +18,18 @@ Stdlib only.  Eight parts:
   it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1).
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
-  is timed, and one extra run counts the lines and points keyed, the
-  points ranked exactly (by an elimination at that point, not read off a
-  line's generic rank), the middle terms built per prime and over QQ and,
-  on the Hom side, the memo misses; the time per point follows.
+  is timed, and one extra run counts its work.  On the Ext side, an
+  integral over pairs of subrepresentations of the operands, that is the
+  subrepresentations listed of L = P1 and of M = S1 over all primes and
+  the pairs ranked; the time per pair follows.  On the Hom side, the
+  lines and points keyed, the points ranked exactly (by an elimination at
+  that point, not read off a line's generic rank), the rational middle
+  terms built and the memo misses; the time per point follows.
 - d4: both sides of Kronecker xx1(P1, I2) on the default primes,
   P Ext^1(I2, P1) and P Hom(P1, tau I2), each of dimension 4, with the
   counts of stratify, per run.  Its runs are timed with the counting
-  wrappers in place, which add one call a line and one per exact rank.
+  wrappers in place, which add one call a line, one per exact rank, one
+  per listing and one per pair.
 - misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
   P Hom(S2, tau S1) of dimension 2, whose points give cokernels C with
   different canonical matrices but one canonical cokernel of tau^{-1} g.
@@ -142,20 +146,23 @@ def closure_counts(q, depth):
 
 
 @contextlib.contextmanager
-def counting():
-    """While active, count the lines and points keyed on each side, the
-    points of each line ranked exactly, the middle terms built per prime
-    and over QQ and the Hom-side memo misses, by wrapping the line key
-    functions, the exact rank of line_ranks, the middle terms and the
-    bucket key, which only a Hom-side miss computes; yields the counts."""
-    counts = {"ext": {"lines": 0, "points": 0, "exact_points": 0,
-                      "middle_term_builds": 0, "rational_builds": 0},
+def counting(L, M):
+    """While active, count on the Ext side of (L, M) the subrepresentations
+    listed of L and of M and the pairs ranked, and on the Hom side the
+    lines and points keyed, the points of each line ranked exactly, the
+    rational middle terms built and the memo misses, by wrapping the
+    lister, the rank of a pair, the line key functions, the exact rank of
+    line_ranks, the Hom-side middle terms and the bucket key, which only a
+    Hom-side miss computes; yields the counts.  A listing is told apart by
+    its module's dimension vector, so L and M must differ in it."""
+    counts = {"ext": {"subreps_L": 0, "subreps_M": 0, "pairs": 0},
               "hom": {"lines": 0, "points": 0, "exact_points": 0,
                       "memo_misses": 0, "rational_builds": 0}}
     ext, hom = counts["ext"], counts["hom"]
     run_strata = multiplication._run_strata
     rank_at = linalg._rank_at
-    build = multiplication.middle_term
+    subreps = multiplication.subreps
+    kept_dim = multiplication._kept_dim
     hom_middle = multiplication._hom_side_middle
     bucket_key = multiplication._bucket_key
     exact = set()  # the t ranked exactly on the current line
@@ -181,10 +188,14 @@ def counting():
         exact.add(t)
         return rank_at(B, D, ncols, p, t)
 
-    def counting_build(eta):
-        ext["rational_builds" if eta.M.field == QQ
-            else "middle_term_builds"] += 1
-        return build(eta)
+    def counting_subreps(R, e):
+        listed = subreps(R, e)
+        ext["subreps_L" if R.dim == L.dim else "subreps_M"] += len(listed)
+        return listed
+
+    def counting_kept_dim(*args):
+        ext["pairs"] += 1
+        return kept_dim(*args)
 
     def counting_hom_middle(K, R, dim_c):
         if K.field == QQ:
@@ -197,7 +208,8 @@ def counting():
 
     multiplication._run_strata = counting_run_strata
     linalg._rank_at = recording_rank_at
-    multiplication.middle_term = counting_build
+    multiplication.subreps = counting_subreps
+    multiplication._kept_dim = counting_kept_dim
     multiplication._hom_side_middle = counting_hom_middle
     multiplication._bucket_key = counting_bucket_key
     try:
@@ -205,9 +217,18 @@ def counting():
     finally:
         multiplication._run_strata = run_strata
         linalg._rank_at = rank_at
-        multiplication.middle_term = build
+        multiplication.subreps = subreps
+        multiplication._kept_dim = kept_dim
         multiplication._hom_side_middle = hom_middle
         multiplication._bucket_key = bucket_key
+
+
+def per_unit(sides):
+    """The time per pair of the Ext side and per point of the Hom side."""
+    sides["ext"]["us_per_pair"] = (sides["ext"]["median_s"]
+                                   / sides["ext"]["pairs"] * 1e6)
+    sides["hom"]["us_per_point"] = (sides["hom"]["median_s"]
+                                    / sides["hom"]["points"] * 1e6)
 
 
 def kronecker_variables(last):
@@ -292,7 +313,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_20.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_21.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -326,20 +347,19 @@ def main(argv=None):
 
     q, primes = kronecker_quiver(), default_primes()
     P1, S1, S2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
-    with counting() as sides:
+    with counting(P1, S1) as sides:
         multiplication.stratify_ext_side(S1, P1, primes)
         multiplication.stratify_hom_side(P1, S1, primes)
     for side, run in (
             ("ext", lambda: multiplication.stratify_ext_side(S1, P1, primes)),
             ("hom", lambda: multiplication.stratify_hom_side(P1, S1, primes))):
-        row = sides[side]
-        row.update(timed(run, args.repeats))
-        row["us_per_point"] = row["median_s"] / row["points"] * 1e6
+        sides[side].update(timed(run, args.repeats))
+    per_unit(sides)
     stratify = {"name": "kronecker.xx1(P1,S1)", "primes": list(primes),
                 **sides}
 
     I2 = injective_rep(q, 2)
-    with counting() as sides:
+    with counting(P1, I2) as sides:
         for side, run in (
                 ("ext",
                  lambda: multiplication.stratify_ext_side(I2, P1, primes)),
@@ -348,10 +368,10 @@ def main(argv=None):
             t = timed(run, args.repeats)
             row = sides[side]
             row.update({k: n // args.repeats for k, n in row.items()}, **t)
-            row["us_per_point"] = row["median_s"] / row["points"] * 1e6
+    per_unit(sides)
     d4 = {"name": "kronecker.xx1(P1,I2)", "primes": list(primes), **sides}
 
-    with counting() as counts:
+    with counting(S2, S1) as counts:
         multiplication.stratify_hom_side(S2, S1, primes)
     row = counts["hom"]
     row.update(timed(lambda: multiplication.stratify_hom_side(S2, S1, primes),
@@ -407,12 +427,16 @@ def main(argv=None):
               f"mul {row['mul']['median_s'] * 1e3:.2f} ms, divide_exact "
               f"{row['divide_exact']['median_s'] * 1e3:.2f} ms")
     for part in (stratify, d4):
-        for side in ("ext", "hom"):
-            row = part[side]
-            print(f"{part['name']} {side} side: {row['median_s']:.3f} s, "
-                  f"{row['lines']} lines, {row['points']} points, "
-                  f"{row['exact_points']} ranked exactly, "
-                  f"{row['us_per_point']:.0f} us a point")
+        row = part["ext"]
+        print(f"{part['name']} ext side: {row['median_s']:.3f} s, "
+              f"{row['subreps_L']} + {row['subreps_M']} subrepresentations "
+              f"listed, {row['pairs']} pairs ranked, "
+              f"{row['us_per_pair']:.0f} us a pair")
+        row = part["hom"]
+        print(f"{part['name']} hom side: {row['median_s']:.3f} s, "
+              f"{row['lines']} lines, {row['points']} points, "
+              f"{row['exact_points']} ranked exactly, "
+              f"{row['us_per_point']:.0f} us a point")
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
           f"{misses['points']} points, {misses['memo_misses']} misses, "
           f"{misses['us_per_point']:.0f} us a point")

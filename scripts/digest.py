@@ -14,7 +14,9 @@ CCLAB_PRIMES unset unless a line names it.  On each quiver:
   primes.  The stock modules of a quiver are its simple, projective and
   injective modules, each isomorphism class once, and the corpus
   modules: the interval modules of A3, R(1,1) of the Kronecker quiver
-  and the tube simples E1, E2 of D4-tilde.
+  and the tube simples E1, E2 of D4-tilde.  On D4-tilde also `verify
+  xx1` and `verify unified`, in both orders, on (P_i, I5), i = 1..5,
+  which the Hom side refuses.
 - primes: `cc` on each stock module under `--primes`, under CCLAB_PRIMES,
   under both (the flag wins) and under neither (the defaults).
 - oracle: `mutate` in each direction, along all directions in turn and
@@ -53,6 +55,8 @@ BAD_MODULES = [
     ("dim-length", {"dim": [1], "matrices": [[]]}),
     ("dim-negative", {"dim": [-1, 1], "matrices": [[]]}),
     ("dim-not-int", {"dim": ["a", 1], "matrices": [[]]}),
+    ("dim-float", {"dim": [1.7, 1], "matrices": [[[1]]]}),
+    ("dim-bool", {"dim": [True, 1], "matrices": [[[1]]]}),
     ("no-dim", {"matrices": [[[1]]]}),
     ("no-matrices", {"dim": [1, 1]}),
     ("matrix-count", {"dim": [1, 1], "matrices": []}),
@@ -71,6 +75,9 @@ BAD_MODULES = [
 BAD_QUIVERS = [
     ("string-end", {"vertices": 2, "arrows": [["a", 2]]}),
     ("null-end", {"vertices": 2, "arrows": [[None, 2]]}),
+    ("float-end", {"vertices": 2, "arrows": [[1.9, 2]]}),
+    ("bool-end", {"vertices": 2, "arrows": [[True, 2]]}),
+    ("float-vertices", {"vertices": 2.5, "arrows": [[1, 2]]}),
     ("not-a-pair", {"vertices": 2, "arrows": [[1]]}),
     ("out-of-range", {"vertices": 2, "arrows": [[1, 3]]}),
     ("loop", {"vertices": 2, "arrows": [[1, 1]]}),
@@ -78,7 +85,7 @@ BAD_QUIVERS = [
     ("no-vertices", {"vertices": 0, "arrows": []}),
     ("no-arrows", {"vertices": 2}),
 ]
-BAD_SHIFTED = ["1", "1,0,0", "1,-1", "a,b"]
+BAD_SHIFTED = ["1", "1,0,0", "1,-1", "a,b", ""]
 
 
 def stock_modules():
@@ -145,6 +152,22 @@ def calls(qpath, paths, mods):
             for kind in ("xx1", "xx2", "unified"):
                 yield (f"verify {kind} {a} {b}",
                        ["verify", kind, paths[a], paths[b], *fmt])
+
+
+def lift_calls(qpath, q):
+    """(label, argv) of `verify xx1` and `verify unified`, in both orders,
+    on the D4-tilde pairs (P_i, I5), i = 1..5, whose Hom side finds no
+    point that lifts; their total dimension exceeds MAX_DIM but for P5."""
+    mods = {f"P{i}": standard_module(q, "projective", i)
+            for i in range(1, q.n + 1)}
+    mods["I5"] = standard_module(q, "injective", 5)
+    _, paths = write_inputs("d4t", q, mods)
+    fmt = ["--quiver", qpath, "--format", "structured"]
+    for i in range(1, q.n + 1):
+        p, i5 = paths[f"P{i}"], paths["I5"]
+        yield f"verify xx1 P{i} I5", ["verify", "xx1", p, i5, *fmt]
+        yield f"verify unified P{i} I5", ["verify", "unified", p, i5, *fmt]
+        yield f"verify unified I5 P{i}", ["verify", "unified", i5, p, *fmt]
 
 
 def primes_calls(qpath, paths, mods):
@@ -244,7 +267,9 @@ def main():
             for name in args.quivers.split(","):
                 q, mods = stock[name]
                 qpath, paths = write_inputs(name, q, mods)
-                for label, argv in calls(qpath, paths, mods):
+                for label, argv in (*calls(qpath, paths, mods),
+                                    *(lift_calls(qpath, q)
+                                      if name == "d4t" else ())):
                     print(f"{name} {label}: {run(argv)}", flush=True)
                 for label, argv, env in (*primes_calls(qpath, paths, mods),
                                          *oracle_calls(qpath, q)):

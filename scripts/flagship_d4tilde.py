@@ -7,7 +7,7 @@ identities: the refined one-directional form and the unified two-sided
 form.
 """
 
-from cclab.character import cc, describe
+from cclab.character import cc
 from cclab.config import default_primes
 from cclab.corpus import d4tilde_tube_simples
 from cclab.multiplication import verify_unified, verify_xx1
@@ -33,7 +33,7 @@ def main():
     print("refined identity  dim Ext^1(E1,E2) * X_E2 X_E1:")
     print(f"  lhs = {report.lhs}")
     for s in report.strata:
-        print(f"  stratum {describe(s.middle_term)}: chi={s.chi} ({s.side})")
+        print(f"  stratum {s.describe()}")
     print(f"  rhs = {report.rhs}")
     print(f"  verdict: {report.verdict}")
     print()
@@ -42,7 +42,7 @@ def main():
     print("unified identity  2 * X_E1 X_E2:")
     print(f"  lhs = {report.lhs}")
     for s in report.strata:
-        print(f"  stratum {describe(s.middle_term)}: chi={s.chi} ({s.side})")
+        print(f"  stratum {s.describe()}")
     print(f"  rhs = {report.rhs}")
     print(f"  verdict: {report.verdict}")
 

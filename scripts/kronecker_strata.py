@@ -2,13 +2,15 @@
 """Kronecker quiver: the one-parameter family of middle terms.
 
 The projectivized extension space P Ext^1(S1, S2) is a projective line
-whose points almost all yield pairwise non-isomorphic dimension-(1,1)
-regular modules.  Their characters coincide, the bucket count is q + 1,
-and chi = 2 -- the simplest case where strata must be bucketed by
-homological fingerprint rather than enumerated per isomorphism class.
+whose points yield pairwise non-isomorphic dimension-(1,1) regular
+modules R(1, t), one per point.  Their characters coincide, so the Ext
+side needs no isomorphism class: it is one stratum of chi = 2, whose
+value sum_e chi(Z_e) x^exp(e) counts the pairs (point, subrepresentation
+of dimension e) through pairs of subrepresentations of S2 and S1, and
+equals 2 X_R.
 """
 
-from cclab.character import cc, describe
+from cclab.character import cc
 from cclab.config import default_primes
 from cclab.corpus import kronecker_regular
 from cclab.multiplication import verify_xx1
@@ -31,7 +33,7 @@ def main():
     print("refined identity  2 * X_S1 X_S2:")
     print(f"  lhs = {report.lhs}")
     for s in report.strata:
-        print(f"  stratum {describe(s.middle_term)}: chi={s.chi} ({s.side})")
+        print(f"  stratum {s.describe()}")
     print(f"  rhs = {report.rhs}")
     print(f"  verdict: {report.verdict}")
 

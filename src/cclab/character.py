@@ -36,11 +36,12 @@ def _as_cluster_object(obj) -> ClusterObject:
     return obj
 
 
-def describe(obj: ClusterObject) -> str:
+def describe(dim, shifted) -> str:
+    """The class of an object of module dimension dim and shifted part."""
     parts = []
-    if not obj.module.is_zero():
-        parts.append(f"module dim {tuple(obj.module.dim)}")
-    for i, p in enumerate(obj.shifted):
+    if any(dim):
+        parts.append(f"module dim {tuple(dim)}")
+    for i, p in enumerate(shifted):
         if p:
             parts.append(f"P{i + 1}[1]" + (f"^{p}" if p > 1 else ""))
     return " + ".join(parts) if parts else "0"
@@ -74,20 +75,24 @@ def cc(obj, primes) -> CharacterValue:
     """
     obj = _as_cluster_object(obj)
     M = obj.module
-    q = M.quiver
-    n = q.n
-    m = M.dim
-    terms: dict = {}
     profile = grassmannian_profile(M, primes) if not M.is_zero() else {
-        (0,) * n: 1}
+        (0,) * M.quiver.n: 1}
+    return CharacterValue(exponent_form(M.quiver, M.dim, obj.shifted,
+                                        profile))
+
+
+def exponent_form(q, m, shifted, profile) -> LaurentPolynomial:
+    """sum_e chi_e x^exp(e) of cc for the profile {e: chi_e} of a module of
+    dimension m with the given shifted part: exp depends on these alone."""
+    terms: dict = {}
     for e, chi in profile.items():
-        exp = [-m[i] + obj.shifted[i] for i in range(n)]
+        exp = [-m[i] + shifted[i] for i in range(q.n)]
         for s, t in q.arrows:
             exp[t - 1] += e[s - 1]
             exp[s - 1] += m[t - 1] - e[t - 1]
         exp = tuple(exp)
         terms[exp] = terms.get(exp, 0) + chi
-    return CharacterValue(LaurentPolynomial(n, terms))
+    return LaurentPolynomial(q.n, terms)
 
 
 def cc_palu_form(obj, primes) -> CharacterValue:

@@ -55,8 +55,8 @@ def _load_object(q, module_paths, shifted_csv):
     """Assemble the configured object: direct sum of modules plus shift."""
     mods = [load_module(p, q) for p in module_paths]
     module = direct_sum_many(q, mods) if mods else zero_rep(q)
-    return cluster_object(module,
-                          _parse_shifted(shifted_csv) if shifted_csv else None)
+    return cluster_object(module, None if shifted_csv is None
+                          else _parse_shifted(shifted_csv))
 
 
 def common_options(fn):
@@ -92,7 +92,8 @@ def cmd_cc(quiver_path, module_paths, shifted_csv, primes_csv, output_format):
         primes = resolve_primes(primes_csv, max_entry_height(obj.module))
         value = cc(obj, primes)
         if output_format == "structured":
-            click.echo(json.dumps({"object": describe(obj),
+            click.echo(json.dumps({"object": describe(obj.module.dim,
+                                                      obj.shifted),
                                    "value": str(value.value),
                                    "primes": list(primes)}))
         else:
@@ -105,7 +106,7 @@ def _report_payload(rep):
         "label": rep.label,
         "lhs": str(rep.lhs),
         "rhs": str(rep.rhs),
-        "strata": [{"middle": describe(s.middle_term), "chi": s.chi,
+        "strata": [{"middle": describe(s.dim, s.shifted), "chi": s.chi,
                     "side": s.side} for s in rep.strata],
         "verdict": rep.verdict,
     }

@@ -172,8 +172,7 @@ def _count_subreps(M: Representation, plan: tuple, p: int,
             tables[v, k] = _vertex_table(rows, ends, d, v, k, p)
     count = 0
     for tup in product(*[tables[v, k] for v, _, k in cover]):
-        if any(sum(map(mul, f, u)) % p for a, s, t in inner
-               for f in tup[t][1][a] for u in tup[s][0]):
+        if not _arrows_hold(tup, inner, p):
             continue
         term = 1
         for d, k, ins, outs in sides:
@@ -190,6 +189,26 @@ def _count_subreps(M: Representation, plan: tuple, p: int,
                 break
         count += term
     return count
+
+
+def _arrows_hold(tup, arrows, p: int) -> bool:
+    """Whether ann(U_t) M_a U_s = 0 for the arrows (a, s, t) of tup."""
+    return not any(sum(map(mul, f, u)) % p for a, s, t in arrows
+                   for f in tup[t][1][a] for u in tup[s][0])
+
+
+def subreps(M: Representation, e) -> list:
+    """The subrepresentations of dimension vector e of M over its field
+    GF(p), each as one _vertex_table entry (U, reads) per vertex: every
+    tuple of e_v-subspaces, by brute force, whose arrows hold."""
+    p = M.field.p
+    rows = [m.data for m in M.matrices]
+    ends = [(s - 1, t - 1) for s, t in M.quiver.arrows]
+    arrows = [(a, s, t) for a, (s, t) in enumerate(ends)]
+    return [tup for tup in product(*[
+        _vertex_table(rows, ends, d, v, k, p)
+        for v, (d, k) in enumerate(zip(M.dim, e))])
+        if _arrows_hold(tup, arrows, p)]
 
 
 def interpolate_counts(points, degree_bound: int) -> CountingPolynomial:

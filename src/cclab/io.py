@@ -31,7 +31,7 @@ def _load_json(path: str) -> dict:
 def load_quiver(path: str) -> Quiver:
     doc = _load_json(path)
     try:
-        n = int(doc["vertices"])
+        n = doc["vertices"]
         arrows = [list(a) for a in doc["arrows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: expected 'vertices' and 'arrows'") from exc

@@ -4,9 +4,10 @@ Matrices store field elements in row-major nested lists and compute with
 Python's own operators; the field's `of` puts each result in the field, mod
 p over GF(p) and a Fraction over QQ.  Each field carries its characteristic
 p, 0 for QQ, and one elimination and one nullspace serve both: int rows
-reduced mod p when p > 0, Fraction rows when p = 0.  Only rank, determinant
-and the rank pencils have GF(p)-only kernels.  Dimensions are tiny (desk
-scale), so plain Gaussian elimination is used throughout.
+reduced mod p when p > 0, Fraction rows when p = 0.  Only rank,
+determinant and the ranks along a line B + tD (line_ranks) have GF(p)-only
+kernels.  Dimensions are tiny (desk scale), so plain Gaussian elimination
+is used throughout.
 Zero-row and zero-column matrices are legal and behave as expected.
 """
 
@@ -239,43 +240,6 @@ def _nullspace_of_rref(red: list, pivots: list, ncols: int, p: int):
     return free, vecs
 
 
-def _pencil_core(parts: list, ncols: int, p: int):
-    """(base, core, ncols) for the int-row pencil parts = [A0, D1, ...],
-    entries read mod p: rank(A0 + sum_k c_k D_k) = base + the rank of the
-    core pencil, whose parts have ncols columns (0 when it is empty).
-
-    On the rows, then on the columns: the rows on which every D_k vanishes
-    add the rank of their echelon form to base, and the other rows of each
-    part are reduced modulo it and cut to its non-pivot columns.  The
-    reduction is linear, so what is left is again a pencil.
-    """
-    parts = [[[x % p for x in row] for row in part] for part in parts]
-    base = 0
-    for _ in range(2):
-        if not parts[0] or not ncols:
-            return base, parts, 0
-        varying = [any(any(D[i]) for D in parts[1:])
-                   for i in range(len(parts[0]))]
-        const = [row for row, v in zip(parts[0], varying) if not v]
-        pivots = _rref(const, ncols, p)
-        keep = [c for c in range(ncols) if c not in pivots]
-        out = []
-        for part in parts:
-            rows = []
-            for row, v in zip(part, varying):
-                if v:
-                    for r, pc in enumerate(pivots):
-                        f = row[pc]
-                        if f:
-                            row = [(x - f * y) % p
-                                   for x, y in zip(row, const[r])]
-                    rows.append([row[c] for c in keep])
-            out.append([list(col) for col in zip(*rows)])  # transposed
-        base += len(pivots)
-        parts, ncols = out, sum(varying)
-    return base, parts, ncols if parts[0] else 0
-
-
 def _det_mod(m: list, p: int) -> int:
     """Determinant mod p of a square matrix of int rows in [0, p)."""
     m, det = list(m), 1
@@ -353,28 +317,6 @@ def _combination(parts: list):
     stacked = [list(zip(*rows)) for rows in zip(*parts)]  # per entry
     return lambda c: [[sum(map(operator.mul, c, xs)) for xs in row]
                       for row in stacked]
-
-
-def pencil_rank(A0: Mat, Ds: list):
-    """rank(A0 + sum_k c_k Ds[k]) over GF(p) on the line c = (head, t) of
-    the last direction, for each t in ts, as a function of (head, ts).
-
-    The set-up reduces the whole pencil to a core.  On a line that core is
-    B + t D, and the same reduction, once per line, leaves a smaller core
-    that line_ranks ranks at every t.  Ds is not empty.
-    """
-    p = A0.field.p
-    base, core, ncols = _pencil_core([A0.data] + [D.data for D in Ds],
-                                     A0.cols, p)
-    if not ncols:
-        return lambda head, ts: [base] * len(ts)
-    head_part = _combination(core[:-1])
-
-    def ranks_on_line(head, ts):
-        more, (B, D), n = _pencil_core([head_part((1,) + head), core[-1]],
-                                       ncols, p)
-        return [base + more + r for r in line_ranks(B, D, n, p, ts)]
-    return ranks_on_line
 
 
 def hstack(field, mats, rows=None):

@@ -1,49 +1,54 @@
-"""Stratified verification of the cluster multiplication formulas.
+"""Exact verification of the cluster multiplication formulas.
 
-Projectivized morphism spaces are enumerated pointwise over each sample
-prime, middle terms are bucketed by a homological fingerprint of their
-isomorphism class, bucket sizes are interpolated into counting
-polynomials, and each stratum contributes chi = P(1) times the character
-of a rational-form representative.  All final identities are exact
-Laurent-polynomial equalities.
-
-The xx1 and unified identities are assembled from the two public
-stratifications, stratify_ext_side and stratify_hom_side; xx2 uses the
-Hom-space strata that stratify_hom_side is built on; each Hom side forms
-its middle terms with one function over GF(p) and QQ alike.  _report
-forms every identity's left-hand side and checks that its sides agree.
+Each identity is d * X_X X_Y = the sum of two sides, each a list of
+strata that carry their whole contribution.  The Ext side over
+P Ext^1(M, L) is one exact integral, read off pairs of subrepresentations
+of the operands (stratify_ext_side); no point of it is visited.  Each Hom
+side is walked pointwise over each sample prime: middle terms, formed by
+one function over GF(p) and QQ alike, are bucketed by a homological
+fingerprint, bucket sizes are interpolated into counting polynomials, and
+a stratum contributes chi = P(1) times the character of a rational-form
+representative.  _report forms the left-hand side and checks that the
+sides agree, as exact Laurent polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mul
 
 from .artranslate import (ar_inverse_maps, ar_translate,
                           has_projective_summand, summand_multiplicities)
-from .character import cc, describe
+from .character import cc, describe, exponent_form
 from .errors import (CCLabError, ConfigurationError, PreconditionError,
                      PrimeInstabilityError)
-from .grassmannian import _check_prime_count, fit_and_verify
+from .grassmannian import (_check_prime_count, fit_and_verify,
+                           grassmannian_degree_bound, subreps)
 from .laurent import LaurentPolynomial
-from .linalg import GF, Mat, _combination, hstack, line_ranks, pencil_rank
-from .reps import (ClusterObject, ExtCocycle, Representation,
-                   _fingerprint_matrices, _fingerprint_of, _hom_system,
-                   _kernel_key, _rep_of_key, cluster_object, cokernel_rep,
-                   combine, direct_sum, dual, ext1_setup, fingerprint,
-                   hom_basis, hom_dim, kernel_rep, middle_term, reduce_mats,
-                   reduce_rep, stable_ext1_dim, standard_sum,
-                   top_multiplicities, unit_cocycles, zero_rep)
+from .linalg import (GF, Mat, _combination, _nullspace_of_rref, _rank_mod,
+                     line_ranks)
+from .reps import (ClusterObject, Representation, _hom_system, _kernel_key,
+                   _rep_of_key, cluster_object, cokernel_rep, combine,
+                   direct_sum, dual, ext1_setup, fingerprint, hom_basis,
+                   hom_dim, kernel_rep, make_rep, reduce_mats, reduce_rep,
+                   stable_ext1_dim, standard_sum, top_multiplicities,
+                   unit_cocycles, zero_rep)
 
 
 @dataclass
 class StratumReport:
-    middle_term: ClusterObject
+    """A stratum: its class (dim, shifted), chi and whole contribution."""
+
+    dim: tuple
+    shifted: tuple
     chi: int
     side: str  # ext | hom | proj-shift-hom | proj-shift-inj
+    value: LaurentPolynomial
 
     def describe(self) -> str:
-        return f"{describe(self.middle_term)}: chi={self.chi} ({self.side})"
+        return (f"{describe(self.dim, self.shifted)}: chi={self.chi} "
+                f"({self.side})")
 
 
 @dataclass
@@ -71,12 +76,13 @@ def _lines(p: int, d: int):
 
 
 def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
-    """Shared enumerate/bucket/interpolate loop for one projectivized space.
+    """Enumerate/bucket/interpolate loop for one projectivized Hom space.
 
     P^{d-1}(F_p) is walked line by line (_lines).  key_at_prime(p) returns
     a callable that maps a line (head, ts) to the bucket keys of the middle
     terms at its points, one per t; middle_at_qq builds the middle term over
-    the rationals from lifted integer coefficients.
+    the rationals from lifted integer coefficients.  A stratum's value is
+    chi times the character of that rational middle term.
     """
     if d == 0:
         return []
@@ -103,7 +109,8 @@ def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
         poly = fit_and_verify(by_prime, max(d - 1, 0))
         chi = poly(1)
         rep = _find_representative(witnesses[key][1], middle_at_qq, key, primes)
-        reports.append(StratumReport(rep, chi, side))
+        reports.append(StratumReport(rep.module.dim, rep.shifted, chi, side,
+                                     cc(rep, primes).value.scale(chi)))
         total += chi
     if total != d:
         raise CCLabError(
@@ -129,68 +136,88 @@ def _find_representative(points, middle_at_qq, key, primes) -> ClusterObject:
         "no projective-space point lifts to a stable representative")
 
 
-# -- the ext-side stratification ------------------------------------------
+# -- the ext-side integral -------------------------------------------------
 
-def _ext_key(M: Representation, L: Representation, indices):
-    """Bucket keys of the middle terms Y_c of sum_k c_k eta_k over GF(p),
-    for the unit cocycles eta_k at the given indices, as a function of a
-    line (head, ts) that returns the key at c = head + (t,) for each t.
+def _parts(R: Representation, tup) -> tuple:
+    """(U, R/U, ann U) for the subrepresentation U of R over GF(p) held by
+    the subreps entry tup.  U is on its reduced echelon basis, so R_a u is
+    read at the pivots of U_t; R/U is on the unit vectors at the other
+    coordinates, which ann U_v maps to unit vectors: ann(U_t) R_a is read
+    at those of U_s."""
+    pivots = [[u.index(1) for u in U] for U, _ in tup]
+    free = [[c for c in range(n) if c not in pv]
+            for n, pv in zip(R.dim, pivots)]
+    ends = list(enumerate(R.quiver.arrows))
+    return (make_rep(R.quiver, tuple(map(len, pivots)), [
+                [[w[c] for w in tup[s - 1][1][a]] for c in pivots[t - 1]]
+                for a, (s, t) in ends], R.field),
+            make_rep(R.quiver, tuple(map(len, free)), [
+                [[f[c] for c in free[s - 1]] for f in tup[t - 1][1][a]]
+                for a, (s, t) in ends], R.field),
+            [_nullspace_of_rref(U, pv, n, R.field.p)[1]
+             for (U, _), pv, n in zip(tup, pivots, R.dim)])
 
-    The arrow matrices of Y_c are affine in c, and each matrix that
-    fingerprint ranks is linear in them.  So every such matrix is the
-    pencil A_0 + sum_k c_k (A_k - A_0), read from the split extension
-    (c = 0) and the d unit middle terms, and pencil_rank ranks it line by
-    line.
-    """
-    split = direct_sum(L, M)
-    base = _fingerprint_matrices(split)
-    units = [_fingerprint_matrices(middle_term(eta))
-             for eta in unit_cocycles(M, L, indices)]
-    ranks = [pencil_rank(A, [U.add(A.scale(-1)) for U in Us])
-             for A, *Us in zip(base, *units)]
-    shifted = (0,) * M.quiver.n
-    memo = {}
 
-    def keys_on(head, ts):
-        keys = []
-        for n in zip(*[[A.cols - r for r in rank(head, ts)]
-                       for A, rank in zip(base, ranks)]):
-            key = memo.get(n)
-            if key is None:
-                key = memo[n] = (shifted, _fingerprint_of(split.dim, n))
-            keys.append(key)
-        return keys
-    return keys_on
+def _kept_dim(U_M, tup, Q, ann, phis) -> int:
+    """dim ker(Ext^1(M, L) -> Ext^1(U_M, L/U_L)) for U_M held by tup and
+    Q = L/U_L, on the d unit cocycles phi: d + rank C - rank [C | images],
+    C = _hom_system(U_M, Q) spanning the coboundaries and the images
+    ann(U_L,t) phi_a U_M,s in its row order."""
+    C, p = _hom_system(U_M, Q), Q.field.p
+    rank = _rank_mod(C.data, C.cols, p)
+    if rank == C.rows:  # Ext^1(U_M, L/U_L) = 0
+        return len(phis)
+    images = [[sum(x * sum(map(mul, row, u)) for x, row in zip(f, phi[a])) % p
+               for a, (s, t) in enumerate(Q.quiver.arrows)
+               for f in ann[t - 1] for u in tup[s - 1][0]] for phi in phis]
+    rows = [row + list(xs) for row, xs in zip(C.data, zip(*images))]
+    return len(phis) + rank - _rank_mod(rows, C.cols + len(phis), p)
 
 
 def stratify_ext_side(M: Representation, L: Representation, primes):
-    """Strata of P Ext^1(M, L) by middle-term class, with chi per class.
-
-    d = dim Ext^1 over QQ.  Reduction mod p can only lower the rank of the
-    coboundary, so [coboundary | representatives] of full row rank mod p
-    makes dim Ext^1 = d mod p, with the same basis."""
+    """sum X_Y over P Ext^1(M, L), Y the middle term of [eta], as one
+    stratum of chi = d = dim Ext^1 over QQ.  X_Y depends on (dim Y, e)
+    alone, so this is sum_e chi(Z_e) x^exp(e), Z_e = {([eta], U <= Y) :
+    dim U = e}.  U meets L in U_L and maps onto U_M <= M; such U exist iff
+    eta maps to 0 in Ext^1(U_M, L/U_L), and form a Hom(U_M, L/U_L)-torsor,
+    so the fibre over (U_L, U_M) has chi = k (_kept_dim).  chi(Z_e) sums k
+    over the pairs with e_L + e_M = e, counted at each prime and fitted
+    within their largest Grassmannian degree bound.  Every prime must keep
+    [coboundary | representatives] of full row rank, also for d = 0."""
     rep_indices, _ = ext1_setup(M, L)
     d = len(rep_indices)
     reduced = {}
     for p in primes:
         Mp, Lp = reduce_rep(M, p), reduce_rep(L, p)
         image = _hom_system(Mp, Lp)
-        probe = Mat(GF(p), image.rows, d)
-        for j, i in enumerate(rep_indices):
-            probe.data[i][j] = 1
-        if hstack(GF(p), [image, probe], rows=image.rows).rank() != image.rows:
+        if _rank_mod([row + [int(i == j) for j in rep_indices]
+                      for i, row in enumerate(image.data)],
+                     image.cols + d, p) != image.rows:
             raise PrimeInstabilityError(
                 f"Ext^1 representatives degenerate mod {p}")
         reduced[p] = Mp, Lp
-
-    basis = [c.components for c in unit_cocycles(M, L, rep_indices)]
-
-    def middle_at_qq(coeffs):
-        return cluster_object(middle_term(
-            ExtCocycle(M, L, combine(basis, coeffs))))
-
-    return _run_strata(lambda p: _ext_key(*reduced[p], rep_indices),
-                       middle_at_qq, d, primes, "ext")
+    if not d:
+        return []
+    es = [list(product(*[range(n + 1) for n in R.dim])) for R in (L, M)]
+    bounds = {}
+    for e_l, e_m in product(*es):
+        e = tuple(map(add, e_l, e_m))
+        bounds[e] = max(bounds.get(e, 0), grassmannian_degree_bound(
+            L.dim, e_l) + grassmannian_degree_bound(M.dim, e_m))
+    _check_prime_count(len(set(primes)), max(bounds.values()))
+    counts = {e: dict.fromkeys(reduced, 0) for e in bounds}
+    for p, (Mp, Lp) in reduced.items():
+        phis = [[m.data for m in eta.components]
+                for eta in unit_cocycles(Mp, Lp, rep_indices)]
+        subs = [[(e, tup, *_parts(R, tup)) for e in es_R
+                 for tup in subreps(R, e)] for R, es_R in zip((Lp, Mp), es)]
+        for (e_l, _, _, Q, ann), (e_m, tup, U_M, _, _) in product(*subs):
+            counts[tuple(map(add, e_l, e_m))][p] += _kept_dim(
+                U_M, tup, Q, ann, phis)
+    dim, shifted = tuple(map(add, L.dim, M.dim)), (0,) * M.quiver.n
+    return [StratumReport(dim, shifted, d, "ext", exponent_form(
+        M.quiver, dim, shifted, {e: fit_and_verify(by_prime, bounds[e])(1)
+                                 for e, by_prime in counts.items()}))]
 
 
 # -- the hom-side stratifications -----------------------------------------
@@ -317,10 +344,10 @@ def _xx1_strata(L: Representation, M: Representation, primes) -> list:
 
 
 def _report(X, Y, strata, primes, label: str) -> VerificationReport:
-    """Compare d * X_X X_Y with the sum of chi * X over the strata.
+    """Compare d * X_X X_Y with the sum of the strata's values.
 
-    Each identity has two sides, and _run_strata checks that the chi
-    values of each side sum to the dimension of its own space.  The two
+    Each identity has two sides, and the chi values of each sum to the
+    dimension of its own space (_run_strata checks a Hom side).  The two
     sides must agree, so d is half the chi total.  d fills the {} field of
     label.
     """
@@ -330,9 +357,7 @@ def _report(X, Y, strata, primes, label: str) -> VerificationReport:
     if list(totals.values()) != [d, d]:
         raise CCLabError(f"the chi totals of the two sides differ: {totals}")
     lhs = (cc(X, primes).value * cc(Y, primes).value).scale(d)
-    rhs = LaurentPolynomial.zero(lhs.nvars)
-    for s in strata:
-        rhs = rhs + cc(s.middle_term, primes).value.scale(s.chi)
+    rhs = sum((s.value for s in strata), LaurentPolynomial.zero(lhs.nvars))
     return VerificationReport(lhs, rhs, strata, lhs == rhs,
                               label=label.format(d))
 

@@ -26,17 +26,15 @@ class Quiver:
 
 def validate_quiver(n: int, arrows) -> Quiver:
     """Validate raw vertex/arrow data: index range, no loops, no cycles."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError(f"vertex count must be a positive integer, got {n!r}")
     clean = []
     for k, arrow in enumerate(arrows):
         if len(arrow) != 2:
             raise InputError(f"arrow #{k} is not a pair: {arrow!r}")
-        try:
-            s, t = int(arrow[0]), int(arrow[1])
-        except (TypeError, ValueError) as exc:
-            raise InputError(
-                f"arrow #{k} has a non-integer end: {arrow!r}") from exc
+        if any(type(x) is not int for x in arrow):
+            raise InputError(f"arrow #{k} has a non-integer end: {arrow!r}")
+        s, t = arrow
         if not (1 <= s <= n and 1 <= t <= n):
             raise InputError(f"arrow #{k} index out of range [1..{n}]: ({s},{t})")
         if s == t:
@@ -62,7 +60,9 @@ def validate_quiver(n: int, arrows) -> Quiver:
 
 
 def check_dimvec(q: Quiver, d) -> tuple[int, ...]:
-    d = tuple(int(x) for x in d)
+    d = tuple(d)
+    if any(type(x) is not int for x in d):
+        raise InputError(f"dimension vector {list(d)} has a non-integer entry")
     if len(d) != q.n:
         raise InputError(f"dimension vector length {len(d)} != {q.n}")
     if any(x < 0 for x in d):

@@ -430,33 +430,6 @@ def standard_sum(q: Quiver, kind: str, mults, field=QQ) -> Representation:
         _standard_battery(q, field), mults) for _ in range(m)], field)
 
 
-def _fingerprint_matrices(M: Representation) -> list:
-    """The matrices whose nullities (columns less rank) fingerprint reads:
-    per vertex i the arrows into i transposed, the arrows out of i, and
-    the intertwiner systems of Hom(M, P_i) and Hom(I_i, M); last that of
-    End M.  Each is linear in the arrow matrices of M."""
-    q, F = M.quiver, M.field
-    out = []
-    for i, (P, I) in enumerate(_standard_battery(q, F), start=1):
-        d = M.dim[i - 1]
-        out += [vstack(F, [M.matrices[a].transpose()
-                           for a in q.arrows_into(i)], cols=d),
-                vstack(F, [M.matrices[a] for a in q.arrows_out_of(i)],
-                       cols=d),
-                _hom_system(M, P), _hom_system(I, M)]
-    out.append(_hom_system(M, M))
-    return out
-
-
-def _fingerprint_of(dim, nullities) -> tuple:
-    """fingerprint from the nullities of _fingerprint_matrices."""
-    dims = []
-    for i, d in enumerate(dim):
-        top, soc, to_p, from_i = nullities[4 * i: 4 * i + 4]
-        dims += [top, soc, to_p, d, d, from_i]
-    return (dim, tuple(dims), nullities[-1])
-
-
 def fingerprint(M: Representation) -> tuple:
     """Cheap isomorphism invariant: dims, Hom in both directions against
     each S_i, P_i and I_i, and dim End M.
@@ -464,10 +437,22 @@ def fingerprint(M: Representation) -> tuple:
     Four of the six Hom dims per vertex are closed forms: Hom(P_i, M) and
     Hom(M, I_i) have dimension dim M_i (Yoneda), Hom(M, S_i) is the top
     and Hom(S_i, M) the socle at i.  The top, the socle, Hom(M, P_i),
-    Hom(I_i, M) and End M are nullities of _fingerprint_matrices(M).
+    Hom(I_i, M) and End M are nullities (columns less rank): of the arrows
+    into i transposed, of the arrows out of i, and of the intertwiner
+    systems.
     """
-    return _fingerprint_of(M.dim, [m.cols - m.rank()
-                                   for m in _fingerprint_matrices(M)])
+    q, F = M.quiver, M.field
+    dims = []
+    for i, (P, I) in enumerate(_standard_battery(q, F), start=1):
+        d = M.dim[i - 1]
+        top, soc, to_p, from_i = (m.cols - m.rank() for m in (
+            vstack(F, [M.matrices[a].transpose() for a in q.arrows_into(i)],
+                   cols=d),
+            vstack(F, [M.matrices[a] for a in q.arrows_out_of(i)], cols=d),
+            _hom_system(M, P), _hom_system(I, M)))
+        dims += [top, soc, to_p, d, d, from_i]
+    end = _hom_system(M, M)
+    return (M.dim, tuple(dims), end.cols - end.rank())
 
 
 def _has_invertible_combination(basis, dim) -> bool:

@@ -16,9 +16,10 @@ from cclab.laurent import divide_exact, parse
 from cclab.multiplication import verify_unified, verify_xx1, verify_xx2
 from cclab.mutation import enumerate_cluster_variables, initial_seed, mutate
 from cclab.quiver import a2_quiver, a3_quiver, euler_form, kronecker_quiver
-from cclab.reps import (ClusterObject, cluster_object, ext1_dim, hom_dim,
-                        projective_rep, simple_rep, stable_ext1_dim,
-                        stable_hom_dim, sum_cluster_objects, zero_rep)
+from cclab.reps import (ClusterObject, cluster_object, ext1_basis, ext1_dim,
+                        hom_dim, middle_term, projective_rep, simple_rep,
+                        stable_ext1_dim, stable_hom_dim, sum_cluster_objects,
+                        zero_rep)
 
 
 def _announce(line: str):
@@ -64,11 +65,14 @@ def test_criterion_1_d4tilde_flagship(primes):
         ext = [s for s in r1.strata if s.side == "ext"]
         hom = [s for s in r1.strata if s.side == "hom"]
         assert len(ext) == 1 and ext[0].chi == 1
-        assert ext[0].middle_term.module.dim == (1, 1, 1, 1, 2)
+        assert (ext[0].dim, ext[0].shifted) == ((1, 1, 1, 1, 2), (0,) * 5)
         assert len(hom) == 1 and hom[0].chi == 1
-        assert hom[0].middle_term.is_zero()
-        x_mid = cc(ext[0].middle_term, primes).value
+        assert (hom[0].dim, hom[0].shifted) == ((0,) * 5, (0,) * 5)
+        x_mid = ext[0].value
+        (eta,) = ext1_basis(e1, e2)
+        assert x_mid == cc(middle_term(eta), primes).value
         one = parse("1", 5)
+        assert hom[0].value == one
         assert x1 * x2 == x_mid + one
 
         ru = verify_unified(e1, e2, primes)

@@ -264,14 +264,28 @@ def test_list_variables_depth_zero_not_stabilized(workdir):
     assert res.output.splitlines() == ["x1", "x2", "stabilized: false"]
 
 
-@pytest.mark.parametrize("end", ['"a"', "null"])
+@pytest.mark.parametrize("end", ['"a"', "null", "1.9", "1.0", "true"])
 def test_non_integer_arrow_end_exits_1(workdir, end):
+    """An arrow end is an int: a float is not truncated and a bool or a
+    string is not read as one."""
     (workdir / "bad.q").write_text(
         '{"vertices": 2, "arrows": [[%s, 2]]}\n' % end)
     res = run("cc", "--quiver", "bad.q", "--shifted", "1,0")
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: arrow #0 has a non-integer end")
+    assert end.strip('"').replace("true", "True").replace(
+        "null", "None") in res.stderr
+
+
+@pytest.mark.parametrize("n", ["2.5", "2.0", '"2"', "true"])
+def test_non_integer_vertex_count_exits_1(workdir, n):
+    (workdir / "bad.q").write_text('{"vertices": %s, "arrows": []}\n' % n)
+    res = run("cc", "--quiver", "bad.q", "--shifted", "1,0")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(
+        "error: vertex count must be a positive integer, got ")
 
 
 # Module files of A2 that make_rep, check_dimvec or the entry reader refuse.
@@ -285,6 +299,10 @@ BAD_MODULES = {
     "nonempty-at-zero": '{"dim": [1, 0], "matrices": [[[1]]]}',
     "float-entry": '{"dim": [1, 1], "matrices": [[[1.5]]]}',
     "unparsable-string": '{"dim": [1, 1], "matrices": [[["x"]]]}',
+    "dim-float": '{"dim": [1.7, 1], "matrices": [[[1]]]}',
+    "dim-integral-float": '{"dim": [1.0, 1], "matrices": [[[1]]]}',
+    "dim-bool": '{"dim": [true, 1], "matrices": [[[1]]]}',
+    "dim-string": '{"dim": ["1", 1], "matrices": [[[1]]]}',
 }
 
 
@@ -300,7 +318,16 @@ def test_malformed_module_file_exits_1(workdir, body):
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("raw", ["1", "1,0,0", "1,-1", "a,b"])
+def test_non_integer_dim_names_the_value(workdir):
+    """A dimension entry 1.7 is refused, not truncated to 1."""
+    (workdir / "bad.m").write_text(BAD_MODULES["dim-float"] + "\n")
+    res = run("cc", "--quiver", "a2.q", "--module", "bad.m")
+    assert res.exit_code == 1
+    assert res.stderr == ("error: bad.m: dimension vector [1.7, 1] has a "
+                          "non-integer entry\n")
+
+
+@pytest.mark.parametrize("raw", ["1", "1,0,0", "1,-1", "a,b", ""])
 @pytest.mark.parametrize("command", [("cc",), ("verify", "unified", "p1.m")],
                          ids=["cc", "unified"])
 def test_bad_shifted_vector_exits_1(workdir, command, raw):
@@ -309,6 +336,15 @@ def test_bad_shifted_vector_exits_1(workdir, command, raw):
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: ")
     assert "shifted vector" in res.stderr
+
+
+@pytest.mark.parametrize("command", [("cc",), ("verify", "unified", "p1.m")],
+                         ids=["cc", "unified"])
+def test_empty_shifted_vector_is_refused_alike(workdir, command):
+    """--shifted "" is a vector that does not parse, in both commands."""
+    res = run(*command, "--quiver", "a2.q", "--shifted", "")
+    assert res.exit_code == 1
+    assert res.stderr == "error: cannot parse shifted vector ''\n"
 
 
 @pytest.mark.parametrize("flag, env, expected", [

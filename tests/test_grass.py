@@ -16,7 +16,7 @@ from cclab.grassmannian import (CountingPolynomial, count_subreps,
                                 euler_char_grassmannian, fit_and_verify,
                                 free_vertices, gaussian_binomial,
                                 grassmannian_profile, interpolate_counts,
-                                subspaces)
+                                subreps, subspaces)
 from cclab.linalg import GF, Mat, hstack
 from cclab.quiver import (a2_quiver, a3_quiver, kronecker_quiver,
                           validate_quiver)
@@ -391,6 +391,9 @@ def test_count_matches_brute_force(case):
     M, e, p, free = case
     expected = brute_force_count(M, e, p)
     assert count_subreps(M, e, p) == expected
+    # the lister gives each of them once, by its subspaces
+    listed = [tuple(U for U, _ in tup) for tup in subreps(reduce_rep(M, p), e)]
+    assert len(set(listed)) == len(listed) == expected
     # the count is exact for any independent free set, not only the greedy one
     with mock.patch.object(grassmannian, "free_vertices",
                            lambda q, dim, e: free):

@@ -17,21 +17,18 @@ from cclab.errors import (ConfigurationError, PreconditionError,
 from cclab.laurent import parse
 from cclab.grassmannian import subspaces
 from cclab.linalg import GF, QQ, Mat
-from cclab.multiplication import (_bucket_key, _ext_key,
-                                  _find_representative, _hom_side_middle,
-                                  _lines, stratify_ext_side,
+from cclab.multiplication import (_bucket_key, _find_representative,
+                                  _hom_side_middle, _lines, stratify_ext_side,
                                   stratify_hom_side, verify_unified,
                                   verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
-from cclab.reps import (ClusterObject, ExtCocycle, _kernel_key, _rep_of_key,
-                        cluster_object, combine,
-                        cokernel_rep, direct_sum, dual, fingerprint, hom_basis,
-                        injective_rep,
-                        is_isomorphic, kernel_rep, make_rep, middle_term,
-                        projective_rep, reduce_mats, reduce_rep, simple_rep,
-                        stable_ext1_dim, stable_hom_dim, unit_cocycles,
-                        zero_rep)
+from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key,
+                        cluster_object, combine, cokernel_rep, direct_sum,
+                        dual, fingerprint, hom_basis, injective_rep,
+                        kernel_rep, make_rep, projective_rep, reduce_mats,
+                        reduce_rep, simple_rep, stable_ext1_dim,
+                        stable_hom_dim, zero_rep)
 
 
 def hom_side_middle_term(K, C):
@@ -51,9 +48,12 @@ def test_xx1_a2_exchange(primes):
 
 
 def test_xx1_ext_stratum_middle_is_p1(primes):
+    """The one extension of S1 by S2 on A2 has middle term P1, so the Ext
+    side is the class of P1 with chi 1, and its value is cc(P1)."""
     q = a2_quiver()
     (stratum,) = stratify_ext_side(simple_rep(q, 1), simple_rep(q, 2), primes)
-    assert is_isomorphic(stratum.middle_term.module, projective_rep(q, 1))
+    assert (stratum.dim, stratum.shifted, stratum.chi) == ((1, 1), (0, 0), 1)
+    assert stratum.value == cc(projective_rep(q, 1), primes).value
 
 
 def test_xx1_rejects_projective_m(primes):
@@ -85,11 +85,13 @@ def test_xx1_kronecker_strata(primes):
     assert report.verdict
     ext = [s for s in report.strata if s.side == "ext"]
     assert len(ext) == 1 and ext[0].chi == 2
-    assert ext[0].middle_term.module.dim == (1, 1)
+    assert (ext[0].dim, ext[0].shifted) == ((1, 1), (0, 0))
+    # every middle term is a regular R(1, t), whose characters agree
+    assert ext[0].value == cc(kronecker_regular(1, 1), primes).value.scale(2)
     hom = [s for s in report.strata if s.side == "hom"]
     assert len(hom) == 1 and hom[0].chi == 2
-    assert hom[0].middle_term.module.is_zero()
-    assert hom[0].middle_term.shifted == (1, 1)
+    assert (hom[0].dim, hom[0].shifted) == ((0, 0), (1, 1))
+    assert hom[0].value == parse("x1*x2", 2).scale(2)
 
 
 def test_xx1_unliftable_stratum_fails_loudly(primes):
@@ -266,27 +268,6 @@ def test_hom_side_misses_per_prime(monkeypatch, few_primes, L, M, per_prime):
     assert len(misses) == sum(misses.count(GF(p)) for p in few_primes)
 
 
-def test_ext_side_builds_few_middle_terms(monkeypatch, few_primes):
-    """Kronecker xx1(P1, S1): the Ext side reads every point's key from
-    rank pencils set up from d + 1 modules per prime, so it builds at most
-    d + 1 middle terms per prime; only the rational lifts build more."""
-    q = kronecker_quiver()
-    built = []
-    build = multiplication.middle_term
-
-    def counting_build(eta):
-        built.append(eta.M.field)
-        return build(eta)
-
-    monkeypatch.setattr(multiplication, "middle_term", counting_build)
-    strata = stratify_ext_side(simple_rep(q, 1), projective_rep(q, 1),
-                               few_primes)
-    d = sum(s.chi for s in strata)
-    assert d == 3
-    assert len([f for f in built if f != QQ]) <= (d + 1) * len(few_primes)
-    assert len(strata) <= built.count(QQ) <= 2 * len(strata)
-
-
 @pytest.mark.parametrize("run", [
     lambda primes: verify_xx1(simple_rep(kronecker_quiver(), 2),
                               simple_rep(kronecker_quiver(), 1), primes),
@@ -318,33 +299,6 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
     monkeypatch.setattr(multiplication, "_kernel_key",
                         lambda g, L: Unshared(key_of(g, L)))
     assert run(few_primes) == memoised
-
-
-@given(rep_pairs())
-@settings(deadline=None)
-def test_ext_pencil_key_matches_fingerprint(case):
-    """The pencil keys of up to three unit cocycles along a line, from a
-    random head or from the zero head with ts = (1,), are the bucket keys
-    of the middle terms built at its points."""
-    M, L, rng = case
-    q, F = M.quiver, M.field
-    zero = [Mat(F, L.dim[t - 1], M.dim[s - 1]) for s, t in q.arrows]
-    coords = range(sum(m.rows * m.cols for m in zero))
-    if not coords:
-        return  # an empty cocycle space has no lines
-    indices = sorted(rng.sample(coords, min(3, len(coords))))
-    keys_on = _ext_key(M, L, indices)
-    basis = [eta.components for eta in unit_cocycles(M, L, indices)]
-    d = len(indices)
-    lines = [(tuple(rng.randrange(F.p) for _ in range(d - 1)), range(F.p))
-             for _ in range(2)] + [((0,) * (d - 1), (1,))]
-    for head, ts in lines:
-        keys = keys_on(head, ts)
-        assert len(keys) == len(ts)
-        for t, key in zip(ts, keys):
-            Y = middle_term(ExtCocycle(M, L, combine([zero] + basis,
-                                                     (0,) + head + (t,))))
-            assert key == _bucket_key(cluster_object(Y))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -512,17 +466,21 @@ def test_hom_side_refuses_a_prime_where_hom_jumps(primes, d):
         stratify_hom_side(L, M, primes)
 
 
-@pytest.mark.parametrize("run", [
-    lambda P1, I2, primes: verify_xx1(P1, I2, primes),
-    lambda P1, I2, primes: stratify_ext_side(I2, P1, primes),
-    lambda P1, I2, primes: stratify_hom_side(P1, I2, primes),
+@pytest.mark.parametrize("run, need", [
+    (lambda P1, I2, primes: verify_xx1(P1, I2, primes), 5),
+    (lambda P1, I2, primes: stratify_ext_side(I2, P1, primes), 4),
+    (lambda P1, I2, primes: stratify_hom_side(P1, I2, primes), 5),
 ], ids=["verify_xx1", "stratify_ext_side", "stratify_hom_side"])
-def test_strata_refuse_too_few_primes_before_any_point(monkeypatch, run):
-    """Kronecker (P1, I2) has d = 4, so each stratum's fit has degree
-    bound 3 and needs 5 primes; 3 primes are refused before a point of
-    either side is keyed."""
-    keyed = []
+def test_strata_refuse_too_few_primes_before_any_point(monkeypatch, run,
+                                                       need):
+    """Kronecker (P1, I2) has d = 4.  A Hom-side stratum's fit has degree
+    bound 3 and needs 5 primes; the Ext side's largest bound is
+    gdb((1, 2), (0, 1)) + gdb((2, 1), (1, 0)) = 2, so it needs 4.  verify_xx1
+    runs the Hom side first.  3 primes are refused before a point of the
+    Hom side is keyed and before a subrepresentation is listed."""
+    keyed, listed = [], []
     run_strata = multiplication._run_strata
+    subreps = multiplication.subreps
 
     def counting_run_strata(key_at_prime, *rest):
         def counting_key_at_prime(p):
@@ -530,11 +488,13 @@ def test_strata_refuse_too_few_primes_before_any_point(monkeypatch, run):
             return key_at_prime(p)
         return run_strata(counting_key_at_prime, *rest)
     monkeypatch.setattr(multiplication, "_run_strata", counting_run_strata)
+    monkeypatch.setattr(multiplication, "subreps",
+                        lambda M, e: listed.append(e) or subreps(M, e))
     q = kronecker_quiver()
     with pytest.raises(ConfigurationError,
-                       match="need at least 5 primes, have 3"):
+                       match=f"need at least {need} primes, have 3"):
         run(projective_rep(q, 1), injective_rep(q, 2), (101, 103, 107))
-    assert keyed == []
+    assert keyed == [] and listed == []
 
 
 @pytest.mark.parametrize("M", [

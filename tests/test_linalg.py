@@ -4,8 +4,8 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cclab.linalg import (GF, Mat, QQ, _det_mod, _pencil_core, _rank_mod,
-                          hstack, line_ranks, pencil_rank, quotient_map)
+from cclab.linalg import (GF, Mat, QQ, _det_mod, _rank_mod, hstack,
+                          line_ranks, quotient_map)
 
 F7 = GF(7)
 
@@ -209,74 +209,6 @@ def test_rank_kernel_matches_reference(case):
     assert (_rank_mod(rows, ncols, F.p)
             == len(reference_rref(F.p, rows, ncols)[1]))
     assert rows == before
-
-
-@st.composite
-def affine_pencils(draw):
-    """(A0, [D_k], points) over GF(p), p in {2, 3, 5, 23}: A0 up to 5x5 (0
-    rows or 0 columns included), up to 3 directions D_k, each nonzero only
-    on a drawn set of rows and columns, so that constant rows and columns
-    occur, and a few points c."""
-    F = GF(draw(st.sampled_from([2, 3, 5, 23])))
-    rows, cols, d = (draw(st.integers(0, 5)), draw(st.integers(0, 5)),
-                     draw(st.integers(0, 3)))
-    ints = st.integers(0, F.p - 1)
-
-    def mat(live_rows, live_cols):
-        return Mat(F, rows, cols, [
-            [draw(ints) if i in live_rows and j in live_cols else 0
-             for j in range(cols)] for i in range(rows)])
-    A0 = mat(range(rows), range(cols))
-    Ds = [mat(draw(st.sets(st.integers(0, max(rows - 1, 0)))),
-              draw(st.sets(st.integers(0, max(cols - 1, 0)))))
-          for _ in range(d)]
-    points = draw(st.lists(st.lists(ints, min_size=d, max_size=d),
-                           min_size=1, max_size=4))
-    return A0, Ds, points
-
-
-@given(affine_pencils())
-def test_pencil_rank_matches_rank(case):
-    """Each point c = (head, t) is ranked on its line; a pencil with no
-    direction is ranked as one whose direction is zero."""
-    A0, Ds, points = case
-    ranks_on_line = pencil_rank(A0, Ds or [Mat(A0.field, A0.rows, A0.cols)])
-    for c in points:
-        A = A0
-        for ck, D in zip(c, Ds):
-            A = A.add(D.scale(ck))
-        *head, t = c or [0]
-        assert ranks_on_line(tuple(head), (t,)) == [
-            len(reference_rref(A0.field.p, A.data, A.cols)[1])]
-
-
-@st.composite
-def raw_line_pencils(draw):
-    """(F, B, D, ncols): B up to 5x5 (0 rows or 0 columns included) and D
-    of the same shape, nonzero only on a drawn set of rows and columns, with
-    raw int entries in [-60, 60], not reduced mod p, p in {2, 3, 5, 53}."""
-    F = GF(draw(st.sampled_from([2, 3, 5, 53])))
-    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    live_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
-    live_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
-    ints = st.integers(-60, 60)
-    B = [[draw(ints) for _ in range(ncols)] for _ in range(nrows)]
-    D = [[draw(ints) if i in live_rows and j in live_cols else 0
-          for j in range(ncols)] for i in range(nrows)]
-    return F, B, D, ncols
-
-
-@given(raw_line_pencils())
-def test_pencil_core_of_raw_line_keeps_rank(case):
-    """The core of a line B + t D, set up from raw int entries, plus its
-    base is the rank of B + t D at every t in F_p."""
-    F, B, D, ncols = case
-    p = F.p
-    base, (Bc, Dc), n = _pencil_core([B, D], ncols, p)
-    for t in range(p):
-        core = [[x + t * y for x, y in zip(r, s)] for r, s in zip(Bc, Dc)]
-        line = [[x + t * y for x, y in zip(r, s)] for r, s in zip(B, D)]
-        assert base + _rank_mod(core, n, p) == _rank_mod(line, ncols, p)
 
 
 @st.composite

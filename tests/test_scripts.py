@@ -69,23 +69,33 @@ def test_bench_script_writes_counts(tmp_path):
     strat = doc["stratify"]
     points = sum(p * p + p + 1 for p in strat["primes"])
     ext, hom = strat["ext"], strat["hom"]
-    assert ext["points"] == hom["points"] == points
+    assert hom["points"] == points
     # the lines of P^2(F_p): one per point of P^1, and the point (0, 0, 1)
-    assert ext["lines"] == hom["lines"] == sum(p + 2 for p in strat["primes"])
-    assert ext["us_per_point"] > 0 and hom["us_per_point"] > 0
-    assert ext["middle_term_builds"] <= 4 * len(strat["primes"])
-    assert ext["rational_builds"] >= 1 and hom["rational_builds"] >= 1
+    assert hom["lines"] == sum(p + 2 for p in strat["primes"])
+    assert ext["us_per_pair"] > 0 and hom["us_per_point"] > 0
+    assert hom["rational_builds"] >= 1
     assert 0 < hom["memo_misses"] * 10 < points
-    assert 0 < ext["exact_points"] < points
     assert 0 < hom["exact_points"] < points
+    # over F_p, P1 = (1, 2) has the subrepresentations 0, the p + 1 lines
+    # at vertex 2, (0, 2) and P1; S1 has 0 and S1
+    subs_p1 = sum(p + 4 for p in strat["primes"])
+    assert ext["subreps_L"] == subs_p1
+    assert ext["subreps_M"] == 2 * len(strat["primes"])
+    assert ext["pairs"] == 2 * subs_p1
     d4 = doc["d4"]
     assert d4["name"] == "kronecker.xx1(P1,I2)"
     points = sum(p ** 3 + p * p + p + 1 for p in d4["primes"])
-    for row in (d4["ext"], d4["hom"]):
-        assert row["points"] == points
-        assert row["lines"] == sum(p * p + p + 2 for p in d4["primes"])
-        assert 0 < row["exact_points"] < points
-        assert row["median_s"] > 0
+    row = d4["hom"]
+    assert row["points"] == points
+    assert row["lines"] == sum(p * p + p + 2 for p in d4["primes"])
+    assert 0 < row["exact_points"] < points
+    assert row["median_s"] > 0
+    # I2 = (2, 1) has 0, (0, 1), the p + 1 lines at vertex 1 with vertex 2,
+    # and I2, as many as P1
+    row = d4["ext"]
+    assert row["subreps_L"] == row["subreps_M"] == subs_p1
+    assert row["pairs"] == sum((p + 4) ** 2 for p in d4["primes"])
+    assert row["median_s"] > 0 and row["us_per_pair"] > 0
     misses = doc["misses"]
     assert misses["points"] == sum(p + 1 for p in misses["primes"])
     assert misses["lines"] == 2 * len(misses["primes"])
