@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_21.json.
+write BENCH_22.json.
 
 Run from the repository root:
 
@@ -22,9 +22,9 @@ Stdlib only.  Eight parts:
   integral over pairs of subrepresentations of the operands, that is the
   subrepresentations listed of L = P1 and of M = S1 over all primes and
   the pairs ranked; the time per pair follows.  On the Hom side, the
-  lines and points keyed, the points ranked exactly (by an elimination at
-  that point, not read off a line's generic rank), the rational middle
-  terms built and the memo misses; the time per point follows.
+  lines and points walked, the points ranked exactly (by an elimination
+  at that point, not read off a line's generic rank) and the memo misses;
+  the time per point follows.
 - d4: both sides of Kronecker xx1(P1, I2) on the default primes,
   P Ext^1(I2, P1) and P Hom(P1, tau I2), each of dimension 4, with the
   counts of stratify, per run.  Its runs are timed with the counting
@@ -72,7 +72,6 @@ from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
                           kronecker_regular)
 from cclab.laurent import divide_exact
-from cclab.linalg import QQ
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
 from cclab.quiver import (a3_quiver, d4tilde_quiver, kronecker_quiver,
@@ -149,40 +148,35 @@ def closure_counts(q, depth):
 def counting(L, M):
     """While active, count on the Ext side of (L, M) the subrepresentations
     listed of L and of M and the pairs ranked, and on the Hom side the
-    lines and points keyed, the points of each line ranked exactly, the
-    rational middle terms built and the memo misses, by wrapping the
-    lister, the rank of a pair, the line key functions, the exact rank of
-    line_ranks, the Hom-side middle terms and the bucket key, which only a
-    Hom-side miss computes; yields the counts.  A listing is told apart by
-    its module's dimension vector, so L and M must differ in it."""
+    lines walked, the points bucketed, the points of each line ranked
+    exactly and the memo misses, by wrapping the lister, the rank of a
+    pair, the per-prime walk, its lines, the exact rank of line_ranks and
+    the Hom-side middle term, which only a memo miss builds; yields the
+    counts.  A listing is told apart by its module's dimension vector, so
+    L and M must differ in it."""
     counts = {"ext": {"subreps_L": 0, "subreps_M": 0, "pairs": 0},
               "hom": {"lines": 0, "points": 0, "exact_points": 0,
-                      "memo_misses": 0, "rational_builds": 0}}
+                      "memo_misses": 0}}
     ext, hom = counts["ext"], counts["hom"]
-    run_strata = multiplication._run_strata
+    walk = multiplication._hom_walk
+    lines = multiplication._lines
     rank_at = linalg._rank_at
     subreps = multiplication.subreps
     kept_dim = multiplication._kept_dim
     hom_middle = multiplication._hom_side_middle
-    bucket_key = multiplication._bucket_key
     exact = set()  # the t ranked exactly on the current line
 
-    def counting_run_strata(key_at_prime, middle_at_qq, d, primes, side):
-        row = counts[side]
+    def counting_walk(*args):
+        buckets = walk(*args)
+        hom["points"] += sum(n for n, _ in buckets.values())
+        return buckets
 
-        def counting_key_at_prime(p):
-            keys_on = key_at_prime(p)
-
-            def counting(head, ts):
-                row["lines"] += 1
-                row["points"] += len(ts)
-                exact.clear()
-                keys = keys_on(head, ts)
-                row["exact_points"] += len(exact)
-                return keys
-            return counting
-        return run_strata(counting_key_at_prime, middle_at_qq, d, primes,
-                          side)
+    def counting_lines(p, d):
+        for line in lines(p, d):
+            hom["lines"] += 1
+            exact.clear()
+            yield line  # the walk keys the whole line before the next
+            hom["exact_points"] += len(exact)
 
     def recording_rank_at(B, D, ncols, p, t):
         exact.add(t)
@@ -198,29 +192,24 @@ def counting(L, M):
         return kept_dim(*args)
 
     def counting_hom_middle(K, R, dim_c):
-        if K.field == QQ:
-            hom["rational_builds"] += 1
+        hom["memo_misses"] += 1
         return hom_middle(K, R, dim_c)
 
-    def counting_bucket_key(Y):
-        hom["memo_misses"] += 1
-        return bucket_key(Y)
-
-    multiplication._run_strata = counting_run_strata
+    multiplication._hom_walk = counting_walk
+    multiplication._lines = counting_lines
     linalg._rank_at = recording_rank_at
     multiplication.subreps = counting_subreps
     multiplication._kept_dim = counting_kept_dim
     multiplication._hom_side_middle = counting_hom_middle
-    multiplication._bucket_key = counting_bucket_key
     try:
         yield counts
     finally:
-        multiplication._run_strata = run_strata
+        multiplication._hom_walk = walk
+        multiplication._lines = lines
         linalg._rank_at = rank_at
         multiplication.subreps = subreps
         multiplication._kept_dim = kept_dim
         multiplication._hom_side_middle = hom_middle
-        multiplication._bucket_key = bucket_key
 
 
 def per_unit(sides):
@@ -313,7 +302,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_21.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_22.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

@@ -16,7 +16,7 @@ CCLAB_PRIMES unset unless a line names it.  On each quiver:
   modules: the interval modules of A3, R(1,1) of the Kronecker quiver
   and the tube simples E1, E2 of D4-tilde.  On D4-tilde also `verify
   xx1` and `verify unified`, in both orders, on (P_i, I5), i = 1..5,
-  which the Hom side refuses.
+  whose Hom side has strata of one point over each prime.
 - primes: `cc` on each stock module under `--primes`, under CCLAB_PRIMES,
   under both (the flag wins) and under neither (the defaults).
 - oracle: `mutate` in each direction, along all directions in turn and
@@ -154,10 +154,11 @@ def calls(qpath, paths, mods):
                        ["verify", kind, paths[a], paths[b], *fmt])
 
 
-def lift_calls(qpath, q):
+def pi_i5_calls(qpath, q):
     """(label, argv) of `verify xx1` and `verify unified`, in both orders,
-    on the D4-tilde pairs (P_i, I5), i = 1..5, whose Hom side finds no
-    point that lifts; their total dimension exceeds MAX_DIM but for P5."""
+    on the D4-tilde pairs (P_i, I5), i = 1..5, whose Hom side has
+    strata of one point over each prime; their total dimension
+    exceeds MAX_DIM but for P5."""
     mods = {f"P{i}": standard_module(q, "projective", i)
             for i in range(1, q.n + 1)}
     mods["I5"] = standard_module(q, "injective", 5)
@@ -268,7 +269,7 @@ def main():
                 q, mods = stock[name]
                 qpath, paths = write_inputs(name, q, mods)
                 for label, argv in (*calls(qpath, paths, mods),
-                                    *(lift_calls(qpath, q)
+                                    *(pi_i5_calls(qpath, q)
                                       if name == "d4t" else ())):
                     print(f"{name} {label}: {run(argv)}", flush=True)
                 for label, argv, env in (*primes_calls(qpath, paths, mods),

@@ -75,10 +75,8 @@ def cc(obj, primes) -> CharacterValue:
     """
     obj = _as_cluster_object(obj)
     M = obj.module
-    profile = grassmannian_profile(M, primes) if not M.is_zero() else {
-        (0,) * M.quiver.n: 1}
     return CharacterValue(exponent_form(M.quiver, M.dim, obj.shifted,
-                                        profile))
+                                        grassmannian_profile(M, primes)))
 
 
 def exponent_form(q, m, shifted, profile) -> LaurentPolynomial:
@@ -107,12 +105,10 @@ def cc_palu_form(obj, primes) -> CharacterValue:
     n = q.n
     coind = coindex(obj)
     terms: dict = {}
-    profile = grassmannian_profile(M, primes) if not M.is_zero() else {
-        (0,) * n: 1}
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     # <s_i, e>_a is bilinear: row i of the form on unit vectors, dotted with e
     form = [[antisym_form(q, si, sj) for sj in units] for si in units]
-    for e, chi in profile.items():
+    for e, chi in grassmannian_profile(M, primes).items():
         exp = tuple(-c + sum(map(mul, row, e)) for c, row in zip(coind, form))
         terms[exp] = terms.get(exp, 0) + chi
     return CharacterValue(LaurentPolynomial(n, terms))

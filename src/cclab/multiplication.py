@@ -4,12 +4,13 @@ Each identity is d * X_X X_Y = the sum of two sides, each a list of
 strata that carry their whole contribution.  The Ext side over
 P Ext^1(M, L) is one exact integral, read off pairs of subrepresentations
 of the operands (stratify_ext_side); no point of it is visited.  Each Hom
-side is walked pointwise over each sample prime: middle terms, formed by
-one function over GF(p) and QQ alike, are bucketed by a homological
-fingerprint, bucket sizes are interpolated into counting polynomials, and
-a stratum contributes chi = P(1) times the character of a rational-form
-representative.  _report forms the left-hand side and checks that the
-sides agree, as exact Laurent polynomials.
+side is walked pointwise over each sample prime (_hom_walk): middle terms
+over GF(p) are bucketed by a homological fingerprint, and bucket sizes
+are interpolated into counting polynomials.  A stratum contributes
+chi = P(1) times the character of its class, whose Grassmannian counts
+are read off the bucket's middle terms at the sample primes.  _report
+forms the left-hand side and checks that the sides agree, as exact
+Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -21,17 +22,14 @@ from operator import add, mul
 from .artranslate import (ar_inverse_maps, ar_translate,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
-from .errors import (CCLabError, ConfigurationError, PreconditionError,
-                     PrimeInstabilityError)
-from .grassmannian import (_check_prime_count, fit_and_verify,
+from .errors import CCLabError, PreconditionError, PrimeInstabilityError
+from .grassmannian import (_check_prime_count, _profile_of, fit_and_verify,
                            grassmannian_degree_bound, subreps)
 from .laurent import LaurentPolynomial
-from .linalg import (GF, Mat, _combination, _nullspace_of_rref, _rank_mod,
-                     line_ranks)
+from .linalg import _combination, _nullspace_of_rref, _rank_mod, line_ranks
 from .reps import (ClusterObject, Representation, _hom_system, _kernel_key,
-                   _rep_of_key, cluster_object, cokernel_rep, combine,
-                   direct_sum, dual, ext1_setup, fingerprint, hom_basis,
-                   hom_dim, kernel_rep, make_rep, reduce_mats, reduce_rep,
+                   _rep_of_key, cluster_object, direct_sum, dual, ext1_setup,
+                   fingerprint, hom_basis, hom_dim, make_rep, reduce_rep,
                    stable_ext1_dim, standard_sum, top_multiplicities,
                    unit_cocycles, zero_rep)
 
@@ -60,10 +58,6 @@ class VerificationReport:
     label: str = ""
 
 
-def _bucket_key(Y: ClusterObject):
-    return (Y.shifted, fingerprint(Y.module))
-
-
 def _lines(p: int, d: int):
     """P^{d-1}(F_p), first nonzero coordinate 1, as lines (head, ts) of the
     points head + (t,): ts = range(p) for each point head of P^{d-2}(F_p),
@@ -73,67 +67,6 @@ def _lines(p: int, d: int):
         for rest in product(range(p), repeat=d - 2 - k):
             yield (0,) * k + (1,) + rest, range(p)
     yield (0,) * (d - 1), (1,)
-
-
-def _run_strata(key_at_prime, middle_at_qq, d: int, primes, side: str):
-    """Enumerate/bucket/interpolate loop for one projectivized Hom space.
-
-    P^{d-1}(F_p) is walked line by line (_lines).  key_at_prime(p) returns
-    a callable that maps a line (head, ts) to the bucket keys of the middle
-    terms at its points, one per t; middle_at_qq builds the middle term over
-    the rationals from lifted integer coefficients.  A stratum's value is
-    chi times the character of that rational middle term.
-    """
-    if d == 0:
-        return []
-    _check_prime_count(len(set(primes)), max(d - 1, 0))
-    counts: dict = {}
-    witnesses: dict = {}
-    for p in primes:
-        keys_on = key_at_prime(p)
-        here: dict = {}
-        for head, ts in _lines(p, d):
-            for t, key in zip(ts, keys_on(head, ts)):
-                here[key] = here.get(key, 0) + 1
-                witness = witnesses.get(key)
-                if witness is None:
-                    witness = witnesses[key] = (p, [])
-                if witness[0] == p:
-                    witness[1].append(head + (t,))
-        for key, n in here.items():
-            counts.setdefault(key, {})[p] = n
-    reports = []
-    total = 0
-    for key in sorted(counts):
-        by_prime = {p: counts[key].get(p, 0) for p in primes}
-        poly = fit_and_verify(by_prime, max(d - 1, 0))
-        chi = poly(1)
-        rep = _find_representative(witnesses[key][1], middle_at_qq, key, primes)
-        reports.append(StratumReport(rep.module.dim, rep.shifted, chi, side,
-                                     cc(rep, primes).value.scale(chi)))
-        total += chi
-    if total != d:
-        raise CCLabError(
-            f"stratum Euler characteristics sum to {total}, expected {d}")
-    return reports
-
-
-def _find_representative(points, middle_at_qq, key, primes) -> ClusterObject:
-    """Rational-form middle term whose reduction matches the bucket at
-    every sample prime."""
-    for c in sorted(points, key=lambda t: (max(t), t)):
-        Y = middle_at_qq(tuple(int(x) for x in c))
-        if Y.shifted != key[0]:
-            continue
-        try:
-            ok = all(fingerprint(reduce_rep(Y.module, p)) == key[1]
-                     for p in primes)
-        except ConfigurationError:
-            ok = False
-        if ok:
-            return Y
-    raise PrimeInstabilityError(
-        "no projective-space point lifts to a stable representative")
 
 
 # -- the ext-side integral -------------------------------------------------
@@ -224,82 +157,92 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
 
 def _hom_strata(L: Representation, T: Representation, primes, side: str,
                 family, middle):
-    """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ.  The middle term
-    of g is middle(Ker g, R, dim Coker g) over GF(p) and QQ alike, where
-    R = Coker h for the image h of g under the linear, right exact
-    family(L, T, maps) -> (L', T', maps'): over QQ, R is the family's
-    image of Coker g.  Before any point, each prime must keep dim Hom = d
-    and the reduced basis of rank d, also for d = 0.
-
-    family runs on the basis maps once per prime.  As Coker h = D Ker(Dh),
-    with Dh: DT' -> DL' the transposes, a point's memo key is the
-    _kernel_key of g and of Dh.  Equal keys give equal K, R and dim Coker g,
-    so a miss builds the middle term from the key alone.
-
-    A line is formed once as the pencils G + t F of g and of Dh at each
-    vertex, and line_ranks ranks them at every t.  Where each is injective
-    the key is the one of K = R = 0, with dim Coker g = dim T - dim L, and
-    no kernel is computed; only at the other t are g and Dh built and
-    keyed.
-    """
-    basis_qq = hom_basis(L, T)
-    d = len(basis_qq)
+    """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ.  Before any point,
+    each prime must keep dim Hom = d, also for d = 0.  _hom_walk buckets
+    the points at each prime; a bucket's point counts are fitted within
+    d - 1, and its value is chi times the character of the class of its
+    members, whose Grassmannian counts are fitted on the primes where the
+    bucket occurs."""
+    d = hom_dim(L, T)
     reduced = {}
     for p in primes:
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        basis = [reduce_mats(f, p) for f in basis_qq]
-        flat = [[x for m in f for row in m.data for x in row] for f in basis]
-        if hom_dim(Lp, Tp) != d or d and Mat(
-                GF(p), d, len(flat[0]), flat).rank() != d:
+        basis = hom_basis(Lp, Tp)
+        if len(basis) != d:
             raise PrimeInstabilityError(f"Hom space degenerates mod {p}")
         reduced[p] = Lp, Tp, basis
+    if not d:
+        return []
+    _check_prime_count(len(reduced), d - 1)
+    walks = {p: _hom_walk(*args, family, middle)
+             for p, args in reduced.items()}
+    reports = []
+    for key in sorted(set().union(*walks.values())):
+        chi = fit_and_verify({p: walk[key][0] if key in walk else 0
+                              for p, walk in walks.items()}, d - 1)(1)
+        profile = _profile_of({p: walk[key][1].module
+                               for p, walk in walks.items() if key in walk})
+        shifted, dim = key[0], key[1][0]
+        reports.append(StratumReport(dim, shifted, chi, side, exponent_form(
+            L.quiver, dim, shifted, profile).scale(chi)))
+    total = sum(s.chi for s in reports)
+    if total != d:
+        raise CCLabError(
+            f"stratum Euler characteristics sum to {total}, expected {d}")
+    return reports
 
-    def key_at_prime(p):
-        Lp, Tp, basis = reduced[p]
-        Lh, Th, images = family(Lp, Tp, basis)
-        DTh = dual(Th)
-        # per vertex of g, then of Dh: (the map at c = head + (0,) as a
-        # function of c, the last basis map), so the line is G + t F
-        n = L.quiver.n
-        pencils = [(_combination([f[i].data for f in maps]), maps[-1][i].data)
-                   for maps in (basis, [[m.transpose() for m in f]
-                                        for f in images])
-                   for i in range(n)]
-        arrows = ((),) * len(L.quiver.arrows)
-        injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
-        memo = {}
 
-        def keys_on(head, ts):
-            line = [(G(head + (0,)), F) for G, F in pencils]
-            full = [all(ranks) for ranks in zip(*(
-                [r == cols for r in line_ranks(G, F, cols, p, ts)]
-                for (G, F), cols in zip(line, Lp.dim + DTh.dim)))]
-            keys = []
-            for t, injective in zip(ts, full):
-                if injective:
-                    mk = injective_key
-                else:
-                    at_t = [[[(x + t * y) % p for x, y in zip(r, s)]
-                             for r, s in zip(G, F)] for G, F in line]
-                    mk = (_kernel_key(at_t[:n], Lp),
-                          _kernel_key(at_t[n:], DTh))
-                key = memo.get(mk)
-                if key is None:
-                    dim_c = tuple(t - r for t, r in zip(T.dim, mk[0][0]))
-                    key = memo[mk] = _bucket_key(middle(
-                        _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
-                        dim_c))
-                keys.append(key)
-            return keys
-        return keys_on
+def _hom_walk(Lp: Representation, Tp: Representation, basis, family,
+              middle) -> dict:
+    """{(shifted, fingerprint): [points, member]} over P Hom(Lp, Tp)(F_p)
+    on the basis maps, the member being the first middle term built for
+    the key.  The middle term of g is middle(Ker g, R, dim Coker g), where
+    R = Coker h for the image h of g under the linear, right exact
+    family(L, T, maps) -> (L', T', maps'), which runs on the basis maps.
 
-    def middle_at_qq(coeffs):
-        g = combine(basis_qq, coeffs)
-        C = cokernel_rep(g, L, T)
-        return middle(kernel_rep(g, L, T),
-                      family(C, zero_rep(L.quiver, L.field), [])[0], C.dim)
+    As Coker h = D Ker(Dh), with Dh: DT' -> DL' the transposes, a point's
+    memo key is the _kernel_key of g and of Dh.  Equal keys give equal K,
+    R and dim Coker g, so a miss builds the middle term from the key alone.
 
-    return _run_strata(key_at_prime, middle_at_qq, d, primes, side)
+    P^{d-1}(F_p) is walked line by line (_lines).  A line is formed once as
+    the pencils G + t F of g and of Dh at each vertex, and line_ranks ranks
+    them at every t.  Where each is injective the key is the one of
+    K = R = 0, with dim Coker g = dim T - dim L, and no kernel is computed;
+    only at the other t are g and Dh built and keyed.
+    """
+    p, n = Lp.field.p, Lp.quiver.n
+    _, Th, images = family(Lp, Tp, basis)
+    DTh = dual(Th)
+    # per vertex of g, then of Dh: (the map at c = head + (0,) as a
+    # function of c, the last basis map), so the line is G + t F
+    pencils = [(_combination([f[i].data for f in maps]), maps[-1][i].data)
+               for maps in (basis, [[m.transpose() for m in f]
+                                    for f in images])
+               for i in range(n)]
+    arrows = ((),) * len(Lp.quiver.arrows)
+    injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
+    memo, buckets = {}, {}
+    for head, ts in _lines(p, len(basis)):
+        line = [(G(head + (0,)), F) for G, F in pencils]
+        full = [all(ranks) for ranks in zip(*(
+            [r == cols for r in line_ranks(G, F, cols, p, ts)]
+            for (G, F), cols in zip(line, Lp.dim + DTh.dim)))]
+        for t, injective in zip(ts, full):
+            if injective:
+                mk = injective_key
+            else:
+                at_t = [[[(x + t * y) % p for x, y in zip(r, s)]
+                         for r, s in zip(G, F)] for G, F in line]
+                mk = (_kernel_key(at_t[:n], Lp), _kernel_key(at_t[n:], DTh))
+            key = memo.get(mk)
+            if key is None:
+                dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
+                Y = middle(_rep_of_key(mk[0], Lp),
+                           dual(_rep_of_key(mk[1], DTh)), dim_c)
+                key = memo[mk] = (Y.shifted, fingerprint(Y.module))
+                buckets.setdefault(key, [0, Y])
+            buckets[key][0] += 1
+    return buckets
 
 
 def _hom_side_middle(K: Representation, R: Representation,
@@ -347,7 +290,7 @@ def _report(X, Y, strata, primes, label: str) -> VerificationReport:
     """Compare d * X_X X_Y with the sum of the strata's values.
 
     Each identity has two sides, and the chi values of each sum to the
-    dimension of its own space (_run_strata checks a Hom side).  The two
+    dimension of its own space (_hom_strata checks a Hom side).  The two
     sides must agree, so d is half the chi total.  d fills the {} field of
     label.
     """

@@ -71,6 +71,9 @@ def make_rep(q: Quiver, dim, matrices, field=QQ) -> Representation:
             mats.append(data if data.field == field else
                         Mat(field, rows, cols, data.data))
             continue
+        if data is not None and not (isinstance(data, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) for r in data)):
+            raise InputError(f"matrix at arrow {a} is not a list of rows")
         if rows == 0 or cols == 0:
             if data not in ([], None) and any(len(r) for r in data):
                 raise InputError(f"matrix at arrow {a} should be empty")

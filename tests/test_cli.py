@@ -159,26 +159,40 @@ def test_verify_unified_shifted(workdir):
     assert "verdict: true" in res.output
 
 
-def test_verify_unliftable_stratum_exits_counting(workdir):
+def test_verify_d4tilde_p1_i5_exits_0(workdir):
+    """D4-tilde xx1(P1, I5), whose Hom side once found no stratum
+    representative over QQ, verifies."""
     res = run("verify", "xx1", "--quiver", "d4t.q", "d4t_p1.m", "d4t_i5.m")
+    assert res.exit_code == 0
+    assert "verdict: true" in res.output
+
+
+def test_verify_prime_where_ext_jumps_exits_counting(workdir):
+    """R(1, 1/2) and R(1, 12) are isomorphic mod 23 alone, where Ext^1
+    between them jumps from 0 to 1: verify exits EXIT_COUNTING with the
+    dimensions per prime, and no verdict."""
+    (workdir / "r_half.m").write_text(
+        '{"dim": [1, 1], "matrices": [[[1]], [["1/2"]]]}\n')
+    (workdir / "r_12.m").write_text(
+        '{"dim": [1, 1], "matrices": [[[1]], [[12]]]}\n')
+    res = run("verify", "xx1", "--quiver", "kron.q", "r_half.m", "r_12.m")
     assert res.exit_code == EXIT_COUNTING
-    assert "no projective-space point lifts" in res.output
+    assert "Ext^1 dimension varies with prime: {23: 1, 29: 0" in res.output
     assert "verdict" not in res.output
 
 
-def test_verify_hom_basis_denominator_exits_1(workdir):
+def test_verify_hom_basis_denominator_exits_0(workdir):
     """Integer inputs under the height guard whose rational Hom basis has
-    a denominator divisible by the default prime 37 are refused with exit
-    1 and a message, not a traceback."""
+    a denominator divisible by the default prime 37 verify: each prime
+    takes its own Hom basis, so no prime is refused."""
     (workdir / "kron_l.m").write_text(
         '{"dim": [1, 2], "matrices": [[[-10], [-16]], [[-12], [19]]]}\n')
     (workdir / "kron_t.m").write_text(
         '{"dim": [2, 2], "matrices": [[[19, 8], [-12, -12]], '
         '[[-20, -20], [-7, -7]]]}\n')
     res = run("verify", "xx2", "--quiver", "kron.q", "kron_l.m", "kron_t.m")
-    assert res.exit_code == 1
-    assert "prime 37 collides with matrix denominators" in res.output
-    assert not isinstance(res.exception, ZeroDivisionError)
+    assert res.exit_code == 0
+    assert "verdict: true" in res.output
 
 
 def test_grass_profile(workdir):
@@ -296,6 +310,8 @@ BAD_MODULES = {
     "matrix-count": '{"dim": [1, 1], "matrices": []}',
     "shape": '{"dim": [1, 1], "matrices": [[[1, 2]]]}',
     "non-list-matrix": '{"dim": [1, 1], "matrices": [5]}',
+    "string-matrix": '{"dim": [1, 1], "matrices": ["11"]}',
+    "string-row": '{"dim": [1, 1], "matrices": [["1"]]}',
     "nonempty-at-zero": '{"dim": [1, 0], "matrices": [[[1]]]}',
     "float-entry": '{"dim": [1, 1], "matrices": [[[1.5]]]}',
     "unparsable-string": '{"dim": [1, 1], "matrices": [[["x"]]]}',
@@ -316,6 +332,18 @@ def test_malformed_module_file_exits_1(workdir, body):
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: bad.m: ")
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("label", ["non-list-matrix", "string-matrix",
+                                   "string-row"])
+def test_matrix_that_is_not_a_list_of_rows_names_the_arrow(workdir, label):
+    """A matrix that is a number, or a list of numbers, is refused by name,
+    not with Python's TypeError text."""
+    (workdir / "bad.m").write_text(BAD_MODULES[label] + "\n")
+    res = run("cc", "--quiver", "a2.q", "--module", "bad.m")
+    assert res.exit_code == 1
+    assert res.stderr == ("error: bad.m: matrix at arrow 0 is not a list "
+                          "of rows\n")
 
 
 def test_non_integer_dim_names_the_value(workdir):

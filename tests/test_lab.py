@@ -1,5 +1,6 @@
 """Stratified verification of the multiplication identities."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,25 +17,28 @@ from cclab.errors import (ConfigurationError, PreconditionError,
                           PrimeInstabilityError)
 from cclab.laurent import parse
 from cclab.grassmannian import subspaces
-from cclab.linalg import GF, QQ, Mat
-from cclab.multiplication import (_bucket_key, _find_representative,
-                                  _hom_side_middle, _lines, stratify_ext_side,
-                                  stratify_hom_side, verify_unified,
-                                  verify_xx1, verify_xx2)
+from cclab.linalg import QQ, Mat
+from cclab.multiplication import (_hom_side_middle, _hom_walk, _lines,
+                                  stratify_ext_side, stratify_hom_side,
+                                  verify_unified, verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key,
                         cluster_object, combine, cokernel_rep, direct_sum,
                         dual, fingerprint, hom_basis, injective_rep,
-                        kernel_rep, make_rep, projective_rep, reduce_mats,
-                        reduce_rep, simple_rep, stable_ext1_dim,
-                        stable_hom_dim, zero_rep)
+                        kernel_rep, make_rep, projective_rep, reduce_rep,
+                        simple_rep, stable_ext1_dim, stable_hom_dim, zero_rep)
 
 
 def hom_side_middle_term(K, C):
     """Reference: Ker g (+) tau^{-1}(Coker g) from K and C, via ar_inverse."""
     rest = ar_inverse(C)
     return ClusterObject(direct_sum(K, rest.module), rest.shifted)
+
+
+def bucket_key(Y):
+    """The (shifted, fingerprint) key of a Hom-side bucket."""
+    return Y.shifted, fingerprint(Y.module)
 
 
 def test_xx1_a2_exchange(primes):
@@ -94,14 +98,16 @@ def test_xx1_kronecker_strata(primes):
     assert hom[0].value == parse("x1*x2", 2).scale(2)
 
 
-def test_xx1_unliftable_stratum_fails_loudly(primes):
-    """D4-tilde xx1(P1, I5): one stratum has no sample point whose rational
-    middle term reduces into it at every default prime.  The verifier
-    refuses with an error instead of reporting a verdict."""
+@pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
+def test_xx1_d4tilde_projective_by_i5_holds(primes, i):
+    """D4-tilde xx1(P_i, I5) holds on the default primes.  Its Hom side has
+    strata of one point at each prime, such as (1, -1) of
+    P Hom(P1, tau I5)(F_23), whose characters are fitted from their GF(p)
+    middle terms."""
     q = d4tilde_quiver()
-    with pytest.raises(PrimeInstabilityError,
-                       match="no projective-space point lifts"):
-        verify_xx1(projective_rep(q, 1), injective_rep(q, 5), primes)
+    report = verify_xx1(projective_rep(q, i), injective_rep(q, 5), primes)
+    assert report.verdict
+    assert {s.side for s in report.strata} == {"ext", "hom"}
 
 
 def test_xx2_a2_p2_p1(primes):
@@ -198,11 +204,10 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     distinct key at each prime, not once per point.  Kernel keys are read
     only at the few points where g or Dh is not injective at some vertex;
     the others share the key of K = R = 0.  tau^{-1} runs as
-    ar_inverse_maps on the basis maps once per prime, and once more for
-    each rational lift."""
+    ar_inverse_maps on the basis maps once per prime, and never over QQ."""
     q = kronecker_quiver()
     keys, misses, inverses = [], [], []
-    key_of, bucket_key = multiplication._kernel_key, multiplication._bucket_key
+    key_of, middle = multiplication._kernel_key, multiplication._hom_side_middle
     inverse = multiplication.ar_inverse_maps
 
     def recording_key(g, L):
@@ -210,16 +215,16 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
         keys.append((L.field, key))
         return key
 
-    def counting_bucket_key(Y):
-        misses.append(Y.module.field)
-        return bucket_key(Y)
+    def counting_middle(K, R, dim_c):
+        misses.append(K.field)
+        return middle(K, R, dim_c)
 
     def counting_inverse(L, T, maps):
         inverses.append(L.field)
         return inverse(L, T, maps)
 
     monkeypatch.setattr(multiplication, "_kernel_key", recording_key)
-    monkeypatch.setattr(multiplication, "_bucket_key", counting_bucket_key)
+    monkeypatch.setattr(multiplication, "_hom_side_middle", counting_middle)
     monkeypatch.setattr(multiplication, "ar_inverse_maps", counting_inverse)
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
@@ -232,8 +237,17 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     points = sum(p * p + p + 1 for p in few_primes)
     assert 0 < len(keys) * 10 < 2 * points
     assert 0 < len(distinct) * 10 < points
-    assert sorted(f.p for f in inverses if f != QQ) == sorted(few_primes)
-    assert inverses.count(QQ) >= len(strata)
+    assert QQ not in inverses
+    assert sorted(f.p for f in inverses) == sorted(few_primes)
+
+
+def _walk(L, M, p, middle=_hom_side_middle):
+    """(basis, buckets) of _hom_walk on P Hom(L, tau M) at p, on the Hom
+    basis over GF(p)."""
+    T = artranslate.ar_translate(M)
+    Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+    basis = hom_basis(Lp, Tp)
+    return basis, _hom_walk(Lp, Tp, basis, ar_inverse_maps, middle)
 
 
 @pytest.mark.parametrize("L, M, per_prime", [
@@ -241,31 +255,18 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5),
      4),
 ], ids=["kronecker-hom(S2,S1)", "d4tilde-hom(P1,I5)"])
-def test_hom_side_misses_per_prime(monkeypatch, few_primes, L, M, per_prime):
+def test_hom_side_misses_per_prime(few_primes, L, M, per_prime):
     """Points whose cokernels differ but whose tau^{-1} Coker g agree share
     one memo key: on Kronecker hom(S2, S1) all p + 1 points of each prime
     build at most one middle term, on D4-tilde hom(P1, I5) at most four.
-    The keys are read line by line, with no rational lift, which fails on
-    D4-tilde (P1, I5)."""
-    captured, misses = [], []
-    bucket_key = multiplication._bucket_key
-
-    def counting_bucket_key(Y):
-        misses.append(Y.module.field)
-        return bucket_key(Y)
-
-    monkeypatch.setattr(multiplication, "_bucket_key", counting_bucket_key)
-    monkeypatch.setattr(multiplication, "_run_strata",
-                        lambda key_at_prime, middle_at_qq, d, *rest:
-                        captured.append((key_at_prime, d)) or [])
-    stratify_hom_side(L, M, few_primes)
-    ((key_at_prime, d),) = captured
+    The walk of each prime buckets every point of its projective space."""
     for p in few_primes:
-        keys_on = key_at_prime(p)
-        for head, ts in _lines(p, d):
-            keys_on(head, ts)
-        assert 0 < misses.count(GF(p)) <= per_prime
-    assert len(misses) == sum(misses.count(GF(p)) for p in few_primes)
+        built = []
+        basis, buckets = _walk(L, M, p, lambda *args: built.append(args)
+                               or _hom_side_middle(*args))
+        assert 0 < len(built) <= per_prime
+        assert sum(n for n, _ in buckets.values()) == sum(
+            len(ts) for _, ts in _lines(p, len(basis)))
 
 
 @pytest.mark.parametrize("run", [
@@ -304,7 +305,7 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lines_cover_projective_space_once(d, p):
-    """The lines of _run_strata hold every point of P^{d-1}(F_p), first
+    """The lines of _hom_walk hold every point of P^{d-1}(F_p), first
     nonzero coordinate 1, exactly once, in the order of subspaces."""
     points = [head + (t,) for head, ts in _lines(p, d) for t in ts]
     assert points == [basis[0] for basis in subspaces(p, d, 1)]
@@ -313,24 +314,21 @@ def test_lines_cover_projective_space_once(d, p):
         if any(c) and next(x for x in c if x) == 1)
 
 
-def _hom_line_keys_and_pointwise(monkeypatch, L, M, p):
-    """The Hom-side keys of each line of P Hom(L, tau M) at p, beside the
-    bucket keys of the middle terms of g = combine(basis, c) built point by
-    point with kernel_rep and cokernel_rep."""
-    captured = []
-    monkeypatch.setattr(multiplication, "_run_strata",
-                        lambda key_at_prime, *rest: captured.append(
-                            key_at_prime) or [])
-    stratify_hom_side(L, M, (p,))
-    T = artranslate.ar_translate(M)
-    Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-    basis = [reduce_mats(f, p) for f in hom_basis(L, T)]
-    keys_on = captured[0](p)
+def _hom_buckets_and_pointwise(L, M, p):
+    """The bucket sizes of _hom_walk on P Hom(L, tau M) at p, beside a
+    Counter of the bucket keys of the middle terms of g = combine(basis, c)
+    built point by point with kernel_rep, cokernel_rep and ar_inverse.
+    Each bucket's member carries its bucket's key."""
+    Lp, Tp = reduce_rep(L, p), reduce_rep(artranslate.ar_translate(M), p)
+    basis, buckets = _walk(L, M, p)
+    assert all(bucket_key(Y) == key for key, (_, Y) in buckets.items())
+    pointwise = Counter()
     for head, ts in _lines(p, len(basis)):
-        for t, key in zip(ts, keys_on(head, ts)):
+        for t in ts:
             g = combine(basis, head + (t,))
-            yield key, _bucket_key(hom_side_middle_term(
-                kernel_rep(g, Lp, Tp), cokernel_rep(g, Lp, Tp)))
+            pointwise[bucket_key(hom_side_middle_term(
+                kernel_rep(g, Lp, Tp), cokernel_rep(g, Lp, Tp)))] += 1
+    return {key: n for key, (n, _) in buckets.items()}, pointwise
 
 
 @pytest.mark.parametrize("L, M", [
@@ -338,32 +336,33 @@ def _hom_line_keys_and_pointwise(monkeypatch, L, M, p):
     (simple_rep(kronecker_quiver(), 2), simple_rep(kronecker_quiver(), 1)),
     (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5)),
 ], ids=["kronecker-hom(P1,S1)", "kronecker-hom(S2,S1)", "d4tilde-(P1,I5)"])
-def test_hom_line_keys_match_pointwise_maps(monkeypatch, L, M):
-    """At p = 5 the Hom-side keys of each line of P Hom(L, tau M), ranked
-    as pencils, are the bucket keys of the middle terms of
-    g = combine(basis, c) built point by point with kernel_rep and
-    cokernel_rep."""
-    for key, pointwise in _hom_line_keys_and_pointwise(monkeypatch, L, M, 5):
-        assert key == pointwise
+def test_hom_line_keys_match_pointwise_maps(L, M):
+    """At p = 5 the bucket sizes of the Hom-side walk of P Hom(L, tau M),
+    whose lines are ranked as pencils, are the counts of the bucket keys
+    of the middle terms of g = combine(basis, c) built point by point with
+    kernel_rep and cokernel_rep."""
+    buckets, pointwise = _hom_buckets_and_pointwise(L, M, 5)
+    assert buckets == pointwise
 
 
 def test_hom_line_keys_match_pointwise_maps_at_23(monkeypatch):
     """At p = 23 on Kronecker hom(P1, tau S1), lines of 23 points are
     ranked off the generic rank of each vertex pencil: the points where g
     and Dh are injective share the key of K = R = 0 and only the others
-    read _kernel_key, and every key is the pointwise one."""
+    read _kernel_key, and every bucket has its pointwise size."""
     q = kronecker_quiver()
     keyed = []
     key_of = multiplication._kernel_key
     monkeypatch.setattr(multiplication, "_kernel_key",
                         lambda g, L: keyed.append(L) or key_of(g, L))
-    pairs = list(_hom_line_keys_and_pointwise(
-        monkeypatch, projective_rep(q, 1), simple_rep(q, 1), 23))
-    assert all(key == pointwise for key, pointwise in pairs)
-    assert len(pairs) == 23 * 23 + 23 + 1
+    buckets, pointwise = _hom_buckets_and_pointwise(
+        projective_rep(q, 1), simple_rep(q, 1), 23)
+    assert buckets == pointwise
+    points = 23 * 23 + 23 + 1
+    assert sum(pointwise.values()) == points
     # a keyed point reads the key of g and that of Dh
-    assert 0 < len(keyed) < len(pairs)
-    assert len({pointwise for _, pointwise in pairs}) > 1
+    assert 0 < len(keyed) < points
+    assert len(pointwise) > 1
 
 
 @given(rep_pairs(max_arrows=3))
@@ -393,8 +392,8 @@ def test_hom_memo_key_fixes_kernel_and_cokernel(case):
     assert dim_c == C.dim
     assert fingerprint(R) == fingerprint(inv.module)
     assert summand_multiplicities(L.quiver, R.dim, dim_c) == inv.shifted
-    assert (_bucket_key(_hom_side_middle(K, R, dim_c))
-            == _bucket_key(hom_side_middle_term(K_ref, C)))
+    assert (bucket_key(_hom_side_middle(K, R, dim_c))
+            == bucket_key(hom_side_middle_term(K_ref, C)))
 
 
 def _denominator_23():
@@ -420,17 +419,23 @@ def _hom_basis_denominator_37():
                  id="stable_ext1_dim"),
     pytest.param(lambda M, S2, primes: stratify_ext_side(M, S2, primes), 23,
                  id="stratify_ext_side"),
-    pytest.param(lambda M, S2, primes: verify_xx2(
-        *_hom_basis_denominator_37(), primes), 37, id="verify_xx2"),
 ])
 def test_denominator_collision_is_a_configuration_error(primes, run, p):
     """Every reduction mod p goes through one guard: a prime that divides
-    a matrix denominator, of an input or of a rational Hom basis, is
-    refused with ConfigurationError, not a bare ZeroDivisionError."""
+    a denominator of an input matrix is refused with ConfigurationError,
+    not a bare ZeroDivisionError."""
     assert p in primes
     with pytest.raises(ConfigurationError,
                        match=f"prime {p} collides with matrix denominators"):
         run(_denominator_23(), simple_rep(kronecker_quiver(), 2), primes)
+
+
+def test_hom_basis_denominator_verifies(primes):
+    """Each prime takes its own Hom basis, so a denominator of the rational
+    Hom basis, here 1221 = 3 * 11 * 37, refuses no prime: xx2 holds on
+    the defaults, 37 among them."""
+    assert 37 in primes
+    assert verify_xx2(*_hom_basis_denominator_37(), primes).verdict
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -479,15 +484,9 @@ def test_strata_refuse_too_few_primes_before_any_point(monkeypatch, run,
     runs the Hom side first.  3 primes are refused before a point of the
     Hom side is keyed and before a subrepresentation is listed."""
     keyed, listed = [], []
-    run_strata = multiplication._run_strata
-    subreps = multiplication.subreps
-
-    def counting_run_strata(key_at_prime, *rest):
-        def counting_key_at_prime(p):
-            keyed.append(p)
-            return key_at_prime(p)
-        return run_strata(counting_key_at_prime, *rest)
-    monkeypatch.setattr(multiplication, "_run_strata", counting_run_strata)
+    walk, subreps = multiplication._hom_walk, multiplication.subreps
+    monkeypatch.setattr(multiplication, "_hom_walk",
+                        lambda *args: keyed.append(args) or walk(*args))
     monkeypatch.setattr(multiplication, "subreps",
                         lambda M, e: listed.append(e) or subreps(M, e))
     q = kronecker_quiver()
@@ -509,17 +508,6 @@ def test_xx1_names_a_projective_summand_of_m(monkeypatch, primes, M):
     with pytest.raises(PreconditionError, match="second argument must have "
                        "no projective direct summands"):
         verify_xx1(simple_rep(kronecker_quiver(), 2), M, primes)
-
-
-def test_representative_skips_a_lift_that_does_not_reduce(primes):
-    """A rational lift that fails to reduce at a sample prime is skipped,
-    and the next lift is taken."""
-    good = kronecker_regular(1, 1)
-    lifts = {(0, 1): cluster_object(_denominator_23()),
-             (1, 0): cluster_object(good)}
-    key = ((0, 0), fingerprint(reduce_rep(good, primes[0])))
-    assert _find_representative(list(lifts), lifts.__getitem__, key,
-                                primes) is lifts[(1, 0)]
 
 
 def test_repeated_verify_gives_equal_reports(few_primes):
