@@ -67,6 +67,7 @@ BAD_MODULES = [
     ("string-row", {"dim": [1, 1], "matrices": [["1"]]}),
     ("nonempty-at-zero", {"dim": [1, 0], "matrices": [[[1]]]}),
     ("float-entry", {"dim": [1, 1], "matrices": [[[1.5]]]}),
+    ("bool-entry", {"dim": [1, 1], "matrices": [[[True]]]}),
     ("bad-string-entry", {"dim": [1, 1], "matrices": [[["x"]]]}),
     ("top-level-list", [1, 1]),
     ("not-json", None),  # written as "{not json"

@@ -278,7 +278,7 @@ def _euler_char(modules: dict, e, by_prime: dict) -> int:
 
 def _profile_of(modules: dict) -> dict:
     """chi(Gr_e M) for every e <= dim M, zero entries omitted, counted on
-    modules as in _euler_char; {0: 1} for the zero module.  Too few
+    modules as in _euler_char; {dim M: 1} for the zero module.  Too few
     primes for any e are refused before the first count."""
     M = next(iter(modules.values()))
     es = list(product(*[range(d + 1) for d in M.dim]))

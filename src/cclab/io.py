@@ -39,11 +39,11 @@ def load_quiver(path: str) -> Quiver:
 
 
 def _entry(x):
-    """x with each matrix entry read: a list entry by entry, an int as it
-    is and a string as a Fraction."""
+    """x with each matrix entry read: a list entry by entry, an int (not a
+    bool) as it is and a string as a Fraction."""
     if isinstance(x, list):
         return [_entry(y) for y in x]
-    if isinstance(x, int):
+    if type(x) is int:
         return x
     if isinstance(x, str):
         try:

@@ -1,16 +1,16 @@
 """Exact verification of the cluster multiplication formulas.
 
 Each identity is d * X_X X_Y = the sum of two sides, each a list of
-strata that carry their whole contribution.  The Ext side over
-P Ext^1(M, L) is one exact integral, read off pairs of subrepresentations
-of the operands (stratify_ext_side); no point of it is visited.  Each Hom
-side is walked pointwise over each sample prime (_hom_walk): middle terms
-over GF(p) are bucketed by a homological fingerprint, and bucket sizes
-are interpolated into counting polynomials.  A stratum contributes
-chi = P(1) times the character of its class, whose Grassmannian counts
-are read off the bucket's middle terms at the sample primes.  _report
-forms the left-hand side and checks that the sides agree, as exact
-Laurent polynomials.
+strata that carry their whole contribution.  The Ext side of xx1
+(stratify_ext_side) and the Hom(P, M) side of xx2 (verify_xx2) are exact
+integrals over subrepresentations; no point of them is visited.  The
+other Hom sides are walked pointwise over each sample prime (_hom_walk):
+middle terms over GF(p) are bucketed by a homological fingerprint, and
+bucket sizes are interpolated into counting polynomials.  A stratum
+contributes chi = P(1) times the character of its class, whose
+Grassmannian counts are read off the bucket's middle terms at the sample
+primes.  _report forms the left-hand side and checks that the sides
+agree, as exact Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .artranslate import (ar_inverse_maps, ar_translate,
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
 from .grassmannian import (_check_prime_count, _profile_of, fit_and_verify,
-                           grassmannian_degree_bound, subreps)
+                           grassmannian_degree_bound, grassmannian_profile,
+                           subreps, subspaces)
 from .laurent import LaurentPolynomial
 from .linalg import _combination, _nullspace_of_rref, _rank_mod, line_ranks
 from .reps import (ClusterObject, Representation, _hom_system, _kernel_key,
@@ -62,10 +63,9 @@ def _lines(p: int, d: int):
     """P^{d-1}(F_p), first nonzero coordinate 1, as lines (head, ts) of the
     points head + (t,): ts = range(p) for each point head of P^{d-2}(F_p),
     then ts = (1,) for the zero head.  The points come in the order of
-    grassmannian.subspaces(p, d, 1)."""
-    for k in range(d - 1):
-        for rest in product(range(p), repeat=d - 2 - k):
-            yield (0,) * k + (1,) + rest, range(p)
+    subspaces(p, d, 1)."""
+    for (head,) in subspaces(p, d - 1, 1):
+        yield head, range(p)
     yield (0,) * (d - 1), (1,)
 
 
@@ -155,8 +155,7 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
 
 # -- the hom-side stratifications -----------------------------------------
 
-def _hom_strata(L: Representation, T: Representation, primes, side: str,
-                family, middle):
+def _hom_strata(L: Representation, T: Representation, primes, side: str):
     """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ.  Before any point,
     each prime must keep dim Hom = d, also for d = 0.  _hom_walk buckets
     the points at each prime; a bucket's point counts are fitted within
@@ -174,8 +173,7 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str,
     if not d:
         return []
     _check_prime_count(len(reduced), d - 1)
-    walks = {p: _hom_walk(*args, family, middle)
-             for p, args in reduced.items()}
+    walks = {p: _hom_walk(*args) for p, args in reduced.items()}
     reports = []
     for key in sorted(set().union(*walks.values())):
         chi = fit_and_verify({p: walk[key][0] if key in walk else 0
@@ -192,17 +190,16 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str,
     return reports
 
 
-def _hom_walk(Lp: Representation, Tp: Representation, basis, family,
-              middle) -> dict:
+def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     """{(shifted, fingerprint): [points, member]} over P Hom(Lp, Tp)(F_p)
     on the basis maps, the member being the first middle term built for
-    the key.  The middle term of g is middle(Ker g, R, dim Coker g), where
-    R = Coker h for the image h of g under the linear, right exact
-    family(L, T, maps) -> (L', T', maps'), which runs on the basis maps.
+    the key.  The middle term of g is _hom_side_middle(Ker g, R,
+    dim Coker g), R = tau^{-1} Coker g = Coker h for h = tau^{-1} g, which
+    ar_inverse_maps, linear and right exact, forms from the basis maps.
 
-    As Coker h = D Ker(Dh), with Dh: DT' -> DL' the transposes, a point's
-    memo key is the _kernel_key of g and of Dh.  Equal keys give equal K,
-    R and dim Coker g, so a miss builds the middle term from the key alone.
+    As Coker h = D Ker(Dh), Dh the transposes, a point's memo key is the
+    _kernel_key of g and of Dh.  Equal keys give equal K, R and
+    dim Coker g, so a miss builds the middle term from the key alone.
 
     P^{d-1}(F_p) is walked line by line (_lines).  A line is formed once as
     the pencils G + t F of g and of Dh at each vertex, and line_ranks ranks
@@ -211,7 +208,7 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis, family,
     only at the other t are g and Dh built and keyed.
     """
     p, n = Lp.field.p, Lp.quiver.n
-    _, Th, images = family(Lp, Tp, basis)
+    _, Th, images = ar_inverse_maps(Lp, Tp, basis)
     DTh = dual(Th)
     # per vertex of g, then of Dh: (the map at c = head + (0,) as a
     # function of c, the last basis map), so the line is G + t F
@@ -237,8 +234,8 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis, family,
             key = memo.get(mk)
             if key is None:
                 dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
-                Y = middle(_rep_of_key(mk[0], Lp),
-                           dual(_rep_of_key(mk[1], DTh)), dim_c)
+                Y = _hom_side_middle(_rep_of_key(mk[0], Lp),
+                                     dual(_rep_of_key(mk[1], DTh)), dim_c)
                 key = memo[mk] = (Y.shifted, fingerprint(Y.module))
                 buckets.setdefault(key, [0, Y])
             buckets[key][0] += 1
@@ -258,17 +255,7 @@ def stratify_hom_side(L: Representation, M: Representation, primes):
 
     ar_translate refuses an M with a projective direct summand.
     """
-    return _hom_strata(L, ar_translate(M), primes, "hom", ar_inverse_maps,
-                       _hom_side_middle)
-
-
-def _proj_shift_middle(K: Representation, C: Representation, dim_c):
-    """Middle term Coker f (+) (Ker f)[1] for f: P -> M with P projective,
-    from K = Ker f and C = Coker f, which carries its dimension dim_c."""
-    mults = top_multiplicities(K)
-    if standard_sum(K.quiver, "projective", mults, K.field).dim != K.dim:
-        raise CCLabError("kernel of a map out of a projective is not projective")
-    return ClusterObject(C, mults)
+    return _hom_strata(L, ar_translate(M), primes, "hom")
 
 
 # -- the verification operations ------------------------------------------
@@ -317,19 +304,26 @@ def verify_xx1(L: Representation, M: Representation, primes) -> VerificationRepo
 
 
 def verify_xx2(P: Representation, M: Representation, primes) -> VerificationReport:
-    """dim Hom(P,M) * X_M X_{P[1]} = Hom(M,I)-strata + Hom(P,M)-strata."""
+    """dim Hom(P,M) * X_M X_{P[1]} = Hom(M,I)-strata + Hom(P,M)-stratum.
+
+    xx1 for (M, P[1]): tau P[1] = I, Ext^1(P[1], M) = Hom(P, M).  Ker f is
+    projective, so X of Coker f (+) (Ker f)[1] at U <= Coker f has the
+    exponent of (dim M, mults) at U's preimage U' >= Im f, and f ranges
+    over P Hom(P, U'), of chi <mults, dim U'>: one stratum, read off M."""
     q = P.quiver
     mults = top_multiplicities(P)  # P is projective iff its cover is P
     cover = standard_sum(q, "projective", mults, P.field)
     if P.is_zero() or cover.dim != P.dim:
         raise PreconditionError("first argument must be a nonzero projective")
     I = standard_sum(q, "injective", mults, P.field)
-    strata = _hom_strata(M, I, primes, "proj-shift-inj", ar_inverse_maps,
-                         _hom_side_middle)
-    strata += _hom_strata(P, M, primes, "proj-shift-hom",
-                          lambda L, T, maps: (L, T, maps), _proj_shift_middle)
-    if not strata:
+    strata = _hom_strata(M, I, primes, "proj-shift-inj")
+    chi = sum(map(mul, mults, M.dim))
+    if not chi:
         raise PreconditionError("Hom(P, M) = 0: the identity is vacuous")
+    profile = {e: sum(map(mul, mults, e)) * n
+               for e, n in grassmannian_profile(M, primes).items()}
+    strata.append(StratumReport(M.dim, mults, chi, "proj-shift-hom",
+                                exponent_form(q, M.dim, mults, profile)))
     return _report(M, ClusterObject(zero_rep(q, P.field), mults), strata,
                    primes, "xx2: {} * X_M X_P[1]")
 

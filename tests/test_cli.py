@@ -118,13 +118,15 @@ GOLDEN_VERIFY = [
      '{"label": "xx2: 1 * X_M X_P[1]", '
      '"lhs": "x1^-1 + x1^-1*x2 + 1", "rhs": "x1^-1 + x1^-1*x2 + 1", '
      '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
-     '{"middle": "module dim (1, 0)", "chi": 1, "side": "proj-shift-hom"}], '
+     '{"middle": "module dim (1, 1) + P2[1]", "chi": 1, '
+     '"side": "proj-shift-hom"}], '
      '"verdict": true}\n'),
     (["unified", "--quiver", "a2.q", "p1.m", "--shifted", "0,1"],
      '{"label": "unified (via shifted reduction): xx2: 1 * X_M X_P[1]", '
      '"lhs": "x1^-1 + x1^-1*x2 + 1", "rhs": "x1^-1 + x1^-1*x2 + 1", '
      '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
-     '{"middle": "module dim (1, 0)", "chi": 1, "side": "proj-shift-hom"}], '
+     '{"middle": "module dim (1, 1) + P2[1]", "chi": 1, '
+     '"side": "proj-shift-hom"}], '
      '"verdict": true}\n'),
     (["xx1", "--quiver", "d4t.q", "d4t_e2.m", "d4t_e1.m"],
      '{"label": "xx1: 1 * X_L X_M", "lhs": "' + D4T_XX1 + '", '
@@ -314,6 +316,7 @@ BAD_MODULES = {
     "string-row": '{"dim": [1, 1], "matrices": [["1"]]}',
     "nonempty-at-zero": '{"dim": [1, 0], "matrices": [[[1]]]}',
     "float-entry": '{"dim": [1, 1], "matrices": [[[1.5]]]}',
+    "bool-entry": '{"dim": [1, 1], "matrices": [[[true]]]}',
     "unparsable-string": '{"dim": [1, 1], "matrices": [[["x"]]]}',
     "dim-float": '{"dim": [1.7, 1], "matrices": [[[1]]]}',
     "dim-integral-float": '{"dim": [1.0, 1], "matrices": [[[1]]]}',
@@ -344,6 +347,14 @@ def test_matrix_that_is_not_a_list_of_rows_names_the_arrow(workdir, label):
     assert res.exit_code == 1
     assert res.stderr == ("error: bad.m: matrix at arrow 0 is not a list "
                           "of rows\n")
+
+
+def test_bool_matrix_entry_names_the_value(workdir):
+    """A JSON true is refused as a matrix entry, not read as 1."""
+    (workdir / "bad.m").write_text(BAD_MODULES["bool-entry"] + "\n")
+    res = run("cc", "--quiver", "a2.q", "--module", "bad.m")
+    assert res.exit_code == 1
+    assert res.stderr == "error: bad.m: bad matrix entry True\n"
 
 
 def test_non_integer_dim_names_the_value(workdir):

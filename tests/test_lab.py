@@ -241,13 +241,13 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     assert sorted(f.p for f in inverses) == sorted(few_primes)
 
 
-def _walk(L, M, p, middle=_hom_side_middle):
+def _walk(L, M, p):
     """(basis, buckets) of _hom_walk on P Hom(L, tau M) at p, on the Hom
     basis over GF(p)."""
     T = artranslate.ar_translate(M)
     Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
     basis = hom_basis(Lp, Tp)
-    return basis, _hom_walk(Lp, Tp, basis, ar_inverse_maps, middle)
+    return basis, _hom_walk(Lp, Tp, basis)
 
 
 @pytest.mark.parametrize("L, M, per_prime", [
@@ -255,15 +255,19 @@ def _walk(L, M, p, middle=_hom_side_middle):
     (projective_rep(d4tilde_quiver(), 1), injective_rep(d4tilde_quiver(), 5),
      4),
 ], ids=["kronecker-hom(S2,S1)", "d4tilde-hom(P1,I5)"])
-def test_hom_side_misses_per_prime(few_primes, L, M, per_prime):
+def test_hom_side_misses_per_prime(monkeypatch, few_primes, L, M,
+                                   per_prime):
     """Points whose cokernels differ but whose tau^{-1} Coker g agree share
     one memo key: on Kronecker hom(S2, S1) all p + 1 points of each prime
     build at most one middle term, on D4-tilde hom(P1, I5) at most four.
     The walk of each prime buckets every point of its projective space."""
+    built = []
+    monkeypatch.setattr(multiplication, "_hom_side_middle",
+                        lambda *args: built.append(args)
+                        or _hom_side_middle(*args))
     for p in few_primes:
-        built = []
-        basis, buckets = _walk(L, M, p, lambda *args: built.append(args)
-                               or _hom_side_middle(*args))
+        built.clear()
+        basis, buckets = _walk(L, M, p)
         assert 0 < len(built) <= per_prime
         assert sum(n for n, _ in buckets.values()) == sum(
             len(ts) for _, ts in _lines(p, len(basis)))
