@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_23.json.
+write BENCH_24.json.
 
 Run from the repository root:
 
@@ -15,7 +15,10 @@ Stdlib only.  Eight parts:
   the unlabelled seeds visited, the exchanges looked up and the exact
   divisions made, by wrapping the module's helpers.
 - kernels: on the Kronecker cluster variables x_t (mutating 1, 2, 1, ...)
-  it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1).
+  it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1), each
+  through the public operation and through the dense and the sparse
+  kernel on their own (the sparse division is the heap division), and
+  records which kernel the public operation selects.
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
   is timed, and one extra run counts its work.  On the Ext side, an
@@ -66,7 +69,7 @@ import statistics
 import sys
 import time
 
-from cclab import grassmannian, linalg, multiplication, mutation
+from cclab import grassmannian, laurent, linalg, multiplication, mutation
 from cclab.artranslate import ar_inverse, ar_translate
 from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
@@ -87,7 +90,7 @@ CLOSURES = (
      lambda: validate_quiver(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
      12),
 )
-KERNEL_STEPS = (4, 8, 12, 16, 20, 24)
+KERNEL_STEPS = (4, 8, 12, 16, 20, 24, 32, 40)
 TAU_CALLS = 20
 
 
@@ -231,6 +234,57 @@ def kronecker_variables(last):
     return chain
 
 
+def selected(run, sparse):
+    """The kernel run() takes: "sparse" if it calls laurent.<sparse>,
+    else "dense"."""
+    real, calls = getattr(laurent, sparse), []
+
+    def counting(*args):
+        calls.append(sparse)
+        return real(*args)
+
+    setattr(laurent, sparse, counting)
+    try:
+        run()
+    finally:
+        setattr(laurent, sparse, real)
+    return "sparse" if calls else "dense"
+
+
+def kernel_row(chain, t, repeats):
+    """The square of x_t and the exchange division (x_t^2 + 1) / x_(t-1)
+    along the Kronecker chain: the public operations, which kernel each
+    selects, and both kernels on their own."""
+    x, prev = chain[t], chain[t - 1]
+    square = x * x
+    binomial = square + 1
+    if divide_exact(binomial, prev) != chain[t + 1]:
+        raise SystemExit(f"exchange relation fails at x_{t}")
+    a, b, p = x.terms, prev.terms, binomial.terms
+    box, dbox = laurent._box(a, a), laurent._box(p, b)
+    if laurent._dense_quotient(p, b, dbox) != chain[t + 1].terms:
+        raise SystemExit(f"dense quotient fails at x_{t}")
+    return {
+        "step": t, "terms": len(a),
+        "mul": {"operand_terms": len(a), "result_terms": len(square.terms),
+                "selected": selected(lambda: x * x, "_sparse_product"),
+                **timed(lambda: x * x, repeats),
+                "dense": timed(lambda: laurent._dense_product(a, a, box),
+                               repeats),
+                "sparse": timed(lambda: laurent._sparse_product(a, a, 2),
+                                repeats)},
+        "divide_exact": {
+            "dividend_terms": len(p), "divisor_terms": len(b),
+            "selected": selected(lambda: divide_exact(binomial, prev),
+                                 "_heap_quotient"),
+            **timed(lambda: divide_exact(binomial, prev), repeats),
+            "dense": timed(lambda: laurent._dense_quotient(p, b, dbox),
+                           repeats),
+            "sparse": timed(lambda: laurent._heap_quotient(p, b, 2),
+                            repeats)},
+    }
+
+
 def tau_modules():
     """Stock modules with no projective summand, as (name, module)."""
     qk, qd = kronecker_quiver(), d4tilde_quiver()
@@ -302,7 +356,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_23.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_24.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -316,23 +370,7 @@ def main(argv=None):
         closures.append(row)
 
     chain = kronecker_variables(max(KERNEL_STEPS) + 1)
-    kernels = []
-    for t in KERNEL_STEPS:
-        x, prev = chain[t], chain[t - 1]
-        square = x * x
-        binomial = square + 1
-        if divide_exact(binomial, prev) != chain[t + 1]:
-            raise SystemExit(f"exchange relation fails at x_{t}")
-        kernels.append({
-            "step": t, "terms": len(x.terms),
-            "mul": {"operand_terms": len(x.terms),
-                    "result_terms": len(square.terms),
-                    **timed(lambda: x * x, args.repeats)},
-            "divide_exact": {"dividend_terms": len(binomial.terms),
-                             "divisor_terms": len(prev.terms),
-                             **timed(lambda: divide_exact(binomial, prev),
-                                     args.repeats)},
-        })
+    kernels = [kernel_row(chain, t, args.repeats) for t in KERNEL_STEPS]
 
     q, primes = kronecker_quiver(), default_primes()
     P1, S1, S2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
@@ -412,9 +450,12 @@ def main(argv=None):
         print(f"{row['name']}: {row['median_s']:.3f} s, {row['seeds']} seeds, "
               f"{row['exchanges']} exchanges, {row['divisions']} divisions")
     for row in kernels:
-        print(f"kronecker x_{row['step']} ({row['terms']} terms): "
-              f"mul {row['mul']['median_s'] * 1e3:.2f} ms, divide_exact "
-              f"{row['divide_exact']['median_s'] * 1e3:.2f} ms")
+        print(f"kronecker x_{row['step']} ({row['terms']} terms):", ", ".join(
+            f"{op} {k['median_s'] * 1e3:.2f} ms ({k['selected']}; dense "
+            f"{k['dense']['median_s'] * 1e3:.2f}, sparse "
+            f"{k['sparse']['median_s'] * 1e3:.2f})"
+            for op, k in (("mul", row["mul"]),
+                          ("divide_exact", row["divide_exact"]))))
     for part in (stratify, d4):
         row = part["ext"]
         print(f"{part['name']} ext side: {row['median_s']:.3f} s, "

@@ -5,17 +5,35 @@ nonzero integer coefficients, so equal values always have identical
 representations.  The printed form sorts terms by (total degree, exponent
 tuple) and is bit-exact across runs:  ``x1^-1 + x1^-1*x2``.
 
-Multiplication and exact division pack each exponent tuple into one int:
-a total-degree field on top, then one field per variable, each field wide
-enough for every value the operation can produce.  Adding packed keys adds
-exponents, and comparing them compares (total degree, exponent tuple), so
-the kernels never build a tuple per term pair.
+Multiplication and exact division each have two kernels.
+
+- Sparse, for small or scattered operands.  Each exponent tuple packs into
+  one int: a total-degree field on top, then one field per variable, each
+  wide enough for every value the operation can produce.  Adding packed
+  keys adds exponents, and comparing them compares (total degree, exponent
+  tuple), so the kernels never build a tuple per term pair.  Division
+  takes its leading terms off a heap and certifies exactness as it goes.
+- Dense (Kronecker substitution), when the operands make at least
+  _DENSE_PAIRS pairs of terms and each has at most _DENSE_FILL points of
+  its exponent box per term.  The box spans each variable from the lowest
+  to the highest exponent, in steps of the gcd of the offsets (2 on the
+  Kronecker cluster variables).  Shifted to its box's lowest corner and
+  written in y_i = x_i^step_i, each operand packs into one int, its value
+  at y_i = X^stride_i for a power of two X: one balanced slot of X per box
+  point.  Packing is a ring map, so a product is one bigint product
+  and a quotient one divmod; the slots decode back to terms.  A product's
+  slots hold every coefficient it can have.  A quotient is exact as
+  _dense_quotient explains, or the heap division runs.  CPython's long
+  division is quadratic, so a quotient goes dense only where it should
+  beat the heap (_long_division_pays).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
+from math import gcd, prod
 
 from .errors import InexactDivisionError, InputError
 
@@ -100,33 +118,11 @@ class LaurentPolynomial:
             return self.scale(other)
         self._check(other)
         out = LaurentPolynomial(self.nvars)
-        if not self.terms or not other.terms:
-            return out
-        # every product exponent and degree is below 2^(width - 1) in size,
-        # so each field of k1 + k2 is that value plus bias, in [0, 2^width)
-        width = (_size(self.terms) + _size(other.terms)).bit_length() + 1
-        bias = 1 << (width - 1)
-        left = [(_pack(e, width, bias), c) for e, c in self.terms.items()]
-        right = [(_pack(e, width), c) for e, c in other.terms.items()]
-        acc = {}
-        get = acc.get
-        if other is self:
-            # a square takes each unordered pair {i, j} of terms once and
-            # counts it twice when i != j
-            for i, (k1, c1) in enumerate(left):
-                k = k1 + right[i][0]
-                acc[k] = get(k, 0) + c1 * c1
-                c1 *= 2
-                for k2, c2 in right[i + 1:]:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        else:
-            for k1, c1 in left:
-                for k2, c2 in right:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        out.terms = {_unpack(k, self.nvars, width, bias): c
-                     for k, c in acc.items() if c}
+        a, b = self.terms, other.terms
+        if a and b:
+            box = _dense_box(a, b)
+            out.terms = (_dense_product(a, b, box) if box
+                         else _sparse_product(a, b, self.nvars))
         return out
 
     __rmul__ = __mul__
@@ -273,8 +269,225 @@ def _size(terms) -> int:
     return max(sum(map(abs, e)) for e in terms)
 
 
+def _sparse_product(a, b, nvars: int) -> dict:
+    """The terms of a * b, for term dicts a and b, by one packed-key sum per
+    pair of terms."""
+    # every product exponent and degree is below 2^(width - 1) in size,
+    # so each field of k1 + k2 is that value plus bias, in [0, 2^width)
+    width = (_size(a) + _size(b)).bit_length() + 1
+    bias = 1 << (width - 1)
+    left = [(_pack(e, width, bias), c) for e, c in a.items()]
+    right = [(_pack(e, width), c) for e, c in b.items()]
+    acc = {}
+    get = acc.get
+    if b is a:
+        # a square takes each unordered pair {i, j} of terms once and
+        # counts it twice when i != j
+        for i, (k1, c1) in enumerate(left):
+            k = k1 + right[i][0]
+            acc[k] = get(k, 0) + c1 * c1
+            c1 *= 2
+            for k2, c2 in right[i + 1:]:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    else:
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return {_unpack(k, nvars, width, bias): c for k, c in acc.items() if c}
+
+
+# -- the dense kernels: one bigint product or divmod -----------------------
+
+_DENSE_PAIRS = 32   # fewest pairs of terms, len(a) * len(b), to go dense
+_DENSE_FILL = 4     # most box points per term of either dense operand
+# long-division byte products that take as long as one heap-division step
+# (CPython 3.11, x86-64; see _long_division_pays)
+_HEAP_STEP_BYTES = 1300
+
+
+def _box(a, b):
+    """The exponent boxes of the term dicts a and b on one lattice:
+    (low_a, low_b, steps, spans_a, spans_b), that is per variable the
+    lowest exponent of each operand, the step, the gcd of both operands'
+    offsets from their lowest exponents (1 where none moves), and the
+    number of lattice points each box spans."""
+    low_a, low_b, steps, spans_a, spans_b = [], [], [], [], []
+    for col_a, col_b in zip(zip(*a), zip(*b)):
+        col_a, col_b = set(col_a), set(col_b)
+        la, lb = min(col_a), min(col_b)
+        g = gcd(*[x - la for x in col_a], *[x - lb for x in col_b]) or 1
+        low_a.append(la)
+        low_b.append(lb)
+        steps.append(g)
+        spans_a.append((max(col_a) - la) // g + 1)
+        spans_b.append((max(col_b) - lb) // g + 1)
+    return low_a, low_b, steps, spans_a, spans_b
+
+
+def _dense_box(a, b):
+    """_box(a, b) when the term dicts a and b make at least _DENSE_PAIRS
+    pairs of terms and each box has at most _DENSE_FILL points per term;
+    else None."""
+    if len(a) * len(b) < _DENSE_PAIRS:
+        return None
+    box = _box(a, b)
+    if (prod(box[3]) > _DENSE_FILL * len(a)
+            or prod(box[4]) > _DENSE_FILL * len(b)):
+        return None
+    return box
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes of a slot whose balanced digits reach every |c| <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _strides(spans) -> list:
+    """Slot strides of a box: the last variable moves fastest."""
+    strides, s = [], 1
+    for span in reversed(spans):
+        strides.append(s)
+        s *= span
+    return strides[::-1]
+
+
+def _pack_dense(terms, low, steps, strides, size: int) -> int:
+    """sum c X^slot(e) over the terms, for X = 2^(8 size) and
+    slot(e) = sum_i (e_i - low_i) / steps_i * strides_i, as one int."""
+    pos = [0] * len(terms)
+    for col, lo, g, s in zip(zip(*terms), low, steps, strides):
+        s *= size
+        pos = [p + (x - lo) // g * s for p, x in zip(pos, col)]
+    half = 1 << (8 * size - 1)
+    zero = half.to_bytes(size, "little") * (max(pos) // size + 1)
+    # every slot holds its coefficient plus half, so no slot borrows
+    buf = bytearray(zero)
+    for p, c in zip(pos, terms.values()):
+        buf[p:p + size] = (c + half).to_bytes(size, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(zero, "little")
+
+
+def _unpack_dense(value: int, low, steps, spans, count: int,
+                  size: int) -> dict:
+    """The terms of value's first count balanced digits in base
+    X = 2^(8 size), slot k at the k-th point of the box with corner low and
+    these steps and spans (last variable fastest).  Raises OverflowError
+    when value has no such digits."""
+    half = 1 << (8 * size - 1)
+    zero = half.to_bytes(size, "little") * count
+    buf = (value + int.from_bytes(zero, "little")).to_bytes(len(zero),
+                                                            "little")
+    digits = [int.from_bytes(buf[k:k + size], "little")
+              for k in range(0, len(buf), size)]
+    points = product(*[range(lo, lo + g * s, g)
+                       for lo, g, s in zip(low, steps, spans)])
+    return {e: d - half for e, d in zip(points, digits) if d != half}
+
+
+def _norms(terms):
+    """|c|_1 and |c|_oo over the coefficients of a term dict."""
+    return sum(map(abs, terms.values())), max(map(abs, terms.values()))
+
+
+def _dense_product(a, b, box) -> dict:
+    """The terms of a * b by one bigint product: each operand packed with
+    the strides of the product's box, in slots wide enough for every
+    coefficient of the product."""
+    low_a, low_b, steps, spans_a, spans_b = box
+    spans = [x + y - 1 for x, y in zip(spans_a, spans_b)]
+    strides = _strides(spans)
+    (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
+    size = _slot_bytes(min(norm_a * top_b, top_a * norm_b))
+    packed = _pack_dense(a, low_a, steps, strides, size)
+    packed *= packed if b is a else _pack_dense(b, low_b, steps, strides,
+                                                 size)
+    low = [x + y for x, y in zip(low_a, low_b)]
+    return _unpack_dense(packed, low, steps, spans, prod(spans), size)
+
+
+def _quotient_layout(a, b, box):
+    """(size, strides, spans_q, count_q, count_b) of a / b packed on a's
+    box: the slot bytes, the slot strides, the spans of the quotient's box,
+    and the slots up to the far corner of q's box and of b's.  The slots
+    hold a's coefficients and those of q * b for |q|_1 <= |a|_1 / |b|_1,
+    an equality when no coefficient is negative.  Raises
+    InexactDivisionError when q's box is empty."""
+    spans_a, spans_b = box[3], box[4]
+    spans_q = [x - y + 1 for x, y in zip(spans_a, spans_b)]
+    if min(spans_q) < 1:
+        # a = q * b spans the box of q plus that of b in every variable
+        raise InexactDivisionError("polynomial division left a remainder")
+    (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
+    size = _slot_bytes(max(top_a, norm_a * top_b // norm_b))
+    strides = _strides(spans_a)
+    count_q, count_b = (sum((s - 1) * t for s, t in zip(spans, strides)) + 1
+                        for spans in (spans_q, spans_b))
+    return size, strides, spans_q, count_q, count_b
+
+
+def _long_division_pays(a, b, box) -> bool:
+    """Whether _dense_quotient(a, b, box) should beat the heap division.
+    CPython's long division is quadratic: count_q * count_b pairs of slots,
+    size^2 byte products each.  The heap takes one step per pair of terms
+    of q and b, and q is taken to fill its box as a fills a's."""
+    size, _, spans_q, count_q, count_b = _quotient_layout(a, b, box)
+    return (count_q * count_b * size * size * prod(box[3])
+            <= _HEAP_STEP_BYTES * len(a) * len(b) * prod(spans_q))
+
+
+def _dense_quotient(a, b, box):
+    """The terms of a / b by one divmod of packed ints, or None when the
+    quotient is not certified; raises InexactDivisionError when b does not
+    divide a.
+
+    Packing is a ring map, so a nonzero remainder proves a / b inexact.  A
+    zero one gives Q = A / B; its digits q are accepted when they lie in
+    the quotient's box and |q|_1 |b|_oo is below half a slot.  Then q * b
+    and a both have digits inside their slots at points of a's box, where
+    packing is injective, and A = Q B says q * b = a."""
+    low_a, low_b, steps, spans_a, _ = box
+    size, strides, spans_q, count_q, _ = _quotient_layout(a, b, box)
+    quo, rem = divmod(_pack_dense(a, low_a, steps, strides, size),
+                      _pack_dense(b, low_b, steps, strides, size))
+    if rem:
+        raise InexactDivisionError("polynomial division left a remainder")
+    low = [x - y for x, y in zip(low_a, low_b)]
+    try:
+        q = _unpack_dense(quo, low, steps, spans_q[:1] + spans_a[1:],
+                          count_q, size)
+    except OverflowError:
+        return None
+    tops = [lo + g * (s - 1) for lo, g, s in zip(low, steps, spans_q)]
+    if (any(max(col) > top for col, top in zip(zip(*q), tops))
+            or _norms(q)[0] * _norms(b)[1] >= 1 << (8 * size - 1)):
+        return None
+    return q
+
+
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient a / b; raises InexactDivisionError if b does not divide a.
+
+    Dense operands take one divmod of packed ints (_dense_quotient); the
+    rest, and a dense quotient that is not certified, the heap division."""
+    a._check(b)
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    out = LaurentPolynomial(a.nvars)
+    if a.terms:
+        box = _dense_box(a.terms, b.terms)
+        q = None
+        if box and _long_division_pays(a.terms, b.terms, box):
+            q = _dense_quotient(a.terms, b.terms, box)
+        out.terms = (_heap_quotient(a.terms, b.terms, a.nvars) if q is None
+                     else q)
+    return out
+
+
+def _heap_quotient(a, b, n: int) -> dict:
+    """The terms of a / b, for term dicts a and b in n variables; raises
+    InexactDivisionError if b does not divide a.
 
     Both operands are shifted to honest polynomials first; for an exact
     Laurent division the shifted quotient is again a polynomial, so plain
@@ -287,23 +500,16 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
     # start-up of programs that never divide
     from heapq import heapify, heappop, heappush
 
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPolynomial.zero(a.nvars)
-    a._check(b)
-    n = a.nvars
-    mins_a = [min(e[i] for e in a.terms) for i in range(n)]
-    mins_b = [min(e[i] for e in b.terms) for i in range(n)]
+    mins_a = [min(e[i] for e in a) for i in range(n)]
+    mins_b = [min(e[i] for e in b) for i in range(n)]
     # Shifted exponents and every remainder term's degree stay within the
     # larger shifted degree, so fields of this width keep a zero top bit.
-    top = max(max(map(sum, a.terms)) - sum(mins_a),
-              max(map(sum, b.terms)) - sum(mins_b))
+    top = max(max(map(sum, a)) - sum(mins_a), max(map(sum, b)) - sum(mins_b))
     width = top.bit_length() + 1
     guard = _pack((0,) * n, width, 1 << (width - 1))
     off_a, off_b = _pack(mins_a, width), _pack(mins_b, width)
-    rem = {_pack(e, width) - off_a: c for e, c in a.terms.items()}
-    divisor = [(_pack(e, width) - off_b, c) for e, c in b.terms.items()]
+    rem = {_pack(e, width) - off_a: c for e, c in a.items()}
+    divisor = [(_pack(e, width) - off_b, c) for e, c in b.items()]
     lead_b, cb = max(divisor)
     # the leading term cancels each popped lead exactly; the rest update
     rest = [(e, bc) for e, bc in divisor if e != lead_b]
@@ -332,7 +538,5 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
             else:
                 rem[t] = v - qc * bc
     shift = [x - y for x, y in zip(mins_a, mins_b)]
-    out = LaurentPolynomial(n)
-    out.terms = {tuple(x + y for x, y in zip(_unpack(k, n, width), shift)): c
-                 for k, c in quo.items()}
-    return out
+    return {tuple(x + y for x, y in zip(_unpack(k, n, width), shift)): c
+            for k, c in quo.items()}

@@ -47,15 +47,21 @@ def initial_seed(q: Quiver) -> Seed:
 def _exchange(b, kk: int):
     """Mutation of B in direction kk (0-indexed) and the two monomials of
     the exchange binomial, as (position, exponent) pairs in position order:
-    x_kk * x_kk' = prod_{b_ik > 0} x_i^b_ik + prod_{b_ik < 0} x_i^-b_ik."""
-    n = len(b)
-    nb = tuple(tuple(-b[i][j] if i == kk or j == kk else
-                     b[i][j] + (abs(b[i][kk]) * b[kk][j]
-                                + b[i][kk] * abs(b[kk][j])) // 2
-                     for j in range(n)) for i in range(n))
-    plus = tuple((i, b[i][kk]) for i in range(n) if b[i][kk] > 0)
-    minus = tuple((i, -b[i][kk]) for i in range(n) if b[i][kk] < 0)
-    return nb, plus, minus
+    x_kk * x_kk' = prod_{b_ik > 0} x_i^b_ik + prod_{b_ik < 0} x_i^-b_ik.
+    A row i != kk with b_ik = 0 does not change, so its tuple is reused."""
+    top = b[kk]
+    nb = []
+    for i, row in enumerate(b):
+        c = row[kk]
+        if i == kk:
+            row = tuple(-x for x in row)
+        elif c:
+            row = tuple(-x if j == kk else x + (abs(c) * y + c * abs(y)) // 2
+                        for j, (x, y) in enumerate(zip(row, top)))
+        nb.append(row)
+    plus = tuple((i, row[kk]) for i, row in enumerate(b) if row[kk] > 0)
+    minus = tuple((i, -row[kk]) for i, row in enumerate(b) if row[kk] < 0)
+    return tuple(nb), plus, minus
 
 
 def _monomial(variables, powers, nvars: int) -> LaurentPolynomial:

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cclab.errors import InexactDivisionError
+from cclab import laurent
+from cclab.errors import InexactDivisionError, InputError
 from cclab.laurent import LaurentPolynomial, divide_exact, parse
 
 NVARS = 2
@@ -75,6 +77,13 @@ def test_inexact_division_raises():
     b = parse("x2 + 1", 2)
     with pytest.raises(InexactDivisionError):
         divide_exact(a, b)
+
+
+def test_division_checks_variable_count_first():
+    """A zero dividend is no excuse for a variable-count mismatch."""
+    for a in (LaurentPolynomial.zero(2), LaurentPolynomial.one(2)):
+        with pytest.raises(InputError, match="variable count mismatch"):
+            divide_exact(a, LaurentPolynomial.variable(3, 1))
 
 
 def test_division_by_monomial_is_laurent():
@@ -272,3 +281,169 @@ def test_hash_agrees_with_eq(a, c):
         assert hash(a) == hash(c)
     b = lp(dict(a.terms))
     assert a == b and hash(a) == hash(b)
+
+
+# -- the dense kernels -------------------------------------------------------
+
+@st.composite
+def dense_triples(draw, coeffs):
+    """Three polynomials in 1-3 variables whose terms fill at least half of
+    their boxes, on one lattice (a shared step per variable), with at
+    least 6 terms each: the dense path takes the product of any two."""
+    n = draw(st.integers(1, 3))
+    steps = draw(st.tuples(*[st.integers(1, 3)] * n))
+    sides = {1: st.integers(12, 24), 2: st.integers(3, 5),
+             3: st.integers(2, 3)}[n]
+
+    def poly():
+        low = draw(st.tuples(*[st.integers(-6, 6)] * n))
+        shape = draw(st.tuples(*[sides] * n))
+        points = list(product(*[range(lo, lo + g * s, g)
+                                for lo, g, s in zip(low, steps, shape)]))
+        chosen = draw(st.sets(st.sampled_from(points),
+                              min_size=max(6, -(-len(points) // 2))))
+        return LaurentPolynomial(n, {e: draw(coeffs) for e in chosen})
+    return poly(), poly(), poly()
+
+
+def _nonzero(lo, hi):
+    return st.integers(lo, hi).filter(bool)
+
+
+DENSE_COEFFS = {
+    "signed": _nonzero(-9, 9),
+    "past 2^64": _nonzero(-(1 << 70), 1 << 70),
+    "past 2^200": st.integers(1 << 200, 1 << 201).flatmap(
+        lambda c: st.sampled_from([c, -c])),
+}
+
+
+@pytest.mark.parametrize("coeffs", DENSE_COEFFS.values(),
+                         ids=DENSE_COEFFS.keys())
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_dense_mul_matches_reference(coeffs, data):
+    a, b, _ = data.draw(dense_triples(coeffs))
+    assert laurent._dense_box(a.terms, b.terms) is not None
+    assert (a * b).terms == reference_mul(a, b)
+    assert (a * a).terms == reference_mul(a, a)
+
+
+@pytest.mark.parametrize("coeffs", DENSE_COEFFS.values(),
+                         ids=DENSE_COEFFS.keys())
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_dense_division_matches_reference(coeffs, data):
+    """The public division and the dense kernel on its own, on an exact
+    product and on that product plus a third polynomial.  The kernel may
+    decline (None) but never returns a wrong quotient."""
+    a, b, c = data.draw(dense_triples(coeffs))
+    product_ = LaurentPolynomial(a.nvars, reference_mul(a, b))
+    for dividend in (product_, product_ + c):
+        if dividend.is_zero():
+            continue
+        box = laurent._box(dividend.terms, b.terms)
+        try:
+            expected = reference_divide(dividend, b, budget=300)
+        except BudgetExceeded:
+            continue
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                divide_exact(dividend, b)
+            try:
+                assert laurent._dense_quotient(dividend.terms, b.terms,
+                                               box) is None
+            except InexactDivisionError:
+                pass
+            continue
+        assert divide_exact(dividend, b).terms == expected
+        assert laurent._dense_quotient(dividend.terms, b.terms,
+                                       box) in (None, expected)
+    assert divide_exact(product_, b).terms == a.terms
+
+
+def _spy(monkeypatch, name):
+    """Record the result of every call of laurent.<name>."""
+    results = []
+    real = getattr(laurent, name)
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(laurent, name, spy)
+    return results
+
+
+def test_dense_quotient_past_its_first_width_falls_back(monkeypatch):
+    """(1 - x^2)^40 / (1 - x)^40 = (1 + x)^40, times C: |q|_1 = C 2^40 is
+    2^40 times the |a|_1 / |b|_1 the slots are sized for, so the dense
+    quotient declines and the heap division returns q."""
+    for c in (1, 3 ** 50):
+        q = LaurentPolynomial.constant(1, c) * parse("1 + x1", 1) ** 40
+        b = parse("1 - x1", 1) ** 40
+        a = q * b
+        dense = _spy(monkeypatch, "_dense_quotient")
+        heap = _spy(monkeypatch, "_heap_quotient")
+        assert divide_exact(a, b) == q
+        assert dense == [None] and len(heap) == 1
+        monkeypatch.undo()
+
+
+def test_dense_quotient_outside_its_box_is_declined():
+    """a = x2^4 + x1 + x1*x2 over b = 1 + x2 + x2^2 packs (x2 moving
+    fastest, 5 slots a row) to X^4 + X^5 + X^6 = X^4 * (1 + X + X^2), but
+    X^4 decodes to x2^4, past q's box (x2^0..x2^2): the kernel declines,
+    and the heap division finds a / b inexact."""
+    a, b = parse("x2^4 + x1 + x1*x2", 2), parse("1 + x2 + x2^2", 2)
+    box = laurent._box(a.terms, b.terms)
+    assert laurent._dense_quotient(a.terms, b.terms, box) is None
+    with pytest.raises(InexactDivisionError):
+        divide_exact(a, b)
+
+
+def test_inexact_dense_division_raises(monkeypatch):
+    """a * b + 1 packs to A * B + 1, which B does not divide: the dense
+    quotient raises before any heap division runs."""
+    a = LaurentPolynomial(2, {(i, j): i - 2 * j + 7
+                              for i in range(-2, 4) for j in range(3)})
+    b = LaurentPolynomial(2, {(i, j): 3 * i + j + 1
+                              for i in range(3) for j in range(-1, 3)})
+    heap = _spy(monkeypatch, "_heap_quotient")
+    with pytest.raises(InexactDivisionError):
+        divide_exact(a * b + 1, b)
+    assert heap == []
+    assert divide_exact(a * b, b) == a and heap == []
+
+
+def test_far_apart_terms_stay_sparse(monkeypatch):
+    """Terms 10^9 apart (offsets of gcd 1) would need a box of 10^9 slots:
+    the product stays on the packed-key kernel."""
+    a = LaurentPolynomial(1, {(k,): k + 1 for k in range(8)})
+    a = a + LaurentPolynomial.monomial([10 ** 9], -5)
+    b = a + LaurentPolynomial.monomial([-10 ** 9], 7)
+    dense = _spy(monkeypatch, "_dense_product")
+    assert (a * b).terms == reference_mul(a, b)
+    assert (a * a).terms == reference_mul(a, a)
+    assert dense == []
+
+
+def test_kronecker_chain_takes_the_dense_path(monkeypatch):
+    """x_12 * x_12 and (x_12^2 + 1) / x_11 along the Kronecker chain (18
+    mutations from the initial seed) run the dense kernels, and they agree
+    with the packed-key ones."""
+    from cclab.mutation import apply_mutations, initial_seed
+    from cclab.quiver import kronecker_quiver
+
+    seed = initial_seed(kronecker_quiver())
+    seed = apply_mutations(seed, [1, 2] * 5)
+    x11, x12 = seed.cluster[1], apply_mutations(seed, [1]).cluster[0]
+    x13 = apply_mutations(seed, [1, 2]).cluster[1]
+    products = _spy(monkeypatch, "_dense_product")
+    quotients = _spy(monkeypatch, "_dense_quotient")
+    square = x12 * x12
+    assert divide_exact(square + 1, x11) == x13
+    assert products == [square.terms] and quotients == [x13.terms]
+    assert square.terms == laurent._sparse_product(x12.terms, x12.terms, 2)
+    assert x13.terms == laurent._heap_quotient((square + 1).terms, x11.terms,
+                                               2)

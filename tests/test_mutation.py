@@ -162,6 +162,34 @@ def test_closure_matches_labelled_search(case):
     assert ([str(x) for x in variables], stable) == labelled_closure(q, depth)
 
 
+@st.composite
+def exchange_matrices(draw):
+    """A skew-symmetric n x n matrix, n <= 6, with entries in [-3, 3], and
+    a direction."""
+    n = draw(st.integers(1, 6))
+    b = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        b[i][j] = draw(st.integers(-3, 3))
+        b[j][i] = -b[i][j]
+    return tuple(map(tuple, b)), draw(st.integers(0, n - 1))
+
+
+@given(exchange_matrices())
+def test_exchange_matches_matrix_mutation(case):
+    """_exchange's B' is Fomin-Zelevinsky matrix mutation entry by entry,
+    and each row i != k with b_ik = 0 comes back as the same tuple."""
+    b, kk = case
+    n = len(b)
+    nb, plus, minus = mutation._exchange(b, kk)
+    assert nb == tuple(tuple(
+        -b[i][j] if kk in (i, j) else
+        b[i][j] + (abs(b[i][kk]) * b[kk][j] + b[i][kk] * abs(b[kk][j])) // 2
+        for j in range(n)) for i in range(n))
+    assert all(nb[i] is b[i] for i in range(n) if i != kk and not b[i][kk])
+    assert plus == tuple((i, b[i][kk]) for i in range(n) if b[i][kk] > 0)
+    assert minus == tuple((i, -b[i][kk]) for i in range(n) if b[i][kk] < 0)
+
+
 def _a5():
     return validate_quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
 

@@ -64,7 +64,12 @@ def test_bench_script_writes_counts(tmp_path):
     # E6 has 833 clusters and 42 cluster variables, all found by depth 12
     assert (e6["seeds"], e6["variables"], e6["stabilized"]) == (833, 42, True)
     assert e6["exchanges"] == 6 * 833
-    assert [k["step"] for k in doc["kernels"]] == [4, 8, 12, 16, 20, 24]
+    assert [k["step"] for k in doc["kernels"]] == [4, 8, 12, 16, 20, 24, 32,
+                                                   40]
+    for row in doc["kernels"]:
+        for op in (row["mul"], row["divide_exact"]):
+            assert op["selected"] in ("dense", "sparse")
+            assert op["dense"]["median_s"] > 0 and op["sparse"]["median_s"] > 0
     assert doc["timer"].startswith("time.process_time")
     strat = doc["stratify"]
     points = sum(p * p + p + 1 for p in strat["primes"])
