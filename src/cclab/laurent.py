@@ -25,7 +25,7 @@ Multiplication and exact division each have two kernels.
   slots hold every coefficient it can have.  A quotient is exact as
   _dense_quotient explains, or the heap division runs.  CPython's long
   division is quadratic, so a quotient goes dense only where it should
-  beat the heap (_long_division_pays).
+  beat the heap (_dense_quotient).
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def _sparse_product(a, b, nvars: int) -> dict:
 _DENSE_PAIRS = 32   # fewest pairs of terms, len(a) * len(b), to go dense
 _DENSE_FILL = 4     # most box points per term of either dense operand
 # long-division byte products that take as long as one heap-division step
-# (CPython 3.11, x86-64; see _long_division_pays)
+# (CPython 3.11, x86-64; see _dense_quotient)
 _HEAP_STEP_BYTES = 1300
 
 
@@ -407,48 +407,36 @@ def _dense_product(a, b, box) -> dict:
     return _unpack_dense(packed, low, steps, spans, prod(spans), size)
 
 
-def _quotient_layout(a, b, box):
-    """(size, strides, spans_q, count_q, count_b) of a / b packed on a's
-    box: the slot bytes, the slot strides, the spans of the quotient's box,
-    and the slots up to the far corner of q's box and of b's.  The slots
-    hold a's coefficients and those of q * b for |q|_1 <= |a|_1 / |b|_1,
-    an equality when no coefficient is negative.  Raises
-    InexactDivisionError when q's box is empty."""
-    spans_a, spans_b = box[3], box[4]
-    spans_q = [x - y + 1 for x, y in zip(spans_a, spans_b)]
-    if min(spans_q) < 1:
-        # a = q * b spans the box of q plus that of b in every variable
-        raise InexactDivisionError("polynomial division left a remainder")
-    (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
-    size = _slot_bytes(max(top_a, norm_a * top_b // norm_b))
-    strides = _strides(spans_a)
-    count_q, count_b = (sum((s - 1) * t for s, t in zip(spans, strides)) + 1
-                        for spans in (spans_q, spans_b))
-    return size, strides, spans_q, count_q, count_b
-
-
-def _long_division_pays(a, b, box) -> bool:
-    """Whether _dense_quotient(a, b, box) should beat the heap division.
-    CPython's long division is quadratic: count_q * count_b pairs of slots,
-    size^2 byte products each.  The heap takes one step per pair of terms
-    of q and b, and q is taken to fill its box as a fills a's."""
-    size, _, spans_q, count_q, count_b = _quotient_layout(a, b, box)
-    return (count_q * count_b * size * size * prod(box[3])
-            <= _HEAP_STEP_BYTES * len(a) * len(b) * prod(spans_q))
-
-
 def _dense_quotient(a, b, box):
-    """The terms of a / b by one divmod of packed ints, or None when the
-    quotient is not certified; raises InexactDivisionError when b does not
-    divide a.
+    """The terms of a / b by one divmod of packed ints, or None when long
+    division should not beat the heap or its quotient is not certified;
+    raises InexactDivisionError when b does not divide a.
+
+    Both operands pack on a's box.  The slots hold the coefficients of a
+    and b and those of q * b for |q|_1 <= |a|_1 / |b|_1, an equality when
+    no coefficient is negative.  CPython's long division is quadratic:
+    count_q * count_b pairs of slots, size^2 byte products each, against
+    one heap step per pair of terms of q and b, with q taken to fill its
+    box as a fills a's.
 
     Packing is a ring map, so a nonzero remainder proves a / b inexact.  A
     zero one gives Q = A / B; its digits q are accepted when they lie in
     the quotient's box and |q|_1 |b|_oo is below half a slot.  Then q * b
     and a both have digits inside their slots at points of a's box, where
     packing is injective, and A = Q B says q * b = a."""
-    low_a, low_b, steps, spans_a, _ = box
-    size, strides, spans_q, count_q, _ = _quotient_layout(a, b, box)
+    low_a, low_b, steps, spans_a, spans_b = box
+    spans_q = [x - y + 1 for x, y in zip(spans_a, spans_b)]
+    if min(spans_q) < 1:
+        # a = q * b spans the box of q plus that of b in every variable
+        raise InexactDivisionError("polynomial division left a remainder")
+    (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
+    size = _slot_bytes(max(top_a, top_b, norm_a * top_b // norm_b))
+    strides = _strides(spans_a)
+    count_q, count_b = (sum((s - 1) * t for s, t in zip(spans, strides)) + 1
+                        for spans in (spans_q, spans_b))
+    if (count_q * count_b * size * size * prod(spans_a)
+            > _HEAP_STEP_BYTES * len(a) * len(b) * prod(spans_q)):
+        return None
     quo, rem = divmod(_pack_dense(a, low_a, steps, strides, size),
                       _pack_dense(b, low_b, steps, strides, size))
     if rem:
@@ -461,7 +449,7 @@ def _dense_quotient(a, b, box):
         return None
     tops = [lo + g * (s - 1) for lo, g, s in zip(low, steps, spans_q)]
     if (any(max(col) > top for col, top in zip(zip(*q), tops))
-            or _norms(q)[0] * _norms(b)[1] >= 1 << (8 * size - 1)):
+            or _norms(q)[0] * top_b >= 1 << (8 * size - 1)):
         return None
     return q
 
@@ -470,16 +458,14 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
     """Exact quotient a / b; raises InexactDivisionError if b does not divide a.
 
     Dense operands take one divmod of packed ints (_dense_quotient); the
-    rest, and a dense quotient that is not certified, the heap division."""
+    rest, and a dense quotient that is declined, the heap division."""
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     out = LaurentPolynomial(a.nvars)
     if a.terms:
         box = _dense_box(a.terms, b.terms)
-        q = None
-        if box and _long_division_pays(a.terms, b.terms, box):
-            q = _dense_quotient(a.terms, b.terms, box)
+        q = _dense_quotient(a.terms, b.terms, box) if box else None
         out.terms = (_heap_quotient(a.terms, b.terms, a.nvars) if q is None
                      else q)
     return out

@@ -390,6 +390,26 @@ def test_dense_quotient_past_its_first_width_falls_back(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_dense_quotient_of_a_cancelled_dividend(n):
+    """prod_{k<=n} (1 - x^k) / [n]_x! = (1 - x)^n, where [n]_x! is the
+    product of the 1 + x + ... + x^(k-1): the dividend has cancelled to
+    |a|_1 far below |b|_1, so b's coefficients outgrow slots sized for a
+    and q * b alone; the slots hold b too, and the quotient is right."""
+    x, one = parse("x1", 1), LaurentPolynomial.one(1)
+    a, b = one, one
+    for k in range(1, n + 1):
+        a = a * (one - x ** k)
+        b = b * LaurentPolynomial(1, {(j,): 1 for j in range(k)})
+    assert sum(map(abs, a.terms.values())) < max(b.terms.values())
+    box = laurent._dense_box(a.terms, b.terms)
+    assert box is not None
+    expected = reference_divide(a, b)
+    assert expected == ((one - x) ** n).terms
+    assert divide_exact(a, b).terms == expected
+    assert laurent._dense_quotient(a.terms, b.terms, box) in (None, expected)
+
+
 def test_dense_quotient_outside_its_box_is_declined():
     """a = x2^4 + x1 + x1*x2 over b = 1 + x2 + x2^2 packs (x2 moving
     fastest, 5 slots a row) to X^4 + X^5 + X^6 = X^4 * (1 + X + X^2), but
