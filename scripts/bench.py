@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_24.json.
+write BENCH_25.json.
 
 Run from the repository root:
 
@@ -21,25 +21,24 @@ Stdlib only.  Eight parts:
   dense one runs with its cost test off), and records which kernel the
   public operation selects.
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
-  P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  Each side
-  is timed, and one extra run counts its work.  On the Ext side, an
-  integral over pairs of subrepresentations of the operands, that is the
-  subrepresentations listed of L = P1 and of M = S1 over all primes and
-  the pairs ranked; the time per pair follows.  On the Hom side, the
-  lines and points walked, the points ranked exactly (by an elimination
-  at that point, not read off a line's generic rank) and the memo misses;
-  the time per point follows.
-- d4: both sides of Kronecker xx1(P1, I2) on the default primes,
-  P Ext^1(I2, P1) and P Hom(P1, tau I2), each of dimension 4, with the
-  counts of stratify, per run.  Its runs are timed with the counting
-  wrappers in place, which add one call a line, one per exact rank, one
-  per listing and one per pair.
+  P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  One run
+  counts the work of each side, and each side is timed.  On the Ext side,
+  an integral over pairs of subrepresentations of the operands, that is
+  the subrepresentations listed of L = P1 and of M = S1 over all primes
+  and the pairs ranked; the time per pair follows.  On the Hom side, the
+  points bucketed; the kernels Ker W_v taken on the kernel side of the
+  vertex pencils and the incidence |I| they give, the points of
+  P(Ker W_v) summed over them; the points keyed, |N|, those where some
+  vertex map is not injective; and the memo misses.  The time per point
+  follows.
+- d4: the same for Kronecker xx1(P1, I2), P Ext^1(I2, P1) and
+  P Hom(P1, tau I2), each of dimension 4.
 - misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
   P Hom(S2, tau S1) of dimension 2, whose points give cokernels C with
   different canonical matrices but one canonical cokernel of tau^{-1} g.
-  It is timed, and one extra run counts
-  the lines, points and memo misses as measured; the time per point
-  follows.
+  It is timed, and one extra run counts the points, the kernels, the
+  incidence, the points keyed and the memo misses as in stratify; the
+  time per point follows.
 - tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
   Kronecker and D4-tilde quivers, in microseconds a call.
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
@@ -70,7 +69,7 @@ import statistics
 import sys
 import time
 
-from cclab import grassmannian, laurent, linalg, multiplication, mutation
+from cclab import grassmannian, laurent, multiplication, mutation
 from cclab.artranslate import ar_inverse, ar_translate
 from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
@@ -152,42 +151,45 @@ def closure_counts(q, depth):
 def counting(L, M):
     """While active, count on the Ext side of (L, M) the subrepresentations
     listed of L and of M and the pairs ranked, and on the Hom side the
-    lines walked, the points bucketed, the points of each line ranked
-    exactly and the memo misses, by wrapping the lister, the rank of a
-    pair, the per-prime walk, its lines, the exact rank of line_ranks and
-    the Hom-side middle term, which only a memo miss builds; yields the
-    counts.  A listing is told apart by its module's dimension vector, so
-    L and M must differ in it."""
+    points bucketed, the kernels taken on the kernel side of the vertex
+    pencils, the incidence they give (the points of P(Ker W_v) summed over
+    the kernels), the points keyed and the memo misses, by wrapping the
+    lister, the rank of a pair, the per-prime walk, the kernel-side
+    nullspace, the kernel key (two a keyed point: g and Dh) and the
+    Hom-side middle term, which only a memo miss builds; yields the counts.
+    A listing is told apart by its module's dimension vector, so L and M
+    must differ in it."""
     counts = {"ext": {"subreps_L": 0, "subreps_M": 0, "pairs": 0},
-              "hom": {"lines": 0, "points": 0, "exact_points": 0,
-                      "memo_misses": 0}}
+              "hom": {"points": 0, "kernels": 0, "incidence": 0,
+                      "keyed": 0, "memo_misses": 0}}
     ext, hom = counts["ext"], counts["hom"]
     walk = multiplication._hom_walk
-    lines = multiplication._lines
-    rank_at = linalg._rank_at
+    nullspace = multiplication._nullspace
+    kernel_key = multiplication._kernel_key
     subreps = multiplication.subreps
     kept_dim = multiplication._kept_dim
     hom_middle = multiplication._hom_side_middle
-    exact = set()  # the t ranked exactly on the current line
+    key_reads = []
 
     def counting_walk(*args):
+        key_reads.clear()
         buckets = walk(*args)
         hom["points"] += sum(n for n, _ in buckets.values())
+        hom["keyed"] += len(key_reads) // 2
         return buckets
 
-    def counting_lines(p, d):
-        for line in lines(p, d):
-            hom["lines"] += 1
-            exact.clear()
-            yield line  # the walk keys the whole line before the next
-            hom["exact_points"] += len(exact)
+    def counting_nullspace(rows, ncols, p):
+        free, vecs = nullspace(rows, ncols, p)
+        hom["kernels"] += 1
+        hom["incidence"] += (p ** len(vecs) - 1) // (p - 1)
+        return free, vecs
 
-    def recording_rank_at(B, D, ncols, p, t):
-        exact.add(t)
-        return rank_at(B, D, ncols, p, t)
+    def counting_kernel_key(g, R):
+        key_reads.append(R)
+        return kernel_key(g, R)
 
-    def counting_subreps(R, e):
-        listed = subreps(R, e)
+    def counting_subreps(R, e, *tables):
+        listed = subreps(R, e, *tables)
         ext["subreps_L" if R.dim == L.dim else "subreps_M"] += len(listed)
         return listed
 
@@ -200,8 +202,8 @@ def counting(L, M):
         return hom_middle(K, R, dim_c)
 
     multiplication._hom_walk = counting_walk
-    multiplication._lines = counting_lines
-    linalg._rank_at = recording_rank_at
+    multiplication._nullspace = counting_nullspace
+    multiplication._kernel_key = counting_kernel_key
     multiplication.subreps = counting_subreps
     multiplication._kept_dim = counting_kept_dim
     multiplication._hom_side_middle = counting_hom_middle
@@ -209,19 +211,29 @@ def counting(L, M):
         yield counts
     finally:
         multiplication._hom_walk = walk
-        multiplication._lines = lines
-        linalg._rank_at = rank_at
+        multiplication._nullspace = nullspace
+        multiplication._kernel_key = kernel_key
         multiplication.subreps = subreps
         multiplication._kept_dim = kept_dim
         multiplication._hom_side_middle = hom_middle
 
 
-def per_unit(sides):
-    """The time per pair of the Ext side and per point of the Hom side."""
+def both_sides(name, L, M, primes, repeats):
+    """Both sides of xx1(L, M), P Ext^1(M, L) and P Hom(L, tau M): one run
+    counts their work (counting), then each is timed, and the time per
+    pair of the Ext side and per point of the Hom side follows."""
+    runs = (("ext", lambda: multiplication.stratify_ext_side(M, L, primes)),
+            ("hom", lambda: multiplication.stratify_hom_side(L, M, primes)))
+    with counting(L, M) as sides:
+        for _, run in runs:
+            run()
+    for side, run in runs:
+        sides[side].update(timed(run, repeats))
     sides["ext"]["us_per_pair"] = (sides["ext"]["median_s"]
                                    / sides["ext"]["pairs"] * 1e6)
     sides["hom"]["us_per_point"] = (sides["hom"]["median_s"]
                                     / sides["hom"]["points"] * 1e6)
+    return {"name": name, "primes": list(primes), **sides}
 
 
 def kronecker_variables(last):
@@ -367,7 +379,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_24.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_25.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -385,29 +397,10 @@ def main(argv=None):
 
     q, primes = kronecker_quiver(), default_primes()
     P1, S1, S2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
-    with counting(P1, S1) as sides:
-        multiplication.stratify_ext_side(S1, P1, primes)
-        multiplication.stratify_hom_side(P1, S1, primes)
-    for side, run in (
-            ("ext", lambda: multiplication.stratify_ext_side(S1, P1, primes)),
-            ("hom", lambda: multiplication.stratify_hom_side(P1, S1, primes))):
-        sides[side].update(timed(run, args.repeats))
-    per_unit(sides)
-    stratify = {"name": "kronecker.xx1(P1,S1)", "primes": list(primes),
-                **sides}
-
-    I2 = injective_rep(q, 2)
-    with counting(P1, I2) as sides:
-        for side, run in (
-                ("ext",
-                 lambda: multiplication.stratify_ext_side(I2, P1, primes)),
-                ("hom",
-                 lambda: multiplication.stratify_hom_side(P1, I2, primes))):
-            t = timed(run, args.repeats)
-            row = sides[side]
-            row.update({k: n // args.repeats for k, n in row.items()}, **t)
-    per_unit(sides)
-    d4 = {"name": "kronecker.xx1(P1,I2)", "primes": list(primes), **sides}
+    stratify = both_sides("kronecker.xx1(P1,S1)", P1, S1, primes,
+                          args.repeats)
+    d4 = both_sides("kronecker.xx1(P1,I2)", P1, injective_rep(q, 2), primes,
+                    args.repeats)
 
     with counting(S2, S1) as counts:
         multiplication.stratify_hom_side(S2, S1, primes)
@@ -475,11 +468,12 @@ def main(argv=None):
               f"{row['us_per_pair']:.0f} us a pair")
         row = part["hom"]
         print(f"{part['name']} hom side: {row['median_s']:.3f} s, "
-              f"{row['lines']} lines, {row['points']} points, "
-              f"{row['exact_points']} ranked exactly, "
+              f"{row['points']} points, {row['keyed']} keyed, "
+              f"{row['kernels']} kernels of incidence {row['incidence']}, "
               f"{row['us_per_point']:.0f} us a point")
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
-          f"{misses['points']} points, {misses['memo_misses']} misses, "
+          f"{misses['points']} points, {misses['keyed']} keyed, "
+          f"{misses['memo_misses']} misses, "
           f"{misses['us_per_point']:.0f} us a point")
     for row in tau:
         print(f"{row['name']}: ar_translate {row['us_per_ar_translate']:.0f} "

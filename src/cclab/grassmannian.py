@@ -197,18 +197,21 @@ def _arrows_hold(tup, arrows, p: int) -> bool:
                    for f in tup[t][1][a] for u in tup[s][0])
 
 
-def subreps(M: Representation, e) -> list:
+def subreps(M: Representation, e, tables=None) -> list:
     """The subrepresentations of dimension vector e of M over its field
     GF(p), each as one _vertex_table entry (U, reads) per vertex: every
-    tuple of e_v-subspaces, by brute force, whose arrows hold."""
-    p = M.field.p
+    tuple of e_v-subspaces, by brute force, whose arrows hold.  tables,
+    when given, holds M's (v, e_v) -> _vertex_table and is filled as
+    needed, so that listing many e builds each table once."""
+    p, tables = M.field.p, {} if tables is None else tables
     rows = [m.data for m in M.matrices]
     ends = [(s - 1, t - 1) for s, t in M.quiver.arrows]
     arrows = [(a, s, t) for a, (s, t) in enumerate(ends)]
-    return [tup for tup in product(*[
-        _vertex_table(rows, ends, d, v, k, p)
-        for v, (d, k) in enumerate(zip(M.dim, e))])
-        if _arrows_hold(tup, arrows, p)]
+    for v, (d, k) in enumerate(zip(M.dim, e)):
+        if (v, k) not in tables:
+            tables[v, k] = _vertex_table(rows, ends, d, v, k, p)
+    return [tup for tup in product(*[tables[v, k] for v, k in enumerate(e)])
+            if _arrows_hold(tup, arrows, p)]
 
 
 def interpolate_counts(points, degree_bound: int) -> CountingPolynomial:

@@ -4,8 +4,11 @@ Each identity is d * X_X X_Y = the sum of two sides, each a list of
 strata that carry their whole contribution.  The Ext side of xx1
 (stratify_ext_side) and the Hom(P, M) side of xx2 (verify_xx2) are exact
 integrals over subrepresentations; no point of them is visited.  The
-other Hom sides are walked pointwise over each sample prime (_hom_walk):
-middle terms over GF(p) are bucketed by a homological fingerprint, and
+other Hom sides are stratified over each sample prime (_hom_walk): only
+the points where a vertex map of g or of the transposed tau^{-1} g is not
+injective are visited, read off the kernels of the vertex pencils
+(_non_injective), and the others share one middle term and are counted.
+Middle terms over GF(p) are bucketed by a homological fingerprint, and
 bucket sizes are interpolated into counting polynomials.  A stratum
 contributes chi = P(1) times the character of its class, whose
 Grassmannian counts are read off the bucket's middle terms at the sample
@@ -27,7 +30,8 @@ from .grassmannian import (_check_prime_count, _profile_of, fit_and_verify,
                            grassmannian_degree_bound, grassmannian_profile,
                            subreps, subspaces)
 from .laurent import LaurentPolynomial
-from .linalg import _combination, _nullspace_of_rref, _rank_mod, line_ranks
+from .linalg import (_combination, _nullspace, _nullspace_of_rref, _rank_mod,
+                     line_ranks)
 from .reps import (ClusterObject, Representation, _hom_system, _kernel_key,
                    _rep_of_key, cluster_object, direct_sum, dual, ext1_setup,
                    fingerprint, hom_basis, hom_dim, make_rep, reduce_rep,
@@ -71,22 +75,26 @@ def _lines(p: int, d: int):
 
 # -- the ext-side integral -------------------------------------------------
 
-def _parts(R: Representation, tup) -> tuple:
-    """(U, R/U, ann U) for the subrepresentation U of R over GF(p) held by
-    the subreps entry tup.  U is on its reduced echelon basis, so R_a u is
-    read at the pivots of U_t; R/U is on the unit vectors at the other
-    coordinates, which ann U_v maps to unit vectors: ann(U_t) R_a is read
-    at those of U_s."""
+def _sub(R: Representation, tup) -> Representation:
+    """The subrepresentation U of R over GF(p) held by the subreps entry
+    tup, on U's reduced echelon basis: R_a u is read at the pivots of
+    U_t."""
+    pivots = [[u.index(1) for u in U] for U, _ in tup]
+    return make_rep(R.quiver, tuple(map(len, pivots)), [
+        [[w[c] for w in tup[s - 1][1][a]] for c in pivots[t - 1]]
+        for a, (s, t) in enumerate(R.quiver.arrows)], R.field)
+
+
+def _quotient(R: Representation, tup) -> tuple:
+    """(R/U, ann U) for U held by tup.  R/U is on the unit vectors at the
+    coordinates off the pivots of U, which ann U_v maps to unit vectors:
+    ann(U_t) R_a is read at those of U_s."""
     pivots = [[u.index(1) for u in U] for U, _ in tup]
     free = [[c for c in range(n) if c not in pv]
             for n, pv in zip(R.dim, pivots)]
-    ends = list(enumerate(R.quiver.arrows))
-    return (make_rep(R.quiver, tuple(map(len, pivots)), [
-                [[w[c] for w in tup[s - 1][1][a]] for c in pivots[t - 1]]
-                for a, (s, t) in ends], R.field),
-            make_rep(R.quiver, tuple(map(len, free)), [
+    return (make_rep(R.quiver, tuple(map(len, free)), [
                 [[f[c] for c in free[s - 1]] for f in tup[t - 1][1][a]]
-                for a, (s, t) in ends], R.field),
+                for a, (s, t) in enumerate(R.quiver.arrows)], R.field),
             [_nullspace_of_rref(U, pv, n, R.field.p)[1]
              for (U, _), pv, n in zip(tup, pivots, R.dim)])
 
@@ -142,9 +150,12 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
     for p, (Mp, Lp) in reduced.items():
         phis = [[m.data for m in eta.components]
                 for eta in unit_cocycles(Mp, Lp, rep_indices)]
-        subs = [[(e, tup, *_parts(R, tup)) for e in es_R
-                 for tup in subreps(R, e)] for R, es_R in zip((Lp, Mp), es)]
-        for (e_l, _, _, Q, ann), (e_m, tup, U_M, _, _) in product(*subs):
+        tables = {}, {}
+        subs_l = [(e, *_quotient(Lp, tup)) for e in es[0]
+                  for tup in subreps(Lp, e, tables[0])]
+        subs_m = [(e, tup, _sub(Mp, tup)) for e in es[1]
+                  for tup in subreps(Mp, e, tables[1])]
+        for (e_l, Q, ann), (e_m, tup, U_M) in product(subs_l, subs_m):
             counts[tuple(map(add, e_l, e_m))][p] += _kept_dim(
                 U_M, tup, Q, ann, phis)
     dim, shifted = tuple(map(add, L.dim, M.dim)), (0,) * M.quiver.n
@@ -201,45 +212,86 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     _kernel_key of g and of Dh.  Equal keys give equal K, R and
     dim Coker g, so a miss builds the middle term from the key alone.
 
-    P^{d-1}(F_p) is walked line by line (_lines).  A line is formed once as
-    the pencils G + t F of g and of Dh at each vertex, and line_ranks ranks
-    them at every t.  Where each is injective the key is the one of
-    K = R = 0, with dim Coker g = dim T - dim L, and no kernel is computed;
-    only at the other t are g and Dh built and keyed.
+    Where every vertex map of g and of Dh is injective, the key is the one
+    of K = R = 0, with dim Coker g = dim T - dim L.  Only the other points,
+    the union N of the _non_injective sets of the vertex pencils, are
+    visited and keyed, in the order of _lines; the injective key counts
+    the rest at the place of the first point outside N, so every bucket
+    keeps the member a point-by-point walk would give it.
     """
-    p, n = Lp.field.p, Lp.quiver.n
+    p, n, d = Lp.field.p, Lp.quiver.n, len(basis)
     _, Th, images = ar_inverse_maps(Lp, Tp, basis)
     DTh = dual(Th)
-    # per vertex of g, then of Dh: (the map at c = head + (0,) as a
-    # function of c, the last basis map), so the line is G + t F
-    pencils = [(_combination([f[i].data for f in maps]), maps[-1][i].data)
+    # the maps A_k of the pencil sum_k c_k A_k, per vertex of g, then of Dh
+    pencils = [[f[i].data for f in maps]
                for maps in (basis, [[m.transpose() for m in f]
                                     for f in images])
                for i in range(n)]
+    total = (p ** d - 1) // (p - 1)
+    keyed = set()
+    for parts, cols in zip(pencils, Lp.dim + DTh.dim):
+        if len(keyed) < total:
+            keyed |= _non_injective(parts, cols, p)
+    first = next((head + (t,) for head, ts in _lines(p, d) for t in ts
+                  if head + (t,) not in keyed), None)
+    maps_at = [_combination(parts) for parts in pencils]
     arrows = ((),) * len(Lp.quiver.arrows)
     injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
     memo, buckets = {}, {}
-    for head, ts in _lines(p, len(basis)):
-        line = [(G(head + (0,)), F) for G, F in pencils]
-        full = [all(ranks) for ranks in zip(*(
-            [r == cols for r in line_ranks(G, F, cols, p, ts)]
-            for (G, F), cols in zip(line, Lp.dim + DTh.dim)))]
-        for t, injective in zip(ts, full):
-            if injective:
-                mk = injective_key
-            else:
-                at_t = [[[(x + t * y) % p for x, y in zip(r, s)]
-                         for r, s in zip(G, F)] for G, F in line]
-                mk = (_kernel_key(at_t[:n], Lp), _kernel_key(at_t[n:], DTh))
-            key = memo.get(mk)
-            if key is None:
-                dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
-                Y = _hom_side_middle(_rep_of_key(mk[0], Lp),
-                                     dual(_rep_of_key(mk[1], DTh)), dim_c)
-                key = memo[mk] = (Y.shifted, fingerprint(Y.module))
-                buckets.setdefault(key, [0, Y])
-            buckets[key][0] += 1
+    for c in sorted(keyed | ({first} if first else set()),
+                    key=lambda c: (c.index(1), c)):
+        if c == first:
+            mk, count = injective_key, total - len(keyed)
+        else:
+            at_c = [[[x % p for x in row] for row in A(c)] for A in maps_at]
+            mk, count = (_kernel_key(at_c[:n], Lp),
+                         _kernel_key(at_c[n:], DTh)), 1
+        key = memo.get(mk)
+        if key is None:
+            dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
+            Y = _hom_side_middle(_rep_of_key(mk[0], Lp),
+                                 dual(_rep_of_key(mk[1], DTh)), dim_c)
+            key = memo[mk] = (Y.shifted, fingerprint(Y.module))
+            buckets.setdefault(key, [0, Y])
+        buckets[key][0] += count
     return buckets
+
+
+def _non_injective(parts, cols: int, p: int) -> set:
+    """The points [c] of P^{d-1}(F_p), d = len(parts), first nonzero
+    coordinate 1, where the pencil A(c) = sum_k c_k parts[k] of int-row
+    matrices with cols columns has a nonzero kernel.
+
+    They are the image of the incidence variety {([c], [v]) : A(c) v = 0},
+    read off its smaller side.  A pencil that is never injective (fewer
+    rows than columns, or a kernel vector shared by every A_k) gives every
+    point.  With cols < d, A(c) v = W_v c for W_v = [A_1 v | ... | A_d v],
+    and each [v] of P^{cols-1} gives the points of P(Ker W_v).  Otherwise
+    P^{d-1} is walked by _lines, and line_ranks ranks each line.
+    """
+    d = len(parts)
+    if not cols:
+        return set()
+    if len(parts[0]) < cols or _rank_mod(
+            [row for A in parts for row in A], cols, p) < cols:
+        return {head + (t,) for head, ts in _lines(p, d) for t in ts}
+    if d == 1:  # A_1 has full column rank at the one point
+        return set()
+    if cols >= d:
+        A = _combination(parts)
+        return {head + (t,) for head, ts in _lines(p, d)
+                for t, r in zip(ts, line_ranks(A(head + (0,)), parts[-1],
+                                               cols, p, ts)) if r < cols}
+    out = set()
+    for (v,) in subspaces(p, cols, 1):
+        W = [[sum(map(mul, row, v)) % p for row in rows]
+             for rows in zip(*parts)]
+        kernel = _nullspace(W, d, p)[1]
+        for (a,) in subspaces(p, len(kernel), 1):
+            c = [sum(map(mul, a, xs)) % p for xs in zip(*kernel)]
+            inv = pow(next(filter(None, c)), -1, p)
+            out.add(tuple(x * inv % p for x in c))
+    return out
 
 
 def _hom_side_middle(K: Representation, R: Representation,

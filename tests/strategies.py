@@ -1,10 +1,11 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and seeded base changes shared by the test
+modules."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from cclab.linalg import GF
+from cclab.linalg import GF, QQ, Mat
 from cclab.quiver import validate_quiver
 from cclab.reps import make_rep
 
@@ -38,3 +39,28 @@ def rep_pairs(draw, max_arrows=5, max_dim=3):
                           min_size=dim[t - 1], max_size=dim[t - 1]))
             for s, t in q.arrows], F)
     return rep(), rep(), draw(st.randoms(use_true_random=False))
+
+
+def unimodular(rng, n: int):
+    """A seeded n x n integer matrix of determinant +-1 and its inverse:
+    a product of shears and one sign."""
+    g, inv = Mat.identity(QQ, n), Mat.identity(QQ, n)
+    for _ in range(2 * n if n > 1 else 0):
+        (i, j), c = rng.sample(range(n), 2), rng.choice((-2, -1, 1, 2))
+        shear, back = Mat.identity(QQ, n), Mat.identity(QQ, n)
+        shear.data[i][j], back.data[i][j] = QQ.of(c), QQ.of(-c)
+        g, inv = shear.mul(g), inv.mul(back)
+    if n and rng.random() < 0.5:
+        sign = Mat.identity(QQ, n)
+        sign.data[0][0] = QQ.of(-1)
+        g, inv = sign.mul(g), inv.mul(sign)
+    return g, inv
+
+
+def base_changed(R, rng):
+    """R with the seeded basis change g_v of unimodular at each vertex:
+    g_t R_a g_s^{-1} at each arrow a: s -> t."""
+    gs = [unimodular(rng, n) for n in R.dim]
+    return make_rep(R.quiver, R.dim, [
+        gs[t - 1][0].mul(m).mul(gs[s - 1][1]).data
+        for m, (s, t) in zip(R.matrices, R.quiver.arrows)])

@@ -1,0 +1,180 @@
+"""The Hom-side walk, which keys only the points where some vertex map is
+not injective, against a walk that keys P Hom point by point."""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import base_changed
+
+from cclab import multiplication
+from cclab.artranslate import (ar_inverse_maps, ar_translate,
+                               has_projective_summand)
+from cclab.config import default_primes
+from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
+                          kronecker_regular)
+from cclab.linalg import _rank_mod
+from cclab.multiplication import (_hom_side_middle, _hom_walk, _lines,
+                                  _non_injective)
+from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
+                          kronecker_quiver)
+from cclab.reps import (_kernel_key, _rep_of_key, combine, dual,
+                        fingerprint, hom_basis, hom_dim, injective_rep,
+                        projective_rep, reduce_rep, simple_rep,
+                        standard_module)
+
+
+def pointwise_walk(Lp, Tp, basis) -> dict:
+    """_hom_walk's buckets, {(shifted, fingerprint): [points, member]}, from
+    every point of P Hom(Lp, Tp)(F_p) in the order of _lines: where each
+    vertex map of g and of Dh has full column rank the point takes the key
+    of K = R = 0, elsewhere it reads the _kernel_key of g and of Dh; a key
+    seen first builds the middle term."""
+    p = Lp.field.p
+    _, Th, images = ar_inverse_maps(Lp, Tp, basis)
+    DTh = dual(Th)
+    arrows = ((),) * len(Lp.quiver.arrows)
+    injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
+    memo, buckets = {}, {}
+    for head, ts in _lines(p, len(basis)):
+        for t in ts:
+            c = head + (t,)
+            g = [m.data for m in combine(basis, c)]
+            Dh = [m.transpose().data for m in combine(images, c)]
+            if all(_rank_mod(A, cols, p) == cols
+                   for A, cols in zip(g + Dh, Lp.dim + DTh.dim)):
+                mk = injective_key
+            else:
+                mk = (_kernel_key(g, Lp), _kernel_key(Dh, DTh))
+            if mk not in memo:
+                dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
+                Y = _hom_side_middle(_rep_of_key(mk[0], Lp),
+                                     dual(_rep_of_key(mk[1], DTh)), dim_c)
+                memo[mk] = (Y.shifted, fingerprint(Y.module))
+                buckets.setdefault(memo[mk], [0, Y])
+            buckets[memo[mk]][0] += 1
+    return buckets
+
+
+def stock_hom_sides():
+    """(label, L, T) for the walked Hom sides on stock modules of A2, A3,
+    Kronecker and D4-tilde, each isomorphism class once, of the pairs of
+    total dimension at most 6 and with Hom(L, T) nonzero: P Hom(L, tau M)
+    of xx1(L, M), M without a projective summand, and P Hom(M, I_i) of
+    xx2(P_i, M)."""
+    a3, qd = a3_quiver(), d4tilde_quiver()
+    quivers = {"a2": (a2_quiver(), {}),
+               "a3": (a3, {"I" + "".join(map(str, m.dim)): m
+                           for m in all_interval_modules(a3)}),
+               "kronecker": (kronecker_quiver(),
+                             {"R11": kronecker_regular(1, 1)}),
+               "d4t": (qd, dict(zip(("E1", "E2"), d4tilde_tube_simples())))}
+    out = []
+    for name, (q, extra) in quivers.items():
+        mods, seen = {}, set()
+        for label, m in [(f"{kind[0].upper()}{i}",
+                          standard_module(q, kind, i))
+                         for kind in ("simple", "projective", "injective")
+                         for i in range(1, q.n + 1)] + list(extra.items()):
+            key = (m.dim, tuple(tuple(map(tuple, a.data))
+                                for a in m.matrices))
+            if key not in seen:
+                seen.add(key)
+                mods[label] = m
+        for (a, L), (b, M) in product(mods.items(), repeat=2):
+            if (sum(L.dim) + sum(M.dim) <= 6
+                    and not has_projective_summand(M)):
+                out.append((f"{name}.xx1({a},{b})", L, ar_translate(M)))
+        for i, (b, M) in product(range(q.n), mods.items()):
+            P = standard_module(q, "projective", i + 1)
+            if sum(P.dim) + sum(M.dim) <= 6:
+                out.append((f"{name}.xx2(P{i + 1},{b})", M,
+                            standard_module(q, "injective", i + 1)))
+    return [side for side in out if hom_dim(*side[1:])]
+
+
+STOCK = stock_hom_sides()
+
+
+def _both_walks(L, T, p):
+    Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+    basis = hom_basis(Lp, Tp)
+    return _hom_walk(Lp, Tp, basis), pointwise_walk(Lp, Tp, basis)
+
+
+@pytest.mark.parametrize("label, L, T", STOCK,
+                         ids=[label for label, *_ in STOCK])
+def test_walk_matches_pointwise_on_stock_sides(label, L, T):
+    """At p = 2, 3 and 5, every bucket has the count and the member of the
+    point-by-point walk, whose keys come in the same order."""
+    for p in (2, 3, 5):
+        walk, pointwise = _both_walks(L, T, p)
+        assert list(walk.items()) == list(pointwise.items())
+
+
+@pytest.mark.parametrize("label, L, T", STOCK,
+                         ids=[label for label, *_ in STOCK])
+def test_walk_matches_pointwise_after_base_change(label, L, T):
+    """The same at p = 3 on both modules moved by unimodular base changes
+    of seeds 1 and 2, whose matrices are no longer the stock 0/1 ones."""
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        walk, pointwise = _both_walks(base_changed(L, rng),
+                                      base_changed(T, rng), 3)
+        assert list(walk.items()) == list(pointwise.items())
+
+
+@pytest.mark.parametrize("M", [simple_rep(kronecker_quiver(), 1),
+                               injective_rep(kronecker_quiver(), 2)],
+                         ids=["S1", "I2"])
+def test_kronecker_keys_p_plus_one_points(monkeypatch, M):
+    """Kronecker P Hom(P1, tau S1) and P Hom(P1, tau I2), of dimension 3
+    and 4, read kernel keys at exactly p + 1 points of each prime, two
+    keys a point: g and Dh."""
+    keyed = []
+    key_of = multiplication._kernel_key
+    monkeypatch.setattr(multiplication, "_kernel_key",
+                        lambda g, L: keyed.append(L) or key_of(g, L))
+    L, T = projective_rep(kronecker_quiver(), 1), ar_translate(M)
+    for p in default_primes():
+        keyed.clear()
+        Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+        buckets = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
+        assert len(keyed) == 2 * (p + 1)
+        d = len(hom_basis(Lp, Tp))
+        assert sum(n for n, _ in buckets.values()) == (p ** d - 1) // (p - 1)
+
+
+@st.composite
+def pencils(draw):
+    """(parts, cols, p): d <= 4 int-row matrices A_k over GF(p), p in
+    {2, 3, 5, 7}, of one shape rows x cols, rows and cols <= 3 and either
+    may be 0.  In some, every A_k has its last column the same combination
+    of its others, so that the A_k share a kernel vector."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d, rows, cols = (draw(st.integers(1, 4)), draw(st.integers(0, 3)),
+                     draw(st.integers(0, 3)))
+    entry = st.integers(0, p - 1)
+    parts = [[[draw(entry) for _ in range(cols)] for _ in range(rows)]
+             for _ in range(d)]
+    if cols and draw(st.booleans()):
+        lam = [draw(entry) for _ in range(cols - 1)]
+        for row in (row for A in parts for row in A):
+            row[-1] = sum(x * y for x, y in zip(lam, row)) % p
+    return parts, cols, p
+
+
+@given(pencils())
+@settings(deadline=None, max_examples=300)
+def test_non_injective_matches_rank_at_every_point(case):
+    """_non_injective holds the points c of P^{d-1}(F_p) where
+    sum_k c_k A_k has rank below cols, ranked one point at a time."""
+    parts, cols, p = case
+    rows = len(parts[0])
+    points = [head + (t,) for head, ts in _lines(p, len(parts)) for t in ts]
+    assert _non_injective(parts, cols, p) == {
+        c for c in points if _rank_mod(
+            [[sum(x * A[r][j] for x, A in zip(c, parts))
+              for j in range(cols)] for r in range(rows)], cols, p) < cols}

@@ -5,18 +5,18 @@ import random
 from itertools import product
 
 import pytest
+from strategies import base_changed
 
 from cclab.character import exponent_form
 from cclab.config import default_primes
 from cclab.grassmannian import (count_subreps, fit_and_verify,
                                 grassmannian_degree_bound, subspaces)
 from cclab.laurent import LaurentPolynomial
-from cclab.linalg import QQ, Mat
 from cclab.multiplication import verify_xx2
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (cokernel_rep, combine, hom_basis, hom_dim,
-                        injective_rep, kernel_rep, make_rep, projective_rep,
+                        injective_rep, kernel_rep, projective_rep,
                         reduce_rep, standard_sum, top_multiplicities)
 
 PRIMES = default_primes()
@@ -66,31 +66,6 @@ def closed_form_side(P, M, primes):
     assert (stratum.dim, stratum.shifted, stratum.chi) == (
         M.dim, top_multiplicities(P), hom_dim(P, M))
     return stratum
-
-
-def unimodular(rng, n: int):
-    """A seeded n x n integer matrix of determinant +-1 and its inverse:
-    a product of shears and one sign."""
-    g, inv = Mat.identity(QQ, n), Mat.identity(QQ, n)
-    for _ in range(2 * n if n > 1 else 0):
-        (i, j), c = rng.sample(range(n), 2), rng.choice((-2, -1, 1, 2))
-        shear, back = Mat.identity(QQ, n), Mat.identity(QQ, n)
-        shear.data[i][j], back.data[i][j] = QQ.of(c), QQ.of(-c)
-        g, inv = shear.mul(g), inv.mul(back)
-    if n and rng.random() < 0.5:
-        sign = Mat.identity(QQ, n)
-        sign.data[0][0] = QQ.of(-1)
-        g, inv = sign.mul(g), inv.mul(sign)
-    return g, inv
-
-
-def base_changed(R, rng):
-    """R with the seeded basis change g_v of unimodular at each vertex:
-    g_t R_a g_s^{-1} at each arrow a: s -> t."""
-    gs = [unimodular(rng, n) for n in R.dim]
-    return make_rep(R.quiver, R.dim, [
-        gs[t - 1][0].mul(m).mul(gs[s - 1][1]).data
-        for m, (s, t) in zip(R.matrices, R.quiver.arrows)])
 
 
 PAIRS = {

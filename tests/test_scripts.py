@@ -75,11 +75,13 @@ def test_bench_script_writes_counts(tmp_path):
     points = sum(p * p + p + 1 for p in strat["primes"])
     ext, hom = strat["ext"], strat["hom"]
     assert hom["points"] == points
-    # the lines of P^2(F_p): one per point of P^1, and the point (0, 0, 1)
-    assert hom["lines"] == sum(p + 2 for p in strat["primes"])
+    # p + 1 points of each P^2(F_p) have a non-injective vertex map
+    keyed = sum(p + 1 for p in strat["primes"])
+    assert hom["keyed"] == keyed
+    assert keyed <= hom["incidence"] <= 2 * keyed
+    assert hom["kernels"] > 0
     assert ext["us_per_pair"] > 0 and hom["us_per_point"] > 0
     assert 0 < hom["memo_misses"] * 10 < points
-    assert 0 < hom["exact_points"] < points
     # over F_p, P1 = (1, 2) has the subrepresentations 0, the p + 1 lines
     # at vertex 2, (0, 2) and P1; S1 has 0 and S1
     subs_p1 = sum(p + 4 for p in strat["primes"])
@@ -91,8 +93,8 @@ def test_bench_script_writes_counts(tmp_path):
     points = sum(p ** 3 + p * p + p + 1 for p in d4["primes"])
     row = d4["hom"]
     assert row["points"] == points
-    assert row["lines"] == sum(p * p + p + 2 for p in d4["primes"])
-    assert 0 < row["exact_points"] < points
+    assert row["keyed"] == keyed
+    assert keyed <= row["incidence"] <= 2 * keyed
     assert row["median_s"] > 0
     # I2 = (2, 1) has 0, (0, 1), the p + 1 lines at vertex 1 with vertex 2,
     # and I2, as many as P1
@@ -102,8 +104,9 @@ def test_bench_script_writes_counts(tmp_path):
     assert row["median_s"] > 0 and row["us_per_pair"] > 0
     misses = doc["misses"]
     assert misses["points"] == sum(p + 1 for p in misses["primes"])
-    assert misses["lines"] == 2 * len(misses["primes"])
-    # the p + 1 cokernels of each prime share tau^{-1} C: one miss a prime
+    # every vertex map is injective: no point is keyed, and the p + 1
+    # cokernels of each prime share tau^{-1} C: one miss a prime
+    assert misses["keyed"] == 0
     assert misses["memo_misses"] == len(misses["primes"])
     assert misses["us_per_point"] > 0
     grass = {row["name"]: row for row in doc["grass"]}
