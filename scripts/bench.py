@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_25.json.
+write BENCH_26.json.
 
 Run from the repository root:
 
@@ -25,8 +25,9 @@ Stdlib only.  Eight parts:
   counts the work of each side, and each side is timed.  On the Ext side,
   an integral over pairs of subrepresentations of the operands, that is
   the subrepresentations listed of L = P1 and of M = S1 over all primes
-  and the pairs ranked; the time per pair follows.  On the Hom side, the
-  points bucketed; the kernels Ker W_v taken on the kernel side of the
+  and the pairs whose Ext^1 dimension is taken, the product of the two
+  listings at each prime; the time per pair follows.  On the Hom side,
+  the points walked; the kernels Ker W_v taken on the kernel side of the
   vertex pencils and the incidence |I| they give, the points of
   P(Ker W_v) summed over them; the points keyed, |N|, those where some
   vertex map is not injective; and the memo misses.  The time per point
@@ -150,15 +151,15 @@ def closure_counts(q, depth):
 @contextlib.contextmanager
 def counting(L, M):
     """While active, count on the Ext side of (L, M) the subrepresentations
-    listed of L and of M and the pairs ranked, and on the Hom side the
-    points bucketed, the kernels taken on the kernel side of the vertex
-    pencils, the incidence they give (the points of P(Ker W_v) summed over
-    the kernels), the points keyed and the memo misses, by wrapping the
-    lister, the rank of a pair, the per-prime walk, the kernel-side
-    nullspace, the kernel key (two a keyed point: g and Dh) and the
-    Hom-side middle term, which only a memo miss builds; yields the counts.
-    A listing is told apart by its module's dimension vector, so L and M
-    must differ in it."""
+    listed of L and of M and the pairs, the product of the two listings at
+    each prime, and on the Hom side the points walked, the kernels taken
+    on the kernel side of the vertex pencils, the incidence they give (the
+    points of P(Ker W_v) summed over the kernels), the points keyed and
+    the memo misses, by wrapping the lister, the per-prime walk, the
+    kernel-side nullspace, the kernel key (two a keyed point: g and Dh)
+    and the Hom-side middle term, which only a memo miss builds; yields
+    the counts, the pairs filled in on exit.  A listing is told apart by
+    its module's dimension vector, so L and M must differ in it."""
     counts = {"ext": {"subreps_L": 0, "subreps_M": 0, "pairs": 0},
               "hom": {"points": 0, "kernels": 0, "incidence": 0,
                       "keyed": 0, "memo_misses": 0}}
@@ -167,16 +168,15 @@ def counting(L, M):
     nullspace = multiplication._nullspace
     kernel_key = multiplication._kernel_key
     subreps = multiplication.subreps
-    kept_dim = multiplication._kept_dim
     hom_middle = multiplication._hom_side_middle
-    key_reads = []
+    key_reads, listed = [], {}  # listed: p -> {side: subreps listed}
 
     def counting_walk(*args):
         key_reads.clear()
-        buckets = walk(*args)
-        hom["points"] += sum(n for n, _ in buckets.values())
+        out = walk(*args)
+        hom["points"] += sum(n for n, _ in out.values())
         hom["keyed"] += len(key_reads) // 2
-        return buckets
+        return out
 
     def counting_nullspace(rows, ncols, p):
         free, vecs = nullspace(rows, ncols, p)
@@ -189,13 +189,12 @@ def counting(L, M):
         return kernel_key(g, R)
 
     def counting_subreps(R, e, *tables):
-        listed = subreps(R, e, *tables)
-        ext["subreps_L" if R.dim == L.dim else "subreps_M"] += len(listed)
-        return listed
-
-    def counting_kept_dim(*args):
-        ext["pairs"] += 1
-        return kept_dim(*args)
+        out = subreps(R, e, *tables)
+        side = "subreps_L" if R.dim == L.dim else "subreps_M"
+        ext[side] += len(out)
+        at_p = listed.setdefault(R.field.p, {"subreps_L": 0, "subreps_M": 0})
+        at_p[side] += len(out)
+        return out
 
     def counting_hom_middle(K, R, dim_c):
         hom["memo_misses"] += 1
@@ -205,7 +204,6 @@ def counting(L, M):
     multiplication._nullspace = counting_nullspace
     multiplication._kernel_key = counting_kernel_key
     multiplication.subreps = counting_subreps
-    multiplication._kept_dim = counting_kept_dim
     multiplication._hom_side_middle = counting_hom_middle
     try:
         yield counts
@@ -214,8 +212,9 @@ def counting(L, M):
         multiplication._nullspace = nullspace
         multiplication._kernel_key = kernel_key
         multiplication.subreps = subreps
-        multiplication._kept_dim = kept_dim
         multiplication._hom_side_middle = hom_middle
+    ext["pairs"] = sum(n["subreps_L"] * n["subreps_M"]
+                       for n in listed.values())
 
 
 def both_sides(name, L, M, primes, repeats):
@@ -379,7 +378,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_25.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_26.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -464,7 +463,7 @@ def main(argv=None):
         row = part["ext"]
         print(f"{part['name']} ext side: {row['median_s']:.3f} s, "
               f"{row['subreps_L']} + {row['subreps_M']} subrepresentations "
-              f"listed, {row['pairs']} pairs ranked, "
+              f"listed, {row['pairs']} pairs, "
               f"{row['us_per_pair']:.0f} us a pair")
         row = part["hom"]
         print(f"{part['name']} hom side: {row['median_s']:.3f} s, "

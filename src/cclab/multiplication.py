@@ -1,19 +1,20 @@
 """Exact verification of the cluster multiplication formulas.
 
 Each identity is d * X_X X_Y = the sum of two sides, each a list of
-strata that carry their whole contribution.  The Ext side of xx1
-(stratify_ext_side) and the Hom(P, M) side of xx2 (verify_xx2) are exact
-integrals over subrepresentations; no point of them is visited.  The
-other Hom sides are stratified over each sample prime (_hom_walk): only
-the points where a vertex map of g or of the transposed tau^{-1} g is not
-injective are visited, read off the kernels of the vertex pencils
-(_non_injective), and the others share one middle term and are counted.
-Middle terms over GF(p) are bucketed by a homological fingerprint, and
-bucket sizes are interpolated into counting polynomials.  A stratum
-contributes chi = P(1) times the character of its class, whose
-Grassmannian counts are read off the bucket's middle terms at the sample
-primes.  _report forms the left-hand side and checks that the sides
-agree, as exact Laurent polynomials.
+strata that carry their whole contribution.  A stratum's value is
+sum_e chi(Z_e) x^exp(e), Z_e the pairs of a point and a subrepresentation
+U of dimension e of its middle term, as X_Y depends on (dim Y, e) alone.
+The Ext side of xx1 (stratify_ext_side) and the Hom(P, M) side of xx2
+(verify_xx2) are integrals over subrepresentations of the operands; no
+point of them is visited.  The other Hom sides are walked over each
+sample prime (_hom_walk): only the points where a vertex map of g or of
+the transposed tau^{-1} g is not injective are visited, read off the
+kernels of the vertex pencils (_non_injective), and the others share one
+middle term and are counted.  Each class (shifted, dim Y) is one stratum:
+its points and its incidence counts sum_k points_k |Gr_e(Y_k)(F_p)| over
+the memo keys k of the class are interpolated into counting polynomials
+(_hom_strata).  _report forms the left-hand side and checks that the
+sides agree, as exact Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -26,17 +27,15 @@ from .artranslate import (ar_inverse_maps, ar_translate,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
-from .grassmannian import (_check_prime_count, _profile_of, fit_and_verify,
-                           grassmannian_degree_bound, grassmannian_profile,
-                           subreps, subspaces)
+from .grassmannian import (_check_prime_count, _count_subreps, _plan,
+                           fit_and_verify, grassmannian_degree_bound,
+                           grassmannian_profile, subreps, subspaces)
 from .laurent import LaurentPolynomial
-from .linalg import (_combination, _nullspace, _nullspace_of_rref, _rank_mod,
-                     line_ranks)
-from .reps import (ClusterObject, Representation, _hom_system, _kernel_key,
-                   _rep_of_key, cluster_object, direct_sum, dual, ext1_setup,
-                   fingerprint, hom_basis, hom_dim, make_rep, reduce_rep,
-                   stable_ext1_dim, standard_sum, top_multiplicities,
-                   unit_cocycles, zero_rep)
+from .linalg import _combination, _nullspace, _rank_mod, line_ranks
+from .reps import (ClusterObject, Representation, _kernel_key, _rep_of_key,
+                   cluster_object, direct_sum, dual, ext1_dim, hom_basis,
+                   hom_dim, make_rep, reduce_rep, stable_ext1_dim,
+                   standard_sum, top_multiplicities, zero_rep)
 
 
 @dataclass
@@ -85,57 +84,36 @@ def _sub(R: Representation, tup) -> Representation:
         for a, (s, t) in enumerate(R.quiver.arrows)], R.field)
 
 
-def _quotient(R: Representation, tup) -> tuple:
-    """(R/U, ann U) for U held by tup.  R/U is on the unit vectors at the
-    coordinates off the pivots of U, which ann U_v maps to unit vectors:
-    ann(U_t) R_a is read at those of U_s."""
+def _quotient(R: Representation, tup) -> Representation:
+    """R/U for U held by tup, on the unit vectors at the coordinates off
+    the pivots of U, which ann U_v maps to unit vectors: ann(U_t) R_a is
+    read at those of U_s."""
     pivots = [[u.index(1) for u in U] for U, _ in tup]
     free = [[c for c in range(n) if c not in pv]
             for n, pv in zip(R.dim, pivots)]
-    return (make_rep(R.quiver, tuple(map(len, free)), [
-                [[f[c] for c in free[s - 1]] for f in tup[t - 1][1][a]]
-                for a, (s, t) in enumerate(R.quiver.arrows)], R.field),
-            [_nullspace_of_rref(U, pv, n, R.field.p)[1]
-             for (U, _), pv, n in zip(tup, pivots, R.dim)])
-
-
-def _kept_dim(U_M, tup, Q, ann, phis) -> int:
-    """dim ker(Ext^1(M, L) -> Ext^1(U_M, L/U_L)) for U_M held by tup and
-    Q = L/U_L, on the d unit cocycles phi: d + rank C - rank [C | images],
-    C = _hom_system(U_M, Q) spanning the coboundaries and the images
-    ann(U_L,t) phi_a U_M,s in its row order."""
-    C, p = _hom_system(U_M, Q), Q.field.p
-    rank = _rank_mod(C.data, C.cols, p)
-    if rank == C.rows:  # Ext^1(U_M, L/U_L) = 0
-        return len(phis)
-    images = [[sum(x * sum(map(mul, row, u)) for x, row in zip(f, phi[a])) % p
-               for a, (s, t) in enumerate(Q.quiver.arrows)
-               for f in ann[t - 1] for u in tup[s - 1][0]] for phi in phis]
-    rows = [row + list(xs) for row, xs in zip(C.data, zip(*images))]
-    return len(phis) + rank - _rank_mod(rows, C.cols + len(phis), p)
+    return make_rep(R.quiver, tuple(map(len, free)), [
+        [[f[c] for c in free[s - 1]] for f in tup[t - 1][1][a]]
+        for a, (s, t) in enumerate(R.quiver.arrows)], R.field)
 
 
 def stratify_ext_side(M: Representation, L: Representation, primes):
     """sum X_Y over P Ext^1(M, L), Y the middle term of [eta], as one
-    stratum of chi = d = dim Ext^1 over QQ.  X_Y depends on (dim Y, e)
-    alone, so this is sum_e chi(Z_e) x^exp(e), Z_e = {([eta], U <= Y) :
-    dim U = e}.  U meets L in U_L and maps onto U_M <= M; such U exist iff
-    eta maps to 0 in Ext^1(U_M, L/U_L), and form a Hom(U_M, L/U_L)-torsor,
-    so the fibre over (U_L, U_M) has chi = k (_kept_dim).  chi(Z_e) sums k
-    over the pairs with e_L + e_M = e, counted at each prime and fitted
-    within their largest Grassmannian degree bound.  Every prime must keep
-    [coboundary | representatives] of full row rank, also for d = 0."""
-    rep_indices, _ = ext1_setup(M, L)
-    d = len(rep_indices)
+    stratum of chi = d = dim Ext^1 over QQ.  This is sum_e chi(Z_e)
+    x^exp(e), Z_e = {([eta], U <= Y) : dim U = e}.  U meets L in U_L and
+    maps onto U_M <= M; such U exist iff eta maps to 0 in
+    Ext^1(U_M, L/U_L), and form a Hom(U_M, L/U_L)-torsor.  Ext^2 = 0, so
+    Ext^1(M, L) -> Ext^1(U_M, L) -> Ext^1(U_M, L/U_L) are onto, and the
+    fibre over (U_L, U_M), an affine bundle over the projectivized kernel,
+    has chi d - dim Ext^1(U_M, L/U_L).  chi(Z_e) sums it over the pairs with
+    e_L + e_M = e, counted at each prime and fitted within their largest
+    Grassmannian degree bound.  Every prime must keep dim Ext^1 = d, also
+    for d = 0."""
+    d = ext1_dim(M, L)
     reduced = {}
     for p in primes:
         Mp, Lp = reduce_rep(M, p), reduce_rep(L, p)
-        image = _hom_system(Mp, Lp)
-        if _rank_mod([row + [int(i == j) for j in rep_indices]
-                      for i, row in enumerate(image.data)],
-                     image.cols + d, p) != image.rows:
-            raise PrimeInstabilityError(
-                f"Ext^1 representatives degenerate mod {p}")
+        if ext1_dim(Mp, Lp) != d:
+            raise PrimeInstabilityError(f"Ext^1 space degenerate mod {p}")
         reduced[p] = Mp, Lp
     if not d:
         return []
@@ -148,16 +126,13 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
     _check_prime_count(len(set(primes)), max(bounds.values()))
     counts = {e: dict.fromkeys(reduced, 0) for e in bounds}
     for p, (Mp, Lp) in reduced.items():
-        phis = [[m.data for m in eta.components]
-                for eta in unit_cocycles(Mp, Lp, rep_indices)]
         tables = {}, {}
-        subs_l = [(e, *_quotient(Lp, tup)) for e in es[0]
+        subs_l = [(e, _quotient(Lp, tup)) for e in es[0]
                   for tup in subreps(Lp, e, tables[0])]
-        subs_m = [(e, tup, _sub(Mp, tup)) for e in es[1]
+        subs_m = [(e, _sub(Mp, tup)) for e in es[1]
                   for tup in subreps(Mp, e, tables[1])]
-        for (e_l, Q, ann), (e_m, tup, U_M) in product(subs_l, subs_m):
-            counts[tuple(map(add, e_l, e_m))][p] += _kept_dim(
-                U_M, tup, Q, ann, phis)
+        for (e_l, Q), (e_m, U_M) in product(subs_l, subs_m):
+            counts[tuple(map(add, e_l, e_m))][p] += d - ext1_dim(U_M, Q)
     dim, shifted = tuple(map(add, L.dim, M.dim)), (0,) * M.quiver.n
     return [StratumReport(dim, shifted, d, "ext", exponent_form(
         M.quiver, dim, shifted, {e: fit_and_verify(by_prime, bounds[e])(1)
@@ -167,12 +142,14 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
 # -- the hom-side stratifications -----------------------------------------
 
 def _hom_strata(L: Representation, T: Representation, primes, side: str):
-    """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ.  Before any point,
-    each prime must keep dim Hom = d, also for d = 0.  _hom_walk buckets
-    the points at each prime; a bucket's point counts are fitted within
-    d - 1, and its value is chi times the character of the class of its
-    members, whose Grassmannian counts are fitted on the primes where the
-    bucket occurs."""
+    """Strata of P Hom(L, T), d = dim Hom(L, T) over QQ, one per class
+    (shifted, dim Y) of the middle terms.  Before any point, each prime
+    must keep dim Hom = d, also for d = 0.  _hom_walk counts the points of
+    each memo key k at each prime.  A class's chi is the sum of its points,
+    fitted within d - 1; chi(Z_e) is the count of its incidence variety
+    {(g, U <= Y_g) : dim U = e}, sum_k points_k |Gr_e(Y_k)(F_p)|, fitted
+    within (d - 1) + the Grassmannian degree bound of (dim Y, e), which
+    every class checks against the primes before the first count."""
     d = hom_dim(L, T)
     reduced = {}
     for p in primes:
@@ -184,16 +161,28 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
     if not d:
         return []
     _check_prime_count(len(reduced), d - 1)
-    walks = {p: _hom_walk(*args) for p, args in reduced.items()}
+    classes = {}  # (shifted, dim Y) -> {p: [(points, Y, by_prime)]}
+    for p, args in reduced.items():
+        for points, Y in _hom_walk(*args).values():
+            classes.setdefault((Y.shifted, Y.module.dim), {}).setdefault(
+                p, []).append((points, Y.module, {}))
+    for _, dim in classes:  # e_v(d_v - e_v) is largest at e_v = d_v // 2
+        _check_prime_count(len(reduced), d - 1 + grassmannian_degree_bound(
+            dim, [n // 2 for n in dim]))
     reports = []
-    for key in sorted(set().union(*walks.values())):
-        chi = fit_and_verify({p: walk[key][0] if key in walk else 0
-                              for p, walk in walks.items()}, d - 1)(1)
-        profile = _profile_of({p: walk[key][1].module
-                               for p, walk in walks.items() if key in walk})
-        shifted, dim = key[0], key[1][0]
+    for shifted, dim in sorted(classes):
+        members = classes[shifted, dim]
+        chi = fit_and_verify({p: sum(n for n, *_ in members.get(p, ()))
+                              for p in reduced}, d - 1)(1)
+        profile = {}
+        for e in product(*[range(n + 1) for n in dim]):
+            plan = _plan(L.quiver, dim, e)
+            profile[e] = fit_and_verify({p: sum(
+                n * _count_subreps(Y, plan, p, by_prime)
+                for n, Y, by_prime in members.get(p, ())) for p in reduced},
+                d - 1 + grassmannian_degree_bound(dim, e))(1)
         reports.append(StratumReport(dim, shifted, chi, side, exponent_form(
-            L.quiver, dim, shifted, profile).scale(chi)))
+            L.quiver, dim, shifted, profile)))
     total = sum(s.chi for s in reports)
     if total != d:
         raise CCLabError(
@@ -202,22 +191,23 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
 
 
 def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
-    """{(shifted, fingerprint): [points, member]} over P Hom(Lp, Tp)(F_p)
-    on the basis maps, the member being the first middle term built for
-    the key.  The middle term of g is _hom_side_middle(Ker g, R,
-    dim Coker g), R = tau^{-1} Coker g = Coker h for h = tau^{-1} g, which
-    ar_inverse_maps, linear and right exact, forms from the basis maps.
+    """{memo key: [points, middle term]} over P Hom(Lp, Tp)(F_p) on the
+    basis maps, in the order the keys are first met.  The middle term of g
+    is _hom_side_middle(Ker g, R, dim Coker g), R = tau^{-1} Coker g =
+    Coker h for h = tau^{-1} g, which ar_inverse_maps, linear and right
+    exact, forms from the basis maps.
 
     As Coker h = D Ker(Dh), Dh the transposes, a point's memo key is the
     _kernel_key of g and of Dh.  Equal keys give equal K, R and
-    dim Coker g, so a miss builds the middle term from the key alone.
+    dim Coker g, so the middle term is built once a key, from the key
+    alone.
 
     Where every vertex map of g and of Dh is injective, the key is the one
     of K = R = 0, with dim Coker g = dim T - dim L.  Only the other points,
     the union N of the _non_injective sets of the vertex pencils, are
     visited and keyed, in the order of _lines; the injective key counts
-    the rest at the place of the first point outside N, so every bucket
-    keeps the member a point-by-point walk would give it.
+    the rest at the place of the first point outside N, so the keys come
+    in the order a point-by-point walk would meet them.
     """
     p, n, d = Lp.field.p, Lp.quiver.n, len(basis)
     _, Th, images = ar_inverse_maps(Lp, Tp, basis)
@@ -237,7 +227,7 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     maps_at = [_combination(parts) for parts in pencils]
     arrows = ((),) * len(Lp.quiver.arrows)
     injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
-    memo, buckets = {}, {}
+    walk = {}
     for c in sorted(keyed | ({first} if first else set()),
                     key=lambda c: (c.index(1), c)):
         if c == first:
@@ -246,15 +236,13 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
             at_c = [[[x % p for x in row] for row in A(c)] for A in maps_at]
             mk, count = (_kernel_key(at_c[:n], Lp),
                          _kernel_key(at_c[n:], DTh)), 1
-        key = memo.get(mk)
-        if key is None:
+        if mk not in walk:
             dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
-            Y = _hom_side_middle(_rep_of_key(mk[0], Lp),
-                                 dual(_rep_of_key(mk[1], DTh)), dim_c)
-            key = memo[mk] = (Y.shifted, fingerprint(Y.module))
-            buckets.setdefault(key, [0, Y])
-        buckets[key][0] += count
-    return buckets
+            walk[mk] = [0, _hom_side_middle(
+                _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
+                dim_c)]
+        walk[mk][0] += count
+    return walk
 
 
 def _non_injective(parts, cols: int, p: int) -> set:

@@ -2,24 +2,29 @@
 brute-force walk of the projective space."""
 
 from itertools import combinations, product
+from operator import mul
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from strategies import rep_pairs
 
 from cclab import multiplication
 from cclab.config import default_primes
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.grassmannian import (count_subreps, fit_and_verify,
-                                grassmannian_degree_bound, subspaces)
-from cclab.multiplication import stratify_ext_side, verify_xx1
+                                gaussian_binomial, grassmannian_degree_bound,
+                                subreps, subspaces)
+from cclab.linalg import _nullspace_of_rref, _rank_mod
+from cclab.multiplication import (_quotient, _sub, stratify_ext_side,
+                                  verify_xx1)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver, validate_quiver)
-from cclab.reps import (ExtCocycle, combine, ext1_dim, ext1_setup,
-                        make_rep, middle_term, reduce_rep, standard_module,
-                        unit_cocycles)
+from cclab.reps import (ExtCocycle, _hom_system, combine, ext1_dim,
+                        ext1_setup, make_rep, middle_term, reduce_rep,
+                        standard_module, unit_cocycles)
 
 PRIMES = default_primes()
 
@@ -159,3 +164,56 @@ def test_kronecker_xx1_holds(L, M):
     """Three Kronecker inputs whose Ext side the fingerprint buckets got
     wrong: R_l + R_m and R_l[2] share a fingerprint, not a character."""
     assert verify_xx1(L, M, PRIMES).verdict
+
+
+def cocycle_kept_dim(U_M, tup, Q, ann, phis) -> int:
+    """dim ker(Ext^1(M, L) -> Ext^1(U_M, L/U_L)) from cocycle images, for
+    U_M held by tup, Q = L/U_L and ann = ann U_L per vertex, on the unit
+    cocycles phi of Ext^1(M, L): d + rank C - rank [C | images], with
+    C = _hom_system(U_M, Q) spanning the coboundaries and the images
+    ann(U_L,t) phi_a U_M,s in its row order."""
+    C, p = _hom_system(U_M, Q), Q.field.p
+    images = [[sum(x * sum(map(mul, row, u)) for x, row in zip(f, phi[a])) % p
+               for a, (s, t) in enumerate(Q.quiver.arrows)
+               for f in ann[t - 1] for u in tup[s - 1][0]] for phi in phis]
+    rows = [row + [image[i] for image in images]
+            for i, row in enumerate(C.data)]
+    return (len(phis) + _rank_mod(C.data, C.cols, p)
+            - _rank_mod(rows, C.cols + len(phis), p))
+
+
+def _all_subreps(R) -> list:
+    """Every subrepresentation of R over its GF(p), as subreps entries."""
+    return [tup for e in product(*[range(n + 1) for n in R.dim])
+            for tup in subreps(R, e)]
+
+
+def _tuples(R) -> int:
+    """The subspace tuples that _all_subreps(R) walks."""
+    out = 1
+    for d in R.dim:
+        out *= sum(gaussian_binomial(d, k, R.field.p) for k in range(d + 1))
+    return out
+
+
+@given(rep_pairs(max_dim=2))
+@settings(deadline=None, max_examples=200)
+def test_fibre_is_a_dimension_count(case):
+    """Ext^2 = 0 makes Ext^1(M, L) -> Ext^1(U_M, L/U_L) onto, so for every
+    U_L <= L and U_M <= M its kernel, ranked from the images of the unit
+    cocycles, has dimension d - dim Ext^1(U_M, L/U_L): the fibre that
+    stratify_ext_side counts over the pair."""
+    M, L, _ = case
+    assume(_tuples(M) * _tuples(L) <= 5000)  # bounds the pairs ranked
+    p, d = M.field.p, ext1_dim(M, L)
+    phis = [[m.data for m in eta.components]
+            for eta in unit_cocycles(M, L, ext1_setup(M, L)[0])]
+    assert len(phis) == d
+    quotients = [(_quotient(L, tup), [
+        _nullspace_of_rref(U, [u.index(1) for u in U], n, p)[1]
+        for (U, _), n in zip(tup, L.dim)]) for tup in _all_subreps(L)]
+    for tup in _all_subreps(M):
+        U_M = _sub(M, tup)
+        for Q, ann in quotients:
+            assert (cocycle_kept_dim(U_M, tup, Q, ann, phis)
+                    == d - ext1_dim(U_M, Q))

@@ -12,32 +12,34 @@ from strategies import base_changed
 from cclab import multiplication
 from cclab.artranslate import (ar_inverse_maps, ar_translate,
                                has_projective_summand)
+from cclab.character import cc
 from cclab.config import default_primes
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
+from cclab.errors import ConfigurationError
 from cclab.linalg import _rank_mod
 from cclab.multiplication import (_hom_side_middle, _hom_walk, _lines,
-                                  _non_injective)
+                                  _non_injective, stratify_hom_side)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
-from cclab.reps import (_kernel_key, _rep_of_key, combine, dual,
-                        fingerprint, hom_basis, hom_dim, injective_rep,
-                        projective_rep, reduce_rep, simple_rep,
-                        standard_module)
+from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key, combine,
+                        direct_sum, dual, fingerprint, hom_basis, hom_dim,
+                        injective_rep, make_rep, projective_rep, reduce_rep,
+                        simple_rep, standard_module)
 
 
 def pointwise_walk(Lp, Tp, basis) -> dict:
-    """_hom_walk's buckets, {(shifted, fingerprint): [points, member]}, from
-    every point of P Hom(Lp, Tp)(F_p) in the order of _lines: where each
-    vertex map of g and of Dh has full column rank the point takes the key
-    of K = R = 0, elsewhere it reads the _kernel_key of g and of Dh; a key
-    seen first builds the middle term."""
+    """_hom_walk's {memo key: [points, middle term]} from every point of
+    P Hom(Lp, Tp)(F_p) in the order of _lines: where each vertex map of g
+    and of Dh has full column rank the point takes the key of K = R = 0,
+    elsewhere it reads the _kernel_key of g and of Dh; a key seen first
+    builds the middle term."""
     p = Lp.field.p
     _, Th, images = ar_inverse_maps(Lp, Tp, basis)
     DTh = dual(Th)
     arrows = ((),) * len(Lp.quiver.arrows)
     injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
-    memo, buckets = {}, {}
+    walk = {}
     for head, ts in _lines(p, len(basis)):
         for t in ts:
             c = head + (t,)
@@ -48,14 +50,13 @@ def pointwise_walk(Lp, Tp, basis) -> dict:
                 mk = injective_key
             else:
                 mk = (_kernel_key(g, Lp), _kernel_key(Dh, DTh))
-            if mk not in memo:
+            if mk not in walk:
                 dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
-                Y = _hom_side_middle(_rep_of_key(mk[0], Lp),
-                                     dual(_rep_of_key(mk[1], DTh)), dim_c)
-                memo[mk] = (Y.shifted, fingerprint(Y.module))
-                buckets.setdefault(memo[mk], [0, Y])
-            buckets[memo[mk]][0] += 1
-    return buckets
+                walk[mk] = [0, _hom_side_middle(
+                    _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
+                    dim_c)]
+            walk[mk][0] += 1
+    return walk
 
 
 def stock_hom_sides():
@@ -107,8 +108,8 @@ def _both_walks(L, T, p):
 @pytest.mark.parametrize("label, L, T", STOCK,
                          ids=[label for label, *_ in STOCK])
 def test_walk_matches_pointwise_on_stock_sides(label, L, T):
-    """At p = 2, 3 and 5, every bucket has the count and the member of the
-    point-by-point walk, whose keys come in the same order."""
+    """At p = 2, 3 and 5, every memo key has the count and the middle term
+    of the point-by-point walk, whose keys come in the same order."""
     for p in (2, 3, 5):
         walk, pointwise = _both_walks(L, T, p)
         assert list(walk.items()) == list(pointwise.items())
@@ -141,10 +142,61 @@ def test_kronecker_keys_p_plus_one_points(monkeypatch, M):
     for p in default_primes():
         keyed.clear()
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        buckets = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
+        walk = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
         assert len(keyed) == 2 * (p + 1)
         d = len(hom_basis(Lp, Tp))
-        assert sum(n for n, _ in buckets.values()) == (p ** d - 1) // (p - 1)
+        assert sum(n for n, _ in walk.values()) == (p ** d - 1) // (p - 1)
+
+
+def _split_and_band():
+    """A = R(1, 0) (+) R(1, 1) and B = R_0[2] on Kronecker, arrows
+    (I, [[0, 0], [1, 0]]): one fingerprint, but Gr_(1,1) holds the two
+    eigenlines of A and the one of B."""
+    q = kronecker_quiver()
+    return (direct_sum(kronecker_regular(1, 0), kronecker_regular(1, 1)),
+            make_rep(q, (2, 2), [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]))
+
+
+def _walk_of_split_and_band(Lp, Tp, basis):
+    """A _hom_walk stand-in for P^1(F_p): p points of A and one of B, as
+    two memo keys of the class (shifted 0, dim (2, 2))."""
+    p = Lp.field.p
+    A, B = _split_and_band()
+    return {"A": [p, ClusterObject(reduce_rep(A, p), (0, 0))],
+            "B": [1, ClusterObject(reduce_rep(B, p), (0, 0))]}
+
+
+def test_class_sums_members_that_share_a_fingerprint(monkeypatch):
+    """On P Hom(S2, tau S1) of Kronecker, of dimension 2, a class whose
+    members A and B share a fingerprint but not a character is one
+    stratum of chi 2 and value X_A + X_B: each member's points weight its
+    own Grassmannian counts.  One member standing for a fingerprint class
+    would give 2 X_A."""
+    q, primes = kronecker_quiver(), default_primes()
+    A, B = _split_and_band()
+    assert fingerprint(A) == fingerprint(B)
+    assert cc(A, primes).value != cc(B, primes).value
+    monkeypatch.setattr(multiplication, "_hom_walk", _walk_of_split_and_band)
+    (stratum,) = stratify_hom_side(simple_rep(q, 2), simple_rep(q, 1),
+                                   primes)
+    assert (stratum.dim, stratum.shifted, stratum.chi) == ((2, 2), (0, 0), 2)
+    assert stratum.value == cc(A, primes).value + cc(B, primes).value
+
+
+def test_class_bound_refuses_too_few_primes_before_any_count(monkeypatch):
+    """With d = 2 the points fit within 1 and need 3 primes, but the class
+    of dim (2, 2) counts Gr_(1,1) within 1 + 2 and needs 5: 4 primes are
+    refused before any Grassmannian count."""
+    q, counted = kronecker_quiver(), []
+    count = multiplication._count_subreps
+    monkeypatch.setattr(multiplication, "_hom_walk", _walk_of_split_and_band)
+    monkeypatch.setattr(multiplication, "_count_subreps",
+                        lambda *args: counted.append(args) or count(*args))
+    with pytest.raises(ConfigurationError,
+                       match="need at least 5 primes, have 4"):
+        stratify_hom_side(simple_rep(q, 2), simple_rep(q, 1),
+                          default_primes()[:4])
+    assert counted == []
 
 
 @st.composite

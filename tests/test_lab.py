@@ -37,7 +37,8 @@ def hom_side_middle_term(K, C):
 
 
 def bucket_key(Y):
-    """The (shifted, fingerprint) key of a Hom-side bucket."""
+    """The (shifted, fingerprint) key by which these tests group middle
+    terms: an isomorphism invariant, checked against pointwise ones."""
     return Y.shifted, fingerprint(Y.module)
 
 
@@ -242,7 +243,7 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
 
 
 def _walk(L, M, p):
-    """(basis, buckets) of _hom_walk on P Hom(L, tau M) at p, on the Hom
+    """(basis, walk) of _hom_walk on P Hom(L, tau M) at p, on the Hom
     basis over GF(p)."""
     T = artranslate.ar_translate(M)
     Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
@@ -260,16 +261,16 @@ def test_hom_side_misses_per_prime(monkeypatch, few_primes, L, M,
     """Points whose cokernels differ but whose tau^{-1} Coker g agree share
     one memo key: on Kronecker hom(S2, S1) all p + 1 points of each prime
     build at most one middle term, on D4-tilde hom(P1, I5) at most four.
-    The walk of each prime buckets every point of its projective space."""
+    The walk of each prime counts every point of its projective space."""
     built = []
     monkeypatch.setattr(multiplication, "_hom_side_middle",
                         lambda *args: built.append(args)
                         or _hom_side_middle(*args))
     for p in few_primes:
         built.clear()
-        basis, buckets = _walk(L, M, p)
+        basis, walk = _walk(L, M, p)
         assert 0 < len(built) <= per_prime
-        assert sum(n for n, _ in buckets.values()) == sum(
+        assert sum(n for n, _ in walk.values()) == sum(
             len(ts) for _, ts in _lines(p, len(basis)))
 
 
@@ -320,20 +321,22 @@ def test_lines_cover_projective_space_once(d, p):
 
 
 def _hom_buckets_and_pointwise(L, M, p):
-    """The bucket sizes of _hom_walk on P Hom(L, tau M) at p, beside a
-    Counter of the bucket keys of the middle terms of g = combine(basis, c)
-    built point by point with kernel_rep, cokernel_rep and ar_inverse.
-    Each bucket's member carries its bucket's key."""
+    """The points of _hom_walk on P Hom(L, tau M) at p summed per bucket
+    key of the middle terms of its memo keys, beside a Counter of the
+    bucket keys of the middle terms of g = combine(basis, c) built point
+    by point with kernel_rep, cokernel_rep and ar_inverse."""
     Lp, Tp = reduce_rep(L, p), reduce_rep(artranslate.ar_translate(M), p)
-    basis, buckets = _walk(L, M, p)
-    assert all(bucket_key(Y) == key for key, (_, Y) in buckets.items())
+    basis, walk = _walk(L, M, p)
+    buckets = Counter()
+    for n, Y in walk.values():
+        buckets[bucket_key(Y)] += n
     pointwise = Counter()
     for head, ts in _lines(p, len(basis)):
         for t in ts:
             g = combine(basis, head + (t,))
             pointwise[bucket_key(hom_side_middle_term(
                 kernel_rep(g, Lp, Tp), cokernel_rep(g, Lp, Tp)))] += 1
-    return {key: n for key, (n, _) in buckets.items()}, pointwise
+    return buckets, pointwise
 
 
 @pytest.mark.parametrize("L, M", [
