@@ -37,8 +37,8 @@ def hom_side_middle_term(K, C):
 
 
 def bucket_key(Y):
-    """The (shifted, fingerprint) key by which these tests group middle
-    terms: an isomorphism invariant, checked against pointwise ones."""
+    """The (shifted, fingerprint) key, an isomorphism invariant, by which
+    these tests group middle terms."""
     return Y.shifted, fingerprint(Y.module)
 
 
