@@ -25,9 +25,12 @@ CCLAB_PRIMES unset unless a line names it.  On each quiver:
 
 Then, once, on fixed files of the A2 quiver: a module with a fraction
 entry; malformed module files, quiver files and `--shifted` vectors; and
-prime lists that are malformed or do not exceed a module's entries.  Each line names the call, then gives its
-exit code, then its stdout or its error.  The whole digest takes about
-half a minute, most of it on the Kronecker pairs.
+prime lists that are malformed or do not exceed a module's entries.  Each
+line names the call, then gives its exit code, then its stdout or its
+error.  The whole digest, 1,229 lines, takes about 3.6 s of CPU time on
+one core of a 2-vCPU Intel Xeon.
+tests/golden_digest.txt holds it, and tests/test_scripts.py compares a
+fresh run with it byte for byte.
 """
 
 from __future__ import annotations

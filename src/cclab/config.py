@@ -50,11 +50,13 @@ def parse_primes(raw: str) -> tuple[int, ...]:
 
 
 def resolve_primes(raw: str | None, max_entry: int) -> tuple[int, ...]:
-    """The sample primes of one command: the `--primes` text raw, else
-    CCLAB_PRIMES, else default_primes(max_entry); each must exceed
-    max_entry, the largest matrix entry of the input."""
-    raw = raw or os.environ.get(ENV_PRIMES)
-    primes = parse_primes(raw) if raw else default_primes(max_entry)
+    """The sample primes of one command: the `--primes` text raw, else,
+    when the flag is absent (raw is None), a nonempty CCLAB_PRIMES, else
+    default_primes(max_entry); each must exceed max_entry, the largest
+    matrix entry of the input.  An empty flag is an empty prime list."""
+    if raw is None:
+        raw = os.environ.get(ENV_PRIMES) or None
+    primes = default_primes(max_entry) if raw is None else parse_primes(raw)
     bad = [p for p in primes if p <= max_entry]
     if bad:
         raise ConfigurationError(

@@ -263,46 +263,35 @@ def grassmannian_degree_bound(dim, e) -> int:
 
 def euler_char_grassmannian(M: Representation, e, primes) -> int:
     """chi(Gr_e M) as P(1) of the verified counting polynomial."""
-    return _euler_char(dict.fromkeys(primes, M), e, {})
+    return _euler_char(M, e, sorted(set(primes)), {})
 
 
-def _euler_char(modules: dict, e, by_prime: dict) -> int:
-    """chi(Gr_e M) from modules, which holds per sample prime p a module
-    that counts as M there: M itself, or a reduction of it to GF(p).  The
-    counts share by_prime (see _count_subreps)."""
-    M = next(iter(modules.values()))
-    bound = grassmannian_degree_bound(M.dim, e)
-    _check_prime_count(len(modules), bound)
+def _euler_char(M: Representation, e, primes, by_prime: dict) -> int:
+    """chi(Gr_e M) from its counts at the sorted distinct primes, which
+    share by_prime (see _count_subreps).  e is checked before the primes
+    are."""
     plan = _plan(M.quiver, M.dim, e)
-    counts = {p: _count_subreps(modules[p], plan, p, by_prime)
-              for p in sorted(modules)}
-    return fit_and_verify(counts, bound)(1)
-
-
-def _profile_of(modules: dict) -> dict:
-    """chi(Gr_e M) for every e <= dim M, zero entries omitted, counted on
-    modules as in _euler_char; {dim M: 1} for the zero module.  Too few
-    primes for any e are refused before the first count."""
-    M = next(iter(modules.values()))
-    es = list(product(*[range(d + 1) for d in M.dim]))
-    for e in es:
-        _check_prime_count(len(modules), grassmannian_degree_bound(M.dim, e))
-    by_prime, out = {}, {}
-    for e in es:
-        chi = _euler_char(modules, e, by_prime)
-        if chi:
-            out[e] = chi
-    return out
+    bound = grassmannian_degree_bound(M.dim, e)
+    _check_prime_count(len(primes), bound)
+    return fit_and_verify({p: _count_subreps(M, plan, p, by_prime)
+                           for p in primes}, bound)(1)
 
 
 def grassmannian_profile(M: Representation, primes) -> dict:
     """chi(Gr_e M) for every e <= dim M, zero entries omitted."""
     return dict(_profile(M.quiver, M.field, M.dim, _content(M),
-                         tuple(sorted(primes))))
+                         tuple(sorted(set(primes)))))
 
 
 @lru_cache(maxsize=256)
 def _profile(q, field, dim, matrices, primes) -> dict:
-    """grassmannian_profile, cached on the module's exact content."""
+    """grassmannian_profile, cached on the module's exact content and its
+    sorted distinct primes; {dim M: 1} for the zero module.  Too few
+    primes for any e are refused before the first count."""
     M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
-    return _profile_of(dict.fromkeys(primes, M))
+    es = list(product(*[range(d + 1) for d in dim]))
+    for e in es:
+        _check_prime_count(len(primes), grassmannian_degree_bound(dim, e))
+    by_prime = {}
+    chis = {e: _euler_char(M, e, primes, by_prime) for e in es}
+    return {e: chi for e, chi in chis.items() if chi}

@@ -4,10 +4,9 @@ Matrices store field elements in row-major nested lists and compute with
 Python's own operators; the field's `of` puts each result in the field, mod
 p over GF(p) and a Fraction over QQ.  Each field carries its characteristic
 p, 0 for QQ, and one elimination and one nullspace serve both: int rows
-reduced mod p when p > 0, Fraction rows when p = 0.  Only rank,
-determinant and the ranks along a line B + tD (line_ranks) have GF(p)-only
-kernels.  Dimensions are tiny (desk scale), so plain Gaussian elimination
-is used throughout.
+reduced mod p when p > 0, Fraction rows when p = 0.  Only rank has a
+GF(p)-only kernel.  Dimensions are tiny (desk scale), so plain Gaussian
+elimination is used throughout.
 Zero-row and zero-column matrices are legal and behave as expected.
 """
 
@@ -238,77 +237,6 @@ def _nullspace_of_rref(red: list, pivots: list, ncols: int, p: int):
             v[pc] = -red[r][fc] % p if p else -red[r][fc]
         vecs.append(v)
     return free, vecs
-
-
-def _det_mod(m: list, p: int) -> int:
-    """Determinant mod p of a square matrix of int rows in [0, p)."""
-    m, det = list(m), 1
-    for c in range(len(m)):
-        for i in range(c, len(m)):
-            if m[i][c]:
-                break
-        else:
-            return 0
-        m[c], m[i] = m[i], m[c]
-        det = (det if i == c else -det) * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, len(m)):
-            f = m[i][c] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det
-
-
-def line_ranks(B: list, D: list, ncols: int, p: int, ts) -> list:
-    """rank(B + t D) over GF(p) for each t in ts, distinct elements of F_p,
-    for int rows B and D with ncols columns, entries read mod p.
-
-    With n = min(rows, ncols), the ranks at n + 1 of the t reach the
-    generic rank r, since an r x r minor that is nonzero over F_p(t) has at
-    most r roots.  Such a minor, mu(t), sits on the pivot columns of B + tD
-    at a t of rank r and on the pivot rows of those columns there.  It is
-    interpolated from its values at r + 1 of the t, and only at its roots
-    is B + tD ranked; elsewhere the rank is r.  With at most n + 1 values
-    of t, each is ranked.
-    """
-    ts = list(ts)
-    n = min(len(B), ncols)
-    if len(ts) <= n + 1:
-        return [_rank_at(B, D, ncols, p, t) for t in ts]
-    ranks = []
-    for t in ts[:n + 1]:
-        ranks.append(_rank_at(B, D, ncols, p, t))
-        if ranks[-1] == n:
-            break
-    r, rest = max(ranks), ts[len(ranks):]
-    if not r:
-        return ranks + [0] * len(rest)
-    t = ts[ranks.index(r)]
-    A = [[(x + t * y) % p for x, y in zip(u, v)] for u, v in zip(B, D)]
-    cols = (range(ncols) if r == ncols
-            else _rref([row[:] for row in A], ncols, p))
-    rows = (range(len(A)) if r == len(A)
-            else _rref([[row[c] for row in A] for c in cols], len(A), p))
-    Bm, Dm = ([[M[i][c] for c in cols] for i in rows] for M in (B, D))
-    # mu in Newton form on the nodes xs, then evaluated at the rest
-    xs = ts[:r + 1]
-    coef = [_det_mod([[(x + t * y) % p for x, y in zip(u, v)]
-                      for u, v in zip(Bm, Dm)], p) for t in xs]
-    for j in range(1, r + 1):
-        for i in range(r, j - 1, -1):
-            coef[i] = ((coef[i] - coef[i - 1])
-                       * pow(xs[i] - xs[i - j], -1, p) % p)
-    mu = [coef[r]] * len(rest)
-    for x, c in zip(xs[r - 1::-1], coef[r - 1::-1]):
-        mu = [(m * (t - x) + c) % p for m, t in zip(mu, rest)]
-    return ranks + [r if m else _rank_at(B, D, ncols, p, t)
-                    for m, t in zip(mu, rest)]
-
-
-def _rank_at(B: list, D: list, ncols: int, p: int, t: int) -> int:
-    """rank(B + t D) over GF(p) by elimination, for line_ranks."""
-    return _rank_mod([[x + t * y for x, y in zip(u, v)]
-                      for u, v in zip(B, D)], ncols, p)
 
 
 def _combination(parts: list):

@@ -31,7 +31,7 @@ from .grassmannian import (_check_prime_count, _count_subreps, _plan,
                            fit_and_verify, grassmannian_degree_bound,
                            grassmannian_profile, subreps, subspaces)
 from .laurent import LaurentPolynomial
-from .linalg import _combination, _nullspace, _rank_mod, line_ranks
+from .linalg import _combination, _nullspace, _rank_mod
 from .reps import (ClusterObject, Representation, _kernel_key, _rep_of_key,
                    cluster_object, direct_sum, dual, ext1_dim, hom_basis,
                    hom_dim, make_rep, reduce_rep, stable_ext1_dim,
@@ -60,16 +60,6 @@ class VerificationReport:
     strata: list
     verdict: bool
     label: str = ""
-
-
-def _lines(p: int, d: int):
-    """P^{d-1}(F_p), first nonzero coordinate 1, as lines (head, ts) of the
-    points head + (t,): ts = range(p) for each point head of P^{d-2}(F_p),
-    then ts = (1,) for the zero head.  The points come in the order of
-    subspaces(p, d, 1)."""
-    for (head,) in subspaces(p, d - 1, 1):
-        yield head, range(p)
-    yield (0,) * (d - 1), (1,)
 
 
 # -- the ext-side integral -------------------------------------------------
@@ -205,9 +195,9 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     Where every vertex map of g and of Dh is injective, the key is the one
     of K = R = 0, with dim Coker g = dim T - dim L.  Only the other points,
     the union N of the _non_injective sets of the vertex pencils, are
-    visited and keyed, in the order of _lines; the injective key counts
-    the rest at the place of the first point outside N, so the keys come
-    in the order a point-by-point walk would meet them.
+    visited and keyed, in the order of subspaces(p, d, 1); the injective
+    key counts the rest at the place of the first point outside N, so the
+    keys come in the order a point-by-point walk would meet them.
     """
     p, n, d = Lp.field.p, Lp.quiver.n, len(basis)
     _, Th, images = ar_inverse_maps(Lp, Tp, basis)
@@ -222,8 +212,8 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     for parts, cols in zip(pencils, Lp.dim + DTh.dim):
         if len(keyed) < total:
             keyed |= _non_injective(parts, cols, p)
-    first = next((head + (t,) for head, ts in _lines(p, d) for t in ts
-                  if head + (t,) not in keyed), None)
+    first = next((c for (c,) in subspaces(p, d, 1) if c not in keyed),
+                 None)
     maps_at = [_combination(parts) for parts in pencils]
     arrows = ((),) * len(Lp.quiver.arrows)
     injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
@@ -255,21 +245,18 @@ def _non_injective(parts, cols: int, p: int) -> set:
     rows than columns, or a kernel vector shared by every A_k) gives every
     point.  With cols < d, A(c) v = W_v c for W_v = [A_1 v | ... | A_d v],
     and each [v] of P^{cols-1} gives the points of P(Ker W_v).  Otherwise
-    P^{d-1} is walked by _lines, and line_ranks ranks each line.
+    A(c) is ranked at each point of subspaces(p, d, 1).
     """
     d = len(parts)
     if not cols:
         return set()
+    points = (c for (c,) in subspaces(p, d, 1))
     if len(parts[0]) < cols or _rank_mod(
             [row for A in parts for row in A], cols, p) < cols:
-        return {head + (t,) for head, ts in _lines(p, d) for t in ts}
-    if d == 1:  # A_1 has full column rank at the one point
-        return set()
+        return set(points)
     if cols >= d:
         A = _combination(parts)
-        return {head + (t,) for head, ts in _lines(p, d)
-                for t, r in zip(ts, line_ranks(A(head + (0,)), parts[-1],
-                                               cols, p, ts)) if r < cols}
+        return {c for c in points if _rank_mod(A(c), cols, p) < cols}
     out = set()
     for (v,) in subspaces(p, cols, 1):
         W = [[sum(map(mul, row, v)) % p for row in rows]

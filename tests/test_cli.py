@@ -251,6 +251,19 @@ def test_primes_flag_rejects_composite(workdir):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("env", [None, "23,29,31,37"], ids=["unset", "set"])
+def test_primes_flag_empty_is_an_empty_list(workdir, monkeypatch, env):
+    """An empty --primes is an empty prime list, as "," is, whether or not
+    CCLAB_PRIMES is set: it neither falls back to CCLAB_PRIMES nor to the
+    defaults."""
+    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
+    if env:
+        monkeypatch.setenv("CCLAB_PRIMES", env)
+    res = run("cc", "--quiver", "a2.q", "--module", "s1.m", "--primes", "")
+    assert res.exit_code == 1
+    assert "empty prime list" in res.stderr
+
+
 @pytest.mark.parametrize("args", [("mutate", "--directions", "1"),
                                   ("list-variables", "--depth", "5")])
 def test_primes_flag_only_on_counting_commands(workdir, args):
@@ -388,14 +401,16 @@ def test_empty_shifted_vector_is_refused_alike(workdir, command):
 
 @pytest.mark.parametrize("flag, env, expected", [
     (None, None, [23, 29, 31, 37, 41, 43, 47, 53]),
+    (None, "", [23, 29, 31, 37, 41, 43, 47, 53]),
     (None, "29,31,37,41", [29, 31, 37, 41]),
     ("31,37,41,43", None, [31, 37, 41, 43]),
     ("31,37,41,43", "29,31,37,41", [31, 37, 41, 43]),
-], ids=["defaults", "env", "flag", "flag-beats-env"])
+], ids=["defaults", "empty-env", "env", "flag", "flag-beats-env"])
 def test_primes_precedence(workdir, monkeypatch, flag, env, expected):
-    """--primes beats CCLAB_PRIMES, which beats the defaults."""
+    """--primes beats CCLAB_PRIMES, which beats the defaults; an empty
+    CCLAB_PRIMES counts as unset."""
     monkeypatch.delenv("CCLAB_PRIMES", raising=False)
-    if env:
+    if env is not None:
         monkeypatch.setenv("CCLAB_PRIMES", env)
     args = ["cc", "--quiver", "a2.q", "--module", "s1.m",
             "--format", "structured"] + (["--primes", flag] if flag else [])

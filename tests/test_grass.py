@@ -285,6 +285,15 @@ def test_fit_and_verify_needs_enough_primes():
         fit_and_verify({23: 1, 29: 1}, 1)
 
 
+def test_euler_char_checks_e_before_the_primes():
+    """A dimension vector of the wrong length is an input error, even with
+    too few primes for the degree bound it would give."""
+    qk = kronecker_quiver()
+    p1 = projective_rep(qk, 1)
+    with pytest.raises(InputError, match="dimension vector length mismatch"):
+        euler_char_grassmannian(direct_sum(p1, p1), (1, 2, 9), (23, 29, 31))
+
+
 def test_euler_char_refuses_before_counting(primes, monkeypatch):
     qk = kronecker_quiver()
     p1 = projective_rep(qk, 1)

@@ -17,9 +17,10 @@ from cclab.config import default_primes
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.errors import ConfigurationError
+from cclab.grassmannian import subspaces
 from cclab.linalg import _rank_mod
-from cclab.multiplication import (_hom_side_middle, _hom_walk, _lines,
-                                  _non_injective, stratify_hom_side)
+from cclab.multiplication import (_hom_side_middle, _hom_walk, _non_injective,
+                                  stratify_hom_side, verify_xx1)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key, combine,
@@ -30,32 +31,30 @@ from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key, combine,
 
 def pointwise_walk(Lp, Tp, basis) -> dict:
     """_hom_walk's {memo key: [points, middle term]} from every point of
-    P Hom(Lp, Tp)(F_p) in the order of _lines: where each vertex map of g
-    and of Dh has full column rank the point takes the key of K = R = 0,
-    elsewhere it reads the _kernel_key of g and of Dh; a key seen first
-    builds the middle term."""
+    P Hom(Lp, Tp)(F_p) in the order of subspaces(p, d, 1): where each
+    vertex map of g and of Dh has full column rank the point takes the key
+    of K = R = 0, elsewhere it reads the _kernel_key of g and of Dh; a key
+    seen first builds the middle term."""
     p = Lp.field.p
     _, Th, images = ar_inverse_maps(Lp, Tp, basis)
     DTh = dual(Th)
     arrows = ((),) * len(Lp.quiver.arrows)
     injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
     walk = {}
-    for head, ts in _lines(p, len(basis)):
-        for t in ts:
-            c = head + (t,)
-            g = [m.data for m in combine(basis, c)]
-            Dh = [m.transpose().data for m in combine(images, c)]
-            if all(_rank_mod(A, cols, p) == cols
-                   for A, cols in zip(g + Dh, Lp.dim + DTh.dim)):
-                mk = injective_key
-            else:
-                mk = (_kernel_key(g, Lp), _kernel_key(Dh, DTh))
-            if mk not in walk:
-                dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
-                walk[mk] = [0, _hom_side_middle(
-                    _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
-                    dim_c)]
-            walk[mk][0] += 1
+    for (c,) in subspaces(p, len(basis), 1):
+        g = [m.data for m in combine(basis, c)]
+        Dh = [m.transpose().data for m in combine(images, c)]
+        if all(_rank_mod(A, cols, p) == cols
+               for A, cols in zip(g + Dh, Lp.dim + DTh.dim)):
+            mk = injective_key
+        else:
+            mk = (_kernel_key(g, Lp), _kernel_key(Dh, DTh))
+        if mk not in walk:
+            dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
+            walk[mk] = [0, _hom_side_middle(
+                _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
+                dim_c)]
+        walk[mk][0] += 1
     return walk
 
 
@@ -148,6 +147,25 @@ def test_kronecker_keys_p_plus_one_points(monkeypatch, M):
         assert sum(n for n, _ in walk.values()) == (p ** d - 1) // (p - 1)
 
 
+def test_pointwise_pencils_at_default_primes(monkeypatch):
+    """Kronecker xx1(P1, R(1, 0) (+) R(1, 1)) holds on the default primes,
+    and its Hom side has vertex pencils with cols >= d >= 2 and full
+    stacked rank, which _non_injective ranks point by point."""
+    q = kronecker_quiver()
+    ranked = []
+    non_injective = multiplication._non_injective
+
+    def spy(parts, cols, p):
+        if cols >= len(parts) >= 2 and len(parts[0]) >= cols and _rank_mod(
+                [row for A in parts for row in A], cols, p) == cols:
+            ranked.append(p)
+        return non_injective(parts, cols, p)
+    monkeypatch.setattr(multiplication, "_non_injective", spy)
+    M = direct_sum(kronecker_regular(1, 0), kronecker_regular(1, 1))
+    assert verify_xx1(projective_rep(q, 1), M, default_primes()).verdict
+    assert ranked
+
+
 def _split_and_band():
     """A = R(1, 0) (+) R(1, 1) and B = R_0[2] on Kronecker, arrows
     (I, [[0, 0], [1, 0]]): one fingerprint, but Gr_(1,1) holds the two
@@ -225,7 +243,7 @@ def test_non_injective_matches_rank_at_every_point(case):
     sum_k c_k A_k has rank below cols, ranked one point at a time."""
     parts, cols, p = case
     rows = len(parts[0])
-    points = [head + (t,) for head, ts in _lines(p, len(parts)) for t in ts]
+    points = [c for (c,) in subspaces(p, len(parts), 1)]
     assert _non_injective(parts, cols, p) == {
         c for c in points if _rank_mod(
             [[sum(x * A[r][j] for x, A in zip(c, parts))

@@ -18,7 +18,7 @@ from cclab.errors import (ConfigurationError, PreconditionError,
 from cclab.laurent import parse
 from cclab.grassmannian import subspaces
 from cclab.linalg import QQ, Mat
-from cclab.multiplication import (_hom_side_middle, _hom_walk, _lines,
+from cclab.multiplication import (_hom_side_middle, _hom_walk,
                                   stratify_ext_side, stratify_hom_side,
                                   verify_unified, verify_xx1, verify_xx2)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
@@ -271,7 +271,7 @@ def test_hom_side_misses_per_prime(monkeypatch, few_primes, L, M,
         basis, walk = _walk(L, M, p)
         assert 0 < len(built) <= per_prime
         assert sum(n for n, _ in walk.values()) == sum(
-            len(ts) for _, ts in _lines(p, len(basis)))
+            1 for _ in subspaces(p, len(basis), 1))
 
 
 @pytest.mark.parametrize("run", [
@@ -310,11 +310,12 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lines_cover_projective_space_once(d, p):
-    """The lines of _lines hold every point of P^{d-1}(F_p), first
-    nonzero coordinate 1, exactly once, in the order of subspaces, the
-    order in which _hom_walk visits the points it keys."""
-    points = [head + (t,) for head, ts in _lines(p, d) for t in ts]
-    assert points == [basis[0] for basis in subspaces(p, d, 1)]
+    """The lines of F_p^d, subspaces(p, d, 1), hold every point of
+    P^{d-1}(F_p) exactly once, with first nonzero coordinate 1, and come
+    in the order (position of that 1, coordinates), the order in which
+    _hom_walk visits the points it keys."""
+    points = [c for (c,) in subspaces(p, d, 1)]
+    assert points == sorted(points, key=lambda c: (c.index(1), c))
     assert sorted(points) == sorted(
         c for c in product(range(p), repeat=d)
         if any(c) and next(x for x in c if x) == 1)
@@ -331,11 +332,10 @@ def _hom_buckets_and_pointwise(L, M, p):
     for n, Y in walk.values():
         buckets[bucket_key(Y)] += n
     pointwise = Counter()
-    for head, ts in _lines(p, len(basis)):
-        for t in ts:
-            g = combine(basis, head + (t,))
-            pointwise[bucket_key(hom_side_middle_term(
-                kernel_rep(g, Lp, Tp), cokernel_rep(g, Lp, Tp)))] += 1
+    for (c,) in subspaces(p, len(basis), 1):
+        g = combine(basis, c)
+        pointwise[bucket_key(hom_side_middle_term(
+            kernel_rep(g, Lp, Tp), cokernel_rep(g, Lp, Tp)))] += 1
     return buckets, pointwise
 
 

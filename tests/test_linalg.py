@@ -1,11 +1,9 @@
 from fractions import Fraction
-from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from cclab.linalg import (GF, Mat, QQ, _det_mod, _rank_mod, hstack,
-                          line_ranks, quotient_map)
+from cclab.linalg import GF, Mat, QQ, _rank_mod, hstack, quotient_map
 
 F7 = GF(7)
 
@@ -209,58 +207,3 @@ def test_rank_kernel_matches_reference(case):
     assert (_rank_mod(rows, ncols, F.p)
             == len(reference_rref(F.p, rows, ncols)[1]))
     assert rows == before
-
-
-@st.composite
-def line_pencils(draw):
-    """(p, B, D, ncols, ts) with p in {2, 3, 5, 23, 53}: B and D up to 5x5
-    (0 rows or 0 columns included) with entries in [0, p), zero about half
-    the time so that the generic rank falls short of min(rows, cols), and
-    ts either all of F_p or m distinct elements a, a + k, ... in that
-    order.  Half the time a row of B is -t0 times that row of D for a drawn
-    t0, so that B + t0 D loses rank there unless the row of D is zero."""
-    p = draw(st.sampled_from([2, 3, 5, 23, 53]))
-    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    entry = st.one_of(st.just(0), st.integers(0, p - 1))
-    B, D = ([[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
-            for _ in range(2))
-    if nrows and draw(st.booleans()):
-        t0, i = draw(st.integers(0, p - 1)), draw(st.integers(0, nrows - 1))
-        D[i] = [draw(st.integers(0, p - 1)) for _ in range(ncols)]
-        B[i] = [-t0 * y % p for y in D[i]]
-    if draw(st.booleans()):
-        return p, B, D, ncols, range(p)
-    a, k, m = (draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1)),
-               draw(st.integers(0, p)))
-    return p, B, D, ncols, [(a + i * k) % p for i in range(m)]
-
-
-@given(line_pencils())
-@settings(max_examples=200)
-def test_line_ranks_match_rank_at_every_t(case):
-    """line_ranks gives the rank of B + t D at each t, in the order of ts,
-    whether it reads a t off the generic rank, ranks a root of its minor
-    or ranks every t of a short line or a small field."""
-    p, B, D, ncols, ts = case
-    assert line_ranks(B, D, ncols, p, ts) == [
-        _rank_mod([[x + t * y for x, y in zip(r, s)] for r, s in zip(B, D)],
-                  ncols, p) for t in ts]
-
-
-@given(st.sampled_from([2, 3, 5, 23]).flatmap(lambda p: st.tuples(
-    st.just(p), st.integers(0, 4).flatmap(lambda n: st.lists(
-        st.lists(st.one_of(st.just(0), st.integers(0, p - 1)),
-                 min_size=n, max_size=n), min_size=n, max_size=n)))))
-def test_det_mod_matches_leibniz(case):
-    """_det_mod, sign included, is the Leibniz sum over permutations mod p,
-    and 1 on the 0x0 matrix; zero entries force row swaps."""
-    p, m = case
-    total = 0
-    for perm in permutations(range(len(m))):
-        inversions = sum(a > b for i, a in enumerate(perm)
-                         for b in perm[i + 1:])
-        term = (-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= m[i][j]
-        total += term
-    assert _det_mod(m, p) == total % p

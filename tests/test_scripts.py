@@ -49,6 +49,21 @@ def test_digest_script_covers_a2():
     assert bad and all(v.startswith("1 error: ") for v in bad)
 
 
+def test_digest_matches_golden():
+    """The whole digest equals tests/golden_digest.txt byte for byte, so
+    that no command's answer on the stock modules changes unnoticed.  After
+    a change that is meant to alter an answer, regenerate the file with
+    `PYTHONPATH=src python scripts/digest.py > tests/golden_digest.txt`
+    and review its diff."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "digest.py")],
+        env=env, capture_output=True, timeout=300)
+    assert result.returncode == 0, result.stderr.decode()
+    golden = pathlib.Path(ROOT, "tests", "golden_digest.txt").read_bytes()
+    assert result.stdout == golden
+
+
 def test_bench_script_writes_counts(tmp_path):
     out = tmp_path / "bench.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
