@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_27.json.
+write BENCH_28.json.
 
 Run from the repository root:
 
@@ -19,7 +19,8 @@ Stdlib only.  Eight parts:
   through the public operation and through the dense and the sparse
   kernel on their own (the sparse division is the heap division; the
   dense one runs with its cost test off), and records which kernel the
-  public operation selects.
+  public operation selects and the slot width, in bytes, at which the
+  dense kernel accepts the quotient.
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  One run
   counts the work of each side, and each side is timed.  On the Ext side,
@@ -273,6 +274,22 @@ def forced_dense_quotient(p, b, box):
         laurent._HEAP_STEP_BYTES = saved
 
 
+def accepted_width(p, b, box):
+    """The dense quotient of p by b with its cost test off, and the slot
+    width, in bytes, of its last decode: the width it was accepted at."""
+    real, widths = laurent._unpack_dense, []
+
+    def recording(*args):
+        widths.append(args[-1])
+        return real(*args)
+
+    laurent._unpack_dense = recording
+    try:
+        return forced_dense_quotient(p, b, box), widths[-1]
+    finally:
+        laurent._unpack_dense = real
+
+
 def kernel_row(chain, t, repeats):
     """The square of x_t and the exchange division (x_t^2 + 1) / x_(t-1)
     along the Kronecker chain: the public operations, which kernel each
@@ -284,7 +301,8 @@ def kernel_row(chain, t, repeats):
         raise SystemExit(f"exchange relation fails at x_{t}")
     a, b, p = x.terms, prev.terms, binomial.terms
     box, dbox = laurent._box(a, a), laurent._box(p, b)
-    if forced_dense_quotient(p, b, dbox) != chain[t + 1].terms:
+    quotient, width = accepted_width(p, b, dbox)
+    if quotient != chain[t + 1].terms:
         raise SystemExit(f"dense quotient fails at x_{t}")
     return {
         "step": t, "terms": len(a),
@@ -299,6 +317,7 @@ def kernel_row(chain, t, repeats):
             "dividend_terms": len(p), "divisor_terms": len(b),
             "selected": selected(lambda: divide_exact(binomial, prev),
                                  "_heap_quotient"),
+            "slot_bytes": width,
             **timed(lambda: divide_exact(binomial, prev), repeats),
             "dense": timed(lambda: forced_dense_quotient(p, b, dbox),
                            repeats),
@@ -378,7 +397,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_27.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_28.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -458,7 +477,9 @@ def main(argv=None):
             f"{k['dense']['median_s'] * 1e3:.2f}, sparse "
             f"{k['sparse']['median_s'] * 1e3:.2f})"
             for op, k in (("mul", row["mul"]),
-                          ("divide_exact", row["divide_exact"]))))
+                          ("divide_exact", row["divide_exact"]))),
+            f"dense quotient at {row['divide_exact']['slot_bytes']}-byte "
+            "slots")
     for part in (stratify, d4):
         row = part["ext"]
         print(f"{part['name']} ext side: {row['median_s']:.3f} s, "

@@ -17,15 +17,13 @@ Multiplication and exact division each have two kernels.
   _DENSE_PAIRS pairs of terms and each has at most _DENSE_FILL points of
   its exponent box per term.  The box spans each variable from the lowest
   to the highest exponent, in steps of the gcd of the offsets (2 on the
-  Kronecker cluster variables).  Shifted to its box's lowest corner and
-  written in y_i = x_i^step_i, each operand packs into one int, its value
-  at y_i = X^stride_i for a power of two X: one balanced slot of X per box
-  point.  Packing is a ring map, so a product is one bigint product
-  and a quotient one divmod; the slots decode back to terms.  A product's
-  slots hold every coefficient it can have.  A quotient is exact as
-  _dense_quotient explains, or the heap division runs.  CPython's long
-  division is quadratic, so a quotient goes dense only where it should
-  beat the heap (_dense_quotient).
+  Kronecker cluster variables).  Each operand packs into one int, one
+  balanced slot of 1, 2, 4 or 8 bytes (or 4k bytes past that) per box
+  point, written and read by `array`.  Packing is a ring map, so a product
+  is one bigint product, in slots that hold all its coefficients, and a
+  quotient one divmod, at half the dividend's width and then at the full
+  one, certified as _dense_quotient explains or left to the heap division;
+  long division is quadratic, so it goes dense only where it should win.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ class LaurentPolynomial:
         out = LaurentPolynomial(self.nvars)
         a, b = self.terms, other.terms
         if a and b:
-            box = _dense_box(a, b)
+            box = _box(a, b, dense=True)
             out.terms = (_dense_product(a, b, box) if box
                          else _sparse_product(a, b, self.nvars))
         return out
@@ -307,15 +305,23 @@ _DENSE_FILL = 4     # most box points per term of either dense operand
 _HEAP_STEP_BYTES = 1300
 
 
-def _box(a, b):
+def _box(a, b, dense=False):
     """The exponent boxes of the term dicts a and b on one lattice:
     (low_a, low_b, steps, spans_a, spans_b), that is per variable the
     lowest exponent of each operand, the step, the gcd of both operands'
     offsets from their lowest exponents (1 where none moves), and the
-    number of lattice points each box spans."""
+    number of lattice points each box spans.  With dense, None unless a
+    and b make _DENSE_PAIRS pairs of terms and each box at most _DENSE_FILL
+    points per term, first checked on the box's distinct exponents."""
+    if dense and len(a) * len(b) < _DENSE_PAIRS:
+        return None
+    cols = []
+    for terms in (a, b):
+        cols.append(list(map(set, zip(*terms))))
+        if dense and prod(map(len, cols[-1])) > _DENSE_FILL * len(terms):
+            return None
     low_a, low_b, steps, spans_a, spans_b = [], [], [], [], []
-    for col_a, col_b in zip(zip(*a), zip(*b)):
-        col_a, col_b = set(col_a), set(col_b)
+    for col_a, col_b in zip(*cols):
         la, lb = min(col_a), min(col_b)
         g = gcd(*[x - la for x in col_a], *[x - lb for x in col_b]) or 1
         low_a.append(la)
@@ -323,67 +329,73 @@ def _box(a, b):
         steps.append(g)
         spans_a.append((max(col_a) - la) // g + 1)
         spans_b.append((max(col_b) - lb) // g + 1)
+    if dense and (prod(spans_a) > _DENSE_FILL * len(a)
+                  or prod(spans_b) > _DENSE_FILL * len(b)):
+        return None
     return low_a, low_b, steps, spans_a, spans_b
 
 
-def _dense_box(a, b):
-    """_box(a, b) when the term dicts a and b make at least _DENSE_PAIRS
-    pairs of terms and each box has at most _DENSE_FILL points per term;
-    else None."""
-    if len(a) * len(b) < _DENSE_PAIRS:
-        return None
-    box = _box(a, b)
-    if (prod(box[3]) > _DENSE_FILL * len(a)
-            or prod(box[4]) > _DENSE_FILL * len(b)):
-        return None
-    return box
-
-
 def _slot_bytes(bound: int) -> int:
-    """Bytes of a slot whose balanced digits reach every |c| <= bound."""
-    return (bound.bit_length() + 8) // 8
+    """Bytes of a slot holding every |c| <= bound: 1, 2, 4, 8 or 4k."""
+    size = (bound.bit_length() + 8) // 8
+    return 1 << (size - 1).bit_length() if size <= 8 else -(-size // 4) * 4
 
 
-def _strides(spans) -> list:
-    """Slot strides of a box: the last variable moves fastest."""
-    strides, s = [], 1
-    for span in reversed(spans):
-        strides.append(s)
-        s *= span
-    return strides[::-1]
-
-
-def _pack_dense(terms, low, steps, strides, size: int) -> int:
-    """sum c X^slot(e) over the terms, for X = 2^(8 size) and
-    slot(e) = sum_i (e_i - low_i) / steps_i * strides_i, as one int."""
+def _slots(terms, low, steps, spans) -> list:
+    """The slot of each exponent of the terms: the index of its point in
+    the box with corner low, steps and spans, the last variable fastest."""
     pos = [0] * len(terms)
-    for col, lo, g, s in zip(zip(*terms), low, steps, strides):
-        s *= size
-        pos = [p + (x - lo) // g * s for p, x in zip(pos, col)]
-    half = 1 << (8 * size - 1)
-    zero = half.to_bytes(size, "little") * (max(pos) // size + 1)
-    # every slot holds its coefficient plus half, so no slot borrows
-    buf = bytearray(zero)
-    for p, c in zip(pos, terms.values()):
-        buf[p:p + size] = (c + half).to_bytes(size, "little")
-    return int.from_bytes(buf, "little") - int.from_bytes(zero, "little")
+    for col, lo, g, s in zip(zip(*terms), low, steps, spans):
+        pos = [p * s + (x - lo) // g for p, x in zip(pos, col)]
+    return pos
 
 
-def _unpack_dense(value: int, low, steps, spans, count: int,
-                  size: int) -> dict:
-    """The terms of value's first count balanced digits in base
-    X = 2^(8 size), slot k at the k-th point of the box with corner low and
-    these steps and spans (last variable fastest).  Raises OverflowError
-    when value has no such digits."""
-    half = 1 << (8 * size - 1)
-    zero = half.to_bytes(size, "little") * count
-    buf = (value + int.from_bytes(zero, "little")).to_bytes(len(zero),
-                                                            "little")
-    digits = [int.from_bytes(buf[k:k + size], "little")
-              for k in range(0, len(buf), size)]
+def _pack_dense(terms, pos, size: int) -> int:
+    """sum c X^p over the terms' coefficients c and slots p, X = 2^(8 size).
+    Each c is cut into balanced word digits; those past its slot spill
+    into further layers, each one slot up, so the int is exact at any size."""
+    from array import array
+    word = min(size & -size, 8)  # a slot is per words of this many bytes
+    per, bits = size // word, 8 * word
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    pos = [p * per for p in pos] if per > 1 else pos
+    n = max(pos) + per
+    # each word holds its digit plus half, so no word borrows
+    blank = array("BHIQ"[word.bit_length() - 1], [half]) * n
+    offset = int.from_bytes(blank, "little")
+    value, layer, coeffs = 0, 0, terms.values()
+    while any(coeffs):
+        words = blank[:]
+        for r in range(per):
+            for p, c in zip(pos, coeffs):
+                words[p + r] = c + half & mask
+            coeffs = [c + half >> bits for c in coeffs]
+        value += int.from_bytes(words, "little") - offset << layer
+        layer += 8 * size
+    return value
+
+
+def _unpack_dense(value: int, low, steps, spans, size: int) -> dict:
+    """The terms of value's balanced digits in base X = 2^(8 size), slot k
+    at the k-th point of the box with corner low and these steps and
+    spans; {} when value has no such digits."""
+    from array import array
+    word, count = min(size & -size, 8), prod(spans)
+    per, mask = size // word, (1 << 8 * word) - 1
+    flip = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    # the XOR turns each slot's digit plus half into its two's complement
+    value += flip
+    if value < 0 or value >> 8 * size * count:
+        return {}
+    words = array("bhiq"[word.bit_length() - 1])
+    words.frombytes((value ^ flip).to_bytes(size * count, "little"))
+    digits = words[per - 1::per]
+    for r in range(per - 2, -1, -1):
+        digits = [(d << 8 * word) | (x & mask)
+                  for d, x in zip(digits, words[r::per])]
     points = product(*[range(lo, lo + g * s, g)
                        for lo, g, s in zip(low, steps, spans)])
-    return {e: d - half for e, d in zip(points, digits) if d != half}
+    return {e: d for e, d in zip(points, digits) if d}
 
 
 def _norms(terms):
@@ -392,19 +404,17 @@ def _norms(terms):
 
 
 def _dense_product(a, b, box) -> dict:
-    """The terms of a * b by one bigint product: each operand packed with
-    the strides of the product's box, in slots wide enough for every
-    coefficient of the product."""
+    """The terms of a * b by one bigint product: each operand packed on
+    the product's box, in slots that hold every coefficient of a * b."""
     low_a, low_b, steps, spans_a, spans_b = box
     spans = [x + y - 1 for x, y in zip(spans_a, spans_b)]
-    strides = _strides(spans)
     (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
     size = _slot_bytes(min(norm_a * top_b, top_a * norm_b))
-    packed = _pack_dense(a, low_a, steps, strides, size)
-    packed *= packed if b is a else _pack_dense(b, low_b, steps, strides,
-                                                 size)
+    packed = _pack_dense(a, _slots(a, low_a, steps, spans), size)
+    packed *= packed if b is a else _pack_dense(
+        b, _slots(b, low_b, steps, spans), size)
     low = [x + y for x, y in zip(low_a, low_b)]
-    return _unpack_dense(packed, low, steps, spans, prod(spans), size)
+    return _unpack_dense(packed, low, steps, spans, size)
 
 
 def _dense_quotient(a, b, box):
@@ -412,46 +422,51 @@ def _dense_quotient(a, b, box):
     division should not beat the heap or its quotient is not certified;
     raises InexactDivisionError when b does not divide a.
 
-    Both operands pack on a's box.  The slots hold the coefficients of a
-    and b and those of q * b for |q|_1 <= |a|_1 / |b|_1, an equality when
-    no coefficient is negative.  CPython's long division is quadratic:
-    count_q * count_b pairs of slots, size^2 byte products each, against
-    one heap step per pair of terms of q and b, with q taken to fill its
-    box as a fills a's.
+    Both pack on a's box, at half the full width and then at the full
+    one, which holds a, b and q * b if |q|_1 <= |a|_1 / |b|_1 (true when
+    no coefficient is negative); an exchange's q and b are near sqrt(a).
+    Long division is quadratic: count_q * count_b pairs of slots, size^2
+    byte products each at the half width, against one heap step per pair
+    of terms of q and b, q taken to fill its box as a fills a's.
 
-    Packing is a ring map, so a nonzero remainder proves a / b inexact.  A
-    zero one gives Q = A / B; its digits q are accepted when they lie in
-    the quotient's box and |q|_1 |b|_oo is below half a slot.  Then q * b
-    and a both have digits inside their slots at points of a's box, where
-    packing is injective, and A = Q B says q * b = a."""
+    Packing is a ring map, so a nonzero remainder proves a / b inexact.
+    Else Q = A / B, and its digits q must lie in the quotient's box; then
+    q * b lies in a's box, where packing is injective on coefficients
+    below half a slot.  So q * b = a when |a|_oo and |q|_1 |b|_oo are
+    below it at the width divided at, or when Q B = A at the width that
+    holds |a|_oo and min(|q|_1 |b|_oo, |q|_oo |b|_1)."""
     low_a, low_b, steps, spans_a, spans_b = box
     spans_q = [x - y + 1 for x, y in zip(spans_a, spans_b)]
     if min(spans_q) < 1:
         # a = q * b spans the box of q plus that of b in every variable
         raise InexactDivisionError("polynomial division left a remainder")
     (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
-    size = _slot_bytes(max(top_a, top_b, norm_a * top_b // norm_b))
-    strides = _strides(spans_a)
-    count_q, count_b = (sum((s - 1) * t for s, t in zip(spans, strides)) + 1
-                        for spans in (spans_q, spans_b))
-    if (count_q * count_b * size * size * prod(spans_a)
+    full = _slot_bytes(max(top_a, top_b, norm_a * top_b // norm_b))
+    narrow = _slot_bytes(1 << 4 * full - 2)  # half of full's bits
+    # slots up to the last row of q's or b's box in the first variable
+    count_q, count_b = (s * prod(spans_a[1:]) for s, *_ in (spans_q, spans_b))
+    if (count_q * count_b * narrow * narrow * prod(spans_a)
             > _HEAP_STEP_BYTES * len(a) * len(b) * prod(spans_q)):
         return None
-    quo, rem = divmod(_pack_dense(a, low_a, steps, strides, size),
-                      _pack_dense(b, low_b, steps, strides, size))
-    if rem:
-        raise InexactDivisionError("polynomial division left a remainder")
     low = [x - y for x, y in zip(low_a, low_b)]
-    try:
-        q = _unpack_dense(quo, low, steps, spans_q[:1] + spans_a[1:],
-                          count_q, size)
-    except OverflowError:
-        return None
     tops = [lo + g * (s - 1) for lo, g, s in zip(low, steps, spans_q)]
-    if (any(max(col) > top for col, top in zip(zip(*q), tops))
-            or _norms(q)[0] * top_b >= 1 << (8 * size - 1)):
-        return None
-    return q
+    pos_a = _slots(a, low_a, steps, spans_a)
+    pos_b = _slots(b, low_b, steps, spans_a)
+    for size in sorted({narrow, full}):
+        quo, rem = divmod(_pack_dense(a, pos_a, size),
+                          _pack_dense(b, pos_b, size))
+        if rem:
+            raise InexactDivisionError("polynomial division left a remainder")
+        q = _unpack_dense(quo, low, steps, spans_q[:1] + spans_a[1:], size)
+        if not q or any(max(col) > top for col, top in zip(zip(*q), tops)):
+            continue
+        norm_q, top_q = _norms(q)
+        wide = _slot_bytes(max(top_a, min(norm_q * top_b, top_q * norm_b)))
+        if (max(top_a, norm_q * top_b) < 1 << (8 * size - 1)
+                or _pack_dense(q, _slots(q, low, steps, spans_a), wide)
+                * _pack_dense(b, pos_b, wide) == _pack_dense(a, pos_a, wide)):
+            return q
+    return None
 
 
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -464,7 +479,7 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
         raise ZeroDivisionError("division by zero polynomial")
     out = LaurentPolynomial(a.nvars)
     if a.terms:
-        box = _dense_box(a.terms, b.terms)
+        box = _box(a.terms, b.terms, dense=True)
         q = _dense_quotient(a.terms, b.terms, box) if box else None
         out.terms = (_heap_quotient(a.terms, b.terms, a.nvars) if q is None
                      else q)

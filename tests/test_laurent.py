@@ -324,7 +324,7 @@ DENSE_COEFFS = {
 @settings(deadline=None, max_examples=40)
 def test_dense_mul_matches_reference(coeffs, data):
     a, b, _ = data.draw(dense_triples(coeffs))
-    assert laurent._dense_box(a.terms, b.terms) is not None
+    assert laurent._box(a.terms, b.terms, dense=True) is not None
     assert (a * b).terms == reference_mul(a, b)
     assert (a * a).terms == reference_mul(a, a)
 
@@ -360,6 +360,18 @@ def test_dense_division_matches_reference(coeffs, data):
         assert laurent._dense_quotient(dividend.terms, b.terms,
                                        box) in (None, expected)
     assert divide_exact(product_, b).terms == a.terms
+    if coeffs is DENSE_COEFFS["signed"]:
+        # |a|_oo <= 9 fits the narrowest slot, so the full width decodes a
+        # and a certificate accepts it: with the cost test off, which then
+        # admits every pair, the kernel returns a, never None
+        box = laurent._box(product_.terms, b.terms)
+        saved = laurent._HEAP_STEP_BYTES
+        laurent._HEAP_STEP_BYTES = float("inf")
+        try:
+            assert laurent._dense_quotient(product_.terms, b.terms,
+                                           box) == a.terms
+        finally:
+            laurent._HEAP_STEP_BYTES = saved
 
 
 def _spy(monkeypatch, name):
@@ -375,19 +387,72 @@ def _spy(monkeypatch, name):
     return results
 
 
+def _spy_widths(monkeypatch):
+    """Record the slot width, in bytes, of every laurent._unpack_dense."""
+    widths = []
+    real = laurent._unpack_dense
+
+    def spy(*args):
+        widths.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(laurent, "_unpack_dense", spy)
+    return widths
+
+
 def test_dense_quotient_past_its_first_width_falls_back(monkeypatch):
     """(1 - x^2)^40 / (1 - x)^40 = (1 + x)^40, times C: |q|_1 = C 2^40 is
-    2^40 times the |a|_1 / |b|_1 the slots are sized for, so the dense
-    quotient declines and the heap division returns q."""
+    2^40 times the |a|_1 / |b|_1 the slots are sized for, so the norm test
+    fails at every width divided at.  The half width decodes no q (C large)
+    or a wrong one that its packed product rejects (C = 1); the full
+    width's q passes the packed product at the width of |q|_1 |b|_oo, so
+    the dense kernel returns q and no heap division runs."""
     for c in (1, 3 ** 50):
         q = LaurentPolynomial.constant(1, c) * parse("1 + x1", 1) ** 40
         b = parse("1 - x1", 1) ** 40
         a = q * b
         dense = _spy(monkeypatch, "_dense_quotient")
+        widths = _spy_widths(monkeypatch)
         heap = _spy(monkeypatch, "_heap_quotient")
         assert divide_exact(a, b) == q
-        assert dense == [None] and len(heap) == 1
+        assert dense == [q.terms] and heap == []
+        # the half width, then the full one
+        assert len(widths) == 2 and widths[0] * 2 == widths[1]
         monkeypatch.undo()
+
+
+def test_dense_quotient_outgrowing_every_width_takes_the_heap(monkeypatch):
+    """prod_{k<=20} (1 - x^k) / (1 - x)^20 = [20]_x!, whose coefficients
+    reach 56 bits while every coefficient of a and b fits in 18: no width
+    tried holds q, so the dense kernel returns None and the heap division
+    answers."""
+    x, one = parse("x1", 1), LaurentPolynomial.one(1)
+    a, q = one, one
+    for k in range(1, 21):
+        a = a * (one - x ** k)
+        q = q * LaurentPolynomial(1, {(j,): 1 for j in range(k)})
+    b = (one - x) ** 20
+    assert max(q.terms.values()).bit_length() == 56
+    assert laurent._box(a.terms, b.terms, dense=True) is not None
+    dense = _spy(monkeypatch, "_dense_quotient")
+    widths = _spy_widths(monkeypatch)
+    heap = _spy(monkeypatch, "_heap_quotient")
+    assert divide_exact(a, b) == q
+    assert dense == [None] and heap == [q.terms] and len(widths) == 2
+
+
+def test_dense_quotient_checks_a_narrow_decode_by_its_product(monkeypatch):
+    """a = 256 + x1^2 over b = 1: in one-byte slots X = 256 and a packs to
+    2X, which decodes inside the quotient's box to 2*x1^2.  The width does
+    not hold |a|_oo = 256, so the packed product at two bytes decides, and
+    rejects it; the two-byte division returns a."""
+    a, b = parse("256 + x1^2", 1), LaurentPolynomial.one(1)
+    box = laurent._box(a.terms, b.terms)
+    assert laurent._pack_dense(a.terms, [0, 1], 1) == 2 * 256
+    assert laurent._unpack_dense(2 * 256, [0], [2], [2], 1) == {(2,): 2}
+    widths = _spy_widths(monkeypatch)
+    assert laurent._dense_quotient(a.terms, b.terms, box) == a.terms
+    assert widths == [1, 2]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
@@ -402,7 +467,7 @@ def test_dense_quotient_of_a_cancelled_dividend(n):
         a = a * (one - x ** k)
         b = b * LaurentPolynomial(1, {(j,): 1 for j in range(k)})
     assert sum(map(abs, a.terms.values())) < max(b.terms.values())
-    box = laurent._dense_box(a.terms, b.terms)
+    box = laurent._box(a.terms, b.terms, dense=True)
     assert box is not None
     expected = reference_divide(a, b)
     assert expected == ((one - x) ** n).terms
@@ -433,6 +498,10 @@ def test_inexact_dense_division_raises(monkeypatch):
     with pytest.raises(InexactDivisionError):
         divide_exact(a * b + 1, b)
     assert heap == []
+    dividend = (a * b + 1).terms
+    with pytest.raises(InexactDivisionError):
+        laurent._dense_quotient(dividend, b.terms,
+                                laurent._box(dividend, b.terms))
     assert divide_exact(a * b, b) == a and heap == []
 
 

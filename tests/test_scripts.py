@@ -85,6 +85,12 @@ def test_bench_script_writes_counts(tmp_path):
         for op in (row["mul"], row["divide_exact"]):
             assert op["selected"] in ("dense", "sparse")
             assert op["dense"]["median_s"] > 0 and op["sparse"]["median_s"] > 0
+    # the cost test is sized at the half width, so every exchange division
+    # up to x_40 goes dense, in word slots of 8 bytes at x_32 and x_40
+    widths = [row["divide_exact"]["slot_bytes"] for row in doc["kernels"]]
+    assert widths == [1, 2, 2, 4, 4, 4, 8, 8]
+    assert all(row["divide_exact"]["selected"] == "dense"
+               for row in doc["kernels"])
     assert doc["timer"].startswith("time.process_time")
     strat = doc["stratify"]
     points = sum(p * p + p + 1 for p in strat["primes"])
