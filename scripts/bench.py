@@ -6,7 +6,7 @@ Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Eight parts:
+Stdlib only.  Nine parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials),
   the Kronecker closure to depth 24 (few seeds, growing polynomials) and
@@ -21,6 +21,11 @@ Stdlib only.  Eight parts:
   dense one runs with its cost test off), and records which kernel the
   public operation selects and the slot width, in bytes, at which the
   dense kernel accepts the quotient.
+- declined: two dense divisions whose first slot width cannot hold the
+  quotient, 3^50 (1 + x)^40 / (1 - x)^40 (certified at the full width)
+  and prod_{k<=20} (1 - x^k) / (1 - x)^20 = [20]_x! (no width holds it,
+  so the heap division answers), timed as the kernel divisions, with the
+  slot widths the public division decodes at.
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  One run
   counts the work of each side, and each side is timed.  On the Ext side,
@@ -76,7 +81,7 @@ from cclab.artranslate import ar_inverse, ar_translate
 from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
                           kronecker_regular)
-from cclab.laurent import divide_exact
+from cclab.laurent import LaurentPolynomial, divide_exact, parse
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
 from cclab.quiver import (a3_quiver, d4tilde_quiver, kronecker_quiver,
@@ -274,9 +279,14 @@ def forced_dense_quotient(p, b, box):
         laurent._HEAP_STEP_BYTES = saved
 
 
-def accepted_width(p, b, box):
-    """The dense quotient of p by b with its cost test off, and the slot
-    width, in bytes, of its last decode: the width it was accepted at."""
+def term_box(a, b):
+    """laurent._box of the term dicts a and b, with no density test."""
+    return laurent._box(*[list(map(set, zip(*terms))) for terms in (a, b)])
+
+
+def slot_widths(run):
+    """run() and the slot width, in bytes, of each laurent._unpack_dense
+    it makes: the widths a dense quotient is decoded at, in order."""
     real, widths = laurent._unpack_dense, []
 
     def recording(*args):
@@ -285,9 +295,40 @@ def accepted_width(p, b, box):
 
     laurent._unpack_dense = recording
     try:
-        return forced_dense_quotient(p, b, box), widths[-1]
+        return run(), widths
     finally:
         laurent._unpack_dense = real
+
+
+def declined_pairs():
+    """Dense divisions whose first slot width cannot hold the quotient, as
+    (name, a, b): 3^50 (1 + x)^40 over (1 - x)^40, which the full width
+    then certifies, and prod_{k<=20} (1 - x^k) over (1 - x)^20, whose
+    quotient [20]_x! outgrows every width, so the heap division answers."""
+    x, one = parse("x1", 1), LaurentPolynomial.one(1)
+    q, b = (one + x) ** 40 * 3 ** 50, (one - x) ** 40
+    a = one
+    for k in range(1, 21):
+        a = a * (one - x ** k)
+    return [("3^50 (1+x)^40 / (1-x)^40", q * b, b),
+            ("[20]_x! = prod (1-x^k) / (1-x)^20", a, (one - x) ** 20)]
+
+
+def declined_row(name, a, b, repeats):
+    """The widths the public division a / b decodes at and the kernel that
+    answers, with its time beside the dense kernel's (cost test off) and
+    the heap division's."""
+    p, d, box = a.terms, b.terms, term_box(a.terms, b.terms)
+    _, widths = slot_widths(lambda: divide_exact(a, b))
+    return {"name": name, "dividend_terms": len(p), "divisor_terms": len(d),
+            "slot_bytes": widths,
+            "selected": selected(lambda: divide_exact(a, b),
+                                 "_heap_quotient"),
+            **timed(lambda: divide_exact(a, b), repeats),
+            "dense": timed(lambda: forced_dense_quotient(p, d, box),
+                           repeats),
+            "sparse": timed(lambda: laurent._heap_quotient(p, d, 1),
+                            repeats)}
 
 
 def kernel_row(chain, t, repeats):
@@ -300,8 +341,9 @@ def kernel_row(chain, t, repeats):
     if divide_exact(binomial, prev) != chain[t + 1]:
         raise SystemExit(f"exchange relation fails at x_{t}")
     a, b, p = x.terms, prev.terms, binomial.terms
-    box, dbox = laurent._box(a, a), laurent._box(p, b)
-    quotient, width = accepted_width(p, b, dbox)
+    box, dbox = term_box(a, a), term_box(p, b)
+    quotient, widths = slot_widths(
+        lambda: forced_dense_quotient(p, b, dbox))
     if quotient != chain[t + 1].terms:
         raise SystemExit(f"dense quotient fails at x_{t}")
     return {
@@ -317,7 +359,7 @@ def kernel_row(chain, t, repeats):
             "dividend_terms": len(p), "divisor_terms": len(b),
             "selected": selected(lambda: divide_exact(binomial, prev),
                                  "_heap_quotient"),
-            "slot_bytes": width,
+            "slot_bytes": widths[-1],
             **timed(lambda: divide_exact(binomial, prev), repeats),
             "dense": timed(lambda: forced_dense_quotient(p, b, dbox),
                            repeats),
@@ -412,6 +454,8 @@ def main(argv=None):
 
     chain = kronecker_variables(max(KERNEL_STEPS) + 1)
     kernels = [kernel_row(chain, t, args.repeats) for t in KERNEL_STEPS]
+    declined = [declined_row(*pair, args.repeats)
+                for pair in declined_pairs()]
 
     q, primes = kronecker_quiver(), default_primes()
     P1, S1, S2 = projective_rep(q, 1), simple_rep(q, 1), simple_rep(q, 2)
@@ -458,6 +502,7 @@ def main(argv=None):
         "timer": "time.process_time, CPU time of the process",
         "closures": closures,
         "kernels": kernels,
+        "declined": declined,
         "stratify": stratify,
         "d4": d4,
         "misses": misses,
@@ -480,6 +525,11 @@ def main(argv=None):
                           ("divide_exact", row["divide_exact"]))),
             f"dense quotient at {row['divide_exact']['slot_bytes']}-byte "
             "slots")
+    for row in declined:
+        print(f"{row['name']}: {row['median_s'] * 1e3:.2f} ms "
+              f"({row['selected']}; dense {row['dense']['median_s'] * 1e3:.2f}"
+              f", sparse {row['sparse']['median_s'] * 1e3:.2f}), decoded at "
+              f"{row['slot_bytes']} bytes")
     for part in (stratify, d4):
         row = part["ext"]
         print(f"{part['name']} ext side: {row['median_s']:.3f} s, "

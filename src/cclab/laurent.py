@@ -16,19 +16,17 @@ Multiplication and exact division each have two kernels.
 - Dense (Kronecker substitution), when the operands make at least
   _DENSE_PAIRS pairs of terms and each has at most _DENSE_FILL points of
   its exponent box per term.  The box spans each variable from the lowest
-  to the highest exponent, in steps of the gcd of the offsets (2 on the
-  Kronecker cluster variables).  Each operand packs into one int, one
-  balanced slot of 1, 2, 4 or 8 bytes (or 4k bytes past that) per box
-  point, written and read by `array`.  Packing is a ring map, so a product
-  is one bigint product, in slots that hold all its coefficients, and a
-  quotient one divmod, at half the dividend's width and then at the full
-  one, certified as _dense_quotient explains or left to the heap division;
-  long division is quadratic, so it goes dense only where it should win.
+  to the highest exponent, in steps of the gcd of the offsets.  Each
+  operand packs into one int, one balanced slot of 1, 2, 4, 8 or 4k bytes
+  per box point, by `array`.  Packing is a ring map, so a product is one
+  bigint product, and a quotient a divmod in slots sized first for it,
+  then for the dividend, where long division should beat the heap.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -118,7 +116,7 @@ class LaurentPolynomial:
         out = LaurentPolynomial(self.nvars)
         a, b = self.terms, other.terms
         if a and b:
-            box = _box(a, b, dense=True)
+            box = _dense_box(a, b)
             out.terms = (_dense_product(a, b, box) if box
                          else _sparse_product(a, b, self.nvars))
         return out
@@ -300,39 +298,35 @@ def _sparse_product(a, b, nvars: int) -> dict:
 
 _DENSE_PAIRS = 32   # fewest pairs of terms, len(a) * len(b), to go dense
 _DENSE_FILL = 4     # most box points per term of either dense operand
-# long-division byte products that take as long as one heap-division step
-# (CPython 3.11, x86-64; see _dense_quotient)
+# long-division byte products as slow as one heap step (CPython 3.11, x86-64)
 _HEAP_STEP_BYTES = 1300
 
 
-def _box(a, b, dense=False):
-    """The exponent boxes of the term dicts a and b on one lattice:
-    (low_a, low_b, steps, spans_a, spans_b), that is per variable the
-    lowest exponent of each operand, the step, the gcd of both operands'
-    offsets from their lowest exponents (1 where none moves), and the
-    number of lattice points each box spans.  With dense, None unless a
-    and b make _DENSE_PAIRS pairs of terms and each box at most _DENSE_FILL
-    points per term, first checked on the box's distinct exponents."""
-    if dense and len(a) * len(b) < _DENSE_PAIRS:
-        return None
-    cols = []
-    for terms in (a, b):
-        cols.append(list(map(set, zip(*terms))))
-        if dense and prod(map(len, cols[-1])) > _DENSE_FILL * len(terms):
-            return None
-    low_a, low_b, steps, spans_a, spans_b = [], [], [], [], []
-    for col_a, col_b in zip(*cols):
+def _box(cols_a, cols_b):
+    """The boxes (low_a, low_b, steps, spans_a, spans_b) of two operands
+    from the sets of their exponents of each variable: each lowest one, the
+    gcd of the offsets from those (1 if none moves), each box's span."""
+    rows = []
+    for col_a, col_b in zip(cols_a, cols_b):
         la, lb = min(col_a), min(col_b)
         g = gcd(*[x - la for x in col_a], *[x - lb for x in col_b]) or 1
-        low_a.append(la)
-        low_b.append(lb)
-        steps.append(g)
-        spans_a.append((max(col_a) - la) // g + 1)
-        spans_b.append((max(col_b) - lb) // g + 1)
-    if dense and (prod(spans_a) > _DENSE_FILL * len(a)
-                  or prod(spans_b) > _DENSE_FILL * len(b)):
+        rows.append((la, lb, g, (max(col_a) - la) // g + 1,
+                     (max(col_b) - lb) // g + 1))
+    return [list(col) for col in zip(*rows)]
+
+
+def _dense_box(a, b):
+    """_box of the term dicts a and b if they make _DENSE_PAIRS pairs of
+    terms and each box has at most _DENSE_FILL points per term, checked
+    first on the distinct exponents, which are points of it; else None."""
+    if len(a) * len(b) < _DENSE_PAIRS:
         return None
-    return low_a, low_b, steps, spans_a, spans_b
+    cols = [list(map(set, zip(*terms))) for terms in (a, b)]
+    fill = [_DENSE_FILL * len(a), _DENSE_FILL * len(b)]
+    if any(prod(map(len, c)) > f for c, f in zip(cols, fill)):
+        return None
+    box = _box(*cols)
+    return None if prod(box[3]) > fill[0] or prod(box[4]) > fill[1] else box
 
 
 def _slot_bytes(bound: int) -> int:
@@ -362,7 +356,7 @@ def _pack_dense(terms, pos, size: int) -> int:
     n = max(pos) + per
     # each word holds its digit plus half, so no word borrows
     blank = array("BHIQ"[word.bit_length() - 1], [half]) * n
-    offset = int.from_bytes(blank, "little")
+    offset = int.from_bytes((bytes(word - 1) + b"\x80") * n, "little")
     value, layer, coeffs = 0, 0, terms.values()
     while any(coeffs):
         words = blank[:]
@@ -370,6 +364,8 @@ def _pack_dense(terms, pos, size: int) -> int:
             for p, c in zip(pos, coeffs):
                 words[p + r] = c + half & mask
             coeffs = [c + half >> bits for c in coeffs]
+        if sys.byteorder == "big":
+            words.byteswap()
         value += int.from_bytes(words, "little") - offset << layer
         layer += 8 * size
     return value
@@ -387,8 +383,10 @@ def _unpack_dense(value: int, low, steps, spans, size: int) -> dict:
     value += flip
     if value < 0 or value >> 8 * size * count:
         return {}
-    words = array("bhiq"[word.bit_length() - 1])
-    words.frombytes((value ^ flip).to_bytes(size * count, "little"))
+    words = array("bhiq"[word.bit_length() - 1],
+                  (value ^ flip).to_bytes(size * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
     digits = words[per - 1::per]
     for r in range(per - 2, -1, -1):
         digits = [(d << 8 * word) | (x & mask)
@@ -418,16 +416,17 @@ def _dense_product(a, b, box) -> dict:
 
 
 def _dense_quotient(a, b, box):
-    """The terms of a / b by one divmod of packed ints, or None when long
+    """The terms of a / b by a divmod of packed ints, or None when long
     division should not beat the heap or its quotient is not certified;
     raises InexactDivisionError when b does not divide a.
 
-    Both pack on a's box, at half the full width and then at the full
-    one, which holds a, b and q * b if |q|_1 <= |a|_1 / |b|_1 (true when
-    no coefficient is negative); an exchange's q and b are near sqrt(a).
-    Long division is quadratic: count_q * count_b pairs of slots, size^2
-    byte products each at the half width, against one heap step per pair
-    of terms of q and b, q taken to fill its box as a fills a's.
+    Both pack on a's box: first in the narrowest slots of at least half
+    the full width that can hold b and q, as |a|_oo <= |q|_oo |b|_1, then
+    in full ones, which hold a, b and q * b if |q|_1 <= |a|_1 / |b|_1 (so
+    if no coefficient is negative); an exchange's q is near sqrt(a).
+    Widths are tried while their long divisions, count_q * count_b pairs
+    of slots of size^2 byte products each, together should beat one heap
+    step per pair of terms of q and b (q filling its box as a fills a's).
 
     Packing is a ring map, so a nonzero remainder proves a / b inexact.
     Else Q = A / B, and its digits q must lie in the quotient's box; then
@@ -442,17 +441,18 @@ def _dense_quotient(a, b, box):
         raise InexactDivisionError("polynomial division left a remainder")
     (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
     full = _slot_bytes(max(top_a, top_b, norm_a * top_b // norm_b))
-    narrow = _slot_bytes(1 << 4 * full - 2)  # half of full's bits
-    # slots up to the last row of q's or b's box in the first variable
-    count_q, count_b = (s * prod(spans_a[1:]) for s, *_ in (spans_q, spans_b))
-    if (count_q * count_b * narrow * narrow * prod(spans_a)
-            > _HEAP_STEP_BYTES * len(a) * len(b) * prod(spans_q)):
-        return None
+    first = _slot_bytes(max(top_b, top_a // norm_b, 1 << 4 * full - 2))
+    # the slots from a's first to the last of q's or b's box
+    count_q, count_b = (_slots([s], [1] * len(s), [1] * len(s), spans_a)[0]
+                        + 1 for s in (spans_q, spans_b))
+    heap = _HEAP_STEP_BYTES * len(a) * len(b) * prod(spans_q)
+    sizes = [s for s in sorted({first, full}) if count_q * count_b
+             * prod(spans_a) * (s * s + (s > first) * first * first) <= heap]
     low = [x - y for x, y in zip(low_a, low_b)]
     tops = [lo + g * (s - 1) for lo, g, s in zip(low, steps, spans_q)]
     pos_a = _slots(a, low_a, steps, spans_a)
     pos_b = _slots(b, low_b, steps, spans_a)
-    for size in sorted({narrow, full}):
+    for size in sizes:
         quo, rem = divmod(_pack_dense(a, pos_a, size),
                           _pack_dense(b, pos_b, size))
         if rem:
@@ -479,7 +479,7 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
         raise ZeroDivisionError("division by zero polynomial")
     out = LaurentPolynomial(a.nvars)
     if a.terms:
-        box = _box(a.terms, b.terms, dense=True)
+        box = _dense_box(a.terms, b.terms)
         q = _dense_quotient(a.terms, b.terms, box) if box else None
         out.terms = (_heap_quotient(a.terms, b.terms, a.nvars) if q is None
                      else q)

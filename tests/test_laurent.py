@@ -285,6 +285,11 @@ def test_hash_agrees_with_eq(a, c):
 
 # -- the dense kernels -------------------------------------------------------
 
+def _term_box(a, b):
+    """laurent._box of the term dicts a and b, with no density test."""
+    return laurent._box(*[list(map(set, zip(*terms))) for terms in (a, b)])
+
+
 @st.composite
 def dense_triples(draw, coeffs):
     """Three polynomials in 1-3 variables whose terms fill at least half of
@@ -324,7 +329,7 @@ DENSE_COEFFS = {
 @settings(deadline=None, max_examples=40)
 def test_dense_mul_matches_reference(coeffs, data):
     a, b, _ = data.draw(dense_triples(coeffs))
-    assert laurent._box(a.terms, b.terms, dense=True) is not None
+    assert laurent._dense_box(a.terms, b.terms) is not None
     assert (a * b).terms == reference_mul(a, b)
     assert (a * a).terms == reference_mul(a, a)
 
@@ -342,7 +347,7 @@ def test_dense_division_matches_reference(coeffs, data):
     for dividend in (product_, product_ + c):
         if dividend.is_zero():
             continue
-        box = laurent._box(dividend.terms, b.terms)
+        box = _term_box(dividend.terms, b.terms)
         try:
             expected = reference_divide(dividend, b, budget=300)
         except BudgetExceeded:
@@ -361,10 +366,10 @@ def test_dense_division_matches_reference(coeffs, data):
                                        box) in (None, expected)
     assert divide_exact(product_, b).terms == a.terms
     if coeffs is DENSE_COEFFS["signed"]:
-        # |a|_oo <= 9 fits the narrowest slot, so the full width decodes a
+        # |a|_oo <= 9 fits the narrowest slot, so the first width decodes a
         # and a certificate accepts it: with the cost test off, which then
         # admits every pair, the kernel returns a, never None
-        box = laurent._box(product_.terms, b.terms)
+        box = _term_box(product_.terms, b.terms)
         saved = laurent._HEAP_STEP_BYTES
         laurent._HEAP_STEP_BYTES = float("inf")
         try:
@@ -403,11 +408,12 @@ def _spy_widths(monkeypatch):
 def test_dense_quotient_past_its_first_width_falls_back(monkeypatch):
     """(1 - x^2)^40 / (1 - x)^40 = (1 + x)^40, times C: |q|_1 = C 2^40 is
     2^40 times the |a|_1 / |b|_1 the slots are sized for, so the norm test
-    fails at every width divided at.  The half width decodes no q (C large)
-    or a wrong one that its packed product rejects (C = 1); the full
-    width's q passes the packed product at the width of |q|_1 |b|_oo, so
-    the dense kernel returns q and no heap division runs."""
-    for c in (1, 3 ** 50):
+    fails at every width divided at, and the packed product at the width
+    of |q|_1 |b|_oo certifies q.  For C = 1, |b|_oo sets both widths to 8
+    bytes; for C = 3^50, |a|_oo / |b|_1 (77 bits) sets the first to 12,
+    which q's 117-bit coefficients outgrow, so the kernel goes on to the
+    full 16.  Either way it returns q and no heap division runs."""
+    for c, sizes in ((1, [8]), (3 ** 50, [12, 16])):
         q = LaurentPolynomial.constant(1, c) * parse("1 + x1", 1) ** 40
         b = parse("1 - x1", 1) ** 40
         a = q * b
@@ -416,16 +422,15 @@ def test_dense_quotient_past_its_first_width_falls_back(monkeypatch):
         heap = _spy(monkeypatch, "_heap_quotient")
         assert divide_exact(a, b) == q
         assert dense == [q.terms] and heap == []
-        # the half width, then the full one
-        assert len(widths) == 2 and widths[0] * 2 == widths[1]
+        assert widths == sizes
         monkeypatch.undo()
 
 
 def test_dense_quotient_outgrowing_every_width_takes_the_heap(monkeypatch):
     """prod_{k<=20} (1 - x^k) / (1 - x)^20 = [20]_x!, whose coefficients
-    reach 56 bits while every coefficient of a and b fits in 18: no width
-    tried holds q, so the dense kernel returns None and the heap division
-    answers."""
+    reach 56 bits while every coefficient of a and b fits in 18: the one
+    width tried, 4 bytes, does not hold q, so the dense kernel returns None
+    and the heap division answers."""
     x, one = parse("x1", 1), LaurentPolynomial.one(1)
     a, q = one, one
     for k in range(1, 21):
@@ -433,26 +438,59 @@ def test_dense_quotient_outgrowing_every_width_takes_the_heap(monkeypatch):
         q = q * LaurentPolynomial(1, {(j,): 1 for j in range(k)})
     b = (one - x) ** 20
     assert max(q.terms.values()).bit_length() == 56
-    assert laurent._box(a.terms, b.terms, dense=True) is not None
+    assert laurent._dense_box(a.terms, b.terms) is not None
     dense = _spy(monkeypatch, "_dense_quotient")
     widths = _spy_widths(monkeypatch)
     heap = _spy(monkeypatch, "_heap_quotient")
     assert divide_exact(a, b) == q
-    assert dense == [None] and heap == [q.terms] and len(widths) == 2
+    assert dense == [None] and heap == [q.terms] and widths == [4]
 
 
 def test_dense_quotient_checks_a_narrow_decode_by_its_product(monkeypatch):
+    """a = 100 (1 - x1^2)^2 over b = (1 - x1)^2, q = 100 (1 + x1)^2:
+    |a|_oo / |b|_1 = 50 fits one-byte slots, so they are tried first.  At
+    X = 256, Q = q(X) = 100 + 200 X + 100 X^2 decodes inside the quotient's
+    box to 100 - 56 x1 + 101 x1^2 (200 = X - 56).  Its |q|_1 |b|_oo is past
+    the byte, so the packed product at two bytes decides, and rejects it;
+    the two-byte division returns q."""
+    q = LaurentPolynomial.constant(1, 100) * parse("1 + x1", 1) ** 2
+    b = parse("1 - x1", 1) ** 2
+    a = q * b
+    assert laurent._unpack_dense(
+        laurent._pack_dense(q.terms, [0, 1, 2], 1), [0], [1], [3], 1) == {
+            (0,): 100, (1,): -56, (2,): 101}
+    widths = _spy_widths(monkeypatch)
+    assert laurent._dense_quotient(a.terms, b.terms,
+                                   _term_box(a.terms, b.terms)) == q.terms
+    assert widths == [1, 2]
+
+
+def test_dense_quotient_skips_slots_too_narrow_for_q(monkeypatch):
     """a = 256 + x1^2 over b = 1: in one-byte slots X = 256 and a packs to
-    2X, which decodes inside the quotient's box to 2*x1^2.  The width does
-    not hold |a|_oo = 256, so the packed product at two bytes decides, and
-    rejects it; the two-byte division returns a."""
+    2X, which decodes inside the quotient's box to 2*x1^2.  But |q|_oo is
+    at least |a|_oo / |b|_1 = 256, past a byte, so the kernel starts at two
+    bytes and returns a."""
     a, b = parse("256 + x1^2", 1), LaurentPolynomial.one(1)
-    box = laurent._box(a.terms, b.terms)
     assert laurent._pack_dense(a.terms, [0, 1], 1) == 2 * 256
     assert laurent._unpack_dense(2 * 256, [0], [2], [2], 1) == {(2,): 2}
     widths = _spy_widths(monkeypatch)
-    assert laurent._dense_quotient(a.terms, b.terms, box) == a.terms
-    assert widths == [1, 2]
+    assert laurent._dense_quotient(a.terms, b.terms,
+                                   _term_box(a.terms, b.terms)) == a.terms
+    assert widths == [2]
+
+
+def test_dense_quotient_by_a_divisor_wider_than_q(monkeypatch):
+    """b = 256 - x1 times q = 1 + x1 + ... + x1^16: |q|_oo = 1, but b's
+    256 needs two-byte slots, where b packs to a nonzero int (in one-byte
+    slots it would pack to 256 - X = 0).  The dense kernel returns q."""
+    b = parse("256 - x1", 1)
+    q = LaurentPolynomial(1, {(j,): 1 for j in range(17)})
+    a = q * b
+    assert laurent._dense_box(a.terms, b.terms) is not None
+    dense = _spy(monkeypatch, "_dense_quotient")
+    widths = _spy_widths(monkeypatch)
+    assert divide_exact(a, b) == q
+    assert dense == [q.terms] and widths == [2]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
@@ -467,7 +505,7 @@ def test_dense_quotient_of_a_cancelled_dividend(n):
         a = a * (one - x ** k)
         b = b * LaurentPolynomial(1, {(j,): 1 for j in range(k)})
     assert sum(map(abs, a.terms.values())) < max(b.terms.values())
-    box = laurent._box(a.terms, b.terms, dense=True)
+    box = laurent._dense_box(a.terms, b.terms)
     assert box is not None
     expected = reference_divide(a, b)
     assert expected == ((one - x) ** n).terms
@@ -481,7 +519,7 @@ def test_dense_quotient_outside_its_box_is_declined():
     X^4 decodes to x2^4, past q's box (x2^0..x2^2): the kernel declines,
     and the heap division finds a / b inexact."""
     a, b = parse("x2^4 + x1 + x1*x2", 2), parse("1 + x2 + x2^2", 2)
-    box = laurent._box(a.terms, b.terms)
+    box = _term_box(a.terms, b.terms)
     assert laurent._dense_quotient(a.terms, b.terms, box) is None
     with pytest.raises(InexactDivisionError):
         divide_exact(a, b)
@@ -501,7 +539,7 @@ def test_inexact_dense_division_raises(monkeypatch):
     dividend = (a * b + 1).terms
     with pytest.raises(InexactDivisionError):
         laurent._dense_quotient(dividend, b.terms,
-                                laurent._box(dividend, b.terms))
+                                _term_box(dividend, b.terms))
     assert divide_exact(a * b, b) == a and heap == []
 
 

@@ -85,12 +85,19 @@ def test_bench_script_writes_counts(tmp_path):
         for op in (row["mul"], row["divide_exact"]):
             assert op["selected"] in ("dense", "sparse")
             assert op["dense"]["median_s"] > 0 and op["sparse"]["median_s"] > 0
-    # the cost test is sized at the half width, so every exchange division
-    # up to x_40 goes dense, in word slots of 8 bytes at x_32 and x_40
+    # the first width, at least half the full one, holds every exchange
+    # quotient up to x_40 and its divmod passes the cost test, so each goes
+    # dense, in word slots of 8 bytes at x_32 and x_40
     widths = [row["divide_exact"]["slot_bytes"] for row in doc["kernels"]]
     assert widths == [1, 2, 2, 4, 4, 4, 8, 8]
     assert all(row["divide_exact"]["selected"] == "dense"
                for row in doc["kernels"])
+    # past the first width: certified at the full one, or left to the heap
+    certified, left = doc["declined"]
+    assert (certified["slot_bytes"], certified["selected"]) == ([12, 16],
+                                                                "dense")
+    assert (left["slot_bytes"], left["selected"]) == ([4], "sparse")
+    assert all(row["sparse"]["median_s"] > 0 for row in doc["declined"])
     assert doc["timer"].startswith("time.process_time")
     strat = doc["stratify"]
     points = sum(p * p + p + 1 for p in strat["primes"])
