@@ -1,12 +1,12 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_28.json.
+write BENCH_29.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Nine parts:
+Stdlib only.  Ten parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials),
   the Kronecker closure to depth 24 (few seeds, growing polynomials) and
@@ -35,11 +35,13 @@ Stdlib only.  Nine parts:
   listings at each prime; the time per pair follows.  On the Hom side,
   the points walked; the kernels Ker W_v taken on the kernel side of the
   vertex pencils and the incidence |I| they give, the points of
-  P(Ker W_v) summed over them; the points keyed, |N|, those where some
-  vertex map is not injective; and the memo misses.  The time per point
-  follows.
+  P(Ker W_v) summed over them; the points keyed, those of N, where some
+  vertex kernel leaves its pencil's common kernel, and one point for the
+  others; and the memo misses.  The time per point follows.
 - d4: the same for Kronecker xx1(P1, I2), P Ext^1(I2, P1) and
   P Hom(P1, tau I2), each of dimension 4.
+- d4tilde: the same for D4-tilde xx1(P1, I5), P Ext^1(I5, P1) and
+  P Hom(P1, tau I5), each of dimension 2.
 - misses: the Hom side of Kronecker xx1(S2, S1) on the default primes,
   P Hom(S2, tau S1) of dimension 2, whose points give cokernels C with
   different canonical matrices but one canonical cokernel of tau^{-1} g.
@@ -439,7 +441,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_28.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_29.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -463,6 +465,9 @@ def main(argv=None):
                           args.repeats)
     d4 = both_sides("kronecker.xx1(P1,I2)", P1, injective_rep(q, 2), primes,
                     args.repeats)
+    qd = d4tilde_quiver()
+    d4tilde = both_sides("d4t.xx1(P1,I5)", projective_rep(qd, 1),
+                         injective_rep(qd, 5), primes, args.repeats)
 
     with counting(S2, S1) as counts:
         multiplication.stratify_hom_side(S2, S1, primes)
@@ -505,6 +510,7 @@ def main(argv=None):
         "declined": declined,
         "stratify": stratify,
         "d4": d4,
+        "d4tilde": d4tilde,
         "misses": misses,
         "tau": tau,
         "grass": grass,
@@ -530,7 +536,7 @@ def main(argv=None):
               f"({row['selected']}; dense {row['dense']['median_s'] * 1e3:.2f}"
               f", sparse {row['sparse']['median_s'] * 1e3:.2f}), decoded at "
               f"{row['slot_bytes']} bytes")
-    for part in (stratify, d4):
+    for part in (stratify, d4, d4tilde):
         row = part["ext"]
         print(f"{part['name']} ext side: {row['median_s']:.3f} s, "
               f"{row['subreps_L']} + {row['subreps_M']} subrepresentations "
@@ -540,6 +546,7 @@ def main(argv=None):
         print(f"{part['name']} hom side: {row['median_s']:.3f} s, "
               f"{row['points']} points, {row['keyed']} keyed, "
               f"{row['kernels']} kernels of incidence {row['incidence']}, "
+              f"{row['memo_misses']} misses, "
               f"{row['us_per_point']:.0f} us a point")
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
           f"{misses['points']} points, {misses['keyed']} keyed, "

@@ -26,6 +26,7 @@ Multiplication and exact division each have two kernels.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from fractions import Fraction
 from itertools import product
@@ -300,6 +301,9 @@ _DENSE_PAIRS = 32   # fewest pairs of terms, len(a) * len(b), to go dense
 _DENSE_FILL = 4     # most box points per term of either dense operand
 # long-division byte products as slow as one heap step (CPython 3.11, x86-64)
 _HEAP_STEP_BYTES = 1300
+# array's unsigned and signed typecodes by item size, their C types' sizes
+_UNSIGNED, _SIGNED = ({struct.calcsize(c): c for c in codes}
+                      for codes in ("BHILQ", "bhilq"))
 
 
 def _box(cols_a, cols_b):
@@ -355,7 +359,7 @@ def _pack_dense(terms, pos, size: int) -> int:
     pos = [p * per for p in pos] if per > 1 else pos
     n = max(pos) + per
     # each word holds its digit plus half, so no word borrows
-    blank = array("BHIQ"[word.bit_length() - 1], [half]) * n
+    blank = array(_UNSIGNED[word], [half]) * n
     offset = int.from_bytes((bytes(word - 1) + b"\x80") * n, "little")
     value, layer, coeffs = 0, 0, terms.values()
     while any(coeffs):
@@ -383,7 +387,7 @@ def _unpack_dense(value: int, low, steps, spans, size: int) -> dict:
     value += flip
     if value < 0 or value >> 8 * size * count:
         return {}
-    words = array("bhiq"[word.bit_length() - 1],
+    words = array(_SIGNED[word],
                   (value ^ flip).to_bytes(size * count, "little"))
     if sys.byteorder == "big":
         words.byteswap()

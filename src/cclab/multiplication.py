@@ -6,11 +6,12 @@ sum_e chi(Z_e) x^exp(e), Z_e the pairs of a point and a subrepresentation
 U of dimension e of its middle term, as X_Y depends on (dim Y, e) alone.
 The Ext side of xx1 (stratify_ext_side) and the Hom(P, M) side of xx2
 (verify_xx2) are integrals over subrepresentations of the operands; no
-point of them is visited.  The other Hom sides are walked over each
-sample prime (_hom_walk): only the points where a vertex map of g or of
-the transposed tau^{-1} g is not injective are visited, read off the
-kernels of the vertex pencils (_non_injective), and the others share one
-middle term and are counted.  Each class (shifted, dim Y) is one stratum:
+point of them is visited, and the Ext side ranks int rows.  The other
+Hom sides are walked over each sample prime (_hom_walk): only the points
+where a vertex kernel of g or of the transposed tau^{-1} g leaves the
+common kernel of its pencil are visited (_kernel_jumps), and one more
+for the others, which share its middle term and are counted.  Each
+class (shifted, dim Y) is one stratum:
 its points and its incidence counts sum_k points_k |Gr_e(Y_k)(F_p)| over
 the memo keys k of the class are interpolated into counting polynomials
 (_hom_strata).  _report forms the left-hand side and checks that the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import add, mul
+from operator import add, mul, neg
 
 from .artranslate import (ar_inverse_maps, ar_translate,
                           has_projective_summand, summand_multiplicities)
@@ -31,10 +32,10 @@ from .grassmannian import (_check_prime_count, _count_subreps, _plan,
                            fit_and_verify, grassmannian_degree_bound,
                            grassmannian_profile, subreps, subspaces)
 from .laurent import LaurentPolynomial
-from .linalg import _combination, _nullspace, _rank_mod
+from .linalg import _combination, _nullspace, _rank_mod, _rref
 from .reps import (ClusterObject, Representation, _kernel_key, _rep_of_key,
-                   cluster_object, direct_sum, dual, ext1_dim, hom_basis,
-                   hom_dim, make_rep, reduce_rep, stable_ext1_dim,
+                   _system_rows, cluster_object, direct_sum, dual, ext1_dim,
+                   hom_basis, hom_dim, reduce_rep, stable_ext1_dim,
                    standard_sum, top_multiplicities, zero_rep)
 
 
@@ -64,26 +65,36 @@ class VerificationReport:
 
 # -- the ext-side integral -------------------------------------------------
 
-def _sub(R: Representation, tup) -> Representation:
-    """The subrepresentation U of R over GF(p) held by the subreps entry
-    tup, on U's reduced echelon basis: R_a u is read at the pivots of
-    U_t."""
+def _sub(R: Representation, tup) -> tuple:
+    """(dim, arrow matrices as int rows) of the subrepresentation U of R
+    over GF(p) held by the subreps entry tup, on U's reduced echelon
+    basis: R_a u is read at the pivots of U_t."""
     pivots = [[u.index(1) for u in U] for U, _ in tup]
-    return make_rep(R.quiver, tuple(map(len, pivots)), [
+    return tuple(map(len, pivots)), [
         [[w[c] for w in tup[s - 1][1][a]] for c in pivots[t - 1]]
-        for a, (s, t) in enumerate(R.quiver.arrows)], R.field)
+        for a, (s, t) in enumerate(R.quiver.arrows)]
 
 
-def _quotient(R: Representation, tup) -> Representation:
-    """R/U for U held by tup, on the unit vectors at the coordinates off
-    the pivots of U, which ann U_v maps to unit vectors: ann(U_t) R_a is
-    read at those of U_s."""
+def _quotient(R: Representation, tup) -> tuple:
+    """(dim, arrow matrices as int rows) of R/U for U held by tup, on the
+    unit vectors at the coordinates off the pivots of U, which ann U_v
+    maps to unit vectors: ann(U_t) R_a is read at those of U_s."""
     pivots = [[u.index(1) for u in U] for U, _ in tup]
     free = [[c for c in range(n) if c not in pv]
             for n, pv in zip(R.dim, pivots)]
-    return make_rep(R.quiver, tuple(map(len, free)), [
+    return tuple(map(len, free)), [
         [[f[c] for c in free[s - 1]] for f in tup[t - 1][1][a]]
-        for a, (s, t) in enumerate(R.quiver.arrows)], R.field)
+        for a, (s, t) in enumerate(R.quiver.arrows)]
+
+
+def _ext1(arrows, U, Q, p: int) -> int:
+    """dim Ext^1(U, Q) over GF(p) for U and Q as (dim, arrow matrices as
+    int rows): the rows of the intertwiner system of Hom(U, Q) less its
+    rank, which is 0 with no rows or no columns."""
+    rows = _system_rows(arrows, U, Q, 0, neg)
+    if not rows or not rows[0]:
+        return len(rows)
+    return len(rows) - _rank_mod(rows, len(rows[0]), p)
 
 
 def stratify_ext_side(M: Representation, L: Representation, primes):
@@ -94,7 +105,8 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
     Ext^1(U_M, L/U_L), and form a Hom(U_M, L/U_L)-torsor.  Ext^2 = 0, so
     Ext^1(M, L) -> Ext^1(U_M, L) -> Ext^1(U_M, L/U_L) are onto, and the
     fibre over (U_L, U_M), an affine bundle over the projectivized kernel,
-    has chi d - dim Ext^1(U_M, L/U_L).  chi(Z_e) sums it over the pairs with
+    has chi d - dim Ext^1(U_M, L/U_L), which _ext1 ranks on the int rows
+    of _sub and _quotient.  chi(Z_e) sums it over the pairs with
     e_L + e_M = e, counted at each prime and fitted within their largest
     Grassmannian degree bound.  Every prime must keep dim Ext^1 = d, also
     for d = 0."""
@@ -115,14 +127,17 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
             L.dim, e_l) + grassmannian_degree_bound(M.dim, e_m))
     _check_prime_count(len(set(primes)), max(bounds.values()))
     counts = {e: dict.fromkeys(reduced, 0) for e in bounds}
+    arrows = M.quiver.arrows
     for p, (Mp, Lp) in reduced.items():
         tables = {}, {}
-        subs_l = [(e, _quotient(Lp, tup)) for e in es[0]
-                  for tup in subreps(Lp, e, tables[0])]
-        subs_m = [(e, _sub(Mp, tup)) for e in es[1]
-                  for tup in subreps(Mp, e, tables[1])]
-        for (e_l, Q), (e_m, U_M) in product(subs_l, subs_m):
-            counts[tuple(map(add, e_l, e_m))][p] += d - ext1_dim(U_M, Q)
+        subs_l = {e: [_quotient(Lp, tup) for tup in subreps(Lp, e, tables[0])]
+                  for e in es[0]}
+        subs_m = {e: [_sub(Mp, tup) for tup in subreps(Mp, e, tables[1])]
+                  for e in es[1]}
+        for e_l, e_m in product(*es):
+            counts[tuple(map(add, e_l, e_m))][p] += sum(
+                d - _ext1(arrows, U_M, Q, p)
+                for Q in subs_l[e_l] for U_M in subs_m[e_m])
     dim, shifted = tuple(map(add, L.dim, M.dim)), (0,) * M.quiver.n
     return [StratumReport(dim, shifted, d, "ext", exponent_form(
         M.quiver, dim, shifted, {e: fit_and_verify(by_prime, bounds[e])(1)
@@ -192,12 +207,12 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     dim Coker g, so the middle term is built once a key, from the key
     alone.
 
-    Where every vertex map of g and of Dh is injective, the key is the one
-    of K = R = 0, with dim Coker g = dim T - dim L.  Only the other points,
-    the union N of the _non_injective sets of the vertex pencils, are
-    visited and keyed, in the order of subspaces(p, d, 1); the injective
-    key counts the rest at the place of the first point outside N, so the
-    keys come in the order a point-by-point walk would meet them.
+    A _kernel_key depends on the vertex kernels alone, and outside the
+    union N of the _kernel_jumps sets of the vertex pencils each is the
+    common kernel of its pencil, so all such points share a key.  Only N
+    and the first point outside it are keyed, in the order of
+    subspaces(p, d, 1), and that point weighs for the rest, so the keys
+    come in the order a point-by-point walk would meet them.
     """
     p, n, d = Lp.field.p, Lp.quiver.n, len(basis)
     _, Th, images = ar_inverse_maps(Lp, Tp, basis)
@@ -210,49 +225,46 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     total = (p ** d - 1) // (p - 1)
     keyed = set()
     for parts, cols in zip(pencils, Lp.dim + DTh.dim):
-        if len(keyed) < total:
-            keyed |= _non_injective(parts, cols, p)
+        if len(keyed) < total - 1:  # one point left is keyed anyway
+            keyed |= _kernel_jumps(parts, cols, p)
     first = next((c for (c,) in subspaces(p, d, 1) if c not in keyed),
                  None)
     maps_at = [_combination(parts) for parts in pencils]
-    arrows = ((),) * len(Lp.quiver.arrows)
-    injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))
     walk = {}
     for c in sorted(keyed | ({first} if first else set()),
                     key=lambda c: (c.index(1), c)):
-        if c == first:
-            mk, count = injective_key, total - len(keyed)
-        else:
-            at_c = [[[x % p for x in row] for row in A(c)] for A in maps_at]
-            mk, count = (_kernel_key(at_c[:n], Lp),
-                         _kernel_key(at_c[n:], DTh)), 1
+        at_c = [[[x % p for x in row] for row in A(c)] for A in maps_at]
+        mk = _kernel_key(at_c[:n], Lp), _kernel_key(at_c[n:], DTh)
         if mk not in walk:
             dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
             walk[mk] = [0, _hom_side_middle(
                 _rep_of_key(mk[0], Lp), dual(_rep_of_key(mk[1], DTh)),
                 dim_c)]
-        walk[mk][0] += count
+        walk[mk][0] += total - len(keyed) if c == first else 1
     return walk
 
 
-def _non_injective(parts, cols: int, p: int) -> set:
+def _kernel_jumps(parts, cols: int, p: int) -> set:
     """The points [c] of P^{d-1}(F_p), d = len(parts), first nonzero
-    coordinate 1, where the pencil A(c) = sum_k c_k parts[k] of int-row
-    matrices with cols columns has a nonzero kernel.
+    coordinate 1, where the kernel of the pencil A(c) = sum_k c_k parts[k]
+    of int-row matrices with cols columns exceeds K0, their common kernel.
 
-    They are the image of the incidence variety {([c], [v]) : A(c) v = 0},
-    read off its smaller side.  A pencil that is never injective (fewer
-    rows than columns, or a kernel vector shared by every A_k) gives every
-    point.  With cols < d, A(c) v = W_v c for W_v = [A_1 v | ... | A_d v],
-    and each [v] of P^{cols-1} gives the points of P(Ker W_v).  Otherwise
-    A(c) is ranked at each point of subspaces(p, d, 1).
+    The r pivot columns of the stacked parts span a complement of K0, so
+    the pencil restricted to them decides: with fewer rows than r, every
+    point; else the image of the incidence variety
+    {([c], [v]) : A(c) v = 0}, read off its smaller side.  With r < d,
+    A(c) v = W_v c for W_v = [A_1 v | ... | A_d v], and each [v] of
+    P^{r-1} gives the points of P(Ker W_v).  Otherwise A(c) is ranked at
+    each point of subspaces(p, d, 1).
     """
     d = len(parts)
-    if not cols:
+    pivots = _rref([row[:] for A in parts for row in A], cols, p)
+    if not pivots:
         return set()
+    parts, cols = [[[row[j] for j in pivots] for row in A]
+                   for A in parts], len(pivots)
     points = (c for (c,) in subspaces(p, d, 1))
-    if len(parts[0]) < cols or _rank_mod(
-            [row for A in parts for row in A], cols, p) < cols:
+    if len(parts[0]) < cols:
         return set(points)
     if cols >= d:
         A = _combination(parts)

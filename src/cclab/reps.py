@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
 from .errors import (ConfigurationError, InputError, PreconditionError,
@@ -236,37 +236,41 @@ def _opposite(q: Quiver) -> Quiver:
 # -- Hom -------------------------------------------------------------------
 
 def _hom_system(M: Representation, N: Representation) -> Mat:
-    """Matrix of the intertwiner system over the vectorized f_i blocks.
-
-    Every entry is written once: the rows of arrow a: s -> t are its own,
-    and s != t on an acyclic quiver, so its f_t and f_s columns are apart.
-    """
-    q = M.quiver
+    """Matrix of the intertwiner system over the vectorized f_i blocks."""
     F = M.field
-    offs = []
-    total = 0
-    for i in range(q.n):
-        offs.append(total)
-        total += N.dim[i] * M.dim[i]
-    rows = sum(N.dim[t - 1] * M.dim[s - 1] for s, t in q.arrows)
-    sys = Mat(F, rows, total)
-    r0 = 0
-    for a, (s, t) in enumerate(q.arrows):
-        Ma, Na = M.matrices[a], N.matrices[a]
-        ns, nt = N.dim[s - 1], N.dim[t - 1]
-        ms, mt = M.dim[s - 1], M.dim[t - 1]
-        off_t, off_s = offs[t - 1], offs[s - 1]
-        ma_cols = [Ma.column(c) for c in range(ms)]
-        # equation f_t @ Ma - Na @ f_s = 0, entry (r, c) of the result:
-        # coefficient Ma[k][c] on f_t[r][k] and -Na[r][k] on f_s[k][c]
-        for r in range(nt):
-            neg_na = [F.of(-x) for x in Na.data[r]]
-            for c in range(ms):
-                row = sys.data[r0 + r * ms + c]
-                row[off_t + r * mt: off_t + (r + 1) * mt] = ma_cols[c]
-                row[off_s + c: off_s + ns * ms: ms] = neg_na
-        r0 += nt * ms
-    return sys
+    rows = _system_rows(M.quiver.arrows,
+                        (M.dim, [m.data for m in M.matrices]),
+                        (N.dim, [m.data for m in N.matrices]),
+                        F.zero, lambda x: F.of(-x))
+    return Mat._wrap(F, len(rows), sum(map(mul, N.dim, M.dim)), rows)
+
+
+def _system_rows(arrows, M, N, zero, neg) -> list:
+    """The rows of the intertwiner system of Hom(M, N), for M and N given
+    as (dim, arrow matrices as rows): per arrow a: s -> t the equation
+    f_t M_a - N_a f_s = 0, whose entry (r, c) has the coefficient
+    M_a[k][c] on f_t[r][k] and neg(N_a[r][k]) on f_s[k][c].
+
+    Every entry is written once: the rows of a are its own, and s != t on
+    an acyclic quiver, so its f_t and f_s columns are apart.
+    """
+    (m_dim, m_mats), (n_dim, n_mats) = M, N
+    offs = [0, *accumulate(map(mul, n_dim, m_dim))]
+    width = offs[-1]
+    rows = []
+    for (s, t), Ma, Na in zip(arrows, m_mats, n_mats):
+        ms, mt = m_dim[s - 1], m_dim[t - 1]
+        off_s, end_s = offs[s - 1], offs[s - 1] + n_dim[s - 1] * ms
+        ma_cols = list(zip(*Ma)) if Ma else [()] * ms
+        for r, na in enumerate(Na):
+            neg_na = list(map(neg, na))
+            lo = offs[t - 1] + r * mt
+            for c, col in enumerate(ma_cols):
+                row = [zero] * width
+                row[lo: lo + mt] = col
+                row[off_s + c: end_s: ms] = neg_na
+                rows.append(row)
+    return rows
 
 
 def _blocks(F, vec, shapes) -> list:

@@ -18,11 +18,11 @@ from cclab.grassmannian import (count_subreps, fit_and_verify,
                                 gaussian_binomial, grassmannian_degree_bound,
                                 subreps, subspaces)
 from cclab.linalg import _nullspace_of_rref, _rank_mod
-from cclab.multiplication import (_quotient, _sub, stratify_ext_side,
-                                  verify_xx1)
+from cclab.multiplication import (_ext1, _quotient, _sub,
+                                  stratify_ext_side, verify_xx1)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver, validate_quiver)
-from cclab.reps import (ExtCocycle, _hom_system, combine, ext1_dim,
+from cclab.reps import (ExtCocycle, _system_rows, combine, ext1_dim,
                         ext1_setup, make_rep, middle_term, reduce_rep,
                         standard_module, unit_cocycles)
 
@@ -166,20 +166,22 @@ def test_kronecker_xx1_holds(L, M):
     assert verify_xx1(L, M, PRIMES).verdict
 
 
-def cocycle_kept_dim(U_M, tup, Q, ann, phis) -> int:
-    """dim ker(Ext^1(M, L) -> Ext^1(U_M, L/U_L)) from cocycle images, for
-    U_M held by tup, Q = L/U_L and ann = ann U_L per vertex, on the unit
-    cocycles phi of Ext^1(M, L): d + rank C - rank [C | images], with
-    C = _hom_system(U_M, Q) spanning the coboundaries and the images
-    ann(U_L,t) phi_a U_M,s in its row order."""
-    C, p = _hom_system(U_M, Q), Q.field.p
+def cocycle_kept_dim(arrows, U_M, tup, Q, ann, phis, p) -> int:
+    """dim ker(Ext^1(M, L) -> Ext^1(U_M, L/U_L)) over GF(p) from cocycle
+    images, for U_M held by tup and Q = L/U_L, both as (dim, arrow
+    matrices as int rows), and ann = ann U_L per vertex, on the unit
+    cocycles phi of Ext^1(M, L): d + rank C - rank [C | images], with C
+    the intertwiner rows of Hom(U_M, Q), which span the coboundaries, and
+    the images ann(U_L,t) phi_a U_M,s in their order."""
+    C = _system_rows(arrows, U_M, Q, 0, lambda x: -x % p)
+    cols = sum(map(mul, Q[0], U_M[0]))
     images = [[sum(x * sum(map(mul, row, u)) for x, row in zip(f, phi[a])) % p
-               for a, (s, t) in enumerate(Q.quiver.arrows)
+               for a, (s, t) in enumerate(arrows)
                for f in ann[t - 1] for u in tup[s - 1][0]] for phi in phis]
     rows = [row + [image[i] for image in images]
-            for i, row in enumerate(C.data)]
-    return (len(phis) + _rank_mod(C.data, C.cols, p)
-            - _rank_mod(rows, C.cols + len(phis), p))
+            for i, row in enumerate(C)]
+    return (len(phis) + _rank_mod(C, cols, p)
+            - _rank_mod(rows, cols + len(phis), p))
 
 
 def _all_subreps(R) -> list:
@@ -201,8 +203,9 @@ def _tuples(R) -> int:
 def test_fibre_is_a_dimension_count(case):
     """Ext^2 = 0 makes Ext^1(M, L) -> Ext^1(U_M, L/U_L) onto, so for every
     U_L <= L and U_M <= M its kernel, ranked from the images of the unit
-    cocycles, has dimension d - dim Ext^1(U_M, L/U_L): the fibre that
-    stratify_ext_side counts over the pair."""
+    cocycles, has dimension d - dim Ext^1(U_M, L/U_L), read on the int
+    rows of _sub and _quotient: the fibre that stratify_ext_side counts
+    over the pair."""
     M, L, _ = case
     assume(_tuples(M) * _tuples(L) <= 5000)  # bounds the pairs ranked
     p, d = M.field.p, ext1_dim(M, L)
@@ -212,8 +215,9 @@ def test_fibre_is_a_dimension_count(case):
     quotients = [(_quotient(L, tup), [
         _nullspace_of_rref(U, [u.index(1) for u in U], n, p)[1]
         for (U, _), n in zip(tup, L.dim)]) for tup in _all_subreps(L)]
+    arrows = M.quiver.arrows
     for tup in _all_subreps(M):
         U_M = _sub(M, tup)
         for Q, ann in quotients:
-            assert (cocycle_kept_dim(U_M, tup, Q, ann, phis)
-                    == d - ext1_dim(U_M, Q))
+            assert (cocycle_kept_dim(arrows, U_M, tup, Q, ann, phis, p)
+                    == d - _ext1(arrows, U_M, Q, p))

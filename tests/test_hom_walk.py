@@ -1,5 +1,6 @@
-"""The Hom-side walk, which keys only the points where some vertex map is
-not injective, against a walk that keys P Hom point by point."""
+"""The Hom-side walk, which keys only the points where some vertex kernel
+leaves the common kernel of its pencil and one point for the rest, against
+a walk that keys P Hom point by point."""
 
 import random
 from itertools import product
@@ -19,7 +20,7 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
 from cclab.errors import ConfigurationError
 from cclab.grassmannian import subspaces
 from cclab.linalg import _rank_mod
-from cclab.multiplication import (_hom_side_middle, _hom_walk, _non_injective,
+from cclab.multiplication import (_hom_side_middle, _hom_walk, _kernel_jumps,
                                   stratify_hom_side, verify_xx1)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
@@ -96,6 +97,11 @@ def stock_hom_sides():
 
 
 STOCK = stock_hom_sides()
+# D4-tilde P Hom(P_i, tau I5), i = 1..4, of pairs of total dimension 7
+D4T_SIDES = [(f"d4t.xx1(P{i},I5)", projective_rep(d4tilde_quiver(), i),
+              ar_translate(injective_rep(d4tilde_quiver(), 5)))
+             for i in range(1, 5)]
+WALKED = STOCK + D4T_SIDES
 
 
 def _both_walks(L, T, p):
@@ -104,8 +110,8 @@ def _both_walks(L, T, p):
     return _hom_walk(Lp, Tp, basis), pointwise_walk(Lp, Tp, basis)
 
 
-@pytest.mark.parametrize("label, L, T", STOCK,
-                         ids=[label for label, *_ in STOCK])
+@pytest.mark.parametrize("label, L, T", WALKED,
+                         ids=[label for label, *_ in WALKED])
 def test_walk_matches_pointwise_on_stock_sides(label, L, T):
     """At p = 2, 3 and 5, every memo key has the count and the middle term
     of the point-by-point walk, whose keys come in the same order."""
@@ -114,8 +120,8 @@ def test_walk_matches_pointwise_on_stock_sides(label, L, T):
         assert list(walk.items()) == list(pointwise.items())
 
 
-@pytest.mark.parametrize("label, L, T", STOCK,
-                         ids=[label for label, *_ in STOCK])
+@pytest.mark.parametrize("label, L, T", WALKED,
+                         ids=[label for label, *_ in WALKED])
 def test_walk_matches_pointwise_after_base_change(label, L, T):
     """The same at p = 3 on both modules moved by unimodular base changes
     of seeds 1 and 2, whose matrices are no longer the stock 0/1 ones."""
@@ -126,13 +132,34 @@ def test_walk_matches_pointwise_after_base_change(label, L, T):
         assert list(walk.items()) == list(pointwise.items())
 
 
+@pytest.mark.parametrize("label, L, T", D4T_SIDES,
+                         ids=[label for label, *_ in D4T_SIDES])
+def test_d4tilde_keys_four_points(monkeypatch, label, L, T):
+    """On P Hom(P_i, tau I5) one vertex pencil of Dh has no rows, so each
+    point has a kernel there, yet only 3 points of each P^1(F_p) move a
+    vertex kernel off its pencil's common kernel: the walk reads kernel
+    keys at exactly 4 points of each default prime, 8 reads, and counts
+    all p + 1."""
+    keyed = []
+    key_of = multiplication._kernel_key
+    monkeypatch.setattr(multiplication, "_kernel_key",
+                        lambda g, R: keyed.append(R) or key_of(g, R))
+    for p in default_primes():
+        keyed.clear()
+        Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+        walk = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
+        assert len(keyed) == 8
+        assert sum(n for n, _ in walk.values()) == p + 1
+
+
 @pytest.mark.parametrize("M", [simple_rep(kronecker_quiver(), 1),
                                injective_rep(kronecker_quiver(), 2)],
                          ids=["S1", "I2"])
-def test_kronecker_keys_p_plus_one_points(monkeypatch, M):
+def test_kronecker_keys_p_plus_two_points(monkeypatch, M):
     """Kronecker P Hom(P1, tau S1) and P Hom(P1, tau I2), of dimension 3
-    and 4, read kernel keys at exactly p + 1 points of each prime, two
-    keys a point: g and Dh."""
+    and 4, read kernel keys at exactly p + 2 points of each prime, two
+    keys a point: g and Dh.  p + 1 points have a vertex kernel off its
+    pencil's common kernel, and one more stands for the others."""
     keyed = []
     key_of = multiplication._kernel_key
     monkeypatch.setattr(multiplication, "_kernel_key",
@@ -142,7 +169,7 @@ def test_kronecker_keys_p_plus_one_points(monkeypatch, M):
         keyed.clear()
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
         walk = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
-        assert len(keyed) == 2 * (p + 1)
+        assert len(keyed) == 2 * (p + 2)
         d = len(hom_basis(Lp, Tp))
         assert sum(n for n, _ in walk.values()) == (p ** d - 1) // (p - 1)
 
@@ -150,17 +177,17 @@ def test_kronecker_keys_p_plus_one_points(monkeypatch, M):
 def test_pointwise_pencils_at_default_primes(monkeypatch):
     """Kronecker xx1(P1, R(1, 0) (+) R(1, 1)) holds on the default primes,
     and its Hom side has vertex pencils with cols >= d >= 2 and full
-    stacked rank, which _non_injective ranks point by point."""
+    stacked rank, which _kernel_jumps ranks point by point."""
     q = kronecker_quiver()
     ranked = []
-    non_injective = multiplication._non_injective
+    kernel_jumps = multiplication._kernel_jumps
 
     def spy(parts, cols, p):
         if cols >= len(parts) >= 2 and len(parts[0]) >= cols and _rank_mod(
                 [row for A in parts for row in A], cols, p) == cols:
             ranked.append(p)
-        return non_injective(parts, cols, p)
-    monkeypatch.setattr(multiplication, "_non_injective", spy)
+        return kernel_jumps(parts, cols, p)
+    monkeypatch.setattr(multiplication, "_kernel_jumps", spy)
     M = direct_sum(kronecker_regular(1, 0), kronecker_regular(1, 1))
     assert verify_xx1(projective_rep(q, 1), M, default_primes()).verdict
     assert ranked
@@ -238,13 +265,15 @@ def pencils(draw):
 
 @given(pencils())
 @settings(deadline=None, max_examples=300)
-def test_non_injective_matches_rank_at_every_point(case):
-    """_non_injective holds the points c of P^{d-1}(F_p) where
-    sum_k c_k A_k has rank below cols, ranked one point at a time."""
+def test_kernel_jumps_match_rank_at_every_point(case):
+    """_kernel_jumps holds the points c of P^{d-1}(F_p) where
+    sum_k c_k A_k has rank below the rank of the stacked A_k, ranked one
+    point at a time: there its kernel is larger than their common one."""
     parts, cols, p = case
     rows = len(parts[0])
+    stacked = _rank_mod([row for A in parts for row in A], cols, p)
     points = [c for (c,) in subspaces(p, len(parts), 1)]
-    assert _non_injective(parts, cols, p) == {
+    assert _kernel_jumps(parts, cols, p) == {
         c for c in points if _rank_mod(
             [[sum(x * A[r][j] for x, A in zip(c, parts))
-              for j in range(cols)] for r in range(rows)], cols, p) < cols}
+              for j in range(cols)] for r in range(rows)], cols, p) < stacked}

@@ -203,8 +203,9 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     """Kronecker xx1(P1, S1): P Hom(P1, tau S1) has dimension 3, but its
     points share few memo keys, so a middle term is built once per
     distinct key at each prime, not once per point.  Kernel keys are read
-    only at the few points where g or Dh is not injective at some vertex;
-    the others share the key of K = R = 0.  tau^{-1} runs as
+    only at the few points where a vertex kernel of g or Dh leaves its
+    pencil's common kernel, and at one point for all the others, which
+    share its key.  tau^{-1} runs as
     ar_inverse_maps on the basis maps once per prime, and never over QQ."""
     q = kronecker_quiver()
     keys, misses, inverses = [], [], []
@@ -230,11 +231,10 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
     assert sum(s.chi for s in strata) == 3
-    # a keyed point reads the key of g, then that of the transpose of h;
-    # the key of K = R = 0 misses once a prime besides
+    # a keyed point reads the key of g, then that of the transpose of h
     distinct = set(zip(keys[::2], keys[1::2]))
     assert QQ not in misses
-    assert len(misses) == len(distinct) + len(few_primes)
+    assert len(misses) == len(distinct)
     points = sum(p * p + p + 1 for p in few_primes)
     assert 0 < len(keys) * 10 < 2 * points
     assert 0 < len(distinct) * 10 < points
@@ -291,8 +291,8 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
     """With the memo switched off, every point that reads kernel keys
     builds its own middle term, and the strata are the same.  The memo is
     switched off by kernel keys that never compare equal but still decode
-    to K and R; the points where g and Dh are injective still share the
-    key of K = R = 0."""
+    to K and R; the points where every vertex kernel is its pencil's
+    common kernel still share the key of the one point keyed for them."""
     memoised = run(few_primes)
     key_of = multiplication._kernel_key
 
@@ -346,7 +346,8 @@ def _hom_buckets_and_pointwise(L, M, p):
 ], ids=["kronecker-hom(P1,S1)", "kronecker-hom(S2,S1)", "d4tilde-(P1,I5)"])
 def test_hom_line_keys_match_pointwise_maps(L, M):
     """At p = 5 the bucket sizes of the Hom-side walk of P Hom(L, tau M),
-    which keys only the points where a vertex map is not injective, are
+    which keys only the points where a vertex kernel leaves its pencil's
+    common kernel and one point for the rest, are
     the counts of the bucket keys of the middle terms of
     g = combine(basis, c) built point by point with kernel_rep and
     cokernel_rep."""
@@ -355,9 +356,10 @@ def test_hom_line_keys_match_pointwise_maps(L, M):
 
 
 def test_hom_line_keys_match_pointwise_maps_at_23(monkeypatch):
-    """At p = 23 on Kronecker hom(P1, tau S1), the points where g and Dh
-    are injective share the key of K = R = 0 unvisited; only the 24 others
-    read _kernel_key, and every bucket has its pointwise size."""
+    """At p = 23 on Kronecker hom(P1, tau S1), only the 24 points where a
+    vertex kernel leaves its pencil's common kernel and one point for the
+    others, which share its key, read _kernel_key, and every bucket has its
+    pointwise size."""
     q = kronecker_quiver()
     keyed = []
     key_of = multiplication._kernel_key
@@ -369,7 +371,7 @@ def test_hom_line_keys_match_pointwise_maps_at_23(monkeypatch):
     points = 23 * 23 + 23 + 1
     assert sum(pointwise.values()) == points
     # a keyed point reads the key of g and that of Dh
-    assert len(keyed) == 2 * 24
+    assert len(keyed) == 2 * 25
     assert len(pointwise) > 1
 
 

@@ -103,10 +103,11 @@ def test_bench_script_writes_counts(tmp_path):
     points = sum(p * p + p + 1 for p in strat["primes"])
     ext, hom = strat["ext"], strat["hom"]
     assert hom["points"] == points
-    # p + 1 points of each P^2(F_p) have a non-injective vertex map
-    keyed = sum(p + 1 for p in strat["primes"])
-    assert hom["keyed"] == keyed
-    assert keyed <= hom["incidence"] <= 2 * keyed
+    # p + 1 points of each P^2(F_p) move a vertex kernel off its pencil's
+    # common kernel, and one more point is keyed for all the others
+    jumps = sum(p + 1 for p in strat["primes"])
+    assert hom["keyed"] == jumps + len(strat["primes"])
+    assert jumps <= hom["incidence"] <= 2 * jumps
     assert hom["kernels"] > 0
     assert ext["us_per_pair"] > 0 and hom["us_per_point"] > 0
     assert 0 < hom["memo_misses"] * 10 < points
@@ -121,8 +122,8 @@ def test_bench_script_writes_counts(tmp_path):
     points = sum(p ** 3 + p * p + p + 1 for p in d4["primes"])
     row = d4["hom"]
     assert row["points"] == points
-    assert row["keyed"] == keyed
-    assert keyed <= row["incidence"] <= 2 * keyed
+    assert row["keyed"] == jumps + len(d4["primes"])
+    assert jumps <= row["incidence"] <= 2 * jumps
     assert row["median_s"] > 0
     # I2 = (2, 1) has 0, (0, 1), the p + 1 lines at vertex 1 with vertex 2,
     # and I2, as many as P1
@@ -132,11 +133,19 @@ def test_bench_script_writes_counts(tmp_path):
     assert row["median_s"] > 0 and row["us_per_pair"] > 0
     misses = doc["misses"]
     assert misses["points"] == sum(p + 1 for p in misses["primes"])
-    # every vertex map is injective: no point is keyed, and the p + 1
-    # cokernels of each prime share tau^{-1} C: one miss a prime
-    assert misses["keyed"] == 0
+    # every vertex map is injective: one point is keyed for all, and the
+    # p + 1 cokernels of each prime share tau^{-1} C: one miss a prime
+    assert misses["keyed"] == len(misses["primes"])
     assert misses["memo_misses"] == len(misses["primes"])
     assert misses["us_per_point"] > 0
+    d4tilde = doc["d4tilde"]
+    assert d4tilde["name"] == "d4t.xx1(P1,I5)"
+    row = d4tilde["hom"]
+    assert row["points"] == sum(p + 1 for p in d4tilde["primes"])
+    # 3 points of each P^1(F_p) move a vertex kernel, and one more stands
+    # for the rest; each of the 4 is its own memo key
+    assert row["keyed"] == row["memo_misses"] == 4 * len(d4tilde["primes"])
+    assert row["median_s"] > 0 and d4tilde["ext"]["median_s"] > 0
     grass = {row["name"]: row for row in doc["grass"]}
     assert list(grass) == ["d4t.E1+E1", "a3.I13+I13", "kronecker.P1+I2"]
     for row in grass.values():
