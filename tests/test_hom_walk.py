@@ -132,14 +132,25 @@ def test_walk_matches_pointwise_after_base_change(label, L, T):
         assert list(walk.items()) == list(pointwise.items())
 
 
-@pytest.mark.parametrize("label, L, T", D4T_SIDES,
-                         ids=[label for label, *_ in D4T_SIDES])
-def test_d4tilde_keys_four_points(monkeypatch, label, L, T):
-    """On P Hom(P_i, tau I5) one vertex pencil of Dh has no rows, so each
-    point has a kernel there, yet only 3 points of each P^1(F_p) move a
-    vertex kernel off its pencil's common kernel: the walk reads kernel
-    keys at exactly 4 points of each default prime, 8 reads, and counts
-    all p + 1."""
+# (label, L, T, points keyed a prime p) of Hom sides with few keyed points
+KEYED = [(f"kronecker.xx1(P1,{name})", projective_rep(kronecker_quiver(), 1),
+          ar_translate(M), lambda p: p + 2)
+         for name, M in (("S1", simple_rep(kronecker_quiver(), 1)),
+                         ("I2", injective_rep(kronecker_quiver(), 2)))] + [
+    (label, L, T, lambda p: 4) for label, L, T in D4T_SIDES]
+
+
+@pytest.mark.parametrize("label, L, T, points", KEYED,
+                         ids=[label for label, *_ in KEYED])
+def test_walk_keys_few_points(monkeypatch, label, L, T, points):
+    """The walk reads kernel keys at exactly points(p) points of each
+    default prime, two keys a point: g and Dh, and counts every point.
+    Kronecker P Hom(P1, tau S1) and P Hom(P1, tau I2), of dimension 3 and
+    4, key p + 2: p + 1 points move a vertex kernel off its pencil's
+    common kernel, and one more stands for the others.  D4-tilde
+    P Hom(P_i, tau I5), of dimension 2, keys 4: one vertex pencil of Dh
+    has no rows, so each point has a kernel there, yet only 3 points of
+    each P^1(F_p) move a vertex kernel."""
     keyed = []
     key_of = multiplication._kernel_key
     monkeypatch.setattr(multiplication, "_kernel_key",
@@ -147,31 +158,11 @@ def test_d4tilde_keys_four_points(monkeypatch, label, L, T):
     for p in default_primes():
         keyed.clear()
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        walk = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
-        assert len(keyed) == 8
-        assert sum(n for n, _ in walk.values()) == p + 1
-
-
-@pytest.mark.parametrize("M", [simple_rep(kronecker_quiver(), 1),
-                               injective_rep(kronecker_quiver(), 2)],
-                         ids=["S1", "I2"])
-def test_kronecker_keys_p_plus_two_points(monkeypatch, M):
-    """Kronecker P Hom(P1, tau S1) and P Hom(P1, tau I2), of dimension 3
-    and 4, read kernel keys at exactly p + 2 points of each prime, two
-    keys a point: g and Dh.  p + 1 points have a vertex kernel off its
-    pencil's common kernel, and one more stands for the others."""
-    keyed = []
-    key_of = multiplication._kernel_key
-    monkeypatch.setattr(multiplication, "_kernel_key",
-                        lambda g, L: keyed.append(L) or key_of(g, L))
-    L, T = projective_rep(kronecker_quiver(), 1), ar_translate(M)
-    for p in default_primes():
-        keyed.clear()
-        Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
-        walk = _hom_walk(Lp, Tp, hom_basis(Lp, Tp))
-        assert len(keyed) == 2 * (p + 2)
-        d = len(hom_basis(Lp, Tp))
-        assert sum(n for n, _ in walk.values()) == (p ** d - 1) // (p - 1)
+        basis = hom_basis(Lp, Tp)
+        walk = _hom_walk(Lp, Tp, basis)
+        assert len(keyed) == 2 * points(p)
+        assert sum(n for n, _ in walk.values()) == (
+            p ** len(basis) - 1) // (p - 1)
 
 
 def test_pointwise_pencils_at_default_primes(monkeypatch):
