@@ -465,6 +465,15 @@ def test_dense_quotient_checks_a_narrow_decode_by_its_product(monkeypatch):
     assert widths == [1, 2]
 
 
+def test_word_typecodes_have_their_item_sizes():
+    """The packer's unsigned and signed array typecodes, chosen at import by
+    their C types' sizes, hold words of 1, 2, 4 and 8 bytes, one each."""
+    from array import array
+    for codes in (laurent._UNSIGNED, laurent._SIGNED):
+        assert {1, 2, 4, 8} <= set(codes)
+        assert all(array(c).itemsize == size for size, c in codes.items())
+
+
 def test_dense_quotient_skips_slots_too_narrow_for_q(monkeypatch):
     """a = 256 + x1^2 over b = 1: in one-byte slots X = 256 and a packs to
     2X, which decodes inside the quotient's box to 2*x1^2.  But |q|_oo is
