@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_29.json.
+write BENCH_30.json.
 
 Run from the repository root:
 
@@ -48,8 +48,9 @@ Stdlib only.  Ten parts:
   It is timed, and one extra run counts the points, the kernels, the
   incidence, the points keyed and the memo misses as in stratify; the
   time per point follows.
-- tau: ar_translate and ar_inverse over QQ on fixed stock modules of the
-  Kronecker and D4-tilde quivers, in microseconds a call.
+- tau: ar_translate, ar_inverse and has_projective_summand over QQ on
+  fixed stock modules of the Kronecker and D4-tilde quivers, in
+  microseconds a call.
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
   A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first:
   the profile, the (U, ann U) tables keyed on (p, d, k) and the Gaussian
@@ -79,7 +80,8 @@ import sys
 import time
 
 from cclab import grassmannian, laurent, multiplication, mutation
-from cclab.artranslate import ar_inverse, ar_translate
+from cclab.artranslate import (ar_inverse, ar_translate,
+                               has_projective_summand)
 from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
                           kronecker_regular)
@@ -441,7 +443,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_29.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_30.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -481,7 +483,7 @@ def main(argv=None):
     for name, M in tau_modules():
         row = {"name": name, "dim": M.dim, "tau_dim": ar_translate(M).dim,
                "inverse_dim": ar_inverse(M).module.dim}
-        for fn in (ar_translate, ar_inverse):
+        for fn in (ar_translate, ar_inverse, has_projective_summand):
             t = timed(lambda: [fn(M) for _ in range(TAU_CALLS)], args.repeats)
             row[f"us_per_{fn.__name__}"] = t["median_s"] / TAU_CALLS * 1e6
         tau.append(row)
@@ -554,7 +556,9 @@ def main(argv=None):
           f"{misses['us_per_point']:.0f} us a point")
     for row in tau:
         print(f"{row['name']}: ar_translate {row['us_per_ar_translate']:.0f} "
-              f"us, ar_inverse {row['us_per_ar_inverse']:.0f} us")
+              f"us, ar_inverse {row['us_per_ar_inverse']:.0f} us, "
+              "has_projective_summand "
+              f"{row['us_per_has_projective_summand']:.0f} us")
     for row in grass:
         print(f"{row['name']} profile: {row['median_s']:.3f} s, "
               f"{row['count_subreps_calls']} counts, {row['cover_tuples']} "

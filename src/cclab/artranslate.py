@@ -6,12 +6,14 @@ an arrow a: i -> j, which gives P_j -> P_i by p |-> (a,) + p on paths,
 acts by the transpose of the induced Ext^1(M, P_j) -> Ext^1(M, P_i).
 Ext^1 is the cokernel of the intertwiner system that Hom reads, so tau
 needs no presentation.  On f: M -> N, (tau f)_u is the transpose of
-Ext^1(f, P_u), read on the same bases.  tau^{-1} = D tau D, where D is
-the duality to the opposite quiver, on modules and maps alike; it is
-right exact, and injective summands of the input turn into shifted
+Ext^1(f, P_u), read on the same bases (ar_translate_maps).  tau^{-1} =
+D tau D, where D is the duality to the opposite quiver; it is right
+exact, and injective summands of the input turn into shifted
 projectives P_i[1].  Summand multiplicities are read from the Euler
-form, since tau kills projectives and tau^{-1} injectives.  The Hom-side
-middle term Ker g (+) tau^{-1} Coker g is assembled in multiplication.
+form, since tau kills projectives and tau^{-1} injectives; a projective
+summand shows in dim (tau M)_u = dim Ext^1(M, P_u) alone.  The Hom-side
+middle term Ker g (+) tau^{-1} Coker g is assembled in multiplication,
+which reads tau^{-1} g = D tau(Dg) through ar_translate_maps.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import PreconditionError
 from .linalg import Mat
 from .quiver import euler_form
 from .reps import (ClusterObject, Representation, _standard_battery,
-                   all_paths, cluster_object, dual, ext1_setup)
+                   all_paths, cluster_object, dual, ext1_dim, ext1_setup)
 
 
 def summand_multiplicities(q, x, y) -> tuple:
@@ -37,8 +39,10 @@ def summand_multiplicities(q, x, y) -> tuple:
 
 
 def has_projective_summand(M: Representation) -> bool:
-    return any(summand_multiplicities(M.quiver, M.dim,
-                                      ar_translate_unchecked(M).dim))
+    """Whether M has a P_i summand, read from dim (tau M)_u =
+    dim Ext^1(M, P_u) without building tau M."""
+    return any(summand_multiplicities(M.quiver, M.dim, [
+        ext1_dim(M, P) for P, _ in _standard_battery(M.quiver, M.field)]))
 
 
 def ar_translate(M: Representation) -> Representation:
@@ -78,35 +82,29 @@ def _tau(M: Representation):
     return Representation(q, F, dim, mats), ext
 
 
-def _tau_map(f, M: Representation, ext_m: list, ext_n: list) -> list:
-    """tau f for f: M -> N, from the ext of _tau(M) and _tau(N): at u the
-    transpose of Ext^1(f, P_u).  The unit cocycle of N at (b, p, c),
-    b: s -> t, pulls back to row c of f_s at the coordinates (b, p, -)."""
-    out = []
-    for (_, rows, _, Q), (coords, _, indices, _) in zip(ext_m, ext_n):
-        pulled = Mat(M.field, Q.cols, len(indices))
-        for k, (b, p, c) in enumerate(coords[i] for i in indices):
-            s = M.quiver.arrows[b][0]
-            for x, v in enumerate(f[s - 1].data[c]):
-                pulled.data[rows[(b, p, x)]][k] = v
-        out.append(Q.mul(pulled).transpose())
-    return out
-
-
 def ar_translate_unchecked(M: Representation) -> Representation:
     """tau M = D Ext^1(M, A) for any M; its projective summands
     contribute nothing."""
     return _tau(M)[0]
 
 
-def ar_inverse_maps(L: Representation, T: Representation, maps):
-    """tau^{-1} L, tau^{-1} T as in ar_inverse, and tau^{-1} f = D tau D f
-    for each f: L -> T in maps, on the same set-up of Ext^1."""
-    DL, DT = dual(L), dual(T)
-    (tau_l, ext_l), (tau_t, ext_t) = _tau(DL), _tau(DT)
-    return dual(tau_l), dual(tau_t), [
-        [m.transpose() for m in _tau_map([m.transpose() for m in f], DT,
-                                         ext_t, ext_l)] for f in maps]
+def ar_translate_maps(M: Representation, N: Representation, maps):
+    """tau M, tau N and tau f for each f: M -> N in maps, on the bases of
+    _tau: at u the transpose of Ext^1(f, P_u).  The unit cocycle of N at
+    (b, p, c), b: s -> t, pulls back to row c of f_s at the coordinates
+    (b, p, -), and M's quotient map reads its class."""
+    (tau_m, ext_m), (tau_n, ext_n) = _tau(M), _tau(N)
+    out = []
+    for f in maps:
+        out.append([])
+        for (_, rows, _, Q), (coords, _, indices, _) in zip(ext_m, ext_n):
+            pulled = Mat(M.field, Q.cols, len(indices))
+            for k, (b, p, c) in enumerate(coords[i] for i in indices):
+                s = M.quiver.arrows[b][0]
+                for x, v in enumerate(f[s - 1].data[c]):
+                    pulled.data[rows[(b, p, x)]][k] = v
+            out[-1].append(Q.mul(pulled).transpose())
+    return tau_m, tau_n, out
 
 
 def ar_inverse(M: Representation) -> ClusterObject:

@@ -7,10 +7,11 @@ tuple) and is bit-exact across runs:  ``x1^-1 + x1^-1*x2``.
 
 Multiplication and exact division each have two kernels.
 
-- Sparse, for small or scattered operands.  Each exponent tuple packs into
-  one int: a total-degree field on top, then one field per variable, each
-  wide enough for every value the operation can produce.  Adding packed
-  keys adds exponents, and comparing them compares (total degree, exponent
+- Sparse, for small or scattered operands.  Both operands are shifted to
+  honest polynomials, and each exponent tuple packs into one int: a
+  total-degree field on top, then one field per variable, each wide
+  enough for every value the operation can produce.  Adding packed keys
+  adds exponents, and comparing them compares (total degree, exponent
   tuple), so the kernels never build a tuple per term pair.  Division
   takes its leading terms off a heap and certifies exactness as it goes.
 - Dense (Kronecker substitution), when the operands make at least
@@ -31,6 +32,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import add, sub
 
 from .errors import InexactDivisionError, InputError
 
@@ -242,57 +244,56 @@ def parse(s: str, nvars: int) -> LaurentPolynomial:
     return out
 
 
-def _pack(exp, width: int, bias: int = 0) -> int:
+def _pack(exp, width: int) -> int:
     """Exponent tuple as one int: total degree on top, then x1, ..., xn,
-    each field holding value + bias.  Negative values are allowed; the sum
-    is exact, and decodes uniquely once every field lies in [0, 2^width)."""
-    k = sum(exp) + bias
+    one field of this width each.  Packing is linear, so sums and
+    differences of keys are those of the exponents; a key decodes uniquely
+    once every field lies in [0, 2^width)."""
+    k = sum(exp)
     for x in exp:
-        k = (k << width) + x + bias
+        k = (k << width) + x
     return k
 
 
-def _unpack(k: int, nvars: int, width: int, bias: int = 0) -> tuple:
+def _unpack(k: int, nvars: int, width: int, shift) -> tuple:
+    """The exponents packed in k, each plus its entry of shift."""
     mask = (1 << width) - 1
-    exp = [0] * nvars
+    exp = list(shift)
     for i in range(nvars - 1, -1, -1):
-        exp[i] = (k & mask) - bias
+        exp[i] += k & mask
         k >>= width
     return tuple(exp)
 
 
-def _size(terms) -> int:
-    """A bound on |total degree| and on |exponent| over the terms."""
-    return max(sum(map(abs, e)) for e in terms)
+def _shifted(terms):
+    """(low, top): each variable's lowest exponent over the terms, and the
+    largest total degree once the terms are shifted by -low to an honest
+    polynomial."""
+    low = list(map(min, zip(*terms)))
+    return low, max(map(sum, terms)) - sum(low)
+
+
+def _packed(terms, low, width: int) -> list:
+    """(key, coefficient) of each term shifted by -low."""
+    off = _pack(low, width)
+    return [(_pack(e, width) - off, c) for e, c in terms.items()]
 
 
 def _sparse_product(a, b, nvars: int) -> dict:
     """The terms of a * b, for term dicts a and b, by one packed-key sum per
-    pair of terms."""
-    # every product exponent and degree is below 2^(width - 1) in size,
-    # so each field of k1 + k2 is that value plus bias, in [0, 2^width)
-    width = (_size(a) + _size(b)).bit_length() + 1
-    bias = 1 << (width - 1)
-    left = [(_pack(e, width, bias), c) for e, c in a.items()]
-    right = [(_pack(e, width), c) for e, c in b.items()]
+    pair of terms.  Both are shifted to honest polynomials first, as in
+    _heap_quotient, so every field of k1 + k2 lies in [0, 2^width)."""
+    (low_a, top_a), (low_b, top_b) = _shifted(a), _shifted(b)
+    width = (top_a + top_b).bit_length() or 1
+    right = _packed(b, low_b, width)
     acc = {}
     get = acc.get
-    if b is a:
-        # a square takes each unordered pair {i, j} of terms once and
-        # counts it twice when i != j
-        for i, (k1, c1) in enumerate(left):
-            k = k1 + right[i][0]
-            acc[k] = get(k, 0) + c1 * c1
-            c1 *= 2
-            for k2, c2 in right[i + 1:]:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-    else:
-        for k1, c1 in left:
-            for k2, c2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-    return {_unpack(k, nvars, width, bias): c for k, c in acc.items() if c}
+    for k1, c1 in _packed(a, low_a, width):
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    shift = list(map(add, low_a, low_b))
+    return {_unpack(k, nvars, width, shift): c for k, c in acc.items() if c}
 
 
 # -- the dense kernels: one bigint product or divmod -----------------------
@@ -505,16 +506,13 @@ def _heap_quotient(a, b, n: int) -> dict:
     # start-up of programs that never divide
     from heapq import heapify, heappop, heappush
 
-    mins_a = [min(e[i] for e in a) for i in range(n)]
-    mins_b = [min(e[i] for e in b) for i in range(n)]
+    (low_a, top_a), (low_b, top_b) = _shifted(a), _shifted(b)
     # Shifted exponents and every remainder term's degree stay within the
     # larger shifted degree, so fields of this width keep a zero top bit.
-    top = max(max(map(sum, a)) - sum(mins_a), max(map(sum, b)) - sum(mins_b))
-    width = top.bit_length() + 1
-    guard = _pack((0,) * n, width, 1 << (width - 1))
-    off_a, off_b = _pack(mins_a, width), _pack(mins_b, width)
-    rem = {_pack(e, width) - off_a: c for e, c in a.items()}
-    divisor = [(_pack(e, width) - off_b, c) for e, c in b.items()]
+    width = max(top_a, top_b).bit_length() + 1
+    guard = sum(1 << width * i + width - 1 for i in range(n + 1))
+    rem = dict(_packed(a, low_a, width))
+    divisor = _packed(b, low_b, width)
     lead_b, cb = max(divisor)
     # the leading term cancels each popped lead exactly; the rest update
     rest = [(e, bc) for e, bc in divisor if e != lead_b]
@@ -542,6 +540,5 @@ def _heap_quotient(a, b, n: int) -> dict:
                 heappush(heap, -t)
             else:
                 rem[t] = v - qc * bc
-    shift = [x - y for x, y in zip(mins_a, mins_b)]
-    return {tuple(x + y for x, y in zip(_unpack(k, n, width), shift)): c
-            for k, c in quo.items()}
+    shift = list(map(sub, low_a, low_b))
+    return {_unpack(k, n, width, shift): c for k, c in quo.items()}

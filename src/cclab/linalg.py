@@ -269,15 +269,13 @@ def quotient_map(field, basis: Mat):
     at the indices complete U to the full space, and Q sends a vector to
     its class modulo U, read on those e_i.
 
-    One elimination of [basis | I]: e_i is a pivot, and so chosen, exactly
-    when it is not in the span of the basis and the e_j with j < i.  The
-    reduced rows with those pivots vanish on the basis block, so their
-    identity block is Q, and it is the identity at the chosen columns.
+    The rows of Q are the reduced echelon basis of the left kernel of
+    `basis`, and the indices its pivots: e_i is chosen exactly when it is
+    not in the span of U and the e_j with j < i.  That basis is the
+    canonical _nullspace basis of basis^T with the coordinates reversed,
+    whose free columns then fall at the leading positions.
     """
     d = basis.rows
-    red, pivots = hstack(field, [basis, Mat.identity(field, d)],
-                         rows=d).rref()
-    rank = sum(c < basis.cols for c in pivots)
-    return ([c - basis.cols for c in pivots[rank:]],
-            Mat._wrap(field, d - rank, d,
-                      [row[basis.cols:] for row in red.data[rank:d]]))
+    free, vecs = _nullspace(list(zip(*reversed(basis.data))), d, field.p)
+    return ([d - 1 - c for c in reversed(free)],
+            Mat._wrap(field, len(vecs), d, [v[::-1] for v in reversed(vecs)]))

@@ -8,7 +8,7 @@ The Ext side of xx1 (stratify_ext_side) and the Hom(P, M) side of xx2
 (verify_xx2) are integrals over subrepresentations of the operands; no
 point of them is visited, and the Ext side ranks int rows.  The other
 Hom sides are walked over each sample prime (_hom_walk): only the points
-where a vertex kernel of g or of the transposed tau^{-1} g leaves the
+where a vertex kernel of g or of D tau^{-1} g = tau Dg leaves the
 common kernel of its pencil are visited (_kernel_jumps), and one more
 for the others, which share its middle term and are counted.  Each
 class (shifted, dim Y) is one stratum:
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import add, mul, neg
 
-from .artranslate import (ar_inverse_maps, ar_translate,
+from .artranslate import (ar_translate, ar_translate_maps,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
@@ -199,13 +199,13 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     """{memo key: [points, middle term]} over P Hom(Lp, Tp)(F_p) on the
     basis maps, in the order the keys are first met.  The middle term of g
     is _hom_side_middle(Ker g, R, dim Coker g), R = tau^{-1} Coker g =
-    Coker h for h = tau^{-1} g, which ar_inverse_maps, linear and right
-    exact, forms from the basis maps.
+    Coker h for h = tau^{-1} g, as tau^{-1} is right exact.
 
-    As Coker h = D Ker(Dh), Dh the transposes, a point's memo key is the
-    _kernel_key of g and of Dh.  Equal keys give equal K, R and
-    dim Coker g, so the middle term is built once a key, from the key
-    alone.
+    h = D tau D g, so Dh = tau(Dg) on tau(DTp), which ar_translate_maps,
+    linear, forms from the transposed basis maps.  As Coker h =
+    D Ker(Dh), a point's memo key is the _kernel_key of g and of Dh.
+    Equal keys give equal K, R and dim Coker g, so the middle term is
+    built once a key, from the key alone.
 
     A _kernel_key depends on the vertex kernels alone, and outside the
     union N of the _kernel_jumps sets of the vertex pencils each is the
@@ -215,13 +215,11 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     come in the order a point-by-point walk would meet them.
     """
     p, n, d = Lp.field.p, Lp.quiver.n, len(basis)
-    _, Th, images = ar_inverse_maps(Lp, Tp, basis)
-    DTh = dual(Th)
+    DTh, _, images = ar_translate_maps(dual(Tp), dual(Lp), [
+        [m.transpose() for m in f] for f in basis])
     # the maps A_k of the pencil sum_k c_k A_k, per vertex of g, then of Dh
     pencils = [[f[i].data for f in maps]
-               for maps in (basis, [[m.transpose() for m in f]
-                                    for f in images])
-               for i in range(n)]
+               for maps in (basis, images) for i in range(n)]
     total = (p ** d - 1) // (p - 1)
     keyed = set()
     for parts, cols in zip(pencils, Lp.dim + DTh.dim):

@@ -75,7 +75,8 @@ def make_rep(q: Quiver, dim, matrices, field=QQ) -> Representation:
                 isinstance(r, (list, tuple)) for r in data)):
             raise InputError(f"matrix at arrow {a} is not a list of rows")
         if rows == 0 or cols == 0:
-            if data not in ([], None) and any(len(r) for r in data):
+            # [] or null, else one empty row a row, or [[]] for no rows
+            if data and (any(data) or len(data) != max(rows, 1)):
                 raise InputError(f"matrix at arrow {a} should be empty")
             mats.append(Mat(field, rows, cols))
         elif len(data) != rows or any(len(r) != cols for r in data):
@@ -236,7 +237,10 @@ def _opposite(q: Quiver) -> Quiver:
 # -- Hom -------------------------------------------------------------------
 
 def _hom_system(M: Representation, N: Representation) -> Mat:
-    """Matrix of the intertwiner system over the vectorized f_i blocks."""
+    """Matrix of the intertwiner system over the vectorized f_i blocks;
+    InputError unless M and N share their quiver and field."""
+    if M.quiver != N.quiver or M.field != N.field:
+        raise InputError("Hom and Ext^1 need one quiver and one field")
     F = M.field
     rows = _system_rows(M.quiver.arrows,
                         (M.dim, [m.data for m in M.matrices]),
@@ -294,8 +298,6 @@ def combine(basis, coeffs) -> list:
 
 def hom_basis(M: Representation, N: Representation) -> list:
     """Basis of Hom(M, N) as vertex-indexed matrix tuples."""
-    if M.quiver != N.quiver or M.field != N.field:
-        raise InputError("Hom of incompatible representations")
     ker = _hom_system(M, N).nullspace()
     shapes = list(zip(N.dim, M.dim))
     return [tuple(_blocks(M.field, ker.column(j), shapes))
@@ -345,8 +347,6 @@ def unit_cocycles(M: Representation, L: Representation,
 
 
 def ext1_basis(M: Representation, L: Representation) -> list[ExtCocycle]:
-    if M.quiver != L.quiver or M.field != L.field:
-        raise InputError("Ext of incompatible representations")
     return unit_cocycles(M, L, ext1_setup(M, L)[0])
 
 

@@ -5,9 +5,10 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from cclab.artranslate import ar_translate_maps
 from cclab.linalg import GF, QQ, Mat
 from cclab.quiver import validate_quiver
-from cclab.reps import make_rep
+from cclab.reps import dual, make_rep
 
 
 @st.composite
@@ -64,3 +65,13 @@ def base_changed(R, rng):
     return make_rep(R.quiver, R.dim, [
         gs[t - 1][0].mul(m).mul(gs[s - 1][1]).data
         for m, (s, t) in zip(R.matrices, R.quiver.arrows)])
+
+
+def tau_inverse_maps(L, T, maps):
+    """tau^{-1} L, tau^{-1} T and tau^{-1} f = D tau D f for each f: L -> T
+    in maps: the duals and transposes of ar_translate_maps on DT, DL and
+    the transposed maps."""
+    tau_t, tau_l, images = ar_translate_maps(dual(T), dual(L), [
+        [m.transpose() for m in f] for f in maps])
+    return dual(tau_l), dual(tau_t), [[m.transpose() for m in f]
+                                      for f in images]

@@ -328,6 +328,8 @@ BAD_MODULES = {
     "string-matrix": '{"dim": [1, 1], "matrices": ["11"]}',
     "string-row": '{"dim": [1, 1], "matrices": [["1"]]}',
     "nonempty-at-zero": '{"dim": [1, 0], "matrices": [[[1]]]}',
+    "empty-rows-at-zero": '{"dim": [1, 0], "matrices": [[[], []]]}',
+    "empty-row-count": '{"dim": [0, 1], "matrices": [[[], [], []]]}',
     "float-entry": '{"dim": [1, 1], "matrices": [[[1.5]]]}',
     "bool-entry": '{"dim": [1, 1], "matrices": [[[true]]]}',
     "unparsable-string": '{"dim": [1, 1], "matrices": [[["x"]]]}',
@@ -348,6 +350,26 @@ def test_malformed_module_file_exits_1(workdir, body):
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: bad.m: ")
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("dim", ["[1, 0]", "[0, 1]"])
+@pytest.mark.parametrize("matrix", ["[]", "[[]]"])
+def test_stock_empty_matrix_forms_are_accepted(workdir, dim, matrix):
+    """An arrow matrix of shape 0 x 1 or 1 x 0 may be written [] or [[]]:
+    one empty row for 1 x 0, and the stock form of S1 for 0 x 1."""
+    (workdir / "m.m").write_text(f'{{"dim": {dim}, "matrices": [{matrix}]}}')
+    res = run("cc", "--quiver", "a2.q", "--module", "m.m")
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("label", ["empty-rows-at-zero", "empty-row-count"])
+def test_empty_matrix_with_wrong_row_count_names_the_arrow(workdir, label):
+    """Two empty rows for a 0 x 1 matrix, or three for a 1 x 0 one, are
+    refused by arrow."""
+    (workdir / "bad.m").write_text(BAD_MODULES[label] + "\n")
+    res = run("cc", "--quiver", "a2.q", "--module", "bad.m")
+    assert res.exit_code == 1
+    assert res.stderr == "error: bad.m: matrix at arrow 0 should be empty\n"
 
 
 @pytest.mark.parametrize("label", ["non-list-matrix", "string-matrix",

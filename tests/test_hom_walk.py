@@ -8,11 +8,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import base_changed
+from strategies import base_changed, tau_inverse_maps
 
 from cclab import multiplication
-from cclab.artranslate import (ar_inverse_maps, ar_translate,
-                               has_projective_summand)
+from cclab.artranslate import ar_translate, has_projective_summand
 from cclab.character import cc
 from cclab.config import default_primes
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
@@ -37,7 +36,7 @@ def pointwise_walk(Lp, Tp, basis) -> dict:
     of K = R = 0, elsewhere it reads the _kernel_key of g and of Dh; a key
     seen first builds the middle term."""
     p = Lp.field.p
-    _, Th, images = ar_inverse_maps(Lp, Tp, basis)
+    _, Th, images = tau_inverse_maps(Lp, Tp, basis)
     DTh = dual(Th)
     arrows = ((),) * len(Lp.quiver.arrows)
     injective_key = ((tuple(Lp.dim), arrows), (tuple(DTh.dim), arrows))

@@ -6,11 +6,10 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from strategies import rep_pairs
+from strategies import rep_pairs, tau_inverse_maps
 
 from cclab import artranslate, multiplication
-from cclab.artranslate import (ar_inverse, ar_inverse_maps,
-                               summand_multiplicities)
+from cclab.artranslate import ar_inverse, summand_multiplicities
 from cclab.character import cc
 from cclab.corpus import d4tilde_tube_simples, kronecker_regular
 from cclab.errors import (ConfigurationError, PreconditionError,
@@ -205,12 +204,12 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     distinct key at each prime, not once per point.  Kernel keys are read
     only at the few points where a vertex kernel of g or Dh leaves its
     pencil's common kernel, and at one point for all the others, which
-    share its key.  tau^{-1} runs as
-    ar_inverse_maps on the basis maps once per prime, and never over QQ."""
+    share its key.  tau^{-1} on maps runs as ar_translate_maps on the
+    transposed basis maps once per prime, and never over QQ."""
     q = kronecker_quiver()
-    keys, misses, inverses = [], [], []
+    keys, misses, translations = [], [], []
     key_of, middle = multiplication._kernel_key, multiplication._hom_side_middle
-    inverse = multiplication.ar_inverse_maps
+    translate = multiplication.ar_translate_maps
 
     def recording_key(g, L):
         key = key_of(g, L)
@@ -221,13 +220,14 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
         misses.append(K.field)
         return middle(K, R, dim_c)
 
-    def counting_inverse(L, T, maps):
-        inverses.append(L.field)
-        return inverse(L, T, maps)
+    def counting_translate(M, N, maps):
+        translations.append(M.field)
+        return translate(M, N, maps)
 
     monkeypatch.setattr(multiplication, "_kernel_key", recording_key)
     monkeypatch.setattr(multiplication, "_hom_side_middle", counting_middle)
-    monkeypatch.setattr(multiplication, "ar_inverse_maps", counting_inverse)
+    monkeypatch.setattr(multiplication, "ar_translate_maps",
+                        counting_translate)
     strata = stratify_hom_side(projective_rep(q, 1), simple_rep(q, 1),
                                few_primes)
     assert sum(s.chi for s in strata) == 3
@@ -238,8 +238,8 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     points = sum(p * p + p + 1 for p in few_primes)
     assert 0 < len(keys) * 10 < 2 * points
     assert 0 < len(distinct) * 10 < points
-    assert QQ not in inverses
-    assert sorted(f.p for f in inverses) == sorted(few_primes)
+    assert QQ not in translations
+    assert sorted(f.p for f in translations) == sorted(few_primes)
 
 
 def _walk(L, M, p):
@@ -391,7 +391,7 @@ def test_hom_memo_key_fixes_kernel_and_cokernel(case):
     g = combine([zero] + basis, [0] + [rng.randrange(F.p) for _ in basis])
     key = _kernel_key([m.data for m in g], L)
     K = _rep_of_key(key, L)
-    _, Th, (h,) = ar_inverse_maps(L, T, [g])
+    _, Th, (h,) = tau_inverse_maps(L, T, [g])
     DTh = dual(Th)
     R = dual(_rep_of_key(_kernel_key([m.transpose().data for m in h], DTh),
                          DTh))

@@ -201,7 +201,8 @@ def test_packed_division_matches_reference(case):
 @given(wide_triples())
 @settings(deadline=None)
 def test_square_matches_reference(case):
-    """a * a takes each unordered pair of terms once."""
+    """a * a, one term dict on both sides of the product, matches the
+    reference: a square runs the product kernels like any other pair."""
     for a in case:
         assert (a * a).terms == reference_mul(a, a)
 

@@ -71,6 +71,44 @@ def test_complement_indices_match_greedy(m):
     assert quotient_map(m.field, m)[0] == greedy_complement(m.field, m)
 
 
+def identity_block_quotient(field, basis):
+    """Reference: one elimination of [basis | I].  e_i is a pivot exactly
+    when it is not in the span of the basis and the e_j with j < i, and
+    the reduced rows with those pivots vanish on the basis block, so their
+    identity block is Q, the identity at the chosen columns."""
+    d = basis.rows
+    red, pivots = hstack(field, [basis, Mat.identity(field, d)],
+                         rows=d).rref()
+    rank = sum(c < basis.cols for c in pivots)
+    return ([c - basis.cols for c in pivots[rank:]],
+            Mat(field, d - rank, d,
+                [row[basis.cols:] for row in red.data[rank:]]))
+
+
+@st.composite
+def quotient_bases(draw):
+    """A matrix of shape up to 6x6 over QQ, with fractional entries, or
+    over GF(2), GF(3), GF(5) or GF(23), with raw entries in [-30, 30]."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(23)]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = (st.fractions(-4, 4, max_denominator=3) if field == QQ
+             else st.integers(-30, 30))
+    return Mat(field, rows, cols, [[draw(entry) for _ in range(cols)]
+                                   for _ in range(rows)])
+
+
+@given(st.one_of(small_mats(), quotient_bases()))
+def test_quotient_map_matches_identity_block_elimination(m):
+    """quotient_map reads the left kernel of the basis off one nullspace,
+    and returns exactly the (indices, Q) of the [basis | I] elimination:
+    Q kills the basis and is the identity at the indices."""
+    indices, Q = quotient_map(m.field, m)
+    assert (indices, Q) == identity_block_quotient(m.field, m)
+    assert Q.mul(m).is_zero()
+    assert [[row[i] for i in indices] for row in Q.data] == \
+        Mat.identity(m.field, len(indices)).data
+
+
 # -- elimination against a reference with its own arithmetic ---------------
 
 def reference_field(p):

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import acyclic_quivers, rep_pairs
+from strategies import acyclic_quivers, rep_pairs, tau_inverse_maps
 
-from cclab.artranslate import (ar_inverse, ar_inverse_maps, ar_translate,
+from cclab.artranslate import (ar_inverse, ar_translate,
                                ar_translate_unchecked, has_projective_summand,
                                summand_multiplicities)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
-from cclab.errors import PreconditionError
+from cclab.errors import InputError, PreconditionError
 from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver, validate_quiver)
@@ -400,6 +400,17 @@ def test_has_projective_summand():
     assert not has_projective_summand(simple_rep(q, 1))
 
 
+@given(rep_pairs(max_dim=2))
+@settings(deadline=None)
+def test_projective_summand_read_from_ext_ranks(case):
+    """has_projective_summand reads dim (tau M)_u = dim Ext^1(M, P_u) from
+    ranks, and agrees with the multiplicities of the tau M that
+    ar_translate_unchecked builds."""
+    for M in case[:2]:
+        assert has_projective_summand(M) == any(summand_multiplicities(
+            M.quiver, M.dim, ar_translate_unchecked(M).dim))
+
+
 def test_top_multiplicities():
     q = a2_quiver()
     assert top_multiplicities(projective_rep(q, 1)) == (1, 0)
@@ -556,13 +567,13 @@ def test_tau_inverse_on_maps(case):
                        [0] + [rng.randrange(F.p) for _ in basis])
 
     g, e = draw(L, T), draw(T, T)
-    inv_l, inv_t, (h, eg) = ar_inverse_maps(
+    inv_l, inv_t, (h, eg) = tau_inverse_maps(
         L, T, [g, [x.mul(y) for x, y in zip(e, g)]])
     assert inv_l == ar_inverse(L).module and inv_t == ar_inverse(T).module
     for a, (s, t) in enumerate(q.arrows):
         assert inv_t.matrices[a].mul(h[s - 1]) == h[t - 1].mul(
             inv_l.matrices[a])
-    _, _, (ie, ident) = ar_inverse_maps(
+    _, _, (ie, ident) = tau_inverse_maps(
         T, T, [e, [Mat.identity(F, n) for n in T.dim]])
     assert ident == [Mat.identity(F, n) for n in inv_t.dim]
     assert eg == [x.mul(y) for x, y in zip(ie, h)]
@@ -612,3 +623,34 @@ def test_zero_module_edge_cases():
     assert ext1_dim(simple_rep(q, 1), z) == 0
     assert ar_translate(z).is_zero()
     assert cluster_object(z).is_zero()
+
+
+@pytest.mark.parametrize("fn", [hom_dim, ext1_dim, hom_basis, ext1_basis],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("M, N", [
+    (simple_rep(a2_quiver(), 1), simple_rep(kronecker_quiver(), 2)),
+    (simple_rep(a3_quiver(), 1), simple_rep(a2_quiver(), 1)),
+    (simple_rep(a2_quiver(), 2), simple_rep(a2_quiver(), 1, GF(2))),
+], ids=["a2-kronecker", "a3-a2", "qq-gf2"])
+def test_hom_and_ext_refuse_incompatible_operands(fn, M, N):
+    """Hom and Ext^1 of representations of different quivers, or over
+    different fields, are refused by the one system they read, in both
+    orders."""
+    for X, Y in ((M, N), (N, M)):
+        with pytest.raises(InputError, match="one quiver and one field"):
+            fn(X, Y)
+
+
+def test_empty_arrow_matrix_forms():
+    """A matrix with no rows or no columns is [], None or one empty row a
+    row ([[]] also where there are no rows); other row counts are
+    refused."""
+    q = a2_quiver()
+    for dim, data in [((1, 0), []), ((1, 0), None), ((1, 0), [[]]),
+                      ((0, 1), []), ((0, 1), [[]]), ((0, 3), [[]] * 3),
+                      ((0, 0), [])]:
+        assert make_rep(q, dim, [data]).matrices[0].rows == dim[1]
+    for dim, data in [((1, 0), [[], []]), ((0, 1), [[]] * 3),
+                      ((0, 3), [[]]), ((2, 0), [[1, 2]])]:
+        with pytest.raises(InputError, match="should be empty"):
+            make_rep(q, dim, [data])
