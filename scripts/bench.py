@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_30.json.
+write BENCH_31.json.
 
 Run from the repository root:
 
@@ -443,7 +443,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_30.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_31.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

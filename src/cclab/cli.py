@@ -7,6 +7,7 @@ verified false; 4 mutation closure did not stabilize within depth.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -28,6 +29,7 @@ EXIT_INVALID = 1
 EXIT_COUNTING = 2
 EXIT_FALSE = 3
 EXIT_UNSTABLE = 4
+IDENTITIES = {"xx1": verify_xx1, "xx2": verify_xx2, "unified": verify_unified}
 
 
 def _fail(code: int, msg: str):
@@ -35,13 +37,13 @@ def _fail(code: int, msg: str):
     sys.exit(code)
 
 
-def _run(fn):
-    try:
-        fn()
-    except (NotPolynomialCountError, PrimeInstabilityError) as exc:
-        _fail(EXIT_COUNTING, str(exc))
-    except CCLabError as exc:
-        _fail(EXIT_INVALID, str(exc))
+def _emit(output_format: str, payload, lines):
+    """Print payload as one JSON line in structured format, else lines."""
+    if output_format == "structured":
+        click.echo(json.dumps(payload))
+    else:
+        for line in lines:
+            click.echo(line)
 
 
 def _parse_shifted(raw: str):
@@ -59,212 +61,158 @@ def _load_object(q, module_paths, shifted_csv):
                           else _parse_shifted(shifted_csv))
 
 
-def common_options(fn):
-    fn = click.option("--quiver", "quiver_path", required=True,
-                      type=click.Path(dir_okay=False))(fn)
-    fn = click.option("--format", "output_format", default="text",
-                      type=click.Choice(["text", "structured"]))(fn)
-    return fn
-
-
-def counting_options(fn):
-    """common_options plus --primes, for the commands that count points."""
-    fn = click.option("--primes", "primes_csv", default=None,
-                      help="comma-separated sample primes")(fn)
-    return common_options(fn)
-
-
 @click.group()
 def main():
     """Exact cluster-character workbench for acyclic quivers."""
 
 
-@main.command("cc")
-@counting_options
+def command(name: str, counting: bool = False):
+    """Register the decorated function as the subcommand name.  Its
+    parameters are its own arguments, then --format, --quiver and, for the
+    commands that count points, --primes, then its own options; click
+    reports missing ones in that order.  It is called with the loaded
+    quiver and the output format first.  Errors become exit codes here."""
+    shared = [click.Option(["--format", "output_format"], default="text",
+                           type=click.Choice(["text", "structured"])),
+              click.Option(["--quiver", "quiver_path"], required=True,
+                           type=click.Path(dir_okay=False))]
+    if counting:
+        shared.append(click.Option(["--primes", "primes_csv"], default=None,
+                                   help="comma-separated sample primes"))
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(quiver_path, output_format, **params):
+            try:
+                fn(load_quiver(quiver_path), output_format, **params)
+            except (NotPolynomialCountError, PrimeInstabilityError) as exc:
+                _fail(EXIT_COUNTING, str(exc))
+            except CCLabError as exc:
+                _fail(EXIT_INVALID, str(exc))
+        cmd = main.command(name)(run)
+        k = sum(isinstance(p, click.Argument) for p in cmd.params)
+        cmd.params[k:k] = shared
+        return cmd
+    return register
+
+
+@command("cc", counting=True)
 @click.option("--module", "module_paths", multiple=True,
               type=click.Path(dir_okay=False))
 @click.option("--shifted", "shifted_csv", default=None)
-def cmd_cc(quiver_path, module_paths, shifted_csv, primes_csv, output_format):
+def cmd_cc(q, output_format, module_paths, shifted_csv, primes_csv):
     """Print the cluster character of the configured object."""
-    def go():
-        q = load_quiver(quiver_path)
-        obj = _load_object(q, module_paths, shifted_csv)
-        primes = resolve_primes(primes_csv, max_entry_height(obj.module))
-        value = cc(obj, primes)
-        if output_format == "structured":
-            click.echo(json.dumps({"object": describe(obj.module.dim,
-                                                      obj.shifted),
-                                   "value": str(value.value),
-                                   "primes": list(primes)}))
-        else:
-            click.echo(str(value.value))
-    _run(go)
+    obj = _load_object(q, module_paths, shifted_csv)
+    primes = resolve_primes(primes_csv, max_entry_height(obj.module))
+    value = str(cc(obj, primes).value)
+    _emit(output_format, {"object": describe(obj.module.dim, obj.shifted),
+                          "value": value, "primes": list(primes)}, [value])
 
 
-def _report_payload(rep):
-    return {
-        "label": rep.label,
-        "lhs": str(rep.lhs),
-        "rhs": str(rep.rhs),
-        "strata": [{"middle": describe(s.dim, s.shifted), "chi": s.chi,
-                    "side": s.side} for s in rep.strata],
-        "verdict": rep.verdict,
-    }
-
-
-def _print_report(rep, output_format):
-    if output_format == "structured":
-        click.echo(json.dumps(_report_payload(rep)))
+@command("verify", counting=True)
+@click.argument("kind", type=click.Choice(list(IDENTITIES)))
+@click.argument("module_paths", nargs=-1,
+                type=click.Path(dir_okay=False))
+@click.option("--shifted", "shifted_csv", default=None,
+              help="shifted operand for unified (with one module file)")
+def cmd_verify(q, output_format, kind, module_paths, shifted_csv, primes_csv):
+    """Verify a multiplication identity on the given operands."""
+    if shifted_csv is not None:
+        if kind != "unified" or len(module_paths) != 1:
+            raise InputError(
+                "--shifted is only valid for 'unified' with one module")
+        M = load_module(module_paths[0], q)
+        shifted = cluster_object(zero_rep(q), _parse_shifted(shifted_csv))
+        primes = resolve_primes(primes_csv, max_entry_height(M))
+        rep = verify_unified(cluster_object(M), shifted, primes)
     else:
-        click.echo(f"lhs: {rep.lhs}")
-        for s in rep.strata:
-            click.echo(f"stratum: {s.describe()}")
-        click.echo(f"rhs: {rep.rhs}")
-        click.echo(f"verdict: {'true' if rep.verdict else 'false'}")
+        if len(module_paths) != 2:
+            raise InputError("verify needs exactly two module files")
+        A, B = (load_module(p, q) for p in module_paths)
+        primes = resolve_primes(
+            primes_csv, max(max_entry_height(A), max_entry_height(B)))
+        rep = IDENTITIES[kind](A, B, primes)
+    verdict = "true" if rep.verdict else "false"
+    _emit(output_format,
+          {"label": rep.label, "lhs": str(rep.lhs), "rhs": str(rep.rhs),
+           "strata": [{"middle": describe(s.dim, s.shifted), "chi": s.chi,
+                       "side": s.side} for s in rep.strata],
+           "verdict": rep.verdict},
+          [f"lhs: {rep.lhs}",
+           *(f"stratum: {s.describe()}" for s in rep.strata),
+           f"rhs: {rep.rhs}", f"verdict: {verdict}"])
     if not rep.verdict:
         sys.exit(EXIT_FALSE)
 
 
-@main.command("verify")
-@click.argument("kind", type=click.Choice(["xx1", "xx2", "unified"]))
-@click.argument("module_paths", nargs=-1,
-                type=click.Path(dir_okay=False))
-@counting_options
-@click.option("--shifted", "shifted_csv", default=None,
-              help="shifted operand for unified (with one module file)")
-def cmd_verify(kind, module_paths, quiver_path, shifted_csv, primes_csv,
-               output_format):
-    """Verify a multiplication identity on the given operands."""
-    def go():
-        q = load_quiver(quiver_path)
-        if shifted_csv is not None:
-            if kind != "unified" or len(module_paths) != 1:
-                raise InputError(
-                    "--shifted is only valid for 'unified' with one module")
-            M = load_module(module_paths[0], q)
-            shifted = cluster_object(zero_rep(q), _parse_shifted(shifted_csv))
-            primes = resolve_primes(primes_csv, max_entry_height(M))
-            rep = verify_unified(cluster_object(M), shifted, primes)
-        else:
-            if len(module_paths) != 2:
-                raise InputError("verify needs exactly two module files")
-            A = load_module(module_paths[0], q)
-            B = load_module(module_paths[1], q)
-            primes = resolve_primes(
-                primes_csv, max(max_entry_height(A), max_entry_height(B)))
-            if kind == "xx1":
-                rep = verify_xx1(A, B, primes)
-            elif kind == "xx2":
-                rep = verify_xx2(A, B, primes)
-            else:
-                rep = verify_unified(A, B, primes)
-        _print_report(rep, output_format)
-    _run(go)
-
-
-@main.command("grass")
-@counting_options
+@command("grass", counting=True)
 @click.option("--module", "module_paths", multiple=True, required=True,
               type=click.Path(dir_okay=False))
-def cmd_grass(quiver_path, module_paths, primes_csv, output_format):
+def cmd_grass(q, output_format, module_paths, primes_csv):
     """Print the Euler-characteristic profile of the module's
     subrepresentation Grassmannians."""
-    def go():
-        q = load_quiver(quiver_path)
-        obj = _load_object(q, module_paths, None)
-        primes = resolve_primes(primes_csv, max_entry_height(obj.module))
-        profile = grassmannian_profile(obj.module, primes)
-        items = sorted(profile.items())
-        if output_format == "structured":
-            click.echo(json.dumps(
-                [{"e": list(e), "chi": chi} for e, chi in items]))
-        else:
-            for e, chi in items:
-                click.echo(f"{','.join(map(str, e))}: {chi}")
-    _run(go)
+    obj = _load_object(q, module_paths, None)
+    primes = resolve_primes(primes_csv, max_entry_height(obj.module))
+    items = sorted(grassmannian_profile(obj.module, primes).items())
+    _emit(output_format, [{"e": list(e), "chi": chi} for e, chi in items],
+          [f"{','.join(map(str, e))}: {chi}" for e, chi in items])
 
 
-@main.command("mutate")
-@common_options
+@command("mutate")
 @click.option("--directions", "directions_csv", required=True,
               help="comma-separated 1-indexed mutation directions")
-def cmd_mutate(quiver_path, directions_csv, output_format):
+def cmd_mutate(q, output_format, directions_csv):
     """Apply a mutation sequence and print the resulting cluster."""
-    def go():
-        q = load_quiver(quiver_path)
-        try:
-            dirs = [int(x) for x in directions_csv.split(",") if x.strip()]
-        except ValueError:
-            raise InputError(f"cannot parse directions {directions_csv!r}")
-        seed = apply_mutations(initial_seed(q), dirs)
-        strs = [str(x) for x in seed.cluster]
-        if output_format == "structured":
-            click.echo(json.dumps({"cluster": strs}))
-        else:
-            for s in strs:
-                click.echo(s)
-    _run(go)
+    try:
+        dirs = [int(x) for x in directions_csv.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"cannot parse directions {directions_csv!r}")
+    strs = [str(x) for x in apply_mutations(initial_seed(q), dirs).cluster]
+    _emit(output_format, {"cluster": strs}, strs)
 
 
-@main.command("list-variables")
-@common_options
+@command("list-variables")
 @click.option("--depth", default=DEFAULT_DEPTH, type=int)
-def cmd_list_variables(quiver_path, depth, output_format):
+def cmd_list_variables(q, output_format, depth):
     """Enumerate cluster variables by breadth-first mutation closure."""
-    def go():
-        q = load_quiver(quiver_path)
-        variables, stable = enumerate_cluster_variables(
-            q, depth, report_stable=True)
-        strs = [str(x) for x in variables]
-        if output_format == "structured":
-            click.echo(json.dumps({"variables": strs, "stabilized": stable}))
-        else:
-            for s in strs:
-                click.echo(s)
-            click.echo(f"stabilized: {'true' if stable else 'false'}")
-    _run(go)
+    variables, stable = enumerate_cluster_variables(
+        q, depth, report_stable=True)
+    strs = [str(x) for x in variables]
+    _emit(output_format, {"variables": strs, "stabilized": stable},
+          [*strs, f"stabilized: {'true' if stable else 'false'}"])
 
 
-@main.command("compare")
-@counting_options
+@command("compare", counting=True)
 @click.option("--depth", default=DEFAULT_DEPTH, type=int)
-def cmd_compare(quiver_path, depth, primes_csv, output_format):
+def cmd_compare(q, output_format, depth, primes_csv):
     """Compare mutation-oracle variables against cluster-character images
     of the rigid corpus (linearly oriented A_n quivers)."""
-    def go():
-        q = load_quiver(quiver_path)
-        primes = resolve_primes(primes_csv, 1)
-        if not linear_an_quiver_check(q):
-            raise InputError(
-                "compare supports linearly oriented A_n quivers only")
-        variables, stable = enumerate_cluster_variables(
-            q, depth, report_stable=True)
-        if not stable:
-            _fail(EXIT_UNSTABLE,
-                  f"mutation closure did not stabilize at depth {depth}")
-        oracle = {str(x) for x in variables}
-        corpus = [cluster_object(m) for m in all_interval_modules(q)]
-        corpus += [cluster_object(zero_rep(q),
-                                  tuple(1 if j == i else 0 for j in range(q.n)))
-                   for i in range(q.n)]
-        images = {str(cc(o, primes).value) for o in corpus}
-        missing = sorted(oracle - images)
-        extra = sorted(images - oracle)
-        payload = {"oracle": len(oracle), "character_images": len(images),
-                   "missing_from_characters": missing,
-                   "not_in_oracle": extra}
-        if output_format == "structured":
-            click.echo(json.dumps(payload))
-        else:
-            click.echo(f"oracle variables: {len(oracle)}")
-            click.echo(f"character images: {len(images)}")
-            for s in missing:
-                click.echo(f"missing from characters: {s}")
-            for s in extra:
-                click.echo(f"not in oracle: {s}")
-        if missing or extra:
-            sys.exit(EXIT_FALSE)
-    _run(go)
+    primes = resolve_primes(primes_csv, 1)
+    if not linear_an_quiver_check(q):
+        raise InputError(
+            "compare supports linearly oriented A_n quivers only")
+    variables, stable = enumerate_cluster_variables(
+        q, depth, report_stable=True)
+    if not stable:
+        _fail(EXIT_UNSTABLE,
+              f"mutation closure did not stabilize at depth {depth}")
+    oracle = {str(x) for x in variables}
+    corpus = [cluster_object(m) for m in all_interval_modules(q)]
+    corpus += [cluster_object(zero_rep(q),
+                              tuple(1 if j == i else 0 for j in range(q.n)))
+               for i in range(q.n)]
+    images = {str(cc(o, primes).value) for o in corpus}
+    missing = sorted(oracle - images)
+    extra = sorted(images - oracle)
+    _emit(output_format,
+          {"oracle": len(oracle), "character_images": len(images),
+           "missing_from_characters": missing, "not_in_oracle": extra},
+          [f"oracle variables: {len(oracle)}",
+           f"character images: {len(images)}",
+           *(f"missing from characters: {s}" for s in missing),
+           *(f"not in oracle: {s}" for s in extra)])
+    if missing or extra:
+        sys.exit(EXIT_FALSE)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ def _entry(x):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad matrix entry {x!r}") from exc
     raise InputError(f"bad matrix entry {x!r}")
 

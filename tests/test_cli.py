@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from cclab import errors
 from cclab.cli import EXIT_COUNTING, main
+from cclab.config import PSI_13
 
 A2_QUIVER = '{"vertices": 2, "arrows": [[1, 2]]}\n'
 S1 = '{"dim": [1, 0], "matrices": [[]]}\n'
@@ -333,6 +335,7 @@ BAD_MODULES = {
     "float-entry": '{"dim": [1, 1], "matrices": [[[1.5]]]}',
     "bool-entry": '{"dim": [1, 1], "matrices": [[[true]]]}',
     "unparsable-string": '{"dim": [1, 1], "matrices": [[["x"]]]}',
+    "zero-denominator": '{"dim": [1, 1], "matrices": [[["1/0"]]]}',
     "dim-float": '{"dim": [1.7, 1], "matrices": [[[1]]]}',
     "dim-integral-float": '{"dim": [1.0, 1], "matrices": [[[1]]]}',
     "dim-bool": '{"dim": [true, 1], "matrices": [[[1]]]}',
@@ -458,3 +461,87 @@ def test_primes_must_exceed_entry_height(workdir, monkeypatch):
     assert "primes [19]" in res.stderr
     monkeypatch.setenv("CCLAB_PRIMES", "29,31,37,41")
     assert json.loads(run(*args).output)["primes"] == [29, 31, 37, 41]
+
+
+def test_entry_of_twenty_digits_exits_0(workdir, monkeypatch):
+    """The default primes above an entry of 10^20 are found at once."""
+    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
+    (workdir / "big.m").write_text(
+        '{"dim": [1, 1], "matrices": [[[%d]]]}\n' % 10**20)
+    res = run("cc", "--quiver", "a2.q", "--module", "big.m",
+              "--format", "structured")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["primes"][0] == 10**20 + 39
+
+
+def test_entry_past_the_primality_test_exits_1(workdir, monkeypatch):
+    """No prime above an entry of PSI_13 or more is certified: exit 1."""
+    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
+    (workdir / "huge.m").write_text(
+        '{"dim": [1, 1], "matrices": [[[%d]]]}\n' % PSI_13)
+    res = run("cc", "--quiver", "a2.q", "--module", "huge.m")
+    assert res.exit_code == 1
+    assert res.stderr == (f"error: {PSI_13 + 1} is too large to test for "
+                          "primality\n")
+
+
+# The text output of each command on the A2 files, as recorded before the
+# commands shared one runner.
+VERIFY_A2_S2_S1 = ("lhs: x1^-1*x2^-1 + x1^-1 + x2^-1 + 1\n"
+                   "stratum: module dim (1, 1): chi=1 (ext)\n"
+                   "stratum: 0: chi=1 (hom)\n"
+                   "rhs: x1^-1*x2^-1 + x1^-1 + x2^-1 + 1\n"
+                   "verdict: true\n")
+VERIFY_A2_SHIFTED = ("lhs: x1^-1 + x1^-1*x2 + 1\n"
+                     "stratum: 0: chi=1 (proj-shift-inj)\n"
+                     "stratum: module dim (1, 1) + P2[1]: chi=1 "
+                     "(proj-shift-hom)\n"
+                     "rhs: x1^-1 + x1^-1*x2 + 1\n"
+                     "verdict: true\n")
+TEXT_GOLDEN = {
+    "cc-module": (("cc", "--module", "p1.m"),
+                  "x1^-1*x2^-1 + x1^-1 + x2^-1\n"),
+    "cc-shifted": (("cc", "--shifted", "1,0"), "x1\n"),
+    "xx1": (("verify", "xx1", "s2.m", "s1.m"), VERIFY_A2_S2_S1),
+    "xx2": (("verify", "xx2", "s2.m", "p1.m"), VERIFY_A2_SHIFTED),
+    "unified": (("verify", "unified", "s1.m", "s2.m"), VERIFY_A2_S2_S1),
+    "unified-shifted": (("verify", "unified", "p1.m", "--shifted", "0,1"),
+                        VERIFY_A2_SHIFTED),
+    "grass": (("grass", "--module", "p1.m"), "0,0: 1\n0,1: 1\n1,1: 1\n"),
+    "mutate": (("mutate", "--directions", "1,2"),
+               "x1^-1 + x1^-1*x2\nx1^-1*x2^-1 + x1^-1 + x2^-1\n"),
+    "list-variables": (("list-variables",),
+                       "x1\nx1^-1 + x1^-1*x2\nx1^-1*x2^-1 + x1^-1 + x2^-1\n"
+                       "x2\nx2^-1 + x1*x2^-1\nstabilized: true\n"),
+    "compare": (("compare",), "oracle variables: 5\ncharacter images: 5\n"),
+}
+
+
+@pytest.mark.parametrize("args, expected", TEXT_GOLDEN.values(),
+                         ids=TEXT_GOLDEN)
+def test_text_format_golden(workdir, monkeypatch, args, expected):
+    """Every command's text output on A2, byte for byte."""
+    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
+    res = run(*args, "--quiver", "a2.q")
+    assert res.exit_code == 0
+    assert res.output == expected
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.NotPolynomialCountError, 2),
+    (errors.PrimeInstabilityError, 2),
+    (errors.ConfigurationError, 1),
+    (errors.InputError, 1),
+    (errors.PreconditionError, 1),
+    (errors.InexactDivisionError, 1),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_error_class_sets_exit_code(workdir, monkeypatch, error, code):
+    """Counting failures exit 2 and every other workbench error exits 1,
+    with the message on stderr."""
+    def refuse(module, primes):
+        raise error("refused here")
+    monkeypatch.setattr("cclab.cli.grassmannian_profile", refuse)
+    res = run("grass", "--quiver", "a2.q", "--module", "p1.m")
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr == "error: refused here\n"
