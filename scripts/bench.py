@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_31.json.
+write BENCH_32.json.
 
 Run from the repository root:
 
@@ -37,7 +37,9 @@ Stdlib only.  Ten parts:
   vertex pencils and the incidence |I| they give, the points of
   P(Ker W_v) summed over them; the points keyed, those of N, where some
   vertex kernel leaves its pencil's common kernel, and one point for the
-  others; and the memo misses.  The time per point follows.
+  others; the vertex kernels taken at keyed points, one for each pencil
+  that jumps there or whose jumps were not read; and the memo misses.
+  The time per point follows.
 - d4: the same for Kronecker xx1(P1, I2), P Ext^1(I2, P1) and
   P Hom(P1, tau I2), each of dimension 4.
 - d4tilde: the same for D4-tilde xx1(P1, I5), P Ext^1(I5, P1) and
@@ -46,7 +48,8 @@ Stdlib only.  Ten parts:
   P Hom(S2, tau S1) of dimension 2, whose points give cokernels C with
   different canonical matrices but one canonical cokernel of tau^{-1} g.
   It is timed, and one extra run counts the points, the kernels, the
-  incidence, the points keyed and the memo misses as in stratify; the
+  incidence, the points keyed, the point kernels and the memo misses as
+  in stratify; the
   time per point follows.
 - tau: ar_translate, ar_inverse and has_projective_summand over QQ on
   fixed stock modules of the Kronecker and D4-tilde quivers, in
@@ -164,22 +167,26 @@ def counting(L, M):
     listed of L and of M and the pairs, the product of the two listings at
     each prime, and on the Hom side the points walked, the kernels taken
     on the kernel side of the vertex pencils, the incidence they give (the
-    points of P(Ker W_v) summed over the kernels), the points keyed and
-    the memo misses, by wrapping the lister, the per-prime walk, the
-    kernel-side nullspace, the kernel key (two a keyed point: g and Dh)
-    and the Hom-side middle term, which only a memo miss builds; yields
-    the counts, the pairs filled in on exit.  A listing is told apart by
+    points of P(Ker W_v) summed over the kernels), the points keyed, the
+    vertex kernels taken at them and the memo misses, by wrapping the
+    lister, the per-prime walk, the jump sets (a nullspace taken inside
+    one is a kernel-side one, any other a point kernel), the nullspace,
+    the kernel key (two a keyed point: g and Dh) and the Hom-side middle
+    term, which only a memo miss builds; yields the counts, the pairs
+    filled in on exit.  A listing is told apart by
     its module's dimension vector, so L and M must differ in it."""
     counts = {"ext": {"subreps_L": 0, "subreps_M": 0, "pairs": 0},
               "hom": {"points": 0, "kernels": 0, "incidence": 0,
-                      "keyed": 0, "memo_misses": 0}}
+                      "keyed": 0, "point_kernels": 0, "memo_misses": 0}}
     ext, hom = counts["ext"], counts["hom"]
     walk = multiplication._hom_walk
+    kernel_jumps = multiplication._kernel_jumps
     nullspace = multiplication._nullspace
-    kernel_key = multiplication._kernel_key
+    key_of_kernels = multiplication._key_of_kernels
     subreps = multiplication.subreps
     hom_middle = multiplication._hom_side_middle
     key_reads, listed = [], {}  # listed: p -> {side: subreps listed}
+    in_jumps = []
 
     def counting_walk(*args):
         key_reads.clear()
@@ -188,15 +195,25 @@ def counting(L, M):
         hom["keyed"] += len(key_reads) // 2
         return out
 
+    def marking_jumps(*args):
+        in_jumps.append(True)
+        try:
+            return kernel_jumps(*args)
+        finally:
+            in_jumps.pop()
+
     def counting_nullspace(rows, ncols, p):
         free, vecs = nullspace(rows, ncols, p)
-        hom["kernels"] += 1
-        hom["incidence"] += (p ** len(vecs) - 1) // (p - 1)
+        if in_jumps:
+            hom["kernels"] += 1
+            hom["incidence"] += (p ** len(vecs) - 1) // (p - 1)
+        else:
+            hom["point_kernels"] += 1
         return free, vecs
 
-    def counting_kernel_key(g, R):
+    def counting_key(kernels, R):
         key_reads.append(R)
-        return kernel_key(g, R)
+        return key_of_kernels(kernels, R)
 
     def counting_subreps(R, e, *tables):
         out = subreps(R, e, *tables)
@@ -211,16 +228,18 @@ def counting(L, M):
         return hom_middle(K, R, dim_c)
 
     multiplication._hom_walk = counting_walk
+    multiplication._kernel_jumps = marking_jumps
     multiplication._nullspace = counting_nullspace
-    multiplication._kernel_key = counting_kernel_key
+    multiplication._key_of_kernels = counting_key
     multiplication.subreps = counting_subreps
     multiplication._hom_side_middle = counting_hom_middle
     try:
         yield counts
     finally:
         multiplication._hom_walk = walk
+        multiplication._kernel_jumps = kernel_jumps
         multiplication._nullspace = nullspace
-        multiplication._kernel_key = kernel_key
+        multiplication._key_of_kernels = key_of_kernels
         multiplication.subreps = subreps
         multiplication._hom_side_middle = hom_middle
     ext["pairs"] = sum(n["subreps_L"] * n["subreps_M"]
@@ -443,7 +462,7 @@ def cold_profile(M, primes):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_31.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_32.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -548,10 +567,12 @@ def main(argv=None):
         print(f"{part['name']} hom side: {row['median_s']:.3f} s, "
               f"{row['points']} points, {row['keyed']} keyed, "
               f"{row['kernels']} kernels of incidence {row['incidence']}, "
+              f"{row['point_kernels']} point kernels, "
               f"{row['memo_misses']} misses, "
               f"{row['us_per_point']:.0f} us a point")
     print(f"{misses['name']}: {misses['median_s']:.3f} s, "
           f"{misses['points']} points, {misses['keyed']} keyed, "
+          f"{misses['point_kernels']} point kernels, "
           f"{misses['memo_misses']} misses, "
           f"{misses['us_per_point']:.0f} us a point")
     for row in tau:

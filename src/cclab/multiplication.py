@@ -32,11 +32,13 @@ from .grassmannian import (_check_prime_count, _count_subreps, _plan,
                            fit_and_verify, grassmannian_degree_bound,
                            grassmannian_profile, subreps, subspaces)
 from .laurent import LaurentPolynomial
-from .linalg import _combination, _nullspace, _rank_mod, _rref
-from .reps import (ClusterObject, Representation, _kernel_key, _rep_of_key,
-                   _system_rows, cluster_object, direct_sum, dual, ext1_dim,
-                   hom_basis, hom_dim, reduce_rep, stable_ext1_dim,
-                   standard_sum, top_multiplicities, zero_rep)
+from .linalg import (_combination, _nullspace, _nullspace_of_rref,
+                     _rank_mod, _rref)
+from .reps import (ClusterObject, Representation, _key_of_kernels,
+                   _rep_of_key, _system_rows, cluster_object, direct_sum,
+                   dual, ext1_dim, hom_basis, hom_dim, reduce_rep,
+                   stable_ext1_dim, standard_sum, top_multiplicities,
+                   zero_rep)
 
 
 @dataclass
@@ -212,7 +214,12 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     common kernel of its pencil, so all such points share a key.  Only N
     and the first point outside it are keyed, in the order of
     subspaces(p, d, 1), and that point weighs for the rest, so the keys
-    come in the order a point-by-point walk would meet them.
+    come in the order a point-by-point walk would meet them.  At a keyed
+    point a pencil whose jump set was read and leaves the point out takes
+    its common kernel, whose canonical (free, basis) is the one _nullspace
+    gives its value there, as both depend on the kernel alone; only the
+    other pencils are evaluated and their kernels taken.  The pencils stop
+    being read once at most one point is left unkeyed, d = 1 reading none.
     """
     p, n, d = Lp.field.p, Lp.quiver.n, len(basis)
     DTh, _, images = ar_translate_maps(dual(Tp), dual(Lp), [
@@ -220,19 +227,26 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     # the maps A_k of the pencil sum_k c_k A_k, per vertex of g, then of Dh
     pencils = [[f[i].data for f in maps]
                for maps in (basis, images) for i in range(n)]
+    cols = Lp.dim + DTh.dim
     total = (p ** d - 1) // (p - 1)
-    keyed = set()
-    for parts, cols in zip(pencils, Lp.dim + DTh.dim):
+    keyed, read = set(), []  # per pencil (jump set, common kernel) or None
+    for parts, m in zip(pencils, cols):
         if len(keyed) < total - 1:  # one point left is keyed anyway
-            keyed |= _kernel_jumps(parts, cols, p)
+            read.append(_kernel_jumps(parts, m, p))
+            keyed |= read[-1][0]
+        else:
+            read.append(None)
     first = next((c for (c,) in subspaces(p, d, 1) if c not in keyed),
                  None)
     maps_at = [_combination(parts) for parts in pencils]
     walk = {}
     for c in sorted(keyed | ({first} if first else set()),
                     key=lambda c: (c.index(1), c)):
-        at_c = [[[x % p for x in row] for row in A(c)] for A in maps_at]
-        mk = _kernel_key(at_c[:n], Lp), _kernel_key(at_c[n:], DTh)
+        kernels = [known[1] if known and c not in known[0] else _nullspace(
+            [[x % p for x in row] for row in A(c)], m, p)
+            for A, m, known in zip(maps_at, cols, read)]
+        mk = (_key_of_kernels(kernels[:n], Lp),
+              _key_of_kernels(kernels[n:], DTh))
         if mk not in walk:
             dim_c = tuple(a - r for a, r in zip(Tp.dim, mk[0][0]))
             walk[mk] = [0, _hom_side_middle(
@@ -242,10 +256,11 @@ def _hom_walk(Lp: Representation, Tp: Representation, basis) -> dict:
     return walk
 
 
-def _kernel_jumps(parts, cols: int, p: int) -> set:
-    """The points [c] of P^{d-1}(F_p), d = len(parts), first nonzero
-    coordinate 1, where the kernel of the pencil A(c) = sum_k c_k parts[k]
-    of int-row matrices with cols columns exceeds K0, their common kernel.
+def _kernel_jumps(parts, cols: int, p: int) -> tuple:
+    """(jumps, K0) for the pencil A(c) = sum_k c_k parts[k] of d =
+    len(parts) int-row matrices over GF(p) with cols columns: K0, their
+    common kernel, as the (free, basis) of _nullspace, and the points [c]
+    of P^{d-1}(F_p), first nonzero coordinate 1, where Ker A(c) exceeds K0.
 
     The r pivot columns of the stacked parts span a complement of K0, so
     the pencil restricted to them decides: with fewer rows than r, every
@@ -256,17 +271,19 @@ def _kernel_jumps(parts, cols: int, p: int) -> set:
     each point of subspaces(p, d, 1).
     """
     d = len(parts)
-    pivots = _rref([row[:] for A in parts for row in A], cols, p)
+    red = [row[:] for A in parts for row in A]
+    pivots = _rref(red, cols, p)
+    common = _nullspace_of_rref(red, pivots, cols, p)
     if not pivots:
-        return set()
+        return set(), common
     parts, cols = [[[row[j] for j in pivots] for row in A]
                    for A in parts], len(pivots)
     points = (c for (c,) in subspaces(p, d, 1))
     if len(parts[0]) < cols:
-        return set(points)
+        return set(points), common
     if cols >= d:
         A = _combination(parts)
-        return {c for c in points if _rank_mod(A(c), cols, p) < cols}
+        return {c for c in points if _rank_mod(A(c), cols, p) < cols}, common
     out = set()
     for (v,) in subspaces(p, cols, 1):
         W = [[sum(map(mul, row, v)) % p for row in rows]
@@ -276,7 +293,7 @@ def _kernel_jumps(parts, cols: int, p: int) -> set:
             c = [sum(map(mul, a, xs)) % p for xs in zip(*kernel)]
             inv = pow(next(filter(None, c)), -1, p)
             out.add(tuple(x * inv % p for x in c))
-    return out
+    return out, common
 
 
 def _hom_side_middle(K: Representation, R: Representation,

@@ -379,11 +379,19 @@ def middle_term(cocycle: ExtCocycle) -> Representation:
 
 def _kernel_key(g, L: Representation) -> tuple:
     """(ranks of the g_i, Ker g as arrow matrices) for g: L -> T, g_i as
-    rows of field elements.  K_i has the canonical nullspace basis B_i of
-    g_i, the identity at the free columns of rref(g_i).  So K_a, with
-    L_a B_s = B_t K_a, is L_a B_s read at the free coordinates of t."""
+    rows of field elements: the _key_of_kernels of their nullspaces."""
     p = L.field.p
-    kernels = [_nullspace(gi, l, p) for gi, l in zip(g, L.dim)]
+    return _key_of_kernels([_nullspace(gi, l, p)
+                            for gi, l in zip(g, L.dim)], L)
+
+
+def _key_of_kernels(kernels: list, L: Representation) -> tuple:
+    """_kernel_key from the (free, basis) of each vertex kernel K_i <= L_i,
+    as _nullspace gives them: K_i has the canonical basis B_i, the
+    identity at the free columns, which the subspace K_i alone fixes.  So
+    K_a, with L_a B_s = B_t K_a, is L_a B_s read at the free coordinates
+    of t."""
+    p = L.field.p
     return (tuple(l - len(free) for l, (free, _) in zip(L.dim, kernels)),
             tuple(tuple(tuple(sum(map(mul, La.data[f], v)) % p if p
                               else sum(map(mul, La.data[f], v))

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from strategies import base_changed, tau_inverse_maps
 
@@ -18,7 +18,7 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.errors import ConfigurationError
 from cclab.grassmannian import subspaces
-from cclab.linalg import _rank_mod
+from cclab.linalg import GF, _nullspace, _rank_mod
 from cclab.multiplication import (_hom_side_middle, _hom_walk, _kernel_jumps,
                                   stratify_hom_side, verify_xx1)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
@@ -131,6 +131,89 @@ def test_walk_matches_pointwise_after_base_change(label, L, T):
         assert list(walk.items()) == list(pointwise.items())
 
 
+@st.composite
+def small_hom_sides(draw):
+    """(Lp, Tp, basis): two random representations of A2, A3 or Kronecker
+    over GF(p), p in {2, 3, 5}, dimension vectors <= 2, and the basis of
+    Hom(Lp, Tp) over GF(p), which is nonzero and spans at most 200 points
+    of P Hom."""
+    q = draw(st.sampled_from([a2_quiver(), a3_quiver(), kronecker_quiver()]))
+    F = GF(draw(st.sampled_from([2, 3, 5])))
+    entry = st.integers(0, F.p - 1)
+
+    def rep():
+        dim = draw(st.tuples(*[st.integers(0, 2)] * q.n))
+        return make_rep(q, dim, [[[draw(entry) for _ in range(dim[s - 1])]
+                                  for _ in range(dim[t - 1])]
+                                 for s, t in q.arrows], F)
+    Lp, Tp = rep(), rep()
+    basis = hom_basis(Lp, Tp)
+    assume(basis and (F.p ** len(basis) - 1) // (F.p - 1) <= 200)
+    return Lp, Tp, basis
+
+
+def _side_mod(p, L, T):
+    """(Lp, Tp, basis) of Hom(L, T) reduced mod p."""
+    Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+    return Lp, Tp, hom_basis(Lp, Tp)
+
+
+def _simples(q):
+    """S1 + ... + Sn of q, with zero arrow maps."""
+    return direct_sum(*[simple_rep(q, i) for i in range(1, q.n + 1)])
+
+
+# sides that reach each branch of the walk (test_fuzz_examples_reach): d = 1,
+# where no jump set is read; End(S1 + S2) of Kronecker at p = 2, whose two
+# pencils of g jump at 2 of the 3 points, so that those of Dh are not read;
+# End(S1 + S2) of A2 at p = 3, where pencils of g and of Dh jump together
+FUZZ_EXAMPLES = {
+    "d=1": _side_mod(3, simple_rep(a2_quiver(), 1),
+                     simple_rep(a2_quiver(), 1)),
+    "early stop": _side_mod(2, _simples(kronecker_quiver()),
+                            _simples(kronecker_quiver())),
+    "g and Dh jump": _side_mod(3, _simples(a2_quiver()),
+                               _simples(a2_quiver())),
+}
+
+
+@given(small_hom_sides())
+@example(FUZZ_EXAMPLES["d=1"])
+@example(FUZZ_EXAMPLES["early stop"])
+@example(FUZZ_EXAMPLES["g and Dh jump"])
+@settings(deadline=None, max_examples=200)
+def test_walk_matches_pointwise_on_random_sides(side):
+    """On random small Hom sides the walk has the items of the
+    point-by-point walk, in its order: each memo key with its count and
+    its middle term."""
+    walk, pointwise = _hom_walk(*side), pointwise_walk(*side)
+    assert list(walk.items()) == list(pointwise.items())
+
+
+def test_fuzz_examples_reach(monkeypatch):
+    """The explicit examples of the random-side test each reach their
+    branch: no jump set read when d = 1; with d = 2, fewer jump sets than
+    pencils; a point in a jump set of g and in one of Dh."""
+    reads = []
+    kernel_jumps = multiplication._kernel_jumps
+    monkeypatch.setattr(multiplication, "_kernel_jumps",
+                        lambda *args: reads.append(kernel_jumps(*args))
+                        or reads[-1])
+
+    def jump_sets(side):
+        reads.clear()
+        _hom_walk(*side)
+        return [jumps for jumps, _ in reads]
+    assert jump_sets(FUZZ_EXAMPLES["d=1"]) == []
+    Lp, _, basis = FUZZ_EXAMPLES["early stop"]
+    assert len(basis) == 2
+    assert 0 < len(jump_sets(FUZZ_EXAMPLES["early stop"])) < 2 * Lp.quiver.n
+    Lp, _, _ = FUZZ_EXAMPLES["g and Dh jump"]
+    n, sets = Lp.quiver.n, jump_sets(FUZZ_EXAMPLES["g and Dh jump"])
+    assert len(sets) == 2 * n
+    assert set().union(*sets[:n]) & set().union(*sets[n:])
+
+
 # (label, L, T, points keyed a prime p) of Hom sides with few keyed points
 KEYED = [(f"kronecker.xx1(P1,{name})", projective_rep(kronecker_quiver(), 1),
           ar_translate(M), lambda p: p + 2)
@@ -151,9 +234,10 @@ def test_walk_keys_few_points(monkeypatch, label, L, T, points):
     has no rows, so each point has a kernel there, yet only 3 points of
     each P^1(F_p) move a vertex kernel."""
     keyed = []
-    key_of = multiplication._kernel_key
-    monkeypatch.setattr(multiplication, "_kernel_key",
-                        lambda g, R: keyed.append(R) or key_of(g, R))
+    key_of = multiplication._key_of_kernels
+    monkeypatch.setattr(multiplication, "_key_of_kernels",
+                        lambda kernels, R: keyed.append(R)
+                        or key_of(kernels, R))
     for p in default_primes():
         keyed.clear()
         Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
@@ -162,6 +246,55 @@ def test_walk_keys_few_points(monkeypatch, label, L, T, points):
         assert len(keyed) == 2 * points(p)
         assert sum(n for n, _ in walk.values()) == (
             p ** len(basis) - 1) // (p - 1)
+
+
+def _point_kernels(monkeypatch, side) -> list:
+    """The number of vertex kernels _hom_walk takes at each point it keys:
+    the _nullspace calls made outside _kernel_jumps between the key reads
+    of one point (g, then Dh) and those of the point before."""
+    counts, inside = [0], []
+    nullspace = multiplication._nullspace
+    kernel_jumps = multiplication._kernel_jumps
+    key_of = multiplication._key_of_kernels
+
+    def counting_nullspace(*args):
+        counts[-1] += not inside
+        return nullspace(*args)
+
+    def jumps(*args):
+        inside.append(1)
+        try:
+            return kernel_jumps(*args)
+        finally:
+            inside.pop()
+
+    def reading_key(kernels, R):
+        counts.append(0)
+        return key_of(kernels, R)
+    monkeypatch.setattr(multiplication, "_nullspace", counting_nullspace)
+    monkeypatch.setattr(multiplication, "_kernel_jumps", jumps)
+    monkeypatch.setattr(multiplication, "_key_of_kernels", reading_key)
+    _hom_walk(*side)
+    # counts[2k] precedes the key of g at point k, counts[2k + 1] that of Dh
+    return [a + b for a, b in zip(counts[0:-1:2], counts[1:-1:2])]
+
+
+def test_walk_takes_kernels_only_where_a_pencil_jumps(monkeypatch):
+    """At each point it keys, the walk takes a vertex kernel only for a
+    pencil whose jump set holds the point or was not read.  Kronecker
+    P Hom(P1, tau S1) takes one at each of the p + 1 points of N, where
+    the vertex-2 pencil of g jumps, and none at the point that stands for
+    the rest; a side with d = 1 reads no jump set and takes all 2n."""
+    q = kronecker_quiver()
+    L, T = projective_rep(q, 1), ar_translate(simple_rep(q, 1))
+    for p in (2, 3, 5, 23):
+        Lp, Tp = reduce_rep(L, p), reduce_rep(T, p)
+        taken = _point_kernels(monkeypatch, (Lp, Tp, hom_basis(Lp, Tp)))
+        assert sorted(taken) == [0] + [1] * (p + 1)
+    Lp, Tp, basis = FUZZ_EXAMPLES["d=1"]
+    assert len(basis) == 1
+    assert _point_kernels(monkeypatch, FUZZ_EXAMPLES["d=1"]) == [
+        2 * Lp.quiver.n]
 
 
 def test_pointwise_pencils_at_default_primes(monkeypatch):
@@ -258,12 +391,18 @@ def pencils(draw):
 def test_kernel_jumps_match_rank_at_every_point(case):
     """_kernel_jumps holds the points c of P^{d-1}(F_p) where
     sum_k c_k A_k has rank below the rank of the stacked A_k, ranked one
-    point at a time: there its kernel is larger than their common one."""
+    point at a time: there its kernel is larger than their common one.
+    Its common kernel is the _nullspace of the stacked A_k, and of
+    sum_k c_k A_k at every other point."""
     parts, cols, p = case
     rows = len(parts[0])
-    stacked = _rank_mod([row for A in parts for row in A], cols, p)
-    points = [c for (c,) in subspaces(p, len(parts), 1)]
-    assert _kernel_jumps(parts, cols, p) == {
-        c for c in points if _rank_mod(
-            [[sum(x * A[r][j] for x, A in zip(c, parts))
-              for j in range(cols)] for r in range(rows)], cols, p) < stacked}
+    stacked = [row for A in parts for row in A]
+    rank = _rank_mod(stacked, cols, p)
+    at = {c: [[sum(x * A[r][j] for x, A in zip(c, parts)) % p
+               for j in range(cols)] for r in range(rows)]
+          for (c,) in subspaces(p, len(parts), 1)}
+    jumps, common = _kernel_jumps(parts, cols, p)
+    assert jumps == {c for c, A in at.items() if _rank_mod(A, cols, p) < rank}
+    assert common == _nullspace(stacked, cols, p)
+    assert all(_nullspace(A, cols, p) == common
+               for c, A in at.items() if c not in jumps)

@@ -208,11 +208,12 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
     transposed basis maps once per prime, and never over QQ."""
     q = kronecker_quiver()
     keys, misses, translations = [], [], []
-    key_of, middle = multiplication._kernel_key, multiplication._hom_side_middle
+    key_of = multiplication._key_of_kernels
+    middle = multiplication._hom_side_middle
     translate = multiplication.ar_translate_maps
 
-    def recording_key(g, L):
-        key = key_of(g, L)
+    def recording_key(kernels, L):
+        key = key_of(kernels, L)
         keys.append((L.field, key))
         return key
 
@@ -224,7 +225,7 @@ def test_hom_side_builds_each_middle_term_once(monkeypatch, few_primes):
         translations.append(M.field)
         return translate(M, N, maps)
 
-    monkeypatch.setattr(multiplication, "_kernel_key", recording_key)
+    monkeypatch.setattr(multiplication, "_key_of_kernels", recording_key)
     monkeypatch.setattr(multiplication, "_hom_side_middle", counting_middle)
     monkeypatch.setattr(multiplication, "ar_translate_maps",
                         counting_translate)
@@ -294,7 +295,7 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
     to K and R; the points where every vertex kernel is its pencil's
     common kernel still share the key of the one point keyed for them."""
     memoised = run(few_primes)
-    key_of = multiplication._kernel_key
+    key_of = multiplication._key_of_kernels
 
     class Unshared(tuple):
         __hash__ = object.__hash__
@@ -302,8 +303,8 @@ def test_hom_memo_does_not_merge_strata(monkeypatch, few_primes, run):
         def __eq__(self, other):
             return self is other
 
-    monkeypatch.setattr(multiplication, "_kernel_key",
-                        lambda g, L: Unshared(key_of(g, L)))
+    monkeypatch.setattr(multiplication, "_key_of_kernels",
+                        lambda kernels, L: Unshared(key_of(kernels, L)))
     assert run(few_primes) == memoised
 
 
@@ -358,13 +359,14 @@ def test_hom_line_keys_match_pointwise_maps(L, M):
 def test_hom_line_keys_match_pointwise_maps_at_23(monkeypatch):
     """At p = 23 on Kronecker hom(P1, tau S1), only the 24 points where a
     vertex kernel leaves its pencil's common kernel and one point for the
-    others, which share its key, read _kernel_key, and every bucket has its
+    others, which share its key, read kernel keys, and every bucket has its
     pointwise size."""
     q = kronecker_quiver()
     keyed = []
-    key_of = multiplication._kernel_key
-    monkeypatch.setattr(multiplication, "_kernel_key",
-                        lambda g, L: keyed.append(L) or key_of(g, L))
+    key_of = multiplication._key_of_kernels
+    monkeypatch.setattr(multiplication, "_key_of_kernels",
+                        lambda kernels, L: keyed.append(L)
+                        or key_of(kernels, L))
     buckets, pointwise = _hom_buckets_and_pointwise(
         projective_rep(q, 1), simple_rep(q, 1), 23)
     assert buckets == pointwise

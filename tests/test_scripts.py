@@ -107,6 +107,9 @@ def test_bench_script_writes_counts(tmp_path):
     # common kernel, and one more point is keyed for all the others
     jumps = sum(p + 1 for p in strat["primes"])
     assert hom["keyed"] == jumps + len(strat["primes"])
+    # one vertex kernel is taken at each point of N, where the vertex-2
+    # pencil of g jumps, and none at the point keyed for the others
+    assert hom["point_kernels"] == jumps
     assert jumps <= hom["incidence"] <= 2 * jumps
     assert hom["kernels"] > 0
     assert ext["us_per_pair"] > 0 and hom["us_per_point"] > 0
