@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_32.json.
+write BENCH_33.json.
 
 Run from the repository root:
 
@@ -13,19 +13,21 @@ Stdlib only.  Ten parts:
   the E6 closure to depth 12 (all 833 seeds and 42 variables, the oracle
   of a census of E6 characters).  Each is timed, and one extra run counts
   the unlabelled seeds visited, the exchanges looked up and the exact
-  divisions made, by wrapping the module's helpers.
+  divisions made, by wrapping the module's helpers, and how each dense
+  quotient was answered (see accepted).
 - kernels: on the Kronecker cluster variables x_t (mutating 1, 2, 1, ...)
   it times x_t * x_t and the exchange division (x_t^2 + 1) / x_(t-1), each
   through the public operation and through the dense and the sparse
   kernel on their own (the sparse division is the heap division; the
   dense one runs with its cost test off), and records which kernel the
-  public operation selects and the slot width, in bytes, at which the
-  dense kernel accepts the quotient.
+  public operation selects, the slot width, in bytes, at which the
+  dense kernel accepts the quotient, and how the public division's dense
+  quotient was answered.
 - declined: two dense divisions whose first slot width cannot hold the
   quotient, 3^50 (1 + x)^40 / (1 - x)^40 (certified at the full width)
   and prod_{k<=20} (1 - x^k) / (1 - x)^20 = [20]_x! (no width holds it,
   so the heap division answers), timed as the kernel divisions, with the
-  slot widths the public division decodes at.
+  slot widths the public division decodes at and how it was answered.
 - stratify: both sides of Kronecker xx1(P1, S1) on the default primes,
   P Ext^1(S1, P1) and P Hom(P1, tau S1), each of dimension 3.  One run
   counts the work of each side, and each side is timed.  On the Ext side,
@@ -105,6 +107,10 @@ CLOSURES = (
      12),
 )
 KERNEL_STEPS = (4, 8, 12, 16, 20, 24, 32, 40)
+# how a dense quotient is answered: accepted at the first width it divides
+# at by the norm test or by the packed product at -X, accepted at a later
+# width, or declined, so that the heap division answers
+ACCEPTANCE = ("norm", "minus_x", "next_width", "heap")
 TAU_CALLS = 20
 
 
@@ -126,9 +132,46 @@ def src_lines():
     return total
 
 
+def accepted(run):
+    """run() and the count of its dense quotients by how each was answered
+    (ACCEPTANCE), by wrapping the dense kernel, its decoder and its packer:
+    a quotient is accepted by the packed product at -X when the kernel
+    packs the q it decoded last."""
+    counts = dict.fromkeys(ACCEPTANCE, 0)
+    real = laurent._dense_quotient, laurent._unpack_dense, laurent._pack_dense
+    quotient, unpack, pack = real
+    decoded, checked = [], []
+
+    def decoding(*args):
+        decoded.append(unpack(*args))
+        return decoded[-1]
+
+    def packing(terms, *args):
+        if decoded and terms is decoded[-1]:
+            checked.append(len(decoded))
+        return pack(terms, *args)
+
+    def counting(*args):
+        decoded.clear()
+        checked.clear()
+        q = quotient(*args)
+        counts["heap" if q is None else "next_width" if len(decoded) > 1
+               else "minus_x" if checked else "norm"] += 1
+        return q
+
+    laurent._dense_quotient, laurent._unpack_dense, laurent._pack_dense = (
+        counting, decoding, packing)
+    try:
+        return run(), counts
+    finally:
+        (laurent._dense_quotient, laurent._unpack_dense,
+         laurent._pack_dense) = real
+
+
 def closure_counts(q, depth):
     """Seeds, exchanges and divisions of one closure, by wrapping the
-    exchange helper, the seed canonicaliser and the division."""
+    exchange helper, the seed canonicaliser and the division, and how its
+    dense quotients were answered."""
     seeds, counts = set(), {"exchanges": 0, "divisions": 0}
     exchange = mutation._exchange
     canonical = mutation._canonical
@@ -151,14 +194,14 @@ def closure_counts(q, depth):
     mutation._canonical = recording_canonical
     mutation.divide_exact = counting_divide
     try:
-        variables, stable = enumerate_cluster_variables(q, depth,
-                                                        report_stable=True)
+        (variables, stable), answered = accepted(
+            lambda: enumerate_cluster_variables(q, depth, report_stable=True))
     finally:
         mutation._exchange = exchange
         mutation._canonical = canonical
         mutation.divide_exact = divide
     return {"variables": len(variables), "stabilized": stable,
-            "seeds": len(seeds), **counts}
+            "seeds": len(seeds), **counts, "dense_quotients": answered}
 
 
 @contextlib.contextmanager
@@ -347,6 +390,7 @@ def declined_row(name, a, b, repeats):
             "slot_bytes": widths,
             "selected": selected(lambda: divide_exact(a, b),
                                  "_heap_quotient"),
+            "accepted": accepted(lambda: divide_exact(a, b))[1],
             **timed(lambda: divide_exact(a, b), repeats),
             "dense": timed(lambda: forced_dense_quotient(p, d, box),
                            repeats),
@@ -382,6 +426,7 @@ def kernel_row(chain, t, repeats):
             "dividend_terms": len(p), "divisor_terms": len(b),
             "selected": selected(lambda: divide_exact(binomial, prev),
                                  "_heap_quotient"),
+            "accepted": accepted(lambda: divide_exact(binomial, prev))[1],
             "slot_bytes": widths[-1],
             **timed(lambda: divide_exact(binomial, prev), repeats),
             "dense": timed(lambda: forced_dense_quotient(p, b, dbox),
@@ -459,10 +504,16 @@ def cold_profile(M, primes):
     return grassmannian.grassmannian_profile(M, primes)
 
 
+def answers(counts):
+    """The nonzero counts of an ACCEPTANCE dict, as text."""
+    return ", ".join(f"{n} {kind}" for kind, n in counts.items()
+                     if n) or "none"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_32.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_33.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -542,7 +593,8 @@ def main(argv=None):
         fh.write("\n")
     for row in closures:
         print(f"{row['name']}: {row['median_s']:.3f} s, {row['seeds']} seeds, "
-              f"{row['exchanges']} exchanges, {row['divisions']} divisions")
+              f"{row['exchanges']} exchanges, {row['divisions']} divisions, "
+              "dense quotients " + answers(row["dense_quotients"]))
     for row in kernels:
         print(f"kronecker x_{row['step']} ({row['terms']} terms):", ", ".join(
             f"{op} {k['median_s'] * 1e3:.2f} ms ({k['selected']}; dense "
@@ -551,12 +603,12 @@ def main(argv=None):
             for op, k in (("mul", row["mul"]),
                           ("divide_exact", row["divide_exact"]))),
             f"dense quotient at {row['divide_exact']['slot_bytes']}-byte "
-            "slots")
+            "slots, " + answers(row["divide_exact"]["accepted"]))
     for row in declined:
         print(f"{row['name']}: {row['median_s'] * 1e3:.2f} ms "
               f"({row['selected']}; dense {row['dense']['median_s'] * 1e3:.2f}"
               f", sparse {row['sparse']['median_s'] * 1e3:.2f}), decoded at "
-              f"{row['slot_bytes']} bytes")
+              f"{row['slot_bytes']} bytes, " + answers(row["accepted"]))
     for part in (stratify, d4, d4tilde):
         row = part["ext"]
         print(f"{part['name']} ext side: {row['median_s']:.3f} s, "

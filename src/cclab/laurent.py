@@ -18,10 +18,10 @@ Multiplication and exact division each have two kernels.
   _DENSE_PAIRS pairs of terms and each has at most _DENSE_FILL points of
   its exponent box per term.  The box spans each variable from the lowest
   to the highest exponent, in steps of the gcd of the offsets.  Each
-  operand packs into one int, one balanced slot of 1, 2, 4, 8 or 4k bytes
-  per box point, by `array`.  Packing is a ring map, so a product is one
-  bigint product, and a quotient a divmod in slots sized first for it,
-  then for the dividend, where long division should beat the heap.
+  operand packs into one int, one slot of 1, 2, 4, 8 or 4k bytes per box
+  point, by an exact pairwise sum.  Packing is a ring map, so a product
+  is one bigint product, and a quotient a divmod in slots sized first for
+  it, then for the dividend, where long division should beat the heap.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ class LaurentPolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
+        self.nvars, self.terms = nvars, {}
         if terms:
             for exp, c in terms.items():
                 if len(exp) != nvars:
                     raise InputError("exponent length mismatch")
-                if c != 0:
-                    self.terms[tuple(exp)] = self.terms.get(tuple(exp), 0) + c
+                if any(type(x) is not int for x in (c, *exp)):
+                    raise InputError(f"non-integer term {c!r} at {exp!r}")
+                self.terms[tuple(exp)] = self.terms.get(tuple(exp), 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -78,14 +78,18 @@ class LaurentPolynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise InputError("variable count mismatch")
+    def _operand(self, other):
+        if type(other) is int:
+            return LaurentPolynomial.constant(self.nvars, other)
+        if isinstance(other, LaurentPolynomial):
+            if self.nvars != other.nvars:
+                raise InputError("variable count mismatch")
+            return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial.constant(self.nvars, other)
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
             v = terms.get(e, 0) + c
@@ -105,17 +109,17 @@ class LaurentPolynomial:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial.constant(self.nvars, other)
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self.scale(other)
-        self._check(other)
+        if self._operand(other) is None:
+            return NotImplemented
         out = LaurentPolynomial(self.nvars)
         a, b = self.terms, other.terms
         if a and b:
@@ -148,7 +152,7 @@ class LaurentPolynomial:
         return square * self if k & 1 else square
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPolynomial.constant(self.nvars, other)
         return (isinstance(other, LaurentPolynomial)
                 and self.nvars == other.nvars and self.terms == other.terms)
@@ -302,9 +306,7 @@ _DENSE_PAIRS = 32   # fewest pairs of terms, len(a) * len(b), to go dense
 _DENSE_FILL = 4     # most box points per term of either dense operand
 # long-division byte products as slow as one heap step (CPython 3.11, x86-64)
 _HEAP_STEP_BYTES = 1300
-# array's unsigned and signed typecodes by item size, their C types' sizes
-_UNSIGNED, _SIGNED = ({struct.calcsize(c): c for c in codes}
-                      for codes in ("BHILQ", "bhilq"))
+_SIGNED = {struct.calcsize(c): c for c in "bhilq"}  # typecode by itemsize
 
 
 def _box(cols_a, cols_b):
@@ -326,7 +328,8 @@ def _dense_box(a, b):
     first on the distinct exponents, which are points of it; else None."""
     if len(a) * len(b) < _DENSE_PAIRS:
         return None
-    cols = [list(map(set, zip(*terms))) for terms in (a, b)]
+    cols = [list(map(set, zip(*a)))]
+    cols.append(cols[0] if b is a else list(map(set, zip(*b))))
     fill = [_DENSE_FILL * len(a), _DENSE_FILL * len(b)]
     if any(prod(map(len, c)) > f for c, f in zip(cols, fill)):
         return None
@@ -349,31 +352,26 @@ def _slots(terms, low, steps, spans) -> list:
     return pos
 
 
-def _pack_dense(terms, pos, size: int) -> int:
-    """sum c X^p over the terms' coefficients c and slots p, X = 2^(8 size).
-    Each c is cut into balanced word digits; those past its slot spill
-    into further layers, each one slot up, so the int is exact at any size."""
-    from array import array
-    word = min(size & -size, 8)  # a slot is per words of this many bytes
-    per, bits = size // word, 8 * word
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    pos = [p * per for p in pos] if per > 1 else pos
-    n = max(pos) + per
-    # each word holds its digit plus half, so no word borrows
-    blank = array(_UNSIGNED[word], [half]) * n
-    offset = int.from_bytes((bytes(word - 1) + b"\x80") * n, "little")
-    value, layer, coeffs = 0, 0, terms.values()
-    while any(coeffs):
-        words = blank[:]
-        for r in range(per):
-            for p, c in zip(pos, coeffs):
-                words[p + r] = c + half & mask
-            coeffs = [c + half >> bits for c in coeffs]
-        if sys.byteorder == "big":
-            words.byteswap()
-        value += int.from_bytes(words, "little") - offset << layer
-        layer += 8 * size
-    return value
+def _pack_dense(terms, pos, size: int, pair=False):
+    """sum c X^p over coefficients c at slots p, X = 2^(8 size), pairwise:
+    x + (y << bits), bits doubling, exact for any c.  With pair also sum
+    c (-X)^p = E - O X, with E and O the even and odd slots summed at X^2."""
+    slots = [0] * (max(pos) + 2 & -2)  # even, so E and O are alike
+    for p, c in zip(pos, terms.values()):
+        slots[p] = c
+    parts, values = (2, slots[::2] + slots[1::2]) if pair else (1, slots)
+    bits = 8 * size * parts
+    while len(values) > parts:
+        n = len(values) // parts
+        if n & 1:  # a zero tops each part, so no pair straddles two
+            for i in range(parts, 0, -1):
+                values.insert(i * n, 0)
+        values = [x + (y << bits) for x, y in zip(values[::2], values[1::2])]
+        bits *= 2
+    if not pair:
+        return values[0]
+    even, odd = values[0], values[1] << 8 * size
+    return even + odd, even - odd
 
 
 def _unpack_dense(value: int, low, steps, spans, size: int) -> dict:
@@ -411,7 +409,8 @@ def _dense_product(a, b, box) -> dict:
     the product's box, in slots that hold every coefficient of a * b."""
     low_a, low_b, steps, spans_a, spans_b = box
     spans = [x + y - 1 for x, y in zip(spans_a, spans_b)]
-    (norm_a, top_a), (norm_b, top_b) = _norms(a), _norms(b)
+    norms = _norms(a)
+    (norm_a, top_a), (norm_b, top_b) = norms, norms if b is a else _norms(b)
     size = _slot_bytes(min(norm_a * top_b, top_a * norm_b))
     packed = _pack_dense(a, _slots(a, low_a, steps, spans), size)
     packed *= packed if b is a else _pack_dense(
@@ -434,11 +433,10 @@ def _dense_quotient(a, b, box):
     step per pair of terms of q and b (q filling its box as a fills a's).
 
     Packing is a ring map, so a nonzero remainder proves a / b inexact.
-    Else Q = A / B, and its digits q must lie in the quotient's box; then
-    q * b lies in a's box, where packing is injective on coefficients
-    below half a slot.  So q * b = a when |a|_oo and |q|_1 |b|_oo are
-    below it at the width divided at, or when Q B = A at the width that
-    holds |a|_oo and min(|q|_1 |b|_oo, |q|_oo |b|_1)."""
+    Else Q = A / B, whose digits q must lie in q's box: then d = q b - a
+    lies in a's box and d(X) = 0.  d = 0 if |a|_oo and |q|_1 |b|_oo are
+    below half a slot; or if d(-X) = 0 and |a|_oo + min(|q|_1 |b|_oo,
+    |q|_oo |b|_1) < X^2 bounds |d|_oo, since x^2 - X^2 | d forces d = 0."""
     low_a, low_b, steps, spans_a, spans_b = box
     spans_q = [x - y + 1 for x, y in zip(spans_a, spans_b)]
     if min(spans_q) < 1:
@@ -458,18 +456,20 @@ def _dense_quotient(a, b, box):
     pos_a = _slots(a, low_a, steps, spans_a)
     pos_b = _slots(b, low_b, steps, spans_a)
     for size in sizes:
-        quo, rem = divmod(_pack_dense(a, pos_a, size),
-                          _pack_dense(b, pos_b, size))
+        (at_a, neg_a), (at_b, neg_b) = (_pack_dense(a, pos_a, size, True),
+                                        _pack_dense(b, pos_b, size, True))
+        quo, rem = divmod(at_a, at_b)
         if rem:
             raise InexactDivisionError("polynomial division left a remainder")
         q = _unpack_dense(quo, low, steps, spans_q[:1] + spans_a[1:], size)
         if not q or any(max(col) > top for col, top in zip(zip(*q), tops)):
             continue
         norm_q, top_q = _norms(q)
-        wide = _slot_bytes(max(top_a, min(norm_q * top_b, top_q * norm_b)))
-        if (max(top_a, norm_q * top_b) < 1 << (8 * size - 1)
-                or _pack_dense(q, _slots(q, low, steps, spans_a), wide)
-                * _pack_dense(b, pos_b, wide) == _pack_dense(a, pos_a, wide)):
+        if max(top_a, norm_q * top_b) < 1 << (8 * size - 1):
+            return q
+        pos_q = _slots(q, low, steps, spans_a)
+        if (top_a + min(norm_q * top_b, top_q * norm_b) < 1 << 16 * size
+                and _pack_dense(q, pos_q, size, True)[1] * neg_b == neg_a):
             return q
     return None
 
@@ -479,7 +479,7 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
 
     Dense operands take one divmod of packed ints (_dense_quotient); the
     rest, and a dense quotient that is declined, the heap division."""
-    a._check(b)
+    b = a._operand(b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     out = LaurentPolynomial(a.nvars)

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -90,6 +91,30 @@ def test_division_by_monomial_is_laurent():
     a = parse("x1 + x2", 2)
     b = parse("x1*x2", 2)
     assert str(divide_exact(a, b)) == "x1^-1 + x2^-1"
+
+
+@pytest.mark.parametrize("terms", [{(0,): 0.5}, {(0,): Fraction(1, 2)},
+                                   {(0,): True}, {(0.5,): 1}, {(True,): 2}],
+                         ids=["float", "Fraction", "bool", "float exponent",
+                              "bool exponent"])
+def test_non_integer_terms_are_refused(terms):
+    """A coefficient or exponent that is not an int, a bool included, is
+    refused rather than stored."""
+    with pytest.raises(InputError, match="non-integer term"):
+        LaurentPolynomial(1, terms)
+
+
+@pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, True, "x1"],
+                         ids=["Fraction", "float", "bool", "str"])
+def test_ring_operators_refuse_non_integer_operands(other):
+    """+, - and * with an operand that is neither an int nor a polynomial
+    return NotImplemented, so Python raises TypeError either way round."""
+    x = parse("x1", 1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
 
 
 def test_evaluate():
@@ -409,11 +434,12 @@ def _spy_widths(monkeypatch):
 def test_dense_quotient_past_its_first_width_falls_back(monkeypatch):
     """(1 - x^2)^40 / (1 - x)^40 = (1 + x)^40, times C: |q|_1 = C 2^40 is
     2^40 times the |a|_1 / |b|_1 the slots are sized for, so the norm test
-    fails at every width divided at, and the packed product at the width
-    of |q|_1 |b|_oo certifies q.  For C = 1, |b|_oo sets both widths to 8
-    bytes; for C = 3^50, |a|_oo / |b|_1 (77 bits) sets the first to 12,
-    which q's 117-bit coefficients outgrow, so the kernel goes on to the
-    full 16.  Either way it returns q and no heap division runs."""
+    fails at every width divided at, and the packed product at -X, at the
+    width divided at, certifies q: |a|_oo + |q|_1 |b|_oo stays below X^2.
+    For C = 1, |b|_oo sets both widths to 8 bytes; for C = 3^50, |a|_oo /
+    |b|_1 (77 bits) sets the first to 12, which q's 117-bit coefficients
+    outgrow, so the kernel goes on to the full 16.  Either way it returns
+    q and no heap division runs."""
     for c, sizes in ((1, [8]), (3 ** 50, [12, 16])):
         q = LaurentPolynomial.constant(1, c) * parse("1 + x1", 1) ** 40
         b = parse("1 - x1", 1) ** 40
@@ -452,7 +478,7 @@ def test_dense_quotient_checks_a_narrow_decode_by_its_product(monkeypatch):
     |a|_oo / |b|_1 = 50 fits one-byte slots, so they are tried first.  At
     X = 256, Q = q(X) = 100 + 200 X + 100 X^2 decodes inside the quotient's
     box to 100 - 56 x1 + 101 x1^2 (200 = X - 56).  Its |q|_1 |b|_oo is past
-    the byte, so the packed product at two bytes decides, and rejects it;
+    half the byte, so the packed product at -X decides, and rejects it;
     the two-byte division returns q."""
     q = LaurentPolynomial.constant(1, 100) * parse("1 + x1", 1) ** 2
     b = parse("1 - x1", 1) ** 2
@@ -466,13 +492,50 @@ def test_dense_quotient_checks_a_narrow_decode_by_its_product(monkeypatch):
     assert widths == [1, 2]
 
 
+@pytest.mark.parametrize("size", range(1, 17))
+@given(data=st.data())
+@settings(max_examples=25)
+def test_pack_dense_pair_is_the_values_at_x_and_minus_x(size, data):
+    """The packer's pair is (sum c X^p, sum c (-X)^p), X = 2^(8 size), for
+    coefficients of both signs, past half a slot and past the whole slot,
+    at every slot size from 1 to 16 bytes, words or not (3, 12)."""
+    X = 1 << 8 * size
+    edges = [X // 2 - 1, X // 2, X - 1, X, X + 1, 3 * X + 5]
+    coeffs = st.one_of(st.integers(-X, X), st.integers(-X * X, X * X),
+                       st.sampled_from(edges + [-c for c in edges]))
+    pos = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=12,
+                             unique=True))
+    terms = {(p,): data.draw(coeffs.filter(bool)) for p in pos}
+    pair = (sum(c * X ** p for p, c in zip(pos, terms.values())),
+            sum(c * (-X) ** p for p, c in zip(pos, terms.values())))
+    assert laurent._pack_dense(terms, pos, size, True) == pair
+    assert laurent._pack_dense(terms, pos, size) == pair[0]
+
+
+def test_dense_quotient_is_refuted_at_minus_x_alone(monkeypatch):
+    """q = 1 + x1 + ... + x1^11, b = (1 + x1)^2, a = q * b + 256 - x1: in
+    one-byte slots 256 - x1 packs to 256 - X = 0, so the divmod leaves no
+    remainder and q decodes inside the quotient's box.  |a|_oo = 257 is
+    past half a slot, so the norm test cannot accept it, and only the
+    packed product at -X rejects it; the two-byte remainder then raises."""
+    q = LaurentPolynomial(1, {(j,): 1 for j in range(12)})
+    b = parse("1 + x1", 1) ** 2
+    a = q * b + parse("256 - x1", 1)
+    assert laurent._dense_box(a.terms, b.terms) is not None
+    decoded = _spy(monkeypatch, "_unpack_dense")
+    widths = _spy_widths(monkeypatch)
+    with pytest.raises(InexactDivisionError):
+        divide_exact(a, b)
+    assert widths == [1] and decoded == [q.terms]
+
+
 def test_word_typecodes_have_their_item_sizes():
-    """The packer's unsigned and signed array typecodes, chosen at import by
-    their C types' sizes, hold words of 1, 2, 4 and 8 bytes, one each."""
+    """The unpacker's signed array typecodes, chosen at import by their C
+    types' sizes, hold words of 1, 2, 4 and 8 bytes, one each."""
     from array import array
-    for codes in (laurent._UNSIGNED, laurent._SIGNED):
-        assert {1, 2, 4, 8} <= set(codes)
-        assert all(array(c).itemsize == size for size, c in codes.items())
+    codes = laurent._SIGNED
+    assert {1, 2, 4, 8} <= set(codes)
+    assert all(array(c).itemsize == size for size, c in codes.items())
 
 
 def test_dense_quotient_skips_slots_too_narrow_for_q(monkeypatch):

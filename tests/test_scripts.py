@@ -76,6 +76,12 @@ def test_bench_script_writes_counts(tmp_path):
     a5, kronecker, e6 = doc["closures"]
     assert (a5["seeds"], a5["divisions"], a5["variables"]) == (132, 70, 20)
     assert (kronecker["seeds"], kronecker["divisions"]) == (49, 48)
+    # 42 of its divisions go dense, and the product at -X accepts all but
+    # two, which the norm test accepts; A5 and E6 divide only sparsely
+    assert kronecker["dense_quotients"] == {"norm": 2, "minus_x": 40,
+                                            "next_width": 0, "heap": 0}
+    assert not any(a5["dense_quotients"].values())
+    assert not any(e6["dense_quotients"].values())
     # E6 has 833 clusters and 42 cluster variables, all found by depth 12
     assert (e6["seeds"], e6["variables"], e6["stabilized"]) == (833, 42, True)
     assert e6["exchanges"] == 6 * 833
@@ -97,6 +103,9 @@ def test_bench_script_writes_counts(tmp_path):
     assert (certified["slot_bytes"], certified["selected"]) == ([12, 16],
                                                                 "dense")
     assert (left["slot_bytes"], left["selected"]) == ([4], "sparse")
+    assert certified["accepted"]["next_width"] == left["accepted"]["heap"] == 1
+    assert all(sum(row["divide_exact"]["accepted"].values()) == 1
+               for row in doc["kernels"])
     assert all(row["sparse"]["median_s"] > 0 for row in doc["declined"])
     assert doc["timer"].startswith("time.process_time")
     strat = doc["stratify"]
