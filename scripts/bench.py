@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_33.json.
+write BENCH_34.json.
 
 Run from the repository root:
 
@@ -55,7 +55,7 @@ Stdlib only.  Ten parts:
   time per point follows.
 - tau: ar_translate, ar_inverse and has_projective_summand over QQ on
   fixed stock modules of the Kronecker and D4-tilde quivers, in
-  microseconds a call.
+  microseconds a call (the min over the batches).
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
   A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first:
   the profile, the (U, ann U) tables keyed on (p, d, k) and the Gaussian
@@ -67,9 +67,18 @@ Stdlib only.  Ten parts:
   module, against the (p, d, k) subspace tables computed for them.
 - src_lines: the lines of src/cclab/*.py, the size of the package.
 
-Every time is the median of the repeats, in seconds of the process's CPU
-time (time.process_time), with the minimum beside it; wall-clock time
-moved by up to 30% between runs of the same tree on a shared machine.
+Every time is in seconds of the process's CPU time (time.process_time);
+wall-clock time moved by up to 30% between runs of the same tree on a
+shared machine.  A run of a closure, a side, a profile or the misses part
+is timed once a repeat, as the median of the repeats with the minimum
+beside it.  Most kernel, declined and tau calls take 0.05-1 ms, below
+the noise of one timing, so each of these rows is timed in batches of
+repeated calls, doubled until a batch takes BATCH_S, one batch a repeat:
+its median_s and min_s are per call, calls_per_batch is kept, and min_s
+is the row's time.  Single calls timed as the median of five moved by
+15-50% between back-to-back runs.  Batches do not remove the drift of a
+shared host's speed between runs, so compare two trees by runs that
+alternate between them, not against an earlier BENCH file.
 """
 
 from __future__ import annotations
@@ -111,7 +120,7 @@ KERNEL_STEPS = (4, 8, 12, 16, 20, 24, 32, 40)
 # at by the norm test or by the packed product at -X, accepted at a later
 # width, or declined, so that the heap division answers
 ACCEPTANCE = ("norm", "minus_x", "next_width", "heap")
-TAU_CALLS = 20
+BATCH_S = 0.01  # the least CPU time of a batch of batched calls
 
 
 def timed(fn, repeats):
@@ -121,6 +130,17 @@ def timed(fn, repeats):
         fn()
         times.append(time.process_time() - start)
     return {"median_s": statistics.median(times), "min_s": min(times)}
+
+
+def batched(fn, repeats):
+    """timed per call of fn, over batches of n calls, n doubled from 1
+    until one batch takes BATCH_S; n is kept as calls_per_batch."""
+    n = 1
+    while timed(lambda: [fn() for _ in range(n)], 1)["min_s"] < BATCH_S:
+        n *= 2
+    t = timed(lambda: [fn() for _ in range(n)], repeats)
+    return {"median_s": t["median_s"] / n, "min_s": t["min_s"] / n,
+            "calls_per_batch": n}
 
 
 def src_lines():
@@ -391,11 +411,11 @@ def declined_row(name, a, b, repeats):
             "selected": selected(lambda: divide_exact(a, b),
                                  "_heap_quotient"),
             "accepted": accepted(lambda: divide_exact(a, b))[1],
-            **timed(lambda: divide_exact(a, b), repeats),
-            "dense": timed(lambda: forced_dense_quotient(p, d, box),
-                           repeats),
-            "sparse": timed(lambda: laurent._heap_quotient(p, d, 1),
-                            repeats)}
+            **batched(lambda: divide_exact(a, b), repeats),
+            "dense": batched(lambda: forced_dense_quotient(p, d, box),
+                             repeats),
+            "sparse": batched(lambda: laurent._heap_quotient(p, d, 1),
+                              repeats)}
 
 
 def kernel_row(chain, t, repeats):
@@ -417,22 +437,22 @@ def kernel_row(chain, t, repeats):
         "step": t, "terms": len(a),
         "mul": {"operand_terms": len(a), "result_terms": len(square.terms),
                 "selected": selected(lambda: x * x, "_sparse_product"),
-                **timed(lambda: x * x, repeats),
-                "dense": timed(lambda: laurent._dense_product(a, a, box),
-                               repeats),
-                "sparse": timed(lambda: laurent._sparse_product(a, a, 2),
-                                repeats)},
+                **batched(lambda: x * x, repeats),
+                "dense": batched(lambda: laurent._dense_product(a, a, box),
+                                 repeats),
+                "sparse": batched(lambda: laurent._sparse_product(a, a, 2),
+                                  repeats)},
         "divide_exact": {
             "dividend_terms": len(p), "divisor_terms": len(b),
             "selected": selected(lambda: divide_exact(binomial, prev),
                                  "_heap_quotient"),
             "accepted": accepted(lambda: divide_exact(binomial, prev))[1],
             "slot_bytes": widths[-1],
-            **timed(lambda: divide_exact(binomial, prev), repeats),
-            "dense": timed(lambda: forced_dense_quotient(p, b, dbox),
-                           repeats),
-            "sparse": timed(lambda: laurent._heap_quotient(p, b, 2),
-                            repeats)},
+            **batched(lambda: divide_exact(binomial, prev), repeats),
+            "dense": batched(lambda: forced_dense_quotient(p, b, dbox),
+                             repeats),
+            "sparse": batched(lambda: laurent._heap_quotient(p, b, 2),
+                              repeats)},
     }
 
 
@@ -513,7 +533,7 @@ def answers(counts):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_33.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_34.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -554,8 +574,8 @@ def main(argv=None):
         row = {"name": name, "dim": M.dim, "tau_dim": ar_translate(M).dim,
                "inverse_dim": ar_inverse(M).module.dim}
         for fn in (ar_translate, ar_inverse, has_projective_summand):
-            t = timed(lambda: [fn(M) for _ in range(TAU_CALLS)], args.repeats)
-            row[f"us_per_{fn.__name__}"] = t["median_s"] / TAU_CALLS * 1e6
+            t = batched(lambda: fn(M), args.repeats)
+            row[f"us_per_{fn.__name__}"] = t["min_s"] * 1e6
         tau.append(row)
 
     grass = []
@@ -597,17 +617,17 @@ def main(argv=None):
               "dense quotients " + answers(row["dense_quotients"]))
     for row in kernels:
         print(f"kronecker x_{row['step']} ({row['terms']} terms):", ", ".join(
-            f"{op} {k['median_s'] * 1e3:.2f} ms ({k['selected']}; dense "
-            f"{k['dense']['median_s'] * 1e3:.2f}, sparse "
-            f"{k['sparse']['median_s'] * 1e3:.2f})"
+            f"{op} {k['min_s'] * 1e3:.3f} ms ({k['selected']}; dense "
+            f"{k['dense']['min_s'] * 1e3:.3f}, sparse "
+            f"{k['sparse']['min_s'] * 1e3:.3f})"
             for op, k in (("mul", row["mul"]),
                           ("divide_exact", row["divide_exact"]))),
             f"dense quotient at {row['divide_exact']['slot_bytes']}-byte "
             "slots, " + answers(row["divide_exact"]["accepted"]))
     for row in declined:
-        print(f"{row['name']}: {row['median_s'] * 1e3:.2f} ms "
-              f"({row['selected']}; dense {row['dense']['median_s'] * 1e3:.2f}"
-              f", sparse {row['sparse']['median_s'] * 1e3:.2f}), decoded at "
+        print(f"{row['name']}: {row['min_s'] * 1e3:.3f} ms "
+              f"({row['selected']}; dense {row['dense']['min_s'] * 1e3:.3f}"
+              f", sparse {row['sparse']['min_s'] * 1e3:.3f}), decoded at "
               f"{row['slot_bytes']} bytes, " + answers(row["accepted"]))
     for part in (stratify, d4, d4tilde):
         row = part["ext"]

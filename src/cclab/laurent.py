@@ -131,12 +131,16 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def scale(self, k: int):
+        if type(k) is not int:
+            raise InputError(f"non-integer scale {k!r}")
         out = LaurentPolynomial(self.nvars)
         if k:
             out.terms = {e: c * k for e, c in self.terms.items()}
         return out
 
     def __pow__(self, k: int):
+        if type(k) is not int:
+            return NotImplemented
         if k < 0:
             if len(self.terms) != 1:
                 raise InexactDivisionError("negative power of a non-monomial")
@@ -180,14 +184,12 @@ class LaurentPolynomial:
 
     # -- canonical form ----------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(),
+                           key=lambda t: (sum(t[0]), t[0])):
             factors = []
             for i, k in enumerate(e):
                 if k == 0:
@@ -221,9 +223,8 @@ def parse(s: str, nvars: int) -> LaurentPolynomial:
     if s and s[0] in "+-":
         lead = s[0]
         s = s[1:].lstrip()
+    # re.split keeps each sign, so chunks alternate sign and term
     chunks = [lead] + [c.strip() for c in re.split(r"\s([+-])\s", s)]
-    if len(chunks) % 2:
-        raise InputError(f"cannot parse polynomial: {s!r}")
     out = LaurentPolynomial.zero(nvars)
     for sign, body in zip(chunks[::2], chunks[1::2]):
         m = _TERM_RE.match(body.strip())
@@ -476,9 +477,14 @@ def _dense_quotient(a, b, box):
 
 def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient a / b; raises InexactDivisionError if b does not divide a.
+    Either operand may be an int, and InputError refuses anything else.
 
     Dense operands take one divmod of packed ints (_dense_quotient); the
     rest, and a dense quotient that is declined, the heap division."""
+    if type(a) is int and isinstance(b, LaurentPolynomial):
+        a = LaurentPolynomial.constant(b.nvars, a)
+    if not isinstance(a, LaurentPolynomial) or a._operand(b) is None:
+        raise InputError(f"cannot divide {a!r} by {b!r}")
     b = a._operand(b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")

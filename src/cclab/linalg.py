@@ -256,14 +256,6 @@ def hstack(field, mats, rows=None):
                      [[x for m in mats for x in m.data[i]] for i in range(r)])
 
 
-def vstack(field, mats, cols=None):
-    mats = list(mats)
-    if not mats:
-        return Mat(field, 0, cols if cols is not None else 0)
-    return Mat._wrap(field, sum(m.rows for m in mats), mats[0].cols,
-                     [row[:] for m in mats for row in m.data])
-
-
 def quotient_map(field, basis: Mat):
     """(indices, Q) for the column span U of `basis`: the unit vectors e_i
     at the indices complete U to the full space, and Q sends a vector to

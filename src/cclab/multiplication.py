@@ -35,9 +35,9 @@ from .laurent import LaurentPolynomial
 from .linalg import (_combination, _nullspace, _nullspace_of_rref,
                      _rank_mod, _rref)
 from .reps import (ClusterObject, Representation, _key_of_kernels,
-                   _rep_of_key, _system_rows, cluster_object, direct_sum,
-                   dual, ext1_dim, hom_basis, hom_dim, reduce_rep,
-                   stable_ext1_dim, standard_sum, top_multiplicities,
+                   _rep_of_key, _standard_battery, _system_rows,
+                   cluster_object, direct_sum, dual, ext1_dim, hom_basis,
+                   hom_dim, reduce_rep, stable_ext1_dim, standard_sum,
                    zero_rep)
 
 
@@ -365,10 +365,10 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
     exponent of (dim M, mults) at U's preimage U' >= Im f, and f ranges
     over P Hom(P, U'), of chi <mults, dim U'>: one stratum, read off M."""
     q = P.quiver
-    mults = top_multiplicities(P)  # P is projective iff its cover is P
-    cover = standard_sum(q, "projective", mults, P.field)
-    if P.is_zero() or cover.dim != P.dim:
+    tau = [ext1_dim(P, Pu) for Pu, _ in _standard_battery(q, P.field)]
+    if P.is_zero() or any(tau):  # tau P = 0 iff P is projective
         raise PreconditionError("first argument must be a nonzero projective")
+    mults = summand_multiplicities(q, P.dim, tau)  # the top of P
     I = standard_sum(q, "injective", mults, P.field)
     strata = _hom_strata(M, I, primes, "proj-shift-inj")
     chi = sum(map(mul, mults, M.dim))

@@ -17,12 +17,6 @@ class Quiver:
     n: int
     arrows: tuple[tuple[int, int], ...]
 
-    def arrows_into(self, j: int):
-        return [a for a, (s, t) in enumerate(self.arrows) if t == j]
-
-    def arrows_out_of(self, i: int):
-        return [a for a, (s, t) in enumerate(self.arrows) if s == i]
-
 
 def validate_quiver(n: int, arrows) -> Quiver:
     """Validate raw vertex/arrow data: index range, no loops, no cycles."""

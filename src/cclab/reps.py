@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import (ConfigurationError, InputError, PreconditionError,
                      PrimeInstabilityError)
-from .linalg import GF, Mat, QQ, _nullspace, hstack, quotient_map, vstack
+from .linalg import GF, Mat, QQ, _nullspace, quotient_map
 from .quiver import Quiver, check_dimvec
 
 
@@ -420,16 +420,7 @@ def cokernel_rep(f: list, M: Representation, N: Representation):
     return dual(kernel_rep([m.transpose() for m in f], dual(N), dual(M)))
 
 
-# -- tops, socles and isomorphism testing ---------------------------------
-
-def top_multiplicities(M: Representation) -> tuple[int, ...]:
-    """dim Hom(M, S_i) per vertex: dim M_i less the rank of the arrows
-    into i, whose images span the radical there."""
-    q, F = M.quiver, M.field
-    return tuple(
-        d - hstack(F, [M.matrices[a] for a in q.arrows_into(i)], rows=d).rank()
-        for i, d in enumerate(M.dim, start=1))
-
+# -- standard sums and isomorphism testing ---------------------------------
 
 @lru_cache(maxsize=64)
 def _standard_battery(q: Quiver, field) -> tuple:
@@ -445,31 +436,6 @@ def standard_sum(q: Quiver, kind: str, mults, field=QQ) -> Representation:
         _standard_battery(q, field), mults) for _ in range(m)], field)
 
 
-def fingerprint(M: Representation) -> tuple:
-    """Cheap isomorphism invariant: dims, Hom in both directions against
-    each S_i, P_i and I_i, and dim End M.
-
-    Four of the six Hom dims per vertex are closed forms: Hom(P_i, M) and
-    Hom(M, I_i) have dimension dim M_i (Yoneda), Hom(M, S_i) is the top
-    and Hom(S_i, M) the socle at i.  The top, the socle, Hom(M, P_i),
-    Hom(I_i, M) and End M are nullities (columns less rank): of the arrows
-    into i transposed, of the arrows out of i, and of the intertwiner
-    systems.
-    """
-    q, F = M.quiver, M.field
-    dims = []
-    for i, (P, I) in enumerate(_standard_battery(q, F), start=1):
-        d = M.dim[i - 1]
-        top, soc, to_p, from_i = (m.cols - m.rank() for m in (
-            vstack(F, [M.matrices[a].transpose() for a in q.arrows_into(i)],
-                   cols=d),
-            vstack(F, [M.matrices[a] for a in q.arrows_out_of(i)], cols=d),
-            _hom_system(M, P), _hom_system(I, M)))
-        dims += [top, soc, to_p, d, d, from_i]
-    end = _hom_system(M, M)
-    return (M.dim, tuple(dims), end.cols - end.rank())
-
-
 def _has_invertible_combination(basis, dim) -> bool:
     """Whether some sum_k t_k f_k over a Hom basis f has full rank dim[i]
     at every vertex i, searched on {0..sum(dim)}^k by increasing max m."""
@@ -482,7 +448,7 @@ def _has_invertible_combination(basis, dim) -> bool:
 
 
 def is_isomorphic(M: Representation, N: Representation) -> bool:
-    """Exact isomorphism test: fingerprint, then an invertible intertwiner.
+    """Exact isomorphism test: Hom dimensions, then an invertible map.
 
     An isomorphism M -> N forces dim Hom(M, N) = dim End(M), which rejects
     most non-isomorphic pairs before any search.  The product of vertex
@@ -492,9 +458,7 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
     {0..dim M}^k, so the grid is searched for a point where every vertex
     map has full rank.  Over F_p the grid needs p > dim M.
     """
-    if M.quiver != N.quiver or M.field != N.field:
-        return False
-    if M.dim != N.dim:
+    if (M.quiver, M.field, M.dim) != (N.quiver, N.field, N.dim):
         return False
     if M.total_dim == 0:
         return True
@@ -502,10 +466,6 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
         raise PreconditionError(
             f"isomorphism test over GF({M.field.p}) needs a prime above "
             f"dim M = {M.total_dim}")
-    fp = fingerprint(M)
-    if fp != fingerprint(N):
-        return False
     basis = hom_basis(M, N)
-    if len(basis) != fp[2]:  # dim End M
-        return False
-    return _has_invertible_combination(basis, M.dim)
+    return (len(basis) == hom_dim(M, M)
+            and _has_invertible_combination(basis, M.dim))

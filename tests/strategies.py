@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cclab.artranslate import ar_translate_maps
 from cclab.linalg import GF, QQ, Mat
 from cclab.quiver import validate_quiver
-from cclab.reps import dual, make_rep
+from cclab.reps import (dual, hom_dim, injective_rep, make_rep,
+                        projective_rep, simple_rep)
 
 
 @st.composite
@@ -40,6 +41,20 @@ def rep_pairs(draw, max_arrows=5, max_dim=3):
                           min_size=dim[t - 1], max_size=dim[t - 1]))
             for s, t in q.arrows], F)
     return rep(), rep(), draw(st.randoms(use_true_random=False))
+
+
+def hom_battery(M):
+    """An isomorphism invariant of M: its dims, dim Hom in both directions
+    against each S_i, P_i and I_i, and dim End M, all 6n + 1 solved as
+    intertwiner systems.  Not complete: R_l (+) R_m and R_l[2] on
+    Kronecker share it but not a character."""
+    q, F = M.quiver, M.field
+    dims = []
+    for i in range(1, q.n + 1):
+        for B in (simple_rep(q, i, F), projective_rep(q, i, F),
+                  injective_rep(q, i, F)):
+            dims += [hom_dim(M, B), hom_dim(B, M)]
+    return (M.dim, tuple(dims), hom_dim(M, M))
 
 
 def unimodular(rng, n: int):

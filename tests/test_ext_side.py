@@ -161,8 +161,9 @@ def test_integral_matches_walk_on_random_pairs(case):
      standard_module(kronecker_quiver(), "injective", 2)),
 ], ids=["P1,S1", "S2,I2", "P1,I2"])
 def test_kronecker_xx1_holds(L, M):
-    """Three Kronecker inputs whose Ext side the fingerprint buckets got
-    wrong: R_l + R_m and R_l[2] share a fingerprint, not a character."""
+    """Three Kronecker inputs whose Ext side buckets keyed by Hom
+    dimensions got wrong: R_l + R_m and R_l[2] share a hom_battery, not a
+    character."""
     assert verify_xx1(L, M, PRIMES).verdict
 
 

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from strategies import base_changed, tau_inverse_maps
+from strategies import base_changed, hom_battery, tau_inverse_maps
 
 from cclab import multiplication
 from cclab.artranslate import ar_translate, has_projective_summand
@@ -24,7 +24,7 @@ from cclab.multiplication import (_hom_side_middle, _hom_walk, _kernel_jumps,
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key, combine,
-                        direct_sum, dual, fingerprint, hom_basis, hom_dim,
+                        direct_sum, dual, hom_basis, hom_dim,
                         injective_rep, make_rep, projective_rep, reduce_rep,
                         simple_rep, standard_module)
 
@@ -318,7 +318,7 @@ def test_pointwise_pencils_at_default_primes(monkeypatch):
 
 def _split_and_band():
     """A = R(1, 0) (+) R(1, 1) and B = R_0[2] on Kronecker, arrows
-    (I, [[0, 0], [1, 0]]): one fingerprint, but Gr_(1,1) holds the two
+    (I, [[0, 0], [1, 0]]): one Hom battery, but Gr_(1,1) holds the two
     eigenlines of A and the one of B."""
     q = kronecker_quiver()
     return (direct_sum(kronecker_regular(1, 0), kronecker_regular(1, 1)),
@@ -336,13 +336,13 @@ def _walk_of_split_and_band(Lp, Tp, basis):
 
 def test_class_sums_members_that_share_a_fingerprint(monkeypatch):
     """On P Hom(S2, tau S1) of Kronecker, of dimension 2, a class whose
-    members A and B share a fingerprint but not a character is one
+    members A and B share a Hom battery but not a character is one
     stratum of chi 2 and value X_A + X_B: each member's points weight its
-    own Grassmannian counts.  One member standing for a fingerprint class
+    own Grassmannian counts.  One member standing for a Hom battery class
     would give 2 X_A."""
     q, primes = kronecker_quiver(), default_primes()
     A, B = _split_and_band()
-    assert fingerprint(A) == fingerprint(B)
+    assert hom_battery(A) == hom_battery(B)
     assert cc(A, primes).value != cc(B, primes).value
     monkeypatch.setattr(multiplication, "_hom_walk", _walk_of_split_and_band)
     (stratum,) = stratify_hom_side(simple_rep(q, 2), simple_rep(q, 1),

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from strategies import rep_pairs, tau_inverse_maps
+from strategies import hom_battery, rep_pairs, tau_inverse_maps
 
 from cclab import artranslate, multiplication
 from cclab.artranslate import ar_inverse, summand_multiplicities
@@ -24,7 +24,7 @@ from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key,
                         cluster_object, combine, cokernel_rep, direct_sum,
-                        dual, fingerprint, hom_basis, injective_rep,
+                        dual, hom_basis, injective_rep,
                         kernel_rep, make_rep, projective_rep, reduce_rep,
                         simple_rep, stable_ext1_dim, stable_hom_dim, zero_rep)
 
@@ -36,9 +36,9 @@ def hom_side_middle_term(K, C):
 
 
 def bucket_key(Y):
-    """The (shifted, fingerprint) key, an isomorphism invariant, by which
+    """The (shifted, hom_battery) key, an isomorphism invariant, by which
     these tests group middle terms."""
-    return Y.shifted, fingerprint(Y.module)
+    return Y.shifted, hom_battery(Y.module)
 
 
 def test_xx1_a2_exchange(primes):
@@ -62,14 +62,20 @@ def test_xx1_ext_stratum_middle_is_p1(primes):
 
 def test_xx1_rejects_projective_m(primes):
     q = a2_quiver()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="no projective direct"):
         verify_xx1(simple_rep(q, 1), simple_rep(q, 2), primes)  # S2 = P2
 
 
 def test_xx1_rejects_vanishing_ext(primes):
     q = a2_quiver()
-    with pytest.raises(PreconditionError):
-        verify_xx1(simple_rep(q, 2), simple_rep(q, 2), primes)
+    with pytest.raises(PreconditionError, match="the identity is vacuous"):
+        verify_xx1(simple_rep(q, 1), simple_rep(q, 1), primes)
+
+
+def test_ext_side_of_a_vanishing_ext_is_empty(primes):
+    """Ext^1(S2, S1) = 0 on A2 over QQ and at every prime: no stratum."""
+    q = a2_quiver()
+    assert stratify_ext_side(simple_rep(q, 2), simple_rep(q, 1), primes) == []
 
 
 def test_xx1_chi_sums_match_space_dims(primes):
@@ -382,10 +388,10 @@ def test_hom_line_keys_match_pointwise_maps_at_23(monkeypatch):
 def test_hom_memo_key_fixes_kernel_and_cokernel(case):
     """The K that a memo miss reads from its key is kernel_rep's K; its R,
     read from the key of the transposed tau^{-1} g, has the dimension,
-    fingerprint and shifted part of ar_inverse(Coker g), so both give the
+    Hom battery and shifted part of ar_inverse(Coker g), so both give the
     same middle term class.  At most three arrows: on five parallel arrows
-    tau^{-1} of a (3, 3) cokernel has dimension (12, 57), and its
-    fingerprint alone takes seconds."""
+    tau^{-1} of a (3, 3) cokernel has dimension (12, 57), and its Hom
+    battery alone takes seconds."""
     L, T, rng = case
     F = L.field
     zero = [Mat(F, t, l) for t, l in zip(T.dim, L.dim)]
@@ -402,7 +408,7 @@ def test_hom_memo_key_fixes_kernel_and_cokernel(case):
     dim_c = tuple(t - r for t, r in zip(T.dim, key[0]))
     assert K == K_ref
     assert dim_c == C.dim
-    assert fingerprint(R) == fingerprint(inv.module)
+    assert hom_battery(R) == hom_battery(inv.module)
     assert summand_multiplicities(L.quiver, R.dim, dim_c) == inv.shifted
     assert (bucket_key(_hom_side_middle(K, R, dim_c))
             == bucket_key(hom_side_middle_term(K_ref, C)))

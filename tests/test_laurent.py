@@ -117,6 +117,60 @@ def test_ring_operators_refuse_non_integer_operands(other):
             op(other, x)
 
 
+@pytest.mark.parametrize("k", [0.5, Fraction(1, 2), True],
+                         ids=["float", "Fraction", "bool"])
+def test_scale_refuses_non_integers(k):
+    """scale stores no float, Fraction or bool products."""
+    with pytest.raises(InputError, match="non-integer scale"):
+        parse("x1 + 1", 1).scale(k)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5, True], ids=["0.5", "1.5", "bool"])
+def test_power_refuses_non_integer_exponents(k):
+    """** with an exponent that is not an int returns NotImplemented, so
+    Python raises TypeError instead of returning x."""
+    with pytest.raises(TypeError):
+        parse("x1", 1) ** k
+
+
+@pytest.mark.parametrize("other", [0.5, Fraction(1, 2), None, True],
+                         ids=["float", "Fraction", "None", "bool"])
+def test_divide_exact_refuses_non_integer_operands(other):
+    x = parse("x1", 1)
+    with pytest.raises(InputError, match="cannot divide"):
+        divide_exact(x, other)
+    with pytest.raises(InputError, match="cannot divide"):
+        divide_exact(other, x)
+
+
+def test_divide_exact_takes_int_operands():
+    x = parse("x1", 1)
+    assert divide_exact(2, x) == parse("2*x1^-1", 1)
+    assert divide_exact(x.scale(3), 3) == x
+
+
+def test_division_by_zero_polynomial_raises():
+    for zero in (LaurentPolynomial.zero(1), 0):
+        with pytest.raises(ZeroDivisionError):
+            divide_exact(parse("x1", 1), zero)
+
+
+@pytest.mark.parametrize("s, message", [
+    ("x1 + 1", "non-monomial"), ("2*x1", "non-unit")])
+def test_negative_power_needs_a_unit_monomial(s, message):
+    with pytest.raises(InexactDivisionError, match=message):
+        parse(s, 1) ** -1
+
+
+@pytest.mark.parametrize("s, message", [
+    ("x1 + y", "cannot parse term"), ("x1 +", "cannot parse term"),
+    ("x1 + + 1", "cannot parse term"), ("", "cannot parse term"),
+    ("x3", "variable index out of range")])
+def test_parse_refuses_malformed_input(s, message):
+    with pytest.raises(InputError, match=message):
+        parse(s, 2)
+
+
 def test_evaluate():
     p = parse("x1^2 + x2^-1", 2)
     assert p.evaluate([Fraction(2), Fraction(1, 3)]) == 7
@@ -584,6 +638,20 @@ def test_dense_quotient_of_a_cancelled_dividend(n):
     assert expected == ((one - x) ** n).terms
     assert divide_exact(a, b).terms == expected
     assert laurent._dense_quotient(a.terms, b.terms, box) in (None, expected)
+
+
+def test_dense_quotient_by_a_wider_divisor_is_inexact():
+    """b spans three powers of x1 and a two: q's box is empty, and no
+    packing is tried."""
+    a, b = parse("1 + x1", 1), parse("1 + x1 + x1^2", 1)
+    with pytest.raises(InexactDivisionError):
+        laurent._dense_quotient(a.terms, b.terms, _term_box(a.terms, b.terms))
+
+
+@pytest.mark.parametrize("value", [1 << 40, -(1 << 40)])
+def test_unpack_dense_outside_its_slots_is_empty(value):
+    """Three one-byte slots hold balanced digits in [-128, 127] only."""
+    assert laurent._unpack_dense(value, [0], [1], [3], 1) == {}
 
 
 def test_dense_quotient_outside_its_box_is_declined():

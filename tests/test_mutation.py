@@ -55,6 +55,11 @@ def test_a2_pentagon_closure():
     }
 
 
+def test_negative_depth_is_refused():
+    with pytest.raises(InputError, match="depth must be non-negative"):
+        enumerate_cluster_variables(a2_quiver(), -1)
+
+
 def test_depth_zero():
     variables = enumerate_cluster_variables(a3_quiver(), 0)
     assert {str(v) for v in variables} == {"x1", "x2", "x3"}

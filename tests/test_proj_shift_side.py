@@ -17,7 +17,7 @@ from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (cokernel_rep, combine, hom_basis, hom_dim,
                         injective_rep, kernel_rep, projective_rep,
-                        reduce_rep, standard_sum, top_multiplicities)
+                        reduce_rep, simple_rep, standard_sum)
 
 PRIMES = default_primes()
 
@@ -28,6 +28,12 @@ def oracle_bound(M, d: int) -> int:
     Coker f is no larger than M."""
     return (d - 1) + max(grassmannian_degree_bound(M.dim, e)
                          for e in product(*[range(n + 1) for n in M.dim]))
+
+
+def tops(M) -> tuple:
+    """dim Hom(M, S_i) at every vertex i: the top of M."""
+    return tuple(hom_dim(M, simple_rep(M.quiver, i, M.field))
+                 for i in range(1, M.quiver.n + 1))
 
 
 def walked_side(P, M, primes) -> LaurentPolynomial:
@@ -44,7 +50,7 @@ def walked_side(P, M, primes) -> LaurentPolynomial:
         for (c,) in subspaces(p, d, 1):
             f = combine(basis, c)
             K, C = kernel_rep(f, Pp, Mp), cokernel_rep(f, Pp, Mp)
-            mults = top_multiplicities(K)
+            mults = tops(K)
             # the kernel of a map out of a projective is projective
             assert standard_sum(q, "projective", mults, K.field).dim == K.dim
             for e in product(*[range(n + 1) for n in C.dim]):
@@ -64,7 +70,7 @@ def closed_form_side(P, M, primes):
     (stratum,) = [s for s in report.strata if s.side == "proj-shift-hom"]
     assert report.strata[-1] is stratum
     assert (stratum.dim, stratum.shifted, stratum.chi) == (
-        M.dim, top_multiplicities(P), hom_dim(P, M))
+        M.dim, tops(P), hom_dim(P, M))
     return stratum
 
 

@@ -6,26 +6,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import acyclic_quivers, rep_pairs, tau_inverse_maps
+from strategies import (acyclic_quivers, hom_battery, rep_pairs,
+                        tau_inverse_maps)
 
 from cclab.artranslate import (ar_inverse, ar_translate,
                                ar_translate_unchecked, has_projective_summand,
                                summand_multiplicities)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
-from cclab.errors import InputError, PreconditionError
+from cclab.errors import InputError, PreconditionError, PrimeInstabilityError
 from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver, validate_quiver)
 from cclab.reps import (Representation, _has_invertible_combination,
                         _standard_battery, all_paths, cluster_object, cokernel_rep, combine, direct_sum,
                         direct_sum_many,
-                        ext1_basis, ext1_dim, fingerprint, hom_basis, hom_dim,
+                        ext1_basis, ext1_dim, hom_basis, hom_dim,
                         injective_rep, is_isomorphic, kernel_rep, make_rep,
                         middle_term,
                         projective_rep, reduce_rep, simple_rep,
                         stable_ext1_dim, stable_hom_dim, standard_module,
-                        top_multiplicities, zero_rep)
+                        standard_sum, zero_rep)
 
 
 def a2_corpus():
@@ -242,7 +243,7 @@ def test_iso_separates_fingerprint_collision():
     # the bucket behind the Kronecker xx1(P1, S1) defect mixes these two
     split = direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 2))
     band = kronecker_band()
-    assert fingerprint(split) == fingerprint(band)
+    assert hom_battery(split) == hom_battery(band)
     assert not is_isomorphic(split, band)
     assert not is_isomorphic(band, split)
 
@@ -261,54 +262,34 @@ def test_iso_finds_isomorphism_with_small_coefficients():
     assert time.process_time() - start < 1.0
 
 
-def battery_fingerprint(M):
-    """Reference: all 6n + 1 Hom dimensions solved as intertwiner systems."""
-    q, F = M.quiver, M.field
-    dims = []
-    for i in range(1, q.n + 1):
-        for B in (simple_rep(q, i, F), projective_rep(q, i, F),
-                  injective_rep(q, i, F)):
-            dims += [hom_dim(M, B), hom_dim(B, M)]
-    return (M.dim, tuple(dims), hom_dim(M, M))
-
-
-@st.composite
-def random_reps(draw):
-    """A representation of a random acyclic quiver with n <= 4 vertices and
-    parallel arrows, dims <= 3, over QQ (with fractions) or GF(2, 3, 5)."""
-    q = draw(acyclic_quivers())
-    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
-    entries = (st.fractions(-3, 3, max_denominator=2) if field == QQ
-               else st.integers(-2, 2))
-    dim = draw(st.tuples(*[st.integers(0, 3)] * q.n))
-    mats = [draw(st.lists(st.lists(entries, min_size=dim[s - 1],
-                                   max_size=dim[s - 1]),
-                          min_size=dim[t - 1], max_size=dim[t - 1]))
-            for s, t in q.arrows]
-    return make_rep(q, dim, mats, field)
-
-
-@given(random_reps())
-@settings(deadline=None)
-def test_fingerprint_matches_hom_battery(M):
-    assert fingerprint(M) == battery_fingerprint(M)
-
-
 def test_battery_cache_is_bounded_and_transparent():
     q = kronecker_quiver()
-    M = direct_sum(kronecker_regular(1, 1), projective_rep(q, 1))
-    cold = fingerprint(M)
-    assert fingerprint(M) == cold
+
+    def sums(field=QQ):
+        return [standard_sum(q, kind, (1, 2), field)
+                for kind in ("projective", "injective")]
+    cold = sums()
+    assert sums() == cold
     _standard_battery.cache_clear()
-    assert fingerprint(M) == cold
+    assert sums() == cold
     bound = _standard_battery.cache_info().maxsize
     primes = [p for p in range(2, 1000)
               if all(p % k for k in range(2, p))][:bound + 5]
     for p in primes:
-        fingerprint(reduce_rep(M, p))
+        assert sums(GF(p)) == [reduce_rep(M, p) for M in cold]
         assert _standard_battery.cache_info().currsize <= bound
     assert _standard_battery.cache_info().currsize == bound
-    assert fingerprint(M) == cold
+    assert sums() == cold
+
+
+def test_stable_hom_dim_refuses_a_jump():
+    """M = (k --2--> k) on A2 is P1 over QQ and S1 + S2 mod 2, so End M
+    has dimension 1 at 3 and 5 and 2 at 2."""
+    M = make_rep(a2_quiver(), (1, 1), [[[2]]])
+    assert stable_hom_dim(M, M, [3, 5]) == 1
+    with pytest.raises(PrimeInstabilityError,
+                       match="Hom dimension varies with prime"):
+        stable_hom_dim(M, M, [2, 3])
 
 
 def test_iso_rejects_on_hom_dimension_before_grid():
@@ -316,7 +297,7 @@ def test_iso_rejects_on_hom_dimension_before_grid():
     r = kronecker_regular(1, 1)
     M = direct_sum_many(r.quiver, [r, r, r, kronecker_regular(1, 2)])
     N = direct_sum_many(r.quiver, [r, r, kronecker_band()])
-    assert fingerprint(M) == fingerprint(N)
+    assert hom_battery(M) == hom_battery(N)
     assert (len(hom_basis(M, N)), hom_dim(M, M)) == (9, 10)
     start = time.perf_counter()
     assert not is_isomorphic(M, N)
@@ -409,13 +390,6 @@ def test_projective_summand_read_from_ext_ranks(case):
     for M in case[:2]:
         assert has_projective_summand(M) == any(summand_multiplicities(
             M.quiver, M.dim, ar_translate_unchecked(M).dim))
-
-
-def test_top_multiplicities():
-    q = a2_quiver()
-    assert top_multiplicities(projective_rep(q, 1)) == (1, 0)
-    assert top_multiplicities(direct_sum(projective_rep(q, 1),
-                                         projective_rep(q, 2))) == (1, 1)
 
 
 # -- AR translate ----------------------------------------------------------
@@ -580,7 +554,7 @@ def test_tau_inverse_on_maps(case):
     C = cokernel_rep(g, L, T)
     R, inv = cokernel_rep(h, inv_l, inv_t), ar_inverse(C)
     assert R.dim == inv.module.dim
-    assert fingerprint(R) == fingerprint(inv.module)
+    assert hom_battery(R) == hom_battery(inv.module)
     assert summand_multiplicities(q, R.dim, C.dim) == inv.shifted
     if F.p > R.total_dim:
         assert is_isomorphic(R, inv.module)
