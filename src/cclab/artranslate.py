@@ -38,11 +38,14 @@ def summand_multiplicities(q, x, y) -> tuple:
     return tuple(euler_form(q, x, u) + euler_form(q, u, y) for u in units)
 
 
+def _tau_dims(M: Representation) -> list:
+    """dim (tau M)_u = dim Ext^1(M, P_u) at every vertex u, without tau M."""
+    return [ext1_dim(M, P) for P, _ in _standard_battery(M.quiver, M.field)]
+
+
 def has_projective_summand(M: Representation) -> bool:
-    """Whether M has a P_i summand, read from dim (tau M)_u =
-    dim Ext^1(M, P_u) without building tau M."""
-    return any(summand_multiplicities(M.quiver, M.dim, [
-        ext1_dim(M, P) for P, _ in _standard_battery(M.quiver, M.field)]))
+    """Whether M has a P_i summand, read from _tau_dims."""
+    return any(summand_multiplicities(M.quiver, M.dim, _tau_dims(M)))
 
 
 def ar_translate(M: Representation) -> Representation:

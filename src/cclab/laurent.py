@@ -230,21 +230,15 @@ def parse(s: str, nvars: int) -> LaurentPolynomial:
         m = _TERM_RE.match(body.strip())
         if not m or (m.group(1) is None and m.group(2) is None):
             raise InputError(f"cannot parse term: {body!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        if sign == "-":
-            coeff = -coeff
+        coeff = int(m.group(1) or 1) * (-1 if sign == "-" else 1)
         exp = [0] * nvars
         if m.group(2):
             for factor in m.group(2).split("*"):
-                if "^" in factor:
-                    var, _, pw = factor.partition("^")
-                    power = int(pw)
-                else:
-                    var, power = factor, 1
+                var, _, power = factor.partition("^")
                 idx = int(var[1:])
                 if not 1 <= idx <= nvars:
                     raise InputError(f"variable index out of range: {factor}")
-                exp[idx - 1] += power
+                exp[idx - 1] += int(power or 1)
         out = out + LaurentPolynomial.monomial(exp, coeff)
     return out
 
@@ -483,9 +477,9 @@ def divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomia
     rest, and a dense quotient that is declined, the heap division."""
     if type(a) is int and isinstance(b, LaurentPolynomial):
         a = LaurentPolynomial.constant(b.nvars, a)
-    if not isinstance(a, LaurentPolynomial) or a._operand(b) is None:
+    if not isinstance(a, LaurentPolynomial) or (c := a._operand(b)) is None:
         raise InputError(f"cannot divide {a!r} by {b!r}")
-    b = a._operand(b)
+    b = c
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     out = LaurentPolynomial(a.nvars)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import add, mul, neg
 
-from .artranslate import (ar_translate, ar_translate_maps,
+from .artranslate import (_tau_dims, ar_translate, ar_translate_maps,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
@@ -35,10 +35,9 @@ from .laurent import LaurentPolynomial
 from .linalg import (_combination, _nullspace, _nullspace_of_rref,
                      _rank_mod, _rref)
 from .reps import (ClusterObject, Representation, _key_of_kernels,
-                   _rep_of_key, _standard_battery, _system_rows,
-                   cluster_object, direct_sum, dual, ext1_dim, hom_basis,
-                   hom_dim, reduce_rep, stable_ext1_dim, standard_sum,
-                   zero_rep)
+                   _rep_of_key, _system_rows, cluster_object, direct_sum,
+                   dual, ext1_dim, hom_basis, hom_dim, reduce_rep,
+                   stable_ext1_dim, standard_sum, zero_rep)
 
 
 @dataclass
@@ -365,7 +364,7 @@ def verify_xx2(P: Representation, M: Representation, primes) -> VerificationRepo
     exponent of (dim M, mults) at U's preimage U' >= Im f, and f ranges
     over P Hom(P, U'), of chi <mults, dim U'>: one stratum, read off M."""
     q = P.quiver
-    tau = [ext1_dim(P, Pu) for Pu, _ in _standard_battery(q, P.field)]
+    tau = _tau_dims(P)
     if P.is_zero() or any(tau):  # tau P = 0 iff P is projective
         raise PreconditionError("first argument must be a nonzero projective")
     mults = summand_multiplicities(q, P.dim, tau)  # the top of P

@@ -450,13 +450,13 @@ def _has_invertible_combination(basis, dim) -> bool:
 def is_isomorphic(M: Representation, N: Representation) -> bool:
     """Exact isomorphism test: Hom dimensions, then an invertible map.
 
-    An isomorphism M -> N forces dim Hom(M, N) = dim End(M), which rejects
-    most non-isomorphic pairs before any search.  The product of vertex
-    determinants of sum_k t_k f_k over a basis f of Hom(M, N) has degree
-    at most dim M in each t_k.  By the combinatorial Nullstellensatz it is
-    a nonzero polynomial iff it is nonzero somewhere on the grid
-    {0..dim M}^k, so the grid is searched for a point where every vertex
-    map has full rank.  Over F_p the grid needs p > dim M.
+    An isomorphism forces equal tops and socles (Hom to and from each S_i)
+    and dim Hom(M, N) = dim End M = dim End N.  Past these, the product of
+    vertex determinants of sum_k t_k f_k over a basis f of Hom(M, N) has
+    degree at most dim M in each t_k; by the combinatorial Nullstellensatz
+    it is nonzero iff it is nonzero somewhere on the grid {0..dim M}^k,
+    so the grid is searched for a point where every vertex map has full
+    rank.  Over F_p the grid needs p > dim M.
     """
     if (M.quiver, M.field, M.dim) != (N.quiver, N.field, N.dim):
         return False
@@ -466,6 +466,10 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
         raise PreconditionError(
             f"isomorphism test over GF({M.field.p}) needs a prime above "
             f"dim M = {M.total_dim}")
+    for i in range(1, M.quiver.n + 1):
+        S = simple_rep(M.quiver, i, M.field)
+        if (hom_dim(M, S), hom_dim(S, M)) != (hom_dim(N, S), hom_dim(S, N)):
+            return False
     basis = hom_basis(M, N)
-    return (len(basis) == hom_dim(M, M)
+    return (len(basis) == hom_dim(M, M) == hom_dim(N, N)
             and _has_invertible_combination(basis, M.dim))

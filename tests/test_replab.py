@@ -304,6 +304,33 @@ def test_iso_rejects_on_hom_dimension_before_grid():
     assert time.perf_counter() - start < 1.0
 
 
+def _iso_grid_escapes():
+    """Non-isomorphic pairs whose grid {0..6}^k would take millions of
+    rank tests: P1^3 and (S1 + S2)^3 on A2, where dim Hom(M, N) =
+    dim End M = 9 but dim End N = 18; and ([1,2] + [3])^2 and
+    ([1] + [2,3])^2 on A3, where all three are 8 and only the tops and
+    socles differ."""
+    q2, q3 = a2_quiver(), a3_quiver()
+    iv = {m.dim: m for m in all_interval_modules(q3)}
+    return [
+        (direct_sum_many(q2, [projective_rep(q2, 1)] * 3),
+         direct_sum_many(q2, [simple_rep(q2, 1), simple_rep(q2, 2)] * 3),
+         (9, 9, 18)),
+        (direct_sum_many(q3, [iv[(1, 1, 0)], iv[(0, 0, 1)]] * 2),
+         direct_sum_many(q3, [iv[(1, 0, 0)], iv[(0, 1, 1)]] * 2),
+         (8, 8, 8))]
+
+
+@pytest.mark.parametrize("M,N,homs", _iso_grid_escapes())
+def test_iso_rejects_before_grid_in_both_orders(M, N, homs):
+    assert M.dim == N.dim
+    assert (len(hom_basis(M, N)), hom_dim(M, M), hom_dim(N, N)) == homs
+    start = time.perf_counter()
+    assert not is_isomorphic(M, N)
+    assert not is_isomorphic(N, M)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_invertible_combination_grid():
     split = direct_sum(kronecker_regular(1, 1), kronecker_regular(1, 2))
     band = kronecker_band()
