@@ -6,8 +6,8 @@ Run from the repository root:
 
     PYTHONPATH=src python scripts/digest.py [--quivers a2,a3,kronecker,d4t]
 
-Every call runs in process with `--format structured`, with
-CCLAB_PRIMES unset unless a line names it.  On each quiver:
+Every call runs in process with `--format structured`.  On each
+quiver:
 
 - pairs: `cc`, `grass` and `verify xx1|xx2|unified` on every ordered pair
   of stock modules whose total dimension is at most 6, on the default
@@ -17,8 +17,8 @@ CCLAB_PRIMES unset unless a line names it.  On each quiver:
   and the tube simples E1, E2 of D4-tilde.  On D4-tilde also `verify
   xx1` and `verify unified`, in both orders, on (P_i, I5), i = 1..5,
   whose Hom side has strata of one point over each prime.
-- primes: `cc` on each stock module under `--primes`, under CCLAB_PRIMES,
-  under both (the flag wins) and under neither (the defaults).
+- primes: `cc` on each stock module under `--primes` and without it (the
+  defaults).
 - oracle: `mutate` in each direction, along all directions in turn and
   in two malformed directions; `list-variables` and `compare` at depths
   0, 1 and 3 and at the default depth.
@@ -27,8 +27,8 @@ Then, once, on fixed files of the A2 quiver: a module with a fraction
 entry; malformed module files, quiver files and `--shifted` vectors; and
 prime lists that are malformed or do not exceed a module's entries.  Each
 line names the call, then gives its exit code, then its stdout or its
-error.  The whole digest, 1,229 lines, takes about 3.6 s of CPU time on
-one core of a 2-vCPU Intel Xeon.
+error.  The whole digest, 1,176 lines, takes about 4.5 s of CPU time
+(4.1 to 5.1 s over nine runs) on one core of a 2-vCPU Intel Xeon.
 tests/golden_digest.txt holds it, and tests/test_scripts.py compares a
 fresh run with it byte for byte.
 """
@@ -43,7 +43,6 @@ import tempfile
 from click.testing import CliRunner
 
 from cclab.cli import main as cli
-from cclab.config import ENV_PRIMES
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
@@ -52,7 +51,6 @@ from cclab.reps import standard_module
 
 MAX_DIM = 6
 FLAG_PRIMES = "29,31,37,41,43,47,53,59"
-ENV_LIST = "31,37,41,43,47,53,59,61"
 # (label, file body) of malformed module files of A2
 BAD_MODULES = [
     ("dim-length", {"dim": [1], "matrices": [[]]}),
@@ -176,31 +174,28 @@ def pi_i5_calls(qpath, q):
 
 
 def primes_calls(qpath, paths, mods):
-    """(label, argv, env) of `cc` on each stock module under each source
-    of primes."""
+    """(label, argv) of `cc` on each stock module with and without
+    `--primes`."""
     fmt = ["--quiver", qpath, "--format", "structured"]
     for a, ma in mods.items():
         if ma.total_dim > MAX_DIM:
             continue
         argv = ["cc", *fmt, "--module", paths[a]]
-        flag = [*argv, "--primes", FLAG_PRIMES]
-        yield f"primes flag {a}", flag, {}
-        yield f"primes env {a}", argv, {ENV_PRIMES: ENV_LIST}
-        yield f"primes both {a}", flag, {ENV_PRIMES: ENV_LIST}
-        yield f"primes default {a}", argv, {}
+        yield f"primes flag {a}", [*argv, "--primes", FLAG_PRIMES]
+        yield f"primes default {a}", argv
 
 
 def oracle_calls(qpath, q):
-    """(label, argv, env) of the mutation-oracle commands."""
+    """(label, argv) of the mutation-oracle commands."""
     fmt = ["--quiver", qpath, "--format", "structured"]
     every = ",".join(str(i) for i in range(1, q.n + 1))
     for dirs in [*every.split(","), every, "0", "x"]:
-        yield f"mutate {dirs}", ["mutate", *fmt, "--directions", dirs], {}
+        yield f"mutate {dirs}", ["mutate", *fmt, "--directions", dirs]
     for command in ("list-variables", "compare"):
         for depth in ("0", "1", "3"):
             yield (f"{command} --depth {depth}",
-                   [command, *fmt, "--depth", depth], {})
-        yield f"{command} default", [command, *fmt], {}
+                   [command, *fmt, "--depth", depth])
+        yield f"{command} default", [command, *fmt]
 
 
 def write_json(path, body):
@@ -212,7 +207,7 @@ def write_json(path, body):
 
 
 def fixed_calls():
-    """(label, argv, env) of the malformed inputs on A2, written to the
+    """(label, argv) of the malformed inputs on A2, written to the
     working directory."""
     write_json("a2.json", {"vertices": 2, "arrows": [[1, 2]]})
     write_json("a2.P1.json", {"dim": [1, 1], "matrices": [[[1]]]})
@@ -220,37 +215,35 @@ def fixed_calls():
     write_json("a2.F.json", {"dim": [1, 1], "matrices": [[["1/2"]]]})
     fmt = ["--format", "structured"]
     yield ("fraction entry",
-           ["cc", "--quiver", "a2.json", "--module", "a2.F.json", *fmt], {})
+           ["cc", "--quiver", "a2.json", "--module", "a2.F.json", *fmt])
     for label, body in BAD_MODULES:
         write_json(f"bad.{label}.json", body)
         yield (f"bad module {label}",
                ["cc", "--quiver", "a2.json", "--module", f"bad.{label}.json",
-                *fmt], {})
+                *fmt])
     yield ("bad module missing-file",
-           ["cc", "--quiver", "a2.json", "--module", "nope.json", *fmt], {})
+           ["cc", "--quiver", "a2.json", "--module", "nope.json", *fmt])
     for label, body in BAD_QUIVERS:
         write_json(f"bad.{label}.q.json", body)
         yield (f"bad quiver {label}",
                ["cc", "--quiver", f"bad.{label}.q.json", "--shifted", "1,0",
-                *fmt], {})
+                *fmt])
     for raw in BAD_SHIFTED:
         yield (f"bad shifted cc {raw!r}",
-               ["cc", "--quiver", "a2.json", "--shifted", raw, *fmt], {})
+               ["cc", "--quiver", "a2.json", "--shifted", raw, *fmt])
         yield (f"bad shifted unified {raw!r}",
                ["verify", "unified", "a2.P1.json", "--quiver", "a2.json",
-                "--shifted", raw, *fmt], {})
+                "--shifted", raw, *fmt])
     height = ["cc", "--quiver", "a2.json", "--module", "a2.H.json", *fmt]
-    yield "height default", height, {}
-    yield "height flag", [*height, "--primes", "23,29,31,37"], {}
-    yield "height env", height, {ENV_PRIMES: "23,29,31,37"}
+    yield "height default", height
+    yield "height flag", [*height, "--primes", "23,29,31,37"]
     for raw in ("abc", "21,23", "23,23", ","):
-        yield f"bad env {raw!r}", height, {ENV_PRIMES: raw}
+        yield f"bad primes {raw!r}", [*height, "--primes", raw]
 
 
-def run(argv, env=None) -> str:
-    """The exit code, then stdout or the error, of one call, with
-    CCLAB_PRIMES set as env says and otherwise unset."""
-    res = CliRunner().invoke(cli, argv, env={ENV_PRIMES: None, **(env or {})})
+def run(argv) -> str:
+    """The exit code, then stdout or the error, of one call."""
+    res = CliRunner().invoke(cli, argv)
     if res.exception is not None and not isinstance(res.exception,
                                                     SystemExit):
         return f"{res.exit_code} {type(res.exception).__name__}: " \
@@ -274,13 +267,12 @@ def main():
                 qpath, paths = write_inputs(name, q, mods)
                 for label, argv in (*calls(qpath, paths, mods),
                                     *(pi_i5_calls(qpath, q)
-                                      if name == "d4t" else ())):
+                                      if name == "d4t" else ()),
+                                    *primes_calls(qpath, paths, mods),
+                                    *oracle_calls(qpath, q)):
                     print(f"{name} {label}: {run(argv)}", flush=True)
-                for label, argv, env in (*primes_calls(qpath, paths, mods),
-                                         *oracle_calls(qpath, q)):
-                    print(f"{name} {label}: {run(argv, env)}", flush=True)
-            for label, argv, env in fixed_calls():
-                print(f"a2 {label}: {run(argv, env)}", flush=True)
+            for label, argv in fixed_calls():
+                print(f"a2 {label}: {run(argv)}", flush=True)
         finally:
             os.chdir(cwd)
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import os
-
 from .errors import ConfigurationError
 
-ENV_PRIMES = "CCLAB_PRIMES"
 DEFAULT_PRIME_COUNT = 8
 DEFAULT_MIN_PRIME = 20
 DEFAULT_DEPTH = 8
@@ -67,12 +64,9 @@ def parse_primes(raw: str) -> tuple[int, ...]:
 
 
 def resolve_primes(raw: str | None, max_entry: int) -> tuple[int, ...]:
-    """The sample primes of one command: the `--primes` text raw, else,
-    when the flag is absent (raw is None), a nonempty CCLAB_PRIMES, else
-    default_primes(max_entry); each must exceed max_entry, the largest
-    matrix entry of the input.  An empty flag is an empty prime list."""
-    if raw is None:
-        raw = os.environ.get(ENV_PRIMES) or None
+    """The primes of the `--primes` text raw (an empty one is refused),
+    else, when raw is None, default_primes(max_entry); each must exceed
+    max_entry, the largest matrix entry of the input."""
     primes = default_primes(max_entry) if raw is None else parse_primes(raw)
     bad = [p for p in primes if p <= max_entry]
     if bad:

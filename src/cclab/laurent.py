@@ -41,14 +41,20 @@ class LaurentPolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        if type(nvars) is not int or nvars < 0:
+            raise InputError(f"variable count {nvars!r} is not an int >= 0")
+        if terms is not None and not isinstance(terms, dict):
+            raise InputError(f"terms {terms!r} are not a dict")
         self.nvars, self.terms = nvars, {}
         if terms:
             for exp, c in terms.items():
+                if type(exp) is not tuple:
+                    raise InputError(f"exponent {exp!r} is not a tuple")
                 if len(exp) != nvars:
                     raise InputError("exponent length mismatch")
                 if any(type(x) is not int for x in (c, *exp)):
                     raise InputError(f"non-integer term {c!r} at {exp!r}")
-                self.terms[tuple(exp)] = self.terms.get(tuple(exp), 0) + c
+                self.terms[exp] = self.terms.get(exp, 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -210,7 +216,7 @@ class LaurentPolynomial:
     __repr__ = __str__
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?((?:x\d+(?:\^-?\d+)?(?:\*x\d+(?:\^-?\d+)?)*))?$")
+_TERM_RE = re.compile(r"^(?:(\d+)(?:\*(?=x))?)?((?:x\d+(?:\^-?\d+)?(?:\*x\d+(?:\^-?\d+)?)*))?$")
 
 
 def parse(s: str, nvars: int) -> LaurentPolynomial:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cclab.character import cc, cc_palu_form, coindex
+from cclab.character import CharacterValue, cc, cc_palu_form, coindex
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.laurent import parse
@@ -38,6 +38,16 @@ def test_cc_a2_values(primes):
     assert str(cc(simple_rep(q, 2), primes).value) == "x2^-1 + x1*x2^-1"
     assert str(cc(projective_rep(q, 1), primes).value) == \
         "x1^-1*x2^-1 + x1^-1 + x2^-1"
+
+
+def test_character_value_compares_and_prints_as_its_polynomial(primes):
+    """A CharacterValue equals another of the same polynomial, and the
+    polynomial itself, and prints as it."""
+    x = parse("x1^-1 + x1^-1*x2", 2)
+    value = cc(simple_rep(a2_quiver(), 1), primes)
+    assert value == CharacterValue(x) and value == x
+    assert value != CharacterValue(parse("x1", 2)) and value != parse("x1", 2)
+    assert str(value) == "x1^-1 + x1^-1*x2"
 
 
 def test_cc_shifted_projective(primes):

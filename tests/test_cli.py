@@ -240,27 +240,15 @@ def test_deterministic_output(workdir):
     assert a.output == b.output
 
 
-def test_primes_env_override(workdir, monkeypatch):
-    monkeypatch.setenv("CCLAB_PRIMES", "23,29,31,37")
-    res = run("cc", "--quiver", "a2.q", "--module", "s1.m")
-    assert res.exit_code == 0
-    assert res.output == "x1^-1 + x1^-1*x2\n"
-
-
 def test_primes_flag_rejects_composite(workdir):
     res = run("cc", "--quiver", "a2.q", "--module", "s1.m",
               "--primes", "21,23,29")
     assert res.exit_code == 1
 
 
-@pytest.mark.parametrize("env", [None, "23,29,31,37"], ids=["unset", "set"])
-def test_primes_flag_empty_is_an_empty_list(workdir, monkeypatch, env):
-    """An empty --primes is an empty prime list, as "," is, whether or not
-    CCLAB_PRIMES is set: it neither falls back to CCLAB_PRIMES nor to the
-    defaults."""
-    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
-    if env:
-        monkeypatch.setenv("CCLAB_PRIMES", env)
+def test_primes_flag_empty_is_an_empty_list(workdir):
+    """An empty --primes is an empty prime list, as "," is: it does not
+    fall back to the defaults."""
     res = run("cc", "--quiver", "a2.q", "--module", "s1.m", "--primes", "")
     assert res.exit_code == 1
     assert "empty prime list" in res.stderr
@@ -340,6 +328,7 @@ BAD_MODULES = {
     "dim-integral-float": '{"dim": [1.0, 1], "matrices": [[[1]]]}',
     "dim-bool": '{"dim": [true, 1], "matrices": [[[1]]]}',
     "dim-string": '{"dim": ["1", 1], "matrices": [[[1]]]}',
+    "top-level-list": '[1, 1]',
 }
 
 
@@ -404,6 +393,39 @@ def test_non_integer_dim_names_the_value(workdir):
                           "non-integer entry\n")
 
 
+@pytest.mark.parametrize("name, body, message", [
+    ("bad.m", "{not json", "bad.m is not valid JSON"),
+    ("bad.q", '{"vertices": 2}', "bad.q: expected 'vertices' and 'arrows'"),
+    ("bad.q", '{"vertices": 2, "arrows": [[1]]}',
+     "arrow #0 is not a pair: [1]")],
+    ids=["module not JSON", "quiver without arrows", "arrow not a pair"])
+def test_bad_input_file_exits_1(workdir, name, body, message):
+    (workdir / name).write_text(body + "\n")
+    res = run("cc", *(("--quiver", "a2.q", "--module", name)
+                      if name.endswith(".m")
+                      else ("--quiver", name, "--shifted", "1,0")))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("verify", "xx1", "s2.m", "s1.m", "--shifted", "1,0"),
+     "--shifted is only valid for 'unified' with one module"),
+    (("verify", "xx1", "s1.m"), "verify needs exactly two module files"),
+    (("mutate", "--directions", "x"), "cannot parse directions 'x'"),
+    (("cc", "--module", "s1.m", "--primes", "abc"),
+     "cannot parse prime list 'abc'"),
+    (("cc", "--module", "s1.m", "--primes", "23,23"),
+     "duplicate primes in list")],
+    ids=["xx1 shifted", "one module", "directions", "primes abc",
+         "primes repeated"])
+def test_refused_command_line_exits_1(workdir, args, message):
+    res = run(*args, "--quiver", "a2.q")
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("raw", ["1", "1,0,0", "1,-1", "a,b", ""])
 @pytest.mark.parametrize("command", [("cc",), ("verify", "unified", "p1.m")],
                          ids=["cc", "unified"])
@@ -424,19 +446,12 @@ def test_empty_shifted_vector_is_refused_alike(workdir, command):
     assert res.stderr == "error: cannot parse shifted vector ''\n"
 
 
-@pytest.mark.parametrize("flag, env, expected", [
-    (None, None, [23, 29, 31, 37, 41, 43, 47, 53]),
-    (None, "", [23, 29, 31, 37, 41, 43, 47, 53]),
-    (None, "29,31,37,41", [29, 31, 37, 41]),
-    ("31,37,41,43", None, [31, 37, 41, 43]),
-    ("31,37,41,43", "29,31,37,41", [31, 37, 41, 43]),
-], ids=["defaults", "empty-env", "env", "flag", "flag-beats-env"])
-def test_primes_precedence(workdir, monkeypatch, flag, env, expected):
-    """--primes beats CCLAB_PRIMES, which beats the defaults; an empty
-    CCLAB_PRIMES counts as unset."""
-    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
-    if env is not None:
-        monkeypatch.setenv("CCLAB_PRIMES", env)
+@pytest.mark.parametrize("flag, expected", [
+    (None, [23, 29, 31, 37, 41, 43, 47, 53]),
+    ("31,37,41,43", [31, 37, 41, 43]),
+], ids=["defaults", "flag"])
+def test_primes_precedence(workdir, flag, expected):
+    """--primes beats the defaults."""
     args = ["cc", "--quiver", "a2.q", "--module", "s1.m",
             "--format", "structured"] + (["--primes", flag] if flag else [])
     res = run(*args)
@@ -444,28 +459,35 @@ def test_primes_precedence(workdir, monkeypatch, flag, env, expected):
     assert json.loads(res.output)["primes"] == expected
 
 
-def test_primes_must_exceed_entry_height(workdir, monkeypatch):
+def test_primes_ignore_the_environment(workdir, monkeypatch):
+    """The sample primes come from the command line and the input alone:
+    the environment variable that once set them leaves the defaults in
+    place."""
+    monkeypatch.setenv("CCLAB_PRIMES", "29,31,37,41")
+    res = run("cc", "--quiver", "a2.q", "--module", "s1.m",
+              "--format", "structured")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["primes"] == [23, 29, 31, 37, 41, 43, 47,
+                                                53]
+
+
+def test_primes_must_exceed_entry_height(workdir):
     """The defaults start above the largest matrix entry; a listed prime
     at or below it exits 1."""
     (workdir / "h.m").write_text('{"dim": [1, 1], "matrices": [[[23]]]}\n')
-    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
     args = ("cc", "--quiver", "a2.q", "--module", "h.m",
             "--format", "structured")
     assert json.loads(run(*args).output)["primes"][:2] == [29, 31]
-    monkeypatch.setenv("CCLAB_PRIMES", "23,29,31,37")
-    res = run(*args)
-    assert res.exit_code == 1
-    assert "do not exceed the max matrix entry 23" in res.stderr
     res = run(*args, "--primes", "19,29,31,37")
     assert res.exit_code == 1
-    assert "primes [19]" in res.stderr
-    monkeypatch.setenv("CCLAB_PRIMES", "29,31,37,41")
-    assert json.loads(run(*args).output)["primes"] == [29, 31, 37, 41]
+    assert res.stderr == ("error: primes [19] do not exceed the max matrix "
+                          "entry 23\n")
+    res = run(*args, "--primes", "29,31,37,41")
+    assert json.loads(res.output)["primes"] == [29, 31, 37, 41]
 
 
-def test_entry_of_twenty_digits_exits_0(workdir, monkeypatch):
+def test_entry_of_twenty_digits_exits_0(workdir):
     """The default primes above an entry of 10^20 are found at once."""
-    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
     (workdir / "big.m").write_text(
         '{"dim": [1, 1], "matrices": [[[%d]]]}\n' % 10**20)
     res = run("cc", "--quiver", "a2.q", "--module", "big.m",
@@ -474,9 +496,8 @@ def test_entry_of_twenty_digits_exits_0(workdir, monkeypatch):
     assert json.loads(res.output)["primes"][0] == 10**20 + 39
 
 
-def test_entry_past_the_primality_test_exits_1(workdir, monkeypatch):
+def test_entry_past_the_primality_test_exits_1(workdir):
     """No prime above an entry of PSI_13 or more is certified: exit 1."""
-    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
     (workdir / "huge.m").write_text(
         '{"dim": [1, 1], "matrices": [[[%d]]]}\n' % PSI_13)
     res = run("cc", "--quiver", "a2.q", "--module", "huge.m")
@@ -519,9 +540,8 @@ TEXT_GOLDEN = {
 
 @pytest.mark.parametrize("args, expected", TEXT_GOLDEN.values(),
                          ids=TEXT_GOLDEN)
-def test_text_format_golden(workdir, monkeypatch, args, expected):
+def test_text_format_golden(workdir, args, expected):
     """Every command's text output on A2, byte for byte."""
-    monkeypatch.delenv("CCLAB_PRIMES", raising=False)
     res = run(*args, "--quiver", "a2.q")
     assert res.exit_code == 0
     assert res.output == expected

@@ -192,6 +192,13 @@ def test_unified_rejects_mixed_operand(primes):
         verify_unified(mixed, cluster_object(simple_rep(q, 2)), primes)
 
 
+def test_unified_rejects_two_shifted_operands(primes):
+    q = a2_quiver()
+    with pytest.raises(PreconditionError, match="both operands shifted"):
+        verify_unified(ClusterObject(zero_rep(q), (1, 0)),
+                       ClusterObject(zero_rep(q), (0, 1)), primes)
+
+
 def test_kronecker_regular_from_exchange(primes):
     """cc(R) for the (1,1) regulars via the simples' exchange relation."""
     qk = kronecker_quiver()

@@ -104,6 +104,30 @@ def test_non_integer_terms_are_refused(terms):
         LaurentPolynomial(1, terms)
 
 
+@pytest.mark.parametrize("nvars, terms", [
+    (-1, {}), (True, {(1,): 1}), (2.0, {(1, 0): 1}), ("2", {(1, 0): 1})],
+    ids=["negative", "bool", "float", "str"])
+def test_variable_count_must_be_a_non_negative_int(nvars, terms):
+    with pytest.raises(InputError, match="variable count"):
+        LaurentPolynomial(nvars, terms)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({5: 1}, "exponent 5 is not a tuple"),
+    ([((1, 0), 1)], "are not a dict"),
+    ({(1,): 1}, "exponent length mismatch")],
+    ids=["int exponent", "list of pairs", "short exponent"])
+def test_malformed_terms_are_refused(terms, message):
+    with pytest.raises(InputError, match=message):
+        LaurentPolynomial(2, terms)
+
+
+def test_int_factor_scales_on_either_side():
+    x = parse("x1 - 2", 1)
+    assert x * 3 == 3 * x == parse("3*x1 - 6", 1)
+    assert (x * 0).is_zero()
+
+
 @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, True, "x1"],
                          ids=["Fraction", "float", "bool", "str"])
 def test_ring_operators_refuse_non_integer_operands(other):
@@ -165,7 +189,8 @@ def test_negative_power_needs_a_unit_monomial(s, message):
 @pytest.mark.parametrize("s, message", [
     ("x1 + y", "cannot parse term"), ("x1 +", "cannot parse term"),
     ("x1 + + 1", "cannot parse term"), ("", "cannot parse term"),
-    ("x3", "variable index out of range")])
+    ("x3", "variable index out of range"), ("2*", "cannot parse term"),
+    ("x1 + 2*", "cannot parse term")])
 def test_parse_refuses_malformed_input(s, message):
     with pytest.raises(InputError, match=message):
         parse(s, 2)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,6 +42,13 @@ def test_nullspace_in_kernel(m):
 
 def test_gf_fraction_lift():
     assert F7.of(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
+
+
+def test_mat_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="data shape mismatch, want 2x1"):
+        Mat(QQ, 2, 1, [[1, 2]])
+    with pytest.raises(ValueError, match="shape mismatch in mul"):
+        Mat(QQ, 2, 1).mul(Mat(QQ, 2, 1))
 
 
 def test_zero_dimensional_matrices():

@@ -13,12 +13,13 @@ from cclab.artranslate import (ar_inverse, ar_translate,
                                ar_translate_unchecked, has_projective_summand,
                                summand_multiplicities)
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
-                          kronecker_regular)
+                          interval_module, kronecker_regular)
 from cclab.errors import InputError, PreconditionError, PrimeInstabilityError
 from cclab.linalg import GF, Mat, QQ
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver, euler_form,
                           kronecker_quiver, validate_quiver)
-from cclab.reps import (Representation, _has_invertible_combination,
+from cclab.reps import (ExtCocycle, Representation,
+                        _has_invertible_combination,
                         _standard_battery, all_paths, cluster_object, cokernel_rep, combine, direct_sum,
                         direct_sum_many,
                         ext1_basis, ext1_dim, hom_basis, hom_dim,
@@ -144,6 +145,45 @@ def test_middle_term_recovers_p1():
     (phi,) = ext1_basis(s1, s2)
     Y = middle_term(phi)
     assert is_isomorphic(Y, projective_rep(q, 1))
+
+
+def test_middle_term_refuses_a_misshapen_component():
+    """The component at 1 -> 2 of a cocycle of (S1, S2) is 1 x 1."""
+    q = a2_quiver()
+    cocycle = ExtCocycle(simple_rep(q, 1), simple_rep(q, 2), [Mat(QQ, 2, 1)])
+    with pytest.raises(InputError, match="cocycle component shape mismatch"):
+        middle_term(cocycle)
+
+
+def test_make_rep_refuses_a_mat_of_the_wrong_shape():
+    with pytest.raises(InputError, match="matrix shape mismatch at arrow 0"):
+        make_rep(a2_quiver(), (1, 1), [Mat(QQ, 1, 2)])
+
+
+@pytest.mark.parametrize("kind, i, message", [
+    ("simple", 0, "vertex 0 out of range"),
+    ("regular", 1, "unknown standard module kind: regular")],
+    ids=["vertex 0", "unknown kind"])
+def test_standard_module_refuses_bad_arguments(kind, i, message):
+    with pytest.raises(InputError, match=message):
+        standard_module(a2_quiver(), kind, i)
+
+
+def test_direct_sum_refuses_two_quivers():
+    with pytest.raises(InputError, match="incompatible representations"):
+        direct_sum(simple_rep(a2_quiver(), 1),
+                   simple_rep(kronecker_quiver(), 1))
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (interval_module, (kronecker_quiver(), 1, 2), "linearly oriented A_n"),
+    (interval_module, (a3_quiver(), 2, 1), "bad interval"),
+    (interval_module, (a3_quiver(), 0, 1), "bad interval"),
+    (kronecker_regular, (0, 0), "cannot both vanish")],
+    ids=["non-linear quiver", "reversed interval", "vertex 0", "zero scalars"])
+def test_corpus_refuses_bad_parameters(build, args, message):
+    with pytest.raises(InputError, match=message):
+        build(*args)
 
 
 def test_euler_identity_on_corpus():

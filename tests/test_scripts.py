@@ -11,25 +11,29 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+@pytest.fixture(autouse=True)
+def src_on_path(monkeypatch):
+    """Each script runs in a child process that imports cclab from src."""
+    monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+
+
 @pytest.mark.parametrize("script", ["a2_audit.py", "flagship_d4tilde.py",
                                     "kronecker_strata.py"])
 def test_demo_script_runs(script):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script)],
-        env=env, capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 
 
 def test_digest_script_covers_a2():
     """On A2 the digest has one line per call, each with its exit code and
-    its output: five calls on each ordered pair of S1, S2 and P1, then the
-    prime sources, the mutation oracle and the malformed inputs."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    its output: five calls on each ordered pair of S1, S2 and P1, then `cc`
+    with and without --primes, the mutation oracle and the malformed
+    inputs."""
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "digest.py"),
-         "--quivers", "a2"], env=env, capture_output=True, text=True,
-        timeout=300)
+         "--quivers", "a2"], capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
     pairs = [k for k in lines
@@ -40,7 +44,7 @@ def test_digest_script_covers_a2():
     code, payload = lines["a2 verify xx1 S2 S1"].split(" ", 1)
     assert code == "0" and json.loads(payload)["verdict"] is True
     assert lines["a2 grass S2 S2"].startswith("0 [")
-    code, payload = lines["a2 primes both P1"].split(" ", 1)
+    code, payload = lines["a2 primes flag P1"].split(" ", 1)
     assert json.loads(payload)["primes"] == [29, 31, 37, 41, 43, 47, 53, 59]
     assert lines["a2 list-variables --depth 0"].endswith(
         '"stabilized": false}')
@@ -55,10 +59,9 @@ def test_digest_matches_golden():
     a change that is meant to alter an answer, regenerate the file with
     `PYTHONPATH=src python scripts/digest.py > tests/golden_digest.txt`
     and review its diff."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "digest.py")],
-        env=env, capture_output=True, timeout=300)
+        capture_output=True, timeout=300)
     assert result.returncode == 0, result.stderr.decode()
     golden = pathlib.Path(ROOT, "tests", "golden_digest.txt").read_bytes()
     assert result.stdout == golden
@@ -66,11 +69,10 @@ def test_digest_matches_golden():
 
 def test_bench_script_writes_counts(tmp_path):
     out = tmp_path / "bench.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "bench.py"),
          "--repeats", "1", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     doc = json.loads(out.read_text())
     a5, kronecker, e6 = doc["closures"]
