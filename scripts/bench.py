@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_35.json.
+write BENCH_36.json.
 
 Run from the repository root:
 
@@ -59,8 +59,11 @@ Stdlib only.  Ten parts:
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
   A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first:
   the profile, the (U, ann U) tables keyed on (p, d, k) and the Gaussian
-  binomials; the module's own tables live for one profile.  The timed runs also count the
-  counts of subrepresentations, one per (e, p), and the cover tuples
+  binomials; the module's own tables live for one profile.  Each row has
+  the module's ext1, the largest dim Ext^1(M, M) over the primes, and
+  skipped_e, the e <= dim M whose tangent bound for it is negative, which
+  are never counted.  The timed runs also count the
+  counts of subrepresentations, one per kept (e, p), and the cover tuples
   they walk, prod [d_v choose e_v]_p over the cover of each count's
   plan, beside the brute-force tuples over all vertices; and the
   per-vertex tables built, one per (cover vertex, e_v, p) of the
@@ -104,7 +107,8 @@ from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
 from cclab.quiver import (a3_quiver, d4tilde_quiver, kronecker_quiver,
                           validate_quiver)
-from cclab.reps import direct_sum, injective_rep, projective_rep, simple_rep
+from cclab.reps import (direct_sum, ext1_dim, injective_rep, projective_rep,
+                        reduce_rep, simple_rep)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLOSURES = (
@@ -533,7 +537,7 @@ def answers(counts):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_35.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_36.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -580,11 +584,19 @@ def main(argv=None):
 
     grass = []
     for name, M in grass_modules():
+        ext1 = max(ext1_dim(reduce_rep(M, p), reduce_rep(M, p))
+                   for p in primes)
+        n_e = 1
+        for d in M.dim:
+            n_e *= d + 1
+        skipped = n_e - len(grassmannian.tangent_bounds(M.quiver, M.dim,
+                                                        ext1))
         with counting_subreps() as counts:
             row = timed(lambda: cold_profile(M, primes), args.repeats)
         # each run starts cold, so the last run's misses are every run's
         built = grassmannian._subspace_table.cache_info().misses
         row = {"name": name, "dim": M.dim, "primes": list(primes),
+               "ext1": ext1, "skipped_e": skipped,
                **{k: n // args.repeats for k, n in counts.items()},
                "subspace_table_misses": built, **row}
         grass.append(row)
@@ -653,7 +665,8 @@ def main(argv=None):
               "has_projective_summand "
               f"{row['us_per_has_projective_summand']:.0f} us")
     for row in grass:
-        print(f"{row['name']} profile: {row['median_s']:.3f} s, "
+        print(f"{row['name']} profile: {row['median_s']:.3f} s, ext1 "
+              f"{row['ext1']}, {row['skipped_e']} e skipped, "
               f"{row['count_subreps_calls']} counts, {row['cover_tuples']} "
               f"cover tuples ({row['brute_force_tuples']} brute force), "
               f"{row['vertex_table_builds']} vertex tables from "

@@ -18,15 +18,18 @@ which reads tau^{-1} g = D tau(Dg) through ar_translate_maps.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import PreconditionError
 from .linalg import Mat
-from .quiver import euler_form
 from .reps import (ClusterObject, Representation, _standard_battery,
                    all_paths, cluster_object, dual, ext1_dim, ext1_setup)
 
 
 def summand_multiplicities(q, x, y) -> tuple:
-    """<x, e_i> + <e_i, y> at every vertex i.
+    """<x, e_i> + <e_i, y> at every vertex i, in one pass over the arrows:
+    x_i less x_s over the arrows s -> i, plus y_i less y_t over the
+    arrows i -> t.  x and y are not checked.
 
     For x = dim M and y = dim tau M this is the multiplicity of P_i as a
     direct summand of M; for x = dim tau^{-1} M and y = dim M, that of I_i.
@@ -34,8 +37,11 @@ def summand_multiplicities(q, x, y) -> tuple:
     delta_ij, and on the rest N the Coxeter transform gives
     <dim N, e_i> + <e_i, dim tau N> = 0.
     """
-    units = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
-    return tuple(euler_form(q, x, u) + euler_form(q, u, y) for u in units)
+    out = list(map(add, x, y))
+    for s, t in q.arrows:
+        out[t - 1] -= x[s - 1]
+        out[s - 1] -= y[t - 1]
+    return tuple(out)
 
 
 def _tau_dims(M: Representation) -> list:

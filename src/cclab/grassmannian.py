@@ -2,8 +2,9 @@
 
 Points are counted over several prime fields, a counting polynomial in q
 is interpolated through the counts, verified at held-out primes, and the
-Euler characteristic is read off as P(1).  Non-polynomial behavior is an
-explicit error, never a silent value.
+Euler characteristic is read off as P(1).  The degree is bounded by the
+tangent space, and an e whose bound is negative is empty and not counted.
+Non-polynomial behavior is an explicit error, never a silent value.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import mul
 
 from .errors import ConfigurationError, InputError, NotPolynomialCountError
 from .linalg import _nullspace_of_rref, _rank_mod
-from .reps import Representation, make_rep, reduce_rep
+from .reps import Representation, _ext1, make_rep, reduce_rep
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def _count_subreps(M: Representation, plan: tuple, p: int,
     choices when A_v lies in B_v, none otherwise.
     """
     if p not in by_prime:
-        by_prime[p] = [m.data for m in reduce_rep(M, p).matrices], {}
+        by_prime.update(_by_prime(M, [p]))
     rows, tables = by_prime[p]
     cover, inner, sides = plan
     for v, d, k in cover:
@@ -189,6 +190,12 @@ def _count_subreps(M: Representation, plan: tuple, p: int,
                 break
         count += term
     return count
+
+
+def _by_prime(M: Representation, primes) -> dict:
+    """by_prime of _count_subreps at the primes, with no table yet."""
+    return {p: ([m.data for m in reduce_rep(M, p).matrices], {})
+            for p in primes}
 
 
 def _arrows_hold(tup, arrows, p: int) -> bool:
@@ -261,20 +268,65 @@ def grassmannian_degree_bound(dim, e) -> int:
     return sum(ei * (di - ei) for di, ei in zip(dim, e))
 
 
+def tangent_degree_bound(q, dim, e, ext1: int) -> int:
+    """min(sum e_v (d_v - e_v), <e, d - e> + ext1), d = dim, a bound on
+    the dimension of Gr_e M, so on the degree of its count, for any M of
+    dimension d with dim Ext^1(M, M) <= ext1; Gr_e M is empty when it is
+    negative.  The tangent space of Gr_e M at U is Hom(U, M/U), of
+    dimension <e, d - e> + dim Ext^1(U, M/U), and Ext^2 = 0 makes
+    Ext^1(M, M) -> Ext^1(U, M/U) onto."""
+    top = grassmannian_degree_bound(dim, e)
+    return min(top, top + ext1 - sum(e[s - 1] * (dim[t - 1] - e[t - 1])
+                                     for s, t in q.arrows))
+
+
+def tangent_bounds(q, dim, ext1: int) -> dict:
+    """{e: tangent_degree_bound} over the e <= dim whose bound is not
+    negative; Gr_e is empty at every other e."""
+    bounds = {e: tangent_degree_bound(q, dim, e, ext1)
+              for e in product(*[range(d + 1) for d in dim])}
+    return {e: b for e, b in bounds.items() if b >= 0}
+
+
+def _self_ext1(arrows, dim, rows_by_prime) -> int:
+    """The largest dim Ext^1(M_p, M_p) over (p, M's arrow matrices mod p
+    as int rows) in rows_by_prime, 0 with none."""
+    return max((_ext1(arrows, (dim, rows), (dim, rows), p)
+                for p, rows in rows_by_prime), default=0)
+
+
 def euler_char_grassmannian(M: Representation, e, primes) -> int:
     """chi(Gr_e M) as P(1) of the verified counting polynomial."""
-    return _euler_char(M, e, sorted(set(primes)), {})
+    primes = sorted(set(primes))
+    by_prime = _by_prime(M, primes)
+    ext1 = _self_ext1(M.quiver.arrows, M.dim,
+                      ((p, rows) for p, (rows, _) in by_prime.items()))
+    return _euler_char(M, e, primes, by_prime, ext1)
 
 
-def _euler_char(M: Representation, e, primes, by_prime: dict) -> int:
+def _euler_char(M: Representation, e, primes, by_prime: dict,
+                ext1: int) -> int:
     """chi(Gr_e M) from its counts at the sorted distinct primes, which
-    share by_prime (see _count_subreps).  e is checked before the primes
-    are."""
+    share by_prime (see _count_subreps), fitted within the
+    tangent_degree_bound for ext1, the _self_ext1 of M at the primes: 0,
+    with no count, when that bound is negative.  For rigid M (ext1 = 0)
+    Gr_e M is smooth of dimension <e, d - e>, so a nonzero count must have
+    that degree, be palindromic and have no negative coefficient.  e is
+    checked before the primes are."""
     plan = _plan(M.quiver, M.dim, e)
-    bound = grassmannian_degree_bound(M.dim, e)
+    bound = tangent_degree_bound(M.quiver, M.dim, e, ext1)
+    if bound < 0:
+        return 0
     _check_prime_count(len(primes), bound)
-    return fit_and_verify({p: _count_subreps(M, plan, p, by_prime)
-                           for p in primes}, bound)(1)
+    poly = fit_and_verify({p: _count_subreps(M, plan, p, by_prime)
+                           for p in primes}, bound)
+    c = poly.coefficients
+    if not ext1 and c and (len(c) - 1 != bound or c != c[::-1]
+                           or min(c) < 0):
+        raise NotPolynomialCountError(
+            f"count {c} of a rigid module at e = {tuple(e)} is not "
+            f"palindromic of degree {bound} with coefficients >= 0")
+    return poly(1)
 
 
 def grassmannian_profile(M: Representation, primes) -> dict:
@@ -286,12 +338,16 @@ def grassmannian_profile(M: Representation, primes) -> dict:
 @lru_cache(maxsize=256)
 def _profile(q, field, dim, matrices, primes) -> dict:
     """grassmannian_profile, cached on the module's exact content and its
-    sorted distinct primes; {dim M: 1} for the zero module.  Too few
-    primes for any e are refused before the first count."""
+    sorted distinct primes; {dim M: 1} for the zero module.  Only the e
+    kept by tangent_bounds, for the _self_ext1 of M at the primes, are
+    counted; too few primes for any of them are refused before the first
+    count."""
     M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
-    es = list(product(*[range(d + 1) for d in dim]))
-    for e in es:
-        _check_prime_count(len(primes), grassmannian_degree_bound(dim, e))
-    by_prime = {}
-    chis = {e: _euler_char(M, e, primes, by_prime) for e in es}
+    by_prime = _by_prime(M, primes)
+    ext1 = _self_ext1(q.arrows, dim,
+                      ((p, rows) for p, (rows, _) in by_prime.items()))
+    bounds = tangent_bounds(q, dim, ext1)
+    for bound in bounds.values():
+        _check_prime_count(len(primes), bound)
+    chis = {e: _euler_char(M, e, primes, by_prime, ext1) for e in bounds}
     return {e: chi for e, chi in chis.items() if chi}

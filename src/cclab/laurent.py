@@ -216,7 +216,7 @@ class LaurentPolynomial:
     __repr__ = __str__
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)(?:\*(?=x))?)?((?:x\d+(?:\^-?\d+)?(?:\*x\d+(?:\^-?\d+)?)*))?$")
+_TERM_RE = re.compile(r"^(?:(\d+)(?:\*(?=x)|$))?((?:x\d+(?:\^-?\d+)?(?:\*x\d+(?:\^-?\d+)?)*))?$")
 
 
 def parse(s: str, nvars: int) -> LaurentPolynomial:

@@ -247,15 +247,6 @@ def _combination(parts: list):
                       for row in stacked]
 
 
-def hstack(field, mats, rows=None):
-    mats = list(mats)
-    if not mats:
-        return Mat(field, rows if rows is not None else 0, 0)
-    r = mats[0].rows
-    return Mat._wrap(field, r, sum(m.cols for m in mats),
-                     [[x for m in mats for x in m.data[i]] for i in range(r)])
-
-
 def quotient_map(field, basis: Mat):
     """(indices, Q) for the column span U of `basis`: the unit vectors e_i
     at the indices complete U to the full space, and Q sends a vector to

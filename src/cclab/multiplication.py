@@ -22,20 +22,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import add, mul, neg
+from operator import add, mul
 
 from .artranslate import (_tau_dims, ar_translate, ar_translate_maps,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
 from .grassmannian import (_check_prime_count, _count_subreps, _plan,
-                           fit_and_verify, grassmannian_degree_bound,
-                           grassmannian_profile, subreps, subspaces)
+                           _self_ext1, fit_and_verify,
+                           grassmannian_degree_bound, grassmannian_profile,
+                           subreps, subspaces, tangent_bounds)
 from .laurent import LaurentPolynomial
 from .linalg import (_combination, _nullspace, _nullspace_of_rref,
                      _rank_mod, _rref)
-from .reps import (ClusterObject, Representation, _key_of_kernels,
-                   _rep_of_key, _system_rows, cluster_object, direct_sum,
+from .reps import (ClusterObject, Representation, _ext1, _key_of_kernels,
+                   _rep_of_key, cluster_object, direct_sum,
                    dual, ext1_dim, hom_basis, hom_dim, reduce_rep,
                    stable_ext1_dim, standard_sum, zero_rep)
 
@@ -88,16 +89,6 @@ def _quotient(R: Representation, tup) -> tuple:
         for a, (s, t) in enumerate(R.quiver.arrows)]
 
 
-def _ext1(arrows, U, Q, p: int) -> int:
-    """dim Ext^1(U, Q) over GF(p) for U and Q as (dim, arrow matrices as
-    int rows): the rows of the intertwiner system of Hom(U, Q) less its
-    rank, which is 0 with no rows or no columns."""
-    rows = _system_rows(arrows, U, Q, 0, neg)
-    if not rows or not rows[0]:
-        return len(rows)
-    return len(rows) - _rank_mod(rows, len(rows[0]), p)
-
-
 def stratify_ext_side(M: Representation, L: Representation, primes):
     """sum X_Y over P Ext^1(M, L), Y the middle term of [eta], as one
     stratum of chi = d = dim Ext^1 over QQ.  This is sum_e chi(Z_e)
@@ -108,41 +99,43 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
     fibre over (U_L, U_M), an affine bundle over the projectivized kernel,
     has chi d - dim Ext^1(U_M, L/U_L), which _ext1 ranks on the int rows
     of _sub and _quotient.  chi(Z_e) sums it over the pairs with
-    e_L + e_M = e, counted at each prime and fitted within their largest
-    Grassmannian degree bound.  Every prime must keep dim Ext^1 = d, also
-    for d = 0."""
+    e_L + e_M = e, counted at each prime and fitted within the largest
+    sum of their tangent_bounds, read with the _self_ext1 of L and of M
+    at the primes; an e_L or e_M that these bounds prove empty is never
+    listed.  Every prime must keep dim Ext^1 = d, also for d = 0."""
     d = ext1_dim(M, L)
     reduced = {}
     for p in primes:
-        Mp, Lp = reduce_rep(M, p), reduce_rep(L, p)
+        Lp, Mp = reduce_rep(L, p), reduce_rep(M, p)
         if ext1_dim(Mp, Lp) != d:
             raise PrimeInstabilityError(f"Ext^1 space degenerate mod {p}")
-        reduced[p] = Mp, Lp
+        reduced[p] = Lp, Mp
     if not d:
         return []
-    es = [list(product(*[range(n + 1) for n in R.dim])) for R in (L, M)]
+    q = M.quiver
+    kept = [tangent_bounds(q, R.dim, _self_ext1(q.arrows, R.dim, (
+        (p, [m.data for m in pair[k].matrices])
+        for p, pair in reduced.items()))) for k, R in enumerate((L, M))]
     bounds = {}
-    for e_l, e_m in product(*es):
+    for (e_l, b_l), (e_m, b_m) in product(*[b.items() for b in kept]):
         e = tuple(map(add, e_l, e_m))
-        bounds[e] = max(bounds.get(e, 0), grassmannian_degree_bound(
-            L.dim, e_l) + grassmannian_degree_bound(M.dim, e_m))
-    _check_prime_count(len(set(primes)), max(bounds.values()))
+        bounds[e] = max(bounds.get(e, 0), b_l + b_m)
+    _check_prime_count(len(reduced), max(bounds.values()))
     counts = {e: dict.fromkeys(reduced, 0) for e in bounds}
-    arrows = M.quiver.arrows
-    for p, (Mp, Lp) in reduced.items():
+    for p, (Lp, Mp) in reduced.items():
         tables = {}, {}
         subs_l = {e: [_quotient(Lp, tup) for tup in subreps(Lp, e, tables[0])]
-                  for e in es[0]}
+                  for e in kept[0]}
         subs_m = {e: [_sub(Mp, tup) for tup in subreps(Mp, e, tables[1])]
-                  for e in es[1]}
-        for e_l, e_m in product(*es):
+                  for e in kept[1]}
+        for e_l, e_m in product(*kept):
             counts[tuple(map(add, e_l, e_m))][p] += sum(
-                d - _ext1(arrows, U_M, Q, p)
+                d - _ext1(q.arrows, U_M, Q, p)
                 for Q in subs_l[e_l] for U_M in subs_m[e_m])
-    dim, shifted = tuple(map(add, L.dim, M.dim)), (0,) * M.quiver.n
+    dim, shifted = tuple(map(add, L.dim, M.dim)), (0,) * q.n
     return [StratumReport(dim, shifted, d, "ext", exponent_form(
-        M.quiver, dim, shifted, {e: fit_and_verify(by_prime, bounds[e])(1)
-                                 for e, by_prime in counts.items()}))]
+        q, dim, shifted, {e: fit_and_verify(by_prime, bounds[e])(1)
+                          for e, by_prime in counts.items()}))]
 
 
 # -- the hom-side stratifications -----------------------------------------

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import mul
+from operator import mul, neg
 
 from .errors import (ConfigurationError, InputError, PreconditionError,
                      PrimeInstabilityError)
-from .linalg import GF, Mat, QQ, _nullspace, quotient_map
+from .linalg import GF, Mat, QQ, _nullspace, _rank_mod, quotient_map
 from .quiver import Quiver, check_dimvec
 
 
@@ -353,6 +353,16 @@ def ext1_basis(M: Representation, L: Representation) -> list[ExtCocycle]:
 def ext1_dim(M: Representation, L: Representation) -> int:
     system = _hom_system(M, L)
     return system.rows - system.rank()
+
+
+def _ext1(arrows, U, Q, p: int) -> int:
+    """dim Ext^1(U, Q) over GF(p) for U and Q as (dim, arrow matrices as
+    int rows): the rows of the intertwiner system of Hom(U, Q) less its
+    rank, which is 0 with no rows or no columns."""
+    rows = _system_rows(arrows, U, Q, 0, neg)
+    if not rows or not rows[0]:
+        return len(rows)
+    return len(rows) - _rank_mod(rows, len(rows[0]), p)
 
 
 def stable_ext1_dim(M: Representation, L: Representation, primes) -> int:

@@ -1,5 +1,5 @@
-"""Hypothesis strategies and seeded base changes shared by the test
-modules."""
+"""Hypothesis strategies, seeded base changes and matrix helpers shared by
+the test modules."""
 
 from itertools import combinations
 
@@ -26,21 +26,33 @@ def acyclic_quivers(draw, max_arrows=5):
 
 
 @st.composite
+def gf_modules(draw, q, F, max_dim=3):
+    """A representation of q over GF(p), F = GF(p), with dims <= max_dim
+    and entries in [0, p)."""
+    dim = draw(st.tuples(*[st.integers(0, max_dim)] * q.n))
+    return make_rep(q, dim, [
+        draw(st.lists(st.lists(st.integers(0, F.p - 1),
+                               min_size=dim[s - 1], max_size=dim[s - 1]),
+                      min_size=dim[t - 1], max_size=dim[t - 1]))
+        for s, t in q.arrows], F)
+
+
+@st.composite
 def rep_pairs(draw, max_arrows=5, max_dim=3):
     """Two representations of one random acyclic quiver, n <= 4 vertices
     with parallel arrows and dims <= max_dim, over GF(p), p in
     {2, 3, 5, 23}, and a seeded Random."""
     q = draw(acyclic_quivers(max_arrows))
     F = GF(draw(st.sampled_from([2, 3, 5, 23])))
+    module = gf_modules(q, F, max_dim)
+    return draw(module), draw(module), draw(st.randoms(use_true_random=False))
 
-    def rep():
-        dim = draw(st.tuples(*[st.integers(0, max_dim)] * q.n))
-        return make_rep(q, dim, [
-            draw(st.lists(st.lists(st.integers(0, F.p - 1),
-                                   min_size=dim[s - 1], max_size=dim[s - 1]),
-                          min_size=dim[t - 1], max_size=dim[t - 1]))
-            for s, t in q.arrows], F)
-    return rep(), rep(), draw(st.randoms(use_true_random=False))
+
+def hstack(field, mats):
+    """The matrices side by side, one row count for all."""
+    rows = mats[0].rows
+    return Mat(field, rows, sum(m.cols for m in mats),
+               [[x for m in mats for x in m.data[i]] for i in range(rows)])
 
 
 def hom_battery(M):

@@ -16,7 +16,7 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.grassmannian import (count_subreps, fit_and_verify,
                                 gaussian_binomial, grassmannian_degree_bound,
-                                subreps, subspaces)
+                                subreps, subspaces, tangent_bounds)
 from cclab.linalg import _nullspace_of_rref, _rank_mod
 from cclab.multiplication import (_ext1, _quotient, _sub,
                                   stratify_ext_side, verify_xx1)
@@ -165,6 +165,26 @@ def test_kronecker_xx1_holds(L, M):
     dimensions got wrong: R_l + R_m and R_l[2] share a hom_battery, not a
     character."""
     assert verify_xx1(L, M, PRIMES).verdict
+
+
+def test_empty_subrepresentation_classes_are_not_listed(monkeypatch):
+    """Kronecker P1 and S1 are rigid, and the tangent bounds prove P1's
+    e_L = (1, 0) and (1, 1) empty: P1 = (1, 2) has 0, the lines at vertex
+    2, (0, 2) and P1.  At every prime only P1's other four e and S1's two
+    are listed."""
+    q = kronecker_quiver()
+    L, M = (standard_module(q, "projective", 1),
+            standard_module(q, "simple", 1))
+    listed = []
+    monkeypatch.setattr(multiplication, "subreps", lambda R, e, *tables:
+                        listed.append((R.dim, e)) or subreps(R, e, *tables))
+    primes = PRIMES[:4]
+    assert stratify_ext_side(M, L, primes)[0].chi == 3
+    assert {e for dim, e in listed if dim == L.dim} == set(
+        tangent_bounds(q, L.dim, 0)) == {(0, 0), (0, 1), (0, 2), (1, 2)}
+    assert len(listed) == len(primes) * (4 + 2)
+    assert not any(count_subreps(L, e, p) for e in [(1, 0), (1, 1)]
+                   for p in primes)
 
 
 def cocycle_kept_dim(arrows, U_M, tup, Q, ann, phis, p) -> int:

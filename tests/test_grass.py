@@ -4,8 +4,9 @@ from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
+from strategies import acyclic_quivers, gf_modules, hstack
 
 from cclab import grassmannian
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
@@ -15,13 +16,15 @@ from cclab.errors import (ConfigurationError, InputError,
 from cclab.grassmannian import (CountingPolynomial, count_subreps,
                                 euler_char_grassmannian, fit_and_verify,
                                 free_vertices, gaussian_binomial,
+                                grassmannian_degree_bound,
                                 grassmannian_profile, interpolate_counts,
-                                subreps, subspaces)
-from cclab.linalg import GF, Mat, hstack
+                                subreps, subspaces, tangent_bounds)
+from cclab.linalg import GF, Mat
 from cclab.quiver import (a2_quiver, a3_quiver, kronecker_quiver,
                           validate_quiver)
-from cclab.reps import (direct_sum, direct_sum_many, injective_rep, make_rep,
-                        projective_rep, reduce_rep, simple_rep, zero_rep)
+from cclab.reps import (direct_sum, direct_sum_many, ext1_dim, injective_rep,
+                        make_rep, projective_rep, reduce_rep, simple_rep,
+                        zero_rep)
 
 
 def subspace_bases(field, d, k):
@@ -56,7 +59,7 @@ def _contained_in(field, big, small) -> bool:
         return True
     if big.cols == 0:
         return small.is_zero()
-    return hstack(field, [big, small], rows=big.rows).rank() == big.rank()
+    return hstack(field, [big, small]).rank() == big.rank()
 
 
 def brute_force_count(M, e, p):
@@ -295,17 +298,45 @@ def test_euler_char_checks_e_before_the_primes():
 
 
 def test_euler_char_refuses_before_counting(primes, monkeypatch):
+    """A non-rigid input whose tangent bound still exceeds 6 is refused on
+    the 8 default primes with no count made: Kronecker P1 + I2 + S1 + S2
+    has dim Ext^1(M, M) = 12, so at e = (2, 2) the bound is
+    min(8, <e, d - e> + 12) = 8, and it needs 10 primes."""
     qk = kronecker_quiver()
-    p1 = projective_rep(qk, 1)
-    M = direct_sum_many(qk, [p1, p1, p1])
+    M = direct_sum_many(qk, [projective_rep(qk, 1), injective_rep(qk, 2),
+                             simple_rep(qk, 1), simple_rep(qk, 2)])
 
     def no_count(*args):
         raise AssertionError("_count_subreps called")
     monkeypatch.setattr(grassmannian, "_count_subreps", no_count)
     assert len(primes) == 8
     with pytest.raises(ConfigurationError,
-                       match="need at least 13 primes, have 8"):
-        euler_char_grassmannian(M, (1, 3), primes)
+                       match="need at least 10 primes, have 8"):
+        euler_char_grassmannian(M, (2, 2), primes)
+
+
+def test_rigid_count_fits_the_tangent_bound(primes):
+    """Kronecker P1^3 is rigid, so at e = (1, 3) its bound is
+    <e, d - e> = 5, not sum e(d - e) = 11, and the 8 default primes count
+    it: U_1 is a line and U_2 a 3-space over its 2-dim image, so
+    |Gr_e| = [3 choose 1]_q [4 choose 1]_q and chi = 3 * 4."""
+    qk = kronecker_quiver()
+    p1 = projective_rep(qk, 1)
+    M = direct_sum_many(qk, [p1, p1, p1])
+    assert euler_char_grassmannian(M, (1, 3), primes) == 12
+
+
+def test_rigid_count_must_be_palindromic(primes, monkeypatch):
+    """Negative control: a count of a rigid module that is a polynomial
+    within its bound but not palindromic is refused.  Kronecker P1 at
+    e = (0, 1) counts the lines of its vertex 2, q + 1; q + 2 fits the
+    bound 1 at every prime."""
+    p1 = projective_rep(kronecker_quiver(), 1)
+    assert euler_char_grassmannian(p1, (0, 1), primes) == 2
+    monkeypatch.setattr(grassmannian, "_count_subreps",
+                        lambda M, plan, p, by_prime: p + 2)
+    with pytest.raises(NotPolynomialCountError, match="palindromic"):
+        euler_char_grassmannian(p1, (0, 1), primes)
 
 
 def test_profile_refuses_before_counting(primes, monkeypatch):
@@ -428,6 +459,63 @@ def test_shared_tables_count_every_e(case):
         assert counts() == expected
     for e in es:
         assert count_subreps(M, e, p) == expected[e]
+
+
+# -- the tangent bound against brute force ---------------------------------
+
+SAMPLE_PRIMES = (7, 11, 13, 17, 19, 23)  # above every entry of bounded_modules
+
+
+def reference_profile(M, primes):
+    """(profile, counts): grassmannian_profile as counted with no tangent
+    bound, every e <= dim M at every prime fitted within sum e(d - e), and
+    the counts of each e by prime."""
+    counts = {e: {p: count_subreps(M, e, p) for p in primes}
+              for e in product(*[range(d + 1) for d in M.dim])}
+    chis = {e: fit_and_verify(by_prime, grassmannian_degree_bound(M.dim, e))(1)
+            for e, by_prime in counts.items()}
+    return {e: chi for e, chi in chis.items() if chi}, counts
+
+
+@st.composite
+def bounded_modules(draw):
+    """A module of strategies.gf_modules over GF(2), GF(3) or GF(5) with dims
+    <= 2, so that sum e(d - e) <= 4 fits SAMPLE_PRIMES, and few enough
+    subspace tuples at 23 to count every e there."""
+    q = draw(acyclic_quivers())
+    F = GF(draw(st.sampled_from([2, 3, 5])))
+    M = draw(gf_modules(q, F, max_dim=2))
+    tuples = 1
+    for d in M.dim:
+        tuples *= sum(gaussian_binomial(d, k, 23) for k in range(d + 1))
+    assume(tuples <= 3000)
+    return M
+
+
+@given(bounded_modules())
+@settings(deadline=None, max_examples=60)
+def test_tangent_bound_drops_only_empty_grassmannians(M):
+    """Every e whose tangent bound is negative has no subrepresentation:
+    none listed by brute force over M's own GF(p), with x = dim Ext^1(M, M)
+    there, and none counted at any sample prime of M lifted to QQ, with x
+    the largest dim Ext^1 over them.  The lift's profile equals the
+    reference that counts every e within sum e(d - e)."""
+    x = ext1_dim(M, M)
+    kept = tangent_bounds(M.quiver, M.dim, x)
+    for e in product(*[range(d + 1) for d in M.dim]):
+        if e not in kept:
+            assert subreps(M, e) == []
+    lift = make_rep(M.quiver, M.dim, [m.data for m in M.matrices])
+    try:
+        expected, counts = reference_profile(lift, SAMPLE_PRIMES)
+    except NotPolynomialCountError:
+        reject()  # counts that no polynomial fits, as over QQ(i)
+    x = max(ext1_dim(reduce_rep(lift, p), reduce_rep(lift, p))
+            for p in SAMPLE_PRIMES)
+    kept = tangent_bounds(M.quiver, M.dim, x)
+    assert all(not any(by_prime.values()) for e, by_prime in counts.items()
+               if e not in kept)
+    assert grassmannian_profile(lift, SAMPLE_PRIMES) == expected
 
 
 def test_tables_keyed_on_quiver_and_field():

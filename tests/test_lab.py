@@ -504,10 +504,13 @@ def test_hom_side_refuses_a_prime_where_hom_jumps(primes, d):
 def test_strata_refuse_too_few_primes_before_any_point(monkeypatch, run,
                                                        need):
     """Kronecker (P1, I2) has d = 4.  A Hom-side stratum's fit has degree
-    bound 3 and needs 5 primes; the Ext side's largest bound is
-    gdb((1, 2), (0, 1)) + gdb((2, 1), (1, 0)) = 2, so it needs 4.  verify_xx1
-    runs the Hom side first.  3 primes are refused before a point of the
-    Hom side is keyed and before a subrepresentation is listed."""
+    bound 3 and needs 5 primes.  P1 and I2 are rigid, so on the Ext side
+    the tangent bound of e <= dim R is <e, dim R - e>; it drops
+    e_M = (1, 0) of I2, whose socle is S2, and the largest pair bound is
+    <(0, 1), (1, 1)> + <(1, 1), (1, 0)> = 1 + 1 = 2, so it needs 4.
+    verify_xx1 runs the Hom side first.  3 primes are refused before a
+    point of the Hom side is keyed and before a subrepresentation is
+    listed."""
     keyed, listed = [], []
     walk, subreps = multiplication._hom_walk, multiplication.subreps
     monkeypatch.setattr(multiplication, "_hom_walk",

@@ -190,7 +190,8 @@ def test_negative_power_needs_a_unit_monomial(s, message):
     ("x1 + y", "cannot parse term"), ("x1 +", "cannot parse term"),
     ("x1 + + 1", "cannot parse term"), ("", "cannot parse term"),
     ("x3", "variable index out of range"), ("2*", "cannot parse term"),
-    ("x1 + 2*", "cannot parse term")])
+    ("x1 + 2*", "cannot parse term"), ("2x1", "cannot parse term"),
+    ("3x1^2*x2", "cannot parse term")])
 def test_parse_refuses_malformed_input(s, message):
     with pytest.raises(InputError, match=message):
         parse(s, 2)

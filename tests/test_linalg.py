@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from strategies import hstack
 
-from cclab.linalg import GF, Mat, QQ, _rank_mod, hstack, quotient_map
+from cclab.linalg import GF, Mat, QQ, _rank_mod, quotient_map
 
 F7 = GF(7)
 
@@ -67,7 +68,7 @@ def greedy_complement(field, basis):
     for i in range(d):
         e = Mat(field, d, 1)
         e.data[i][0] = field.one
-        test = hstack(field, [cur, e], rows=d)
+        test = hstack(field, [cur, e])
         if test.rank() > cur.rank():
             chosen.append(i)
             cur = test
@@ -85,8 +86,7 @@ def identity_block_quotient(field, basis):
     the reduced rows with those pivots vanish on the basis block, so their
     identity block is Q, the identity at the chosen columns."""
     d = basis.rows
-    red, pivots = hstack(field, [basis, Mat.identity(field, d)],
-                         rows=d).rref()
+    red, pivots = hstack(field, [basis, Mat.identity(field, d)]).rref()
     rank = sum(c < basis.cols for c in pivots)
     return ([c - basis.cols for c in pivots[rank:]],
             Mat(field, d - rank, d,

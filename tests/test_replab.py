@@ -441,6 +441,16 @@ def test_summand_multiplicities(kind, build, proj, inj, rest):
         assert is_isomorphic(inv.module, ar_inverse(rest).module)
 
 
+@given(acyclic_quivers(), st.data())
+def test_summand_multiplicities_are_euler_sums(q, data):
+    """The one pass over the arrows is <x, e_i> + <e_i, y> by euler_form."""
+    dims = st.tuples(*[st.integers(0, 5)] * q.n)
+    x, y = data.draw(dims), data.draw(dims)
+    units = [tuple(int(j == i) for j in range(q.n)) for i in range(q.n)]
+    assert summand_multiplicities(q, x, y) == tuple(
+        euler_form(q, x, u) + euler_form(q, u, y) for u in units)
+
+
 def test_has_projective_summand():
     q = a2_quiver()
     assert has_projective_summand(direct_sum(projective_rep(q, 1),

@@ -162,12 +162,18 @@ def test_bench_script_writes_counts(tmp_path):
     assert row["median_s"] > 0 and d4tilde["ext"]["median_s"] > 0
     grass = {row["name"]: row for row in doc["grass"]}
     assert list(grass) == ["d4t.E1+E1", "a3.I13+I13", "kronecker.P1+I2"]
+    # E1+E1 and I13+I13 are rigid, so their bound is <e, d - e>, negative
+    # at 13 and at 15 of their 27 e; P1 + I2 has dim Ext^1 = 4 and skips
+    # 3 of its 16 e
+    assert [(row["ext1"], row["skipped_e"]) for row in grass.values()] == [
+        (0, 13), (0, 15), (4, 3)]
     for row in grass.values():
-        # one count per e <= dim M and prime
+        # one count per prime and e <= dim M that the bound keeps
         n_e = 1
         for d in row["dim"]:
             n_e *= d + 1
-        assert row["count_subreps_calls"] == n_e * len(row["primes"])
+        assert row["count_subreps_calls"] == (
+            (n_e - row["skipped_e"]) * len(row["primes"]))
         assert 0 < row["cover_tuples"] < row["brute_force_tuples"]
         # the vertex tables share the subspace tables of each (p, d, k)
         assert (0 < row["subspace_table_misses"]
