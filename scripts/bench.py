@@ -1,12 +1,12 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
-AR translate and Grassmannian profiles, and count the package's lines;
-write BENCH_36.json.
+AR translate, Grassmannian profiles and the reach of the Hom side's degree
+bound, and count the package's lines; write BENCH_37.json.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/bench.py [--repeats N] [--out PATH]
 
-Stdlib only.  Ten parts:
+Stdlib only.  Eleven parts:
 
 - closures: the A5 closure to depth 12 (many seeds, small polynomials),
   the Kronecker closure to depth 24 (few seeds, growing polynomials) and
@@ -68,18 +68,25 @@ Stdlib only.  Ten parts:
   plan, beside the brute-force tuples over all vertices; and the
   per-vertex tables built, one per (cover vertex, e_v, p) of the
   module, against the (p, d, k) subspace tables computed for them.
+- reach: the Hom side of Kronecker xx1(R + R, tau I2), R = R(1, 1), on
+  the default primes, P Hom(R + R, tau^2 I2) of dimension 2, which the
+  box bound sum e(d - e) refused for too few primes: its time, its
+  classes and, over them, the e counted, those the tangent bound of the
+  class keeps, and the e skipped, the rest of each class's box.  Then
+  the refusal of P Hom(tau^{-1} P1, tau(R + R + R)) on the default
+  primes: its time, its message and the primes walked before it.
 - src_lines: the lines of src/cclab/*.py, the size of the package.
 
 Every time is in seconds of the process's CPU time (time.process_time);
 wall-clock time moved by up to 30% between runs of the same tree on a
-shared machine.  A run of a closure, a side, a profile or the misses part
-is timed once a repeat, as the median of the repeats with the minimum
-beside it.  Most kernel, declined and tau calls take 0.05-1 ms, below
-the noise of one timing, so each of these rows is timed in batches of
-repeated calls, doubled until a batch takes BATCH_S, one batch a repeat:
-its median_s and min_s are per call, calls_per_batch is kept, and min_s
-is the row's time.  Single calls timed as the median of five moved by
-15-50% between back-to-back runs.  Batches do not remove the drift of a
+shared machine.  A run of a closure, a side, a profile, the misses part or
+a reach row is timed once a repeat, as the median of the repeats with the
+minimum beside it.  Most kernel, declined and tau calls take 0.05-1 ms,
+below the noise of one timing, so each of these rows is timed in batches
+of repeated calls, doubled until a batch takes BATCH_S, one batch a
+repeat: its median_s and min_s are per call, calls_per_batch is kept, and
+min_s is the row's time.  Single calls timed as the median of five moved
+by 15-50% between back-to-back runs.  Batches do not remove the drift of a
 shared host's speed between runs, so compare two trees by runs that
 alternate between them, not against an earlier BENCH file.
 """
@@ -95,6 +102,8 @@ import platform
 import statistics
 import sys
 import time
+from math import prod
+from unittest import mock
 
 from cclab import grassmannian, laurent, multiplication, mutation
 from cclab.artranslate import (ar_inverse, ar_translate,
@@ -102,13 +111,14 @@ from cclab.artranslate import (ar_inverse, ar_translate,
 from cclab.config import default_primes
 from cclab.corpus import (d4tilde_tube_simples, interval_module,
                           kronecker_regular)
+from cclab.errors import ConfigurationError
 from cclab.laurent import LaurentPolynomial, divide_exact, parse
 from cclab.mutation import (apply_mutations, enumerate_cluster_variables,
                             initial_seed)
 from cclab.quiver import (a3_quiver, d4tilde_quiver, kronecker_quiver,
                           validate_quiver)
-from cclab.reps import (direct_sum, ext1_dim, injective_rep, projective_rep,
-                        reduce_rep, simple_rep)
+from cclab.reps import (direct_sum, direct_sum_many, ext1_dim, injective_rep,
+                        projective_rep, reduce_rep, simple_rep)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLOSURES = (
@@ -528,6 +538,41 @@ def cold_profile(M, primes):
     return grassmannian.grassmannian_profile(M, primes)
 
 
+def reach(primes, repeats):
+    """The reach part: the Hom side that the tangent bound newly fits and
+    the refusal after one prime, each counted in one run, by wrapping the
+    plan made once a counted e and the per-prime walk, then timed."""
+    q, R = kronecker_quiver(), kronecker_regular(1, 1)
+    L, M = direct_sum(R, R), ar_translate(injective_rep(q, 2))
+    with mock.patch.object(multiplication, "_plan",
+                           wraps=multiplication._plan) as plan:
+        strata = multiplication.stratify_hom_side(L, M, primes)
+    counted = plan.call_count
+    side = {"name": "kronecker.hom(R+R,tau I2)", "primes": list(primes),
+            "classes": len(strata), "e_counted": counted,
+            "e_skipped": sum(prod(n + 1 for n in s.dim)
+                             for s in strata) - counted,
+            **timed(lambda: multiplication.stratify_hom_side(L, M, primes),
+                    repeats)}
+    L = ar_inverse(projective_rep(q, 1)).module
+    M = direct_sum_many(q, [R, R, R])
+
+    def refused():
+        try:
+            multiplication.stratify_hom_side(L, M, primes)
+        except ConfigurationError as exc:
+            return str(exc)
+        raise AssertionError("the side was not refused")
+    with mock.patch.object(multiplication, "_hom_walk",
+                           wraps=multiplication._hom_walk) as walk:
+        message = refused()
+    refusal = {"name": "kronecker.hom(tau^-1 P1,R+R+R)", "message": message,
+               "primes_walked": [call.args[0].field.p
+                                 for call in walk.call_args_list],
+               **timed(refused, repeats)}
+    return {"side": side, "refusal": refusal}
+
+
 def answers(counts):
     """The nonzero counts of an ACCEPTANCE dict, as text."""
     return ", ".join(f"{n} {kind}" for kind, n in counts.items()
@@ -537,7 +582,7 @@ def answers(counts):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_36.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_37.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -600,6 +645,7 @@ def main(argv=None):
                **{k: n // args.repeats for k, n in counts.items()},
                "subspace_table_misses": built, **row}
         grass.append(row)
+    reached = reach(primes, args.repeats)
 
     doc = {
         "machine": {"python": platform.python_version(),
@@ -618,6 +664,7 @@ def main(argv=None):
         "misses": misses,
         "tau": tau,
         "grass": grass,
+        "reach": reached,
         "src_lines": src_lines(),
     }
     with open(args.out, "w") as fh:
@@ -671,6 +718,13 @@ def main(argv=None):
               f"cover tuples ({row['brute_force_tuples']} brute force), "
               f"{row['vertex_table_builds']} vertex tables from "
               f"{row['subspace_table_misses']} subspace tables")
+    row = reached["side"]
+    print(f"{row['name']}: {row['median_s']:.3f} s, {row['classes']} "
+          f"classes, {row['e_counted']} e counted, {row['e_skipped']} "
+          "skipped")
+    row = reached["refusal"]
+    print(f"{row['name']}: refused in {row['median_s']:.3f} s after walking "
+          f"{row['primes_walked']}: {row['message']}")
     print(f"src/cclab: {doc['src_lines']} lines")
     return 0
 

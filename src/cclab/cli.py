@@ -137,7 +137,7 @@ def cmd_verify(q, output_format, kind, module_paths, shifted_csv, primes_csv):
           {"label": rep.label, "lhs": str(rep.lhs), "rhs": str(rep.rhs),
            "strata": [{"middle": describe(s.dim, s.shifted), "chi": s.chi,
                        "side": s.side} for s in rep.strata],
-           "verdict": rep.verdict},
+           "verdict": rep.verdict, "primes": list(primes)},
           [f"lhs: {rep.lhs}",
            *(f"stratum: {s.describe()}" for s in rep.strata),
            f"rhs: {rep.rhs}", f"verdict: {verdict}"])
@@ -206,7 +206,8 @@ def cmd_compare(q, output_format, depth, primes_csv):
     extra = sorted(images - oracle)
     _emit(output_format,
           {"oracle": len(oracle), "character_images": len(images),
-           "missing_from_characters": missing, "not_in_oracle": extra},
+           "missing_from_characters": missing, "not_in_oracle": extra,
+           "primes": list(primes)},
           [f"oracle variables: {len(oracle)}",
            f"character images: {len(images)}",
            *(f"missing from characters: {s}" for s in missing),

@@ -264,10 +264,6 @@ def fit_and_verify(counts_by_prime: dict, degree_bound: int) -> CountingPolynomi
     return poly
 
 
-def grassmannian_degree_bound(dim, e) -> int:
-    return sum(ei * (di - ei) for di, ei in zip(dim, e))
-
-
 def tangent_degree_bound(q, dim, e, ext1: int) -> int:
     """min(sum e_v (d_v - e_v), <e, d - e> + ext1), d = dim, a bound on
     the dimension of Gr_e M, so on the degree of its count, for any M of
@@ -275,7 +271,7 @@ def tangent_degree_bound(q, dim, e, ext1: int) -> int:
     negative.  The tangent space of Gr_e M at U is Hom(U, M/U), of
     dimension <e, d - e> + dim Ext^1(U, M/U), and Ext^2 = 0 makes
     Ext^1(M, M) -> Ext^1(U, M/U) onto."""
-    top = grassmannian_degree_bound(dim, e)
+    top = sum(k * (n - k) for n, k in zip(dim, e))
     return min(top, top + ext1 - sum(e[s - 1] * (dim[t - 1] - e[t - 1])
                                      for s, t in q.arrows))
 
@@ -288,20 +284,19 @@ def tangent_bounds(q, dim, ext1: int) -> dict:
     return {e: b for e, b in bounds.items() if b >= 0}
 
 
-def _self_ext1(arrows, dim, rows_by_prime) -> int:
-    """The largest dim Ext^1(M_p, M_p) over (p, M's arrow matrices mod p
-    as int rows) in rows_by_prime, 0 with none."""
+def _self_ext1(M: Representation, by_prime: dict) -> int:
+    """The largest dim Ext^1(M_p, M_p) over the primes of by_prime (see
+    _count_subreps), ranked on its int rows; 0 with no prime."""
+    arrows, dim = M.quiver.arrows, M.dim
     return max((_ext1(arrows, (dim, rows), (dim, rows), p)
-                for p, rows in rows_by_prime), default=0)
+                for p, (rows, _) in by_prime.items()), default=0)
 
 
 def euler_char_grassmannian(M: Representation, e, primes) -> int:
     """chi(Gr_e M) as P(1) of the verified counting polynomial."""
     primes = sorted(set(primes))
     by_prime = _by_prime(M, primes)
-    ext1 = _self_ext1(M.quiver.arrows, M.dim,
-                      ((p, rows) for p, (rows, _) in by_prime.items()))
-    return _euler_char(M, e, primes, by_prime, ext1)
+    return _euler_char(M, e, primes, by_prime, _self_ext1(M, by_prime))
 
 
 def _euler_char(M: Representation, e, primes, by_prime: dict,
@@ -340,14 +335,12 @@ def _profile(q, field, dim, matrices, primes) -> dict:
     """grassmannian_profile, cached on the module's exact content and its
     sorted distinct primes; {dim M: 1} for the zero module.  Only the e
     kept by tangent_bounds, for the _self_ext1 of M at the primes, are
-    counted; too few primes for any of them are refused before the first
-    count."""
+    counted; the largest of their bounds is checked against the primes
+    before the first count."""
     M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
     by_prime = _by_prime(M, primes)
-    ext1 = _self_ext1(q.arrows, dim,
-                      ((p, rows) for p, (rows, _) in by_prime.items()))
+    ext1 = _self_ext1(M, by_prime)
     bounds = tangent_bounds(q, dim, ext1)
-    for bound in bounds.values():
-        _check_prime_count(len(primes), bound)
+    _check_prime_count(len(primes), max(bounds.values()))
     chis = {e: _euler_char(M, e, primes, by_prime, ext1) for e in bounds}
     return {e: chi for e, chi in chis.items() if chi}

@@ -28,10 +28,10 @@ from .artranslate import (_tau_dims, ar_translate, ar_translate_maps,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
-from .grassmannian import (_check_prime_count, _count_subreps, _plan,
-                           _self_ext1, fit_and_verify,
-                           grassmannian_degree_bound, grassmannian_profile,
-                           subreps, subspaces, tangent_bounds)
+from .grassmannian import (_by_prime, _check_prime_count, _count_subreps,
+                           _plan, _self_ext1, fit_and_verify,
+                           grassmannian_profile, subreps, subspaces,
+                           tangent_bounds)
 from .laurent import LaurentPolynomial
 from .linalg import (_combination, _nullspace, _nullspace_of_rref,
                      _rank_mod, _rref)
@@ -113,9 +113,8 @@ def stratify_ext_side(M: Representation, L: Representation, primes):
     if not d:
         return []
     q = M.quiver
-    kept = [tangent_bounds(q, R.dim, _self_ext1(q.arrows, R.dim, (
-        (p, [m.data for m in pair[k].matrices])
-        for p, pair in reduced.items()))) for k, R in enumerate((L, M))]
+    kept = [tangent_bounds(q, R.dim, _self_ext1(R, _by_prime(R, reduced)))
+            for R in (L, M)]
     bounds = {}
     for (e_l, b_l), (e_m, b_m) in product(*[b.items() for b in kept]):
         e = tuple(map(add, e_l, e_m))
@@ -147,8 +146,11 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
     each memo key k at each prime.  A class's chi is the sum of its points,
     fitted within d - 1; chi(Z_e) is the count of its incidence variety
     {(g, U <= Y_g) : dim U = e}, sum_k points_k |Gr_e(Y_k)(F_p)|, fitted
-    within (d - 1) + the Grassmannian degree bound of (dim Y, e), which
-    every class checks against the primes before the first count."""
+    within (d - 1) + b_e, b_e its tangent_bounds for x the largest
+    _self_ext1 of the Y_k, and not counted where b_e < 0.  Each prime's
+    walk ends by checking every class met against the primes with x so
+    far, which only grows: a refusal names the need known then, a lower
+    bound, and the last prime's check is the whole one."""
     d = hom_dim(L, T)
     reduced = {}
     for p in primes:
@@ -160,28 +162,32 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
     if not d:
         return []
     _check_prime_count(len(reduced), d - 1)
-    classes = {}  # (shifted, dim Y) -> {p: [(points, Y, by_prime)]}
+    q, classes, ext1 = L.quiver, {}, {}  # (shifted, dim Y) -> members, x
     for p, args in reduced.items():
         for points, Y in _hom_walk(*args).values():
-            classes.setdefault((Y.shifted, Y.module.dim), {}).setdefault(
-                p, []).append((points, Y.module, {}))
-    for _, dim in classes:  # e_v(d_v - e_v) is largest at e_v = d_v // 2
-        _check_prime_count(len(reduced), d - 1 + grassmannian_degree_bound(
-            dim, [n // 2 for n in dim]))
+            key, Y = (Y.shifted, Y.module.dim), Y.module
+            by_prime = {p: ([m.data for m in Y.matrices], {})}
+            classes.setdefault(key, {}).setdefault(p, []).append(
+                (points, Y, by_prime))
+            ext1[key] = max(ext1.get(key, 0), _self_ext1(Y, by_prime))
+        bounds = {key: tangent_bounds(q, key[1], x)
+                  for key, x in ext1.items()}
+        _check_prime_count(len(reduced), d - 1 + max(
+            max(b.values()) for b in bounds.values()))
     reports = []
     for shifted, dim in sorted(classes):
         members = classes[shifted, dim]
         chi = fit_and_verify({p: sum(n for n, *_ in members.get(p, ()))
                               for p in reduced}, d - 1)(1)
         profile = {}
-        for e in product(*[range(n + 1) for n in dim]):
-            plan = _plan(L.quiver, dim, e)
+        for e, b in bounds[shifted, dim].items():
+            plan = _plan(q, dim, e)
             profile[e] = fit_and_verify({p: sum(
                 n * _count_subreps(Y, plan, p, by_prime)
                 for n, Y, by_prime in members.get(p, ())) for p in reduced},
-                d - 1 + grassmannian_degree_bound(dim, e))(1)
+                d - 1 + b)(1)
         reports.append(StratumReport(dim, shifted, chi, side, exponent_form(
-            L.quiver, dim, shifted, profile)))
+            q, dim, shifted, profile)))
     total = sum(s.chi for s in reports)
     if total != d:
         raise CCLabError(

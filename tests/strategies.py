@@ -1,7 +1,7 @@
 """Hypothesis strategies, seeded base changes and matrix helpers shared by
 the test modules."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
@@ -53,6 +53,14 @@ def hstack(field, mats):
     rows = mats[0].rows
     return Mat(field, rows, sum(m.cols for m in mats),
                [[x for m in mats for x in m.data[i]] for i in range(rows)])
+
+
+def box_bounds(dim) -> dict:
+    """{e: sum e_v (d_v - e_v)} for every e <= dim: the dimension of the
+    product of Grassmannians that holds Gr_e of any module of dimension
+    dim, the quiver-blind reference for tangent_bounds."""
+    return {e: sum(k * (n - k) for n, k in zip(dim, e))
+            for e in product(*[range(n + 1) for n in dim])}
 
 
 def hom_battery(M):

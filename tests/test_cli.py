@@ -92,7 +92,7 @@ def test_verify_structured(workdir):
 
 
 # Exact structured output, byte for byte: labels, both sides, every
-# stratum in order and the verdict.
+# stratum in order, the verdict and the primes.
 D4T_XX1 = ("x1^-1*x2^-1*x3^-1*x4^-1*x5^-2 + 4*x1^-1*x2^-1*x3^-1*x4^-1*x5^-1"
            " + 6*x1^-1*x2^-1*x3^-1*x4^-1 + 4*x1^-1*x2^-1*x3^-1*x4^-1*x5"
            " + x1^-1*x2^-1*x3^-1*x4^-1*x5^2 + 2*x5^-2 + 4*x5^-1 + 2"
@@ -102,47 +102,50 @@ D4T_UNIFIED = ("2*x1^-1*x2^-1*x3^-1*x4^-1*x5^-2"
                " + 12*x1^-1*x2^-1*x3^-1*x4^-1 + 8*x1^-1*x2^-1*x3^-1*x4^-1*x5"
                " + 2*x1^-1*x2^-1*x3^-1*x4^-1*x5^2 + 4*x5^-2 + 8*x5^-1 + 4"
                " + 2*x1*x2*x3*x4*x5^-2")
+PRIMES = '"primes": [23, 29, 31, 37, 41, 43, 47, 53]'  # the defaults
 GOLDEN_VERIFY = [
     (["xx1", "--quiver", "a2.q", "s2.m", "s1.m"],
      '{"label": "xx1: 1 * X_L X_M", '
      '"lhs": "x1^-1*x2^-1 + x1^-1 + x2^-1 + 1", '
      '"rhs": "x1^-1*x2^-1 + x1^-1 + x2^-1 + 1", '
      '"strata": [{"middle": "module dim (1, 1)", "chi": 1, "side": "ext"}, '
-     '{"middle": "0", "chi": 1, "side": "hom"}], "verdict": true}\n'),
+     '{"middle": "0", "chi": 1, "side": "hom"}], "verdict": true, '
+     + PRIMES + '}\n'),
     (["xx1", "--quiver", "kron.q", "kron_s2.m", "kron_s1.m"],
      '{"label": "xx1: 2 * X_L X_M", '
      '"lhs": "2*x1^-1*x2^-1 + 2*x1^-1*x2 + 2*x1*x2^-1 + 2*x1*x2", '
      '"rhs": "2*x1^-1*x2^-1 + 2*x1^-1*x2 + 2*x1*x2^-1 + 2*x1*x2", '
      '"strata": [{"middle": "module dim (1, 1)", "chi": 2, "side": "ext"}, '
      '{"middle": "P1[1] + P2[1]", "chi": 2, "side": "hom"}], '
-     '"verdict": true}\n'),
+     '"verdict": true, ' + PRIMES + '}\n'),
     (["xx2", "--quiver", "a2.q", "s2.m", "p1.m"],  # S2 = P2 on A2
      '{"label": "xx2: 1 * X_M X_P[1]", '
      '"lhs": "x1^-1 + x1^-1*x2 + 1", "rhs": "x1^-1 + x1^-1*x2 + 1", '
      '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
      '{"middle": "module dim (1, 1) + P2[1]", "chi": 1, '
      '"side": "proj-shift-hom"}], '
-     '"verdict": true}\n'),
+     '"verdict": true, ' + PRIMES + '}\n'),
     (["unified", "--quiver", "a2.q", "p1.m", "--shifted", "0,1"],
      '{"label": "unified (via shifted reduction): xx2: 1 * X_M X_P[1]", '
      '"lhs": "x1^-1 + x1^-1*x2 + 1", "rhs": "x1^-1 + x1^-1*x2 + 1", '
      '"strata": [{"middle": "0", "chi": 1, "side": "proj-shift-inj"}, '
      '{"middle": "module dim (1, 1) + P2[1]", "chi": 1, '
      '"side": "proj-shift-hom"}], '
-     '"verdict": true}\n'),
+     '"verdict": true, ' + PRIMES + '}\n'),
     (["xx1", "--quiver", "d4t.q", "d4t_e2.m", "d4t_e1.m"],
      '{"label": "xx1: 1 * X_L X_M", "lhs": "' + D4T_XX1 + '", '
      '"rhs": "' + D4T_XX1 + '", '
      '"strata": [{"middle": "module dim (1, 1, 1, 1, 2)", "chi": 1, '
      '"side": "ext"}, {"middle": "0", "chi": 1, "side": "hom"}], '
-     '"verdict": true}\n'),
+     '"verdict": true, ' + PRIMES + '}\n'),
     (["unified", "--quiver", "d4t.q", "d4t_e1.m", "d4t_e2.m"],
      '{"label": "unified: 2 * X_M X_N", "lhs": "' + D4T_UNIFIED + '", '
      '"rhs": "' + D4T_UNIFIED + '", '
      '"strata": [{"middle": "module dim (1, 1, 1, 1, 2)", "chi": 1, '
      '"side": "ext"}, {"middle": "0", "chi": 1, "side": "hom"}, '
      '{"middle": "module dim (1, 1, 1, 1, 2)", "chi": 1, "side": "ext"}, '
-     '{"middle": "0", "chi": 1, "side": "hom"}], "verdict": true}\n'),
+     '{"middle": "0", "chi": 1, "side": "hom"}], "verdict": true, '
+     + PRIMES + '}\n'),
 ]
 
 

@@ -8,15 +8,15 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import rep_pairs
+from strategies import box_bounds, rep_pairs
 
 from cclab import multiplication
 from cclab.config import default_primes
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
                           kronecker_regular)
 from cclab.grassmannian import (count_subreps, fit_and_verify,
-                                gaussian_binomial, grassmannian_degree_bound,
-                                subreps, subspaces, tangent_bounds)
+                                gaussian_binomial, subreps, subspaces,
+                                tangent_bounds)
 from cclab.linalg import _nullspace_of_rref, _rank_mod
 from cclab.multiplication import (_ext1, _quotient, _sub,
                                   stratify_ext_side, verify_xx1)
@@ -33,8 +33,7 @@ def oracle_bound(M, L, d: int) -> int:
     """The degree bound of the point count of Z_e for every e: a point of
     P^{d-1} times a point of Gr_e(Y), Y of dimension dim L + dim M."""
     dim = [a + b for a, b in zip(L.dim, M.dim)]
-    return (d - 1) + max(grassmannian_degree_bound(dim, e)
-                         for e in product(*[range(n + 1) for n in dim]))
+    return (d - 1) + max(box_bounds(dim).values())
 
 
 def walked_profile(M, L, primes) -> dict:

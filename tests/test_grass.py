@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
-from strategies import acyclic_quivers, gf_modules, hstack
+from strategies import acyclic_quivers, box_bounds, gf_modules, hstack
 
 from cclab import grassmannian
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
@@ -16,7 +16,6 @@ from cclab.errors import (ConfigurationError, InputError,
 from cclab.grassmannian import (CountingPolynomial, count_subreps,
                                 euler_char_grassmannian, fit_and_verify,
                                 free_vertices, gaussian_binomial,
-                                grassmannian_degree_bound,
                                 grassmannian_profile, interpolate_counts,
                                 subreps, subspaces, tangent_bounds)
 from cclab.linalg import GF, Mat
@@ -340,9 +339,11 @@ def test_rigid_count_must_be_palindromic(primes, monkeypatch):
 
 
 def test_profile_refuses_before_counting(primes, monkeypatch):
-    """Every e's degree bound is checked before the first count: Kronecker
-    P1 + I2 + S1 + S2 needs 9 primes at e = (2, 2) (bound 8), and the 8
-    default primes are refused with no count made."""
+    """The largest degree bound is checked before the first count:
+    Kronecker P1 + I2 + S1 + S2 has bound 8 at e = (2, 2), fitted on 9
+    primes and verified on a 10th, so 8 and 9 primes are each refused
+    with that need and no count made, not with the need 9 of the first e
+    in order whose bound, 7 at e = (1, 2), is too large for 8."""
     qk = kronecker_quiver()
     M = direct_sum_many(qk, [projective_rep(qk, 1), injective_rep(qk, 2),
                              simple_rep(qk, 1), simple_rep(qk, 2)])
@@ -352,9 +353,10 @@ def test_profile_refuses_before_counting(primes, monkeypatch):
         raise AssertionError("_count_subreps called")
     monkeypatch.setattr(grassmannian, "_count_subreps", no_count)
     assert len(primes) == 8
-    with pytest.raises(ConfigurationError,
-                       match="need at least 9 primes, have 8"):
-        grassmannian_profile(M, primes)
+    for n in (8, 9):
+        with pytest.raises(ConfigurationError,
+                           match=f"need at least 10 primes, have {n}"):
+            grassmannian_profile(M, primes + (59,) * (n - 8))
 
 
 # -- elimination counting against the brute-force oracle -------------------
@@ -470,9 +472,9 @@ def reference_profile(M, primes):
     """(profile, counts): grassmannian_profile as counted with no tangent
     bound, every e <= dim M at every prime fitted within sum e(d - e), and
     the counts of each e by prime."""
-    counts = {e: {p: count_subreps(M, e, p) for p in primes}
-              for e in product(*[range(d + 1) for d in M.dim])}
-    chis = {e: fit_and_verify(by_prime, grassmannian_degree_bound(M.dim, e))(1)
+    bounds = box_bounds(M.dim)
+    counts = {e: {p: count_subreps(M, e, p) for p in primes} for e in bounds}
+    chis = {e: fit_and_verify(by_prime, bounds[e])(1)
             for e, by_prime in counts.items()}
     return {e: chi for e, chi in chis.items() if chi}, counts
 

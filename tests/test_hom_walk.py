@@ -8,10 +8,12 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from strategies import base_changed, hom_battery, tau_inverse_maps
+from strategies import (base_changed, box_bounds, hom_battery,
+                        tau_inverse_maps)
 
 from cclab import multiplication
-from cclab.artranslate import ar_translate, has_projective_summand
+from cclab.artranslate import (ar_inverse, ar_translate,
+                               has_projective_summand)
 from cclab.character import cc
 from cclab.config import default_primes
 from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
@@ -19,12 +21,13 @@ from cclab.corpus import (all_interval_modules, d4tilde_tube_simples,
 from cclab.errors import ConfigurationError
 from cclab.grassmannian import subspaces
 from cclab.linalg import GF, _nullspace, _rank_mod
-from cclab.multiplication import (_hom_side_middle, _hom_walk, _kernel_jumps,
-                                  stratify_hom_side, verify_xx1)
+from cclab.multiplication import (_hom_side_middle, _hom_strata, _hom_walk,
+                                  _kernel_jumps, stratify_hom_side,
+                                  verify_xx1)
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
                           kronecker_quiver)
 from cclab.reps import (ClusterObject, _kernel_key, _rep_of_key, combine,
-                        direct_sum, dual, hom_basis, hom_dim,
+                        direct_sum, direct_sum_many, dual, hom_basis, hom_dim,
                         injective_rep, make_rep, projective_rep, reduce_rep,
                         simple_rep, standard_module)
 
@@ -365,6 +368,67 @@ def test_class_bound_refuses_too_few_primes_before_any_count(monkeypatch):
         stratify_hom_side(simple_rep(q, 2), simple_rep(q, 1),
                           default_primes()[:4])
     assert counted == []
+
+
+def test_class_bound_refuses_after_one_prime(monkeypatch):
+    """Every class is checked against the primes after each prime's walk,
+    so Kronecker P Hom(tau^{-1} P1, tau(R + R + R)), R = R(1, 1), is
+    refused after walking 23 alone, not after all 8 default primes.  The
+    need named is the one known at the refusal, with dim Ext^1 over the
+    primes walked so far, a lower bound."""
+    q, walked = kronecker_quiver(), []
+    walk = multiplication._hom_walk
+    monkeypatch.setattr(multiplication, "_hom_walk",
+                        lambda *args: walked.append(args[0].field.p)
+                        or walk(*args))
+    R = kronecker_regular(1, 1)
+    with pytest.raises(ConfigurationError, match="need at least 13 primes"):
+        stratify_hom_side(ar_inverse(projective_rep(q, 1)).module,
+                          direct_sum_many(q, [R, R, R]), default_primes())
+    assert walked == [23]
+
+
+def _box_strata(monkeypatch, L, T, primes):
+    """_hom_strata with every class counted at every e <= dim Y, each
+    fitted within (d - 1) + sum e(d - e), box_bounds' quiver-blind bound."""
+    with monkeypatch.context() as m:
+        m.setattr(multiplication, "tangent_bounds",
+                  lambda q, dim, ext1: box_bounds(dim))
+        return _hom_strata(L, T, primes, "hom")
+
+
+def test_tangent_bound_keeps_the_strata_of_every_stock_side(monkeypatch):
+    """On every walked stock side the strata, counted only at the e that
+    the tangent bound of each class keeps and fitted within it, equal the
+    box reference, which counts every e; 6 sides skip an e."""
+    skips, bounds, skipping = [], multiplication.tangent_bounds, 0
+
+    def recording(q, dim, ext1):
+        out = bounds(q, dim, ext1)
+        skips.append(len(out) < len(box_bounds(dim)))
+        return out
+    monkeypatch.setattr(multiplication, "tangent_bounds", recording)
+    for _, L, T in WALKED:
+        skips.clear()
+        assert (_hom_strata(L, T, default_primes(), "hom")
+                == _box_strata(monkeypatch, L, T, default_primes()))
+        skipping += any(skips)
+    assert skipping == 6
+
+
+def test_tangent_bound_reaches_a_side_the_box_refuses(monkeypatch):
+    """Kronecker P Hom(R + R, tau^2 I2), R = R(1, 1), has d = 2 and one
+    class, of dim (4, 3), whose middle terms have dim Ext^1 = 2.  Its
+    largest box bound is 6, so the box reference needs 9 primes and
+    refuses the 8 defaults.  The tangent bound is at most 5 and skips 7
+    of the 20 e, and on the defaults it gives the box's strata on 9."""
+    q, R = kronecker_quiver(), kronecker_regular(1, 1)
+    M = ar_translate(injective_rep(q, 2))
+    L, T = direct_sum(R, R), ar_translate(M)
+    with pytest.raises(ConfigurationError, match="need at least 9 primes"):
+        _box_strata(monkeypatch, L, T, default_primes())
+    assert (stratify_hom_side(L, M, default_primes())
+            == _box_strata(monkeypatch, L, T, default_primes() + (59,)))
 
 
 @st.composite

@@ -5,12 +5,11 @@ import random
 from itertools import product
 
 import pytest
-from strategies import base_changed
+from strategies import base_changed, box_bounds
 
 from cclab.character import exponent_form
 from cclab.config import default_primes
-from cclab.grassmannian import (count_subreps, fit_and_verify,
-                                grassmannian_degree_bound, subspaces)
+from cclab.grassmannian import count_subreps, fit_and_verify, subspaces
 from cclab.laurent import LaurentPolynomial
 from cclab.multiplication import verify_xx2
 from cclab.quiver import (a2_quiver, a3_quiver, d4tilde_quiver,
@@ -26,8 +25,7 @@ def oracle_bound(M, d: int) -> int:
     """The degree bound of the point count of {(f, U <= Coker f)} at each
     exponent: a point of P^{d-1} times a point of Gr_e(Coker f), and
     Coker f is no larger than M."""
-    return (d - 1) + max(grassmannian_degree_bound(M.dim, e)
-                         for e in product(*[range(n + 1) for n in M.dim]))
+    return (d - 1) + max(box_bounds(M.dim).values())
 
 
 def tops(M) -> tuple:

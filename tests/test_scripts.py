@@ -179,6 +179,16 @@ def test_bench_script_writes_counts(tmp_path):
         assert (0 < row["subspace_table_misses"]
                 < row["vertex_table_builds"])
         assert row["median_s"] > 0
+    # R + R against tau^2 I2: one class of dim (4, 3), whose middle terms
+    # have dim Ext^1 = 2, so the tangent bound keeps 13 of its 20 e
+    side, refusal = doc["reach"]["side"], doc["reach"]["refusal"]
+    assert (side["classes"], side["e_counted"], side["e_skipped"]) == (
+        1, 13, 7)
+    assert side["median_s"] > 0
+    # the classes of the first prime already need more primes than given
+    assert refusal["primes_walked"] == [23]
+    assert refusal["message"] == "need at least 13 primes, have 8"
+    assert refusal["median_s"] > 0
     tau = {row["name"]: row for row in doc["tau"]}
     assert tau["kronecker.S1"]["tau_dim"] == [3, 2]
     assert tau["kronecker.R(1,1)"]["inverse_dim"] == [1, 1]
