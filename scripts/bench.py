@@ -1,6 +1,6 @@
 """Time the mutation oracle, the Laurent kernels, three stratifications, the
 AR translate, Grassmannian profiles and the reach of the Hom side's degree
-bound, and count the package's lines; write BENCH_37.json.
+bound, and count the package's lines; write BENCH_38.json.
 
 Run from the repository root:
 
@@ -57,24 +57,28 @@ Stdlib only.  Eleven parts:
   fixed stock modules of the Kronecker and D4-tilde quivers, in
   microseconds a call (the min over the batches).
 - grass: grassmannian_profile on the default primes of D4-tilde E1+E1,
-  A3 I13+I13 and Kronecker P1+I2, each with its caches cleared first:
-  the profile, the (U, ann U) tables keyed on (p, d, k) and the Gaussian
-  binomials; the module's own tables live for one profile.  Each row has
-  the module's ext1, the largest dim Ext^1(M, M) over the primes, and
-  skipped_e, the e <= dim M whose tangent bound for it is negative, which
-  are never counted.  The timed runs also count the
-  counts of subrepresentations, one per kept (e, p), and the cover tuples
-  they walk, prod [d_v choose e_v]_p over the cover of each count's
-  plan, beside the brute-force tuples over all vertices; and the
-  per-vertex tables built, one per (cover vertex, e_v, p) of the
-  module, against the (p, d, k) subspace tables computed for them.
+  A3 I13+I13, Kronecker P1+I2 and E6's highest root, each with its
+  caches cleared first: the profile, the (U, ann U) tables keyed on
+  (p, d, k) and the Gaussian binomials; the module's own tables live for
+  one sweep.  Each row has the module's ext1, the largest dim
+  Ext^1(M, M) over the primes, and skipped_e, the e <= dim M whose
+  tangent bound for it is negative, which are never counted.  The timed
+  runs also count the sweeps, one a prime for every kept e; the cover
+  tuples they walk, sum over the groups of a sweep's es (by their e_v on
+  the cover) of prod [d_v choose e_v]_p over the cover, beside the
+  brute-force tuples, prod [d_v choose e_v]_p over all vertices summed
+  over the es; the distinct signatures tallied, per group; the ranks
+  taken at free vertices, once a memo miss; and the per-vertex tables
+  built, one per (cover vertex, e_v, p) of the module, against the
+  (p, d, k) subspace tables computed for them.
 - reach: the Hom side of Kronecker xx1(R + R, tau I2), R = R(1, 1), on
   the default primes, P Hom(R + R, tau^2 I2) of dimension 2, which the
   box bound sum e(d - e) refused for too few primes: its time, its
-  classes and, over them, the e counted, those the tangent bound of the
-  class keeps, and the e skipped, the rest of each class's box.  Then
-  the refusal of P Hom(tau^{-1} P1, tau(R + R + R)) on the default
-  primes: its time, its message and the primes walked before it.
+  classes and, over them, the sweeps, one per member a prime, the e
+  counted, those the tangent bound of the class keeps, and the e
+  skipped, the rest of each class's box.  Then the refusal of
+  P Hom(tau^{-1} P1, tau(R + R + R)) on the default primes: its time,
+  its message and the primes walked before it.
 - src_lines: the lines of src/cclab/*.py, the size of the package.
 
 Every time is in seconds of the process's CPU time (time.process_time);
@@ -481,52 +485,65 @@ def tau_modules():
 
 
 def grass_modules():
-    """The profiled modules, as (name, module)."""
+    """The profiled modules, as (name, module): E6's highest root
+    (1, 2, 3, 2, 1, 2) is tau^-2 P3 on the orientation of the E6 closure."""
     e1, _ = d4tilde_tube_simples()
     i13 = interval_module(a3_quiver(), 1, 3)
     qk = kronecker_quiver()
+    e6 = validate_quiver(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
     return [("d4t.E1+E1", direct_sum(e1, e1)),
             ("a3.I13+I13", direct_sum(i13, i13)),
             ("kronecker.P1+I2",
-             direct_sum(projective_rep(qk, 1), injective_rep(qk, 2)))]
+             direct_sum(projective_rep(qk, 1), injective_rep(qk, 2))),
+            ("e6.highest_root", ar_inverse(ar_inverse(
+                projective_rep(e6, 3)).module).module)]
 
 
 @contextlib.contextmanager
 def counting_subreps():
-    """While active, count the counts of subrepresentations, the cover and
-    brute-force tuples of each and the per-vertex tables built, by
-    wrapping the counter that count_subreps and euler_char_grassmannian
-    share and the table builder; yields the counts.  The tuples are sized
-    with the unmemoized Gaussian binomial, so the memo stays cold."""
-    counts = {"count_subreps_calls": 0, "cover_tuples": 0,
-              "brute_force_tuples": 0, "vertex_table_builds": 0}
-    count = grassmannian._count_subreps
-    vertex_table = grassmannian._vertex_table
+    """While active, count the sweeps that count subrepresentations, the
+    cover tuples each walks, the brute-force tuples of its es beside them,
+    the distinct signatures tallied, the free-vertex ranks taken and the
+    per-vertex tables built, by wrapping the sweep, the tally, the rank
+    and the table builder; yields the counts.  The tuples are sized with
+    the unmemoized Gaussian binomial, so the memo stays cold."""
+    counts = {"sweeps": 0, "cover_tuples": 0, "brute_force_tuples": 0,
+              "signatures": 0, "rank_calls": 0, "vertex_table_builds": 0}
+    wrapped = {name: getattr(grassmannian, name) for name in
+               ("_sweep", "_tally", "_rank_mod", "_vertex_table")}
     binomial = grassmannian.gaussian_binomial.__wrapped__
 
-    def counting_count(M, plan, p, by_prime):
-        cover, _, sides = plan
-        counts["count_subreps_calls"] += 1
-        tuples = 1
-        for _, d, k in cover:
-            tuples *= binomial(d, k, p)
-        counts["cover_tuples"] += tuples
-        for d, k, *_ in sides:
-            tuples *= binomial(d, k, p)
-        counts["brute_force_tuples"] += tuples
-        return count(M, plan, p, by_prime)
+    def counting_sweep(M, plan, p, rows):
+        cover, _, _, groups = plan
+        counts["sweeps"] += 1
+        counts["cover_tuples"] += sum(
+            prod(binomial(d, k, p) for (_, d), k in zip(cover, ks))
+            for ks in groups)
+        counts["brute_force_tuples"] += sum(
+            prod(binomial(d, k, p) for d, k in zip(M.dim, e))
+            for es in groups.values() for e in es)
+        return wrapped["_sweep"](M, plan, p, rows)
+
+    def counting_tally(*args):
+        tally = wrapped["_tally"](*args)
+        counts["signatures"] += len(tally)
+        return tally
+
+    def counting_rank(*args):
+        counts["rank_calls"] += 1
+        return wrapped["_rank_mod"](*args)
 
     def counting_vertex_table(*args):
         counts["vertex_table_builds"] += 1
-        return vertex_table(*args)
+        return wrapped["_vertex_table"](*args)
 
-    grassmannian._count_subreps = counting_count
-    grassmannian._vertex_table = counting_vertex_table
-    try:
+    with contextlib.ExitStack() as stack:
+        for name, fn in (("_sweep", counting_sweep),
+                         ("_tally", counting_tally),
+                         ("_rank_mod", counting_rank),
+                         ("_vertex_table", counting_vertex_table)):
+            stack.enter_context(mock.patch.object(grassmannian, name, fn))
         yield counts
-    finally:
-        grassmannian._count_subreps = count
-        grassmannian._vertex_table = vertex_table
 
 
 def cold_profile(M, primes):
@@ -541,15 +558,18 @@ def cold_profile(M, primes):
 def reach(primes, repeats):
     """The reach part: the Hom side that the tangent bound newly fits and
     the refusal after one prime, each counted in one run, by wrapping the
-    plan made once a counted e and the per-prime walk, then timed."""
+    sweeps, which count each e the bound keeps, and the per-prime walk,
+    then timed."""
     q, R = kronecker_quiver(), kronecker_regular(1, 1)
     L, M = direct_sum(R, R), ar_translate(injective_rep(q, 2))
-    with mock.patch.object(multiplication, "_plan",
-                           wraps=multiplication._plan) as plan:
+    with mock.patch.object(multiplication, "_sweep",
+                           wraps=multiplication._sweep) as sweep:
         strata = multiplication.stratify_hom_side(L, M, primes)
-    counted = plan.call_count
+    counted = len({(call.args[0].dim, e) for call in sweep.call_args_list
+                   for es in call.args[1][3].values() for e in es})
     side = {"name": "kronecker.hom(R+R,tau I2)", "primes": list(primes),
-            "classes": len(strata), "e_counted": counted,
+            "classes": len(strata), "sweeps": sweep.call_count,
+            "e_counted": counted,
             "e_skipped": sum(prod(n + 1 for n in s.dim)
                              for s in strata) - counted,
             **timed(lambda: multiplication.stratify_hom_side(L, M, primes),
@@ -582,7 +602,7 @@ def answers(counts):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_37.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_38.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
@@ -714,14 +734,15 @@ def main(argv=None):
     for row in grass:
         print(f"{row['name']} profile: {row['median_s']:.3f} s, ext1 "
               f"{row['ext1']}, {row['skipped_e']} e skipped, "
-              f"{row['count_subreps_calls']} counts, {row['cover_tuples']} "
+              f"{row['sweeps']} sweeps, {row['cover_tuples']} "
               f"cover tuples ({row['brute_force_tuples']} brute force), "
+              f"{row['signatures']} signatures, {row['rank_calls']} ranks, "
               f"{row['vertex_table_builds']} vertex tables from "
               f"{row['subspace_table_misses']} subspace tables")
     row = reached["side"]
     print(f"{row['name']}: {row['median_s']:.3f} s, {row['classes']} "
-          f"classes, {row['e_counted']} e counted, {row['e_skipped']} "
-          "skipped")
+          f"classes, {row['sweeps']} sweeps, {row['e_counted']} e counted, "
+          f"{row['e_skipped']} skipped")
     row = reached["refusal"]
     print(f"{row['name']}: refused in {row['median_s']:.3f} s after walking "
           f"{row['primes_walked']}: {row['message']}")

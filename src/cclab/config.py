@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ConfigurationError
 
 DEFAULT_PRIME_COUNT = 8
@@ -15,6 +17,7 @@ MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
 
 
+@lru_cache(maxsize=256)  # GF(p) asks at every reduction
 def _is_prime(n: int) -> bool:
     """Whether n is prime; ConfigurationError from PSI_13 on."""
     if n >= PSI_13:

@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
+from math import prod
 from operator import mul
 
 from .errors import ConfigurationError, InputError, NotPolynomialCountError
 from .linalg import _nullspace_of_rref, _rank_mod
 from .reps import Representation, _ext1, make_rep, reduce_rep
+
+# A _sweep over more cover tuples would take seconds to minutes and its
+# tables up to gigabytes; E6's highest root walks 166,487 at p = 53.
+MAX_COVER_TUPLES = 250_000
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ def free_vertices(q, dim, e) -> set:
     The weight e_v (d_v - e_v) is the exponent of p in the number of
     e_v-subspaces of F_p^{d_v}, so the free set decides how much of the
     enumeration is replaced by closed forms; ties go to the lower index.
+    A sweep fixes one free set for all its es, from the e_v of largest
+    weight at each vertex (_plan): any independent set counts exactly.
     """
     weight = [k * (d - k) for d, k in zip(dim, e)]
     neighbours = [set() for _ in range(q.n)]
@@ -121,81 +128,122 @@ def _content(M: Representation) -> tuple:
     return tuple(tuple(map(tuple, m.data)) for m in M.matrices)
 
 
-def _plan(q, dim, e) -> tuple:
-    """What counting Gr_e M needs of (quiver q, dim M, e) alone, built once
-    for every prime, after e is checked against dim: the cover C left by
-    `free_vertices` as (v, d_v, e_v); the arrows inside C as (a, slot of s,
-    slot of t), a slot being a place in C; and per free vertex (d_v, e_v,
-    its in-arrows as (a, slot of s), its out-arrows as (a, slot of t))."""
-    if len(e) != q.n:
-        raise InputError("dimension vector length mismatch")
-    if any(ei > di or ei < 0 for ei, di in zip(e, dim)):
-        raise InputError("target dimension vector exceeds the module")
+def _plan(q, dim, es) -> tuple:
+    """What a _sweep of the es needs of (quiver q, dim M) alone, built once
+    for every prime after each e is checked against dim: the cover C left
+    by `free_vertices` for the heaviest e_v of es at each vertex v, as
+    (v, d_v); the arrows inside C as (a, slot of s, slot of t), a slot
+    being a place in C; per free vertex (v, d_v, the slots of its
+    neighbours, its in-arrows as (a, slot of s), its out-arrows as
+    (a, slot of t)); and the es grouped by their e_v on C."""
+    es = [tuple(e) for e in es]
+    for e in es:
+        if len(e) != q.n:
+            raise InputError("dimension vector length mismatch")
+        if any(ei > di or ei < 0 for ei, di in zip(e, dim)):
+            raise InputError("target dimension vector exceeds the module")
     ends = [(s - 1, t - 1) for s, t in q.arrows]
-    free = free_vertices(q, dim, e)
+    free = free_vertices(q, dim, [max((e[v] for e in es), default=0,
+                                      key=lambda k, d=d: k * (d - k))
+                                  for v, d in enumerate(dim)])
     cover = [v for v in range(q.n) if v not in free]
-    slot = {v: i for i, v in enumerate(cover)}
-    return ([(v, dim[v], e[v]) for v in cover],
+    slot, groups, sides = {v: i for i, v in enumerate(cover)}, {}, []
+    for e in es:
+        groups.setdefault(tuple(e[v] for v in cover), []).append(e)
+    for v in sorted(free):
+        ins = [(a, slot[s]) for a, (s, t) in enumerate(ends) if t == v]
+        outs = [(a, slot[t]) for a, (s, t) in enumerate(ends) if s == v]
+        sides.append((v, dim[v], sorted({s for _, s in ins + outs}), ins,
+                      outs))
+    return ([(v, dim[v]) for v in cover],
             [(a, slot[s], slot[t]) for a, (s, t) in enumerate(ends)
-             if s in slot and t in slot],
-            [(dim[v], e[v],
-              [(a, slot[s]) for a, (s, t) in enumerate(ends) if t == v],
-              [(a, slot[t]) for a, (s, t) in enumerate(ends) if s == v])
-             for v in sorted(free)])
+             if s in slot and t in slot], sides, groups)
 
 
 def count_subreps(M: Representation, e, p: int) -> int:
-    """Number of subrepresentations of dimension vector e over F_p."""
-    return _count_subreps(M, _plan(M.quiver, M.dim, e), p, {})
+    """Number of subrepresentations of dimension vector e over F_p, read
+    off a _sweep of e alone; a p that is not prime is refused by GF."""
+    plan = _plan(M.quiver, M.dim, [e])
+    return _sweep(M, plan, p, _by_prime(M, [p])[p])[tuple(e)]
 
 
-def _count_subreps(M: Representation, plan: tuple, p: int,
-                   by_prime: dict) -> int:
-    """count_subreps by plan, M's _plan for one e, on by_prime, which holds
-    per prime p M's matrices mod p as int rows and (v, k) -> _vertex_table,
-    so that a caller counting many e at many primes sets them up once.
+def _sweep(M: Representation, plan: tuple, p: int, rows) -> dict:
+    """{e: number of subrepresentations of dimension vector e over F_p}
+    for the es of plan, M's _plan, from rows, M's matrices mod p as int
+    rows.  Subspaces U_v are enumerated only on the cover C of the plan;
+    an arrow a: s -> t in C holds when ann(U_t) M_a U_s = 0.  Every arrow
+    at a free vertex v has its other end in C, so U_v may be any
+    e_v-subspace between A_v, the sum of the images M_a(U_s) of its
+    in-arrows, and B_v, the intersection of the preimages M_a^{-1}(U_t) of
+    its out-arrows: [dim B_v - dim A_v, e_v - dim A_v]_p choices when A_v
+    lies in B_v, none otherwise.  That depends on the tuple on C through
+    (dim A_v, dim B_v) alone, so the es of each group walk its cover
+    tuples once (_tally), and each e is read off the tally.  A sweep over
+    MAX_COVER_TUPLES cover tuples is refused before its first table."""
+    cover, inner, sides, groups = plan
+    tuples = sum(prod(gaussian_binomial(d, k, p) for (_, d), k in
+                      zip(cover, ks)) for ks in groups)
+    if tuples > MAX_COVER_TUPLES:
+        raise ConfigurationError(
+            f"counting the subrepresentations of dimension {M.dim} over "
+            f"F_{p} would walk {tuples} cover tuples, more than "
+            f"{MAX_COVER_TUPLES}")
+    ends = [(s - 1, t - 1) for s, t in M.quiver.arrows]
+    tables, counts, free = {}, {}, [side[0] for side in sides]
+    for ks, es in groups.items():
+        for (v, d), k in zip(cover, ks):
+            if (v, k) not in tables:
+                tables[v, k] = _vertex_table(rows, ends, d, v, k, p)
+        tally = _tally([tables[v, k] for (v, _), k in zip(cover, ks)],
+                       inner, sides, es, p)
+        for e in es:
+            counts[e] = sum(n * prod(gaussian_binomial(b - a, e[v] - a, p)
+                                     for (a, b), v in zip(sig, free))
+                            for sig, n in tally.items())
+    return counts
 
-    Subspaces U_v are enumerated only on the vertex cover C of the plan,
-    from the tables in by_prime; an arrow a: s -> t in C holds when
-    ann(U_t) M_a U_s = 0.  Every arrow at a free vertex v has its other end
-    in C, so U_v may be any e_v-subspace between A_v, the sum of the images
-    M_a(U_s) of its in-arrows, and B_v, the intersection of the preimages
-    M_a^{-1}(U_t) of its out-arrows: [dim B_v - dim A_v, e_v - dim A_v]_p
-    choices when A_v lies in B_v, none otherwise.
-    """
-    if p not in by_prime:
-        by_prime.update(_by_prime(M, [p]))
-    rows, tables = by_prime[p]
-    cover, inner, sides = plan
-    for v, d, k in cover:
-        if (v, k) not in tables:
-            ends = [(s - 1, t - 1) for s, t in M.quiver.arrows]
-            tables[v, k] = _vertex_table(rows, ends, d, v, k, p)
-    count = 0
-    for tup in product(*[tables[v, k] for v, _, k in cover]):
-        if not _arrows_hold(tup, inner, p):
+
+def _tally(tables, inner, sides, es, p: int) -> dict:
+    """{signature: number of cover tuples} over the tuples of tables, one
+    _vertex_table per slot of the cover, whose inner arrows hold and whose
+    A_v lies in B_v at each free vertex of sides (see _sweep), with
+    dim A_v <= e_v <= dim B_v for some e of es; a tuple's signature is its
+    (dim A_v, dim B_v) per free vertex.  These read only the entries at
+    v's neighbours, so they are memoized on those entries, by identity, as
+    the tables hold them; () stands for a tuple that no e of es counts."""
+    memos, tally = [{} for _ in sides], {}
+    wants = [{e[side[0]] for e in es} for side in sides]
+    for tup in product(*tables):
+        if inner and not _arrows_hold(tup, inner, p):
             continue
-        term = 1
-        for d, k, ins, outs in sides:
-            images = [w for a, s in ins for w in tup[s][1][a]]
-            forms = [f for a, t in outs for f in tup[t][1][a]]
-            if images and any(sum(map(mul, f, w)) % p
-                              for f in forms for w in images):
-                term = 0
+        sig = []
+        for memo, want, (_, d, near, ins, outs) in zip(memos, wants, sides):
+            key = tuple([id(tup[s]) for s in near])
+            dims = memo.get(key)
+            if dims is None:
+                images = [w for a, s in ins for w in tup[s][1][a]]
+                forms = [f for a, t in outs for f in tup[t][1][a]]
+                dims = ()
+                if not (images and any(sum(map(mul, f, w)) % p
+                                       for f in forms for w in images)):
+                    lo = _rank_mod(images, d, p) if images else 0
+                    hi = d - (_rank_mod(forms, d, p) if forms else 0)
+                    if any(lo <= k <= hi for k in want):
+                        dims = lo, hi
+                memo[key] = dims
+            if not dims:
                 break
-            dim_a = _rank_mod(images, d, p) if images else 0
-            dim_b = d - (_rank_mod(forms, d, p) if forms else 0)
-            term *= gaussian_binomial(dim_b - dim_a, k - dim_a, p)
-            if not term:
-                break
-        count += term
-    return count
+            sig.append(dims)
+        else:
+            sig = tuple(sig)
+            tally[sig] = tally.get(sig, 0) + 1
+    return tally
 
 
 def _by_prime(M: Representation, primes) -> dict:
-    """by_prime of _count_subreps at the primes, with no table yet."""
-    return {p: ([m.data for m in reduce_rep(M, p).matrices], {})
-            for p in primes}
+    """{p: M's matrices mod p as int rows} at the primes, the rows of
+    _sweep."""
+    return {p: [m.data for m in reduce_rep(M, p).matrices] for p in primes}
 
 
 def _arrows_hold(tup, arrows, p: int) -> bool:
@@ -286,42 +334,46 @@ def tangent_bounds(q, dim, ext1: int) -> dict:
 
 def _self_ext1(M: Representation, by_prime: dict) -> int:
     """The largest dim Ext^1(M_p, M_p) over the primes of by_prime (see
-    _count_subreps), ranked on its int rows; 0 with no prime."""
+    _by_prime), ranked on its int rows; 0 with no prime."""
     arrows, dim = M.quiver.arrows, M.dim
     return max((_ext1(arrows, (dim, rows), (dim, rows), p)
-                for p, (rows, _) in by_prime.items()), default=0)
+                for p, rows in by_prime.items()), default=0)
 
 
 def euler_char_grassmannian(M: Representation, e, primes) -> int:
-    """chi(Gr_e M) as P(1) of the verified counting polynomial."""
-    primes = sorted(set(primes))
-    by_prime = _by_prime(M, primes)
-    return _euler_char(M, e, primes, by_prime, _self_ext1(M, by_prime))
-
-
-def _euler_char(M: Representation, e, primes, by_prime: dict,
-                ext1: int) -> int:
-    """chi(Gr_e M) from its counts at the sorted distinct primes, which
-    share by_prime (see _count_subreps), fitted within the
-    tangent_degree_bound for ext1, the _self_ext1 of M at the primes: 0,
-    with no count, when that bound is negative.  For rigid M (ext1 = 0)
-    Gr_e M is smooth of dimension <e, d - e>, so a nonzero count must have
-    that degree, be palindromic and have no negative coefficient.  e is
-    checked before the primes are."""
-    plan = _plan(M.quiver, M.dim, e)
+    """chi(Gr_e M) as P(1) of the verified counting polynomial: 0, with no
+    count, when its tangent_degree_bound is negative.  e is checked before
+    the primes are."""
+    e, by_prime = tuple(e), _by_prime(M, sorted(set(primes)))
+    _plan(M.quiver, M.dim, [e])  # refuses a bad e
+    ext1 = _self_ext1(M, by_prime)
     bound = tangent_degree_bound(M.quiver, M.dim, e, ext1)
-    if bound < 0:
-        return 0
-    _check_prime_count(len(primes), bound)
-    poly = fit_and_verify({p: _count_subreps(M, plan, p, by_prime)
-                           for p in primes}, bound)
-    c = poly.coefficients
-    if not ext1 and c and (len(c) - 1 != bound or c != c[::-1]
-                           or min(c) < 0):
-        raise NotPolynomialCountError(
-            f"count {c} of a rigid module at e = {tuple(e)} is not "
-            f"palindromic of degree {bound} with coefficients >= 0")
-    return poly(1)
+    return _euler_chars(M, {e: bound}, by_prime, ext1)[e] if bound >= 0 else 0
+
+
+def _euler_chars(M: Representation, bounds: dict, by_prime: dict,
+                 ext1: int) -> dict:
+    """{e: chi(Gr_e M)} for the e of bounds, {e: its tangent_degree_bound
+    >= 0 for ext1, the _self_ext1 of M at the primes of by_prime}, each
+    count fitted within its bound; every e is counted in one _sweep a
+    prime, and the largest bound is checked against the primes before the
+    first.  For rigid M (ext1 = 0) Gr_e M is smooth of dimension
+    <e, d - e>, the bound, so a nonzero count must have that degree, be
+    palindromic and have no negative coefficient."""
+    _check_prime_count(len(by_prime), max(bounds.values()))
+    plan = _plan(M.quiver, M.dim, bounds)
+    sweeps = {p: _sweep(M, plan, p, rows) for p, rows in by_prime.items()}
+    chis = {}
+    for e, bound in bounds.items():
+        poly = fit_and_verify({p: n[e] for p, n in sweeps.items()}, bound)
+        c = poly.coefficients
+        if not ext1 and c and (len(c) - 1 != bound or c != c[::-1]
+                               or min(c) < 0):
+            raise NotPolynomialCountError(
+                f"count {c} of a rigid module at e = {e} is not "
+                f"palindromic of degree {bound} with coefficients >= 0")
+        chis[e] = poly(1)
+    return chis
 
 
 def grassmannian_profile(M: Representation, primes) -> dict:
@@ -335,12 +387,9 @@ def _profile(q, field, dim, matrices, primes) -> dict:
     """grassmannian_profile, cached on the module's exact content and its
     sorted distinct primes; {dim M: 1} for the zero module.  Only the e
     kept by tangent_bounds, for the _self_ext1 of M at the primes, are
-    counted; the largest of their bounds is checked against the primes
-    before the first count."""
+    counted (_euler_chars)."""
     M = make_rep(q, dim, [list(map(list, m)) for m in matrices], field)
     by_prime = _by_prime(M, primes)
     ext1 = _self_ext1(M, by_prime)
-    bounds = tangent_bounds(q, dim, ext1)
-    _check_prime_count(len(primes), max(bounds.values()))
-    chis = {e: _euler_char(M, e, primes, by_prime, ext1) for e in bounds}
+    chis = _euler_chars(M, tangent_bounds(q, dim, ext1), by_prime, ext1)
     return {e: chi for e, chi in chis.items() if chi}

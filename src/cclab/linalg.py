@@ -15,11 +15,17 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+from .config import _is_prime
+from .errors import ConfigurationError
+
 
 class GF:
-    """Prime field F_p with elements stored as ints in [0, p)."""
+    """Prime field F_p with elements stored as ints in [0, p);
+    ConfigurationError when p is not prime."""
 
     def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ConfigurationError(f"{p} is not prime")
         self.p = p
         self.zero = 0
         self.one = 1 % p

@@ -28,8 +28,8 @@ from .artranslate import (_tau_dims, ar_translate, ar_translate_maps,
                           has_projective_summand, summand_multiplicities)
 from .character import cc, describe, exponent_form
 from .errors import CCLabError, PreconditionError, PrimeInstabilityError
-from .grassmannian import (_by_prime, _check_prime_count, _count_subreps,
-                           _plan, _self_ext1, fit_and_verify,
+from .grassmannian import (_by_prime, _check_prime_count, _plan,
+                           _self_ext1, _sweep, fit_and_verify,
                            grassmannian_profile, subreps, subspaces,
                            tangent_bounds)
 from .laurent import LaurentPolynomial
@@ -147,7 +147,8 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
     fitted within d - 1; chi(Z_e) is the count of its incidence variety
     {(g, U <= Y_g) : dim U = e}, sum_k points_k |Gr_e(Y_k)(F_p)|, fitted
     within (d - 1) + b_e, b_e its tangent_bounds for x the largest
-    _self_ext1 of the Y_k, and not counted where b_e < 0.  Each prime's
+    _self_ext1 of the Y_k, and not counted where b_e < 0; one _sweep of a
+    member at a prime counts every kept e of its class.  Each prime's
     walk ends by checking every class met against the primes with x so
     far, which only grows: a refusal names the need known then, a lower
     bound, and the last prime's check is the whole one."""
@@ -166,10 +167,10 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
     for p, args in reduced.items():
         for points, Y in _hom_walk(*args).values():
             key, Y = (Y.shifted, Y.module.dim), Y.module
-            by_prime = {p: ([m.data for m in Y.matrices], {})}
+            rows = [m.data for m in Y.matrices]
             classes.setdefault(key, {}).setdefault(p, []).append(
-                (points, Y, by_prime))
-            ext1[key] = max(ext1.get(key, 0), _self_ext1(Y, by_prime))
+                (points, Y, rows))
+            ext1[key] = max(ext1.get(key, 0), _self_ext1(Y, {p: rows}))
         bounds = {key: tangent_bounds(q, key[1], x)
                   for key, x in ext1.items()}
         _check_prime_count(len(reduced), d - 1 + max(
@@ -179,13 +180,13 @@ def _hom_strata(L: Representation, T: Representation, primes, side: str):
         members = classes[shifted, dim]
         chi = fit_and_verify({p: sum(n for n, *_ in members.get(p, ()))
                               for p in reduced}, d - 1)(1)
-        profile = {}
-        for e, b in bounds[shifted, dim].items():
-            plan = _plan(q, dim, e)
-            profile[e] = fit_and_verify({p: sum(
-                n * _count_subreps(Y, plan, p, by_prime)
-                for n, Y, by_prime in members.get(p, ())) for p in reduced},
-                d - 1 + b)(1)
+        kept = bounds[shifted, dim]
+        plan = _plan(q, dim, kept)
+        sweeps = {p: [(n, _sweep(Y, plan, p, rows)) for n, Y, rows in
+                      members.get(p, ())] for p in reduced}
+        profile = {e: fit_and_verify({p: sum(n * c[e] for n, c in swept)
+                                      for p, swept in sweeps.items()},
+                                     d - 1 + b)(1) for e, b in kept.items()}
         reports.append(StratumReport(dim, shifted, chi, side, exponent_form(
             q, dim, shifted, profile)))
     total = sum(s.chi for s in reports)

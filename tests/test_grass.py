@@ -133,6 +133,47 @@ def test_count_lines_at_sink():
         assert count_subreps(M, (0, 1), p) == p + 1
 
 
+@pytest.mark.parametrize("modulus", [4, 1, 0])
+def test_count_refuses_a_modulus_that_is_not_prime(modulus):
+    """A modulus that is not prime is refused when its field is made, not
+    read as a count: over Z/4, Kronecker P1 gave 5 subrepresentations of
+    dimension (0, 1) and P1 + I2 a raw ValueError at (1, 1); 1 was taken
+    for a denominator and 0 raised a raw ZeroDivisionError."""
+    qk = kronecker_quiver()
+    p1 = projective_rep(qk, 1)
+    for M, e in [(p1, (0, 1)), (direct_sum(p1, injective_rep(qk, 2)),
+                                (1, 1))]:
+        with pytest.raises(ConfigurationError,
+                           match=f"^{modulus} is not prime$"):
+            count_subreps(M, e, modulus)
+    with pytest.raises(ConfigurationError):
+        GF(modulus)
+
+
+def test_oversized_sweep_is_refused_before_its_tables(monkeypatch):
+    """A sweep over more than MAX_COVER_TUPLES cover tuples is refused
+    with its estimate before a table is built: on the semisimple
+    Kronecker module S1^4 + S2^5, vertex 1 is the cover at e = (2, 2), and
+    at p = 23 it has [4 choose 2]_23 = 293,090 planes."""
+    qk = kronecker_quiver()
+    M = direct_sum_many(qk, [simple_rep(qk, 1)] * 4 + [simple_rep(qk, 2)] * 5)
+    assert gaussian_binomial(4, 2, 23) == 293090
+    assert grassmannian.MAX_COVER_TUPLES == 250000
+
+    def no_table(*args):
+        raise AssertionError("table built")
+    with monkeypatch.context() as patch:
+        patch.setattr(grassmannian, "_vertex_table", no_table)
+        patch.setattr(grassmannian, "_subspace_table", no_table)
+        with pytest.raises(ConfigurationError, match=(
+                r"dimension \(4, 5\) over F_23 would walk 293090 cover "
+                r"tuples, more than 250000")):
+            count_subreps(M, (2, 2), 23)
+    # every pair of subspaces is a subrepresentation
+    assert count_subreps(M, (2, 2), 5) == (gaussian_binomial(4, 2, 5)
+                                           * gaussian_binomial(5, 2, 5))
+
+
 def test_count_rejects_oversized_vector(primes):
     q = a2_quiver()
     with pytest.raises(InputError):
@@ -306,8 +347,8 @@ def test_euler_char_refuses_before_counting(primes, monkeypatch):
                              simple_rep(qk, 1), simple_rep(qk, 2)])
 
     def no_count(*args):
-        raise AssertionError("_count_subreps called")
-    monkeypatch.setattr(grassmannian, "_count_subreps", no_count)
+        raise AssertionError("_sweep called")
+    monkeypatch.setattr(grassmannian, "_sweep", no_count)
     assert len(primes) == 8
     with pytest.raises(ConfigurationError,
                        match="need at least 10 primes, have 8"):
@@ -332,8 +373,8 @@ def test_rigid_count_must_be_palindromic(primes, monkeypatch):
     bound 1 at every prime."""
     p1 = projective_rep(kronecker_quiver(), 1)
     assert euler_char_grassmannian(p1, (0, 1), primes) == 2
-    monkeypatch.setattr(grassmannian, "_count_subreps",
-                        lambda M, plan, p, by_prime: p + 2)
+    monkeypatch.setattr(grassmannian, "_sweep", lambda M, plan, p, rows: {
+        e: p + 2 for es in plan[3].values() for e in es})
     with pytest.raises(NotPolynomialCountError, match="palindromic"):
         euler_char_grassmannian(p1, (0, 1), primes)
 
@@ -350,8 +391,8 @@ def test_profile_refuses_before_counting(primes, monkeypatch):
     assert M.dim == (4, 4)
 
     def no_count(*args):
-        raise AssertionError("_count_subreps called")
-    monkeypatch.setattr(grassmannian, "_count_subreps", no_count)
+        raise AssertionError("_sweep called")
+    monkeypatch.setattr(grassmannian, "_sweep", no_count)
     assert len(primes) == 8
     for n in (8, 9):
         with pytest.raises(ConfigurationError,
@@ -445,22 +486,68 @@ def test_count_matches_brute_force(case):
 @given(small_modules())
 @settings(deadline=None, max_examples=60)
 def test_shared_tables_count_every_e(case):
-    """The counts of every e of one module, in any order, share one dict of
-    tables, as in _profile; each count equals the oracle's with the tables
-    warm (filled by the e before it, or under another free set) and cold."""
+    """One sweep counts every e of a module, drawn in any order, as in
+    _profile, and each count equals the oracle's, also under another free
+    set and e by e through count_subreps."""
     M, p, es, free = case
     expected = {e: brute_force_count(M, e, p) for e in es}
-    shared = {}
+    rows = grassmannian._by_prime(M, [p])[p]
 
-    def counts():
-        return {e: grassmannian._count_subreps(
-            M, grassmannian._plan(M.quiver, M.dim, e), p, shared) for e in es}
-    assert counts() == expected
+    def sweep():
+        return grassmannian._sweep(
+            M, grassmannian._plan(M.quiver, M.dim, es), p, rows)
+    assert sweep() == expected
     with mock.patch.object(grassmannian, "free_vertices",
                            lambda q, dim, e: free):
-        assert counts() == expected
+        assert sweep() == expected
     for e in es:
         assert count_subreps(M, e, p) == expected[e]
+
+
+@given(small_modules())
+@settings(deadline=None, max_examples=60)
+def test_memo_leaves_every_count_unchanged(case):
+    """The memo of (dim A_v, dim B_v) on the entries at v's neighbours
+    gives the tally and the counts of keying it on the whole cover tuple,
+    which no other tuple shares, under the greedy free set and any
+    other."""
+    M, p, es, free = case
+    rows = grassmannian._by_prime(M, [p])[p]
+    ends = [(s - 1, t - 1) for s, t in M.quiver.arrows]
+    for cover_of in (grassmannian.free_vertices, lambda q, dim, e: free):
+        with mock.patch.object(grassmannian, "free_vertices", cover_of):
+            plan = grassmannian._plan(M.quiver, M.dim, es)
+        cover, inner, sides, groups = plan
+        whole = [(v, d, range(len(cover)), ins, outs)
+                 for v, d, _, ins, outs in sides]
+        assert grassmannian._sweep(M, plan, p, rows) == grassmannian._sweep(
+            M, (cover, inner, whole, groups), p, rows)
+        for ks, group in groups.items():
+            tables = [grassmannian._vertex_table(rows, ends, d, v, k, p)
+                      for (v, d), k in zip(cover, ks)]
+            assert grassmannian._tally(tables, inner, sides, group, p) == (
+                grassmannian._tally(tables, inner, whole, group, p))
+
+
+def test_profile_sweeps_once_per_prime(primes, monkeypatch):
+    """_profile counts every kept e of a module in one sweep a prime:
+    D4-tilde E1 + E1 is rigid and keeps 14 of its 27 e, all in each of
+    the 8 sweeps."""
+    e1, _ = d4tilde_tube_simples()
+    M = direct_sum(e1, e1)
+    sweeps, sweep = [], grassmannian._sweep
+
+    def recording(M, plan, p, rows):
+        counts = sweep(M, plan, p, rows)
+        sweeps.append((p, sorted(counts)))
+        return counts
+    monkeypatch.setattr(grassmannian, "_sweep", recording)
+    grassmannian._profile.cache_clear()
+    profile = grassmannian_profile(M, primes)
+    kept = sorted(tangent_bounds(M.quiver, M.dim, 0))
+    assert len(kept) == 14
+    assert sweeps == [(p, kept) for p in primes]
+    assert set(profile) <= set(kept)
 
 
 # -- the tangent bound against brute force ---------------------------------

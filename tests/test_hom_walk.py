@@ -3,6 +3,7 @@ leaves the common kernel of its pencil and one point for the rest, against
 a walk that keys P Hom point by point."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -359,10 +360,10 @@ def test_class_bound_refuses_too_few_primes_before_any_count(monkeypatch):
     of dim (2, 2) counts Gr_(1,1) within 1 + 2 and needs 5: 4 primes are
     refused before any Grassmannian count."""
     q, counted = kronecker_quiver(), []
-    count = multiplication._count_subreps
+    sweep = multiplication._sweep
     monkeypatch.setattr(multiplication, "_hom_walk", _walk_of_split_and_band)
-    monkeypatch.setattr(multiplication, "_count_subreps",
-                        lambda *args: counted.append(args) or count(*args))
+    monkeypatch.setattr(multiplication, "_sweep",
+                        lambda *args: counted.append(args) or sweep(*args))
     with pytest.raises(ConfigurationError,
                        match="need at least 5 primes, have 4"):
         stratify_hom_side(simple_rep(q, 2), simple_rep(q, 1),
@@ -386,6 +387,24 @@ def test_class_bound_refuses_after_one_prime(monkeypatch):
         stratify_hom_side(ar_inverse(projective_rep(q, 1)).module,
                           direct_sum_many(q, [R, R, R]), default_primes())
     assert walked == [23]
+
+
+def test_oversized_class_is_refused_before_its_counts():
+    """On the 13 primes 23-73 the side above passes every prime-count
+    check, and its class of dim (4, 5) then counted Gr(2, F_73^4) and more
+    until the process ran out of memory.  Its first sweep, at p = 23,
+    would walk 318,532 cover tuples, the planes and the other subspaces
+    of vertex 1, so the side is refused after its walks, in seconds."""
+    q, R = kronecker_quiver(), kronecker_regular(1, 1)
+    start = time.process_time()
+    with pytest.raises(ConfigurationError, match=(
+            r"dimension \(4, 5\) over F_23 would walk 318532 cover "
+            r"tuples, more than 250000")):
+        stratify_hom_side(ar_inverse(projective_rep(q, 1)).module,
+                          direct_sum_many(q, [R, R, R]),
+                          (23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                           73))
+    assert time.process_time() - start < 10
 
 
 def _box_strata(monkeypatch, L, T, primes):

@@ -161,29 +161,63 @@ def test_bench_script_writes_counts(tmp_path):
     assert row["keyed"] == row["memo_misses"] == 4 * len(d4tilde["primes"])
     assert row["median_s"] > 0 and d4tilde["ext"]["median_s"] > 0
     grass = {row["name"]: row for row in doc["grass"]}
-    assert list(grass) == ["d4t.E1+E1", "a3.I13+I13", "kronecker.P1+I2"]
-    # E1+E1 and I13+I13 are rigid, so their bound is <e, d - e>, negative
-    # at 13 and at 15 of their 27 e; P1 + I2 has dim Ext^1 = 4 and skips
-    # 3 of its 16 e
+    assert list(grass) == ["d4t.E1+E1", "a3.I13+I13", "kronecker.P1+I2",
+                           "e6.highest_root"]
+    # E1+E1, I13+I13 and E6's highest root are rigid, so their bound is
+    # <e, d - e>, negative at 13 and at 15 of their 27 e and at 364 of
+    # E6's 432; P1 + I2 has dim Ext^1 = 4 and skips 3 of its 16 e
     assert [(row["ext1"], row["skipped_e"]) for row in grass.values()] == [
-        (0, 13), (0, 15), (4, 3)]
+        (0, 13), (0, 15), (4, 3), (0, 364)]
+    primes = grass["e6.highest_root"]["primes"]
     for row in grass.values():
-        # one count per prime and e <= dim M that the bound keeps
-        n_e = 1
-        for d in row["dim"]:
-            n_e *= d + 1
-        assert row["count_subreps_calls"] == (
-            (n_e - row["skipped_e"]) * len(row["primes"]))
+        # one sweep a prime counts every e that the bound keeps
+        assert row["sweeps"] == len(row["primes"]) == len(primes)
         assert 0 < row["cover_tuples"] < row["brute_force_tuples"]
-        # the vertex tables share the subspace tables of each (p, d, k)
+        assert 0 < row["signatures"] <= row["cover_tuples"]
+        # a subspace table of each (p, d, k) serves every vertex table of
+        # that shape; only E6 has two cover vertices of one dimension
         assert (0 < row["subspace_table_misses"]
-                < row["vertex_table_builds"])
+                <= row["vertex_table_builds"])
         assert row["median_s"] > 0
+    # E1+E1 and I13+I13: the cover is the one vertex of dimension 2 with
+    # 2 arrows (the center of D4-tilde, the middle of A3), whose 0-, 1-
+    # and 2-subspaces number p + 3, each kept by some e: a group each, one
+    # table each and one signature each.  A free vertex takes a rank at
+    # each subspace U but the one on the far side of its arrow: U = F_p^2
+    # for an arrow into U (no forms vanish on it), U = 0 for an arrow out
+    # of it (no images); E1+E1 has 4 free vertices with arrows into the
+    # center and I13+I13 2 (one arrow in, one out)
+    for name, rank_vertices in (("d4t.E1+E1", 4), ("a3.I13+I13", 2)):
+        row = grass[name]
+        assert row["cover_tuples"] == sum(p + 3 for p in primes)
+        assert row["vertex_table_builds"] == row["signatures"] == (
+            3 * len(primes))
+        assert row["rank_calls"] == rank_vertices * sum(p + 2
+                                                        for p in primes)
+    # P1 + I2: vertex 2, of dimension 3, is the cover; the 13 kept e reach
+    # e_2 = 0..3, so 2 + 2 (p^2 + p + 1) tuples a prime, and vertex 1 takes
+    # a rank of its forms at each but U_2 = F_p^3
+    row = grass["kronecker.P1+I2"]
+    assert row["cover_tuples"] == sum(2 * p * p + 2 * p + 4 for p in primes)
+    assert row["rank_calls"] == row["cover_tuples"] - len(primes)
+    assert row["vertex_table_builds"] == 4 * len(primes)
+    # E6's highest root (1, 2, 3, 2, 1, 2): the cover is vertices 2, 4 and
+    # 6, each of dimension 2, and the kept e reach the 14 groups with
+    # e_2 <= e_4, e_6, so (p + 3)^2 + (p + 1)(p + 2)^2 + 1 cover tuples a
+    # prime, not the (p + 3)^3 of all 27; 9 vertex tables a prime from 3
+    # subspace tables, and the memo leaves a rank for one tuple in 30
+    row = grass["e6.highest_root"]
+    assert row["cover_tuples"] == sum(
+        (p + 3) ** 2 + (p + 1) * (p + 2) ** 2 + 1 for p in primes) == 595984
+    assert (row["vertex_table_builds"], row["subspace_table_misses"]) == (
+        9 * len(primes), 3 * len(primes))
+    assert 0 < 30 * row["rank_calls"] < row["cover_tuples"]
     # R + R against tau^2 I2: one class of dim (4, 3), whose middle terms
-    # have dim Ext^1 = 2, so the tangent bound keeps 13 of its 20 e
+    # have dim Ext^1 = 2, so the tangent bound keeps 13 of its 20 e, all
+    # counted by one sweep of its one member a prime
     side, refusal = doc["reach"]["side"], doc["reach"]["refusal"]
-    assert (side["classes"], side["e_counted"], side["e_skipped"]) == (
-        1, 13, 7)
+    assert (side["classes"], side["sweeps"], side["e_counted"],
+            side["e_skipped"]) == (1, 8, 13, 7)
     assert side["median_s"] > 0
     # the classes of the first prime already need more primes than given
     assert refusal["primes_walked"] == [23]
